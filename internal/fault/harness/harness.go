@@ -26,6 +26,7 @@ import (
 
 	"oodb/internal/core"
 	"oodb/internal/fault"
+	"oodb/internal/index"
 	"oodb/internal/model"
 	"oodb/internal/schema"
 )
@@ -680,10 +681,12 @@ func checkIndexAgreement(db *core.DB, name string, spec IndexSpec, objs map[mode
 		}
 	}
 	// Backward: every posting resolves to a live object (no dangling).
-	for _, oid := range idx.Range(model.Int(-1<<62), model.Int(1<<62), true, nil) {
+	var dangling error
+	idx.Scan(index.Interval{}, nil, func(oid model.OID) bool {
 		if _, ok := objs[oid]; !ok {
-			return fmt.Errorf("index %q: dangling posting %s (object not live)", name, oid)
+			dangling = fmt.Errorf("index %q: dangling posting %s (object not live)", name, oid)
 		}
-	}
-	return nil
+		return dangling == nil
+	})
+	return dangling
 }

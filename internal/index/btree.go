@@ -181,10 +181,13 @@ func (t *Tree) Search(key []byte) []model.OID {
 	return nil
 }
 
-// Range calls fn for every (key, postings) pair with lo <= key and
-// (hi == nil or key < hi, or key <= hi when hiInclusive). A nil lo starts
-// at the smallest key. fn returning false stops the scan.
-func (t *Tree) Range(lo, hi []byte, hiInclusive bool, fn func(key []byte, posts []model.OID) bool) {
+// Range calls fn for every (key, postings) pair, in key order, with
+// lo < key (lo <= key when loInclusive) and key < hi (key <= hi when
+// hiInclusive). A nil lo starts at the smallest key, a nil hi runs to the
+// largest. fn returning false stops the scan. The key and postings slices
+// are the tree's own: fn must not modify them, and may keep the key (its
+// bytes are never rewritten) but not the postings.
+func (t *Tree) Range(lo, hi []byte, loInclusive, hiInclusive bool, fn func(key []byte, posts []model.OID) bool) {
 	var l *leaf
 	var i int
 	if lo == nil {
@@ -192,7 +195,10 @@ func (t *Tree) Range(lo, hi []byte, hiInclusive bool, fn func(key []byte, posts 
 		i = 0
 	} else {
 		l = t.findLeaf(lo)
-		i = sort.Search(len(l.keys), func(i int) bool { return bytes.Compare(l.keys[i], lo) >= 0 })
+		i = sort.Search(len(l.keys), func(i int) bool {
+			c := bytes.Compare(l.keys[i], lo)
+			return c > 0 || (c == 0 && loInclusive)
+		})
 	}
 	for l != nil {
 		for ; i < len(l.keys); i++ {

@@ -94,14 +94,15 @@ func TestTreeRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Insert(key(i), oid(i))
 	}
-	collect := func(lo, hi []byte, hiInc bool) []int {
+	collectFrom := func(lo, hi []byte, loInc, hiInc bool) []int {
 		var out []int
-		tr.Range(lo, hi, hiInc, func(k []byte, posts []model.OID) bool {
+		tr.Range(lo, hi, loInc, hiInc, func(k []byte, posts []model.OID) bool {
 			out = append(out, int(posts[0].Seq())-1)
 			return true
 		})
 		return out
 	}
+	collect := func(lo, hi []byte, hiInc bool) []int { return collectFrom(lo, hi, true, hiInc) }
 	got := collect(key(10), key(20), false)
 	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
 		t.Fatalf("range [10,20) = %v", got)
@@ -118,9 +119,23 @@ func TestTreeRange(t *testing.T) {
 	if len(got) != 5 || got[4] != 99 {
 		t.Fatalf("range [95,inf) = %v", got)
 	}
+	// Exclusive lower bound, including one that is the last key of a leaf
+	// (the walk must move on to the next leaf) and one that is absent.
+	got = collectFrom(key(10), key(13), false, true)
+	if len(got) != 3 || got[0] != 11 || got[2] != 13 {
+		t.Fatalf("range (10,13] = %v", got)
+	}
+	for lo := 0; lo < 99; lo++ {
+		if got = collectFrom(key(lo), nil, false, false); len(got) != 99-lo || got[0] != lo+1 {
+			t.Fatalf("range (%d,inf) = %v", lo, got)
+		}
+	}
+	if got = collectFrom(key(100), nil, false, false); len(got) != 0 {
+		t.Fatalf("range (100,inf) = %v", got)
+	}
 	// Early stop.
 	n := 0
-	tr.Range(nil, nil, false, func([]byte, []model.OID) bool { n++; return n < 7 })
+	tr.Range(nil, nil, true, false, func([]byte, []model.OID) bool { n++; return n < 7 })
 	if n != 7 {
 		t.Errorf("early stop at %d", n)
 	}
@@ -171,7 +186,7 @@ func TestTreeRandomizedAgainstMap(t *testing.T) {
 	}
 	// Range over everything must be in sorted key order.
 	var prev []byte
-	tr.Range(nil, nil, false, func(k []byte, _ []model.OID) bool {
+	tr.Range(nil, nil, true, false, func(k []byte, _ []model.OID) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatal("range keys out of order")
 		}
@@ -189,7 +204,7 @@ func TestTreeStringKeys(t *testing.T) {
 	sorted := append([]string(nil), words...)
 	sort.Strings(sorted)
 	var got []string
-	tr.Range(nil, nil, false, func(k []byte, posts []model.OID) bool {
+	tr.Range(nil, nil, true, false, func(k []byte, posts []model.OID) bool {
 		got = append(got, words[posts[0].Seq()-1])
 		return true
 	})

@@ -47,6 +47,9 @@ var (
 type Index struct {
 	Def
 	tree *Tree
+	// mu is the owning manager's lock: maintenance mutates the tree under
+	// its write side, Scan copies postings out under its read side.
+	mu *sync.RWMutex
 
 	// For nested indexes: rev[i] maps the OID of the object at path
 	// position i (1-based: the object reached after traversing Path[:i])
@@ -112,6 +115,7 @@ func (m *Manager) Create(name string, class model.ClassID, path []model.AttrID, 
 			Hierarchy: hierarchy,
 		},
 		tree:     NewTree(),
+		mu:       &m.mu,
 		headKeys: make(map[model.OID][][]byte),
 	}
 	if len(path) > 1 {
@@ -390,48 +394,6 @@ func (m *Manager) pathKeys(idx *Index, head *model.Object) (keys [][]byte, chain
 		}
 	}
 	return keys, chain, nil
-}
-
-// Lookup returns the OIDs indexed under the exact key value, filtered to
-// the given class set (nil = no filter). For a CH index a query scoped
-// `ONLY C` passes just {C}; a hierarchy-scoped query passes the descendant
-// set or nil.
-func (idx *Index) Lookup(v model.Value, classes map[model.ClassID]bool) []model.OID {
-	return filterOIDs(idx.tree.Search(model.Key(v)), classes)
-}
-
-// Range returns the OIDs with lo <= key <= / < hi, filtered by class. A
-// null lo or hi leaves that bound open.
-func (idx *Index) Range(lo, hi model.Value, hiInclusive bool, classes map[model.ClassID]bool) []model.OID {
-	var lok, hik []byte
-	if !lo.IsNull() {
-		lok = model.Key(lo)
-	}
-	if !hi.IsNull() {
-		hik = model.Key(hi)
-	}
-	var out []model.OID
-	idx.tree.Range(lok, hik, hiInclusive, func(_ []byte, posts []model.OID) bool {
-		out = append(out, filterOIDs(posts, classes)...)
-		return true
-	})
-	return out
-}
-
-// Len returns the number of live (key, oid) entries.
-func (idx *Index) Len() int { return idx.tree.Len() }
-
-func filterOIDs(posts []model.OID, classes map[model.ClassID]bool) []model.OID {
-	if classes == nil {
-		return append([]model.OID(nil), posts...)
-	}
-	var out []model.OID
-	for _, oid := range posts {
-		if classes[oid.Class()] {
-			out = append(out, oid)
-		}
-	}
-	return out
 }
 
 // Definition persistence: the engine stores EncodeDefs output in the index

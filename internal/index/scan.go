@@ -1,0 +1,149 @@
+package index
+
+import (
+	"oodb/internal/model"
+)
+
+// Interval is a range of indexed values. A null bound leaves that side
+// open; LoInc/HiInc say whether a present bound itself belongs to the
+// interval.
+type Interval struct {
+	Lo, Hi       model.Value
+	LoInc, HiInc bool
+}
+
+// Point is the interval holding exactly v.
+func Point(v model.Value) Interval {
+	return Interval{Lo: v, Hi: v, LoInc: true, HiInc: true}
+}
+
+// NarrowLo intersects the interval with "value > v" (>= when inc).
+func (iv *Interval) NarrowLo(v model.Value, inc bool) {
+	c := 1
+	if !iv.Lo.IsNull() {
+		c = model.Compare(v, iv.Lo)
+	}
+	switch {
+	case c > 0:
+		iv.Lo, iv.LoInc = v, inc
+	case c == 0:
+		iv.LoInc = iv.LoInc && inc
+	}
+}
+
+// NarrowHi intersects the interval with "value < v" (<= when inc).
+func (iv *Interval) NarrowHi(v model.Value, inc bool) {
+	c := -1
+	if !iv.Hi.IsNull() {
+		c = model.Compare(v, iv.Hi)
+	}
+	switch {
+	case c < 0:
+		iv.Hi, iv.HiInc = v, inc
+	case c == 0:
+		iv.HiInc = iv.HiInc && inc
+	}
+}
+
+// Empty reports whether no value can lie in the interval.
+func (iv Interval) Empty() bool {
+	if iv.Lo.IsNull() || iv.Hi.IsNull() {
+		return false
+	}
+	c := model.Compare(iv.Lo, iv.Hi)
+	return c > 0 || (c == 0 && !(iv.LoInc && iv.HiInc))
+}
+
+// String renders the interval in bracket notation, e.g. [120,160).
+func (iv Interval) String() string {
+	lo, hi := "(-inf", "+inf)"
+	if !iv.Lo.IsNull() {
+		lo = "(" + iv.Lo.String()
+		if iv.LoInc {
+			lo = "[" + iv.Lo.String()
+		}
+	}
+	if !iv.Hi.IsNull() {
+		hi = iv.Hi.String() + ")"
+		if iv.HiInc {
+			hi = iv.Hi.String() + "]"
+		}
+	}
+	return lo + "," + hi
+}
+
+// scanBatch bounds how many postings one read-lock hold visits (about one
+// leaf's worth); a batch always ends on a key boundary.
+const scanBatch = 64
+
+// Scan is the one read path of an index: it calls fn with every OID indexed
+// under a key in iv, restricted to the given classes (nil = no filter), in
+// (key, OID) order, until fn returns false. For a CH index a query scoped
+// `ONLY C` passes just {C}; a hierarchy-scoped query passes the descendant
+// set or nil.
+//
+// Maintenance mutates the tree under the manager's write lock, so Scan
+// copies a bounded batch of postings under the read lock, releases it, and
+// only then calls fn — fn fetches objects, and index maintenance fetches
+// objects under the write lock. The next batch resumes strictly after the
+// last key copied by descending from the root again, so a leaf split or a
+// lazy delete between batches can neither skip nor repeat a key.
+func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(model.OID) bool) {
+	if iv.Empty() {
+		return
+	}
+	var lo, hi []byte
+	if !iv.Lo.IsNull() {
+		lo = model.Key(iv.Lo)
+	}
+	if !iv.Hi.IsNull() {
+		hi = model.Key(iv.Hi)
+	}
+	loInc := iv.LoInc
+	var buf [scanBatch]model.OID
+	for {
+		batch, visited, more := buf[:0], 0, false
+		idx.mu.RLock()
+		idx.tree.Range(lo, hi, loInc, iv.HiInc, func(key []byte, posts []model.OID) bool {
+			if visited >= scanBatch {
+				more = true
+				return false
+			}
+			visited += len(posts)
+			for _, oid := range posts {
+				if classes == nil || classes[oid.Class()] {
+					batch = append(batch, oid)
+				}
+			}
+			lo = key
+			return true
+		})
+		idx.mu.RUnlock()
+		loInc = false
+		for _, oid := range batch {
+			if !fn(oid) {
+				return
+			}
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// Lookup returns the OIDs indexed under exactly v, filtered by class.
+func (idx *Index) Lookup(v model.Value, classes map[model.ClassID]bool) []model.OID {
+	var out []model.OID
+	idx.Scan(Point(v), classes, func(oid model.OID) bool {
+		out = append(out, oid)
+		return true
+	})
+	return out
+}
+
+// Len returns the number of live (key, oid) entries.
+func (idx *Index) Len() int {
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	return idx.tree.Len()
+}

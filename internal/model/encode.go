@@ -191,3 +191,12 @@ func AppendKey(dst []byte, v Value) []byte {
 
 // Key returns the order-preserving key encoding of v as a fresh slice.
 func Key(v Value) []byte { return AppendKey(nil, v) }
+
+// KeyExact reports whether v's key is held by values equal to v alone.
+// Numeric keys are the float64 image of the value, so from 2^53 up distinct
+// integers round to one key, and NaN compares equal to everything: there,
+// neither a strict key bound nor key order stands in for Compare.
+func KeyExact(v Value) bool {
+	f, numeric := v.AsFloat()
+	return !numeric || math.Abs(f) < 1<<53
+}

@@ -211,3 +211,23 @@ func TestDecodeObjectCorrupt(t *testing.T) {
 		}
 	}
 }
+
+func TestKeyExact(t *testing.T) {
+	const big = int64(1) << 53
+	for _, tc := range []struct {
+		v    Value
+		want bool
+	}{
+		{Int(big - 1), true}, {Int(-big + 1), true}, {Int(big), false}, {Int(-big), false},
+		{Float(1.5), true}, {Float(float64(big)), false}, {Float(math.NaN()), false},
+		{String("x"), true}, {Null, true},
+	} {
+		if got := KeyExact(tc.v); got != tc.want {
+			t.Errorf("KeyExact(%s) = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+	// The reason: 2^53 and 2^53+1 share a key though Compare tells them apart.
+	if !bytes.Equal(Key(Int(big)), Key(Int(big+1))) || Compare(Int(big), Int(big+1)) == 0 {
+		t.Error("expected 2^53 and 2^53+1 to share a key and differ under Compare")
+	}
+}

@@ -73,23 +73,21 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	}
 
 	var rows []Row
-	switch p.kind {
-	case accessScan:
-		var err error
+	var ordered bool // rows already arrived in ORDER BY order
+	var err error
+	if p.kind == accessScan {
 		rows, err = e.scanRows(tx, p, span)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		var err error
-		rows, err = e.probeRows(tx, p, span)
-		if err != nil {
-			return nil, err
-		}
+	} else {
+		rows, ordered, err = e.probeRows(tx, p, span, p.ordered)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// ORDER BY.
-	if p.Query.OrderBy != nil {
+	if ordered {
+		span.Set("sort_skipped", 1)
+	} else if p.Query.OrderBy != nil {
 		sortSpan := span.Child("sort")
 		sortSpan.Set("rows_in", int64(len(rows)))
 		keys := make([]model.Value, len(rows))
@@ -171,9 +169,10 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 }
 
 // earlyLimit returns the row count past which collection may stop, or 0
-// when every match is needed (no LIMIT, or ORDER BY must see all matches).
-func earlyLimit(p *Plan) int {
-	if p.Query.OrderBy == nil && p.Query.Limit > 0 {
+// when every match is needed (no LIMIT, or an ORDER BY that must sort all
+// matches). ordered says the rows are collected in ORDER BY order already.
+func earlyLimit(p *Plan, ordered bool) int {
+	if p.Query.OrderBy == nil || ordered {
 		return p.Query.Limit
 	}
 	return 0
@@ -206,7 +205,7 @@ func (e *Engine) deref(tx *core.Tx, oid model.OID) (*model.Object, error) {
 // share nothing but the storage layer. Per-class results are concatenated
 // in scope order, which makes the output identical to a sequential pass.
 func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) {
-	limit := earlyLimit(p)
+	limit := earlyLimit(p, false)
 	if e.SerialScan || len(p.Scope) == 1 {
 		var rows []Row
 		for _, class := range p.Scope {
@@ -323,120 +322,176 @@ func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) {
 }
 
 // probeRows collects the matching rows of an index plan. Each index's
-// postings are probed and filtered incrementally — with LIMIT and no ORDER
-// BY the probe stops as soon as enough rows matched, instead of
+// postings are walked and filtered incrementally — the walk stops as soon
+// as LIMIT rows matched when no ORDER BY needs all of them, instead of
 // materializing every candidate OID and truncating afterwards (the same
 // early exit the heap-scan path has).
+//
+// ordered asks for the order-from-index walk (Plan.ordered): one index,
+// walked in key order, already yields `ORDER BY path` order, so LIMIT ends
+// the walk too and the caller skips the sort. That holds only while the
+// index describes the transaction's view and key order is Compare order.
+// When either fails — a matched row's key is inexact (model.KeyExact), or a
+// snapshot's overlay is non-empty before or after the walk — probeRows
+// downgrades in place: it reports false and collects every match for the
+// sort instead.
 //
 // Snapshot transactions probe the same live index but resolve every
 // candidate through the pinned epoch, then sweep the version-chain
 // overlay for the scope classes: a commit after the snapshot began may
 // have moved an object to a new key (its old posting is gone) or deleted
-// it outright, and any such object by construction has a chain. The full
-// WHERE re-evaluation in matches keeps stale postings out on both paths.
-func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) {
+// it outright, and any such object by construction has a chain — recorded
+// before the index moves, which is why the overlay is read after the walk.
+// The full WHERE re-evaluation in matches keeps stale postings out on both
+// paths.
+func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span, ordered bool) ([]Row, bool, error) {
 	scopeSet := make(map[model.ClassID]bool, len(p.Scope))
 	for _, c := range p.Scope {
 		scopeSet[c] = true
 	}
-	limit := earlyLimit(p)
+	// overlays reads the snapshot overlay of every scope class (all nil for
+	// a locked transaction, whose S locks freeze the scope's postings).
+	overlays := func() ([][]model.OID, bool) {
+		out, moved := make([][]model.OID, len(p.Scope)), false
+		for i, class := range p.Scope {
+			out[i] = tx.SnapshotOverlayOIDs(class)
+			moved = moved || len(out[i]) > 0
+		}
+		return out, moved
+	}
+	if ordered {
+		// The index has already moved under this snapshot: where overlay
+		// rows sort is unknown, so do not start an ordered walk at all.
+		if _, moved := overlays(); moved {
+			ordered = false
+		}
+	}
+	limit := earlyLimit(p, ordered)
 	var rows []Row
 	seen := make(map[model.OID]bool)
+	full := false
 
-	// collect filters one candidate OID into rows, reporting whether the
-	// probe is finished (limit satisfied) and any evaluation error. Both
-	// the posting loops and the overlay sweep funnel through it so the
-	// dedup map and limit accounting stay consistent.
-	collect := func(oid model.OID, examined, matched *uint64) (bool, error) {
+	// collect filters one candidate OID into rows and reports whether the
+	// walk goes on (limit not yet satisfied, no evaluation error).
+	var examined, matched uint64
+	var cerr error
+	collect := func(oid model.OID) bool {
 		if seen[oid] {
-			return false, nil
+			return true
 		}
 		seen[oid] = true
-		*examined++
+		examined++
 		obj, err := e.deref(tx, oid)
 		if err != nil {
-			return false, nil // dangling entry or invisible at this snapshot
+			return true // dangling entry or invisible at this snapshot
 		}
 		if !scopeSet[obj.Class()] {
-			return false, nil
+			return true
 		}
 		ok, err := e.matches(tx, p, obj)
 		if err != nil {
-			return false, err
+			cerr = err
+			return false
 		}
 		if !ok {
-			return false, nil
+			return true
 		}
-		*matched++
+		if ordered {
+			v, err := e.evalPath(tx, obj, p.Query.OrderBy.Steps)
+			if err != nil {
+				cerr = err
+				return false
+			}
+			if !model.KeyExact(v) {
+				// Nothing was skipped so far; collect the rest and sort.
+				ordered, limit = false, earlyLimit(p, false)
+			}
+		}
+		matched++
 		rows = append(rows, Row{OID: obj.OID, Object: obj})
-		return limit > 0 && len(rows) >= limit, nil
+		full = limit > 0 && len(rows) >= limit
+		return !full
 	}
-
-	for _, idx := range p.indexes {
-		ps := span.Child("probe " + idx.Name)
-		mIndexProbes.Add(1)
-		var oids []model.OID
-		if !p.probe.IsNull() {
-			oids = idx.Lookup(p.probe, scopeSet)
-		} else {
-			oids = idx.Range(p.lo, p.hi, p.hiInc, scopeSet)
-		}
-		var examined, matched uint64
-		for _, oid := range oids {
-			full, err := collect(oid, &examined, &matched)
-			if err != nil || full {
-				mRowsScanned.Add(examined)
-				mRowsMatched.Add(matched)
-				ps.Set("rows_examined", int64(examined))
-				ps.Set("rows_matched", int64(matched))
-				ps.End()
-				if err != nil {
-					return nil, err
-				}
-				mEarlyExits.Add(1)
-				span.Set("limit_early_exit", 1)
-				return rows, nil
-			}
-		}
+	// sweep runs one candidate source — an index walk or a class's overlay
+	// — through collect under its own span, so the dedup map and the limit
+	// accounting are shared.
+	sweep := func(name string, walk func(visit func(model.OID) bool)) error {
+		s := span.Child(name)
+		examined, matched = 0, 0
+		walk(collect)
 		mRowsScanned.Add(examined)
 		mRowsMatched.Add(matched)
-		ps.Set("rows_examined", int64(examined))
-		ps.Set("rows_matched", int64(matched))
-		ps.End()
+		s.Set("rows_examined", int64(examined))
+		s.Set("rows_matched", int64(matched))
+		s.End()
+		return cerr
 	}
-
-	// Overlay sweep (snapshot mode only: SnapshotOverlayOIDs returns nil
-	// for locked transactions, whose S locks freeze the index itself).
-	for _, class := range p.Scope {
-		overlay := tx.SnapshotOverlayOIDs(class)
-		if len(overlay) == 0 {
-			continue
-		}
-		os := span.Child("overlay " + e.className(class))
-		var examined, matched uint64
-		for _, oid := range overlay {
-			full, err := collect(oid, &examined, &matched)
-			if err != nil || full {
-				mRowsScanned.Add(examined)
-				mRowsMatched.Add(matched)
-				os.Set("rows_examined", int64(examined))
-				os.Set("rows_matched", int64(matched))
-				os.End()
-				if err != nil {
-					return nil, err
-				}
-				mEarlyExits.Add(1)
-				span.Set("limit_early_exit", 1)
-				return rows, nil
+	// probe walks the plan's indexes; resume marks the second walk of a
+	// downgraded ordered plan, which is not another probe in the counters.
+	probe := func(resume bool) error {
+		for _, idx := range p.indexes {
+			if full {
+				break
+			}
+			name := "probe " + idx.Name
+			if resume {
+				name = "resume " + idx.Name
+			} else {
+				mIndexProbes.Add(1)
+			}
+			err := sweep(name, func(visit func(model.OID) bool) {
+				idx.Scan(p.iv, scopeSet, visit)
+			})
+			if err != nil {
+				return err
 			}
 		}
-		mRowsScanned.Add(examined)
-		mRowsMatched.Add(matched)
-		os.Set("rows_examined", int64(examined))
-		os.Set("rows_matched", int64(matched))
-		os.End()
+		return nil
 	}
-	return rows, nil
+	if err := probe(false); err != nil {
+		return nil, false, err
+	}
+
+	// Overlay sweep (snapshot mode only). An ordered walk reads the overlay
+	// even when LIMIT already stopped it.
+	if ordered || !full {
+		overlay, moved := overlays()
+		if ordered && moved {
+			// A commit landed during the walk. Every posting up to the stop
+			// was examined, so the rows so far stand; if LIMIT cut the walk
+			// short, pick up the rest (seen skips what was already judged).
+			ordered, limit = false, earlyLimit(p, false)
+			if full {
+				full = false
+				if err := probe(true); err != nil {
+					return nil, false, err
+				}
+			}
+		}
+		for i, class := range p.Scope {
+			if full {
+				break
+			}
+			if len(overlay[i]) == 0 {
+				continue
+			}
+			err := sweep("overlay "+e.className(class), func(visit func(model.OID) bool) {
+				for _, oid := range overlay[i] {
+					if !visit(oid) {
+						return
+					}
+				}
+			})
+			if err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	if full {
+		mEarlyExits.Add(1)
+		span.Set("limit_early_exit", 1)
+	}
+	return rows, ordered, nil
 }
 
 // aggregate computes the aggregate select list over the matched rows.

@@ -47,9 +47,11 @@ type Plan struct {
 	Scope   []model.ClassID // classes whose instances the query ranges over
 	kind    accessKind
 	indexes []*index.Index // 1 for single-index plans, per-class for unions
-	probe   model.Value    // equality key
-	lo, hi  model.Value    // range bounds (inclusive lo, hi per hiInc)
-	hiInc   bool
+	iv      index.Interval // key interval probed; a point for equality
+	// ordered reports that the index walk yields rows in ORDER BY order,
+	// so the executor may skip the sort and stop at LIMIT (see
+	// orderFromIndex for the plan-time half of the precondition).
+	ordered bool
 
 	// EstRows is the statistics-based result cardinality estimate; HasEst
 	// reports whether statistics covered the whole scope (see selectivity.go).
@@ -72,6 +74,19 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&sb, "access=index-union-eq(%d indexes)", len(p.indexes))
 	case accessUnionRng:
 		fmt.Fprintf(&sb, "access=index-union-range(%d indexes)", len(p.indexes))
+	}
+	if p.kind != accessScan {
+		sb.WriteString(p.iv.String())
+	}
+	if p.Query.OrderBy != nil {
+		if p.ordered {
+			sb.WriteString(" order=index")
+		} else {
+			sb.WriteString(" order=sort")
+		}
+	}
+	if p.Query.Limit > 0 {
+		fmt.Fprintf(&sb, " limit=%d", p.Query.Limit)
 	}
 	if p.HasEst {
 		fmt.Fprintf(&sb, " est_rows=%.1f", p.EstRows)
@@ -291,43 +306,94 @@ func flip(op BinOp) BinOp {
 }
 
 // resolveAttrPath maps a name path to AttrIDs starting at class, following
-// reference domains; it fails if any step is a method or unknown.
-func (e *Engine) resolveAttrPath(class model.ClassID, path Path) ([]model.AttrID, bool) {
+// reference domains; it fails if any step is a method or unknown. single
+// reports that no step is set-valued, so an instance has at most one value
+// (and one index key) along the path.
+func (e *Engine) resolveAttrPath(class model.ClassID, path Path) (ids []model.AttrID, single, ok bool) {
 	cur := class
-	out := make([]model.AttrID, 0, len(path.Steps))
+	ids = make([]model.AttrID, 0, len(path.Steps))
+	single = true
 	for i, step := range path.Steps {
 		a, err := e.db.Catalog.ResolveAttr(cur, step)
 		if err != nil {
-			return nil, false
+			return nil, false, false
 		}
-		out = append(out, a.ID)
+		ids = append(ids, a.ID)
+		single = single && !a.SetValued
 		if i < len(path.Steps)-1 {
 			if schema.IsPrimitive(a.Domain) {
-				return nil, false
+				return nil, false, false
 			}
 			cur = a.Domain
 		}
 	}
-	return out, true
+	return ids, single, true
 }
 
-// chooseIndex picks the cheapest usable access path. With statistics over
-// the whole scope (collected by internal/maint) the choice is cost-based:
-// each candidate index is charged its estimated posting count times a
-// random-fetch penalty, a heap scan is charged the scope cardinality, and
-// the cheapest wins — so an unselective predicate keeps the scan even when
-// an index exists. Without statistics the heuristic ranking applies:
-// equality beats range, one index beats a per-class union, and any index
-// beats a heap scan. Either way the system — not the application — chooses
-// among access methods (Kim §2.2).
-func (e *Engine) chooseIndex(p *Plan) {
-	type candidate struct {
-		kind    accessKind
-		indexes []*index.Index
-		s       sarg
-		attr    model.AttrID // statistics attribute; valid when estOK
-		estOK   bool
+// candidate is one usable access path: the index (or per-class union of
+// SC indexes) on one attribute path, probed over the interval its sargs
+// admit.
+type candidate struct {
+	indexes []*index.Index
+	union   bool
+	path    []model.AttrID
+	single  bool // no step of the path is set-valued
+	eq      bool // some sarg is an equality
+	iv      index.Interval
+	ordered bool      // the walk yields ORDER BY order (see orderFromIndex)
+	sargs   []estSarg // the conjuncts iv stands for; meaningful when estOK
+	estOK   bool
+}
+
+func (c *candidate) kind() accessKind {
+	switch {
+	case c.union && c.eq:
+		return accessUnionEq
+	case c.union:
+		return accessUnionRng
+	case c.eq:
+		return accessIndexEq
+	default:
+		return accessIndexRng
 	}
+}
+
+// narrow intersects the candidate's interval with one sarg. A strict bound
+// stays inclusive at the key level when the literal's key is shared by
+// neighbouring values: the index narrows, the residual decides.
+func (c *candidate) narrow(s sarg, attr model.AttrID) {
+	switch s.op {
+	case OpEq:
+		c.iv.NarrowLo(s.lit, true)
+		c.iv.NarrowHi(s.lit, true)
+		c.eq = true
+	case OpGt, OpGe:
+		c.iv.NarrowLo(s.lit, s.op == OpGe || !model.KeyExact(s.lit))
+	case OpLt, OpLe:
+		c.iv.NarrowHi(s.lit, s.op == OpLe || !model.KeyExact(s.lit))
+	}
+	c.sargs = append(c.sargs, estSarg{s: s, attr: attr})
+}
+
+// chooseIndex picks the cheapest usable access path. Every sarg on one
+// attribute path folds into a single interval (tightest lower and upper
+// bound; an equality collapses it to a point; contradictory bounds leave it
+// empty and the probe visits nothing). The fold is sound only when no step
+// of the path is set-valued — comparison over a set is existential, so
+// {3,20} satisfies `v >= 5 AND v < 10` with no member in [5,10) — and a
+// set-valued path therefore keeps one candidate per sarg. The whole WHERE
+// stays the residual either way.
+//
+// With statistics over the whole scope (collected by internal/maint) the
+// choice is cost-based: each candidate is charged the postings it expects
+// to examine times a random-fetch penalty — its interval's rows, or only
+// as many as fill LIMIT when the index also supplies the order — a heap
+// scan is charged the scope cardinality, and the cheapest wins, so an
+// unselective predicate keeps the scan even when an index exists. Without
+// statistics the heuristic ranking applies: equality beats range, one index
+// beats a per-class union, and any index beats a heap scan. Either way the
+// system — not the application — chooses among access methods (Kim §2.2).
+func (e *Engine) chooseIndex(p *Plan) {
 	rank := func(k accessKind) int {
 		switch k {
 		case accessIndexEq:
@@ -343,32 +409,39 @@ func (e *Engine) chooseIndex(p *Plan) {
 		}
 	}
 	var cands []*candidate
+sargs:
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, ok := e.resolveAttrPath(p.Target.ID, s.path)
+		attrPath, single, ok := e.resolveAttrPath(p.Target.ID, s.path)
 		if !ok {
 			continue
 		}
 		attr, estOK := sargAttr(attrPath)
-		// Single index covering the whole scope.
-		if idx := e.findCoveringIndex(p, attrPath); idx != nil {
-			kind := accessIndexEq
-			if s.op != OpEq {
-				kind = accessIndexRng
+		if single {
+			for _, c := range cands {
+				if pathEqual(c.path, attrPath) {
+					c.narrow(s, attr)
+					continue sargs
+				}
 			}
-			cands = append(cands, &candidate{kind: kind, indexes: []*index.Index{idx}, s: s, attr: attr, estOK: estOK})
+		}
+		c := &candidate{path: attrPath, single: single, estOK: estOK}
+		if idx := e.findCoveringIndex(p, attrPath); idx != nil {
+			// Single index covering the whole scope.
+			c.indexes = []*index.Index{idx}
+		} else if union := e.findUnionIndexes(p, attrPath); union != nil {
+			// Union of single-class indexes, one per scope class.
+			c.indexes, c.union = union, true
+		} else {
 			continue
 		}
-		// Union of single-class indexes, one per scope class.
-		if union := e.findUnionIndexes(p, attrPath); union != nil {
-			kind := accessUnionEq
-			if s.op != OpEq {
-				kind = accessUnionRng
-			}
-			cands = append(cands, &candidate{kind: kind, indexes: union, s: s, attr: attr, estOK: estOK})
-		}
+		c.narrow(s, attr)
+		cands = append(cands, c)
 	}
 	if len(cands) == 0 {
 		return
+	}
+	for _, c := range cands {
+		c.ordered = e.orderFromIndex(p, c)
 	}
 	var best *candidate
 	if est := e.newEstimator(p.Scope); est != nil {
@@ -381,38 +454,55 @@ func (e *Engine) chooseIndex(p *Plan) {
 		}
 		if allEst {
 			// Cost-based: cheapest candidate vs. the full scan.
-			rows := make([]float64, len(cands))
-			bi := 0
-			for i, c := range cands {
-				rows[i] = est.predicateRows([]estSarg{{s: c.s, attr: c.attr}})
-				if rows[i] < rows[bi] || (rows[i] == rows[bi] && rank(c.kind) < rank(cands[bi].kind)) {
-					bi = i
+			limit := float64(p.Query.Limit)
+			var matches float64 // rows passing the whole WHERE; only LIMIT needs it
+			if limit > 0 {
+				matches = est.predicateRows(e.estimableSargs(p))
+			}
+			var bestCost float64
+			for _, c := range cands {
+				cost := est.predicateRows(c.sargs)
+				if c.ordered && matches > limit {
+					// The walk stops once LIMIT rows passed the residual.
+					cost *= limit / matches
+				}
+				if best == nil || cost < bestCost || (cost == bestCost && rank(c.kind()) < rank(best.kind())) {
+					best, bestCost = c, cost
 				}
 			}
-			if rows[bi]*probeCostFactor >= est.totalCard() {
+			if bestCost*probeCostFactor >= est.totalCard() {
 				return // the predicate is not selective enough: scan wins
 			}
-			best = cands[bi]
 		}
 	}
 	if best == nil {
 		// Heuristic ranking (no or partial statistics).
 		for _, c := range cands {
-			if best == nil || rank(c.kind) < rank(best.kind) {
+			if best == nil || rank(c.kind()) < rank(best.kind()) {
 				best = c
 			}
 		}
 	}
-	p.kind = best.kind
-	p.indexes = best.indexes
-	switch best.s.op {
-	case OpEq:
-		p.probe = best.s.lit
-	case OpGt, OpGe:
-		p.lo, p.hi, p.hiInc = best.s.lit, model.Null, false
-	case OpLt, OpLe:
-		p.lo, p.hi, p.hiInc = model.Null, best.s.lit, true
+	p.kind, p.indexes, p.iv, p.ordered = best.kind(), best.indexes, best.iv, best.ordered
+}
+
+// orderFromIndex is the plan-time half of the order-from-index rule: one
+// index (a union of per-class indexes would need a merge), walked in key
+// order, yields rows in `ORDER BY path` order when the ordering is
+// ascending on exactly the indexed path and every instance has at most one
+// key on it. Ties come out in OID order, which is what the stable sort over
+// the same walk produces. The run-time half — the index must describe the
+// transaction's view — is probeRows'. It can only vouch for the scope
+// classes (their S locks, their snapshot overlay), and a nested-path index
+// is re-keyed by writes to interior classes outside the scope, so only a
+// one-step path qualifies.
+func (e *Engine) orderFromIndex(p *Plan, c *candidate) bool {
+	q := p.Query
+	if q.OrderBy == nil || q.Desc || c.union || !c.single || len(c.path) != 1 {
+		return false
 	}
+	orderPath, _, ok := e.resolveAttrPath(p.Target.ID, *q.OrderBy)
+	return ok && pathEqual(orderPath, c.path)
 }
 
 // findCoveringIndex returns one index on attrPath covering every class in

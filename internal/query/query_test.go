@@ -254,13 +254,20 @@ func TestPlannerPicksCHIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.IndexUsed() || !strings.Contains(plan.String(), "index-eq(vw)") {
+	if !plan.IndexUsed() || !strings.Contains(plan.String(), "access=index-eq(vw)[7000,7000] residual=") {
 		t.Fatalf("plan = %s", plan)
 	}
-	// Range predicate uses index-range.
+	// Range predicate uses index-range, over the interval both bounds admit.
 	plan, _ = f.eng.PlanQuery(mustParse(t, `SELECT * FROM Vehicle WHERE weight > 7500`))
-	if !strings.Contains(plan.String(), "index-range(vw)") {
+	if !strings.Contains(plan.String(), "access=index-range(vw)(7500,+inf) residual=") {
 		t.Fatalf("plan = %s", plan)
+	}
+	plan, _ = f.eng.PlanQuery(mustParse(t, `SELECT id FROM Vehicle WHERE weight > 4000 AND weight <= 8000 ORDER BY weight LIMIT 2`))
+	if !strings.Contains(plan.String(), "access=index-range(vw)(4000,8000] order=index limit=2 residual=") {
+		t.Fatalf("plan = %s", plan)
+	}
+	if got := f.run(t, `SELECT id FROM Vehicle WHERE weight > 4000 AND weight <= 8000 ORDER BY weight LIMIT 2`); len(got) != 2 || got[0] != "v1" || got[1] != "t2" {
+		t.Fatalf("ordered range = %v, want [v1 t2]", got)
 	}
 	// Results identical to scan.
 	wantSet(t, f.run(t, `SELECT * FROM Vehicle WHERE weight > 7500 AND manufacturer.location = 'Detroit'`), "d1", "t1")
@@ -282,7 +289,7 @@ func TestPlannerPicksNestedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.String(), "index-eq(vloc)") {
+	if !strings.Contains(plan.String(), `access=index-eq(vloc)["Detroit","Detroit"] residual=`) {
 		t.Fatalf("plan = %s", plan)
 	}
 	wantSet(t, f.run(t, `SELECT * FROM Vehicle WHERE manufacturer.location = 'Detroit'`),
@@ -303,7 +310,7 @@ func TestPlannerUnionOfSCIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.String(), "index-union-eq(4 indexes)") {
+	if !strings.Contains(plan.String(), "access=index-union-eq(4 indexes)[7000,7000] residual=") {
 		t.Fatalf("plan = %s", plan)
 	}
 	wantSet(t, f.run(t, `SELECT * FROM Vehicle WHERE weight = 7000`), "t2")

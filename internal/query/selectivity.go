@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"sort"
 
 	"oodb/internal/model"
@@ -73,58 +74,91 @@ func sargAttr(attrPath []model.AttrID) (model.AttrID, bool) {
 	return attrPath[0], true
 }
 
-// classRows estimates how many instances of class c satisfy the sarg.
+// classRows estimates how many instances of class c satisfy every sarg.
+// Sargs on different attributes combine multiplicatively (the usual
+// independence assumption). Range bounds on one attribute are anything but
+// independent — they delimit an interval — so the tightest lower and upper
+// bound combine as fracLo + fracHi - 1: on a uniform attribute a 5 %
+// interval estimates as 5 %, not as the product of two half-open halves.
 // An attribute with no summary was never observed non-null, so a non-null
 // comparison matches nothing.
-func (est *estimator) classRows(c model.ClassID, s sarg, attr model.AttrID) float64 {
-	as := est.reg.Get(c).Attr(attr)
-	if as == nil || as.Count == 0 {
-		return 0
-	}
-	if s.op == OpEq {
-		d := float64(as.Distinct)
-		if d < 1 {
-			d = 1
+func (est *estimator) classRows(c model.ClassID, sargs []estSarg) float64 {
+	card := float64(est.reg.Get(c).Cardinality)
+	rows := card
+	for i, es := range sargs {
+		if rows == 0 {
+			break
 		}
-		return float64(as.Count) / d
+		as := est.reg.Get(c).Attr(es.attr)
+		if as == nil || as.Count == 0 {
+			return 0
+		}
+		nonNull := float64(as.Count) / card
+		if es.s.op == OpEq {
+			rows *= nonNull / math.Max(float64(as.Distinct), 1)
+			continue
+		}
+		if hasRangeOn(sargs[:i], es.attr) {
+			continue // the first range sarg on an attribute speaks for all
+		}
+		fracLo, fracHi, interpolated := 1.0, 1.0, true
+		for _, other := range sargs[i:] {
+			if other.attr != es.attr || other.s.op == OpEq {
+				continue
+			}
+			f, ok := rangeFraction(as, other.s)
+			interpolated = interpolated && ok
+			if other.s.op == OpGt || other.s.op == OpGe {
+				fracLo = math.Min(fracLo, f)
+			} else {
+				fracHi = math.Min(fracHi, f)
+			}
+		}
+		if interpolated {
+			rows *= nonNull * math.Max(fracLo+fracHi-1, 0)
+		} else {
+			rows *= nonNull * fracLo * fracHi // default guesses do not locate an interval
+		}
 	}
-	return float64(as.Count) * rangeFraction(as, s)
+	return rows
+}
+
+func hasRangeOn(sargs []estSarg, attr model.AttrID) bool {
+	for _, es := range sargs {
+		if es.attr == attr && es.s.op != OpEq {
+			return true
+		}
+	}
+	return false
 }
 
 // rangeFraction estimates what fraction of an attribute's observed values a
 // range sarg admits, by linear interpolation against the observed min/max
-// when both are numeric, and the default guess otherwise.
-func rangeFraction(as *stats.AttrStats, s sarg) float64 {
+// when both are numeric (ok), and the default guess otherwise.
+func rangeFraction(as *stats.AttrStats, s sarg) (f float64, ok bool) {
 	lo, okLo := as.Min.AsFloat()
 	hi, okHi := as.Max.AsFloat()
 	v, okV := s.lit.AsFloat()
 	if !okLo || !okHi || !okV {
-		return defaultRangeSelectivity
+		return defaultRangeSelectivity, false
 	}
 	if hi <= lo {
 		// Degenerate domain: one observed value — the comparison either
 		// admits it or not.
 		if compareOp(s.op, as.Min, s.lit) {
-			return 1
+			return 1, true
 		}
-		return 0
+		return 0, true
 	}
-	var f float64
 	switch s.op {
 	case OpGt, OpGe:
 		f = (hi - v) / (hi - lo)
 	case OpLt, OpLe:
 		f = (v - lo) / (hi - lo)
 	default:
-		return defaultRangeSelectivity
+		return defaultRangeSelectivity, false
 	}
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
+	return math.Min(math.Max(f, 0), 1), true
 }
 
 // estimableSargs resolves the predicate's sargs to the attributes their
@@ -140,7 +174,7 @@ func (e *Engine) estimableSargs(p *Plan) []estSarg {
 	}
 	var out []estSarg
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, ok := e.resolveAttrPath(p.Target.ID, s.path)
+		attrPath, _, ok := e.resolveAttrPath(p.Target.ID, s.path)
 		if !ok {
 			continue
 		}
@@ -151,23 +185,13 @@ func (e *Engine) estimableSargs(p *Plan) []estSarg {
 	return out
 }
 
-// predicateRows estimates the plan's result cardinality: per scope class,
-// the estimable sargs' selectivities combine multiplicatively (the usual
-// independence assumption) and inestimable conjuncts contribute factor 1
-// (an overestimate, which is the safe direction for access-path choice).
+// predicateRows estimates the plan's result cardinality: the per-class
+// estimates summed over the scope. Inestimable conjuncts contribute factor
+// 1 (an overestimate, which is the safe direction for access-path choice).
 func (est *estimator) predicateRows(sargs []estSarg) float64 {
 	var total float64
 	for _, c := range est.scope {
-		card := float64(est.reg.Get(c).Cardinality)
-		rows := card
-		for _, es := range sargs {
-			if card == 0 {
-				rows = 0
-				break
-			}
-			rows *= est.classRows(c, es.s, es.attr) / card
-		}
-		total += rows
+		total += est.classRows(c, sargs)
 	}
 	return total
 }
@@ -193,16 +217,7 @@ func (e *Engine) annotatePlan(p *Plan) {
 	}
 	perClass := make(map[model.ClassID]float64, len(p.Scope))
 	for _, c := range p.Scope {
-		card := float64(est.reg.Get(c).Cardinality)
-		rows := card
-		for _, es := range sargs {
-			if card == 0 {
-				rows = 0
-				break
-			}
-			rows *= est.classRows(c, es.s, es.attr) / card
-		}
-		perClass[c] = rows
+		perClass[c] = est.classRows(c, sargs)
 	}
 	sort.SliceStable(p.Scope, func(i, j int) bool {
 		return perClass[p.Scope[i]] > perClass[p.Scope[j]]

@@ -223,7 +223,7 @@ func (r *Relation) SelectRange(col string, lo, hi model.Value, hiInc bool) ([]in
 			hik = model.Key(hi)
 		}
 		var out []int
-		tree.Range(lok, hik, hiInc, func(_ []byte, posts []model.OID) bool {
+		tree.Range(lok, hik, true, hiInc, func(_ []byte, posts []model.OID) bool {
 			for _, oid := range posts {
 				out = append(out, oidRow(oid))
 			}
