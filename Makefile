@@ -4,7 +4,7 @@ GO ?= go
 # pre-merge gate sweeps wider). Override: make crash CRASH_SCHEDULES=500
 CRASH_SCHEDULES ?= 120
 
-.PHONY: build test vet fmtcheck race bench crash maint mvcc pipeline oo1 server shard metrics-lint verify
+.PHONY: build test vet fmtcheck race bench benchbuild crash maint mvcc pipeline oo1 server shard metrics-lint verify
 
 build:
 	$(GO) build ./...
@@ -25,15 +25,24 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
+# The repo benchmark (perfbench/, BENCHMARK.json) is a module of its own that
+# imports the engine through its public packages: vet and test it so an
+# engine API change that breaks it is caught here, not by the driver.
+benchbuild:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Static check of obs metric registrations: every name must follow the
 # layer_subsystem_name convention and no name may be registered twice
 # (internal/obs/metricslint walks the source with go/parser).
 metrics-lint:
 	$(GO) run ./internal/obs/metricslint .
 
-# The crash-recovery matrix under the race detector: every schedule
-# crashes the engine at a distinct I/O op and verifies both recovery
-# invariants after reopening (crash_test.go, internal/fault).
+# The crash-recovery matrices under the race detector, at pre-merge breadth:
+# every schedule crashes the engine at a distinct I/O op and verifies the
+# recovery invariants after reopening (crash_test.go, internal/fault). The
+# pattern takes in every TestCrash* sweep of the root package — compaction,
+# MVCC, commit pipeline, clustered compaction — so the env-scaled halves of
+# the focused targets below need no second run in verify.
 crash:
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrash' .
 
@@ -93,7 +102,9 @@ shard:
 	$(GO) test -race -count=1 -run 'TestPushdown' ./internal/federation/
 
 # The full pre-merge gate: compile, static checks, formatting drift, the
-# whole test suite under the race detector, a wide crash sweep, the
-# maintenance matrix, the MVCC snapshot stack, the commit pipeline, the
-# clustering stack, the wire server stack, and the sharding layer.
-verify: build vet fmtcheck metrics-lint race crash maint mvcc pipeline oo1 server shard
+# benchmark module, ONE pass of the whole test suite under the race
+# detector, and the crash matrices at CRASH_SCHEDULES breadth. The focused
+# targets above (maint, mvcc, pipeline, oo1, server, shard) re-run subsets
+# of exactly those two and are for working on one subsystem, not for the
+# gate.
+verify: build vet fmtcheck metrics-lint benchbuild race crash

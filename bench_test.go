@@ -490,7 +490,9 @@ func BenchmarkE7_ClassXLock_8Writers(b *testing.B)    { benchE7(b, 8, true) }
 
 // e14DB builds a moderately deep hierarchy with no indexes, so every query
 // is a multi-class heap scan — the workload that serializes on the storage
-// layer's locks. Run with -cpu 1,4,8 to see the scaling curve.
+// layer's locks. Run with -cpu 1,4,8 to see the scaling curve; -cpu 1 is
+// also the serial-executor ablation, because the per-class fan-out runs at
+// most GOMAXPROCS scans at once.
 func e14DB(b *testing.B) *oodb.DB {
 	db := openBenchDB(b)
 	if _, err := bench.BuildHierarchy(db, 4, 3, 200, 1000, 1); err != nil { // 21 classes, 4200 objects
@@ -522,30 +524,6 @@ func BenchmarkE14_HierarchyScan_SingleClient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustRows(b, db, fmt.Sprintf(`SELECT * FROM H0 WHERE val < %d`, i%1000))
 	}
-}
-
-func BenchmarkE14_HierarchyScan_SingleClientSerialExec(b *testing.B) {
-	db := e14DB(b)
-	db.QueryEngine().SerialScan = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustRows(b, db, fmt.Sprintf(`SELECT * FROM H0 WHERE val < %d`, i%1000))
-	}
-}
-
-func BenchmarkE14_HierarchyScan_SerialExec(b *testing.B) {
-	// Ablation: same workload with the per-class fan-out disabled, isolating
-	// the executor's contribution from the storage-layer lock fixes.
-	db := e14DB(b)
-	db.QueryEngine().SerialScan = true
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			mustRows(b, db, fmt.Sprintf(`SELECT * FROM H0 WHERE val < %d`, i%1000))
-			i++
-		}
-	})
 }
 
 // --- E8: optimizer ablation ----------------------------------------------

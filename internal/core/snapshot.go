@@ -70,25 +70,8 @@ func (tx *Tx) snapshotFetch(oid model.OID) (*model.Object, error) {
 	return model.DecodeObject(vdata)
 }
 
-// snapshotScan iterates the snapshot-visible instances of exactly one
-// class, lock-free.
-func (tx *Tx) snapshotScan(class model.ClassID, fn func(*model.Object) bool) error {
-	var derr error
-	err := tx.snapshotScanRaw(class, func(oid model.OID, data []byte) bool {
-		obj, err := model.DecodeObject(data)
-		if err != nil {
-			derr = err
-			return false
-		}
-		return fn(obj)
-	})
-	if err != nil {
-		return err
-	}
-	return derr
-}
-
-// snapshotScanRaw is snapshotScan over encoded images: a heap scan with
+// snapshotScanRaw iterates the snapshot-visible images of exactly one
+// class, lock-free (data is valid only until fn returns): a heap scan with
 // every record resolved through the overlay, then a sweep of the class's
 // remaining version chains — objects whose heap record is already deleted
 // (or not yet created) but whose snapshot-visible version lives on in the
@@ -98,15 +81,14 @@ func (tx *Tx) snapshotScan(class model.ClassID, fn func(*model.Object) bool) err
 // overlay is empty or converged, so the output is byte-identical to a
 // locked heap scan (the differential test pins this).
 func (tx *Tx) snapshotScanRaw(class model.ClassID, fn func(oid model.OID, data []byte) bool) error {
-	seen := make(map[model.OID]bool)
+	var seen oidSet
 	reads := uint64(0)
 	defer func() { mSnapReads.Add(reads) }()
 	stopped := false
-	err := tx.db.Store.ScanClass(class, func(oid model.OID, data []byte) bool {
-		if seen[oid] {
+	err := tx.db.Store.ScanImages(class, func(oid model.OID, data []byte) bool {
+		if !seen.add(oid) {
 			return true // a concurrent relocation surfaced it twice
 		}
-		seen[oid] = true
 		vdata, ok := tx.db.Versions.Resolve(oid, data, true, tx.snapEpoch)
 		if !ok {
 			return true // invisible at this epoch
@@ -132,7 +114,7 @@ func (tx *Tx) snapshotScanRaw(class model.ClassID, fn func(oid model.OID, data [
 		return nil
 	}
 	for _, oid := range tx.db.Versions.ClassChains(class) {
-		if seen[oid] {
+		if !seen.add(oid) {
 			continue
 		}
 		// Heap state is irrelevant here: the heap scan already missed the
@@ -149,6 +131,38 @@ func (tx *Tx) snapshotScanRaw(class model.ClassID, fn func(oid model.OID, data [
 		}
 	}
 	return nil
+}
+
+// oidSet is the set of one class's OIDs a snapshot scan has met, as a
+// bitmap over their sequence numbers in 4096-bit blocks. Every record of
+// the scan goes through it — any of them may be relocated to the heap tail
+// and met again, and the first meeting cannot tell which — so it has to be
+// cheap: a heap holds sequences in runs, nearly every add lands in the
+// block the last one used, and only a change of block touches the map. (A
+// map keyed by OID cost a quarter of a snapshot scan.)
+type oidSet struct {
+	blocks map[uint64]*[64]uint64
+	key    uint64      // cur is blocks[key]
+	cur    *[64]uint64 // nil before the first add
+}
+
+// add inserts oid and reports whether it was absent.
+func (s *oidSet) add(oid model.OID) bool {
+	seq := oid.Seq()
+	if s.cur == nil || seq>>12 != s.key {
+		if s.blocks == nil {
+			s.blocks = make(map[uint64]*[64]uint64)
+		}
+		s.key = seq >> 12
+		if s.cur = s.blocks[s.key]; s.cur == nil {
+			s.cur = new([64]uint64)
+			s.blocks[s.key] = s.cur
+		}
+	}
+	w, bit := &s.cur[seq>>6&63], uint64(1)<<(seq&63)
+	absent := *w&bit == 0
+	*w |= bit
+	return absent
 }
 
 // SnapshotOverlayOIDs lists the objects of class that currently have

@@ -221,7 +221,7 @@ func TestConcurrentHierarchyScansAndWriters(t *testing.T) {
 						wg.Add(1)
 						go func(i int, c model.ClassID) {
 							defer wg.Done()
-							tx.ScanLocked(c, func(*model.Object) bool {
+							tx.ScanLocked(c, func(model.Image) bool {
 								counts[i]++
 								return true
 							})

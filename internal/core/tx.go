@@ -301,41 +301,18 @@ func (tx *Tx) Scan(class model.ClassID, fn func(*model.Object) bool) error {
 	if tx.done {
 		return ErrTxnFinished
 	}
-	if tx.snap {
-		return tx.snapshotScan(class, fn)
+	if !tx.snap {
+		if err := tx.db.check(); err != nil {
+			return err
+		}
+		if err := tx.abortOn(tx.db.Locks.LockClassRead(tx.id, class)); err != nil {
+			return err
+		}
 	}
-	if err := tx.db.check(); err != nil {
-		return err
-	}
-	if err := tx.abortOn(tx.db.Locks.LockClassRead(tx.id, class)); err != nil {
-		return err
-	}
-	return tx.scanClass(class, fn)
-}
-
-// ScanLocked iterates the stored instances of exactly one class, assuming
-// the transaction already holds the class S lock (via LockClassScan). It
-// acquires no locks and performs no abort handling, so — unlike the rest
-// of Tx — it is safe to call from multiple goroutines at once: the query
-// executor locks a hierarchy scope up front and then fans the per-class
-// scans out in parallel. In snapshot mode no lock is assumed (there is
-// none): the scan resolves visibility by epoch instead.
-func (tx *Tx) ScanLocked(class model.ClassID, fn func(*model.Object) bool) error {
-	if tx.done {
-		return ErrTxnFinished
-	}
-	if tx.snap {
-		return tx.snapshotScan(class, fn)
-	}
-	return tx.scanClass(class, fn)
-}
-
-func (tx *Tx) scanClass(class model.ClassID, fn func(*model.Object) bool) error {
 	var derr error
-	err := tx.db.Store.ScanClass(class, func(oid model.OID, data []byte) bool {
-		obj, err := model.DecodeObject(data)
-		if err != nil {
-			derr = err
+	err := tx.ScanLocked(class, func(im model.Image) bool {
+		var obj *model.Object
+		if obj, derr = im.Decode(); derr != nil {
 			return false
 		}
 		return fn(obj)
@@ -344,6 +321,40 @@ func (tx *Tx) scanClass(class model.ClassID, fn func(*model.Object) bool) error 
 		return err
 	}
 	return derr
+}
+
+// ScanLocked iterates the stored images of exactly one class, assuming
+// the transaction already holds the class S lock (via LockClassScan). It
+// acquires no locks and performs no abort handling, so — unlike the rest
+// of Tx — it is safe to call from multiple goroutines at once: the query
+// executor locks a hierarchy scope up front and then fans the per-class
+// scans out in parallel. In snapshot mode no lock is assumed (there is
+// none): the scan resolves visibility by epoch instead.
+//
+// fn sees each instance as a view over its stored bytes, valid only until
+// fn returns; it decodes the object (Image.Decode) if it needs to keep it.
+func (tx *Tx) ScanLocked(class model.ClassID, fn func(model.Image) bool) error {
+	if tx.done {
+		return ErrTxnFinished
+	}
+	var verr error
+	visit := func(_ model.OID, data []byte) bool {
+		var im model.Image
+		if im, verr = model.ViewImage(data); verr != nil {
+			return false
+		}
+		return fn(im)
+	}
+	var err error
+	if tx.snap {
+		err = tx.snapshotScanRaw(class, visit)
+	} else {
+		err = tx.db.Store.ScanImages(class, visit)
+	}
+	if err != nil {
+		return err
+	}
+	return verr
 }
 
 // Commit makes the transaction durable and releases its locks. For a

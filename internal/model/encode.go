@@ -80,7 +80,7 @@ func decodeValue(buf []byte, depth int) (Value, int, error) {
 		return Bool(buf[n] == 1), n + 1, nil
 	case KindString, KindBytes:
 		l, m := binary.Uvarint(buf[n:])
-		if m <= 0 || uint64(len(buf)) < uint64(n+m)+l {
+		if m <= 0 || l > uint64(len(buf)-n-m) {
 			return Null, 0, ErrCorrupt
 		}
 		payload := string(buf[n+m : n+m+int(l)])

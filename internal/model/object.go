@@ -120,37 +120,9 @@ func EncodeObject(o *Object) []byte {
 
 // DecodeObject decodes a storage image produced by EncodeObject.
 func DecodeObject(buf []byte) (*Object, error) {
-	oid, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, ErrCorrupt
+	im, err := imageHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	cnt, m := binary.Uvarint(buf[n:])
-	if m <= 0 || cnt > uint64(len(buf)) {
-		return nil, ErrCorrupt
-	}
-	n += m
-	obj := &Object{OID: OID(oid)}
-	if cnt > 0 {
-		obj.attrs = make([]AttrVal, 0, cnt)
-	}
-	for i := uint64(0); i < cnt; i++ {
-		id, m := binary.Uvarint(buf[n:])
-		if m <= 0 {
-			return nil, ErrCorrupt
-		}
-		n += m
-		v, used, err := DecodeValue(buf[n:])
-		if err != nil {
-			return nil, err
-		}
-		n += used
-		// Images are written in ascending id order; append on the fast
-		// path, insert in place if an old image violates the order.
-		if k := len(obj.attrs); k == 0 || obj.attrs[k-1].ID < AttrID(id) {
-			obj.attrs = append(obj.attrs, AttrVal{ID: AttrID(id), V: v})
-		} else {
-			obj.Set(AttrID(id), v)
-		}
-	}
-	return obj, nil
+	return im.Decode()
 }

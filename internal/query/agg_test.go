@@ -179,3 +179,51 @@ func TestMethodMidPath(t *testing.T) {
 	// Every vehicle with a manufacturer qualifies (the method is constant).
 	wantSet(t, got, "v1", "a1", "a2", "d1", "t1", "t2")
 }
+
+// TestSumIntegerPrecision: integer sums are exact beyond 2^53, where a
+// float64 accumulator silently rounds, whether the values meet in one
+// class's scan or in the merge of two classes' partials; a sum that leaves
+// int64 carries on in float64 and says so by its kind.
+func TestSumIntegerPrecision(t *testing.T) {
+	db, err := core.Open(t.TempDir(), core.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	big, _ := db.DefineClass("Big", nil,
+		schema.AttrSpec{Name: "n", Domain: schema.ClassInteger},
+		schema.AttrSpec{Name: "tag", Domain: schema.ClassString})
+	db.DefineClass("BigSub", []model.ClassID{big.ID})
+	const a, b, c = int64(1)<<62 - 1, int64(1)<<62 - 3, int64(1)<<62 - 5
+	err = db.Do(func(tx *core.Tx) error {
+		for _, o := range []struct {
+			class string
+			n     int64
+			tag   string
+		}{{"Big", a, "a"}, {"BigSub", b, "b"}, {"BigSub", c, "c"}} {
+			if _, err := tx.Insert(o.class, map[string]model.Value{"n": model.Int(o.n), "tag": model.String(o.tag)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &figure1{db: db, eng: NewEngine(db)}
+	for _, tc := range []struct {
+		src  string
+		want model.Value
+	}{
+		{`SELECT SUM(n) FROM Big WHERE tag != 'c'`, model.Int(a + b)},                 // across two classes' partials
+		{`SELECT SUM(n) FROM ONLY BigSub`, model.Int(b + c)},                          // within one class
+		{`SELECT SUM(n) FROM Big`, model.Float(float64(a) + float64(b) + float64(c))}, // past int64
+		{`SELECT SUM(n) FROM Big ORDER BY n LIMIT 2`, model.Int(b + c)},               // folded from retained rows
+		{`SELECT AVG(n) FROM ONLY BigSub`, model.Float(float64(b+c) / 2)},
+	} {
+		got := aggRow(t, f, tc.src)[0]
+		if got.Kind() != tc.want.Kind() || model.Compare(got, tc.want) != 0 {
+			t.Errorf("%s = %v (%s), want %v (%s)", tc.src, got, got.Kind(), tc.want, tc.want.Kind())
+		}
+	}
+}

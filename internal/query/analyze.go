@@ -19,11 +19,7 @@ import (
 // before and after execution, so concurrent activity on other connections
 // can inflate them; on an otherwise quiet database they are exact.
 func (e *Engine) ExplainAnalyze(tx *core.Tx, src string) (string, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return "", err
-	}
-	p, err := e.PlanQuery(q)
+	p, err := e.compile(src)
 	if err != nil {
 		return "", err
 	}

@@ -25,13 +25,18 @@ type Result struct {
 	Rows []Row
 }
 
-// Run parses, plans and executes src inside tx.
-func (e *Engine) Run(tx *core.Tx, src string) (*Result, error) {
+// compile parses and plans src.
+func (e *Engine) compile(src string) (*Plan, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := e.PlanQuery(q)
+	return e.PlanQuery(q)
+}
+
+// Run parses, plans and executes src inside tx.
+func (e *Engine) Run(tx *core.Tx, src string) (*Result, error) {
+	plan, err := e.compile(src)
 	if err != nil {
 		return nil, err
 	}
@@ -40,11 +45,7 @@ func (e *Engine) Run(tx *core.Tx, src string) (*Result, error) {
 
 // Explain parses and plans src, returning the plan description.
 func (e *Engine) Explain(src string) (string, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return "", err
-	}
-	plan, err := e.PlanQuery(q)
+	plan, err := e.compile(src)
 	if err != nil {
 		return "", err
 	}
@@ -71,14 +72,20 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	if err := tx.LockClassScan(p.Scope); err != nil {
 		return nil, err
 	}
+	q := p.Query
+	var bound bindings // shared by the single-threaded stages: probe, sort, fold, projection
 
 	var rows []Row
+	var aggs []Accumulator // set when the scan folded the aggregates itself
+	var matched uint64
 	var ordered bool // rows already arrived in ORDER BY order
 	var err error
 	if p.kind == accessScan {
-		rows, err = e.scanRows(tx, p, span)
+		var all scanPart
+		all, err = e.scanRows(tx, p, span)
+		rows, aggs, matched = all.rows, all.aggs, all.matched
 	} else {
-		rows, ordered, err = e.probeRows(tx, p, span, p.ordered)
+		rows, ordered, err = e.probeRows(tx, p, &bound, span, p.ordered)
 	}
 	if err != nil {
 		return nil, err
@@ -87,12 +94,12 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	// ORDER BY.
 	if ordered {
 		span.Set("sort_skipped", 1)
-	} else if p.Query.OrderBy != nil {
+	} else if q.OrderBy != nil {
 		sortSpan := span.Child("sort")
 		sortSpan.Set("rows_in", int64(len(rows)))
 		keys := make([]model.Value, len(rows))
 		for i := range rows {
-			v, err := e.evalPath(tx, rows[i].Object, p.Query.OrderBy.Steps)
+			v, err := e.evalPath(tx, &row{obj: rows[i].Object, bind: &bound}, q.OrderBy.Steps)
 			if err != nil {
 				sortSpan.End()
 				return nil, err
@@ -106,7 +113,7 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		}
 		sort.SliceStable(idxs, func(a, b int) bool {
 			c := model.Compare(keys[idxs[a]], keys[idxs[b]])
-			if p.Query.Desc {
+			if q.Desc {
 				return c > 0
 			}
 			return c < 0
@@ -118,17 +125,29 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		rows = sorted
 		sortSpan.End()
 	}
-	if p.Query.Limit > 0 && len(rows) > p.Query.Limit {
-		rows = rows[:p.Query.Limit]
+	if q.Limit > 0 && len(rows) > q.Limit {
+		rows = rows[:q.Limit]
 	}
 
 	// Aggregates collapse the result to a single row.
-	if len(p.Query.Aggregates) > 0 {
+	if len(q.Aggregates) > 0 {
 		aggSpan := span.Child("aggregate")
-		aggSpan.Set("rows_in", int64(len(rows)))
-		res, err := e.aggregate(tx, p, rows)
-		aggSpan.End()
-		return res, err
+		defer aggSpan.End()
+		if aggs == nil {
+			aggs, matched = newAccumulators(q), uint64(len(rows))
+			for i := range rows {
+				if err := e.accumulate(tx, q, aggs, &row{obj: rows[i].Object, bind: &bound}); err != nil {
+					return nil, err
+				}
+			}
+		}
+		aggSpan.Set("rows_in", int64(matched))
+		res := &Result{Rows: []Row{{Values: make([]model.Value, len(aggs))}}}
+		for i := range aggs {
+			res.Cols = append(res.Cols, q.Aggregates[i].String())
+			res.Rows[0].Values[i] = aggs[i].Result()
+		}
+		return res, nil
 	}
 
 	projSpan := span.Child("project")
@@ -139,7 +158,7 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	// result set is assembled and consumed together, so per-row slices
 	// would only fragment the heap.
 	res := &Result{}
-	if len(p.Query.Select) == 0 {
+	if len(q.Select) == 0 {
 		res.Cols = []string{"oid"}
 		backing := make([]model.Value, len(rows))
 		for i := range rows {
@@ -147,15 +166,16 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 			rows[i].Values = backing[i : i+1 : i+1]
 		}
 	} else {
-		for _, path := range p.Query.Select {
+		for _, path := range q.Select {
 			res.Cols = append(res.Cols, path.String())
 		}
-		w := len(p.Query.Select)
+		w := len(q.Select)
 		backing := make([]model.Value, len(rows)*w)
 		for i := range rows {
 			vals := backing[i*w : (i+1)*w : (i+1)*w]
-			for j, path := range p.Query.Select {
-				v, err := e.evalPath(tx, rows[i].Object, path.Steps)
+			r := &row{obj: rows[i].Object, bind: &bound}
+			for j, path := range q.Select {
+				v, err := e.evalPath(tx, r, path.Steps)
 				if err != nil {
 					return nil, err
 				}
@@ -179,11 +199,11 @@ func earlyLimit(p *Plan, ordered bool) int {
 }
 
 // matches evaluates the residual predicate against one candidate.
-func (e *Engine) matches(tx *core.Tx, p *Plan, obj *model.Object) (bool, error) {
+func (e *Engine) matches(tx *core.Tx, p *Plan, r *row) (bool, error) {
 	if p.Query.Where == nil {
 		return true, nil
 	}
-	return e.evalBool(tx, p.Query.Where, obj)
+	return e.evalBool(tx, p.Query.Where, r)
 }
 
 // deref resolves an interior reference for path evaluation. Snapshot
@@ -198,127 +218,139 @@ func (e *Engine) deref(tx *core.Tx, oid model.OID) (*model.Object, error) {
 	return e.db.FetchObject(oid)
 }
 
-// scanRows collects the matching rows of a heap-scan plan. A scope of more
-// than one class fans out one goroutine per class (bounded by GOMAXPROCS):
-// Kim's query model evaluates a hierarchy-scoped query as independent
-// per-class scans, and the scope's S locks are already held, so the scans
-// share nothing but the storage layer. Per-class results are concatenated
-// in scope order, which makes the output identical to a sequential pass.
-func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) {
+// scanRows runs a heap-scan plan: one scanClass per scope class, merged in
+// scope order. A scope of more than one class fans out one goroutine per
+// class (bounded by GOMAXPROCS): Kim's query model evaluates a
+// hierarchy-scoped query as independent per-class scans, and the scope's S
+// locks are already held, so the scans share nothing but the storage
+// layer. Because every class yields its own part — its matching rows, or
+// its aggregate partials when the statement lets the scan fold them — and
+// the parts are only ever combined here, in scope order, the result does
+// not depend on whether the classes ran one after another or at once.
+func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) (all scanPart, err error) {
 	limit := earlyLimit(p, false)
-	if e.SerialScan || len(p.Scope) == 1 {
-		var rows []Row
-		for _, class := range p.Scope {
-			cs := span.Child("scan " + e.className(class))
-			var scanned, matched uint64
-			var ierr error
-			err := tx.ScanLocked(class, func(obj *model.Object) bool {
-				scanned++
-				ok, merr := e.matches(tx, p, obj)
-				if merr != nil {
-					ierr = merr
-					return false
-				}
-				if ok {
-					matched++
-					rows = append(rows, Row{OID: obj.OID, Object: obj})
-				}
-				return limit == 0 || len(rows) < limit
-			})
-			mRowsScanned.Add(scanned)
-			mRowsMatched.Add(matched)
-			cs.Set("rows_scanned", int64(scanned))
-			cs.Set("rows_matched", int64(matched))
-			cs.End()
-			if err != nil {
-				return nil, err
-			}
-			if ierr != nil {
-				return nil, ierr
-			}
-			if limit > 0 && len(rows) >= limit {
-				mEarlyExits.Add(1)
-				span.Set("limit_early_exit", 1)
-				break
-			}
-		}
-		return rows, nil
-	}
-
-	mFanoutWidth.Observe(uint64(len(p.Scope)))
-	span.Set("fanout_width", int64(len(p.Scope)))
-	perClass := make([][]Row, len(p.Scope))
-	errs := make([]error, len(p.Scope))
+	parts := make([]scanPart, len(p.Scope))
 	// full is the smallest scope index whose class alone satisfied the
 	// limit: classes after it cannot contribute to the result, so their
-	// scans stop early.
+	// scans stop early (or never start).
 	var full atomic.Int64
 	full.Store(int64(len(p.Scope)))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, class := range p.Scope {
-		wg.Add(1)
-		go func(i int, class model.ClassID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if int64(i) > full.Load() {
-				return
-			}
-			cs := span.Child("scan " + e.className(class))
-			defer cs.End()
-			var scanned, matched uint64
-			var mine []Row
-			var ierr error
-			errs[i] = tx.ScanLocked(class, func(obj *model.Object) bool {
-				if int64(i) > full.Load() {
-					return false
-				}
-				scanned++
-				ok, merr := e.matches(tx, p, obj)
-				if merr != nil {
-					ierr = merr
-					return false
-				}
-				if ok {
-					matched++
-					mine = append(mine, Row{OID: obj.OID, Object: obj})
-					if limit > 0 && len(mine) >= limit {
-						for {
-							cur := full.Load()
-							if int64(i) >= cur || full.CompareAndSwap(cur, int64(i)) {
-								break
-							}
-						}
-						mEarlyExits.Add(1)
-						return false
-					}
-				}
-				return true
-			})
-			mRowsScanned.Add(scanned)
-			mRowsMatched.Add(matched)
-			cs.Set("rows_scanned", int64(scanned))
-			cs.Set("rows_matched", int64(matched))
-			if errs[i] == nil {
-				errs[i] = ierr
-			}
-			perClass[i] = mine
-		}(i, class)
-	}
-	wg.Wait()
-	var rows []Row
-	for i := range p.Scope {
-		if errs[i] != nil {
-			return nil, errs[i]
+	if len(p.Scope) == 1 || e.serialScan {
+		for i := range p.Scope {
+			parts[i] = e.scanClass(tx, p, span, i, limit, &full)
 		}
-		rows = append(rows, perClass[i]...)
-		if limit > 0 && len(rows) >= limit {
-			rows = rows[:limit]
+	} else {
+		mFanoutWidth.Observe(uint64(len(p.Scope)))
+		span.Set("fanout_width", int64(len(p.Scope)))
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for i := range p.Scope {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				parts[i] = e.scanClass(tx, p, span, i, limit, &full)
+			}(i)
+		}
+		wg.Wait()
+	}
+	if full.Load() < int64(len(p.Scope)) {
+		span.Set("limit_early_exit", 1)
+	}
+	if streamsAggregates(p.Query) {
+		all.aggs = newAccumulators(p.Query)
+	}
+	for i := range parts {
+		if parts[i].err != nil {
+			return scanPart{}, parts[i].err
+		}
+		all.matched += parts[i].matched
+		for j := range parts[i].aggs {
+			all.aggs[j].Merge(parts[i].aggs[j])
+		}
+		all.rows = append(all.rows, parts[i].rows...)
+		if limit > 0 && len(all.rows) >= limit {
+			all.rows = all.rows[:limit]
 			break
 		}
 	}
-	return rows, nil
+	return all, nil
+}
+
+// streamsAggregates reports whether a heap scan may fold the statement's
+// aggregates as it goes, keeping no rows: every match counts, in any
+// order. With a LIMIT the aggregate is over the first rows only, which
+// (after an ORDER BY) are known only once all are collected and sorted.
+func streamsAggregates(q *Query) bool {
+	return len(q.Aggregates) > 0 && q.Limit == 0 && q.OrderBy == nil
+}
+
+// scanPart is one scope class's share of a heap-scan plan, or the shares of
+// all of them merged.
+type scanPart struct {
+	rows    []Row         // the matches, decoded — unless folded into aggs
+	aggs    []Accumulator // this class's partial of each aggregate
+	matched uint64
+	err     error
+}
+
+// scanClass scans scope class i. The predicate — and, when the statement
+// streams its aggregates, their arguments — is evaluated on the stored
+// image through the class's bindings; an object is decoded only for a row
+// that matched and is kept, or when a path step is a method.
+func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, full *atomic.Int64) (part scanPart) {
+	if int64(i) > full.Load() {
+		return part
+	}
+	class := p.Scope[i]
+	cs := span.Child("scan " + e.className(class))
+	defer cs.End()
+	r := &row{bind: new(bindings)}
+	if streamsAggregates(p.Query) {
+		part.aggs = newAccumulators(p.Query)
+	}
+	var scanned uint64
+	err := tx.ScanLocked(class, func(im model.Image) bool {
+		if int64(i) > full.Load() {
+			return false
+		}
+		scanned++
+		r.im, r.obj = im, nil
+		var ok bool
+		if ok, part.err = e.matches(tx, p, r); part.err != nil || !ok {
+			return part.err == nil
+		}
+		part.matched++
+		if part.aggs != nil {
+			part.err = e.accumulate(tx, p.Query, part.aggs, r)
+			return part.err == nil
+		}
+		var obj *model.Object
+		if obj, part.err = r.object(); part.err != nil {
+			return false
+		}
+		part.rows = append(part.rows, Row{OID: obj.OID, Object: obj})
+		if limit > 0 && len(part.rows) >= limit {
+			for {
+				cur := full.Load()
+				if int64(i) >= cur || full.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+			mEarlyExits.Add(1)
+			return false
+		}
+		return true
+	})
+	mRowsScanned.Add(scanned)
+	mRowsMatched.Add(part.matched)
+	cs.Set("rows_scanned", int64(scanned))
+	cs.Set("rows_matched", int64(part.matched))
+	if err != nil {
+		part.err = err
+	}
+	return part
 }
 
 // probeRows collects the matching rows of an index plan. Each index's
@@ -344,7 +376,7 @@ func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) {
 // before the index moves, which is why the overlay is read after the walk.
 // The full WHERE re-evaluation in matches keeps stale postings out on both
 // paths.
-func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span, ordered bool) ([]Row, bool, error) {
+func (e *Engine) probeRows(tx *core.Tx, p *Plan, bound *bindings, span *obs.Span, ordered bool) ([]Row, bool, error) {
 	scopeSet := make(map[model.ClassID]bool, len(p.Scope))
 	for _, c := range p.Scope {
 		scopeSet[c] = true
@@ -388,7 +420,8 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span, ordered bool) (
 		if !scopeSet[obj.Class()] {
 			return true
 		}
-		ok, err := e.matches(tx, p, obj)
+		r := &row{obj: obj, bind: bound}
+		ok, err := e.matches(tx, p, r)
 		if err != nil {
 			cerr = err
 			return false
@@ -397,7 +430,7 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span, ordered bool) (
 			return true
 		}
 		if ordered {
-			v, err := e.evalPath(tx, obj, p.Query.OrderBy.Steps)
+			v, err := e.evalPath(tx, r, p.Query.OrderBy.Steps)
 			if err != nil {
 				cerr = err
 				return false
@@ -494,99 +527,54 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span, ordered bool) (
 	return rows, ordered, nil
 }
 
-// aggregate computes the aggregate select list over the matched rows.
-// COUNT(*) counts rows; per-path aggregates skip nulls; set values
-// contribute each member. SUM and AVG require numeric inputs.
-func (e *Engine) aggregate(tx *core.Tx, p *Plan, rows []Row) (*Result, error) {
-	res := &Result{}
-	vals := make([]model.Value, len(p.Query.Aggregates))
-	for i, agg := range p.Query.Aggregates {
-		res.Cols = append(res.Cols, agg.String())
-		if agg.Path == nil { // COUNT(*)
-			vals[i] = model.Int(int64(len(rows)))
-			continue
-		}
-		var count int64
-		var sum float64
-		var allInt = true
-		var best model.Value
-		for _, row := range rows {
-			v, err := e.evalPath(tx, row.Object, agg.Path.Steps)
-			if err != nil {
-				return nil, err
-			}
-			members := []model.Value{v}
-			if set, ok := v.AsSet(); ok {
-				members = set
-			}
-			for _, m := range members {
-				if m.IsNull() {
-					continue
-				}
-				count++
-				switch agg.Func {
-				case AggSum, AggAvg:
-					f, ok := m.AsFloat()
-					if !ok {
-						return nil, fmt.Errorf("query: %s over non-numeric value %s", agg.Func, m)
-					}
-					if m.Kind() != model.KindInt {
-						allInt = false
-					}
-					sum += f
-				case AggMin:
-					if best.IsNull() || model.Compare(m, best) < 0 {
-						best = m
-					}
-				case AggMax:
-					if best.IsNull() || model.Compare(m, best) > 0 {
-						best = m
-					}
-				}
-			}
-		}
-		switch agg.Func {
-		case AggCount:
-			vals[i] = model.Int(count)
-		case AggSum:
-			if allInt {
-				vals[i] = model.Int(int64(sum))
-			} else {
-				vals[i] = model.Float(sum)
-			}
-		case AggAvg:
-			if count == 0 {
-				vals[i] = model.Null
-			} else {
-				vals[i] = model.Float(sum / float64(count))
-			}
-		case AggMin, AggMax:
-			vals[i] = best
-		}
+// newAccumulators returns one empty accumulator per aggregate of q.
+func newAccumulators(q *Query) []Accumulator {
+	aggs := make([]Accumulator, len(q.Aggregates))
+	for i, agg := range q.Aggregates {
+		aggs[i] = NewAccumulator(agg.Func)
 	}
-	res.Rows = []Row{{Values: vals}}
-	return res, nil
+	return aggs
 }
 
-// evalBool evaluates a predicate against one candidate object.
-func (e *Engine) evalBool(tx *core.Tx, ex Expr, obj *model.Object) (bool, error) {
+// countStar is what COUNT(*) adds for a row: any non-null value counts.
+var countStar = model.Bool(true)
+
+// accumulate feeds one matched row to the statement's aggregates.
+func (e *Engine) accumulate(tx *core.Tx, q *Query, aggs []Accumulator, r *row) error {
+	for i, agg := range q.Aggregates {
+		v := countStar
+		if agg.Path != nil {
+			var err error
+			if v, err = e.evalPath(tx, r, agg.Path.Steps); err != nil {
+				return err
+			}
+		}
+		if err := aggs[i].Add(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalBool evaluates a predicate against one candidate.
+func (e *Engine) evalBool(tx *core.Tx, ex Expr, r *row) (bool, error) {
 	switch n := ex.(type) {
 	case *Binary:
 		switch n.Op {
 		case OpAnd:
-			l, err := e.evalBool(tx, n.L, obj)
+			l, err := e.evalBool(tx, n.L, r)
 			if err != nil || !l {
 				return false, err
 			}
-			return e.evalBool(tx, n.R, obj)
+			return e.evalBool(tx, n.R, r)
 		case OpOr:
-			l, err := e.evalBool(tx, n.L, obj)
+			l, err := e.evalBool(tx, n.L, r)
 			if err != nil || l {
 				return l, err
 			}
-			return e.evalBool(tx, n.R, obj)
+			return e.evalBool(tx, n.R, r)
 		case OpIn:
-			lv, err := e.evalValue(tx, n.L, obj)
+			lv, err := e.evalValue(tx, n.L, r)
 			if err != nil {
 				return false, err
 			}
@@ -601,31 +589,31 @@ func (e *Engine) evalBool(tx *core.Tx, ex Expr, obj *model.Object) (bool, error)
 			}
 			return false, nil
 		case OpContains:
-			lv, err := e.evalValue(tx, n.L, obj)
+			lv, err := e.evalValue(tx, n.L, r)
 			if err != nil {
 				return false, err
 			}
-			rv, err := e.evalValue(tx, n.R, obj)
+			rv, err := e.evalValue(tx, n.R, r)
 			if err != nil {
 				return false, err
 			}
 			return lv.Contains(rv), nil
 		default:
-			lv, err := e.evalValue(tx, n.L, obj)
+			lv, err := e.evalValue(tx, n.L, r)
 			if err != nil {
 				return false, err
 			}
-			rv, err := e.evalValue(tx, n.R, obj)
+			rv, err := e.evalValue(tx, n.R, r)
 			if err != nil {
 				return false, err
 			}
 			return compareOp(n.Op, lv, rv), nil
 		}
 	case *Not:
-		v, err := e.evalBool(tx, n.E, obj)
+		v, err := e.evalBool(tx, n.E, r)
 		return !v, err
 	case *PathExpr:
-		v, err := e.evalValue(tx, n, obj)
+		v, err := e.evalValue(tx, n, r)
 		if err != nil {
 			return false, err
 		}
@@ -681,31 +669,38 @@ func compareOp(op BinOp, l, r model.Value) bool {
 func existsEqual(l, r model.Value) bool { return compareOp(OpEq, l, r) }
 
 // evalValue evaluates an operand expression to a value.
-func (e *Engine) evalValue(tx *core.Tx, ex Expr, obj *model.Object) (model.Value, error) {
+func (e *Engine) evalValue(tx *core.Tx, ex Expr, r *row) (model.Value, error) {
 	switch n := ex.(type) {
 	case *Lit:
 		return n.V, nil
 	case *PathExpr:
-		return e.evalPath(tx, obj, n.Path.Steps)
+		return e.evalPath(tx, r, n.Path.Steps)
 	default:
 		return model.Null, fmt.Errorf("query: cannot evaluate %T as value", ex)
 	}
 }
 
-// evalPath walks a path from obj: each step reads an attribute (stored
-// value or class default) or invokes a method as a derived attribute.
-// Interior references are dereferenced; set-valued steps fan out and the
-// result is the set of terminal values (existential comparison semantics).
-// A null or dangling step yields null.
-func (e *Engine) evalPath(tx *core.Tx, obj *model.Object, steps []string) (model.Value, error) {
+// evalPath walks a path from the candidate: each step reads an attribute
+// (stored value or class default) or invokes a method as a derived
+// attribute. Interior references are dereferenced; set-valued steps fan out
+// and the result is the set of terminal values (existential comparison
+// semantics). A null or dangling step yields null.
+//
+// The first step reads through the candidate's bindings, from its stored
+// image when that is all the row has; later steps run on the objects the
+// path crosses and resolve against their own classes.
+func (e *Engine) evalPath(tx *core.Tx, r *row, steps []string) (model.Value, error) {
+	if len(steps) == 0 {
+		return model.Null, nil
+	}
+	v, err := e.stepValue(r, r.binding(e, steps[0]))
+	if err != nil {
+		return model.Null, err
+	}
 	// Single-step fast path: the common `WHERE attr op k` shape. Scans
-	// evaluate this once per object, so the general walk below (two slice
-	// allocations per call) turns hot loops GC-bound.
+	// evaluate this once per object, so the general walk below (a slice per
+	// step) would turn hot loops GC-bound.
 	if len(steps) == 1 {
-		v, err := e.stepValue(obj, steps[0])
-		if err != nil {
-			return model.Null, err
-		}
 		if members, ok := v.AsSet(); ok {
 			// Match the general walk: flatten, so a singleton set yields
 			// its member and an empty set yields null.
@@ -718,38 +713,13 @@ func (e *Engine) evalPath(tx *core.Tx, obj *model.Object, steps []string) (model
 		}
 		return v, nil
 	}
-	cur := []*model.Object{obj}
-	for i, step := range steps {
-		last := i == len(steps)-1
-		var vals []model.Value
-		for _, o := range cur {
-			v, err := e.stepValue(o, step)
-			if err != nil {
-				return model.Null, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if members, ok := v.AsSet(); ok {
-				vals = append(vals, members...)
-			} else {
-				vals = append(vals, v)
-			}
-		}
-		if last {
-			switch len(vals) {
-			case 0:
-				return model.Null, nil
-			case 1:
-				return vals[0], nil
-			default:
-				return model.Set(vals...), nil
-			}
-		}
+	var one [1]model.Value // a reference path mostly carries one value: keep it off the heap
+	vals := appendMembers(one[:0], v)
+	for _, step := range steps[1:] {
 		// Interior: dereference references.
-		next := cur[:0:0]
-		for _, v := range vals {
-			oid, ok := v.AsRef()
+		var next []model.Value
+		for _, ref := range vals {
+			oid, ok := ref.AsRef()
 			if !ok {
 				continue // non-reference interior value dead-ends
 			}
@@ -757,30 +727,33 @@ func (e *Engine) evalPath(tx *core.Tx, obj *model.Object, steps []string) (model
 			if err != nil {
 				continue // dangling reference dead-ends
 			}
-			next = append(next, o)
+			b := e.bindStep(o.Class(), step)
+			v, err := e.stepValue(&row{obj: o}, &b)
+			if err != nil {
+				return model.Null, err
+			}
+			next = appendMembers(next, v)
 		}
-		cur = next
-		if len(cur) == 0 {
-			return model.Null, nil
-		}
+		vals = next
 	}
-	return model.Null, nil
+	switch len(vals) {
+	case 0:
+		return model.Null, nil
+	case 1:
+		return vals[0], nil
+	default:
+		return model.Set(vals...), nil
+	}
 }
 
-// stepValue resolves one path step on one object: attribute first, then
-// method (late-bound, no arguments).
-func (e *Engine) stepValue(o *model.Object, step string) (model.Value, error) {
-	if a, err := e.db.Catalog.ResolveAttr(o.Class(), step); err == nil {
-		if v, ok := o.Lookup(a.ID); ok {
-			return v, nil
-		}
-		return a.Default, nil
+// appendMembers appends what one step contributed to a path's values:
+// nothing for null, the members of a set, else the value itself.
+func appendMembers(vals []model.Value, v model.Value) []model.Value {
+	if v.IsNull() {
+		return vals
 	}
-	if m, err := e.db.Catalog.ResolveMethod(o.Class(), step); err == nil {
-		if m.Impl == nil {
-			return model.Null, fmt.Errorf("query: method %q has no registered implementation", step)
-		}
-		return m.Impl(e.db, o, nil)
+	if members, ok := v.AsSet(); ok {
+		return append(vals, members...)
 	}
-	return model.Null, fmt.Errorf("query: %s has no attribute or method %q", e.className(o.Class()), step)
+	return append(vals, v)
 }

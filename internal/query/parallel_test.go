@@ -60,7 +60,7 @@ func newScanHierarchy(t *testing.T) *core.DB {
 }
 
 // TestParallelScanMatchesSerial runs a spread of hierarchy-scoped queries
-// through the parallel executor and the SerialScan ablation and requires
+// through the parallel executor and one class at a time (the serialScan hook) and requires
 // identical results — rows, ordering and limits included. This is the
 // acceptance gate for the parallel fan-out: the concurrency must be
 // invisible in the results.
@@ -83,7 +83,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 	parallel := NewEngine(db)
 	serial := NewEngine(db)
-	serial.SerialScan = true
+	serial.serialScan = true
 	for _, q := range queries {
 		got := runResult(t, db, parallel, q)
 		want := runResult(t, db, serial, q)
@@ -103,15 +103,7 @@ func runResult(t *testing.T, db *core.DB, eng *Engine, q string) [][]string {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	out := make([][]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		r := []string{row.OID.String()}
-		for _, v := range row.Values {
-			r = append(r, v.String())
-		}
-		out = append(out, r)
-	}
-	return out
+	return flatten(res)
 }
 
 // TestParallelScanLimitEarlyExit checks that a limited, unordered
@@ -123,7 +115,7 @@ func TestParallelScanLimitEarlyExit(t *testing.T) {
 	for _, limit := range []int{1, 10, 59, 60, 61, 200} {
 		q := fmt.Sprintf(`SELECT tag FROM S0 LIMIT %d`, limit)
 		serial := NewEngine(db)
-		serial.SerialScan = true
+		serial.serialScan = true
 		got := runResult(t, db, eng, q)
 		want := runResult(t, db, serial, q)
 		if !reflect.DeepEqual(got, want) {

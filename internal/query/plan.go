@@ -16,10 +16,9 @@ type Engine struct {
 	// ForceScan disables index selection (the optimizer-ablation switch of
 	// experiment E8).
 	ForceScan bool
-	// SerialScan disables the parallel fan-out over a class-hierarchy
-	// scope, scanning one class at a time (the concurrency-ablation switch
-	// of experiment E13; results are identical either way).
-	SerialScan bool
+	// serialScan scans a class-hierarchy scope one class at a time instead
+	// of fanning out — the reference the parallel-scan tests compare with.
+	serialScan bool
 	// Views resolves a FROM name that is not a class to a view's query
 	// source ("a query may be issued against views just as though they
 	// were relations", Kim §5.4). Wired by the view manager.

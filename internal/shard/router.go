@@ -695,11 +695,26 @@ func (r *Router) queryAggregate(q *query.Query) (*Result, error) {
 		parts = append(parts, mr.res.Rows[0].Values)
 	}
 
+	// One accumulator per aggregate folds the members' answers in member
+	// order — the engine's own accumulator, so the combined answer follows
+	// its rules (exact integer sums, nulls skipped, AVG of nothing Null).
 	res := &Result{Rows: []Row{{}}}
 	vals := make([]model.Value, len(q.Aggregates))
 	for i, item := range q.Aggregates {
 		res.Cols = append(res.Cols, item.String())
-		vals[i] = combineAgg(item.Func, plan[i].a, plan[i].b, parts)
+		acc := query.NewAccumulator(item.Func)
+		for _, p := range parts {
+			count := model.Null
+			if plan[i].b >= 0 {
+				count = p[plan[i].b]
+			}
+			part, err := query.Partial(item.Func, p[plan[i].a], count)
+			if err != nil {
+				return nil, err
+			}
+			acc.Merge(part)
+		}
+		vals[i] = acc.Result()
 	}
 	res.Rows[0].Values = vals
 	if len(failed) > 0 {
@@ -707,65 +722,4 @@ func (r *Router) queryAggregate(q *query.Query) (*Result, error) {
 		return nil, &PartialError{Result: res, Failed: failed}
 	}
 	return res, nil
-}
-
-// combineAgg folds one aggregate's per-member values, mirroring the
-// engine's semantics (internal/query aggregate): SUM stays Int when
-// every part is Int; MIN/MAX skip nulls; AVG over zero rows is Null.
-func combineAgg(f query.AggFunc, a, b int, parts [][]model.Value) model.Value {
-	switch f {
-	case query.AggCount:
-		var n int64
-		for _, p := range parts {
-			if i, ok := p[a].AsInt(); ok {
-				n += i
-			}
-		}
-		return model.Int(n)
-	case query.AggSum:
-		var sum float64
-		allInt := true
-		for _, p := range parts {
-			v := p[a]
-			if v.Kind() != model.KindInt {
-				allInt = false
-			}
-			if f, ok := v.AsFloat(); ok {
-				sum += f
-			}
-		}
-		if allInt {
-			return model.Int(int64(sum))
-		}
-		return model.Float(sum)
-	case query.AggAvg:
-		var sum float64
-		var n int64
-		for _, p := range parts {
-			if f, ok := p[a].AsFloat(); ok {
-				sum += f
-			}
-			if i, ok := p[b].AsInt(); ok {
-				n += i
-			}
-		}
-		if n == 0 {
-			return model.Null
-		}
-		return model.Float(sum / float64(n))
-	default: // MIN, MAX
-		best := model.Null
-		for _, p := range parts {
-			v := p[a]
-			if v.IsNull() {
-				continue
-			}
-			if best.IsNull() ||
-				(f == query.AggMin && model.Compare(v, best) < 0) ||
-				(f == query.AggMax && model.Compare(v, best) > 0) {
-				best = v
-			}
-		}
-		return best
-	}
 }

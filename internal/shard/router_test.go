@@ -463,3 +463,38 @@ func TestRouterHealthProbe(t *testing.T) {
 		t.Fatalf("status after drain = %+v", st)
 	}
 }
+
+// TestScatterSumIntegerPrecision: the router folds its members' SUMs with
+// the engine's accumulator, so integer sums stay exact beyond 2^53 across
+// members, and a total that leaves int64 comes back as a Float.
+func TestScatterSumIntegerPrecision(t *testing.T) {
+	r, _, dbs := startMembers(t, 2, defineParts)
+	const a, b, c = int64(1)<<62 - 1, int64(1)<<62 - 3, int64(1)<<62 - 5
+	for _, o := range []struct {
+		member int
+		name   string
+		weight int64
+	}{{0, "a", a}, {0, "b", b}, {1, "c", c}} {
+		insertSingle(t, dbs[o.member], "Part", map[string]model.Value{
+			"name": model.String(o.name), "weight": model.Int(o.weight)})
+	}
+	for _, tc := range []struct {
+		src  string
+		want model.Value
+	}{
+		{`SELECT SUM(weight) FROM Part WHERE name != 'b'`, model.Int(a + c)},
+		{`SELECT SUM(weight) FROM Part WHERE name != 'c'`, model.Int(a + b)},
+		{`SELECT SUM(weight) FROM Part`, model.Float(float64(a+b) + float64(c))},
+		{`SELECT AVG(weight) FROM Part WHERE name != 'b'`, model.Float(float64(a+c) / 2)},
+		{`SELECT COUNT(*) FROM Part`, model.Int(3)},
+	} {
+		res, err := r.Query(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		got := res.Rows[0].Values[0]
+		if got.Kind() != tc.want.Kind() || model.Compare(got, tc.want) != 0 {
+			t.Errorf("%s = %v (%s), want %v (%s)", tc.src, got, got.Kind(), tc.want, tc.want.Kind())
+		}
+	}
+}

@@ -165,9 +165,8 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 		return nil, nil, err
 	}
 
-	// Collect the live set in scan order. Heap.read hands each record its
-	// own buffer, so holding them is safe; the buffered image is the same
-	// overflow-resolved bytes the streaming path held one at a time.
+	// Collect the live set in scan order. The scan's buffer is reused from
+	// page to page, so each kept record is copied out of it.
 	type liveRec struct {
 		oid  model.OID
 		data []byte
@@ -182,7 +181,7 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 		if r, ok := cur[oid]; !ok || r != rid {
 			return true // dead or shadowed copy
 		}
-		live = append(live, liveRec{oid, data})
+		live = append(live, liveRec{oid, append([]byte(nil), data...)})
 		return true
 	})
 	if err != nil {

@@ -149,32 +149,33 @@ func (h *Heap) read(rid RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer h.pool.Unpin(rid.Page, false)
 	rec, err := p.Read(int(rid.Slot))
 	if err != nil {
-		h.pool.Unpin(rid.Page, false)
 		return nil, fmt.Errorf("%w: %s (%v)", ErrNoRecord, rid, err)
 	}
 	if len(rec) == 0 {
-		h.pool.Unpin(rid.Page, false)
 		return nil, fmt.Errorf("%w: %s (empty record)", ErrNoRecord, rid)
 	}
+	return h.appendPayload(make([]byte, 0, len(rec)-1), rec, rid)
+}
+
+// appendPayload appends the payload of the tagged record rec (stored at
+// rid) to dst: the inline bytes, or the reassembled overflow chain. rec
+// aliases a pinned page; the result does not.
+func (h *Heap) appendPayload(dst, rec []byte, rid RID) ([]byte, error) {
 	switch rec[0] {
 	case recInline:
-		out := make([]byte, len(rec)-1)
-		copy(out, rec[1:])
-		h.pool.Unpin(rid.Page, false)
-		return out, nil
+		return append(dst, rec[1:]...), nil
 	case recOverflow:
 		total, n := binary.Uvarint(rec[1:])
 		head, m := binary.Uvarint(rec[1+n:])
-		h.pool.Unpin(rid.Page, false)
 		if n <= 0 || m <= 0 {
-			return nil, fmt.Errorf("storage: corrupt overflow stub at %s", rid)
+			return dst, fmt.Errorf("storage: corrupt overflow stub at %s", rid)
 		}
-		return h.readOverflow(PageID(head), int(total))
+		return h.appendOverflow(dst, PageID(head), int(total))
 	default:
-		h.pool.Unpin(rid.Page, false)
-		return nil, fmt.Errorf("storage: unknown record tag %d at %s", rec[0], rid)
+		return dst, fmt.Errorf("storage: unknown record tag %d at %s", rec[0], rid)
 	}
 }
 
@@ -354,33 +355,41 @@ func (h *Heap) writeOverflow(data []byte) (PageID, error) {
 	return head, nil
 }
 
-// readOverflow reassembles a payload from an overflow chain.
-func (h *Heap) readOverflow(head PageID, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
+// appendOverflow reassembles a payload of total bytes from an overflow
+// chain onto dst.
+func (h *Heap) appendOverflow(dst []byte, head PageID, total int) ([]byte, error) {
+	start := len(dst)
+	if cap(dst)-start < total {
+		dst = append(make([]byte, 0, start+total), dst...)
+	}
 	for id := head; id != InvalidPage; {
 		p, err := h.pool.Fetch(id)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		chunk, err := p.Read(0)
 		if err != nil {
 			h.pool.Unpin(id, false)
-			return nil, fmt.Errorf("storage: corrupt overflow page %d: %w", id, err)
+			return dst, fmt.Errorf("storage: corrupt overflow page %d: %w", id, err)
 		}
-		out = append(out, chunk...)
+		dst = append(dst, chunk...)
 		next := p.Next()
 		h.pool.Unpin(id, false)
 		id = next
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("storage: overflow chain length %d, expected %d", len(out), total)
+	if len(dst)-start != total {
+		return dst, fmt.Errorf("storage: overflow chain length %d, expected %d", len(dst)-start, total)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// Scan calls fn for every live record in the heap, in physical order. The
-// payload passed to fn is freshly allocated and may be retained. If fn
-// returns false the scan stops early.
+// Scan calls fn for every live record in the heap, in physical order. If
+// fn returns false the scan stops early.
+//
+// Each page is pinned once and its live records are copied, in one pass
+// over the slot array, into an arena the scan reuses from page to page:
+// the payload passed to fn is valid only until fn returns, and a caller
+// that keeps it clones it (Store.ScanClass does).
 //
 // Each page is collected AND read under a single hold of the heap latch,
 // so a concurrent update cannot relocate a record within a page between
@@ -391,47 +400,7 @@ func (h *Heap) readOverflow(head PageID, total int) ([]byte, error) {
 // the resulting duplicates by OID. fn runs outside the latch and may
 // itself read through the heap.
 func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
-	type rec struct {
-		rid  RID
-		data []byte
-	}
-	var recs []rec
-	for id := h.First; id != InvalidPage; {
-		h.mu.RLock()
-		p, err := h.pool.Fetch(id)
-		if err != nil {
-			h.mu.RUnlock()
-			return err
-		}
-		next := p.Next()
-		n := p.Slots()
-		recs = recs[:0]
-		for slot := 0; slot < n; slot++ {
-			if !p.Live(slot) {
-				continue
-			}
-			rid := RID{Page: id, Slot: uint16(slot)}
-			data, err := h.read(rid)
-			if errors.Is(err, ErrNoRecord) {
-				continue // quarantined or torn slot
-			}
-			if err != nil {
-				h.pool.Unpin(id, false)
-				h.mu.RUnlock()
-				return err
-			}
-			recs = append(recs, rec{rid, data})
-		}
-		h.pool.Unpin(id, false)
-		h.mu.RUnlock()
-		for _, r := range recs {
-			if !fn(r.rid, r.data) {
-				return nil
-			}
-		}
-		id = next
-	}
-	return nil
+	return h.scan(fn, false)
 }
 
 // RecoverScan is Scan for crash recovery: a live record whose content
@@ -442,6 +411,17 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
 // its redo before acknowledging (logical WAL replay reinserts the object)
 // or never acknowledged (the record had to disappear anyway).
 func (h *Heap) RecoverScan(fn func(rid RID, data []byte) bool) error {
+	return h.scan(fn, true)
+}
+
+func (h *Heap) scan(fn func(rid RID, data []byte) bool, recovering bool) error {
+	type rec struct {
+		slot     uint16
+		off, end int // payload is arena[off:end]
+	}
+	var recs []rec
+	var arena []byte
+	var bad []RID // recovering: records to quarantine once the latch is dropped
 	for id := h.First; id != InvalidPage; {
 		h.mu.RLock()
 		p, err := h.pool.Fetch(id)
@@ -449,7 +429,7 @@ func (h *Heap) RecoverScan(fn func(rid RID, data []byte) bool) error {
 			h.mu.RUnlock()
 			return err
 		}
-		if p.Type() != pageTypeHeap {
+		if recovering && p.Type() != pageTypeHeap {
 			// Stale chain link into a reused page (rebuildDirectory cuts
 			// these, but the scan guards independently): stop here rather
 			// than read someone else's records.
@@ -458,27 +438,41 @@ func (h *Heap) RecoverScan(fn func(rid RID, data []byte) bool) error {
 			return nil
 		}
 		next := p.Next()
+		// Size both buffers for the page up front: its slot count, and the
+		// record bytes it holds (overflow payloads grow the arena further).
 		n := p.Slots()
-		var rids []RID
-		for slot := 0; slot < n; slot++ {
-			if p.Live(slot) {
-				rids = append(rids, RID{Page: id, Slot: uint16(slot)})
+		if cap(recs) < n {
+			recs = make([]rec, 0, n)
+		}
+		if used := PageSize - p.freePtr(); cap(arena) < used {
+			arena = make([]byte, 0, used)
+		}
+		recs, arena, bad = recs[:0], arena[:0], bad[:0]
+		for slot := 0; slot < n && err == nil; slot++ {
+			off, length := p.slot(slot)
+			if off == 0 || length == 0 {
+				continue // deleted, quarantined or torn slot
 			}
+			rid, start := RID{Page: id, Slot: uint16(slot)}, len(arena)
+			arena, err = h.appendPayload(arena, p.buf[off:off+length], rid)
+			if err != nil && recovering {
+				bad, arena, err = append(bad, rid), arena[:start], nil
+				continue
+			}
+			recs = append(recs, rec{uint16(slot), start, len(arena)})
 		}
 		h.pool.Unpin(id, false)
 		h.mu.RUnlock()
-		for _, rid := range rids {
-			data, err := h.Read(rid)
-			if errors.Is(err, ErrNoRecord) {
-				continue
+		if err != nil {
+			return err
+		}
+		for _, rid := range bad {
+			if err := h.quarantine(rid); err != nil {
+				return err
 			}
-			if err != nil {
-				if qerr := h.quarantine(rid); qerr != nil {
-					return qerr
-				}
-				continue
-			}
-			if !fn(rid, data) {
+		}
+		for _, r := range recs {
+			if !fn(RID{Page: id, Slot: r.slot}, arena[r.off:r.end:r.end]) {
 				return nil
 			}
 		}

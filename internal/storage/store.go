@@ -308,9 +308,10 @@ func (s *Store) Delete(oid model.OID) error {
 	return h.Delete(rid)
 }
 
-// ScanClass calls fn with every stored object image of exactly the given
-// class, in physical order. fn's data may be retained.
-func (s *Store) ScanClass(class model.ClassID, fn func(oid model.OID, data []byte) bool) error {
+// ScanImages calls fn with every stored object image of exactly the given
+// class, in physical order. data is the scan's own buffer (see Heap.Scan):
+// it is valid only until fn returns.
+func (s *Store) ScanImages(class model.ClassID, fn func(oid model.OID, data []byte) bool) error {
 	s.mu.RLock()
 	h, ok := s.heaps[class]
 	s.mu.RUnlock()
@@ -323,6 +324,14 @@ func (s *Store) ScanClass(class model.ClassID, fn func(oid model.OID, data []byt
 			return true // skip torn record
 		}
 		return fn(model.OID(oid), data)
+	})
+}
+
+// ScanClass is ScanImages for callers that keep the bytes: every image is
+// handed over as its own copy, which fn may retain.
+func (s *Store) ScanClass(class model.ClassID, fn func(oid model.OID, data []byte) bool) error {
+	return s.ScanImages(class, func(oid model.OID, data []byte) bool {
+		return fn(oid, append([]byte(nil), data...))
 	})
 }
 

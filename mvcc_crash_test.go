@@ -167,8 +167,12 @@ func verifyMVCCCrash(t *testing.T, dir string, sched fault.Schedule) {
 		t.Fatalf("schedule {%v}: lock scan: %v", sched, err)
 	}
 	heap := 0
-	err = ltx.ScanLocked(cl.ID, func(obj *model.Object) bool {
+	err = ltx.ScanLocked(cl.ID, func(im model.Image) bool {
 		heap++
+		obj, err := im.Decode()
+		if err != nil {
+			t.Fatalf("schedule {%v}: locked scan: %v", sched, err)
+		}
 		want, ok := snapImages[obj.OID]
 		if !ok {
 			t.Fatalf("schedule {%v}: locked scan sees %s, snapshot does not", sched, obj.OID)

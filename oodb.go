@@ -424,8 +424,8 @@ func (db *DB) Metrics() obs.Snapshot { return obs.TakeSnapshot() }
 // Disabled metrics cost one atomic load per update site.
 func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }
 
-// QueryEngine exposes the query engine for tuning knobs (e.g. SerialScan,
-// the concurrency-ablation switch) and plan-level integration.
+// QueryEngine exposes the query engine for plan-level integration (parse,
+// plan and execute as separate steps) and its one switch, ForceScan.
 func (db *DB) QueryEngine() *query.Engine { return db.q }
 
 // NewWorkspace returns a memory-resident object workspace (OID→pointer
