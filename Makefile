@@ -24,6 +24,7 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -bench=BenchmarkPool -benchmem -run '^$$' ./internal/storage/
 
 # The repo benchmark (perfbench/, BENCHMARK.json) is a module of its own that
 # imports the engine through its public packages: vet and test it so an

@@ -118,7 +118,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // handshake reads and answers the hello frame. It reports whether the
 // session may proceed; on success the session slot in s.sessions is
 // already reserved (teardown in serveConn releases it).
-func (c *conn) handshake() (ok bool) {
+func (c *conn) handshake() bool {
 	s := c.srv
 	_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
 	payload, err := proto.ReadFrame(c.br, s.opts.MaxFrame)
@@ -147,32 +147,32 @@ func (c *conn) handshake() (ok bool) {
 	case s.draining.Load():
 		return reject(proto.ErrCodeDraining, "server is draining")
 	}
-	// Reserve the session slot atomically before any further checks:
-	// N concurrent handshakes racing a check-then-increment could all
-	// pass a bare Load comparison and overshoot the cap. Any rejection
-	// past this point rolls the reservation back.
-	if s.sessions.Add(1) > int64(s.opts.MaxSessions) {
-		s.sessions.Add(-1)
-		return reject(proto.ErrCodeServerFull,
-			fmt.Sprintf("session limit %d reached", s.opts.MaxSessions))
-	}
-	defer func() {
-		if !ok {
-			s.sessions.Add(-1)
-		}
-	}()
 	if s.opts.Tokens != nil {
 		want, ok := s.opts.Tokens[hello.Role]
 		if !ok || want != hello.Token {
 			return reject(proto.ErrCodeAuth, "unknown role or bad token")
 		}
 	}
+	// Reserve the session slot last — a handshake refused for any other
+	// reason never holds one, so it cannot make the next dial see a full
+	// server — and atomically: N concurrent handshakes racing a
+	// check-then-increment could all pass a bare Load comparison and
+	// overshoot the cap.
+	if s.sessions.Add(1) > int64(s.opts.MaxSessions) {
+		s.sessions.Add(-1)
+		return reject(proto.ErrCodeServerFull,
+			fmt.Sprintf("session limit %d reached", s.opts.MaxSessions))
+	}
 	c.role = hello.Role
 	c.id = s.sessionSeq.Add(1)
 	c.ws = s.db.NewWorkspace()
 	resp := proto.AppendOK(nil, seq)
 	resp = proto.AppendWelcome(resp, proto.Welcome{Version: proto.Version, SessionID: c.id})
-	return c.writeResponse(resp)
+	if !c.writeResponse(resp) {
+		s.sessions.Add(-1)
+		return false
+	}
+	return true
 }
 
 // readerLoop decodes frames and enqueues them for the worker. It never

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,11 +50,19 @@ const DefaultPoolShards = 16
 // by PageID, each with its own mutex, LRU list and pin table, so fetches of
 // unrelated pages never contend. Within a shard, a miss reads from disk
 // *outside* the shard lock: the fetching goroutine installs a frame in the
-// "loading" state (ready channel open) and releases the lock for the
-// duration of the I/O. Concurrent fetchers of the same page find the
-// loading frame, pin it, and wait on the channel — they coalesce onto one
-// disk read instead of duplicating it — while fetchers of other pages in
-// the shard proceed untouched.
+// loading state and releases the lock for the duration of the I/O.
+// Concurrent fetchers of the same page find the loading frame, pin it, and
+// wait on the shard's condition variable — they coalesce onto one disk read
+// instead of duplicating it — while fetchers of other pages in the shard
+// proceed untouched.
+//
+// Frames are recycled, not freed. A shard allocates frames one by one until
+// its table holds cap of them; from then on a miss evicts the least
+// recently used unpinned frame and rekeys that same frame to the new page,
+// so a steady-state miss allocates nothing. The price is a rule for every
+// caller: a *Page from Fetch or FetchNew is valid only until the matching
+// Unpin. After it the memory may hold any other page, so anything needed
+// later (a Next link, record bytes) is copied out first.
 type BufferPool struct {
 	disk   DiskBackend
 	shards []*poolShard
@@ -72,13 +79,14 @@ type BufferPool struct {
 	// belong to another owner by now. Freeing through it would double-enter
 	// pages on the free list; recovery leaks such chains instead.
 	recovering atomic.Bool
-
-	// Stats observed by the benchmarks (E3/E5 measure the cost gap between
-	// buffer-pool access and workspace pointer access). Atomic: they are
-	// read outside any shard lock and bumped from all shards.
-	Hits   atomic.Uint64
-	Misses atomic.Uint64
 }
+
+// recycleHook, when set, is handed every frame's page the moment the frame
+// is (re)keyed, before the new page is read in. Only tests set it, to
+// poison the bytes: a caller that kept a *Page past Unpin then fails a
+// checksum or a record decode instead of reading the previous page's
+// plausible content.
+var recycleHook func(*Page)
 
 // SetPageLogger installs the full-page-image logger. Must be called before
 // any page writes go through the pool (the engine wires it immediately
@@ -96,38 +104,47 @@ func (bp *BufferPool) Recovering() bool { return bp.recovering.Load() }
 // capacity slice of the pool.
 type poolShard struct {
 	mu     sync.Mutex
+	loaded sync.Cond // on mu; signalled when a load others wait on ends
 	frames map[PageID]*frame
-	lru    *list.List // of PageID; front = most recently used
+	lru    frame  // list head: lru.next is the most, lru.prev the least recently used
+	free   *frame // frames holding no page (dropped, failed load), linked by next
 	cap    int
 
-	// hitBatch counts hits under the shard lock and is flushed to the
-	// process-wide obs counter every hitBatchSize hits. A striped atomic
-	// add per hit would cost ~20% of the hit path; a plain increment under
-	// a lock we already hold costs nothing measurable, at the price of the
-	// obs mirror lagging by up to hitBatchSize-1 hits per shard. The exact
-	// figures stay on BufferPool.Hits/Misses (see PoolStats).
-	hitBatch uint32
+	// hits and misses count under the shard lock Fetch holds anyway (see
+	// Stats). A process-wide atomic add per hit would cost ~20% of the hit
+	// path; a plain increment under a lock we already hold costs nothing
+	// measurable. Every hitBatchSize-th hit flushes a batch to the obs
+	// counter, which therefore lags by up to hitBatchSize-1 hits per shard.
+	hits, misses uint64
 }
 
 // hitBatchSize is the flush granularity of the shard-local hit counter.
 const hitBatchSize = 256
 
+// frame is one page-sized buffer and its bookkeeping. Its life: allocated
+// on a miss while the shard is below capacity; in the table and the LRU
+// list under its page id (loading until the disk read returns); on
+// eviction rekeyed in place to the page that displaced it; parked on the
+// shard's free list when its page is dropped or its load fails.
 type frame struct {
-	page  Page
-	pins  int
-	dirty bool
+	page       Page
+	id         PageID
+	prev, next *frame // LRU links while in the table
+	pins       int
+	dirty      bool
 	// imaged records that a full-page image of this frame has been logged
 	// since the page's on-disk state was last made durable; further write-
 	// backs in the same interval need no new image (recovery only needs
 	// *some* consistent base to replay onto). Cleared after a sync.
 	imaged bool
-	elem   *list.Element
 
-	// ready is non-nil while the frame's page is being read from disk.
-	// It is closed — after err is set — when the load finishes; waiters
-	// pin the frame, block on it outside the shard lock, then check err.
-	ready chan struct{}
-	err   error
+	// loading is set while the fetcher that installed the frame reads its
+	// page from disk, outside the shard lock. Other fetchers pin the frame
+	// and wait on the shard's loaded condition until it clears, then check
+	// err: a failed load leaves the table at once, but the frame is
+	// recycled only when the last waiter has read err and dropped its pin.
+	loading bool
+	err     error
 }
 
 // ErrPoolExhausted reports that every frame in the page's shard is pinned.
@@ -166,11 +183,10 @@ func NewShardedBufferPool(disk DiskBackend, capacity, shards int) *BufferPool {
 		mask:   uint64(n - 1),
 	}
 	for i := range bp.shards {
-		bp.shards[i] = &poolShard{
-			frames: make(map[PageID]*frame, perShard),
-			lru:    list.New(),
-			cap:    perShard,
-		}
+		sh := &poolShard{frames: make(map[PageID]*frame, perShard), cap: perShard}
+		sh.loaded.L = &sh.mu
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		bp.shards[i] = sh
 	}
 	return bp
 }
@@ -182,64 +198,74 @@ func (bp *BufferPool) shard(id PageID) *poolShard {
 	return bp.shards[uint64(id)&bp.mask]
 }
 
+// Stats returns the pool's exact hit and miss counts: the sum of the
+// per-shard counters, each read under its shard lock.
+func (bp *BufferPool) Stats() (hits, misses uint64) {
+	for _, sh := range bp.shards {
+		sh.mu.Lock()
+		hits, misses = hits+sh.hits, misses+sh.misses
+		sh.mu.Unlock()
+	}
+	return hits, misses
+}
+
 // Fetch pins the page and returns it. The caller must Unpin it (with the
-// dirty flag if it modified the page).
+// dirty flag if it modified the page) and must not touch the page after.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	sh := bp.shard(id)
 	sh.mu.Lock()
-	if f, ok := sh.frames[id]; ok {
+	f, hit := sh.frames[id]
+	if hit {
 		f.pins++
-		sh.lru.MoveToFront(f.elem)
-		ready := f.ready
-		sh.hitBatch++
-		flush := sh.hitBatch == hitBatchSize
-		if flush {
-			sh.hitBatch = 0
-		}
-		sh.mu.Unlock()
-		bp.Hits.Add(1)
-		if flush {
+		sh.unlinkLocked(f)
+		sh.pushFrontLocked(f)
+		if sh.hits++; sh.hits%hitBatchSize == 0 {
 			mBufHits.Add(hitBatchSize)
 		}
-		if ready != nil {
+		if f.loading {
 			// Another goroutine is reading this page from disk; wait for
 			// it rather than issuing a duplicate read.
 			mBufCoalesced.Add(1)
-			<-ready
-			if f.err != nil {
-				// The loader failed and dropped the frame (our pin with
-				// it); surface its error.
-				return nil, f.err
+			for f.loading {
+				sh.loaded.Wait()
 			}
 		}
-		return &f.page, nil
-	}
-	bp.Misses.Add(1)
-	mBufMisses.Add(1)
-	f, err := bp.allocFrameLocked(sh, id)
-	if err != nil {
+	} else {
+		sh.misses++
+		mBufMisses.Add(1)
+		var err error
+		if f, err = bp.allocFrameLocked(sh, id); err != nil {
+			sh.mu.Unlock()
+			return nil, err
+		}
+		f.pins, f.loading = 1, true
 		sh.mu.Unlock()
+
+		// Disk I/O happens outside the shard lock: cache hits on other
+		// pages of this shard must never wait on this read.
+		err = bp.readPageTimed(id, &f.page)
+
+		sh.mu.Lock()
+		f.loading, f.err = false, err
+		if f.pins > 1 {
+			sh.loaded.Broadcast()
+		}
+		if err != nil {
+			// Out of the table now, so the next fetch retries the disk.
+			sh.dropFrameLocked(f)
+		}
+	}
+	err := f.err
+	if err != nil {
+		// A failed load, seen by its loader or a coalesced waiter: each
+		// reads err under the lock, and the last pin out parks the frame.
+		if f.pins--; f.pins == 0 {
+			f.next, sh.free = sh.free, f
+		}
+	}
+	sh.mu.Unlock()
+	if err != nil {
 		return nil, err
-	}
-	f.pins = 1
-	f.ready = make(chan struct{})
-	sh.mu.Unlock()
-
-	// Disk I/O happens outside the shard lock: cache hits on other pages
-	// of this shard must never wait on this read.
-	rerr := bp.readPageTimed(id, &f.page)
-
-	sh.mu.Lock()
-	ready := f.ready
-	f.ready = nil
-	f.err = rerr
-	if rerr != nil {
-		sh.dropFrameLocked(id, f)
-	}
-	sh.mu.Unlock()
-	close(ready)
-	if rerr != nil {
-		return nil, rerr
 	}
 	return &f.page, nil
 }
@@ -260,13 +286,13 @@ func (bp *BufferPool) FetchNew(ptype byte) (PageID, *Page, error) {
 		return InvalidPage, nil, err
 	}
 	f.page.Init(ptype)
-	f.pins = 1
-	f.dirty = true
+	f.pins, f.dirty = 1, true
 	return id, &f.page, nil
 }
 
 // Unpin releases one pin on the page, marking the frame dirty if the caller
-// modified it.
+// modified it. The caller's *Page is dead from here on: the frame may be
+// rekeyed to another page at any moment.
 func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	sh := bp.shard(id)
 	sh.mu.Lock()
@@ -276,39 +302,59 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 		panic(fmt.Sprintf("storage: unpin of unpinned page %d", id))
 	}
 	f.pins--
-	if dirty {
-		f.dirty = true
-	}
+	f.dirty = f.dirty || dirty
 }
 
-// allocFrameLocked finds room for one more frame in the shard, evicting the
-// least recently used unpinned frame if the shard is at capacity.
+// allocFrameLocked installs an unpinned frame for id at the front of the
+// LRU list. At capacity the frame is the evicted victim's, rekeyed in
+// place; below it, one off the free list, and a new one only when that is
+// empty. The frame's page still holds whatever it held before.
 func (bp *BufferPool) allocFrameLocked(sh *poolShard, id PageID) (*frame, error) {
-	if len(sh.frames) >= sh.cap {
-		if err := bp.evictLocked(sh); err != nil {
+	var f *frame
+	var err error
+	switch {
+	case len(sh.frames) >= sh.cap:
+		if f, err = bp.evictLocked(sh); err != nil {
 			return nil, err
 		}
+	case sh.free != nil:
+		f, sh.free = sh.free, sh.free.next
+	default:
+		f = new(frame)
 	}
-	f := &frame{}
-	f.elem = sh.lru.PushFront(id)
+	if recycleHook != nil {
+		recycleHook(&f.page)
+	}
+	f.id, f.dirty, f.imaged, f.err = id, false, false, nil
 	sh.frames[id] = f
+	sh.pushFrontLocked(f)
 	return f, nil
 }
 
-func (sh *poolShard) dropFrameLocked(id PageID, f *frame) {
-	sh.lru.Remove(f.elem)
-	delete(sh.frames, id)
+func (sh *poolShard) pushFrontLocked(f *frame) {
+	f.prev, f.next = &sh.lru, sh.lru.next
+	f.prev.next, f.next.prev = f, f
 }
 
-// sortedIDsLocked returns the shard's resident page ids in ascending order
-// (deterministic sweeps for checkpoint and the crash harness).
-func (sh *poolShard) sortedIDsLocked() []PageID {
-	ids := make([]PageID, 0, len(sh.frames))
-	for id := range sh.frames {
-		ids = append(ids, id)
+func (sh *poolShard) unlinkLocked(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+}
+
+// dropFrameLocked takes the frame out of the table and the LRU list.
+func (sh *poolShard) dropFrameLocked(f *frame) {
+	delete(sh.frames, f.id)
+	sh.unlinkLocked(f)
+}
+
+// sortedFramesLocked returns the shard's resident frames in ascending page
+// order (deterministic sweeps for checkpoint and the crash harness).
+func (sh *poolShard) sortedFramesLocked() []*frame {
+	fs := make([]*frame, 0, len(sh.frames))
+	for _, f := range sh.frames {
+		fs = append(fs, f)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	sort.Slice(fs, func(i, j int) bool { return fs[i].id < fs[j].id })
+	return fs
 }
 
 // imageLocked logs a full-page image of the frame if the page logger is
@@ -316,12 +362,12 @@ func (sh *poolShard) sortedIDsLocked() []PageID {
 // state was known durable. With flush set, logged images are made durable
 // immediately — required before the page write that follows (the
 // WAL-before-data rule).
-func (bp *BufferPool) imageLocked(id PageID, f *frame, flush bool) error {
+func (bp *BufferPool) imageLocked(f *frame, flush bool) error {
 	if bp.pageLog == nil || f.imaged {
 		return nil
 	}
 	f.page.Seal()
-	if err := bp.pageLog.LogPageImage(id, f.page.Bytes()); err != nil {
+	if err := bp.pageLog.LogPageImage(f.id, f.page.Bytes()); err != nil {
 		return err
 	}
 	if flush {
@@ -333,26 +379,28 @@ func (bp *BufferPool) imageLocked(id PageID, f *frame, flush bool) error {
 	return nil
 }
 
-func (bp *BufferPool) evictLocked(sh *poolShard) error {
-	for e := sh.lru.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(PageID)
-		f := sh.frames[id]
+// evictLocked takes the least recently used unpinned frame out of the
+// table and returns it. A dirty victim is written back first, under the
+// shard lock: the write has returned before a miss on that page can find
+// the table empty and read it (the rule DiskManager.ReadPage relies on).
+func (bp *BufferPool) evictLocked(sh *poolShard) (*frame, error) {
+	for f := sh.lru.prev; f != &sh.lru; f = f.prev {
 		if f.pins > 0 {
 			continue
 		}
 		if f.dirty {
-			if err := bp.imageLocked(id, f, true); err != nil {
-				return err
+			if err := bp.imageLocked(f, true); err != nil {
+				return nil, err
 			}
-			if err := bp.writePageTimed(id, &f.page); err != nil {
-				return err
+			if err := bp.writePageTimed(f.id, &f.page); err != nil {
+				return nil, err
 			}
 		}
-		sh.dropFrameLocked(id, f)
+		sh.dropFrameLocked(f)
 		mBufEvictions.Add(1)
-		return nil
+		return f, nil
 	}
-	return ErrPoolExhausted
+	return nil, ErrPoolExhausted
 }
 
 // FlushAll writes every dirty frame back to disk and syncs. This is the
@@ -368,15 +416,12 @@ func (bp *BufferPool) FlushAll() error {
 		logged := false
 		for _, sh := range bp.shards {
 			sh.mu.Lock()
-			for _, id := range sh.sortedIDsLocked() {
-				f := sh.frames[id]
+			for _, f := range sh.sortedFramesLocked() {
 				if f.dirty && !f.imaged {
-					f.page.Seal()
-					if err := bp.pageLog.LogPageImage(id, f.page.Bytes()); err != nil {
+					if err := bp.imageLocked(f, false); err != nil {
 						sh.mu.Unlock()
 						return err
 					}
-					f.imaged = true
 					logged = true
 				}
 			}
@@ -390,17 +435,16 @@ func (bp *BufferPool) FlushAll() error {
 	}
 	for _, sh := range bp.shards {
 		sh.mu.Lock()
-		for _, id := range sh.sortedIDsLocked() {
-			f := sh.frames[id]
+		for _, f := range sh.sortedFramesLocked() {
 			if f.dirty {
 				// Frames dirtied since the imaging pass (concurrent writers
 				// under an active-transaction checkpoint) get their image
 				// here, flushed inline.
-				if err := bp.imageLocked(id, f, true); err != nil {
+				if err := bp.imageLocked(f, true); err != nil {
 					sh.mu.Unlock()
 					return err
 				}
-				if err := bp.writePageTimed(id, &f.page); err != nil {
+				if err := bp.writePageTimed(f.id, &f.page); err != nil {
 					sh.mu.Unlock()
 					return err
 				}
@@ -435,25 +479,26 @@ func (bp *BufferPool) FlushChain(head PageID) error {
 		sh := bp.shard(id)
 		sh.mu.Lock()
 		var next PageID
-		if f, ok := sh.frames[id]; ok && f.ready == nil {
+		var err error
+		if f, ok := sh.frames[id]; ok && !f.loading {
 			if f.dirty {
-				if err := bp.writePageTimed(id, &f.page); err != nil {
-					sh.mu.Unlock()
-					return err
+				if err = bp.writePageTimed(id, &f.page); err == nil {
+					f.dirty = false
 				}
-				f.dirty = false
 			}
 			next = f.page.Next()
-			sh.mu.Unlock()
 		} else {
-			sh.mu.Unlock()
 			// Not resident (or still loading): the on-disk copy is current
-			// for non-resident pages — evictions write through.
+			// for non-resident pages — evictions write through. The read
+			// stays under the shard lock, which every pool write of this
+			// page takes, so it cannot overlap one.
 			var p Page
-			if err := bp.disk.ReadPage(id, &p); err != nil {
-				return err
-			}
+			err = bp.disk.ReadPage(id, &p)
 			next = p.Next()
+		}
+		sh.mu.Unlock()
+		if err != nil {
+			return err
 		}
 		id = next
 	}
@@ -485,7 +530,8 @@ func (bp *BufferPool) Drop(id PageID) {
 		if f.pins > 0 {
 			panic(fmt.Sprintf("storage: drop of pinned page %d", id))
 		}
-		sh.dropFrameLocked(id, f)
+		sh.dropFrameLocked(f)
+		f.next, sh.free = sh.free, f
 	}
 }
 

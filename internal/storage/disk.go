@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // DiskManager reads and writes fixed-size pages in a single database file
@@ -36,10 +37,17 @@ import (
 //	64      index table blob chain head (8 bytes)
 //	72      statistics blob chain head (8 bytes)
 //	80      metadata epoch (8 bytes)
+//
+// Locking: mu serialises every write and every use of the metadata (page
+// writes, the free list, roots, file growth). ReadPage takes no lock at
+// all — see its comment for why that is safe.
 type DiskManager struct {
-	mu       sync.Mutex
-	file     *os.File
-	numPages PageID // count of pages in the file, including the meta slots
+	mu   sync.Mutex
+	file *os.File
+	// numPages counts the pages in the file, the meta slots included. It
+	// only grows, under mu, and is published after the file has been
+	// extended, so a lock-free reader that sees an id in range finds it.
+	numPages atomic.Uint64
 	meta     Page
 	curSlot  PageID // slot holding the current metadata (always 0 when !duplex)
 	duplex   bool   // format version >= 2: A/B metadata slots at pages 0 and 1
@@ -99,7 +107,7 @@ func OpenDisk(path string) (*DiskManager, error) {
 		binary.BigEndian.PutUint32(d.meta.buf[metaOffMagic:], diskMagic)
 		binary.BigEndian.PutUint32(d.meta.buf[metaOffVersion:], diskVersion)
 		binary.BigEndian.PutUint64(d.meta.buf[metaOffEpoch:], 1)
-		d.numPages = MetaSlots
+		d.numPages.Store(MetaSlots)
 		d.meta.Seal()
 		for slot := PageID(0); slot < MetaSlots; slot++ {
 			if _, err := f.WriteAt(d.meta.buf[:], int64(slot)*PageSize); err != nil {
@@ -114,7 +122,7 @@ func OpenDisk(path string) (*DiskManager, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s: size %d not page-aligned", path, st.Size())
 	}
-	d.numPages = PageID(st.Size() / PageSize)
+	d.numPages.Store(uint64(st.Size() / PageSize))
 	if err := d.openMeta(); err != nil {
 		f.Close()
 		return nil, err
@@ -133,7 +141,7 @@ func (d *DiskManager) openMeta() error {
 		valid bool
 	}
 	var slots [MetaSlots]slotState
-	n := d.numPages
+	n := d.NumPages()
 	if n > MetaSlots {
 		n = MetaSlots
 	}
@@ -199,21 +207,12 @@ func (d *DiskManager) Close() error {
 }
 
 // NumPages returns the current file size in pages.
-func (d *DiskManager) NumPages() PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+func (d *DiskManager) NumPages() PageID { return PageID(d.numPages.Load()) }
 
 // FirstDataPage returns the id of the first page that can hold data: past
-// both metadata slots on a duplexed file, past page 0 on a legacy one.
+// both metadata slots on a duplexed file, past page 0 on a legacy one. The
+// format is fixed at open, so this takes no lock.
 func (d *DiskManager) FirstDataPage() PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.firstDataLocked()
-}
-
-func (d *DiskManager) firstDataLocked() PageID {
 	if d.duplex {
 		return MetaSlots
 	}
@@ -221,15 +220,25 @@ func (d *DiskManager) firstDataLocked() PageID {
 }
 
 // ReadPage reads the page into p, verifying its checksum.
+//
+// It takes no lock, so concurrent misses neither queue behind one another
+// nor behind a writer: the bound is an atomic load, pread is positional,
+// and the checksum runs on the caller's buffer. What keeps a read from
+// observing a half-written page is its callers, not a mutex — a read and a
+// write of the same page id are never in flight together:
+//   - the buffer pool writes a page back (eviction, FlushAll, FlushChain)
+//     under the page's shard lock while its frame is still in the table, so
+//     a miss on that id — which reads only after finding no frame — starts
+//     after the write has returned; a frame whose read is in flight is
+//     pinned and clean, so it is never written;
+//   - FreePage and the free-list pop in AllocPage touch pages no frame
+//     holds (callers Drop before freeing) and run under mu against each
+//     other;
+//   - the zero page AllocPage appends lies beyond numPages until it has
+//     been written.
 func (d *DiskManager) ReadPage(id PageID, p *Page) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.readPageLocked(id, p)
-}
-
-func (d *DiskManager) readPageLocked(id PageID, p *Page) error {
-	if id >= d.numPages {
-		return fmt.Errorf("storage: read of page %d beyond end (%d pages)", id, d.numPages)
+	if n := d.NumPages(); id >= n {
+		return fmt.Errorf("storage: read of page %d beyond end (%d pages)", id, n)
 	}
 	if _, err := d.file.ReadAt(p.buf[:], int64(id)*PageSize); err != nil && err != io.EOF {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
@@ -248,11 +257,11 @@ func (d *DiskManager) WritePage(id PageID, p *Page) error {
 }
 
 func (d *DiskManager) writePageLocked(id PageID, p *Page) error {
-	if id < d.firstDataLocked() {
+	if id < d.FirstDataPage() {
 		return fmt.Errorf("storage: write of metadata slot %d through the page seam", id)
 	}
-	if id >= d.numPages {
-		return fmt.Errorf("storage: write of page %d beyond end (%d pages)", id, d.numPages)
+	if n := d.NumPages(); id >= n {
+		return fmt.Errorf("storage: write of page %d beyond end (%d pages)", id, n)
 	}
 	p.Seal()
 	if _, err := d.file.WriteAt(p.buf[:], int64(id)*PageSize); err != nil {
@@ -270,7 +279,7 @@ func (d *DiskManager) AllocPage() (PageID, error) {
 	head := PageID(binary.BigEndian.Uint64(d.meta.buf[metaOffFree:]))
 	if head != InvalidPage {
 		var p Page
-		err := d.readPageLocked(head, &p)
+		err := d.ReadPage(head, &p)
 		if err == nil && p.Type() != pageTypeFree {
 			err = fmt.Errorf("storage: free-list head %d is not a free page", head)
 		}
@@ -292,16 +301,16 @@ func (d *DiskManager) AllocPage() (PageID, error) {
 			return head, nil
 		}
 	}
-	id := d.numPages
-	d.numPages++
-	// Extend the file with a zero page so subsequent reads are in-bounds.
+	// Extend the file with a zero page, then publish the new size: a reader
+	// handed this id must find it in bounds and on disk.
+	id := d.NumPages()
 	var zero Page
 	zero.Init(pageTypeFree)
 	zero.Seal()
 	if _, err := d.file.WriteAt(zero.buf[:], int64(id)*PageSize); err != nil {
-		d.numPages--
 		return InvalidPage, fmt.Errorf("storage: extend to page %d: %w", id, err)
 	}
+	d.numPages.Store(uint64(id) + 1)
 	return id, nil
 }
 
@@ -309,7 +318,7 @@ func (d *DiskManager) AllocPage() (PageID, error) {
 func (d *DiskManager) FreePage(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id == InvalidPage || id < d.firstDataLocked() || id >= d.numPages {
+	if id == InvalidPage || id < d.FirstDataPage() || id >= d.NumPages() {
 		return fmt.Errorf("storage: free of invalid page %d", id)
 	}
 	var p Page

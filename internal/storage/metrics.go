@@ -6,13 +6,13 @@ import (
 	"oodb/internal/obs"
 )
 
-// Process-wide storage metrics (obs registry; per-pool counters for the
-// benchmarks stay on BufferPool.Hits/Misses). Names follow
+// Process-wide storage metrics (obs registry; the exact per-pool counts
+// are BufferPool.Stats). Names follow
 // layer_subsystem_name — checked by `make metrics-lint`.
 var (
 	// mBufHits is flushed from shard-local batches of hitBatchSize, so it
 	// lags the true hit count by up to hitBatchSize-1 per shard; the exact
-	// per-pool figures are PoolStats(). Misses go straight through — they
+	// per-pool figures are BufferPool.Stats. Misses go straight through — they
 	// are dominated by the disk read they precede.
 	mBufHits      = obs.RegisterCounter("storage_buffer_fetch_hits")
 	mBufMisses    = obs.RegisterCounter("storage_buffer_fetch_misses")

@@ -381,9 +381,7 @@ func (s *Store) SegmentPages(class model.ClassID) (int, error) {
 }
 
 // PoolStats returns buffer pool hit/miss counters.
-func (s *Store) PoolStats() (hits, misses uint64) {
-	return s.pool.Hits.Load(), s.pool.Misses.Load()
-}
+func (s *Store) PoolStats() (hits, misses uint64) { return s.pool.Stats() }
 
 // AccessCounts snapshots the per-OID fetch counters sampled in Get, and
 // publishes the tracker totals to the storage_access_* gauges as a side

@@ -88,10 +88,10 @@ func (f *failingSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestSyncGroupFailurePropagatesToAllCommitters: when the shared fsync
+// TestSyncFailurePropagatesToAllCommitters: when the shared fsync
 // fails, every committer batched behind it must see the error — a silent
 // nil would acknowledge a commit that never became durable.
-func TestSyncGroupFailurePropagatesToAllCommitters(t *testing.T) {
+func TestSyncFailurePropagatesToAllCommitters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
 	var ff *failingSyncFile
 	w, _, err := wal.OpenWith(path, func(under wal.File) wal.File {
@@ -106,7 +106,7 @@ func TestSyncGroupFailurePropagatesToAllCommitters(t *testing.T) {
 	if _, err := w.Append(rec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SyncGroup(); err != nil {
+	if err := w.Sync(); err != nil {
 		t.Fatalf("healthy group commit: %v", err)
 	}
 
@@ -122,7 +122,7 @@ func TestSyncGroupFailurePropagatesToAllCommitters(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			errs[i] = w.SyncGroup()
+			errs[i] = w.Sync()
 		}(i)
 	}
 	wg.Wait()
@@ -174,9 +174,6 @@ func TestFsyncErrorLatchesWAL(t *testing.T) {
 	}
 	if err := w.Sync(); !errors.Is(err, wal.ErrFailed) {
 		t.Fatalf("Sync after latch: err = %v, want ErrFailed", err)
-	}
-	if err := w.SyncGroup(); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("SyncGroup after latch: err = %v, want ErrFailed", err)
 	}
 	if err := w.Reset(); !errors.Is(err, wal.ErrFailed) {
 		t.Fatalf("Reset after latch: err = %v, want ErrFailed", err)
@@ -234,7 +231,7 @@ func TestResetRacesGroupCommitCrash(t *testing.T) {
 				if _, err := w.Append(rec(int64(g*1000 + i))); err != nil {
 					return
 				}
-				if err := w.SyncGroup(); err != nil {
+				if err := w.Sync(); err != nil {
 					return
 				}
 			}

@@ -18,7 +18,7 @@ func TestGroupCommitBatches(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
 				w.Append(Record{Txn: uint64(i + 1), Type: RecCommit})
-				if err := w.SyncGroup(); err != nil {
+				if err := w.Sync(); err != nil {
 					t.Error(err)
 					return
 				}

@@ -33,10 +33,10 @@
 // sticky failed state: after an fsync error the kernel may have discarded
 // the dirty pages while keeping the error sticky only for the first caller
 // ("fsyncgate"), so a later fsync that returns nil proves nothing about
-// the lost writes. Once latched, Append, Sync, SyncGroup, WaitDurable and
-// Reset all return the latched error (wrapping ErrFailed and the original
-// cause); the only way forward is to close and re-open the log, which
-// re-reads the durable prefix from disk.
+// the lost writes. Once latched, Append, Sync, WaitDurable and Reset all
+// return the latched error (wrapping ErrFailed and the original cause); the
+// only way forward is to close and re-open the log, which re-reads the
+// durable prefix from disk.
 package wal
 
 import (
@@ -368,14 +368,6 @@ func (w *WAL) RequestSync(lsn uint64) {
 // goroutine, batched with any concurrent committers.
 func (w *WAL) Sync() error {
 	return w.WaitDurable(w.LastLSN())
-}
-
-// SyncGroup makes all records appended so far durable, sharing the fsync
-// with any other transactions committing concurrently (group commit).
-// Retained as a synonym for Sync: since the commit pipeline, every sync is
-// a group sync through the writer goroutine.
-func (w *WAL) SyncGroup() error {
-	return w.Sync()
 }
 
 // SetAfterSync installs a hook run after every successful fsync, just

@@ -243,7 +243,7 @@ func TestEmptyImagesStayNil(t *testing.T) {
 	}
 }
 
-func TestSyncGroupDurability(t *testing.T) {
+func TestSyncConcurrentCommitters(t *testing.T) {
 	w, _, path := openTestWAL(t)
 	const committers = 16
 	done := make(chan error, committers)
@@ -253,7 +253,7 @@ func TestSyncGroupDurability(t *testing.T) {
 				done <- err
 				return
 			}
-			done <- w.SyncGroup()
+			done <- w.Sync()
 		}(i)
 	}
 	for i := 0; i < committers; i++ {
@@ -271,13 +271,13 @@ func TestSyncGroupDurability(t *testing.T) {
 	}
 }
 
-func TestSyncGroupSequential(t *testing.T) {
+func TestSyncSequential(t *testing.T) {
 	// A single committer repeatedly syncing must see every record durable
 	// (the loop must not lose the running flag or wedge).
 	w, _, path := openTestWAL(t)
 	for i := 0; i < 20; i++ {
 		w.Append(Record{Txn: uint64(i + 1), Type: RecBegin})
-		if err := w.SyncGroup(); err != nil {
+		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkCommitSyncSolo(b *testing.B) {
 	}
 }
 
-func BenchmarkCommitSyncGroup8(b *testing.B) {
+func BenchmarkCommitSync8(b *testing.B) {
 	dir := b.TempDir()
 	w, _, err := Open(dir + "/group.wal")
 	if err != nil {
@@ -319,7 +319,7 @@ func BenchmarkCommitSyncGroup8(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			w.Append(Record{Txn: 1, Type: RecCommit})
-			if err := w.SyncGroup(); err != nil {
+			if err := w.Sync(); err != nil {
 				b.Fatal(err)
 			}
 		}
