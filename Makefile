@@ -4,7 +4,7 @@ GO ?= go
 # pre-merge gate sweeps wider). Override: make crash CRASH_SCHEDULES=500
 CRASH_SCHEDULES ?= 120
 
-.PHONY: build test vet fmtcheck race bench benchbuild crash maint mvcc pipeline oo1 server shard metrics-lint verify
+.PHONY: build test vet fmtcheck race bench benchbuild fuzz crash maint mvcc pipeline oo1 server shard metrics-lint verify
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,19 @@ bench:
 # engine API change that breaks it is caught here, not by the driver.
 benchbuild:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Every native fuzz target of the module (FuzzImage, FuzzDecodeValue,
+# FuzzParse, and whatever is added later), ten seconds each. `go test -fuzz`
+# takes one package and one target per run, so the targets are listed from
+# the source. Not part of verify: the seed corpora already run as plain
+# tests under `go test ./...`; this is for hunting.
+fuzz:
+	@for file in $$(grep -rl --include='*_test.go' --exclude-dir=perfbench '^func Fuzz' .); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$file); do \
+			echo "== $$target ($$(dirname $$file))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$(dirname $$file) || exit 1; \
+		done; \
+	done
 
 # Static check of obs metric registrations: every name must follow the
 # layer_subsystem_name convention and no name may be registered twice

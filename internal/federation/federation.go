@@ -15,6 +15,7 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"oodb/internal/core"
@@ -42,13 +43,15 @@ type Source interface {
 // QueryableSource is an optional Source extension for members that can
 // evaluate a whole query themselves — a kimdb engine with its planner and
 // indexes, or a remote server reached over the wire — instead of being
-// driven through the per-entity Scan + predicate-evaluator path.
+// driven entity by entity through Scan.
 //
 // RunQuery returns handled=false (with a nil error) to decline a query it
 // cannot or should not evaluate natively; the federation then falls back
 // to the Scan path. A source must only report handled=true for results
-// that match the fallback evaluator's semantics — the pushdown is an
-// optimization, never a semantic fork (pinned by the differential test).
+// the Scan path would also give — the pushdown is an optimization, never a
+// semantic fork (pinned by the differential test). Both paths run the
+// engine's evaluator (query.Matches, query.OrderLimit); they can differ
+// only in how an entity's paths are read.
 type QueryableSource interface {
 	Source
 	RunQuery(q *query.Query) (res *Result, handled bool, err error)
@@ -121,14 +124,7 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 	if len(q.Aggregates) > 0 {
 		return nil, errors.New("federation: aggregates are not supported in federated queries")
 	}
-	found := false
-	for _, c := range s.Classes() {
-		if c == q.From {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(s.Classes(), q.From) {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoClass, source, q.From)
 	}
 	if qs, can := s.(QueryableSource); can && pushdownable(q) {
@@ -150,15 +146,9 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 	}
 	var evalErr error
 	err = s.Scan(q.From, func(ent Entity) bool {
-		if q.Where != nil {
-			ok, err := evalBool(q.Where, ent)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
+		var ok bool
+		if ok, evalErr = query.Matches(q.Where, lenient(ent)); evalErr != nil || !ok {
+			return evalErr == nil
 		}
 		row := Row{Entity: ent}
 		for _, p := range q.Select {
@@ -174,137 +164,22 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 	if evalErr != nil {
 		return nil, evalErr
 	}
+	var key func(*Row) (model.Value, error)
 	if q.OrderBy != nil {
-		keys := make([]model.Value, len(res.Rows))
-		for i, row := range res.Rows {
-			keys[i], _ = row.Entity.Get(q.OrderBy.Steps)
-		}
-		idxs := make([]int, len(res.Rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			c := model.Compare(keys[idxs[a]], keys[idxs[b]])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-		sorted := make([]Row, len(res.Rows))
-		for i, j := range idxs {
-			sorted[i] = res.Rows[j]
-		}
-		res.Rows = sorted
+		key = func(r *Row) (model.Value, error) { return lenient(r.Entity)(q.OrderBy.Steps) }
 	}
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	return res, nil
+	res.Rows, err = query.OrderLimit(res.Rows, key, q.Desc, q.Limit)
+	return res, err
 }
 
-// evalBool evaluates a parsed predicate against an entity of the common
-// model.
-func evalBool(ex query.Expr, ent Entity) (bool, error) {
-	switch n := ex.(type) {
-	case *query.Binary:
-		switch n.Op {
-		case query.OpAnd:
-			l, err := evalBool(n.L, ent)
-			if err != nil || !l {
-				return false, err
-			}
-			return evalBool(n.R, ent)
-		case query.OpOr:
-			l, err := evalBool(n.L, ent)
-			if err != nil || l {
-				return l, err
-			}
-			return evalBool(n.R, ent)
-		case query.OpIn:
-			lv, err := evalValue(n.L, ent)
-			if err != nil {
-				return false, err
-			}
-			list, ok := n.R.(*query.List)
-			if !ok {
-				return false, errors.New("federation: IN requires a literal list")
-			}
-			for _, item := range list.Items {
-				if model.Equal(lv, item) {
-					return true, nil
-				}
-			}
-			return false, nil
-		case query.OpContains:
-			lv, err := evalValue(n.L, ent)
-			if err != nil {
-				return false, err
-			}
-			rv, err := evalValue(n.R, ent)
-			if err != nil {
-				return false, err
-			}
-			return lv.Contains(rv), nil
-		default:
-			lv, err := evalValue(n.L, ent)
-			if err != nil {
-				return false, err
-			}
-			rv, err := evalValue(n.R, ent)
-			if err != nil {
-				return false, err
-			}
-			return cmp(n.Op, lv, rv), nil
-		}
-	case *query.Not:
-		v, err := evalBool(n.E, ent)
-		return !v, err
-	case *query.PathExpr:
-		v, _ := ent.Get(n.Path.Steps)
-		b, _ := v.AsBool()
-		return b, nil
-	case *query.Lit:
-		b, _ := n.V.AsBool()
-		return b, nil
-	default:
-		return false, fmt.Errorf("federation: cannot evaluate %T", ex)
-	}
-}
-
-func evalValue(ex query.Expr, ent Entity) (model.Value, error) {
-	switch n := ex.(type) {
-	case *query.Lit:
-		return n.V, nil
-	case *query.PathExpr:
-		v, _ := ent.Get(n.Path.Steps)
+// lenient is the accessor the engine's evaluator reads an entity through.
+// One evaluator, two accessors: an attribute the member does not have is
+// null here, not the error it is inside the engine — members are
+// heterogeneous — and that is the one thing this accessor decides.
+func lenient(ent Entity) query.Accessor {
+	return func(steps []string) (model.Value, error) {
+		v, _ := ent.Get(steps)
 		return v, nil
-	default:
-		return model.Null, fmt.Errorf("federation: cannot evaluate %T as value", ex)
-	}
-}
-
-func cmp(op query.BinOp, l, r model.Value) bool {
-	switch op {
-	case query.OpEq:
-		return model.Compare(l, r) == 0
-	case query.OpNe:
-		return model.Compare(l, r) != 0
-	}
-	if l.IsNull() || r.IsNull() {
-		return false
-	}
-	c := model.Compare(l, r)
-	switch op {
-	case query.OpLt:
-		return c < 0
-	case query.OpLe:
-		return c <= 0
-	case query.OpGt:
-		return c > 0
-	case query.OpGe:
-		return c >= 0
-	default:
-		return false
 	}
 }
 
@@ -313,11 +188,14 @@ func cmp(op query.BinOp, l, r model.Value) bool {
 
 // OOSource exports a kimdb database into a federation.
 type OOSource struct {
-	db *core.DB
+	db  *core.DB
+	eng *query.Engine
 }
 
 // NewOOSource wraps an object database.
-func NewOOSource(db *core.DB) *OOSource { return &OOSource{db: db} }
+func NewOOSource(db *core.DB) *OOSource {
+	return &OOSource{db: db, eng: query.NewEngine(db)}
+}
 
 // Classes implements Source.
 func (s *OOSource) Classes() []string {
@@ -329,7 +207,9 @@ func (s *OOSource) Classes() []string {
 }
 
 // Scan implements Source with hierarchy scope (a class exports its own
-// and its subclasses' instances — the common model is the OO model).
+// and its subclasses' instances — the common model is the OO model). It is
+// one read transaction, like RunQuery: each class is read under its S lock,
+// so nobody's uncommitted bytes surface, and an undecodable record fails it.
 func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 	cl, err := s.db.Catalog.ClassByName(class)
 	if err != nil {
@@ -339,24 +219,16 @@ func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 	if err != nil {
 		return err
 	}
+	tx := s.db.Begin()
+	defer tx.Abort()
+	more := true
 	for _, c := range classes {
-		stop := false
-		err := s.db.Store.ScanClass(c, func(_ model.OID, data []byte) bool {
-			obj, derr := model.DecodeObject(data)
-			if derr != nil {
-				return true
-			}
-			if !fn(&ooEntity{src: s, obj: obj}) {
-				stop = true
-				return false
-			}
-			return true
+		err := tx.Scan(c, func(obj *model.Object) bool {
+			more = fn(&ooEntity{src: s, obj: obj})
+			return more
 		})
-		if err != nil {
+		if err != nil || !more {
 			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
@@ -364,17 +236,24 @@ func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 
 // RunQuery implements QueryableSource: the query runs through the
 // engine's planner and executor (index selection, hierarchy scope) in a
-// fresh read transaction instead of the federation's per-entity
-// evaluator. Engine errors decline the pushdown rather than failing the
-// query: the engine is stricter than the lenient common model (an
-// unknown attribute is an error there, a null here), and declining keeps
-// the two paths semantically identical.
+// fresh read transaction instead of entity by entity. The engine is
+// stricter than the lenient common model about one thing — an unknown
+// attribute is an error there, a null here — so exactly that error declines
+// the pushdown and the Scan path answers; any other failure (I/O, a corrupt
+// record, a lock abort) is the query's failure on either path.
 func (s *OOSource) RunQuery(q *query.Query) (*Result, bool, error) {
 	tx := s.db.Begin()
 	defer tx.Abort()
-	eres, err := query.NewEngine(s.db).Run(tx, q.String())
-	if err != nil {
+	var eres *query.Result
+	plan, err := s.eng.PlanQuery(q)
+	if err == nil {
+		eres, err = s.eng.Execute(tx, plan)
+	}
+	if errors.Is(err, query.ErrNoAttr) {
 		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	res := &Result{Cols: eres.Cols, Rows: make([]Row, 0, len(eres.Rows))}
 	for _, row := range eres.Rows {
@@ -392,32 +271,13 @@ type ooEntity struct {
 	obj *model.Object
 }
 
-// Get resolves nested paths through object references.
+// Get resolves a path with the engine's own walk (defaults, methods,
+// fan-out through sets); any step the engine cannot read makes ok false.
+// Entities outlive the transaction that produced them, so the objects a
+// path crosses are read from the heap, as a locked transaction reads them.
 func (e *ooEntity) Get(path []string) (model.Value, bool) {
-	obj := e.obj
-	for i, step := range path {
-		a, err := e.src.db.Catalog.ResolveAttr(obj.Class(), step)
-		if err != nil {
-			return model.Null, false
-		}
-		v, ok := obj.Lookup(a.ID)
-		if !ok {
-			v = a.Default
-		}
-		if i == len(path)-1 {
-			return v, true
-		}
-		oid, ok := v.AsRef()
-		if !ok {
-			return model.Null, true // null mid-path: value is null
-		}
-		next, err := e.src.db.FetchObject(oid)
-		if err != nil {
-			return model.Null, true
-		}
-		obj = next
-	}
-	return model.Null, false
+	v, err := e.src.eng.EvalPath(nil, e.obj, path)
+	return v, err == nil
 }
 
 // ---------------------------------------------------------------------

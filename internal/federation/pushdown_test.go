@@ -2,8 +2,10 @@ package federation
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"oodb/internal/core"
 	"oodb/internal/model"
@@ -42,9 +44,20 @@ func TestPushdownDifferential(t *testing.T) {
 		schema.AttrSpec{Name: "name", Domain: schema.ClassString},
 		schema.AttrSpec{Name: "salary", Domain: schema.ClassInteger},
 		schema.AttrSpec{Name: "dept", Domain: dept.ID},
-		schema.AttrSpec{Name: "grade", Domain: schema.ClassString, Default: model.String("junior")})
+		schema.AttrSpec{Name: "grade", Domain: schema.ClassString, Default: model.String("junior")},
+		schema.AttrSpec{Name: "tags", Domain: schema.ClassString, SetValued: true},
+		schema.AttrSpec{Name: "depts", Domain: dept.ID, SetValued: true})
 	odb.DefineClass("Manager", []model.ClassID{emp.ID},
 		schema.AttrSpec{Name: "reports", Domain: schema.ClassInteger})
+	// A method is a path step like any attribute.
+	err = odb.AddMethod(emp.ID, "bonus", func(_ schema.MethodEngine, recv *model.Object, _ []model.Value) (model.Value, error) {
+		v, _ := odb.AttrValue(recv, "salary")
+		n, _ := v.AsInt()
+		return model.Int(n / 10), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	tx := odb.Begin()
 	cities := []string{"Austin", "Detroit", "Paris"}
@@ -66,6 +79,15 @@ func TestPushdownDifferential(t *testing.T) {
 		}
 		if i%3 == 0 {
 			attrs["grade"] = model.String("senior")
+		}
+		switch i % 3 { // two members, a singleton, no tags at all
+		case 0:
+			attrs["tags"] = model.Set(model.String("x"), model.String("y"))
+		case 1:
+			attrs["tags"] = model.Set(model.String("z"))
+		}
+		if i%2 == 0 {
+			attrs["depts"] = model.Set(model.Ref(depts[i%len(depts)]), model.Ref(depts[(i+1)%len(depts)]))
 		}
 		class := "Emp"
 		if i%4 == 0 {
@@ -99,6 +121,22 @@ func TestPushdownDifferential(t *testing.T) {
 		`SELECT name, salary FROM Emp ORDER BY name LIMIT 7`,
 		// Compound predicate.
 		`SELECT name FROM Emp WHERE salary > 60 AND grade = 'senior' ORDER BY name`,
+		// Set-valued attribute: comparison and IN are existential, and a
+		// projected singleton is its member.
+		`SELECT name FROM Emp WHERE tags = 'x' ORDER BY name`,
+		`SELECT name FROM Emp WHERE tags IN ('x', 'z') ORDER BY name`,
+		`SELECT name, tags FROM Emp WHERE salary < 70 ORDER BY name`,
+		// Set-valued reference: the path fans out through every member.
+		`SELECT name FROM Emp WHERE depts.city = 'Paris' ORDER BY name`,
+		`SELECT name, depts.city FROM Emp WHERE salary > 120 ORDER BY name`,
+		// A method as a path step, in the predicate and the projection.
+		`SELECT name, bonus FROM Emp WHERE bonus >= 12 ORDER BY name`,
+		// IN compares numerically across integer and float literals.
+		`SELECT name FROM Emp WHERE salary IN (57, 64.0, 71.5) ORDER BY name`,
+		// Ties on the ORDER BY key with a LIMIT that cuts inside the tie:
+		// the stable sort keeps scan order on both paths.
+		`SELECT name, grade FROM Emp ORDER BY grade LIMIT 5`,
+		`SELECT name, grade FROM Emp ORDER BY grade DESC LIMIT 20`,
 	}
 	for _, qsrc := range queries {
 		rp, err := pushed.Query("oo", qsrc)
@@ -119,8 +157,9 @@ func TestPushdownDifferential(t *testing.T) {
 		}
 		bp, bs := encodeRows(rp), encodeRows(rs)
 		if !bytes.Equal(bp, bs) {
-			t.Fatalf("%q: pushdown result differs from evaluator path\npushdown: %d rows\nscan:     %d rows",
+			t.Errorf("%q: pushdown result differs from evaluator path\npushdown: %d rows\nscan:     %d rows",
 				qsrc, len(rp.Rows), len(rs.Rows))
+			continue
 		}
 		if len(rp.Rows) == 0 {
 			t.Fatalf("%q: empty result proves nothing", qsrc)
@@ -164,5 +203,94 @@ func TestPushdownDecline(t *testing.T) {
 	}
 	if len(res.Cols) != 1 || res.Cols[0] != "entity" || len(res.Rows) != 1 || res.Rows[0].Entity == nil {
 		t.Fatalf("entity result = %+v", res)
+	}
+
+	// Only the unknown attribute declines. Any other engine failure is the
+	// query's failure — the fallback must not answer as if nothing happened.
+	errBoom := errors.New("boom")
+	err = odb.AddMethod(cl.ID, "boom", func(schema.MethodEngine, *model.Object, []model.Value) (model.Value, error) {
+		return model.Null, errBoom
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Query("oo", `SELECT n FROM Thing WHERE boom = 1`); !errors.Is(err, errBoom) {
+		t.Fatalf("failing method: err = %v, want %v", err, errBoom)
+	}
+}
+
+// TestFallbackScanIsTransactional pins the Scan path's read transaction: an
+// uncommitted in-place update is never visible to it, and a record that does
+// not decode fails the query instead of silently shortening the answer.
+func TestFallbackScanIsTransactional(t *testing.T) {
+	odb, err := core.Open(t.TempDir(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer odb.Close()
+	cl, _ := odb.DefineClass("Thing", nil,
+		schema.AttrSpec{Name: "n", Domain: schema.ClassInteger})
+	var oids []model.OID
+	tx := odb.Begin()
+	for i := 1; i <= 2; i++ {
+		oid, err := tx.InsertClass(cl.ID, map[string]model.Value{"n": model.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	f := New()
+	f.Register("oo", scanOnly{NewOOSource(odb)})
+
+	// A writer holds an uncommitted update while the scan runs: the scan
+	// waits for the class lock and reads the value the abort restored.
+	writer := odb.Begin()
+	if err := writer.Update(oids[0], map[string]model.Value{"n": model.Int(99)}); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		res *Result
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := f.Query("oo", `SELECT n FROM Thing ORDER BY n`)
+		done <- answer{res, err}
+	}()
+	var got answer
+	select {
+	case got = <-done: // an unlocked scan finishes at once, dirty value in hand
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := writer.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got.res == nil && got.err == nil {
+		got = <-done
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if n, _ := got.res.Rows[0].Values[0].AsInt(); len(got.res.Rows) != 2 || n != 1 {
+		t.Fatalf("scan saw an uncommitted update: %+v", got.res.Rows)
+	}
+
+	// A damaged record is a typed error on both paths, not a shorter answer.
+	img, err := odb.Store.Get(oids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := odb.Store.Put(oids[1], img[:len(img)-1]); err != nil { // cut mid-value
+		t.Fatal(err)
+	}
+	for name, src := range map[string]Source{"scan": scanOnly{NewOOSource(odb)}, "pushdown": NewOOSource(odb)} {
+		f := New()
+		f.Register("oo", src)
+		if _, err := f.Query("oo", `SELECT n FROM Thing`); !errors.Is(err, model.ErrCorrupt) {
+			t.Fatalf("%s over a damaged record: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"oodb/internal/model"
@@ -139,7 +140,28 @@ func (p *PathExpr) exprString() string { return p.Path.String() }
 // Lit is a literal value.
 type Lit struct{ V model.Value }
 
-func (l *Lit) exprString() string { return l.V.String() }
+func (l *Lit) exprString() string { return litString(l.V) }
+
+// litString renders a literal in the lexer's own grammar, so the canonical
+// text parses back to the same value — model.Value.String is for people. The
+// lexer knows no backslash escapes in a string, only a doubled quote, and
+// takes every other byte as it comes; a float is digits '.' digits, with no
+// exponent, and without the '.' it would come back an integer.
+func litString(v model.Value) string {
+	switch v.Kind() {
+	case model.KindString:
+		s, _ := v.AsString()
+		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+	case model.KindFloat:
+		f, _ := v.AsFloat()
+		s := strconv.FormatFloat(f, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
+	}
+	return v.String()
+}
 
 // List is a literal list (the right side of IN).
 type List struct{ Items []model.Value }
@@ -147,7 +169,7 @@ type List struct{ Items []model.Value }
 func (l *List) exprString() string {
 	parts := make([]string, len(l.Items))
 	for i, v := range l.Items {
-		parts[i] = v.String()
+		parts[i] = litString(v)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
 }

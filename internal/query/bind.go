@@ -86,12 +86,23 @@ func (r *row) binding(e *Engine, step string) *binding {
 	return &b
 }
 
+// errNoAttr is the one wording of ErrNoAttr, for the planner's path-head
+// check and the executor alike.
+func (e *Engine) errNoAttr(b *binding) error {
+	return fmt.Errorf("%w %q on %s", ErrNoAttr, b.step, e.className(b.class))
+}
+
+// readStep reads one path step on one candidate.
+func (e *Engine) readStep(r *row, step string) (model.Value, error) {
+	return e.stepValue(r, r.binding(e, step))
+}
+
 // stepValue reads one bound step on one candidate: the stored value, else
 // the class default; or the method's result (late-bound, no arguments).
 func (e *Engine) stepValue(r *row, b *binding) (model.Value, error) {
 	switch {
 	case !b.found:
-		return model.Null, fmt.Errorf("query: %s has no attribute or method %q", e.className(b.class), b.step)
+		return model.Null, e.errNoAttr(b)
 	case b.method != nil:
 		if b.method.Impl == nil {
 			return model.Null, fmt.Errorf("query: method %q has no registered implementation", b.step)

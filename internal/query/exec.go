@@ -1,9 +1,7 @@
 package query
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -73,7 +71,9 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		return nil, err
 	}
 	q := p.Query
-	var bound bindings // shared by the single-threaded stages: probe, sort, fold, projection
+	// cur is the candidate slot, and the bindings, of the single-threaded
+	// stages: probe, sort, fold and projection point it at one row at a time.
+	cur := &row{bind: new(bindings)}
 
 	var rows []Row
 	var aggs []Accumulator // set when the scan folded the aggregates itself
@@ -85,48 +85,29 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		all, err = e.scanRows(tx, p, span)
 		rows, aggs, matched = all.rows, all.aggs, all.matched
 	} else {
-		rows, ordered, err = e.probeRows(tx, p, &bound, span, p.ordered)
+		rows, ordered, err = e.probeRows(tx, p, cur, span, p.ordered)
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	// ORDER BY.
+	// ORDER BY and LIMIT.
+	var sortKey func(*Row) (model.Value, error)
+	var sortSpan *obs.Span
 	if ordered {
 		span.Set("sort_skipped", 1)
 	} else if q.OrderBy != nil {
-		sortSpan := span.Child("sort")
+		sortSpan = span.Child("sort")
 		sortSpan.Set("rows_in", int64(len(rows)))
-		keys := make([]model.Value, len(rows))
-		for i := range rows {
-			v, err := e.evalPath(tx, &row{obj: rows[i].Object, bind: &bound}, q.OrderBy.Steps)
-			if err != nil {
-				sortSpan.End()
-				return nil, err
-			}
-			keys[i] = v
+		sortKey = func(r *Row) (model.Value, error) {
+			cur.obj = r.Object
+			return e.evalPath(tx, cur, q.OrderBy.Steps)
 		}
-		// Sort rows and keys together through an index permutation.
-		idxs := make([]int, len(rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			c := model.Compare(keys[idxs[a]], keys[idxs[b]])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-		sorted := make([]Row, len(rows))
-		for i, j := range idxs {
-			sorted[i] = rows[j]
-		}
-		rows = sorted
-		sortSpan.End()
 	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
+	rows, err = OrderLimit(rows, sortKey, q.Desc, q.Limit)
+	sortSpan.End()
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregates collapse the result to a single row.
@@ -136,7 +117,8 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		if aggs == nil {
 			aggs, matched = newAccumulators(q), uint64(len(rows))
 			for i := range rows {
-				if err := e.accumulate(tx, q, aggs, &row{obj: rows[i].Object, bind: &bound}); err != nil {
+				cur.obj = rows[i].Object
+				if err := e.accumulate(tx, q, aggs, cur); err != nil {
 					return nil, err
 				}
 			}
@@ -173,9 +155,9 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		backing := make([]model.Value, len(rows)*w)
 		for i := range rows {
 			vals := backing[i*w : (i+1)*w : (i+1)*w]
-			r := &row{obj: rows[i].Object, bind: &bound}
+			cur.obj = rows[i].Object
 			for j, path := range q.Select {
-				v, err := e.evalPath(tx, r, path.Steps)
+				v, err := e.evalPath(tx, cur, path.Steps)
 				if err != nil {
 					return nil, err
 				}
@@ -198,12 +180,11 @@ func earlyLimit(p *Plan, ordered bool) int {
 	return 0
 }
 
-// matches evaluates the residual predicate against one candidate.
-func (e *Engine) matches(tx *core.Tx, p *Plan, r *row) (bool, error) {
-	if p.Query.Where == nil {
-		return true, nil
-	}
-	return e.evalBool(tx, p.Query.Where, r)
+// accessor binds the evaluator to one candidate slot: the caller points r
+// at each candidate in turn, so a scan worker or a probe makes one accessor,
+// not one per row.
+func (e *Engine) accessor(tx *core.Tx, r *row) Accessor {
+	return func(steps []string) (model.Value, error) { return e.evalPath(tx, r, steps) }
 }
 
 // deref resolves an interior reference for path evaluation. Snapshot
@@ -307,6 +288,7 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 	cs := span.Child("scan " + e.className(class))
 	defer cs.End()
 	r := &row{bind: new(bindings)}
+	get := e.accessor(tx, r)
 	if streamsAggregates(p.Query) {
 		part.aggs = newAccumulators(p.Query)
 	}
@@ -318,7 +300,7 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 		scanned++
 		r.im, r.obj = im, nil
 		var ok bool
-		if ok, part.err = e.matches(tx, p, r); part.err != nil || !ok {
+		if ok, part.err = Matches(p.Query.Where, get); part.err != nil || !ok {
 			return part.err == nil
 		}
 		part.matched++
@@ -374,9 +356,9 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 // have moved an object to a new key (its old posting is gone) or deleted
 // it outright, and any such object by construction has a chain — recorded
 // before the index moves, which is why the overlay is read after the walk.
-// The full WHERE re-evaluation in matches keeps stale postings out on both
+// The full WHERE re-evaluation in collect keeps stale postings out on both
 // paths.
-func (e *Engine) probeRows(tx *core.Tx, p *Plan, bound *bindings, span *obs.Span, ordered bool) ([]Row, bool, error) {
+func (e *Engine) probeRows(tx *core.Tx, p *Plan, r *row, span *obs.Span, ordered bool) ([]Row, bool, error) {
 	scopeSet := make(map[model.ClassID]bool, len(p.Scope))
 	for _, c := range p.Scope {
 		scopeSet[c] = true
@@ -407,6 +389,7 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, bound *bindings, span *obs.Span
 	// walk goes on (limit not yet satisfied, no evaluation error).
 	var examined, matched uint64
 	var cerr error
+	get := e.accessor(tx, r)
 	collect := func(oid model.OID) bool {
 		if seen[oid] {
 			return true
@@ -420,8 +403,8 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, bound *bindings, span *obs.Span
 		if !scopeSet[obj.Class()] {
 			return true
 		}
-		r := &row{obj: obj, bind: bound}
-		ok, err := e.matches(tx, p, r)
+		r.obj = obj
+		ok, err := Matches(p.Query.Where, get)
 		if err != nil {
 			cerr = err
 			return false
@@ -556,204 +539,37 @@ func (e *Engine) accumulate(tx *core.Tx, q *Query, aggs []Accumulator, r *row) e
 	return nil
 }
 
-// evalBool evaluates a predicate against one candidate.
-func (e *Engine) evalBool(tx *core.Tx, ex Expr, r *row) (bool, error) {
-	switch n := ex.(type) {
-	case *Binary:
-		switch n.Op {
-		case OpAnd:
-			l, err := e.evalBool(tx, n.L, r)
-			if err != nil || !l {
-				return false, err
-			}
-			return e.evalBool(tx, n.R, r)
-		case OpOr:
-			l, err := e.evalBool(tx, n.L, r)
-			if err != nil || l {
-				return l, err
-			}
-			return e.evalBool(tx, n.R, r)
-		case OpIn:
-			lv, err := e.evalValue(tx, n.L, r)
-			if err != nil {
-				return false, err
-			}
-			list, ok := n.R.(*List)
-			if !ok {
-				return false, fmt.Errorf("query: IN requires a literal list")
-			}
-			for _, item := range list.Items {
-				if existsEqual(lv, item) {
-					return true, nil
-				}
-			}
-			return false, nil
-		case OpContains:
-			lv, err := e.evalValue(tx, n.L, r)
-			if err != nil {
-				return false, err
-			}
-			rv, err := e.evalValue(tx, n.R, r)
-			if err != nil {
-				return false, err
-			}
-			return lv.Contains(rv), nil
-		default:
-			lv, err := e.evalValue(tx, n.L, r)
-			if err != nil {
-				return false, err
-			}
-			rv, err := e.evalValue(tx, n.R, r)
-			if err != nil {
-				return false, err
-			}
-			return compareOp(n.Op, lv, rv), nil
-		}
-	case *Not:
-		v, err := e.evalBool(tx, n.E, r)
-		return !v, err
-	case *PathExpr:
-		v, err := e.evalValue(tx, n, r)
-		if err != nil {
-			return false, err
-		}
-		b, _ := v.AsBool()
-		return b, nil
-	case *Lit:
-		b, _ := n.V.AsBool()
-		return b, nil
-	default:
-		return false, fmt.Errorf("query: cannot evaluate %T as boolean", ex)
-	}
+// EvalPath walks a path from obj as the executor does for a candidate:
+// attributes (stored value or class default) and methods are steps, interior
+// references are followed, set-valued steps fan out. A nil tx, like a locked
+// one, reads the objects the path crosses from the heap.
+func (e *Engine) EvalPath(tx *core.Tx, obj *model.Object, steps []string) (model.Value, error) {
+	return e.evalPath(tx, &row{obj: obj}, steps)
 }
 
-// compareOp applies a comparison with SQL-style null semantics: ordering
-// comparisons with null are false; equality treats null = null as true
-// (needed for `path = null` existence tests). Multi-valued operands
-// (set-valued attributes, paths through set-valued references) compare
-// existentially.
-func compareOp(op BinOp, l, r model.Value) bool {
-	if lm, ok := l.AsSet(); ok && r.Kind() != model.KindSet {
-		for _, m := range lm {
-			if compareOp(op, m, r) {
-				return true
-			}
-		}
-		return false
-	}
-	switch op {
-	case OpEq:
-		return model.Compare(l, r) == 0
-	case OpNe:
-		return model.Compare(l, r) != 0
-	}
-	if l.IsNull() || r.IsNull() {
-		return false
-	}
-	c := model.Compare(l, r)
-	switch op {
-	case OpLt:
-		return c < 0
-	case OpLe:
-		return c <= 0
-	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
-	default:
-		return false
-	}
-}
-
-// existsEqual is existential equality for IN.
-func existsEqual(l, r model.Value) bool { return compareOp(OpEq, l, r) }
-
-// evalValue evaluates an operand expression to a value.
-func (e *Engine) evalValue(tx *core.Tx, ex Expr, r *row) (model.Value, error) {
-	switch n := ex.(type) {
-	case *Lit:
-		return n.V, nil
-	case *PathExpr:
-		return e.evalPath(tx, r, n.Path.Steps)
-	default:
-		return model.Null, fmt.Errorf("query: cannot evaluate %T as value", ex)
-	}
-}
-
-// evalPath walks a path from the candidate: each step reads an attribute
-// (stored value or class default) or invokes a method as a derived
-// attribute. Interior references are dereferenced; set-valued steps fan out
-// and the result is the set of terminal values (existential comparison
-// semantics). A null or dangling step yields null.
-//
-// The first step reads through the candidate's bindings, from its stored
-// image when that is all the row has; later steps run on the objects the
-// path crosses and resolve against their own classes.
+// evalPath is WalkPath over the database: each step reads an attribute or
+// invokes a method as a derived attribute, and a dangling reference
+// dead-ends. The first step reads through the candidate's bindings, from its
+// stored image when that is all the row has; later steps run on the objects
+// the path crosses, resolve against their own classes and share the
+// candidate's bindings table.
 func (e *Engine) evalPath(tx *core.Tx, r *row, steps []string) (model.Value, error) {
-	if len(steps) == 0 {
-		return model.Null, nil
-	}
-	v, err := e.stepValue(r, r.binding(e, steps[0]))
-	if err != nil {
-		return model.Null, err
-	}
 	// Single-step fast path: the common `WHERE attr op k` shape. Scans
-	// evaluate this once per object, so the general walk below (a slice per
-	// step) would turn hot loops GC-bound.
+	// evaluate this once per object, so the general walk (closures, a slice
+	// per step) would turn hot loops GC-bound. It ends as the walk does: a
+	// set is flattened, so a singleton yields its member, an empty set null.
 	if len(steps) == 1 {
+		v, err := e.stepValue(r, r.binding(e, steps[0]))
 		if members, ok := v.AsSet(); ok {
-			// Match the general walk: flatten, so a singleton set yields
-			// its member and an empty set yields null.
-			switch len(members) {
-			case 0:
-				return model.Null, nil
-			case 1:
-				return members[0], nil
-			}
+			v = terminal(members)
 		}
-		return v, nil
+		return v, err
 	}
-	var one [1]model.Value // a reference path mostly carries one value: keep it off the heap
-	vals := appendMembers(one[:0], v)
-	for _, step := range steps[1:] {
-		// Interior: dereference references.
-		var next []model.Value
-		for _, ref := range vals {
-			oid, ok := ref.AsRef()
-			if !ok {
-				continue // non-reference interior value dead-ends
-			}
-			o, err := e.deref(tx, oid)
-			if err != nil {
-				continue // dangling reference dead-ends
-			}
-			b := e.bindStep(o.Class(), step)
-			v, err := e.stepValue(&row{obj: o}, &b)
-			if err != nil {
-				return model.Null, err
-			}
-			next = appendMembers(next, v)
+	return WalkPath(r, steps, e.readStep, func(oid model.OID) (*row, error) {
+		o, err := e.deref(tx, oid)
+		if err != nil {
+			return nil, err
 		}
-		vals = next
-	}
-	switch len(vals) {
-	case 0:
-		return model.Null, nil
-	case 1:
-		return vals[0], nil
-	default:
-		return model.Set(vals...), nil
-	}
-}
-
-// appendMembers appends what one step contributed to a path's values:
-// nothing for null, the members of a set, else the value itself.
-func appendMembers(vals []model.Value, v model.Value) []model.Value {
-	if v.IsNull() {
-		return vals
-	}
-	if members, ok := v.AsSet(); ok {
-		return append(vals, members...)
-	}
-	return append(vals, v)
+		return &row{obj: o, bind: r.bind}, nil
+	})
 }

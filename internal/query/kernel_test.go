@@ -145,7 +145,7 @@ func fullDecode(t *testing.T, eng *Engine, tx *core.Tx, src string) [][]string {
 	var objs []*model.Object
 	for _, class := range p.Scope {
 		must(tx.Scan(class, func(obj *model.Object) bool {
-			ok, err := eng.matches(tx, p, &row{obj: obj})
+			ok, err := Matches(q.Where, eng.accessor(tx, &row{obj: obj}))
 			must(err)
 			if ok {
 				objs = append(objs, obj)

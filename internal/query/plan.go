@@ -218,13 +218,10 @@ func (e *Engine) checkPathHead(class model.ClassID, path Path) error {
 	if len(path.Steps) == 0 {
 		return fmt.Errorf("query: empty path")
 	}
-	if _, err := e.db.Catalog.ResolveAttr(class, path.Steps[0]); err == nil {
-		return nil
+	if b := e.bindStep(class, path.Steps[0]); !b.found {
+		return e.errNoAttr(&b)
 	}
-	if _, err := e.db.Catalog.ResolveMethod(class, path.Steps[0]); err == nil {
-		return nil
-	}
-	return fmt.Errorf("query: %s has no attribute or method %q", e.className(class), path.Steps[0])
+	return nil
 }
 
 func (e *Engine) className(id model.ClassID) string {

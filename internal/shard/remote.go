@@ -24,7 +24,8 @@ import (
 //   - Scan (federation.Source) is the lenient fallback: it enumerates
 //     the class over the wire and fetches each instance, presenting
 //     entities whose nested paths dereference lazily with further
-//     fetches. Slow, but semantically the common-model evaluator.
+//     fetches — slow, but the same evaluator and the same path walk
+//     (query.WalkPath) as the member runs, over fetched objects.
 //
 // OIDs and reference values surface in the member's local OID space: a
 // RemoteSource is one member seen alone. The Router, not the source,
@@ -37,12 +38,6 @@ type RemoteSource struct {
 // addr. No connection is made until the first use.
 func NewRemoteSource(addr string, opts client.Options) *RemoteSource {
 	return &RemoteSource{rd: client.NewRedialer(addr, opts, client.RedialOptions{})}
-}
-
-// newRemoteSourceOn shares an existing Redialer (the Router reuses its
-// members' connections).
-func newRemoteSourceOn(rd *client.Redialer) *RemoteSource {
-	return &RemoteSource{rd: rd}
 }
 
 // Close closes the underlying connection.
@@ -94,15 +89,14 @@ func (s *RemoteSource) Scan(class string, fn func(federation.Entity) bool) error
 }
 
 // RunQuery implements federation.QueryableSource: ship the query over
-// the wire. Engine-side rejections (unknown attribute, bad request)
-// decline the pushdown so the federation falls back to the lenient Scan
-// path — the same contract OOSource keeps. Connection-level and
+// the wire (federation.Query has already checked the shape is one that
+// pushes down). Engine-side rejections decline the pushdown so the
+// federation falls back to the lenient Scan path: the wire's error codes
+// do not single out the unknown attribute the way query.ErrNoAttr does for
+// OOSource, so the whole class of them declines. Connection-level and
 // availability errors are real errors: the fallback path would fail the
 // same way, so failing fast is honest.
 func (s *RemoteSource) RunQuery(q *query.Query) (*federation.Result, bool, error) {
-	if len(q.Select) == 0 || len(q.Aggregates) > 0 || q.Only {
-		return nil, false, nil
-	}
 	var wire *client.Result
 	err := s.rd.DoIdempotent(func(c *client.Client) error {
 		var err error
@@ -135,47 +129,34 @@ type remoteEntity struct {
 	obj *client.Object
 }
 
-func (e *remoteEntity) fetchInto() bool {
-	if e.obj != nil {
-		return true
-	}
+// fetch reads one object of the member over the wire.
+func (s *RemoteSource) fetch(oid model.OID) (*client.Object, error) {
 	var obj *client.Object
-	err := e.src.rd.DoIdempotent(func(c *client.Client) error {
+	err := s.rd.DoIdempotent(func(c *client.Client) error {
 		var err error
-		obj, err = c.Fetch(e.oid)
+		obj, err = c.Fetch(oid)
 		return err
 	})
-	if err != nil {
-		return false
-	}
-	e.obj = obj
-	return true
+	return obj, err
 }
 
-// Get resolves an attribute path, mirroring ooEntity: an unknown
-// attribute is (Null, false); a null mid-path is (Null, true).
+// Get resolves an attribute path with the engine's path walk over fetched
+// objects, so sets fan out and nulls dead-end exactly as on the member. A
+// fetched object carries every effective attribute (defaults applied), so a
+// name it lacks is unknown: ok is false, as for ooEntity.
 func (e *remoteEntity) Get(path []string) (model.Value, bool) {
-	if !e.fetchInto() {
-		return model.Null, false
-	}
-	obj := e.obj
-	for i, step := range path {
-		v, ok := obj.Attrs[step]
-		if !ok {
+	if e.obj == nil {
+		var err error
+		if e.obj, err = e.src.fetch(e.oid); err != nil {
 			return model.Null, false
 		}
-		if i == len(path)-1 {
-			return v, true
-		}
-		oid, ok := v.AsRef()
-		if !ok {
-			return model.Null, true // null mid-path: value is null
-		}
-		next := &remoteEntity{src: e.src, oid: oid}
-		if !next.fetchInto() {
-			return model.Null, true
-		}
-		obj = next.obj
 	}
-	return model.Null, false
+	v, err := query.WalkPath(e.obj, path, func(o *client.Object, step string) (model.Value, error) {
+		v, ok := o.Attrs[step]
+		if !ok {
+			return model.Null, query.ErrNoAttr
+		}
+		return v, nil
+	}, e.src.fetch)
+	return v, err == nil
 }

@@ -33,7 +33,9 @@ func TestRemoteSourceFederationParity(t *testing.T) {
 	if _, err := db.DefineClass("Emp", nil,
 		oodb.Attr{Name: "name", Domain: "String"},
 		oodb.Attr{Name: "salary", Domain: "Integer"},
-		oodb.Attr{Name: "dept", Domain: "Dept"}); err != nil {
+		oodb.Attr{Name: "dept", Domain: "Dept"},
+		oodb.Attr{Name: "tags", Domain: "String", SetValued: true},
+		oodb.Attr{Name: "depts", Domain: "Dept", SetValued: true}); err != nil {
 		t.Fatal(err)
 	}
 	err = db.Do(func(tx *oodb.Tx) error {
@@ -45,21 +47,23 @@ func TestRemoteSourceFederationParity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i, spec := range []struct {
-			name   string
-			salary int64
-			dept   model.Value
+		for _, spec := range []struct {
+			name        string
+			salary      int64
+			dept        model.Value
+			tags, depts model.Value
 		}{
-			{"alice", 120, model.Ref(d1)},
-			{"bob", 90, model.Ref(d2)},
-			{"carol", 130, model.Ref(d1)},
-			{"dave", 70, model.Null}, // no dept: null mid-path
+			{"alice", 120, model.Ref(d1), model.Set(model.String("x"), model.String("y")), model.Set(model.Ref(d1), model.Ref(d2))},
+			{"bob", 90, model.Ref(d2), model.Set(model.String("z")), model.Set(model.Ref(d2))},
+			{"carol", 130, model.Ref(d1), model.Null, model.Null},
+			{"dave", 70, model.Null, model.Set(model.String("y")), model.Set(model.Ref(d1))}, // no dept: null mid-path
 		} {
-			_ = i
 			attrs := map[string]model.Value{
 				"name": model.String(spec.name), "salary": model.Int(spec.salary)}
-			if !spec.dept.IsNull() {
-				attrs["dept"] = spec.dept
+			for name, v := range map[string]model.Value{"dept": spec.dept, "tags": spec.tags, "depts": spec.depts} {
+				if !v.IsNull() {
+					attrs[name] = v
+				}
 			}
 			if _, err := tx.Insert("Emp", attrs); err != nil {
 				return err
@@ -92,6 +96,12 @@ func TestRemoteSourceFederationParity(t *testing.T) {
 		`SELECT name, dept.city FROM Emp WHERE dept.city = 'Austin' ORDER BY name`,
 		`SELECT dept.city FROM Emp ORDER BY name`, // null mid-path projects as null
 		`SELECT name FROM Emp ORDER BY name LIMIT 2`,
+		// Set-valued attribute and reference: existential comparison and IN,
+		// fan-out through every member, a singleton projected as its member.
+		`SELECT name FROM Emp WHERE tags = 'y' ORDER BY name`,
+		`SELECT name FROM Emp WHERE tags IN ('x', 'z') ORDER BY name`,
+		`SELECT name FROM Emp WHERE depts.city = 'Detroit' ORDER BY name`,
+		`SELECT name, tags, depts.city FROM Emp ORDER BY name`,
 	}
 	for _, qsrc := range queries {
 		var encoded [][]byte

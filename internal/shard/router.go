@@ -624,19 +624,12 @@ func (r *Router) queryRows(q *query.Query) (*Result, error) {
 	}
 
 	// Deterministic merge: concatenation above followed member-index
-	// order; a stable sort on the shipped key keeps that order for ties.
-	if q.OrderBy != nil && orderIdx >= 0 {
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			c := model.Compare(res.Rows[a].Values[orderIdx], res.Rows[b].Values[orderIdx])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
+	// order; the stable sort on the shipped key keeps that order for ties.
+	var key func(*Row) (model.Value, error)
+	if q.OrderBy != nil {
+		key = func(r *Row) (model.Value, error) { return r.Values[orderIdx], nil }
 	}
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
+	res.Rows, _ = query.OrderLimit(res.Rows, key, q.Desc, q.Limit) // this key cannot fail
 	// res.Cols is nil when no member survived: there is nothing to strip,
 	// and slicing would panic instead of reaching the PartialError below.
 	if stripKey && len(res.Cols) > 0 {

@@ -141,6 +141,10 @@ func TestScatterParitySingleDB(t *testing.T) {
 		`SELECT name FROM Part WHERE weight >= 30 AND tag = 'x' ORDER BY name DESC`,
 		`SELECT name, tag FROM Part ORDER BY name LIMIT 17`,
 		`SELECT name FROM Part WHERE tag = 'y' ORDER BY name LIMIT 5`,
+		// The shipped text must parse on the member as it did here: a small
+		// float has no exponent form in the query language, a backslash in a
+		// string is just a byte.
+		`SELECT name FROM Part WHERE weight < 0.00001 AND tag != 'x\y' ORDER BY name`,
 	}
 	for _, qsrc := range ordered {
 		sres, err := r.Query(qsrc)
@@ -165,6 +169,39 @@ func TestScatterParitySingleDB(t *testing.T) {
 						sres.Rows[i].Values[j], bres.Rows[i].Values[j])
 				}
 			}
+		}
+	}
+
+	// An ORDER BY key that ties across members, with a LIMIT that cuts
+	// inside a tie: member-index order decides among equal keys (each
+	// member's own order kept within it), and the cut answer is a prefix of
+	// the uncut one even though every member applied the LIMIT itself.
+	full, err := r.Query(`SELECT name, tag FROM Part ORDER BY tag`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(full.Rows); i++ {
+		prev, cur := full.Rows[i-1], full.Rows[i]
+		pm, pl := splitOID(prev.OID)
+		cm, cl := splitOID(cur.OID)
+		if model.Compare(prev.Values[1], cur.Values[1]) != 0 {
+			continue
+		}
+		// Insert-only members answer ties in insertion order, i.e. by OID.
+		if pm > cm || (pm == cm && pl >= cl) {
+			t.Fatalf("row %d: %d/%v sorts after %d/%v within tag %v", i, cm, cl, pm, pl, cur.Values[1])
+		}
+	}
+	cut, err := r.Query(`SELECT name, tag FROM Part ORDER BY tag LIMIT 45`) // 40 x, then 5 of 40 y
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cut.Rows) != 45 {
+		t.Fatalf("LIMIT 45: %d rows", len(cut.Rows))
+	}
+	for i, row := range cut.Rows {
+		if row.OID != full.Rows[i].OID {
+			t.Fatalf("LIMIT 45 row %d is %v, uncut answer has %v", i, row.Values, full.Rows[i].Values)
 		}
 	}
 
