@@ -78,11 +78,12 @@ mvcc:
 
 # The commit pipeline and fail-stop error handling under the race
 # detector: the WAL writer/watermark unit tests, the fsync-latch and
-# poison regressions, the serial-vs-parallel replay differential, and the
-# pipeline crash schedules (batch append, fsync, watermark publish).
+# poison regressions, two committers and a snapshot reader through a hundred
+# automatic checkpoints with a reopen oracle, and the pipeline crash
+# schedules (batch append, fsync, watermark publish).
 pipeline:
 	$(GO) test -race -count=1 ./internal/wal/
-	$(GO) test -race -count=1 -run 'TestFsyncFailure|TestCommitFlushFailure|TestAutoCheckpointFailure|TestParallelReplay' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestFsyncFailure|TestCommitFlushFailure|TestAutoCheckpointFailure|TestCheckpointOverlapsCommitters' ./internal/core/
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrashDuringPipelineCommit|TestCrashAtWatermarkPublish' .
 
 # The clustering stack under the race detector: placement-policy unit

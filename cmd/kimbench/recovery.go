@@ -2,12 +2,7 @@ package main
 
 // Recovery-time datapoints: how long a cold open takes as a function of
 // the WAL size it must replay (E9's claim, measured as a curve and written
-// to a JSON file the repo tracks as BENCH_recovery.json). Since the redo
-// pass parallelizes by class, each scale is measured twice — serial
-// (ReplayWorkers 1) and parallel (ReplayWorkers 8) — and the speedup is
-// reported alongside. On a single-core host the two converge; the columns
-// stay honest either way because recovery output is identical at any
-// worker count (differential-tested in internal/core).
+// to a JSON file the repo tracks as BENCH_recovery.json).
 
 import (
 	"encoding/json"
@@ -20,20 +15,13 @@ import (
 	"oodb"
 )
 
-// replayWorkers is the parallel column's worker bound. Fixed rather than
-// GOMAXPROCS so the report is comparable across hosts.
-const replayWorkers = 8
-
 type recoveryPoint struct {
-	Txns           int     `json:"txns"`
-	Objects        int     `json:"objects"`
-	Classes        int     `json:"classes"`
-	WALBytes       int64   `json:"wal_bytes"`
-	OpenMS         float64 `json:"open_ms"`          // median cold open, serial replay
-	OpenParallelMS float64 `json:"open_parallel_ms"` // median cold open, parallel replay
-	Speedup        float64 `json:"speedup"`          // open_ms / open_parallel_ms
-	ReplayWorkers  int     `json:"replay_workers"`
-	Reps           int     `json:"reps"`
+	Txns     int     `json:"txns"`
+	Objects  int     `json:"objects"`
+	Classes  int     `json:"classes"`
+	WALBytes int64   `json:"wal_bytes"`
+	OpenMS   float64 `json:"open_ms"` // median cold open
+	Reps     int     `json:"reps"`
 }
 
 type recoveryReport struct {
@@ -46,7 +34,7 @@ type recoveryReport struct {
 // committed work spread over several classes (checkpointing disabled so
 // nothing is truncated), then measures a plain reopen — scan, physical
 // restore, logical replay, directory rebuild — against a fresh copy each
-// repetition, once per replay mode.
+// repetition.
 func runRecoveryBench(outPath string) {
 	scales := []int{10, 50, 200, 800}
 	if *quick {
@@ -55,7 +43,7 @@ func runRecoveryBench(outPath string) {
 	const nClasses = 8
 	report := recoveryReport{
 		Experiment:  "recovery",
-		Description: "cold-open time vs WAL size, serial vs parallel redo: scan + torn-page restore + logical replay + directory rebuild",
+		Description: "cold-open time vs WAL size: scan + torn-page restore + logical replay + directory rebuild",
 	}
 	for _, txns := range scales {
 		src, err := os.MkdirTemp("", "kimbench-recovery")
@@ -84,48 +72,36 @@ func runRecoveryBench(outPath string) {
 		check(err)
 
 		const reps = 5
-		coldOpen := func(workers int) time.Duration {
-			times := make([]time.Duration, reps)
-			for r := range times {
-				dir, err := os.MkdirTemp("", "kimbench-recovery-copy")
+		times := make([]time.Duration, reps)
+		for r := range times {
+			dir, err := os.MkdirTemp("", "kimbench-recovery-copy")
+			check(err)
+			for _, f := range []string{"data.kdb", "log.wal"} {
+				data, err := os.ReadFile(filepath.Join(src, f))
 				check(err)
-				for _, f := range []string{"data.kdb", "log.wal"} {
-					data, err := os.ReadFile(filepath.Join(src, f))
-					check(err)
-					check(os.WriteFile(filepath.Join(dir, f), data, 0o644))
-				}
-				start := time.Now()
-				db2, err := oodb.Open(dir, oodb.Options{ReplayWorkers: workers})
-				check(err)
-				times[r] = time.Since(start)
-				db2.Close()
-				os.RemoveAll(dir)
+				check(os.WriteFile(filepath.Join(dir, f), data, 0o644))
 			}
-			sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-			return times[reps/2]
+			start := time.Now()
+			db2, err := oodb.Open(dir, oodb.Options{})
+			check(err)
+			times[r] = time.Since(start)
+			db2.Close()
+			os.RemoveAll(dir)
 		}
-		serial := coldOpen(1)
-		parallel := coldOpen(replayWorkers)
+		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		open := times[reps/2]
 		db.Close()
 		os.RemoveAll(src)
 
-		speedup := 0.0
-		if parallel > 0 {
-			speedup = float64(serial) / float64(parallel)
-		}
 		report.Points = append(report.Points, recoveryPoint{
-			Txns:           txns,
-			Objects:        txns * 100,
-			Classes:        nClasses,
-			WALBytes:       st.Size(),
-			OpenMS:         float64(serial.Microseconds()) / 1000,
-			OpenParallelMS: float64(parallel.Microseconds()) / 1000,
-			Speedup:        speedup,
-			ReplayWorkers:  replayWorkers,
-			Reps:           reps,
+			Txns:     txns,
+			Objects:  txns * 100,
+			Classes:  nClasses,
+			WALBytes: st.Size(),
+			OpenMS:   float64(open.Microseconds()) / 1000,
+			Reps:     reps,
 		})
-		fmt.Printf("recovery: %4d txns, WAL %8d bytes -> open serial %v, parallel %v (%.2fx)\n",
-			txns, st.Size(), serial, parallel, speedup)
+		fmt.Printf("recovery: %4d txns, WAL %8d bytes -> open %v\n", txns, st.Size(), open)
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	check(err)

@@ -35,7 +35,7 @@
 //	.insert Class a=v b=v ...           insert an object
 //	.set @c:s a=v ...                   update an object
 //	.del @c:s                           delete an object
-//	.get @c:s                           show an object
+//	.get @c:s [attr]                    show an object, or one attribute
 //	.explain SELECT ...                 show the query plan
 //	.analyze SELECT ...                 run the query, show the annotated plan
 //	.compact [Class]                    compact segments (all, or one class)
@@ -59,6 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -91,7 +92,7 @@ func main() {
 			}
 		}()
 	}
-	sh := &shell{out: os.Stdout}
+	sh := &shell{out: os.Stdout, errw: os.Stderr}
 	if *dbdir != "" {
 		db, err := oodb.Open(*dbdir, oodb.Options{})
 		if err != nil {
@@ -131,8 +132,13 @@ func main() {
 			sh.remote.Close()
 		}
 	}()
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("kimdb> ")
+	sh.run(os.Stdin)
+}
+
+// run reads commands from in until end of input or .quit.
+func (sh *shell) run(in io.Reader) {
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(sh.out, "kimdb> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == ".quit" || line == ".exit" {
@@ -140,62 +146,80 @@ func main() {
 		}
 		if line != "" {
 			if err := sh.exec(line); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
+				fmt.Fprintln(sh.errw, "error:", err)
 			}
 		}
-		fmt.Print("kimdb> ")
+		fmt.Fprint(sh.out, "kimdb> ")
 	}
-	fmt.Println()
+	fmt.Fprintln(sh.out)
 }
 
 type shell struct {
-	db      *oodb.DB
-	out     *os.File
-	mnt     *maint.Manager
-	remote  *client.Client
-	sharded *shard.Router
+	db        *oodb.DB
+	out, errw io.Writer
+	mnt       *maint.Manager
+	remote    *client.Client
+	sharded   *shard.Router
 }
 
-// needDB guards commands that require the embedded engine.
-func (sh *shell) needDB() error {
-	if sh.db == nil {
-		return fmt.Errorf("command needs the embedded engine (start with -db); remote mode carries data commands only")
+// door is the data surface of whichever database the shell fronts. An
+// open-mode *oodb.Session, a *client.Client and a *shard.Router all have
+// it, so the data commands are written once (execData).
+type door interface {
+	Query(src string) (*client.Result, error)
+	Fetch(oid oodb.OID) (*client.Object, error)
+	Get(oid oodb.OID, attr string) (oodb.Value, error)
+	Insert(class string, attrs oodb.Attrs) (oodb.OID, error)
+	Update(oid oodb.OID, attrs oodb.Attrs) error
+	Delete(oid oodb.OID) error
+}
+
+// door picks the shell's data surface: the shard group if there is one,
+// else the remote session, else the embedded engine in open mode.
+func (sh *shell) door() door {
+	switch {
+	case sh.sharded != nil:
+		return sh.sharded
+	case sh.remote != nil:
+		return sh.remote
+	case sh.db != nil:
+		return sh.db.Session(nil, "")
 	}
 	return nil
 }
 
 func (sh *shell) exec(line string) error {
-	// Shard-mode routing first (a shard group is a kind of remote), then
-	// single-server remote; everything else falls through to the embedded
-	// engine (if any).
+	fields := strings.Fields(line)
+	// What only a shard group or only a remote session has comes first,
+	// then the data commands against whichever door is open; everything
+	// else needs the embedded engine.
 	if sh.sharded != nil {
-		if handled, err := sh.execShard(line); handled {
+		if handled, err := sh.execShard(fields); handled {
 			return err
 		}
 	}
 	if sh.remote != nil {
-		if handled, err := sh.execRemote(line); handled {
+		if handled, err := sh.execRemote(fields); handled {
 			return err
 		}
 	}
-	head := strings.Fields(line)
-	switch head[0] {
+	switch fields[0] {
 	case ".connect":
-		return sh.connect(head[1:])
+		return sh.connect(fields[1:])
 	case ".disconnect", ".begin", ".commit", ".abort", ".ping":
 		return fmt.Errorf("not connected (use .connect host:port)")
 	case ".shard":
 		return fmt.Errorf("not sharded (start with -shards a,b,...)")
 	}
-	if sh.db == nil && line != ".help" {
-		return sh.needDB()
-	}
-	switch {
-	case strings.HasPrefix(strings.ToLower(line), "select"):
-		if err := sh.needDB(); err != nil {
+	if d := sh.door(); d != nil {
+		if handled, err := sh.execData(d, line, fields); handled {
 			return err
 		}
-		return sh.query(line)
+	}
+	if sh.db == nil && line != ".help" {
+		return fmt.Errorf("command needs the embedded engine (start with -db); remote mode carries data commands only")
+	}
+	switch {
 	case line == ".help":
 		fmt.Fprintln(sh.out, "queries: SELECT ... ; commands: .defclass .attr .index .indexes .classes .schema .insert .set .del .get .explain .analyze .compact .stats .metrics .snapshot .snapshots .schemadiff .checkpoint .connect .disconnect .begin .commit .abort .ping .shard .quit")
 		return nil
@@ -243,7 +267,6 @@ func (sh *shell) exec(line string) error {
 		}
 		return nil
 	}
-	fields := strings.Fields(line)
 	switch fields[0] {
 	case ".defclass":
 		if len(fields) < 2 {
@@ -299,55 +322,6 @@ func (sh *shell) exec(line string) error {
 			return fmt.Errorf("usage: .schema Class")
 		}
 		return sh.schema(fields[1])
-	case ".insert":
-		if len(fields) < 2 {
-			return fmt.Errorf("usage: .insert Class a=v ...")
-		}
-		attrs, err := parseAttrs(fields[2:])
-		if err != nil {
-			return err
-		}
-		var oid oodb.OID
-		err = sh.db.Do(func(tx *oodb.Tx) error {
-			var err error
-			oid, err = tx.Insert(fields[1], attrs)
-			return err
-		})
-		if err == nil {
-			fmt.Fprintf(sh.out, "  @%s\n", oid)
-		}
-		return err
-	case ".set":
-		if len(fields) < 3 {
-			return fmt.Errorf("usage: .set @c:s a=v ...")
-		}
-		oid, err := parseOID(fields[1])
-		if err != nil {
-			return err
-		}
-		attrs, err := parseAttrs(fields[2:])
-		if err != nil {
-			return err
-		}
-		return sh.db.Do(func(tx *oodb.Tx) error { return tx.Update(oid, attrs) })
-	case ".del":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: .del @c:s")
-		}
-		oid, err := parseOID(fields[1])
-		if err != nil {
-			return err
-		}
-		return sh.db.Do(func(tx *oodb.Tx) error { return tx.Delete(oid) })
-	case ".get":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: .get @c:s")
-		}
-		oid, err := parseOID(fields[1])
-		if err != nil {
-			return err
-		}
-		return sh.show(oid)
 	case ".explain":
 		plan, err := sh.db.Explain(strings.TrimSpace(strings.TrimPrefix(line, ".explain")))
 		if err != nil {
@@ -437,23 +411,6 @@ func (sh *shell) stats(args []string) error {
 	return nil
 }
 
-func (sh *shell) query(src string) error {
-	res, err := sh.db.Query(src)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(sh.out, " ", strings.Join(res.Cols, " | "))
-	for _, row := range res.Rows {
-		parts := make([]string, len(row.Values))
-		for i, v := range row.Values {
-			parts[i] = v.String()
-		}
-		fmt.Fprintln(sh.out, " ", strings.Join(parts, " | "))
-	}
-	fmt.Fprintf(sh.out, "  (%d rows)\n", len(res.Rows))
-	return nil
-}
-
 func (sh *shell) schema(name string) error {
 	cl, err := sh.db.ClassByName(name)
 	if err != nil {
@@ -490,31 +447,6 @@ func (sh *shell) schema(name string) error {
 			}
 		}
 		fmt.Fprintf(sh.out, "    %s:%s %s%s\n", a.Name, set, domain, inherited)
-	}
-	return nil
-}
-
-func (sh *shell) show(oid oodb.OID) error {
-	obj, err := sh.db.Fetch(oid)
-	if err != nil {
-		return err
-	}
-	cat := sh.db.Engine().Catalog
-	cl, err := cat.Class(obj.Class())
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(sh.out, "  @%s (%s)\n", oid, cl.Name)
-	attrs, err := cat.EffectiveAttrs(cl.ID)
-	if err != nil {
-		return err
-	}
-	for _, a := range attrs {
-		v, err := sh.db.Get(obj, a.Name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(sh.out, "    %s = %s\n", a.Name, v)
 	}
 	return nil
 }
@@ -623,13 +555,13 @@ func (sh *shell) connect(args []string) error {
 	return nil
 }
 
-// execRemote routes data commands over the wire. It reports whether the
-// command was remote-handled; unhandled commands fall through to the
-// embedded engine.
-func (sh *shell) execRemote(line string) (bool, error) {
+// execData runs the data commands — queries, .insert, .set, .del, .get —
+// against d. It reports whether the line was one of them.
+func (sh *shell) execData(d door, line string, fields []string) (bool, error) {
 	if strings.HasPrefix(strings.ToLower(line), "select") {
-		res, err := sh.remote.Query(line)
+		res, err := d.Query(line)
 		if err != nil {
+			sh.reportPartial(err)
 			return true, err
 		}
 		fmt.Fprintln(sh.out, " ", strings.Join(res.Cols, " | "))
@@ -643,23 +575,7 @@ func (sh *shell) execRemote(line string) (bool, error) {
 		fmt.Fprintf(sh.out, "  (%d rows)\n", len(res.Rows))
 		return true, nil
 	}
-	fields := strings.Fields(line)
 	switch fields[0] {
-	case ".connect":
-		return true, sh.connect(fields[1:])
-	case ".disconnect":
-		err := sh.remote.Close()
-		sh.remote = nil
-		fmt.Fprintln(sh.out, "  disconnected")
-		return true, err
-	case ".ping":
-		return true, sh.remote.Ping()
-	case ".begin":
-		return true, sh.remote.Begin()
-	case ".commit":
-		return true, sh.remote.Commit()
-	case ".abort":
-		return true, sh.remote.Abort()
 	case ".insert":
 		if len(fields) < 2 {
 			return true, fmt.Errorf("usage: .insert Class a=v ...")
@@ -668,7 +584,7 @@ func (sh *shell) execRemote(line string) (bool, error) {
 		if err != nil {
 			return true, err
 		}
-		oid, err := sh.remote.Insert(fields[1], attrs)
+		oid, err := d.Insert(fields[1], attrs)
 		if err == nil {
 			fmt.Fprintf(sh.out, "  @%s\n", oid)
 		}
@@ -685,7 +601,7 @@ func (sh *shell) execRemote(line string) (bool, error) {
 		if err != nil {
 			return true, err
 		}
-		return true, sh.remote.Update(oid, attrs)
+		return true, d.Update(oid, attrs)
 	case ".del":
 		if len(fields) != 2 {
 			return true, fmt.Errorf("usage: .del @c:s")
@@ -694,16 +610,23 @@ func (sh *shell) execRemote(line string) (bool, error) {
 		if err != nil {
 			return true, err
 		}
-		return true, sh.remote.Delete(oid)
+		return true, d.Delete(oid)
 	case ".get":
-		if len(fields) != 2 {
-			return true, fmt.Errorf("usage: .get @c:s")
+		if len(fields) != 2 && len(fields) != 3 {
+			return true, fmt.Errorf("usage: .get @c:s [attr]")
 		}
 		oid, err := parseOID(fields[1])
 		if err != nil {
 			return true, err
 		}
-		obj, err := sh.remote.Fetch(oid)
+		if len(fields) == 3 {
+			v, err := d.Get(oid, fields[2])
+			if err == nil {
+				fmt.Fprintf(sh.out, "    %s = %s\n", fields[2], v)
+			}
+			return true, err
+		}
+		obj, err := d.Fetch(oid)
 		if err != nil {
 			return true, err
 		}
@@ -721,36 +644,43 @@ func (sh *shell) execRemote(line string) (bool, error) {
 	return false, nil
 }
 
-// execShard routes data commands through the shard router. Queries
-// scatter-gather; object commands route to the owner encoded in the
-// global OID. Unhandled commands fall through (to the embedded engine,
-// if any).
-func (sh *shell) execShard(line string) (bool, error) {
-	if strings.HasPrefix(strings.ToLower(line), "select") {
-		res, err := sh.sharded.Query(line)
-		if err != nil {
-			var pe *shard.PartialError
-			if errors.As(err, &pe) && pe.Result != nil {
-				for _, f := range pe.Failed {
-					fmt.Fprintf(sh.out, "  ! member %d (%s) failed: %v\n", f.Member, f.Addr, f.Err)
-				}
-				fmt.Fprintf(sh.out, "  (partial: %d rows from surviving members, NOT the full answer)\n",
-					len(pe.Result.Rows))
-			}
-			return true, err
+// reportPartial prints the banner of a scatter some members failed: the
+// rows that did arrive are not the answer.
+func (sh *shell) reportPartial(err error) {
+	var pe *shard.PartialError
+	if errors.As(err, &pe) && pe.Result != nil {
+		for _, f := range pe.Failed {
+			fmt.Fprintf(sh.out, "  ! member %d (%s) failed: %v\n", f.Member, f.Addr, f.Err)
 		}
-		fmt.Fprintln(sh.out, " ", strings.Join(res.Cols, " | "))
-		for _, row := range res.Rows {
-			parts := make([]string, len(row.Values))
-			for i, v := range row.Values {
-				parts[i] = v.String()
-			}
-			fmt.Fprintln(sh.out, " ", strings.Join(parts, " | "))
-		}
-		fmt.Fprintf(sh.out, "  (%d rows)\n", len(res.Rows))
-		return true, nil
+		fmt.Fprintf(sh.out, "  (partial: %d rows from surviving members, NOT the full answer)\n",
+			len(pe.Result.Rows))
 	}
-	fields := strings.Fields(line)
+}
+
+// execRemote handles what only a remote session has: its lifetime, its
+// explicit transaction and the wire ping.
+func (sh *shell) execRemote(fields []string) (bool, error) {
+	switch fields[0] {
+	case ".disconnect":
+		err := sh.remote.Close()
+		sh.remote = nil
+		fmt.Fprintln(sh.out, "  disconnected")
+		return true, err
+	case ".ping":
+		return true, sh.remote.Ping()
+	case ".begin":
+		return true, sh.remote.Begin()
+	case ".commit":
+		return true, sh.remote.Commit()
+	case ".abort":
+		return true, sh.remote.Abort()
+	}
+	return false, nil
+}
+
+// execShard handles what only a shard group has: .shard, the group-wide
+// .ping and the placement map's class list.
+func (sh *shell) execShard(fields []string) (bool, error) {
 	switch fields[0] {
 	case ".shard":
 		sub := "status"
@@ -768,19 +698,7 @@ func (sh *shell) execShard(line string) (bool, error) {
 			}
 			return true, nil
 		case "place":
-			pm, err := sh.sharded.Placement()
-			if err != nil {
-				return true, err
-			}
-			names := make([]string, 0, len(pm))
-			for name := range pm {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(sh.out, "  %s: members %v\n", name, pm[name])
-			}
-			return true, nil
+			return true, sh.placement(true)
 		case "refresh":
 			if err := sh.sharded.Refresh(); err != nil {
 				return true, err
@@ -803,77 +721,30 @@ func (sh *shell) execShard(line string) (bool, error) {
 		}
 		fmt.Fprintf(sh.out, "  %d/%d members healthy\n", healthy, len(st))
 		return true, nil
-	case ".insert":
-		if len(fields) < 2 {
-			return true, fmt.Errorf("usage: .insert Class a=v ...")
-		}
-		attrs, err := parseAttrs(fields[2:])
-		if err != nil {
-			return true, err
-		}
-		oid, err := sh.sharded.Insert(fields[1], attrs)
-		if err == nil {
-			fmt.Fprintf(sh.out, "  @%s\n", oid)
-		}
-		return true, err
-	case ".set":
-		if len(fields) < 3 {
-			return true, fmt.Errorf("usage: .set @c:s a=v ...")
-		}
-		oid, err := parseOID(fields[1])
-		if err != nil {
-			return true, err
-		}
-		attrs, err := parseAttrs(fields[2:])
-		if err != nil {
-			return true, err
-		}
-		return true, sh.sharded.Update(oid, attrs)
-	case ".del":
-		if len(fields) != 2 {
-			return true, fmt.Errorf("usage: .del @c:s")
-		}
-		oid, err := parseOID(fields[1])
-		if err != nil {
-			return true, err
-		}
-		return true, sh.sharded.Delete(oid)
-	case ".get":
-		if len(fields) != 2 {
-			return true, fmt.Errorf("usage: .get @c:s")
-		}
-		oid, err := parseOID(fields[1])
-		if err != nil {
-			return true, err
-		}
-		obj, err := sh.sharded.Fetch(oid)
-		if err != nil {
-			return true, err
-		}
-		fmt.Fprintf(sh.out, "  @%s (%s)\n", obj.OID, obj.Class)
-		names := make([]string, 0, len(obj.Attrs))
-		for name := range obj.Attrs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(sh.out, "    %s = %s\n", name, obj.Attrs[name])
-		}
-		return true, nil
 	case ".classes":
-		pm, err := sh.sharded.Placement()
-		if err != nil {
-			return true, err
-		}
-		names := make([]string, 0, len(pm))
-		for name := range pm {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(sh.out, "  %s\n", name)
-		}
-		return true, nil
+		return true, sh.placement(false)
 	}
 	return false, nil
+}
+
+// placement prints the shard group's classes in name order, with the
+// members that carry each when members is set.
+func (sh *shell) placement(members bool) error {
+	pm, err := sh.sharded.Placement()
+	if err != nil {
+		return err
+	}
+	names := make([]string, 0, len(pm))
+	for name := range pm {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if members {
+			fmt.Fprintf(sh.out, "  %s: members %v\n", name, pm[name])
+		} else {
+			fmt.Fprintf(sh.out, "  %s\n", name)
+		}
+	}
+	return nil
 }

@@ -76,19 +76,30 @@ func main() {
 		for _, row := range res.Rows {
 			fmt.Printf(" %v", row.Values[0])
 		}
-		obj, err := sess.Fetch(alice)
-		if err == nil {
-			if _, serr := sess.Get(obj, "salary"); serr != nil {
-				fmt.Print("  [salary hidden]")
-			} else {
+		// Fetch returns the view of alice the role may see; an attribute it
+		// is forbidden to read is simply absent from it.
+		if obj, err := sess.Fetch(alice); err == nil {
+			if _, visible := obj.Attrs["salary"]; visible {
 				fmt.Print("  [salary visible]")
+			} else {
+				fmt.Print("  [salary hidden]")
 			}
 		}
 		fmt.Println()
 	}
 
-	// Writes: staff refused, manager allowed (inheriting staff's read).
+	// The prohibition holds in every verb: Get refuses the attribute, and a
+	// statement that projects, filters, sorts or aggregates on it is
+	// refused whole rather than answered.
 	staff := db.Session(az, "staff")
+	if _, err := staff.Get(alice, "salary"); err != nil {
+		fmt.Println("staff Get(alice, salary) refused:", err)
+	}
+	if _, err := staff.Query(`SELECT salary FROM Employee`); err != nil {
+		fmt.Println("staff SELECT salary refused:", err)
+	}
+
+	// Writes: staff refused, manager allowed (inheriting staff's read).
 	if err := staff.Update(alice, oodb.Attrs{"salary": oodb.Int(0)}); err != nil {
 		fmt.Println("staff raise refused:", err)
 	}

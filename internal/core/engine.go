@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,11 +59,6 @@ type Options struct {
 	// Durability selects the commit contract (default DurabilityFull).
 	// Per-transaction override: Tx.CommitAsync.
 	Durability Durability
-	// ReplayWorkers bounds the parallel redo pass of crash recovery:
-	// 0 = GOMAXPROCS, 1 = serial (the differential-test baseline), n > 1 =
-	// at most n workers. Redo is partitioned by owning class, which
-	// preserves per-object LSN order; the undo pass is always serial.
-	ReplayWorkers int
 	// WrapDisk and WrapWAL, when set, wrap the storage disk layer and the
 	// WAL's backing file — the seams the fault-injection harness
 	// (internal/fault) uses to script I/O failures and simulated crashes.
@@ -108,6 +101,11 @@ type DB struct {
 	// the log just before Reset truncates it — an acknowledged commit of
 	// that transaction would then lose its records.
 	ckptMu sync.RWMutex
+
+	// ckptRun admits one checkpoint at a time. Two overlapping SwapBlobs
+	// read the same old roots and both free the same blob chains, handing
+	// one page to two owners. Lock order: ddlMu, ckptRun, ckptMu.
+	ckptRun sync.Mutex
 
 	closed atomic.Bool
 
@@ -334,6 +332,13 @@ func (db *DB) Close() error {
 // leave open (catalog new, segment table old ⇒ a recreated class scanning
 // a freed segment) is gone.
 func (db *DB) Checkpoint() error {
+	db.ckptRun.Lock()
+	defer db.ckptRun.Unlock()
+	return db.checkpointExclusive()
+}
+
+// checkpointExclusive is Checkpoint for a caller that holds ckptRun.
+func (db *DB) checkpointExclusive() error {
 	// Fail-stop: a poisoned engine must not flush the pool (uncommitted
 	// heap state, no durable undo) or truncate the log.
 	if err := db.FailStopped(); err != nil {
@@ -403,27 +408,29 @@ func (l pageLogger) FlushImages() error {
 // it must not be silent: the log keeps growing and the failure cause
 // (a sick disk, a poisoned engine) is operationally significant, so it
 // counts in core_checkpoint_errors_total and emits an obs log line.
+//
+// While the log stays over the threshold (truncation is skipped whenever
+// another transaction is active) every committer arrives here; the one that
+// finds a checkpoint already running leaves it to finish and returns.
 func (db *DB) maybeCheckpoint() {
 	size, err := db.Log.Size()
 	if err != nil || size < db.opts.CheckpointBytes {
 		return
 	}
-	if err := db.Checkpoint(); err != nil {
+	if !db.ckptRun.TryLock() {
+		return
+	}
+	defer db.ckptRun.Unlock()
+	if err := db.checkpointExclusive(); err != nil {
 		mCkptErrors.Add(1)
 		obs.Logf("core: auto-checkpoint failed (WAL retained at %d bytes): %v", size, err)
 	}
 }
 
-// replay applies recovered WAL records: redo committed transactions, then
-// undo uncommitted ones in reverse order. Both passes are idempotent (Put
-// is an upsert keyed by OID; Delete of a missing object is a no-op).
-//
-// The redo pass parallelizes by partitioning ops on their owning class
-// (Options.ReplayWorkers): a worker applies its classes' ops in LSN order,
-// so per-object redo order — the only order last-writer-wins replay
-// depends on — is exactly the serial pass's, and two workers never touch
-// the same class segment. The undo pass stays serial: its reverse-LSN
-// before-image restores can cross classes in ways that do not commute.
+// replay applies recovered WAL records: redo committed transactions in
+// log order, then undo uncommitted ones in reverse order. Both passes are
+// idempotent (Put is an upsert keyed by OID; Delete of a missing object is
+// a no-op).
 func (db *DB) replay(records []wal.Record) error {
 	t0 := time.Now()
 	defer func() { mReplayNs.Observe(uint64(time.Since(t0))) }()
@@ -440,22 +447,9 @@ func (db *DB) replay(records []wal.Record) error {
 	db.Versions.RestoreEpoch(maxEpoch)
 	redo := a.RedoOps()
 	mReplayOps.Add(uint64(len(redo)))
-	workers := db.opts.ReplayWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Below ~2 ops per potential worker the fan-out costs more than the
-	// work; fall back to the serial loop.
-	if workers > 1 && len(redo) >= 2*workers {
-		if err := db.redoParallel(redo, workers); err != nil {
+	for _, r := range redo {
+		if err := db.redoOne(r); err != nil {
 			return err
-		}
-	} else {
-		mReplayWorkers.Set(1)
-		for _, r := range redo {
-			if err := db.redoOne(r); err != nil {
-				return err
-			}
 		}
 	}
 	for _, r := range a.UndoOps() {
@@ -490,81 +484,6 @@ func (db *DB) redoOne(r wal.Record) error {
 		return tolerateDropped(db.Store.Delete(r.OID))
 	}
 	return nil
-}
-
-// redoParallel fans the redo pass out across at most `workers` goroutines,
-// partitioned by owning class with a deterministic greedy balance (largest
-// class first onto the lightest worker). Safe because the storage layer is
-// internally latched for concurrent writers, classes map to disjoint
-// segments, and per-class op order is preserved.
-func (db *DB) redoParallel(redo []wal.Record, workers int) error {
-	classOps := make(map[model.ClassID][]wal.Record)
-	var classes []model.ClassID
-	for _, r := range redo {
-		c := r.OID.Class()
-		if _, ok := classOps[c]; !ok {
-			classes = append(classes, c)
-		}
-		classOps[c] = append(classOps[c], r)
-	}
-	if len(classes) < 2 {
-		mReplayWorkers.Set(1)
-		for _, r := range redo {
-			if err := db.redoOne(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sort.Slice(classes, func(i, j int) bool {
-		ni, nj := len(classOps[classes[i]]), len(classOps[classes[j]])
-		if ni != nj {
-			return ni > nj
-		}
-		return classes[i] < classes[j]
-	})
-	if workers > len(classes) {
-		workers = len(classes)
-	}
-	buckets := make([][]model.ClassID, workers)
-	loads := make([]int, workers)
-	for _, c := range classes {
-		k := 0
-		for i := 1; i < workers; i++ {
-			if loads[i] < loads[k] {
-				k = i
-			}
-		}
-		buckets[k] = append(buckets[k], c)
-		loads[k] += len(classOps[c])
-	}
-	mReplayWorkers.Set(int64(workers))
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for _, b := range buckets {
-		wg.Add(1)
-		go func(cs []model.ClassID) {
-			defer wg.Done()
-			for _, c := range cs {
-				for _, r := range classOps[c] {
-					if err := db.redoOne(r); err != nil {
-						select {
-						case errCh <- err:
-						default:
-						}
-						return
-					}
-				}
-			}
-		}(b)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
-	}
 }
 
 // FetchObject returns the last stored state of oid, without locking: the

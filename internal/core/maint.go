@@ -107,12 +107,13 @@ func (db *DB) ReclaimLeaked() (int, error) {
 // sweep previously found activeTxns != 0 and gave up, leaking pages
 // unbounded). If the window expires the reclaim still yields ErrBusy.
 //
-// Ordering is load-bearing. The begin fence is taken first: new
-// transactions block in their first operation, while in-flight ones drain
-// freely — waiting for the active count to reach zero cannot deadlock,
-// because a draining transaction never re-acquires the fence (Commit
-// leaves the active set *before* its checkpoint attempt, which then just
-// blocks until the fence drops, and Abort never takes it). If any
+// Ordering is load-bearing. The checkpoint mutex is taken first (the
+// inline checkpoint below must not overlap another), then the begin fence:
+// new transactions block in their first operation, while in-flight ones
+// drain freely — waiting for the active count to reach zero cannot
+// deadlock, because a draining transaction never waits on either (Commit
+// leaves the active set *before* its checkpoint attempt, which finds the
+// checkpoint mutex taken and returns, and Abort takes neither). If any
 // transaction remains past the deadline the reclaim refuses (ErrBusy)
 // rather than free pages whose WAL images could be replayed after a
 // crash. Once quiesced, a full checkpoint runs inline under the fence —
@@ -126,6 +127,8 @@ func (db *DB) ReclaimLeakedWait(wait time.Duration) (int, error) {
 	}
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
+	db.ckptRun.Lock()
+	defer db.ckptRun.Unlock()
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	deadline := time.Now().Add(wait)

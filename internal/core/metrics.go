@@ -16,12 +16,10 @@ var (
 	// heap, so the engine refused all further work (see DB.poison).
 	mFailStop = obs.RegisterCounter("core_failstop_events_total")
 
-	// Crash-recovery replay shape: total redo ops applied, the worker
-	// count of the last (possibly parallel) redo pass, and end-to-end
+	// Crash-recovery replay shape: total redo ops applied and end-to-end
 	// replay latency.
-	mReplayOps     = obs.RegisterCounter("core_replay_redo_ops_total")
-	mReplayWorkers = obs.RegisterGauge("core_replay_redo_workers")
-	mReplayNs      = obs.RegisterHistogram("core_replay_duration_ns")
+	mReplayOps = obs.RegisterCounter("core_replay_redo_ops_total")
+	mReplayNs  = obs.RegisterHistogram("core_replay_duration_ns")
 
 	// Snapshot-transaction traffic: begins/ends pair up (a leak shows as
 	// a widening gap), reads count objects resolved through the overlay

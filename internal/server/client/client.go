@@ -154,26 +154,18 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Result is a query result received over the wire.
-type Result struct {
-	Cols []string
-	Rows []Row
-}
-
-// Row is one result row: the object's identity (zero for aggregate rows)
-// and projected values aligned with Result.Cols.
-type Row struct {
-	OID    model.OID
-	Values []model.Value
-}
-
-// Object is a fetched object: identity, class name, and effective
-// attributes (inheritance and class defaults applied server-side).
-type Object struct {
-	OID   model.OID
-	Class string
-	Attrs map[string]model.Value
-}
+// The answer types are the wire's own: every door (oodb.Session, this
+// client, the shard router) returns the same Result, Row and Object.
+type (
+	// Result is a query result.
+	Result = proto.Result
+	// Row is one result row: the object's identity (zero for aggregate
+	// rows) and projected values aligned with Result.Cols.
+	Row = proto.ResultRow
+	// Object is a fetched object: identity, class name, and effective
+	// attributes (inheritance and class defaults applied server-side).
+	Object = proto.Object
+)
 
 // Client is one connection to a kimsrv server, carrying one session.
 type Client struct {
@@ -306,13 +298,9 @@ func (c *Client) query(verb byte, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire, err := proto.ReadResult(proto.NewReader(body))
+	res, err := proto.ReadResult(proto.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad result: %v", ErrProtocol, err)
-	}
-	res := &Result{Cols: wire.Cols, Rows: make([]Row, 0, len(wire.Rows))}
-	for _, row := range wire.Rows {
-		res.Rows = append(res.Rows, Row{OID: row.OID, Values: row.Values})
 	}
 	return res, nil
 }
@@ -336,11 +324,11 @@ func (c *Client) fetch(oid model.OID, refresh bool) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire, err := proto.ReadObject(proto.NewReader(body))
+	obj, err := proto.ReadObject(proto.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad object: %v", ErrProtocol, err)
 	}
-	return &Object{OID: wire.OID, Class: wire.Class, Attrs: wire.Attrs}, nil
+	return obj, nil
 }
 
 // Get reads one attribute of an object (inheritance and defaults applied).

@@ -6,24 +6,18 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync/atomic"
 	"time"
 
+	"oodb"
 	"oodb/internal/authz"
 	"oodb/internal/core"
-	"oodb/internal/model"
 	"oodb/internal/obs"
-	"oodb/internal/query"
 	"oodb/internal/schema"
 	"oodb/internal/server/proto"
 	"oodb/internal/storage"
 	"oodb/internal/txn"
-	"oodb/internal/workspace"
 )
-
-// wsCacheCap bounds each session's workspace cache (objects, not bytes).
-const wsCacheCap = 4096
 
 // request is one decoded frame waiting for the session worker.
 type request struct {
@@ -35,18 +29,15 @@ type request struct {
 
 // conn is one client session. Two goroutines serve it: the reader decodes
 // frames and enqueues them (shedding on overflow without blocking), the
-// worker executes them in order and writes responses. The explicit
-// transaction and the workspace are touched only by the worker, so they
-// need no locks; teardown runs after both goroutines exit.
+// worker executes them in order and writes responses. The oodb.Session —
+// role, explicit transaction, read cache — is touched only by the worker,
+// so it needs no locks; teardown runs after both goroutines exit.
 type conn struct {
-	srv *Server
-	nc  net.Conn
-	br  *bufio.Reader
-	id  uint64
-
-	role string
-	ws   *workspace.Workspace
-	tx   *core.Tx
+	srv  *Server
+	nc   net.Conn
+	br   *bufio.Reader
+	id   uint64
+	sess *oodb.Session
 
 	lastActive atomic.Int64
 	draining   atomic.Bool
@@ -92,12 +83,8 @@ func (s *Server) serveConn(nc net.Conn) {
 
 	// Teardown: an open transaction at session end is aborted — this is
 	// what releases an evicted or crashed session's locks.
-	if c.tx != nil {
-		if c.evicted.Load() || s.draining.Load() {
-			mDrainAborts.Add(1)
-		}
-		_ = c.tx.Abort()
-		c.tx = nil
+	if err := c.sess.Abort(); !errors.Is(err, oodb.ErrNoTx) && (c.evicted.Load() || s.draining.Load()) {
+		mDrainAborts.Add(1)
 	}
 	_ = nc.Close()
 	s.removeConn(c)
@@ -163,9 +150,8 @@ func (c *conn) handshake() bool {
 		return reject(proto.ErrCodeServerFull,
 			fmt.Sprintf("session limit %d reached", s.opts.MaxSessions))
 	}
-	c.role = hello.Role
 	c.id = s.sessionSeq.Add(1)
-	c.ws = s.db.NewWorkspace()
+	c.sess = s.db.Session(s.opts.Authorizer, hello.Role).WithCache()
 	resp := proto.AppendOK(nil, seq)
 	resp = proto.AppendWelcome(resp, proto.Welcome{Version: proto.Version, SessionID: c.id})
 	if !c.writeResponse(resp) {
@@ -327,7 +313,7 @@ func errCode(err error) byte {
 	case errors.Is(err, core.ErrPoisoned), errors.Is(err, core.ErrClosed):
 		return proto.ErrCodeUnavailable
 	case errors.Is(err, core.ErrTxnFinished), errors.Is(err, core.ErrReadOnlyTxn),
-		errors.Is(err, errTxOpen), errors.Is(err, errNoTx):
+		errors.Is(err, oodb.ErrTxOpen), errors.Is(err, oodb.ErrNoTx):
 		return proto.ErrCodeTxState
 	case errors.Is(err, proto.ErrMalformed), errors.Is(err, schema.ErrDomain):
 		return proto.ErrCodeBadRequest
@@ -335,12 +321,6 @@ func errCode(err error) byte {
 		return proto.ErrCodeInternal
 	}
 }
-
-// Transaction-state errors surfaced to clients with ErrCodeTxState.
-var (
-	errTxOpen = errors.New("server: transaction already open on this session")
-	errNoTx   = errors.New("server: no transaction open on this session")
-)
 
 // writeResponse frames and writes one response under the write deadline.
 // Response writers can race (worker vs reader-side sheds), so the write
@@ -369,298 +349,99 @@ func (c *conn) evict() {
 		return
 	}
 	mSessionsEvicted.Add(1)
-	obs.Logf("server: session %d (%s) evicted after idle timeout", c.id, c.role)
+	obs.Logf("server: session %d (%s) evicted after idle timeout", c.id, c.sess.Role())
 	_ = c.nc.Close()
 }
 
 // --- Request dispatch ---------------------------------------------------
 
-// dispatch decodes and executes one request body, returning the encoded
-// response body.
+// dispatch decodes one request body, makes the one Session call it names
+// and returns the encoded response body. What a role may see or write is
+// decided there, not here.
 func (c *conn) dispatch(verb byte, r *proto.Reader) ([]byte, error) {
+	sess := c.sess
 	switch verb {
 	case proto.VerbPing:
 		return nil, nil
 	case proto.VerbClasses:
-		return c.doClasses()
+		names, err := sess.Classes()
+		if err != nil {
+			return nil, err
+		}
+		return proto.AppendStrings(nil, names), nil
 	case proto.VerbQuery, proto.VerbQuerySnapshot:
 		src := r.ReadString()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return c.doQuery(src, verb == proto.VerbQuerySnapshot)
+		run := sess.Query
+		if verb == proto.VerbQuerySnapshot {
+			run = sess.QuerySnapshot
+		}
+		res, err := run(src)
+		if err != nil {
+			return nil, err
+		}
+		return proto.AppendResult(nil, res), nil
 	case proto.VerbFetch:
 		oid := r.OID()
 		refresh := r.Byte()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return c.doFetch(oid, refresh != 0)
+		fetch := sess.Fetch
+		if refresh != 0 {
+			fetch = sess.FetchFresh
+		}
+		obj, err := fetch(oid)
+		if err != nil {
+			return nil, err
+		}
+		return proto.AppendObject(nil, obj), nil
 	case proto.VerbGet:
 		oid := r.OID()
 		attr := r.ReadString()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return c.doGet(oid, attr)
+		v, err := sess.Get(oid, attr)
+		if err != nil {
+			return nil, err
+		}
+		return proto.AppendValue(nil, v), nil
 	case proto.VerbInsert:
 		class := r.ReadString()
 		attrs := r.Attrs()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return c.doInsert(class, attrs)
+		oid, err := sess.Insert(class, attrs)
+		if err != nil {
+			return nil, err
+		}
+		return proto.AppendOID(nil, oid), nil
 	case proto.VerbUpdate:
 		oid := r.OID()
 		attrs := r.Attrs()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return nil, c.doUpdate(oid, attrs)
+		return nil, sess.Update(oid, attrs)
 	case proto.VerbDelete:
 		oid := r.OID()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return nil, c.doDelete(oid)
+		return nil, sess.Delete(oid)
 	case proto.VerbBegin:
-		if c.tx != nil {
-			return nil, errTxOpen
-		}
-		c.tx = c.srv.db.Begin()
-		return nil, nil
-	case proto.VerbCommit, proto.VerbCommitAsync:
-		if c.tx == nil {
-			return nil, errNoTx
-		}
-		tx := c.tx
-		c.tx = nil
-		if verb == proto.VerbCommitAsync {
-			return nil, tx.CommitAsync()
-		}
-		return nil, tx.Commit()
+		return nil, sess.Begin()
+	case proto.VerbCommit:
+		return nil, sess.Commit()
+	case proto.VerbCommitAsync:
+		return nil, sess.CommitAsync()
 	case proto.VerbAbort:
-		if c.tx == nil {
-			return nil, errNoTx
-		}
-		tx := c.tx
-		c.tx = nil
-		return nil, tx.Abort()
+		return nil, sess.Abort()
 	default:
 		return nil, fmt.Errorf("%w: unknown verb %d", proto.ErrMalformed, verb)
 	}
-}
-
-// doClasses returns the sorted class names of the served database — the
-// schema surface a federation or shard router needs to enumerate remote
-// members. Read access to the database is required when an authorizer is
-// configured, mirroring the aggregate-row rule in doQuery.
-func (c *conn) doClasses() ([]byte, error) {
-	if err := c.check(authz.Read, authz.Database()); err != nil {
-		return nil, err
-	}
-	classes := c.srv.db.Engine().Catalog.Classes()
-	names := make([]string, 0, len(classes))
-	for _, cl := range classes {
-		names = append(names, cl.Name)
-	}
-	sort.Strings(names)
-	return proto.AppendStrings(nil, names), nil
-}
-
-// check runs one authorization check, or allows everything in open mode.
-func (c *conn) check(t authz.AuthType, obj authz.Object) error {
-	az := c.srv.opts.Authorizer
-	if az == nil {
-		return nil
-	}
-	return az.Check(c.role, t, obj)
-}
-
-// allowed is check as a boolean.
-func (c *conn) allowed(t authz.AuthType, obj authz.Object) bool {
-	return c.check(t, obj) == nil
-}
-
-// doQuery runs a query — inside the session transaction when one is open
-// (reading its uncommitted writes), in a snapshot for VerbQuerySnapshot,
-// in its own read-only transaction otherwise — and filters rows to the
-// instances the role may read, mirroring the embedded Session semantics.
-func (c *conn) doQuery(src string, snapshot bool) ([]byte, error) {
-	db := c.srv.db
-	var res *query.Result
-	var err error
-	switch {
-	case snapshot:
-		res, err = db.QuerySnapshot(src)
-	case c.tx != nil:
-		res, err = db.QueryTx(c.tx, src)
-	default:
-		res, err = db.Query(src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	wire := &proto.Result{Cols: res.Cols, Rows: make([]proto.ResultRow, 0, len(res.Rows))}
-	az := c.srv.opts.Authorizer
-	for _, row := range res.Rows {
-		if az != nil {
-			if row.OID.IsNil() {
-				// Aggregate rows carry no identity; require whole-database
-				// read, as the embedded Session does.
-				if !c.allowed(authz.Read, authz.Database()) {
-					continue
-				}
-			} else if !c.allowed(authz.Read, authz.Instance(row.OID)) {
-				continue
-			}
-		}
-		wire.Rows = append(wire.Rows, proto.ResultRow{OID: row.OID, Values: row.Values})
-	}
-	return proto.AppendResult(nil, wire), nil
-}
-
-// fetchObject reads an object for this session: through the open
-// transaction (locked read) when one is open, else through the session
-// workspace — the paper's memory-resident object cache, giving each
-// session read-your-writes caching of its working set. refresh bypasses
-// the cached copy.
-func (c *conn) fetchObject(oid model.OID, refresh bool) (*model.Object, error) {
-	if c.tx != nil {
-		return c.tx.Fetch(oid)
-	}
-	if refresh {
-		c.ws.Evict(oid)
-	}
-	if c.ws.Len() >= wsCacheCap {
-		// Bound the per-session cache. Everything in it is clean (the
-		// server never writes through descriptors), so a wholesale
-		// discard is safe and cheaper than LRU bookkeeping.
-		c.ws.Discard()
-	}
-	d, err := c.ws.Fetch(oid)
-	if err != nil {
-		return nil, err
-	}
-	return d.Object(), nil
-}
-
-// doFetch returns the whole object with effective attributes (defaults
-// and inheritance applied). Attribute-level read prohibitions filter the
-// affected attributes out of the result rather than failing the fetch —
-// content filtering, like the view semantics of Session.Query.
-func (c *conn) doFetch(oid model.OID, refresh bool) ([]byte, error) {
-	if err := c.check(authz.Read, authz.Instance(oid)); err != nil {
-		return nil, err
-	}
-	db := c.srv.db
-	obj, err := c.fetchObject(oid, refresh)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := db.Engine().Catalog.Class(obj.Class())
-	if err != nil {
-		return nil, err
-	}
-	attrs, err := db.Engine().Catalog.EffectiveAttrs(cl.ID)
-	if err != nil {
-		return nil, err
-	}
-	wire := &proto.Object{OID: oid, Class: cl.Name, Attrs: make(map[string]model.Value, len(attrs))}
-	for _, a := range attrs {
-		if err := c.check(authz.Read, authz.Attribute(cl.ID, a.Name)); err != nil && !errors.Is(err, authz.ErrNoGrant) {
-			continue // explicit attribute-level denial: filter it out
-		}
-		v, err := db.Get(obj, a.Name)
-		if err != nil {
-			continue
-		}
-		wire.Attrs[a.Name] = v
-	}
-	return proto.AppendObject(nil, wire), nil
-}
-
-// doGet reads one attribute, honoring attribute-level grants exactly as
-// the embedded Session.Get does.
-func (c *conn) doGet(oid model.OID, attr string) ([]byte, error) {
-	if err := c.check(authz.Read, authz.Instance(oid)); err != nil {
-		return nil, err
-	}
-	obj, err := c.fetchObject(oid, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.check(authz.Read, authz.Attribute(obj.Class(), attr)); err != nil && !errors.Is(err, authz.ErrNoGrant) {
-		return nil, err
-	}
-	v, err := c.srv.db.Get(obj, attr)
-	if err != nil {
-		return nil, err
-	}
-	return proto.AppendValue(nil, v), nil
-}
-
-// doInsert creates an object if the role may write the class.
-func (c *conn) doInsert(class string, attrs map[string]model.Value) ([]byte, error) {
-	db := c.srv.db
-	cl, err := db.ClassByName(class)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.check(authz.Write, authz.Class(cl.ID)); err != nil {
-		return nil, err
-	}
-	var oid model.OID
-	if c.tx != nil {
-		oid, err = c.tx.Insert(class, attrs)
-	} else {
-		err = db.Do(func(tx *core.Tx) error {
-			var err error
-			oid, err = tx.Insert(class, attrs)
-			return err
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return proto.AppendOID(nil, oid), nil
-}
-
-// doUpdate writes attributes if the role may write the instance and no
-// attribute-level write prohibition covers a written attribute.
-func (c *conn) doUpdate(oid model.OID, attrs map[string]model.Value) error {
-	if err := c.check(authz.Write, authz.Instance(oid)); err != nil {
-		return err
-	}
-	if az := c.srv.opts.Authorizer; az != nil {
-		obj, err := c.fetchObject(oid, false)
-		if err != nil {
-			return err
-		}
-		for name := range attrs {
-			err := az.Check(c.role, authz.Write, authz.Attribute(obj.Class(), name))
-			if err != nil && !errors.Is(err, authz.ErrNoGrant) {
-				return fmt.Errorf("attribute %q: %w", name, authz.ErrDenied)
-			}
-		}
-	}
-	// The session cache must not serve the pre-update image back to this
-	// session (read-your-writes within the session's workspace).
-	defer c.ws.Evict(oid)
-	if c.tx != nil {
-		return c.tx.Update(oid, attrs)
-	}
-	return c.srv.db.Do(func(tx *core.Tx) error { return tx.Update(oid, attrs) })
-}
-
-// doDelete removes an object if the role may write it.
-func (c *conn) doDelete(oid model.OID) error {
-	if err := c.check(authz.Write, authz.Instance(oid)); err != nil {
-		return err
-	}
-	defer c.ws.Evict(oid)
-	if c.tx != nil {
-		return c.tx.Delete(oid)
-	}
-	return c.srv.db.Do(func(tx *core.Tx) error { return tx.Delete(oid) })
 }

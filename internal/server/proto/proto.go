@@ -449,15 +449,20 @@ func AppendError(dst []byte, seq uint32, code byte, msg string) []byte {
 }
 
 // --- Query results ------------------------------------------------------
+//
+// Result, ResultRow and Object are the answer types of every door, not
+// only of the wire: oodb.Session returns them, and the client's and the
+// shard router's Result/Row/Object are aliases of them. They live here
+// because this package imports nothing but internal/model.
 
-// ResultRow is one wire result row: the object's identity (nil OID for
+// ResultRow is one result row: the object's identity (nil OID for
 // aggregate rows) and its projected values, aligned with the column list.
 type ResultRow struct {
 	OID    model.OID
 	Values []model.Value
 }
 
-// Result is a wire query result.
+// Result is a query result.
 type Result struct {
 	Cols []string
 	Rows []ResultRow
@@ -507,8 +512,8 @@ func ReadResult(r *Reader) (*Result, error) {
 	return res, r.Err()
 }
 
-// Object is one wire-encoded object: its identity, class name, and
-// effective attributes (inheritance and defaults applied server-side).
+// Object is one object as a door returns it: its identity, class name, and
+// effective attributes (inheritance and defaults applied by the engine).
 type Object struct {
 	OID   model.OID
 	Class string

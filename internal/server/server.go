@@ -5,11 +5,10 @@
 // shared access, sessions, authorization as database facilities (§5) —
 // and this package is that front end. Each accepted connection becomes a
 // session: a protocol handshake maps the client to a role (token
-// authentication, authorization through the internal/authz lattice), the
-// session gets its own memory-resident workspace (internal/workspace) for
-// cached object fetches, and an optional explicit transaction carries the
-// engine's full Session surface over the wire protocol defined in
-// internal/server/proto.
+// authentication) and binds it to an oodb.Session — the engine's one
+// role-bound data door, with its read cache on — and every data verb of
+// the wire protocol defined in internal/server/proto is one call on it.
+// What a role may see or write is decided there, not in this package.
 //
 // Operational spine:
 //
@@ -51,10 +50,8 @@ type Options struct {
 	// Addr is the listen address (default "127.0.0.1:0").
 	Addr string
 
-	// Authorizer, when non-nil, turns on authorization enforcement: every
-	// operation is checked against the lattice under the session's role,
-	// and query results are filtered to readable instances (the engine's
-	// Session semantics). Nil means open mode — every operation allowed.
+	// Authorizer is handed to every connection's oodb.Session, which
+	// enforces it. Nil means open mode — every operation allowed.
 	Authorizer *authz.Authorizer
 
 	// Tokens, when non-nil, restricts handshakes to the listed roles and

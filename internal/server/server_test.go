@@ -114,86 +114,6 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientServerParity runs the same workload embedded and remote and
-// compares what each surface observes — the wire adds transport, not
-// semantics.
-func TestClientServerParity(t *testing.T) {
-	db := newTestDB(t)
-	s := startServer(t, db, Options{})
-	c := dial(t, s, client.Options{Role: "app"})
-
-	// Same inserts through both surfaces.
-	var localOID oodb.OID
-	if err := db.Do(func(tx *oodb.Tx) error {
-		var err error
-		localOID, err = tx.Insert("Part", oodb.Attrs{"name": oodb.String("local"), "weight": oodb.Int(1)})
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	remoteOID, err := c.Insert("Part", map[string]model.Value{
-		"name": model.String("remote"), "weight": model.Int(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const q = `SELECT name, weight FROM Part`
-	lres, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rres, err := c.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lres.Rows) != 2 || len(rres.Rows) != len(lres.Rows) {
-		t.Fatalf("row counts: local %d remote %d", len(lres.Rows), len(rres.Rows))
-	}
-	render := func(cols []string, rows [][]model.Value) string {
-		out := fmt.Sprintf("%v\n", cols)
-		for _, vals := range rows {
-			for _, v := range vals {
-				out += v.String() + "|"
-			}
-			out += "\n"
-		}
-		return out
-	}
-	lrows := make([][]model.Value, len(lres.Rows))
-	for i, r := range lres.Rows {
-		lrows[i] = r.Values
-	}
-	rrows := make([][]model.Value, len(rres.Rows))
-	for i, r := range rres.Rows {
-		rrows[i] = r.Values
-	}
-	if render(lres.Cols, lrows) != render(rres.Cols, rrows) {
-		t.Fatalf("rendered results differ:\nlocal:\n%s\nremote:\n%s",
-			render(lres.Cols, lrows), render(rres.Cols, rrows))
-	}
-
-	// Both sides see each other's objects identically.
-	for _, oid := range []oodb.OID{localOID, remoteOID} {
-		lobj, err := db.Fetch(oid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		robj, err := c.Fetch(oid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, attr := range []string{"name", "weight"} {
-			lv, err := db.Get(lobj, attr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if model.Compare(lv, robj.Attrs[attr]) != 0 {
-				t.Fatalf("oid %v attr %s: local %v remote %v", oid, attr, lv, robj.Attrs[attr])
-			}
-		}
-	}
-}
-
 func TestExplicitTransaction(t *testing.T) {
 	db := newTestDB(t)
 	s := startServer(t, db, Options{})
@@ -432,6 +352,65 @@ func TestAuthorizationEnforced(t *testing.T) {
 	}
 	if _, err := o.Fetch(oid); !errors.Is(err, client.ErrDenied) {
 		t.Fatalf("outsider fetch: %v, want ErrDenied", err)
+	}
+
+	// Attribute-level prohibitions: the statement list of session_test.go's
+	// TestSessionAttributeHiding, through an embedded Session and over the
+	// wire. The two doors must agree — refused on both for staff, the same
+	// rows on both for hr — and Fetch must hide the attribute on both.
+	ecl, err := db.DefineClass("Employee", nil,
+		oodb.Attr{Name: "name", Domain: "String"},
+		oodb.Attr{Name: "salary", Domain: "Integer"},
+		oodb.Attr{Name: "boss", Domain: "Employee"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	az.AddRole("hr")
+	az.AddRole("staff")
+	for _, g := range []authz.Grant{
+		{Role: "hr", Type: authz.Write, Object: authz.ClassDeep(ecl.ID)},
+		{Role: "staff", Type: authz.Read, Object: authz.ClassDeep(ecl.ID)},
+		{Role: "staff", Type: authz.Read, Object: authz.Attribute(ecl.ID, "salary"), Negative: true},
+	} {
+		if err := az.Grant(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alice, err := dial(t, s, client.Options{Role: "hr"}).Insert("Employee",
+		map[string]model.Value{"name": model.String("alice"), "salary": model.Int(200)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, role := range []string{"staff", "hr"} {
+		sess, wire := db.Session(az, role), dial(t, s, client.Options{Role: role})
+		for _, stmt := range []string{
+			`SELECT salary FROM Employee`,
+			`SELECT name FROM Employee WHERE salary > 100`,
+			`SELECT name FROM Employee ORDER BY salary`,
+			`SELECT SUM(salary) FROM Employee`,
+			`SELECT name FROM Employee WHERE boss.salary > 100`,
+		} {
+			eres, eerr := sess.Query(stmt)
+			wres, werr := wire.Query(stmt)
+			if denied := role == "staff"; errors.Is(eerr, authz.ErrDenied) != denied || errors.Is(werr, client.ErrDenied) != denied {
+				t.Errorf("%s %s: embedded %v, wire %v (denied should be %v on both)", role, stmt, eerr, werr, denied)
+			} else if !denied && fmt.Sprint(eres) != fmt.Sprint(wres) {
+				t.Errorf("%s %s: embedded %v, wire %v", role, stmt, eres, wres)
+			}
+		}
+		eobj, eerr := sess.Fetch(alice)
+		wobj, werr := wire.Fetch(alice)
+		if eerr != nil || werr != nil || fmt.Sprint(eobj) != fmt.Sprint(wobj) {
+			t.Fatalf("%s fetch: embedded %v %v, wire %v %v", role, eobj, eerr, wobj, werr)
+		}
+		if _, visible := wobj.Attrs["salary"]; visible != (role == "hr") {
+			t.Errorf("%s fetch shows salary = %v", role, visible)
+		}
+		_, eerr = sess.Get(alice, "salary")
+		_, werr = wire.Get(alice, "salary")
+		if denied := role == "staff"; errors.Is(eerr, authz.ErrDenied) != denied || errors.Is(werr, client.ErrDenied) != denied {
+			t.Errorf("%s get salary: embedded %v, wire %v", role, eerr, werr)
+		}
 	}
 }
 

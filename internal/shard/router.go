@@ -287,7 +287,8 @@ func (r *Router) Placement() (map[string][]int, error) {
 }
 
 // membersFor returns the members carrying class, in index order. An
-// unknown class triggers one placement refresh before failing.
+// unknown class triggers one placement refresh before failing — as a
+// member would fail it, with client.ErrNotFound (beside ErrNoMember).
 func (r *Router) membersFor(class string) ([]*member, error) {
 	for refreshed := false; ; refreshed = true {
 		r.mu.Lock()
@@ -303,7 +304,7 @@ func (r *Router) membersFor(class string) ([]*member, error) {
 			return out, nil
 		}
 		if refreshed {
-			return nil, fmt.Errorf("%w: class %q on no member", ErrNoMember, class)
+			return nil, fmt.Errorf("%w: class %q on no member: %w", ErrNoMember, class, client.ErrNotFound)
 		}
 		if err := r.Refresh(); err != nil {
 			return nil, err
@@ -533,10 +534,9 @@ func (r *Router) Query(src string) (*Result, error) {
 
 // memberResult is one member's translated scatter slice.
 type memberResult struct {
-	m    *member
-	res  *client.Result
-	rows []Row
-	err  error
+	m   *member
+	res *client.Result
+	err error
 }
 
 // scatter ships src to every given member with bounded parallelism.

@@ -50,6 +50,7 @@ import (
 	"strings"
 
 	"oodb/internal/model"
+	"oodb/internal/server/proto"
 )
 
 // Typed errors of the shard layer.
@@ -206,15 +207,9 @@ func (e *PartialError) Unwrap() []error {
 	return out
 }
 
-// Result is a merged scatter-gather query result. Row OIDs and reference
-// values are in the global OID space.
-type Result struct {
-	Cols []string
-	Rows []Row
-}
-
-// Row is one merged result row.
-type Row struct {
-	OID    model.OID
-	Values []model.Value
-}
+// Result and Row are the one answer type of every door; here Row OIDs and
+// reference values are in the global OID space.
+type (
+	Result = proto.Result
+	Row    = proto.ResultRow
+)

@@ -104,7 +104,7 @@ func (bp *BufferPool) Recovering() bool { return bp.recovering.Load() }
 // capacity slice of the pool.
 type poolShard struct {
 	mu     sync.Mutex
-	loaded sync.Cond // on mu; signalled when a load others wait on ends
+	loaded sync.Cond // on mu; signalled when a load others wait on ends, or a pin a flush waits on drops
 	frames map[PageID]*frame
 	lru    frame  // list head: lru.next is the most, lru.prev the least recently used
 	free   *frame // frames holding no page (dropped, failed load), linked by next
@@ -116,6 +116,10 @@ type poolShard struct {
 	// measurable. Every hitBatchSize-th hit flushes a batch to the obs
 	// counter, which therefore lags by up to hitBatchSize-1 hits per shard.
 	hits, misses uint64
+
+	// flushWaits counts FlushAll callers parked in settleLocked; Unpin
+	// signals loaded only when there is one.
+	flushWaits int
 }
 
 // hitBatchSize is the flush granularity of the shard-local hit counter.
@@ -303,6 +307,9 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 	f.pins--
 	f.dirty = f.dirty || dirty
+	if f.pins == 0 && sh.flushWaits > 0 {
+		sh.loaded.Broadcast()
+	}
 }
 
 // allocFrameLocked installs an unpinned frame for id at the front of the
@@ -357,6 +364,23 @@ func (sh *poolShard) sortedFramesLocked() []*frame {
 	return fs
 }
 
+// settleLocked makes a dirty frame safe for a checkpoint to read: a pin
+// holder may be writing the page under its own latch (the heap latch, not
+// the shard lock), so the frame's bytes are read only at pin count zero,
+// with the shard lock held so nobody can pin it again. It waits for that on
+// the shard's condition and reports whether f is then still a dirty frame
+// of the table; the lock is released while waiting, so f may have been
+// written back and rekeyed by an eviction in between.
+func (sh *poolShard) settleLocked(f *frame) bool {
+	id := f.id
+	for sh.frames[id] == f && f.dirty && f.pins > 0 {
+		sh.flushWaits++
+		sh.loaded.Wait()
+		sh.flushWaits--
+	}
+	return sh.frames[id] == f && f.dirty
+}
+
 // imageLocked logs a full-page image of the frame if the page logger is
 // installed and this is the first write-back since the frame's on-disk
 // state was known durable. With flush set, logged images are made durable
@@ -407,7 +431,8 @@ func (bp *BufferPool) evictLocked(sh *poolShard) (*frame, error) {
 // checkpoint path: after FlushAll returns, the on-disk pages reflect all
 // buffered changes. Page images for all dirty frames are logged and made
 // durable in one batch before any page is overwritten, so a crash in the
-// middle of the write-back pass can always be repaired physically.
+// middle of the write-back pass can always be repaired physically. Both
+// passes read a frame's bytes only once it is unpinned (settleLocked).
 func (bp *BufferPool) FlushAll() error {
 	// Frames are visited in sorted page order, not map order: the crash
 	// harness replays schedules by global I/O op index, which must be
@@ -417,7 +442,7 @@ func (bp *BufferPool) FlushAll() error {
 		for _, sh := range bp.shards {
 			sh.mu.Lock()
 			for _, f := range sh.sortedFramesLocked() {
-				if f.dirty && !f.imaged {
+				if !f.imaged && sh.settleLocked(f) {
 					if err := bp.imageLocked(f, false); err != nil {
 						sh.mu.Unlock()
 						return err
@@ -436,7 +461,7 @@ func (bp *BufferPool) FlushAll() error {
 	for _, sh := range bp.shards {
 		sh.mu.Lock()
 		for _, f := range sh.sortedFramesLocked() {
-			if f.dirty {
+			if sh.settleLocked(f) {
 				// Frames dirtied since the imaging pass (concurrent writers
 				// under an active-transaction checkpoint) get their image
 				// here, flushed inline.

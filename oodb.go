@@ -134,10 +134,6 @@ type Options struct {
 	// never corrupted. Per-transaction control is available via
 	// Tx.CommitAsync under the default full durability.
 	RelaxedDurability bool
-	// ReplayWorkers bounds the parallelism of crash-recovery redo
-	// (0 = GOMAXPROCS, 1 = serial). Recovery output is identical at any
-	// setting; only the replay wall-clock changes.
-	ReplayWorkers int
 }
 
 // DB is an open database.
@@ -159,7 +155,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		CheckpointBytes: opts.CheckpointBytes,
 		NoSync:          opts.NoSync,
 		Durability:      durability,
-		ReplayWorkers:   opts.ReplayWorkers,
 	})
 	if err != nil {
 		return nil, err

@@ -3,112 +3,299 @@ package oodb
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"oodb/internal/authz"
+	"oodb/internal/query"
+	"oodb/internal/server/proto"
 )
 
-// Session is a role-bound view of the database: every operation is checked
-// against the authorization lattice before it runs, and query results are
-// filtered to the instances the role may read. It turns the authorizer's
-// *decisions* (internal/authz, the RBK model) into *enforcement* — the
-// paper's requirement that authorization be a database facility, not an
-// application convention (§3.1 requirement 2).
+// wsCacheCap bounds a session's read cache (objects, not bytes).
+const wsCacheCap = 4096
+
+// Transaction-state errors of a session.
+var (
+	ErrTxOpen = errors.New("oodb: transaction already open on this session")
+	ErrNoTx   = errors.New("oodb: no transaction open on this session")
+)
+
+// Session is the role-bound data door of the database, and the thing
+// kimsrv serves: every data verb is checked against the authorization
+// lattice before it runs, query results are filtered to the instances the
+// role may read, and attribute-level prohibitions hold in every verb. It
+// turns the authorizer's *decisions* (internal/authz, the RBK model) into
+// *enforcement* — the paper's requirement that authorization be a database
+// facility, not an application convention (§3.1 requirement 2). A nil
+// authorizer is open mode: every operation allowed, nothing filtered.
+//
+// A session carries at most one explicit transaction (Begin … Commit,
+// CommitAsync or Abort); the data verbs join it while it is open and
+// autocommit otherwise. A session is used by one goroutine at a time.
 type Session struct {
 	db   *DB
 	az   *authz.Authorizer
 	role string
+	tx   *Tx
+	// ws, when set, caches the objects Fetch and Get read outside a
+	// transaction — the paper's memory-resident workspace. Everything in it
+	// is clean (the session never writes through descriptors); the
+	// session's own writes evict, other sessions' commits are seen by
+	// FetchFresh.
+	ws *Workspace
 }
 
-// Session binds a role to this database under an authorizer.
+// Session binds a role to this database under an authorizer (nil = open
+// mode).
 func (db *DB) Session(az *authz.Authorizer, role string) *Session {
 	return &Session{db: db, az: az, role: role}
+}
+
+// WithCache turns on the session's read cache and returns the session. A
+// long-lived session with a working set (a served connection) wants it; a
+// short-lived or shared one reads the last committed state every time.
+func (s *Session) WithCache() *Session {
+	s.ws = s.db.NewWorkspace()
+	return s
 }
 
 // Role returns the session's role.
 func (s *Session) Role() string { return s.role }
 
-// Query runs a query and filters the result to instances the role may
-// read. A role without read access to any instance in scope gets an empty
-// result, not an error (content filtering, like a view).
-func (s *Session) Query(src string) (*Result, error) {
-	res, err := s.db.Query(src)
+// check runs one authorization check, or allows everything in open mode.
+func (s *Session) check(t authz.AuthType, obj authz.Object) error {
+	if s.az == nil {
+		return nil
+	}
+	return s.az.Check(s.role, t, obj)
+}
+
+// attrProhibited reports an explicit prohibition on one attribute. The
+// closed-world "no applicable grant" outcome is not one: it falls back to
+// the instance or class permission the caller has already established.
+func (s *Session) attrProhibited(t authz.AuthType, class ClassID, attr string) error {
+	if err := s.check(t, authz.Attribute(class, attr)); err != nil && !errors.Is(err, authz.ErrNoGrant) {
+		return fmt.Errorf("oodb: attribute %q: %w", attr, err)
+	}
+	return nil
+}
+
+// --- Transactions -------------------------------------------------------
+
+// Begin opens the session's explicit transaction.
+func (s *Session) Begin() error {
+	if s.tx != nil {
+		return ErrTxOpen
+	}
+	s.tx = s.db.Begin()
+	return nil
+}
+
+// end closes the explicit transaction with fn.
+func (s *Session) end(fn func(*Tx) error) error {
+	if s.tx == nil {
+		return ErrNoTx
+	}
+	tx := s.tx
+	s.tx = nil
+	return fn(tx)
+}
+
+// Commit makes the open transaction durable.
+func (s *Session) Commit() error { return s.end((*Tx).Commit) }
+
+// CommitAsync commits the open transaction without waiting for the fsync
+// (see Tx.CommitAsync).
+func (s *Session) CommitAsync() error { return s.end((*Tx).CommitAsync) }
+
+// Abort rolls the open transaction back.
+func (s *Session) Abort() error { return s.end((*Tx).Abort) }
+
+// write runs fn in the open transaction, or in one of its own.
+func (s *Session) write(fn func(*Tx) error) error {
+	if s.tx != nil {
+		return fn(s.tx)
+	}
+	return s.db.Do(fn)
+}
+
+// --- Reads --------------------------------------------------------------
+
+// Query runs a statement — inside the open transaction, reading its
+// uncommitted writes, or in a read-only transaction of its own — and
+// filters the rows to the instances the role may read. A role without read
+// access to any instance in scope gets an empty result, not an error
+// (content filtering, like a view); a statement that reads an attribute the
+// role is explicitly forbidden is refused with authz.ErrDenied.
+func (s *Session) Query(src string) (*proto.Result, error) {
+	if s.tx != nil {
+		return s.query(s.tx, src)
+	}
+	tx := s.db.Begin()
+	defer tx.Commit()
+	return s.query(tx, src)
+}
+
+// QuerySnapshot is Query in a lock-free snapshot of the last commit epoch;
+// it never joins the open transaction.
+func (s *Session) QuerySnapshot(src string) (*proto.Result, error) {
+	tx := s.db.BeginSnapshot()
+	defer tx.Commit()
+	return s.query(tx, src)
+}
+
+func (s *Session) query(tx *Tx, src string) (*proto.Result, error) {
+	q, err := query.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	kept := res.Rows[:0:0]
-	for _, row := range res.Rows {
-		if row.OID.IsNil() {
-			// Aggregate rows carry no identity; aggregates over protected
-			// data require class-level read access on the target class,
-			// checked below via the plan scope — conservatively require
-			// nothing here because the aggregate inputs were row-checked
-			// only when rows exist. To stay safe, drop aggregate rows
-			// unless the role can read the whole database.
-			if s.az.Allowed(s.role, authz.Read, authz.Database()) {
-				kept = append(kept, row)
-			}
-			continue
-		}
-		if s.az.Allowed(s.role, authz.Read, authz.Instance(row.OID)) {
-			kept = append(kept, row)
-		}
-	}
-	res.Rows = kept
-	return res, nil
-}
-
-// Fetch reads one object if the role may read it.
-func (s *Session) Fetch(oid OID) (*Object, error) {
-	if err := s.az.Check(s.role, authz.Read, authz.Instance(oid)); err != nil {
+	plan, err := s.db.q.PlanQuery(q)
+	if err != nil {
 		return nil, err
 	}
-	return s.db.Fetch(oid)
+	if s.az != nil {
+		if err := s.checkPaths(plan); err != nil {
+			return nil, err
+		}
+	}
+	res, err := s.db.q.Execute(tx, plan)
+	if err != nil {
+		return nil, err
+	}
+	out := &proto.Result{Cols: res.Cols, Rows: make([]proto.ResultRow, 0, len(res.Rows))}
+	for _, row := range res.Rows {
+		// Aggregate rows carry no identity: only a role that may read the
+		// whole database sees them.
+		obj := authz.Database()
+		if !row.OID.IsNil() {
+			obj = authz.Instance(row.OID)
+		}
+		if s.check(authz.Read, obj) == nil {
+			out.Rows = append(out.Rows, proto.ResultRow{OID: row.OID, Values: row.Values})
+		}
+	}
+	return out, nil
 }
 
-// Get reads one attribute, honoring attribute-level grants: the attribute
-// must be readable AND the instance must be readable.
-func (s *Session) Get(obj *Object, attr string) (Value, error) {
-	if err := s.az.Check(s.role, authz.Read, authz.Instance(obj.OID)); err != nil {
+// checkPaths refuses a planned statement that reads — in its projection,
+// predicate, ORDER BY or an aggregate argument — an attribute the role is
+// explicitly forbidden to read. Steps resolve statically: the first against
+// the target class, each later one against the previous step's domain. A
+// step that is no attribute (a method, or a name the executor will refuse)
+// ends its path's walk.
+func (s *Session) checkPaths(plan *query.Plan) error {
+	cat := s.db.eng.Catalog
+	for _, path := range plan.Query.Paths() {
+		class := plan.Target.ID
+		for _, step := range path.Steps {
+			a, err := cat.ResolveAttr(class, step)
+			if err != nil {
+				break
+			}
+			if err := s.attrProhibited(authz.Read, class, step); err != nil {
+				return err
+			}
+			class = a.Domain
+		}
+	}
+	return nil
+}
+
+// fetchObject reads an object for this session: through the open
+// transaction (a locked read), else through the read cache when it is on,
+// else the last committed state. refresh bypasses the cached copy.
+func (s *Session) fetchObject(oid OID, refresh bool) (*Object, error) {
+	switch {
+	case s.tx != nil:
+		return s.tx.Fetch(oid)
+	case s.ws == nil:
+		return s.db.Fetch(oid)
+	}
+	if refresh {
+		s.ws.Evict(oid)
+	}
+	if s.ws.Len() >= wsCacheCap {
+		// Everything cached is clean, so a wholesale discard is safe and
+		// cheaper than LRU bookkeeping.
+		s.ws.Discard()
+	}
+	d, err := s.ws.Fetch(oid)
+	if err != nil {
+		return nil, err
+	}
+	return d.Object(), nil
+}
+
+// Fetch returns an object the role may read as its class name and
+// effective attributes (inheritance and class defaults applied).
+// Attributes the role is explicitly forbidden to read are left out rather
+// than failing the fetch — content filtering, like Query's rows.
+func (s *Session) Fetch(oid OID) (*proto.Object, error) { return s.fetch(oid, false) }
+
+// FetchFresh is Fetch bypassing the session's read cache.
+func (s *Session) FetchFresh(oid OID) (*proto.Object, error) { return s.fetch(oid, true) }
+
+func (s *Session) fetch(oid OID, refresh bool) (*proto.Object, error) {
+	if err := s.check(authz.Read, authz.Instance(oid)); err != nil {
+		return nil, err
+	}
+	obj, err := s.fetchObject(oid, refresh)
+	if err != nil {
+		return nil, err
+	}
+	cat := s.db.eng.Catalog
+	cl, err := cat.Class(obj.Class())
+	if err != nil {
+		return nil, err
+	}
+	attrs, err := cat.EffectiveAttrs(cl.ID)
+	if err != nil {
+		return nil, err
+	}
+	out := &proto.Object{OID: oid, Class: cl.Name, Attrs: make(Attrs, len(attrs))}
+	for _, a := range attrs {
+		if s.attrProhibited(authz.Read, cl.ID, a.Name) != nil {
+			continue
+		}
+		if v, err := s.db.Get(obj, a.Name); err == nil {
+			out.Attrs[a.Name] = v
+		}
+	}
+	return out, nil
+}
+
+// Get reads one attribute (inheritance and defaults applied): the instance
+// must be readable and the attribute not explicitly forbidden.
+func (s *Session) Get(oid OID, attr string) (Value, error) {
+	if err := s.check(authz.Read, authz.Instance(oid)); err != nil {
 		return Null, err
 	}
-	// The instance is readable; an attribute-level check can still deny
-	// via an explicit negative. The closed-world "no applicable grant"
-	// outcome falls back to the instance permission already established.
-	if err := s.az.Check(s.role, authz.Read, authz.Attribute(obj.Class(), attr)); err != nil && !isNoGrant(err) {
+	if err := s.attrProhibited(authz.Read, oid.Class(), attr); err != nil {
+		return Null, err
+	}
+	obj, err := s.fetchObject(oid, false)
+	if err != nil {
 		return Null, err
 	}
 	return s.db.Get(obj, attr)
 }
 
-func isNoGrant(err error) bool {
-	return errors.Is(err, authz.ErrNoGrant)
+// Classes returns the sorted class names of the database — the schema
+// surface a federation or a shard router enumerates. Like an aggregate row
+// it describes no one instance, so it needs read access to the database.
+func (s *Session) Classes() ([]string, error) {
+	if err := s.check(authz.Read, authz.Database()); err != nil {
+		return nil, err
+	}
+	classes := s.db.eng.Catalog.Classes()
+	names := make([]string, 0, len(classes))
+	for _, cl := range classes {
+		names = append(names, cl.Name)
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
-// Update writes attributes if the role may write the instance (and no
-// attribute-level write prohibition covers a written attribute).
-func (s *Session) Update(oid OID, attrs Attrs) error {
-	if err := s.az.Check(s.role, authz.Write, authz.Instance(oid)); err != nil {
-		return err
-	}
-	obj, err := s.db.Fetch(oid)
-	if err != nil {
-		return err
-	}
-	for name := range attrs {
-		if s.attributeWriteDenied(obj.Class(), name) {
-			return fmt.Errorf("oodb: attribute %q: %w", name, authz.ErrDenied)
-		}
-	}
-	return s.db.Do(func(tx *Tx) error { return tx.Update(oid, attrs) })
-}
-
-func (s *Session) attributeWriteDenied(class ClassID, attr string) bool {
-	err := s.az.Check(s.role, authz.Write, authz.Attribute(class, attr))
-	if err == nil {
-		return false
-	}
-	return !isNoGrant(err)
-}
+// --- Writes -------------------------------------------------------------
 
 // Insert creates an object if the role may write the class.
 func (s *Session) Insert(className string, attrs Attrs) (OID, error) {
@@ -116,11 +303,11 @@ func (s *Session) Insert(className string, attrs Attrs) (OID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.az.Check(s.role, authz.Write, authz.Class(cl.ID)); err != nil {
+	if err := s.check(authz.Write, authz.Class(cl.ID)); err != nil {
 		return 0, err
 	}
 	var oid OID
-	err = s.db.Do(func(tx *Tx) error {
+	err = s.write(func(tx *Tx) error {
 		var err error
 		oid, err = tx.Insert(className, attrs)
 		return err
@@ -128,10 +315,33 @@ func (s *Session) Insert(className string, attrs Attrs) (OID, error) {
 	return oid, err
 }
 
-// Delete removes an object if the role may write it.
-func (s *Session) Delete(oid OID) error {
-	if err := s.az.Check(s.role, authz.Write, authz.Instance(oid)); err != nil {
+// Update writes attributes if the role may write the instance and no
+// attribute-level write prohibition covers a written attribute.
+func (s *Session) Update(oid OID, attrs Attrs) error {
+	if err := s.check(authz.Write, authz.Instance(oid)); err != nil {
 		return err
 	}
-	return s.db.Do(func(tx *Tx) error { return tx.Delete(oid) })
+	for name := range attrs {
+		if err := s.attrProhibited(authz.Write, oid.Class(), name); err != nil {
+			return err
+		}
+	}
+	// The cache must not serve the pre-update image back to this session.
+	defer s.evict(oid)
+	return s.write(func(tx *Tx) error { return tx.Update(oid, attrs) })
+}
+
+// Delete removes an object if the role may write it.
+func (s *Session) Delete(oid OID) error {
+	if err := s.check(authz.Write, authz.Instance(oid)); err != nil {
+		return err
+	}
+	defer s.evict(oid)
+	return s.write(func(tx *Tx) error { return tx.Delete(oid) })
+}
+
+func (s *Session) evict(oid OID) {
+	if s.ws != nil {
+		s.ws.Evict(oid)
+	}
 }

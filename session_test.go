@@ -7,8 +7,8 @@ import (
 	"oodb/internal/authz"
 )
 
-// sessionWorld: Employees with salaries; HR reads everything, staff read
-// everything except salary, interns see nothing.
+// sessionWorld: Employees with salaries and a boss; HR reads everything,
+// staff read everything except salary, interns see nothing.
 func sessionWorld(t *testing.T) (*DB, *authz.Authorizer, OID) {
 	t.Helper()
 	db, err := Open(t.TempDir(), Options{})
@@ -19,6 +19,7 @@ func sessionWorld(t *testing.T) (*DB, *authz.Authorizer, OID) {
 	if _, err := db.DefineClass("Employee", nil,
 		Attr{Name: "name", Domain: "String"},
 		Attr{Name: "salary", Domain: "Integer"},
+		Attr{Name: "boss", Domain: "Employee"},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -54,24 +55,101 @@ func TestSessionQueryFiltering(t *testing.T) {
 	}
 }
 
+// salaryStatements all read the salary attribute somewhere: projection,
+// predicate, ORDER BY, aggregate argument, and the second step of a path.
+// internal/server's TestAuthorizationEnforced runs the same list over the
+// wire and requires the two doors to agree.
+var salaryStatements = []string{
+	`SELECT salary FROM Employee`,
+	`SELECT name FROM Employee WHERE salary > 100`,
+	`SELECT name FROM Employee ORDER BY salary`,
+	`SELECT SUM(salary) FROM Employee`,
+	`SELECT name FROM Employee WHERE boss.salary > 100`,
+}
+
 func TestSessionAttributeHiding(t *testing.T) {
 	db, az, alice := sessionWorld(t)
 	staff := db.Session(az, "staff")
+	hr := db.Session(az, "hr")
+	// name readable, salary hidden by the attribute negative.
+	if _, err := staff.Get(alice, "name"); err != nil {
+		t.Fatalf("name: %v", err)
+	}
+	if _, err := staff.Get(alice, "salary"); !errors.Is(err, authz.ErrDenied) {
+		t.Fatalf("salary: expected denial, got %v", err)
+	}
+	// HR reads both (write implies read; no negative for hr).
+	if _, err := hr.Get(alice, "salary"); err != nil {
+		t.Fatalf("hr salary: %v", err)
+	}
+	// Fetch leaves the forbidden attribute out of the view.
 	obj, err := staff.Fetch(alice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// name readable, salary hidden by the attribute negative.
-	if _, err := staff.Get(obj, "name"); err != nil {
-		t.Fatalf("name: %v", err)
+	if _, ok := obj.Attrs["salary"]; ok || Compare(obj.Attrs["name"], String("alice")) != 0 {
+		t.Fatalf("staff fetch: %v", obj.Attrs)
 	}
-	if _, err := staff.Get(obj, "salary"); !errors.Is(err, authz.ErrDenied) {
-		t.Fatalf("salary: expected denial, got %v", err)
+	if obj, err = hr.Fetch(alice); err != nil || Compare(obj.Attrs["salary"], Int(200)) != 0 {
+		t.Fatalf("hr fetch: %v %v", obj, err)
 	}
-	// HR reads both (write implies read; no negative for hr).
-	hr := db.Session(az, "hr")
-	if _, err := hr.Get(obj, "salary"); err != nil {
-		t.Fatalf("hr salary: %v", err)
+	// A statement that reads salary anywhere is refused for staff, not
+	// answered with the values or filtered on them.
+	for _, stmt := range salaryStatements {
+		if _, err := staff.Query(stmt); !errors.Is(err, authz.ErrDenied) {
+			t.Errorf("staff %s: expected denial, got %v", stmt, err)
+		}
+		if _, err := staff.QuerySnapshot(stmt); !errors.Is(err, authz.ErrDenied) {
+			t.Errorf("staff snapshot %s: expected denial, got %v", stmt, err)
+		}
+		if _, err := hr.Query(stmt); err != nil {
+			t.Errorf("hr %s: %v", stmt, err)
+		}
+	}
+}
+
+// TestSessionTransaction: the data verbs join the session's explicit
+// transaction, a query inside it reads its uncommitted writes, and the
+// transaction-state errors are typed.
+func TestSessionTransaction(t *testing.T) {
+	db, _, alice := sessionWorld(t)
+	s := db.Session(nil, "")
+	if err := s.Commit(); !errors.Is(err, ErrNoTx) {
+		t.Fatalf("commit without tx: %v", err)
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Begin(); !errors.Is(err, ErrTxOpen) {
+		t.Fatalf("double begin: %v", err)
+	}
+	bob, err := s.Insert("Employee", Attrs{"name": String("bob"), "boss": Ref(alice)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Query(`SELECT name FROM Employee WHERE boss.name = 'alice'`); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("in-tx query: %v %v", res, err)
+	}
+	if res, err := s.QuerySnapshot(`SELECT name FROM Employee`); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("snapshot inside tx sees uncommitted rows: %v %v", res, err)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Fetch(bob); err == nil {
+		t.Fatal("aborted insert still fetchable")
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(alice, Attrs{"salary": Int(300)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Get(alice, "salary"); err != nil || Compare(v, Int(300)) != 0 {
+		t.Fatalf("after commit: %v %v", v, err)
 	}
 }
 
