@@ -60,11 +60,17 @@ metrics-lint:
 crash:
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrash' .
 
-# The maintenance subsystem under the race detector: compactor, leak
-# reclaimer, statistics collector and the planner's selectivity model
-# (internal/maint, internal/stats, plus the compaction crash matrix).
+# The maintenance subsystem under the race detector: compactor, automatic
+# compaction (trigger, quiet rule, hysteresis), leak reclaimer, statistics
+# collector and the planner's selectivity model (internal/maint,
+# internal/stats), the segment counters and the detached-heap rule
+# (internal/storage), the front-door pair — one automatic rewrite after a
+# bulk delete, lock-free readers beside looping rewrites — plus the
+# compaction crash matrix.
 maint:
 	$(GO) test -race -count=1 ./internal/maint/ ./internal/stats/
+	$(GO) test -race -count=1 -run 'TestSegmentCountersMatchScan|TestSegmentInfoNoPageIO|TestDetachedHeapTurnsReadersAway' ./internal/storage/
+	$(GO) test -race -count=1 -run 'TestFetchDuringCompaction|TestAutoCompactOnceAfterBulkDelete' .
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrashDuringCompaction|TestCrashCheckpointRootSwap' .
 
 # The MVCC snapshot stack under the race detector: visibility and

@@ -75,6 +75,10 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			// The physical contract below is about the one rewrite the test
+			// asks for: no automatic one before it.
+			mnt := db.Maintenance(maint.Options{Clustering: tc.policy})
+			mnt.Stop()
 			g, err := bench.BuildOO1(db, clParts, clConn, clNoisePer, clSeed)
 			if err != nil {
 				t.Fatal(err)
@@ -165,7 +169,7 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 				}
 			}()
 
-			res, err := db.Maintenance(maint.Options{Clustering: tc.policy}).CompactClass(cls.ID)
+			res, err := mnt.CompactClass(cls.ID)
 			close(stop)
 			wg.Wait()
 			if err != nil {
@@ -232,6 +236,8 @@ func TestSnapshotPinnedAcrossClusteredRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	mnt := db.Maintenance(maint.Options{Clustering: maint.ClusterComposite})
+	mnt.Stop() // the rewrite under test is the only one
 	g, err := bench.BuildOO1(db, 100, 2, 2, clSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +257,7 @@ func TestSnapshotPinnedAcrossClusteredRewrite(t *testing.T) {
 
 	snap := db.BeginSnapshot()
 	defer snap.Commit()
-	if res, err := db.Maintenance(maint.Options{Clustering: maint.ClusterComposite}).CompactClass(cls.ID); err != nil {
+	if res, err := mnt.CompactClass(cls.ID); err != nil {
 		t.Fatal(err)
 	} else if res.Reordered == 0 {
 		t.Fatal("rewrite moved nothing; snapshot pinning untested")

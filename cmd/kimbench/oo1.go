@@ -93,6 +93,10 @@ func runOO1Bench(outPath string) {
 		check(err)
 		db, err := oodb.Open(dir, oodb.Options{NoSync: true, PoolPages: 8192, CheckpointBytes: 1 << 30})
 		check(err)
+		// The experiment compares layouts it makes itself: stop the
+		// database's manager from compacting the fragmented one unasked.
+		mnt := db.Maintenance(maint.Options{Clustering: policy})
+		mnt.Stop()
 		g, err := bench.BuildOO1(db, nParts, conn, noisePer, seed)
 		check(err)
 		cls, err := db.ClassByName("Part")
@@ -105,7 +109,6 @@ func runOO1Bench(outPath string) {
 		occ := info.Occupancy
 		pages, reordered := info.Pages, 0
 		if compactIt {
-			mnt := db.Maintenance(maint.Options{Clustering: policy})
 			res, err := mnt.CompactClass(cls.ID)
 			check(err)
 			pages, reordered = res.PagesAfter, res.Reordered
@@ -127,6 +130,7 @@ func runOO1Bench(outPath string) {
 		for rep := 0; rep < reps; rep++ {
 			db, err := oodb.Open(dir, oodb.Options{NoSync: true, PoolPages: coldPool})
 			check(err)
+			db.Maintenance(maint.Options{}).Stop() // measure the layout as built
 			_, m0 := db.Engine().Store.PoolStats()
 			start := time.Now()
 			visits, hash = 0, 0
@@ -145,6 +149,7 @@ func runOO1Bench(outPath string) {
 		// context for how much of the win is density vs placement.
 		db, err := oodb.Open(dir, oodb.Options{NoSync: true, PoolPages: coldPool})
 		check(err)
+		db.Maintenance(maint.Options{}).Stop()
 		s0 := time.Now()
 		res, err := db.Query(`SELECT pid FROM Part WHERE pid >= 0`)
 		check(err)
@@ -193,6 +198,7 @@ func runOO1Bench(outPath string) {
 		db, err := oodb.Open(dir, oodb.Options{NoSync: true, PoolPages: coldPool})
 		check(err)
 		defer db.Close()
+		db.Maintenance(maint.Options{}).Stop()
 		_, m0 := db.Engine().Store.PoolStats()
 		start := time.Now()
 		for _, pid := range hotPids {
@@ -208,6 +214,8 @@ func runOO1Bench(outPath string) {
 	{
 		db, err := oodb.Open(fragDir, oodb.Options{NoSync: true, PoolPages: 8192})
 		check(err)
+		mnt := db.Maintenance(maint.Options{Clustering: maint.ClusterHot})
+		mnt.Stop() // the heat-ordered rewrite below is the only one
 		cls, err := db.ClassByName("Part")
 		check(err)
 		for pass := 0; pass < 3; pass++ { // accumulate heat on the hot set
@@ -216,7 +224,6 @@ func runOO1Bench(outPath string) {
 				check(err)
 			}
 		}
-		mnt := db.Maintenance(maint.Options{Clustering: maint.ClusterHot})
 		res, err := mnt.CompactClass(cls.ID)
 		check(err)
 		hotReordered = res.Reordered

@@ -40,6 +40,7 @@
 //	.analyze SELECT ...                 run the query, show the annotated plan
 //	.compact [Class]                    compact segments (all, or one class)
 //	.stats [Class]                      collect and show planner statistics
+//	.segments                           per class: pages, live records, occupancy, last automatic compaction
 //	.metrics                            dump the obs metric snapshot as JSON
 //	.checkpoint                         force a checkpoint
 //	.connect host:port [role [token]]   switch to remote mode against a kimsrv
@@ -101,7 +102,6 @@ func main() {
 		}
 		defer db.Close()
 		sh.db = db
-		sh.mnt = db.Maintenance(maint.Options{})
 	}
 	if *connect != "" {
 		if err := sh.connect([]string{*connect, *role, *token}); err != nil {
@@ -157,7 +157,6 @@ func (sh *shell) run(in io.Reader) {
 type shell struct {
 	db        *oodb.DB
 	out, errw io.Writer
-	mnt       *maint.Manager
 	remote    *client.Client
 	sharded   *shard.Router
 }
@@ -221,7 +220,7 @@ func (sh *shell) exec(line string) error {
 	}
 	switch {
 	case line == ".help":
-		fmt.Fprintln(sh.out, "queries: SELECT ... ; commands: .defclass .attr .index .indexes .classes .schema .insert .set .del .get .explain .analyze .compact .stats .metrics .snapshot .snapshots .schemadiff .checkpoint .connect .disconnect .begin .commit .abort .ping .shard .quit")
+		fmt.Fprintln(sh.out, "queries: SELECT ... ; commands: .defclass .attr .index .indexes .classes .schema .insert .set .del .get .explain .analyze .compact .stats .segments .metrics .snapshot .snapshots .schemadiff .checkpoint .connect .disconnect .begin .commit .abort .ping .shard .quit")
 		return nil
 	case line == ".metrics":
 		out, err := json.MarshalIndent(sh.db.Metrics(), "", "  ")
@@ -257,6 +256,8 @@ func (sh *shell) exec(line string) error {
 		return nil
 	case line == ".checkpoint":
 		return sh.db.Checkpoint()
+	case line == ".segments":
+		return sh.segments()
 	case line == ".snapshots":
 		vs, err := sh.db.SchemaVersions()
 		if err != nil {
@@ -338,6 +339,32 @@ func (sh *shell) exec(line string) error {
 	}
 }
 
+// mnt is the embedded database's one maintenance manager, the one that also
+// compacts on its own: what the shell asks for is serialized with that.
+func (sh *shell) mnt() *maint.Manager { return sh.db.Maintenance(maint.Options{}) }
+
+// segments lists every class's segment from the heap's own counters (no
+// page is read) and when the manager last compacted it unasked.
+func (sh *shell) segments() error {
+	mnt := sh.mnt()
+	fmt.Fprintf(sh.out, "  %-20s %8s %10s %9s  %s\n", "class", "pages", "live", "occupancy", "last auto-compaction")
+	for _, cl := range sh.db.Engine().Catalog.Classes() {
+		info, err := sh.db.Engine().SegmentInfo(cl.ID)
+		if err != nil {
+			return err
+		}
+		if info == nil {
+			continue
+		}
+		last := "never"
+		if when, ok := mnt.LastAutoCompaction(cl.ID); ok {
+			last = when.Format("2006-01-02 15:04:05")
+		}
+		fmt.Fprintf(sh.out, "  %-20s %8d %10d %9.2f  %s\n", cl.Name, info.Pages, info.LiveRecords, info.Occupancy, last)
+	}
+	return nil
+}
+
 // compact rewrites one class's segment (or every segment) online and
 // reports the space recovered.
 func (sh *shell) compact(args []string) error {
@@ -349,14 +376,14 @@ func (sh *shell) compact(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := sh.mnt.CompactClass(cl.ID)
+		res, err := sh.mnt().CompactClass(cl.ID)
 		if err != nil {
 			return err
 		}
 		report(cl.Name, res.PagesBefore, res.PagesAfter)
 		return sh.db.Checkpoint()
 	}
-	results, err := sh.mnt.CompactAll()
+	results, err := sh.mnt().CompactAll()
 	if err != nil {
 		return err
 	}
@@ -378,14 +405,14 @@ func (sh *shell) stats(args []string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := sh.mnt.AnalyzeClass(cl.ID); err != nil {
+		if _, err := sh.mnt().AnalyzeClass(cl.ID); err != nil {
 			return err
 		}
 		if err := sh.db.Checkpoint(); err != nil {
 			return err
 		}
 		classes = []*oodb.Class{cl}
-	} else if _, err := sh.mnt.AnalyzeAll(); err != nil {
+	} else if _, err := sh.mnt().AnalyzeAll(); err != nil {
 		return err
 	}
 	reg := sh.db.Engine().Stats

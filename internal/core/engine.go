@@ -109,6 +109,13 @@ type DB struct {
 
 	closed atomic.Bool
 
+	// afterCkpt, when set, runs after every checkpoint that completed, on
+	// the goroutine that ran it and outside the checkpoint locks (but
+	// possibly inside ddlMu: DDL closes with a checkpoint). It is how the
+	// maintenance manager learns that a segment has gone sparse without
+	// polling; it must not block or take engine locks.
+	afterCkpt atomic.Pointer[func()]
+
 	// Fail-stop poison latch: set when a commit fails after its effects
 	// reached the heap (WAL append or durability wait failed). The failed
 	// transaction's locks are retained and every subsequent locked
@@ -333,8 +340,22 @@ func (db *DB) Close() error {
 // a freed segment) is gone.
 func (db *DB) Checkpoint() error {
 	db.ckptRun.Lock()
-	defer db.ckptRun.Unlock()
-	return db.checkpointExclusive()
+	err := db.checkpointExclusive()
+	db.ckptRun.Unlock()
+	if err == nil {
+		db.checkpointed()
+	}
+	return err
+}
+
+// OnCheckpoint registers fn to run after every completed checkpoint (see
+// DB.afterCkpt for what fn may do), replacing any earlier registration.
+func (db *DB) OnCheckpoint(fn func()) { db.afterCkpt.Store(&fn) }
+
+func (db *DB) checkpointed() {
+	if fn := db.afterCkpt.Load(); fn != nil {
+		(*fn)()
+	}
 }
 
 // checkpointExclusive is Checkpoint for a caller that holds ckptRun.
@@ -420,11 +441,14 @@ func (db *DB) maybeCheckpoint() {
 	if !db.ckptRun.TryLock() {
 		return
 	}
-	defer db.ckptRun.Unlock()
-	if err := db.checkpointExclusive(); err != nil {
+	err = db.checkpointExclusive()
+	db.ckptRun.Unlock()
+	if err != nil {
 		mCkptErrors.Add(1)
 		obs.Logf("core: auto-checkpoint failed (WAL retained at %d bytes): %v", size, err)
+		return
 	}
+	db.checkpointed()
 }
 
 // replay applies recovered WAL records: redo committed transactions in

@@ -54,8 +54,10 @@ func (db *DB) CompactClassOrdered(class model.ClassID, order storage.Placement, 
 	var (
 		detached *storage.DetachedSegment
 		result   *storage.CompactResult
+		locked   time.Time
 	)
 	err := db.ddl([]model.ClassID{class}, func() error {
+		locked = time.Now()
 		if _, err := db.Log.Append(wal.Record{Type: wal.RecCompaction, OID: model.OID(class)}); err != nil {
 			return err
 		}
@@ -66,6 +68,7 @@ func (db *DB) CompactClassOrdered(class model.ClassID, order storage.Placement, 
 	if err != nil {
 		return nil, err
 	}
+	result.LockHeld = time.Since(locked)
 	if err := db.Store.FreeDetached(detached); err != nil {
 		return result, err
 	}
@@ -148,11 +151,12 @@ func (db *DB) ReclaimLeakedWait(wait time.Duration) (int, error) {
 }
 
 // SegmentInfo reports the physical shape of a class's segment — the
-// fragmentation signal the maintenance policy triggers compaction on.
-// Returns nil if the class has no materialized segment.
+// fragmentation signal the maintenance policy triggers compaction on —
+// from counters the heap keeps, without reading a page. Returns nil if the
+// class has no materialized segment.
 func (db *DB) SegmentInfo(class model.ClassID) (*storage.SegmentInfo, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	return db.Store.SegmentInfo(class)
+	return db.Store.SegmentInfo(class), nil
 }

@@ -26,6 +26,7 @@ type WALFile struct {
 	pos     int64
 	size    int64
 	durable int64
+	crashed bool // applyCrash has cut the tail
 }
 
 // WrapWAL returns an Options.WrapWAL hook injecting faults through inj.
@@ -108,8 +109,14 @@ func (w *WALFile) Sync() error {
 		return err
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.crashed {
+		// Another goroutine's op fired the crash while this fsync was in
+		// flight, and the tail it was syncing has been cut: the caller of
+		// an fsync the power failed under never hears that it succeeded.
+		return ErrCrashed
+	}
 	w.durable = w.size
-	w.mu.Unlock()
 	return nil
 }
 
@@ -143,6 +150,7 @@ func (w *WALFile) Close() error { return w.f.Close() }
 func (w *WALFile) applyCrash(rng *rand.Rand) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.crashed = true
 	tail := w.size - w.durable
 	if tail <= 0 {
 		return

@@ -52,10 +52,11 @@ func (p ClusterPolicy) String() string {
 // policyFor resolves the effective policy for a class: per-class override
 // first, then the manager-wide default.
 func (m *Manager) policyFor(class model.ClassID) ClusterPolicy {
-	if p, ok := m.opts.ClusterOverride[class]; ok {
+	opts := m.opts.Load()
+	if p, ok := opts.ClusterOverride[class]; ok {
 		return p
 	}
-	return m.opts.Clustering
+	return opts.Clustering
 }
 
 // placement builds the storage.Placement for a policy, or nil for

@@ -1,13 +1,13 @@
-// Package maint is kimdb's online maintenance subsystem: a background
-// manager that watches the storage accountant's fragmentation and leak
-// signals, compacts heap segments live (reclustering each class's objects
-// into densely packed pages), reclaims pages leaked by crashes inside the
-// detach→checkpoint→free window, and collects the per-class statistics the
-// query planner's selectivity model consumes (internal/stats →
-// internal/query). Kim §5 calls out performance as the open front for
-// OODBs; a database that runs for months needs its physical layout and its
-// optimizer statistics maintained while it serves traffic — this package
-// is that janitor.
+// Package maint is kimdb's online maintenance subsystem: the manager an
+// open database runs (oodb.Open starts one) to compact heap segments live
+// once they have gone mostly dead (auto.go), and the on-demand operations —
+// a full sweep that also reclaims pages leaked by crashes inside the
+// detach→checkpoint→free window, clustered rewrites, and collection of the
+// per-class statistics the query planner's selectivity model consumes
+// (internal/stats → internal/query). Kim §5 calls out performance as the
+// open front for OODBs; a database that runs for months needs its physical
+// layout and its optimizer statistics maintained while it serves traffic —
+// this package is that janitor.
 //
 // All mechanisms live in internal/core (CompactClass, ReclaimLeaked,
 // AnalyzeClass) and inherit the crash-safety protocol proven by the fault
@@ -16,6 +16,7 @@ package maint
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oodb/internal/core"
@@ -26,8 +27,6 @@ import (
 
 // Options tunes the maintenance policy. Zero values select defaults.
 type Options struct {
-	// Interval between background sweeps (default 30s).
-	Interval time.Duration
 	// LeakThreshold is the leaked-page count at which a sweep runs the
 	// reclaimer (default 1: any leak is reclaimed).
 	LeakThreshold uint64
@@ -53,9 +52,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval == 0 {
-		o.Interval = 30 * time.Second
-	}
 	if o.LeakThreshold == 0 {
 		o.LeakThreshold = 1
 	}
@@ -72,21 +68,36 @@ func (o Options) withDefaults() Options {
 }
 
 // Manager runs maintenance for one database. All entry points are safe for
-// concurrent use; sweeps are serialized against each other.
+// concurrent use; sweeps and compactions are serialized against each other.
 type Manager struct {
 	db   *core.DB
-	opts Options
+	opts atomic.Pointer[Options] // replaced whole by Configure
 
-	mu      sync.Mutex // serializes sweeps and Start/Stop state
+	mu      sync.Mutex // serializes sweeps, compactions and Start/Stop state
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
+
+	auto autoState
+	now  func() time.Time // the clock of the quiet rule; tests inject one
 }
 
-// New returns a manager over db. The background loop does not run until
+// New returns a manager over db. Nothing runs in the background until
 // Start; every operation is also available on demand.
 func New(db *core.DB, opts Options) *Manager {
-	return &Manager{db: db, opts: opts.withDefaults()}
+	m := &Manager{db: db, now: time.Now}
+	m.auto.init()
+	m.Configure(opts)
+	return m
+}
+
+// Configure replaces the manager's options (zero values select defaults).
+// It is how a database's one manager is given another trigger threshold or
+// placement policy; a compaction already running finishes under the old
+// ones.
+func (m *Manager) Configure(opts Options) {
+	opts = opts.withDefaults()
+	m.opts.Store(&opts)
 }
 
 // SweepReport summarizes one maintenance sweep.
@@ -99,7 +110,12 @@ type SweepReport struct {
 	Busy          bool // some step yielded to in-flight transactions
 }
 
-// Start launches the background sweep loop.
+// Start launches automatic compaction: the manager registers for the
+// engine's checkpoint events and rewrites segments they report as sparse
+// (see auto.go), beginning with a look of its own — a database reopened
+// with dead space in it need not wait for its first checkpoint. There is
+// no periodic sweep — RunOnce walks every page of the file and fences
+// transaction begins, so it stays an operator's call.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -109,11 +125,14 @@ func (m *Manager) Start() {
 	m.started = true
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
+	m.db.OnCheckpoint(m.observe)
+	m.observe()
 	go m.loop(m.stop, m.done)
 }
 
-// Stop halts the background loop and waits for an in-flight sweep to
-// finish. Safe to call multiple times or without Start.
+// Stop halts automatic compaction and waits for a rewrite in flight to
+// finish: from its return the physical layout changes only on demand.
+// Safe to call multiple times or without Start.
 func (m *Manager) Stop() {
 	m.mu.Lock()
 	if !m.started {
@@ -127,28 +146,13 @@ func (m *Manager) Stop() {
 	<-done
 }
 
-func (m *Manager) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(m.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			// Best-effort: a failed sweep (e.g. the database closed under
-			// us) leaves the data intact and the next tick retries.
-			_, _ = m.RunOnce()
-		}
-	}
-}
-
 // RunOnce performs one full sweep: account pages, reclaim leaks past the
 // threshold, compact every fragmented segment (collecting statistics in
 // the same pass), and persist what changed.
 func (m *Manager) RunOnce() (SweepReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	opts := m.opts.Load()
 	mSweepRuns.Add(1)
 	t0 := time.Now()
 	defer func() { mSweepNs.Observe(uint64(time.Since(t0))) }()
@@ -162,12 +166,12 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if acct.Leaked >= m.opts.LeakThreshold {
+	if acct.Leaked >= opts.LeakThreshold {
 		// Bounded quiesce: briefly hold new begins and let in-flight
 		// transactions drain. A sweep that still cannot quiesce counts as
 		// starved — a run of those is the signal the window is too small
 		// for the workload.
-		n, err := m.db.ReclaimLeakedWait(m.opts.ReclaimWait)
+		n, err := m.db.ReclaimLeakedWait(opts.ReclaimWait)
 		switch {
 		case err == core.ErrBusy:
 			rep.Busy = true
@@ -185,10 +189,10 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		if info == nil || info.Pages < m.opts.MinPages || info.Occupancy >= m.opts.MinOccupancy {
+		if !opts.sparse(info) {
 			continue
 		}
-		res, err := m.compact(cl.ID)
+		res, err := m.compact(cl.ID, m.policyFor(cl.ID))
 		if err != nil {
 			return rep, err
 		}
@@ -213,12 +217,13 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 func (m *Manager) CompactClass(class model.ClassID) (*storage.CompactResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.compact(class)
+	return m.compact(class, m.policyFor(class))
 }
 
-func (m *Manager) compact(class model.ClassID) (*storage.CompactResult, error) {
+// compact rewrites one segment under the given placement policy. Caller
+// holds m.mu.
+func (m *Manager) compact(class model.ClassID, policy ClusterPolicy) (*storage.CompactResult, error) {
 	t0 := time.Now()
-	policy := m.policyFor(class)
 	order, err := m.placement(class, policy)
 	if err != nil {
 		return nil, err
@@ -266,7 +271,7 @@ func (m *Manager) CompactAll() (map[model.ClassID]*storage.CompactResult, error)
 		if info == nil {
 			continue
 		}
-		res, err := m.compact(cl.ID)
+		res, err := m.compact(cl.ID, m.policyFor(cl.ID))
 		if err != nil {
 			return out, err
 		}
@@ -325,8 +330,13 @@ func (m *Manager) AnalyzeAll() (int, error) {
 
 // ReclaimLeaked frees leaked pages on demand, quiescing for up to the
 // configured ReclaimWait (ErrBusy when transactions outlast the window).
+// It takes the sweep mutex: between a compaction's checkpoint and its frees
+// the old chain is unnamed but still allocated, and a reclaim running there
+// would free it a first time.
 func (m *Manager) ReclaimLeaked() (int, error) {
-	n, err := m.db.ReclaimLeakedWait(m.opts.ReclaimWait)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n, err := m.db.ReclaimLeakedWait(m.opts.Load().ReclaimWait)
 	switch {
 	case err == core.ErrBusy:
 		mReclaimStarved.Add(1)

@@ -390,20 +390,6 @@ func TestReclaimYieldsToTransactions(t *testing.T) {
 	}
 }
 
-// TestStartStop exercises the background loop lifecycle.
-func TestStartStop(t *testing.T) {
-	db, _, _ := openDB(t)
-	m := New(db, Options{Interval: time.Millisecond})
-	m.Start()
-	m.Start() // idempotent
-	time.Sleep(20 * time.Millisecond)
-	m.Stop()
-	m.Stop() // idempotent
-	if n := obs.TakeSnapshot().Counters["maint_sweep_runs_total"]; n == 0 {
-		t.Fatal("background loop never swept")
-	}
-}
-
 // TestAnalyzeIgnoresUncommitted pins the snapshot-read fix: ANALYZE used
 // to scan the raw heap and fold a concurrent writer's uncommitted rows
 // into the planner statistics — rows an abort then made vanish, leaving

@@ -21,4 +21,18 @@ var (
 	// moved away from scan order (CompactResult.Reordered).
 	mClusterCompactions = obs.RegisterCounter("maint_cluster_compactions_total")
 	mClusterReordered   = obs.RegisterCounter("maint_cluster_objects_reordered")
+
+	// Automatic compaction, cost beside gain (auto.go): how many rewrites
+	// the manager started on its own, what they wrote (the pages and record
+	// bytes of the fresh segments — the reorganisation I/O), how long each
+	// excluded writers of its class, and how often the quiet and hysteresis
+	// rules held one back. The gain is the foreground's:
+	// storage_buffer_fetch_misses per operation.
+	mAutoCompactions    = obs.RegisterCounter("maint_auto_compactions_total")
+	mAutoPagesRewritten = obs.RegisterCounter("maint_auto_pages_rewritten")
+	mAutoBytesRewritten = obs.RegisterCounter("maint_auto_bytes_rewritten")
+	mAutoLockNs         = obs.RegisterHistogram("maint_auto_lock_held_ns")
+	mAutoSkipQuiet      = obs.RegisterCounter("maint_auto_skipped_quiet_total")
+	mAutoSkipHysteresis = obs.RegisterCounter("maint_auto_skipped_hysteresis_total")
+	mAutoErrors         = obs.RegisterCounter("maint_auto_errors_total")
 )

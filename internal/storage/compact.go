@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"oodb/internal/model"
 )
@@ -33,6 +34,10 @@ type CompactResult struct {
 	PagesBefore int   // heap chain length before (overflow pages excluded)
 	PagesAfter  int   // heap chain length after
 	Reordered   int   // records placed at a different position than scan order
+	// LockHeld is how long writers of the class were excluded: from the
+	// class write lock being granted to its release after the closing
+	// checkpoint. Set by core.CompactClassOrdered, which takes the lock.
+	LockHeld time.Duration
 }
 
 // Placement is a compaction ordering policy: given the class's live OIDs in
@@ -53,61 +58,38 @@ type CompactResult struct {
 type Placement func(scanOrder []model.OID) []model.OID
 
 // SegmentInfo is the occupancy snapshot the maintenance trigger policy
-// reads: how full a class's heap pages are with live, current records.
+// reads: how full a class's heap pages are with live records.
 type SegmentInfo struct {
 	Class       model.ClassID
 	Pages       int     // heap chain length (overflow pages excluded)
-	LiveRecords int     // live records whose RID the directory names
+	LiveRecords int     // live slots in those pages
 	LiveBytes   int64   // heap-resident bytes of those records (stubs, not chains)
 	Occupancy   float64 // LiveBytes / (Pages × usable page payload), clamped to 1
+	Mutations   uint64  // writes to the segment since open; unchanged means write-quiet
 }
 
-// SegmentInfo computes the occupancy of a class's segment with one scan.
-// Returns nil (no error) if the class has no segment.
-func (s *Store) SegmentInfo(class model.ClassID) (*SegmentInfo, error) {
+// SegmentInfo returns the occupancy of a class's segment from the heap's
+// own counters (Heap.Stats): no page is read, so a checkpoint can afford to
+// ask about every class. Nil if the class has no segment.
+//
+// The counters see slots, not the directory: a stale duplicate a crash left
+// behind counts as live until a rewrite drops it.
+func (s *Store) SegmentInfo(class model.ClassID) *SegmentInfo {
 	s.mu.RLock()
 	h, ok := s.heaps[class]
-	cur := make(map[model.OID]RID)
-	for oid, rid := range s.dir {
-		if oid.Class() == class {
-			cur[oid] = rid
-		}
-	}
 	s.mu.RUnlock()
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	info := &SegmentInfo{Class: class}
-	err := h.Scan(func(rid RID, data []byte) bool {
-		oid, n := binary.Uvarint(data)
-		if n <= 0 {
-			return true
-		}
-		if r, ok := cur[model.OID(oid)]; !ok || r != rid {
-			return true // dead or shadowed copy: not live space
-		}
-		info.LiveRecords++
-		resident := int64(len(data)) + 1 // payload + record tag byte
-		if resident > maxInline {
-			// Overflowed record: only its stub lives in the heap page.
-			resident = 1 + 2*binary.MaxVarintLen64
-		}
-		info.LiveBytes += resident
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if info.Pages, err = h.Pages(); err != nil {
-		return nil, err
+	st := h.Stats()
+	info := &SegmentInfo{
+		Class: class, Pages: st.Pages, LiveRecords: st.Records,
+		LiveBytes: st.Bytes, Mutations: st.Mutations,
 	}
 	if info.Pages > 0 {
-		info.Occupancy = float64(info.LiveBytes) / float64(info.Pages*MaxRecord)
-		if info.Occupancy > 1 {
-			info.Occupancy = 1
-		}
+		info.Occupancy = min(1, float64(info.LiveBytes)/float64(info.Pages*MaxRecord))
 	}
-	return info, nil
+	return info
 }
 
 // RewriteSegment copies every live, current record of the class into a
@@ -119,8 +101,9 @@ func (s *Store) SegmentInfo(class model.ClassID) (*SegmentInfo, error) {
 // Concurrency contract: the caller must exclude writers of the class for
 // the duration (core.CompactClass holds the class write lock under the DDL
 // mutex). Lock-free readers that resolved an RID before the swap keep
-// reading the old heap's pages, which stay intact until FreeDetached —
-// the same discipline DropClass relies on.
+// reading the old heap's pages, which stay intact until FreeDetached;
+// FreeDetached turns away the ones that have not reached the heap latch yet
+// and they resolve again, to the fresh heap (see Heap.detach).
 //
 // visit, when non-nil, observes each copied record — the statistics
 // collector rides along on the sweep so compaction and ANALYZE share one
@@ -159,11 +142,7 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoSegment, class)
 	}
-	res := &CompactResult{Class: class}
-	var err error
-	if res.PagesBefore, err = old.Pages(); err != nil {
-		return nil, nil, err
-	}
+	res := &CompactResult{Class: class, PagesBefore: old.Stats().Pages}
 
 	// Collect the live set in scan order. The scan's buffer is reused from
 	// page to page, so each kept record is copied out of it.
@@ -172,7 +151,7 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 		data []byte
 	}
 	var live []liveRec
-	err = old.Scan(func(rid RID, data []byte) bool {
+	err := old.Scan(func(rid RID, data []byte) bool {
 		raw, n := binary.Uvarint(data)
 		if n <= 0 {
 			return true // torn record: nothing names it
@@ -246,9 +225,7 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 			visit(r.oid, r.data)
 		}
 	}
-	if res.PagesAfter, err = fresh.Pages(); err != nil {
-		return abort(err)
-	}
+	res.PagesAfter = fresh.Stats().Pages
 	s.mu.Lock()
 	if h, ok := s.heaps[class]; !ok || h != old {
 		s.mu.Unlock()

@@ -147,10 +147,7 @@ func TestSegmentInfoOccupancy(t *testing.T) {
 	defer s.Close()
 	oids := fillSegment(t, s, compactTestClass, 300, 0)
 
-	dense, err := s.SegmentInfo(compactTestClass)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := s.SegmentInfo(compactTestClass)
 	if dense == nil || dense.LiveRecords != len(oids) || dense.Pages == 0 {
 		t.Fatalf("dense info = %+v", dense)
 	}
@@ -161,10 +158,7 @@ func TestSegmentInfoOccupancy(t *testing.T) {
 			}
 		}
 	}
-	sparse, err := s.SegmentInfo(compactTestClass)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sparse := s.SegmentInfo(compactTestClass)
 	if sparse.Pages != dense.Pages {
 		t.Fatalf("deletes changed the chain length: %d -> %d", dense.Pages, sparse.Pages)
 	}
@@ -174,8 +168,8 @@ func TestSegmentInfoOccupancy(t *testing.T) {
 	if sparse.Occupancy <= 0 || dense.Occupancy > 1 {
 		t.Fatalf("occupancy out of range: dense=%.3f sparse=%.3f", dense.Occupancy, sparse.Occupancy)
 	}
-	if info, err := s.SegmentInfo(model.ClassID(99)); err != nil || info != nil {
-		t.Fatalf("no-segment info = (%v, %v), want (nil, nil)", info, err)
+	if info := s.SegmentInfo(model.ClassID(99)); info != nil {
+		t.Fatalf("no-segment info = %v, want nil", info)
 	}
 }
 

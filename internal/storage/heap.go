@@ -47,7 +47,34 @@ type Heap struct {
 	pool  *BufferPool
 	First PageID
 	Last  PageID
+
+	// stats is the segment's accounting, kept current by every mutation
+	// under mu (and seeded by RecoverScan at open), so the occupancy the
+	// maintenance trigger reads costs no page I/O.
+	stats HeapStats
+
+	// detached is set, under mu, before a segment's pages are freed
+	// (Store.FreeDetached): a reader that resolved this heap through the
+	// store's directory and was descheduled before taking the latch finds
+	// the flag and re-resolves instead of reading a freed page. scans
+	// counts the scans that registered before the flag went up; the free
+	// waits for them.
+	detached bool
+	scans    sync.WaitGroup
 }
+
+// HeapStats is a heap's incremental accounting.
+type HeapStats struct {
+	Pages     int    // heap chain length (overflow pages excluded)
+	Records   int    // live slots
+	Bytes     int64  // stored bytes of those slots: tag + payload, or tag + overflow stub
+	Mutations uint64 // inserts, updates and deletes since open: unchanged means write-quiet
+}
+
+// errHeapDetached is the sentinel Read and Scan return on a heap whose
+// pages are being freed. It never leaves the package: the Store callers
+// re-resolve the class through the directory.
+var errHeapDetached = errors.New("storage: heap detached")
 
 // NewHeap creates an empty heap with one allocated page.
 func NewHeap(pool *BufferPool) (*Heap, error) {
@@ -56,12 +83,30 @@ func NewHeap(pool *BufferPool) (*Heap, error) {
 		return nil, err
 	}
 	pool.Unpin(id, true)
-	return &Heap{pool: pool, First: id, Last: id}, nil
+	return &Heap{pool: pool, First: id, Last: id, stats: HeapStats{Pages: 1}}, nil
 }
 
-// OpenHeap re-attaches to an existing heap chain.
+// OpenHeap re-attaches to an existing heap chain. Its accounting is zero
+// until RecoverScan has walked the chain.
 func OpenHeap(pool *BufferPool, first, last PageID) *Heap {
 	return &Heap{pool: pool, First: first, Last: last}
+}
+
+// Stats returns the heap's accounting.
+func (h *Heap) Stats() HeapStats {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.stats
+}
+
+// detach marks the heap as no longer readable and waits for the scans
+// already inside it. After it returns nothing but the caller touches the
+// heap's pages.
+func (h *Heap) detach() {
+	h.mu.Lock()
+	h.detached = true
+	h.mu.Unlock()
+	h.scans.Wait()
 }
 
 // maxInline is the largest payload stored inline (tag byte included in the
@@ -72,6 +117,7 @@ const maxInline = MaxRecord - 1
 func (h *Heap) Insert(data []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.stats.Mutations++
 	return h.insert(data)
 }
 
@@ -103,6 +149,8 @@ func (h *Heap) insertRec(rec []byte) (RID, error) {
 	slot, err := p.Insert(rec)
 	if err == nil {
 		h.pool.Unpin(h.Last, true)
+		h.stats.Records++
+		h.stats.Bytes += int64(len(rec))
 		return RID{Page: h.Last, Slot: uint16(slot)}, nil
 	}
 	if !errors.Is(err, ErrPageFull) {
@@ -125,6 +173,9 @@ func (h *Heap) insertRec(rec []byte) (RID, error) {
 		h.Last = prev
 		return RID{}, err
 	}
+	h.stats.Pages++
+	h.stats.Records++
+	h.stats.Bytes += int64(len(rec))
 	return RID{Page: newID, Slot: uint16(slot)}, nil
 }
 
@@ -137,10 +188,14 @@ func (h *Heap) Bounds() (first, last PageID) {
 	return h.First, h.Last
 }
 
-// Read returns a copy of the payload stored at rid.
+// Read returns a copy of the payload stored at rid, or errHeapDetached when
+// the heap's pages are being freed.
 func (h *Heap) Read(rid RID) ([]byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	if h.detached {
+		return nil, errHeapDetached
+	}
 	return h.read(rid)
 }
 
@@ -183,6 +238,7 @@ func (h *Heap) appendPayload(dst, rec []byte, rid RID) ([]byte, error) {
 func (h *Heap) Update(rid RID, data []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.stats.Mutations++
 	return h.update(rid, data)
 }
 
@@ -191,53 +247,47 @@ func (h *Heap) update(rid RID, data []byte) (RID, error) {
 	if err := h.freeIfOverflow(rid); err != nil {
 		return RID{}, err
 	}
+	var rec []byte
 	if len(data) <= maxInline {
-		rec := make([]byte, 0, len(data)+1)
+		rec = make([]byte, 0, len(data)+1)
 		rec = append(rec, recInline)
 		rec = append(rec, data...)
-		p, err := h.pool.Fetch(rid.Page)
+	} else {
+		// New image needs overflow: write chain, swap the stub in.
+		head, err := h.writeOverflow(data)
 		if err != nil {
 			return RID{}, err
 		}
-		err = p.Update(int(rid.Slot), rec)
-		h.pool.Unpin(rid.Page, true)
-		if err == nil {
-			return rid, nil
-		}
-		if !errors.Is(err, ErrPageFull) {
-			return RID{}, err
-		}
-		// Page.Update already removed the old record; relocate.
-		return h.insertRec(rec)
+		rec = make([]byte, 0, 16)
+		rec = append(rec, recOverflow)
+		rec = binary.AppendUvarint(rec, uint64(len(data)))
+		rec = binary.AppendUvarint(rec, uint64(head))
 	}
-	// New image needs overflow: write chain, swap the stub in.
-	head, err := h.writeOverflow(data)
-	if err != nil {
-		return RID{}, err
-	}
-	stub := make([]byte, 0, 16)
-	stub = append(stub, recOverflow)
-	stub = binary.AppendUvarint(stub, uint64(len(data)))
-	stub = binary.AppendUvarint(stub, uint64(head))
 	p, err := h.pool.Fetch(rid.Page)
 	if err != nil {
 		return RID{}, err
 	}
-	err = p.Update(int(rid.Slot), stub)
+	old := p.recLen(int(rid.Slot))
+	err = p.Update(int(rid.Slot), rec)
 	h.pool.Unpin(rid.Page, true)
 	if err == nil {
+		h.stats.Bytes += int64(len(rec) - old)
 		return rid, nil
 	}
 	if !errors.Is(err, ErrPageFull) {
 		return RID{}, err
 	}
-	return h.insertRec(stub)
+	// Page.Update already removed the old record; relocate.
+	h.stats.Records--
+	h.stats.Bytes -= int64(old)
+	return h.insertRec(rec)
 }
 
 // Delete removes the record at rid, freeing any overflow chain.
 func (h *Heap) Delete(rid RID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.stats.Mutations++
 	return h.delete(rid)
 }
 
@@ -249,11 +299,14 @@ func (h *Heap) delete(rid RID) error {
 	if err != nil {
 		return err
 	}
+	old := p.recLen(int(rid.Slot))
 	err = p.Delete(int(rid.Slot))
 	h.pool.Unpin(rid.Page, err == nil)
 	if err != nil {
 		return fmt.Errorf("%w: %s (%v)", ErrNoRecord, rid, err)
 	}
+	h.stats.Records--
+	h.stats.Bytes -= int64(old)
 	return nil
 }
 
@@ -399,7 +452,20 @@ func (h *Heap) appendOverflow(dst []byte, head PageID, total int) ([]byte, error
 // — lock-free snapshot scans rely on this no-miss guarantee; they dedup
 // the resulting duplicates by OID. fn runs outside the latch and may
 // itself read through the heap.
+//
+// On a detached heap Scan returns errHeapDetached before it calls fn. A
+// scan that got in first runs to its end on intact pages: detach waits for
+// it, so a scan never changes segments half way and never repeats a record
+// for that reason.
 func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
+	h.mu.RLock()
+	if h.detached {
+		h.mu.RUnlock()
+		return errHeapDetached
+	}
+	h.scans.Add(1)
+	h.mu.RUnlock()
+	defer h.scans.Done()
 	return h.scan(fn, false)
 }
 
@@ -410,6 +476,9 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
 // normal Scan would fail. A quarantined record's transaction either logged
 // its redo before acknowledging (logical WAL replay reinserts the object)
 // or never acknowledged (the record had to disappear anyway).
+//
+// It is also where an opened heap's accounting comes from: the pages and the
+// records that survive the scan are counted into h.stats.
 func (h *Heap) RecoverScan(fn func(rid RID, data []byte) bool) error {
 	return h.scan(fn, true)
 }
@@ -422,6 +491,14 @@ func (h *Heap) scan(fn func(rid RID, data []byte) bool, recovering bool) error {
 	var recs []rec
 	var arena []byte
 	var bad []RID // recovering: records to quarantine once the latch is dropped
+	var seen HeapStats
+	if recovering {
+		defer func() {
+			h.mu.Lock()
+			h.stats = seen
+			h.mu.Unlock()
+		}()
+	}
 	for id := h.First; id != InvalidPage; {
 		h.mu.RLock()
 		p, err := h.pool.Fetch(id)
@@ -460,7 +537,10 @@ func (h *Heap) scan(fn func(rid RID, data []byte) bool, recovering bool) error {
 				continue
 			}
 			recs = append(recs, rec{uint16(slot), start, len(arena)})
+			seen.Bytes += int64(length)
 		}
+		seen.Pages++
+		seen.Records += len(recs)
 		h.pool.Unpin(id, false)
 		h.mu.RUnlock()
 		if err != nil {
@@ -499,23 +579,4 @@ func (h *Heap) quarantine(rid RID) error {
 	}
 	mRecQuarantined.Add(1)
 	return nil
-}
-
-// Pages returns the number of pages in the heap chain (for clustering and
-// capacity tests).
-func (h *Heap) Pages() (int, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	n := 0
-	for id := h.First; id != InvalidPage; {
-		p, err := h.pool.Fetch(id)
-		if err != nil {
-			return 0, err
-		}
-		next := p.Next()
-		h.pool.Unpin(id, false)
-		n++
-		id = next
-	}
-	return n, nil
 }

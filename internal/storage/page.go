@@ -256,6 +256,19 @@ func (p *Page) Delete(slot int) error {
 	return nil
 }
 
+// recLen returns the stored length of the record in the slot, or 0 when the
+// slot is out of range or deleted.
+func (p *Page) recLen(slot int) int {
+	if slot < 0 || slot >= p.slotCount() {
+		return 0
+	}
+	off, length := p.slot(slot)
+	if off == 0 {
+		return 0
+	}
+	return length
+}
+
 // Slots returns the number of slots (live and deleted) on the page.
 func (p *Page) Slots() int { return p.slotCount() }
 

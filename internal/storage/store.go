@@ -187,11 +187,17 @@ func (s *Store) FreeDetached(d *DetachedSegment) error {
 		return nil
 	}
 	h := d.heap
+	// Readers resolve a heap under s.mu and read it after letting s.mu go.
+	// One descheduled in between still holds this heap: turn it away (it
+	// re-resolves through the directory, which stopped naming this heap
+	// before the caller's checkpoint) and let the scans already inside
+	// finish, before any page goes back to the free list.
+	h.detach()
 	// Free overflow chains record by record, then the heap pages.
-	if err := h.Scan(func(rid RID, _ []byte) bool {
+	if err := h.scan(func(rid RID, _ []byte) bool {
 		_ = h.Delete(rid)
 		return true
-	}); err != nil {
+	}, false); err != nil {
 		return err
 	}
 	for id := h.First; id != InvalidPage; {
@@ -274,14 +280,20 @@ func (s *Store) Put(oid model.OID, data []byte) error {
 // workload that heat-ordered placement should optimize for.
 func (s *Store) Get(oid model.OID) ([]byte, error) {
 	s.access.Touch(uint64(oid))
-	s.mu.RLock()
-	h, ok := s.heaps[oid.Class()]
-	rid, found := s.dir[oid]
-	s.mu.RUnlock()
-	if !ok || !found {
-		return nil, fmt.Errorf("%w: %s", ErrNoObject, oid)
+	for {
+		s.mu.RLock()
+		h, ok := s.heaps[oid.Class()]
+		rid, found := s.dir[oid]
+		s.mu.RUnlock()
+		if !ok || !found {
+			return nil, fmt.Errorf("%w: %s", ErrNoObject, oid)
+		}
+		// A heap detached since the lookup (a segment rewrite or DropClass
+		// freeing it) is no longer in the directory: look again.
+		if data, err := h.Read(rid); err != errHeapDetached {
+			return data, err
+		}
 	}
-	return h.Read(rid)
 }
 
 // Exists reports whether oid has a stored object.
@@ -312,19 +324,26 @@ func (s *Store) Delete(oid model.OID) error {
 // class, in physical order. data is the scan's own buffer (see Heap.Scan):
 // it is valid only until fn returns.
 func (s *Store) ScanImages(class model.ClassID, fn func(oid model.OID, data []byte) bool) error {
-	s.mu.RLock()
-	h, ok := s.heaps[class]
-	s.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return h.Scan(func(rid RID, data []byte) bool {
-		oid, n := binary.Uvarint(data)
-		if n <= 0 {
-			return true // skip torn record
+	for {
+		s.mu.RLock()
+		h, ok := s.heaps[class]
+		s.mu.RUnlock()
+		if !ok {
+			return nil
 		}
-		return fn(model.OID(oid), data)
-	})
+		err := h.Scan(func(rid RID, data []byte) bool {
+			oid, n := binary.Uvarint(data)
+			if n <= 0 {
+				return true // skip torn record
+			}
+			return fn(model.OID(oid), data)
+		})
+		// Detached since the lookup, and nothing delivered yet (see
+		// Heap.Scan): scan the segment the directory names now.
+		if err != errHeapDetached {
+			return err
+		}
+	}
 }
 
 // ScanClass is ScanImages for callers that keep the bytes: every image is
@@ -366,18 +385,6 @@ func sortClassIDs(ids []model.ClassID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-// SegmentPages returns the page count of the class's heap (clustering
-// experiments).
-func (s *Store) SegmentPages(class model.ClassID) (int, error) {
-	s.mu.RLock()
-	h, ok := s.heaps[class]
-	s.mu.RUnlock()
-	if !ok {
-		return 0, nil
-	}
-	return h.Pages()
 }
 
 // PoolStats returns buffer pool hit/miss counters.

@@ -190,7 +190,7 @@ func TestHeapGrowsAcrossPages(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	pages, _ := h.Pages()
+	pages := h.Stats().Pages
 	if pages < 2 {
 		t.Fatalf("expected multi-page heap, got %d pages", pages)
 	}
@@ -483,12 +483,8 @@ func TestStoreAccessors(t *testing.T) {
 	if !s.Exists(oid) {
 		t.Fatal("written OID missing")
 	}
-	pages, err := s.SegmentPages(a)
-	if err != nil || pages < 1 {
-		t.Fatalf("SegmentPages = %d, %v", pages, err)
-	}
-	if pages, err := s.SegmentPages(model.ClassID(999)); err != nil || pages != 0 {
-		t.Fatalf("missing segment pages = %d, %v", pages, err)
+	if info := s.SegmentInfo(a); info == nil || info.Pages < 1 || info.LiveRecords != 1 {
+		t.Fatalf("SegmentInfo = %+v", info)
 	}
 	hits, misses := s.PoolStats()
 	if hits == 0 && misses == 0 {

@@ -140,10 +140,13 @@ type Options struct {
 type DB struct {
 	eng *core.DB
 	q   *query.Engine
+	mnt *maint.Manager
 }
 
 // Open opens (or creates) a database in dir, running crash recovery if
-// needed.
+// needed, and starts the database's maintenance manager: segments that go
+// mostly dead are compacted in the background (DESIGN §11; Maintenance
+// reaches the manager, and its Stop freezes the physical layout).
 func Open(dir string, opts Options) (*DB, error) {
 	durability := core.DurabilityFull
 	if opts.RelaxedDurability {
@@ -159,11 +162,17 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng, q: query.NewEngine(eng)}, nil
+	mnt := maint.New(eng, maint.Options{})
+	mnt.Start()
+	return &DB{eng: eng, q: query.NewEngine(eng), mnt: mnt}, nil
 }
 
-// Close checkpoints and closes the database.
-func (db *DB) Close() error { return db.eng.Close() }
+// Close stops the maintenance manager (waiting out a rewrite in flight),
+// checkpoints and closes the database.
+func (db *DB) Close() error {
+	db.mnt.Stop()
+	return db.eng.Close()
+}
 
 // Checkpoint forces a checkpoint (flush + WAL truncation).
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
@@ -427,11 +436,14 @@ func (db *DB) QueryEngine() *query.Engine { return db.q }
 // swizzling; see Workspace).
 func (db *DB) NewWorkspace() *Workspace { return workspace.New(db.eng) }
 
-// Maintenance returns the online maintenance manager: segment compaction,
-// leaked-page reclamation and planner-statistics collection (DESIGN §11).
-// Call Start for the background sweep loop, or drive it on demand.
+// Maintenance returns the database's one maintenance manager, reconfigured
+// with opts: segment compaction, leaked-page reclamation and
+// planner-statistics collection (DESIGN §11). It is the manager Open
+// started, so what is driven through it on demand is serialized with the
+// automatic compactions; Stop it to keep the layout as it is.
 func (db *DB) Maintenance(opts maint.Options) *maint.Manager {
-	return maint.New(db.eng, opts)
+	db.mnt.Configure(opts)
+	return db.mnt
 }
 
 // --- Feature layers ----------------------------------------------------
