@@ -83,13 +83,14 @@ mvcc:
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrashMatrixMVCC' .
 
 # The commit pipeline and fail-stop error handling under the race
-# detector: the WAL writer/watermark unit tests, the fsync-latch and
-# poison regressions, two committers and a snapshot reader through a hundred
-# automatic checkpoints with a reopen oracle, and the pipeline crash
-# schedules (batch append, fsync, watermark publish).
+# detector: the WAL writer/watermark unit tests and the group-wait regimes
+# (trigger_test.go), the fsync-latch and poison regressions, two committers
+# and a snapshot reader through a hundred automatic checkpoints with a reopen
+# oracle, the commit that lands between a checkpoint's flush and its fence,
+# and the pipeline crash schedules (batch append, fsync, watermark publish).
 pipeline:
 	$(GO) test -race -count=1 ./internal/wal/
-	$(GO) test -race -count=1 -run 'TestFsyncFailure|TestCommitFlushFailure|TestAutoCheckpointFailure|TestCheckpointOverlapsCommitters' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestFsyncFailure|TestCommitFlushFailure|TestAutoCheckpointFailure|TestCheckpointOverlapsCommitters|TestCommitBetweenFlushAndFenceSurvivesCrash' ./internal/core/
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrashDuringPipelineCommit|TestCrashAtWatermarkPublish' .
 
 # The clustering stack under the race detector: placement-policy unit

@@ -87,7 +87,8 @@ type DB struct {
 
 	opts       Options
 	nextTxn    atomic.Uint64
-	activeTxns atomic.Int64 // logged (begun) and unfinished transactions
+	activeTxns atomic.Int64  // logged (begun) and unfinished transactions
+	txnBegins  atomic.Uint64 // transactions that have logged a begin record, ever
 
 	// ddlMu serializes DDL (schema evolution is rare and heavyweight:
 	// catalog change + instance/index maintenance + checkpoint).
@@ -106,6 +107,12 @@ type DB struct {
 	// read the same old roots and both free the same blob chains, handing
 	// one page to two owners. Lock order: ddlMu, ckptRun, ckptMu.
 	ckptRun sync.Mutex
+
+	// beforeCkptFence, when set, runs on the checkpointing goroutine
+	// between the checkpoint's flush and its taking of the begin fence —
+	// the window a concurrent commit can land in. Tests only; set before
+	// the checkpoint that is to call it.
+	beforeCkptFence func()
 
 	closed atomic.Bool
 
@@ -365,8 +372,15 @@ func (db *DB) checkpointExclusive() error {
 	if err := db.FailStopped(); err != nil {
 		return err
 	}
+	// Begins before active: a transaction that begins between the two loads
+	// is seen by the second, one that begins after them by the recount below.
+	begins := db.txnBegins.Load()
+	writers := db.activeTxns.Load() != 0
 	if err := db.checkpointBody(); err != nil {
 		return err
+	}
+	if db.beforeCkptFence != nil {
+		db.beforeCkptFence()
 	}
 	// Truncate under the begin fence: after taking the write side, the
 	// active count is exact — no transaction can slip its begin record into
@@ -376,6 +390,15 @@ func (db *DB) checkpointExclusive() error {
 	if db.activeTxns.Load() != 0 {
 		mCkptSkipped.Add(1)
 		return nil // keep the log: in-flight undo information lives there
+	}
+	// A transaction that ran beside the flush may have dirtied pages the
+	// flush had already passed and committed since: its pages are only in
+	// the pool and its records only in the log about to be truncated. Flush
+	// again, now that nothing can begin. A quiesced checkpoint skips this.
+	if writers || db.txnBegins.Load() != begins {
+		if err := db.Store.Pool().FlushAll(); err != nil {
+			return err
+		}
 	}
 	return db.Log.Reset()
 }

@@ -67,6 +67,7 @@ func (tx *Tx) ensureBegan() error {
 		if err == nil {
 			tx.began = true
 			tx.db.activeTxns.Add(1)
+			tx.db.txnBegins.Add(1)
 		}
 		tx.db.ckptMu.RUnlock()
 		if err != nil {

@@ -23,6 +23,13 @@ var (
 	mFsyncErrs    = obs.RegisterCounter("wal_fsync_errors_total")
 	mFailLatched  = obs.RegisterCounter("wal_failstop_latches_total")
 	mCommitWaitNs = obs.RegisterHistogram("wal_commit_wait_ns")
+
+	// The cost side of group commit: how often and how long the writer held
+	// a batch open for committers it expected (accumulate), and how many of
+	// those waits ran to the time bound.
+	mGroupWaits        = obs.RegisterCounter("wal_group_waits_total")
+	mGroupWaitTimeouts = obs.RegisterCounter("wal_group_wait_timeouts_total")
+	mGroupWaitNs       = obs.RegisterHistogram("wal_group_wait_ns")
 )
 
 // metricsOn reports whether the obs registry is collecting.

@@ -21,13 +21,14 @@
 // Commit pipeline. All flushes and fsyncs are performed by one dedicated
 // writer goroutine. Committers append their records, then park on the
 // durability watermark with WaitDurable(lsn) (or register a lazy
-// RequestSync for relaxed-durability commits) — the writer accumulates an
-// adaptive batch (dual trigger: batch-size target from an EMA of recent
-// batch sizes, bounded by a max-wait derived from the EMA of fsync
-// latency), flushes the buffer once, fsyncs once, publishes the new
-// watermark, and wakes every parked committer it covered. A solo committer
-// never waits: the size target adapts down to 1 and the batch window is
-// skipped entirely.
+// RequestSync for relaxed-durability commits) — the writer flushes the
+// buffer once, fsyncs once, publishes the new watermark, and wakes every
+// parked committer it covered. Before the flush it may hold the batch open
+// for the committers it expects back (see accumulate): it counts the
+// committers in the commit loop — those a round released plus those already
+// parked when it ended — and waits for that many, for at most half an fsync.
+// A solo committer never waits: nobody is parked when its own fsync ends, so
+// the count stays 1.
 //
 // Error model (fail-stop). A failed flush or fsync latches the WAL into a
 // sticky failed state: after an fsync error the kernel may have discarded
@@ -115,11 +116,21 @@ type waiter struct {
 	ch  chan error
 }
 
-// Batching bounds of the writer's adaptive dual trigger.
+// waiterChans recycles the channels committers park on. The writer sends
+// exactly one value to every parked waiter and the waiter receives it before
+// returning the channel, so a pooled channel is always empty.
+var waiterChans = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// Bounds of the writer's group wait.
 const (
 	maxBatchTarget = 256
 	minBatchWait   = 50 * time.Microsecond
 	maxBatchWait   = 2 * time.Millisecond
+	// maxWaitBackoff caps the rounds skipped after a run of fruitless
+	// waits: one wait of at most half an fsync per 65 rounds is under 1%
+	// of a committer's time, and a pair that starts to overlap again is
+	// noticed within that many rounds.
+	maxWaitBackoff = 64
 )
 
 // WAL is an append-only log file. Appends are buffered; durability flows
@@ -155,9 +166,13 @@ type WAL struct {
 	// step that is not itself an I/O op.
 	afterSync atomic.Pointer[func()]
 
-	// Adaptive batching state, owned by the writer goroutine.
-	emaBatch   float64 // EMA of recent batch sizes (committers per fsync)
-	emaFsyncNs float64 // EMA of recent fsync latency
+	// Group-wait state, owned by the writer goroutine (see accumulate).
+	emaLoop    float64     // smoothed committers in the commit loop
+	emaFsyncNs float64     // EMA of recent fsync latency
+	backoff    int         // rounds skipped after the last wait, 0 if it was answered
+	skipWaits  int         // rounds left in which the wait is skipped
+	timer      *time.Timer // bounds one wait; made by the first, reused after
+	spare      []waiter    // the previous round's batch slice, emptied for reuse
 
 	// Syncs counts successful fsyncs (observability: commits/Syncs is the
 	// group-commit batching factor). Failed fsyncs count in
@@ -212,7 +227,7 @@ func OpenWith(path string, wrap func(File) File) (*WAL, []Record, error) {
 		kick:       make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 		writerRip:  make(chan struct{}),
-		emaBatch:   1,
+		emaLoop:    1,
 		emaFsyncNs: float64(500 * time.Microsecond),
 	}
 	if n := len(recs); n > 0 {
@@ -328,7 +343,6 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 	if metricsOn() {
 		t0 = time.Now()
 	}
-	ch := make(chan error, 1)
 	w.pmu.Lock()
 	if w.stopped {
 		w.pmu.Unlock()
@@ -337,10 +351,12 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 		}
 		return errClosed
 	}
+	ch := waiterChans.Get().(chan error)
 	w.waiters = append(w.waiters, waiter{lsn: lsn, ch: ch})
 	w.pmu.Unlock()
 	w.kickWriter()
 	err := <-ch
+	waiterChans.Put(ch)
 	if !t0.IsZero() {
 		mCommitWaitNs.Observe(uint64(time.Since(t0)))
 	}
@@ -390,8 +406,9 @@ func (w *WAL) kickWriter() {
 	}
 }
 
-// writerLoop is the dedicated WAL writer: it accumulates an adaptive batch
-// of parked committers, then performs one flush + fsync for all of them.
+// writerLoop is the dedicated WAL writer: each round it may hold the batch
+// open for committers it expects back, then performs one flush + fsync for
+// every committer parked by then.
 func (w *WAL) writerLoop() {
 	defer close(w.writerRip)
 	for {
@@ -408,58 +425,82 @@ func (w *WAL) writerLoop() {
 	}
 }
 
-// batchTarget derives the size half of the dual trigger from the EMA of
-// recent batch sizes: a solo committer adapts the target down to 1 (no
-// wait at all); a busy commit stream raises it so one fsync serves the
-// whole burst.
+// parked returns the number of committers waiting for the next round.
+func (w *WAL) parked() int {
+	w.pmu.Lock()
+	defer w.pmu.Unlock()
+	return len(w.waiters)
+}
+
+// batchTarget is the number of committers worth waiting for: the smoothed
+// count of committers in the commit loop. flushOnce takes a sample when a
+// round's fsync returns — the committers the round releases plus those that
+// parked while it ran. Each member of the loop is in exactly one of the two
+// sets, so a pair yields 2 whether its commits alternate (1 + 1) or
+// coincide (2 + 0), and a solo committer yields 1 always. (The size of the
+// batches the writer got is no such evidence: a writer that has seen only
+// batches of 1 aims for 1, does not wait, and sees only batches of 1.)
 func (w *WAL) batchTarget() int {
-	t := int(w.emaBatch + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	if t > maxBatchTarget {
-		t = maxBatchTarget
-	}
-	return t
+	return min(int(w.emaLoop+0.5), maxBatchTarget)
 }
 
-// batchWait derives the time half of the dual trigger: waiting longer than
-// the fsync itself takes cannot pay for itself, so the window tracks half
-// the EMA fsync latency, clamped to [minBatchWait, maxBatchWait].
+// batchWait bounds one wait. A wait that is answered saves a whole fsync and
+// one that is not costs its length, so it is held to half the EMA fsync
+// latency, clamped to [minBatchWait, maxBatchWait].
 func (w *WAL) batchWait() time.Duration {
-	d := time.Duration(w.emaFsyncNs / 2)
-	if d < minBatchWait {
-		return minBatchWait
-	}
-	if d > maxBatchWait {
-		return maxBatchWait
-	}
-	return d
+	return min(max(time.Duration(w.emaFsyncNs/2), minBatchWait), maxBatchWait)
 }
 
-// accumulate blocks until the pending batch reaches the adaptive size
-// target or the max-wait window closes — the dual trigger.
+// accumulate holds the batch open until batchTarget committers are parked or
+// batchWait has passed. It waits only with a committer parked and fewer than
+// the target: a lazy request or a Reset kick parks nobody and a solo
+// committer meets a target of 1. A wait that ends with nobody new parked was
+// the wrong bet — the siblings think for longer than the window, or have
+// left — so the following rounds skip it: one round, then two, doubling up
+// to maxWaitBackoff until a wait is answered.
 func (w *WAL) accumulate() {
 	target := w.batchTarget()
-	if target <= 1 || w.failed.Load() {
+	n0 := w.parked()
+	if n0 == 0 || n0 >= target || w.failed.Load() {
 		return
 	}
-	timer := time.NewTimer(w.batchWait())
-	defer timer.Stop()
-	for {
-		w.pmu.Lock()
-		n := len(w.waiters)
-		w.pmu.Unlock()
-		if n >= target {
-			return
-		}
+	if w.skipWaits > 0 {
+		w.skipWaits--
+		return
+	}
+	t0 := time.Now()
+	if w.timer == nil {
+		w.timer = time.NewTimer(w.batchWait())
+	} else {
+		w.timer.Reset(w.batchWait())
+	}
+	n, expired := n0, false
+	for n < target && !expired {
 		select {
 		case <-w.kick:
-		case <-timer.C:
-			return
+		case <-w.timer.C:
+			expired = true
 		case <-w.quit:
+			// The final drain follows; nothing reads the timer again.
 			return
 		}
+		n = w.parked()
+	}
+	if !expired && !w.timer.Stop() {
+		// Fired since the last select. The value is in the channel or on
+		// its way there: take it, or the next wait ends the moment it starts.
+		<-w.timer.C
+	}
+	mGroupWaits.Add(1)
+	mGroupWaitNs.Observe(uint64(time.Since(t0)))
+	if expired {
+		mGroupWaitTimeouts.Add(1)
+	}
+	if n > n0 {
+		w.backoff = 0
+	} else {
+		w.backoff = min(max(1, 2*w.backoff), maxWaitBackoff)
+		w.skipWaits = w.backoff
 	}
 }
 
@@ -469,9 +510,10 @@ func (w *WAL) accumulate() {
 func (w *WAL) flushOnce() {
 	w.pmu.Lock()
 	batch := w.waiters
-	w.waiters = nil
+	w.waiters = w.spare
 	asyncReq := w.asyncReq
 	w.pmu.Unlock()
+	w.spare = batch[:0]
 
 	if err := w.Err(); err != nil {
 		for _, wt := range batch {
@@ -516,7 +558,8 @@ func (w *WAL) flushOnce() {
 	w.Syncs.Add(1)
 	if n := len(pending); n > 0 {
 		mBatchSize.Observe(uint64(n))
-		w.emaBatch += 0.25 * (float64(n) - w.emaBatch)
+		// Sampled before the wake-ups below, so nobody is counted twice.
+		w.emaLoop += 0.25 * (float64(n+w.parked()) - w.emaLoop)
 	}
 	if hook := w.afterSync.Load(); hook != nil {
 		(*hook)()
