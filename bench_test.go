@@ -1,21 +1,25 @@
 // Benchmark harness: one testing.B family per experiment in DESIGN.md §7
-// and EXPERIMENTS.md. Run with:
+// and EXPERIMENTS.md, this file for E1–E14 and bench_system_test.go for
+// E15–E19. Each runs at one fixed scale. Run with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench . -benchmem .
 //
-// The cmd/kimbench binary runs the same experiments at larger scale and
-// prints the tables recorded in EXPERIMENTS.md.
+// and narrow it with -bench <regex>; `make benchsmoke` runs every family
+// once (-benchtime 1x) so none can rot unnoticed.
 package oodb_test
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"oodb"
 	"oodb/internal/bench"
+	"oodb/internal/composite"
+	"oodb/internal/maint"
 	"oodb/internal/model"
 	"oodb/internal/relational"
 )
@@ -546,56 +550,85 @@ func BenchmarkE8_ForcedScan(b *testing.B) {
 	}
 }
 
-// --- E9: recovery --------------------------------------------------------
+// --- E9: recovery time against log length --------------------------------
 
-func BenchmarkE9_RecoveryReplay(b *testing.B) {
-	// Build a database with a WAL tail of ~2000 committed ops and measure
-	// reopen (analysis + redo) time. The directory is copied per iteration
-	// so each Open replays the same log.
-	src, err := os.MkdirTemp("", "kimdb-e9")
+const e9Classes = 8
+
+// BenchmarkE9_Recovery reopens a crashed database whose log holds txns
+// transactions of 100 inserts, round-robin over 8 classes, with no
+// checkpoint: one op is one recovery (torn-page restore, replay, directory
+// rebuild) of a fresh copy of the crashed directory.
+func BenchmarkE9_Recovery(b *testing.B) {
+	for _, txns := range []int{10, 50, 200, 800} {
+		crashed := e9Crash(b, txns)
+		st, err := os.Stat(filepath.Join(crashed, "log.wal"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("txns=%d", txns), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := copyDir(b, crashed)
+				b.StartTimer()
+				db, err := oodb.Open(dir, oodb.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				n := 0
+				for c := 0; c < e9Classes; c++ {
+					n += db.Engine().Store.Count(mustClassID(b, db, fmt.Sprintf("P%d", c)))
+				}
+				if n != txns*100 {
+					b.Fatalf("recovered %d objects, want %d", n, txns*100)
+				}
+				db.Close()
+				os.RemoveAll(dir)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(st.Size()), "wal_bytes")
+		})
+	}
+}
+
+// e9Crash commits txns transactions with checkpointing off, syncs the log
+// and returns a copy of the directory taken then: the state a crash leaves.
+func e9Crash(b *testing.B, txns int) string {
+	live := b.TempDir()
+	db, err := oodb.Open(live, oodb.Options{NoSync: true, CheckpointBytes: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer os.RemoveAll(src)
-	db, err := oodb.Open(src, oodb.Options{NoSync: true, CheckpointBytes: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
+	defer db.Close()
+	for c := 0; c < e9Classes; c++ {
+		if _, err := db.DefineClass(fmt.Sprintf("P%d", c), nil, oodb.Attr{Name: "n", Domain: "Integer"}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	db.DefineClass("P", nil, oodb.Attr{Name: "n", Domain: "Integer"})
-	for i := 0; i < 20; i++ {
-		db.Do(func(tx *oodb.Tx) error {
+	for i := 0; i < txns; i++ {
+		err := db.Do(func(tx *oodb.Tx) error {
 			for j := 0; j < 100; j++ {
-				if _, err := tx.Insert("P", oodb.Attrs{"n": oodb.Int(int64(j))}); err != nil {
+				if _, err := tx.Insert(fmt.Sprintf("P%d", i%e9Classes), oodb.Attrs{"n": oodb.Int(int64(j))}); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-	}
-	// Simulate the crash: flush the WAL but do not checkpoint or close.
-	db.Engine().Log.Sync()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := copyDir(b, src)
-		b.StartTimer()
-		db2, err := oodb.Open(dir, oodb.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		db2.Close()
-		os.RemoveAll(dir)
-		b.StartTimer()
 	}
-}
-
-func copyDir(b *testing.B, src string) string {
-	b.Helper()
-	dst, err := os.MkdirTemp("", "kimdb-e9-copy")
-	if err != nil {
+	if err := db.Engine().Log.Sync(); err != nil {
 		b.Fatal(err)
 	}
+	return copyDir(b, live)
+}
+
+// copyDir copies a database directory's files into a new directory that
+// is removed when b's benchmark ends.
+func copyDir(b *testing.B, src string) string {
+	b.Helper()
+	dst := b.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		b.Fatal(err)
@@ -676,40 +709,60 @@ func BenchmarkE10_HashJoin(b *testing.B) {
 
 // --- E11: composite clustering -------------------------------------------
 
-func BenchmarkE11_ComponentFetch(b *testing.B) {
-	// Scattered vs reclustered composite: measured in cmd/kimbench with a
-	// cold buffer pool; here we measure the warm traversal as a regression
-	// guard.
-	db := openBenchDB(b)
-	db.DefineClass("Asm", nil,
+// e11Composite declares Asm with a composite "parts" attribute and inserts
+// a root with parts components, each followed by noise unattached padded
+// objects so that the components scatter over the segment. The composite
+// is shared, not exclusive: an exclusive Attach scans the class for an
+// owner, which would make the build quadratic and measures nothing E11
+// claims.
+func e11Composite(b *testing.B, db *oodb.DB, parts, noise int) (*composite.Manager, oodb.OID) {
+	if _, err := db.DefineClass("Asm", nil,
 		oodb.Attr{Name: "name", Domain: "String"},
+		oodb.Attr{Name: "pad", Domain: "String"},
 		oodb.Attr{Name: "parts", Domain: "Asm", SetValued: true},
-	)
+	); err != nil {
+		b.Fatal(err)
+	}
 	cm, err := db.Composites()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := cm.DeclareComposite(mustClassID(b, db, "Asm"), "parts", true); err != nil {
+	if err := cm.DeclareComposite(mustClassID(b, db, "Asm"), "parts", false); err != nil {
 		b.Fatal(err)
 	}
+	pad := oodb.String(strings.Repeat("x", 200))
 	var root oodb.OID
-	db.Do(func(tx *oodb.Tx) error {
+	err = db.Do(func(tx *oodb.Tx) error {
 		var err error
-		root, err = tx.Insert("Asm", oodb.Attrs{"name": oodb.String("root")})
-		return err
-	})
-	db.Do(func(tx *oodb.Tx) error {
-		for i := 0; i < 50; i++ {
-			child, err := tx.Insert("Asm", oodb.Attrs{"name": oodb.String(fmt.Sprintf("c%d", i))})
+		if root, err = tx.Insert("Asm", oodb.Attrs{"name": oodb.String("root")}); err != nil {
+			return err
+		}
+		for i := 0; i < parts; i++ {
+			child, err := tx.Insert("Asm", oodb.Attrs{"name": oodb.String(fmt.Sprintf("c%d", i)), "pad": pad})
 			if err != nil {
 				return err
 			}
 			if err := cm.Attach(tx, root, "parts", child); err != nil {
 				return err
 			}
+			for j := 0; j < noise; j++ {
+				if _, err := tx.Insert("Asm", oodb.Attrs{"name": oodb.String("noise"), "pad": pad}); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cm, root
+}
+
+// BenchmarkE11_ComponentFetch lists the components of a 50-part composite
+// through a warm pool: the regression guard beside the cold variant below.
+func BenchmarkE11_ComponentFetch(b *testing.B) {
+	cm, root := e11Composite(b, openBenchDB(b), 50, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comps, err := cm.Components(root)
@@ -717,6 +770,64 @@ func BenchmarkE11_ComponentFetch(b *testing.B) {
 			b.Fatalf("components: %d, %v", len(comps), err)
 		}
 	}
+}
+
+// BenchmarkE11_ComponentFetchCold is E11 as the claim states it: one op
+// fetches every component of a 2,000-part composite, interleaved 1:4 with
+// noise, through a 32-page pool they do not fit in — scattered as
+// inserted, and reclustered (depth-first rewrite by Recluster).
+func BenchmarkE11_ComponentFetchCold(b *testing.B) {
+	const parts = 2000
+	for _, layout := range []string{"scattered", "reclustered"} {
+		dir := b.TempDir()
+		db, err := oodb.Open(dir, oodb.Options{NoSync: true, PoolPages: 8192})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cm, root := e11Composite(b, db, parts, 4)
+		if layout == "reclustered" {
+			if err := db.Do(func(tx *oodb.Tx) error { _, err := cm.Recluster(tx, root); return err }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		db = openCold(b, dir, 32)
+		if cm, err = db.Composites(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(layout, func(b *testing.B) {
+			_, m0 := db.Engine().Store.PoolStats()
+			for i := 0; i < b.N; i++ {
+				comps, err := cm.Components(root)
+				if err != nil || len(comps) != parts {
+					b.Fatalf("components: %d, %v", len(comps), err)
+				}
+				for _, c := range comps {
+					if _, err := db.Fetch(c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			_, m1 := db.Engine().Store.PoolStats()
+			b.ReportMetric(float64(m1-m0)/float64(b.N), "misses/op")
+		})
+	}
+}
+
+// openCold opens dir through a pool of the given pages with the
+// maintenance manager stopped, so an op measures the layout as it was
+// built and the page reads it costs. The database closes when b ends.
+func openCold(b *testing.B, dir string, pages int) *oodb.DB {
+	b.Helper()
+	db, err := oodb.Open(dir, oodb.Options{NoSync: true, PoolPages: pages})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.Maintenance(maint.Options{}).Stop()
+	b.Cleanup(func() { db.Close() })
+	return db
 }
 
 func mustClassID(b *testing.B, db *oodb.DB, name string) oodb.ClassID {

@@ -12,8 +12,9 @@ package bench
 //
 // Everything is driven by one seeded rand stream, so a given (nParts, conn,
 // noisePer, seed) tuple reproduces the identical graph, byte for byte —
-// pinned by the determinism test and relied on by kimbench -oo1, which
-// builds the same graph in separate directories to compare layouts.
+// pinned by the determinism test and relied on by perfbench, which builds
+// the graph afresh in every run it compares. BenchmarkE17_OO1 builds it
+// once and compares copies of it in four layouts.
 //
 // Build order is load-bearing:
 //

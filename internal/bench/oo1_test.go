@@ -7,10 +7,11 @@ import (
 	"oodb/internal/maint"
 )
 
-// TestOO1Deterministic pins the property kimbench -oo1 relies on: the same
+// TestOO1Deterministic pins the property OO1 comparisons rely on: the same
 // (nParts, conn, noisePer, seed) tuple builds the identical graph in any
 // directory — equal structural fingerprint and equal closure traversal —
-// so separate builds can be compared as layouts of one logical database.
+// so separate builds (perfbench builds one per run, for the parent and
+// the change alike) are the same logical database.
 // A different seed must produce a different graph, or the fingerprint is
 // not actually pinning anything.
 func TestOO1Deterministic(t *testing.T) {

@@ -47,10 +47,6 @@ const (
 type Options struct {
 	// PoolPages is the buffer pool capacity in pages (0 = default).
 	PoolPages int
-	// PoolShards is the number of lock stripes in the buffer pool
-	// (0 = default). More shards reduce contention between concurrent
-	// readers of unrelated pages.
-	PoolShards int
 	// CheckpointBytes triggers an automatic checkpoint when the WAL grows
 	// past this size (0 = 8 MiB).
 	CheckpointBytes int64
@@ -204,9 +200,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	store, err := storage.Open(dataPath, storage.Options{
-		PoolPages:  opts.PoolPages,
-		PoolShards: opts.PoolShards,
-		WrapDisk:   opts.WrapDisk,
+		PoolPages: opts.PoolPages,
+		WrapDisk:  opts.WrapDisk,
 	})
 	if err != nil {
 		log.Close()

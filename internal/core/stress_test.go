@@ -127,7 +127,7 @@ func TestConcurrentSameClassWriters(t *testing.T) {
 // keeps inserting into the leaf classes. Run under -race it guards the
 // sharded buffer pool, the store RWMutex and the heap read latch.
 func TestConcurrentHierarchyScansAndWriters(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{NoSync: true, PoolShards: 4, PoolPages: 64})
+	db, err := Open(t.TempDir(), Options{NoSync: true, PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

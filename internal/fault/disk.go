@@ -18,10 +18,10 @@ import (
 // by the schedule's seeded RNG, applied to the real file so a plain reopen
 // observes exactly what a power cut could have left.
 //
-// The duplexed metadata slots (pages 0 and 1 of a format-2 file) get the
-// same treatment: the wrapper snapshots both slots at every honest fsync,
-// and at crash time a slot that changed since then independently survives
-// or reverts — and the newest changed slot may additionally tear, which is
+// The duplexed metadata slots (pages 0 and 1) get the same treatment: the
+// wrapper snapshots both slots at every honest fsync, and at crash time a
+// slot that changed since then independently survives or reverts — and
+// the newest changed slot may additionally tear, which is
 // precisely the failure the A/B design absorbs (the torn slot's twin holds
 // the state one metadata write earlier). The metadata is therefore no
 // longer modeled durable-at-write. The one write still treated as durable
@@ -35,7 +35,6 @@ type Disk struct {
 
 	mu         sync.Mutex
 	unsynced   map[storage.PageID][]byte // pre-write durable image; nil = absent
-	metaDuplex bool
 	metaBefore [storage.MetaSlots][]byte // slot content at last honest fsync
 }
 
@@ -47,7 +46,6 @@ func WrapDisk(inj *Injector, path string) func(storage.Disk) storage.Disk {
 		d := &Disk{inj: inj, under: under, unsynced: make(map[storage.PageID][]byte)}
 		d.raw, d.initErr = os.OpenFile(path, os.O_RDWR, 0o644)
 		if d.initErr == nil {
-			d.metaDuplex = under.FirstDataPage() >= storage.MetaSlots
 			d.snapshotMeta()
 		}
 		inj.OnCrash(d.applyCrash)
@@ -59,9 +57,6 @@ func WrapDisk(inj *Injector, path string) func(storage.Disk) storage.Disk {
 // durable baseline. Called at wrap time and after every honest fsync;
 // caller holds d.mu (or is single-threaded at wrap time).
 func (d *Disk) snapshotMeta() {
-	if !d.metaDuplex {
-		return
-	}
 	for slot := 0; slot < storage.MetaSlots; slot++ {
 		buf := make([]byte, storage.PageSize)
 		if _, err := d.raw.ReadAt(buf, int64(slot)*storage.PageSize); err != nil {
@@ -209,8 +204,6 @@ func (d *Disk) SetRoots(roots map[storage.MetaRoot]storage.PageID) error {
 
 func (d *Disk) NumPages() storage.PageID { return d.under.NumPages() }
 
-func (d *Disk) FirstDataPage() storage.PageID { return d.under.FirstDataPage() }
-
 func (d *Disk) Close() error {
 	if d.raw != nil {
 		d.raw.Close()
@@ -282,8 +275,7 @@ func (d *Disk) applyCrash(rng *rand.Rand) {
 	d.raw.Sync()
 }
 
-// applyMetaCrash simulates lost and torn metadata writes on a duplexed
-// file. Every slot that changed since the last honest fsync independently
+// applyMetaCrash simulates lost and torn metadata writes. Every slot that changed since the last honest fsync independently
 // survives or reverts to its fsync-time content; the slot carrying the
 // newest epoch may additionally tear (half new, half old — almost surely
 // failing its checksum), which models the one write that can be in flight
@@ -293,9 +285,6 @@ func (d *Disk) applyCrash(rng *rand.Rand) {
 // designed to lose safely (the free list leaks or abandons; roots only
 // move with a sync barrier before the old chains are freed).
 func (d *Disk) applyMetaCrash(rng *rand.Rand) {
-	if !d.metaDuplex {
-		return
-	}
 	type slotState struct {
 		cur     []byte
 		changed bool

@@ -17,7 +17,7 @@ func Handler(r *Registry) http.Handler {
 }
 
 // NewMux returns an http.ServeMux exposing the registry at /metrics and
-// the standard runtime profiler at /debug/pprof/. kimsh and kimbench
+// the standard runtime profiler at /debug/pprof/. kimsh and kimsrv
 // mount this behind their -http flag; the engine itself never opens a
 // socket.
 func NewMux(r *Registry) *http.ServeMux {

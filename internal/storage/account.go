@@ -133,9 +133,8 @@ func (s *Store) AccountPages() (*PageAccount, error) {
 	// page nothing reaches is a leak. The metadata slots are classified by
 	// position, not content: a duplexed slot torn by a crash must read as
 	// Meta, never as a reclaimable leak.
-	firstData := s.disk.FirstDataPage()
-	acct := &PageAccount{Total: uint64(s.disk.NumPages()), Meta: uint64(firstData)}
-	for id := firstData; id < PageID(acct.Total); id++ {
+	acct := &PageAccount{Total: uint64(s.disk.NumPages()), Meta: MetaSlots}
+	for id := PageID(MetaSlots); id < PageID(acct.Total); id++ {
 		p, err := s.pool.Fetch(id)
 		if err != nil {
 			acct.Unreadable++

@@ -40,6 +40,12 @@ type PageLogger interface {
 // DefaultPoolShards is the default number of lock-striped shards.
 const DefaultPoolShards = 16
 
+// minShardFrames is the fewest frames a shard is built with. A page's shard
+// is fixed by its id, and a shard can hold only as many pins as it has
+// frames, so this is how many pages any caller can hold pinned at once
+// whatever their ids (a pool smaller than this is one shard).
+const minShardFrames = 8
+
 // BufferPool caches pages in memory with LRU replacement and pin counting.
 // All page access above the disk manager goes through the pool; the engine
 // pins a page for the duration of a read or write and the pool refuses to
@@ -161,19 +167,19 @@ func NewBufferPool(disk DiskBackend, capacity int) *BufferPool {
 }
 
 // NewShardedBufferPool creates a pool of the given total capacity striped
-// over the given number of shards. The shard count is clamped to the
-// capacity and rounded down to a power of two; each shard owns an equal
-// slice of the capacity (rounded up, so the pool never shrinks below the
-// request).
+// over at most the given number of shards. The shard count is clamped so
+// every shard holds at least minShardFrames frames, raised to at least one,
+// and rounded down to a power of two; each shard owns an equal slice of the
+// capacity (rounded up, so the pool never shrinks below the request).
 func NewShardedBufferPool(disk DiskBackend, capacity, shards int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
+	if shards > capacity/minShardFrames {
+		shards = capacity / minShardFrames
+	}
 	if shards < 1 {
 		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
 	}
 	// Round down to a power of two so shard selection is a mask.
 	n := 1

@@ -287,7 +287,11 @@ func TestShardedPoolStripes(t *testing.T) {
 		{1024, 16, 16},
 		{1024, 0, 1},   // clamped up to 1
 		{1024, 24, 16}, // rounded down to a power of two
-		{4, 16, 4},     // clamped to capacity
+		{128, 16, 16},
+		{64, 16, 8},  // clamped to 8 frames a shard
+		{100, 16, 8}, // clamped to 12, rounded down
+		{16, 16, 2},
+		{4, 16, 1}, // smaller than one shard's minimum
 		{1, 16, 1},
 	}
 	for _, c := range cases {
@@ -298,10 +302,33 @@ func TestShardedPoolStripes(t *testing.T) {
 	}
 }
 
+// TestPoolHoldsMinFramesPinned pins the rule the shard count is derived
+// from: a pool of capacity C holds min(C, 8) pages pinned at once whatever
+// their ids — here ids 16 apart, which share a shard under any striping the
+// pool can choose.
+func TestPoolHoldsMinFramesPinned(t *testing.T) {
+	d, err := OpenDisk(filepath.Join(t.TempDir(), "b.kdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const pins = 8
+	ids := seedPages(t, d, 16*pins)
+	for _, capacity := range []int{1, 4, 8, 16, 32, 100, 128, 1024} {
+		bp := NewBufferPool(d, capacity)
+		for i := 0; i < min(capacity, pins); i++ {
+			if _, err := bp.Fetch(ids[16*i]); err != nil {
+				t.Fatalf("capacity %d: pin %d of %d (page %d): %v", capacity, i+1, min(capacity, pins), ids[16*i], err)
+			}
+		}
+	}
+}
+
 // TestConcurrentFetchStress hammers a small sharded pool from many
 // goroutines (run under -race): hits, misses, evictions and pins all
 // interleave, every frame is recycled many times over (poisoned each time,
-// see init), and every fetch must still show its own page's record.
+// see init), and every fetch must still show its own page's record. Eight
+// goroutines pin one page each, so no shard can run out of frames.
 func TestConcurrentFetchStress(t *testing.T) {
 	d, err := OpenDisk(filepath.Join(t.TempDir(), "b.kdb"))
 	if err != nil {
@@ -321,9 +348,6 @@ func TestConcurrentFetchStress(t *testing.T) {
 				id := ids[n]
 				p, err := bp.Fetch(id)
 				if err != nil {
-					if errors.Is(err, ErrPoolExhausted) {
-						continue // transient: all frames of one stripe pinned
-					}
 					t.Errorf("fetch %d: %v", id, err)
 					return
 				}

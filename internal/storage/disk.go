@@ -23,8 +23,8 @@ import (
 // earlier — every metadata transition (free-list push/pop, root flip) is
 // designed so that losing only its final write leaks a page at worst (see
 // AllocPage's abandoned-head fallback and ReplaceBlob/SwapBlobs' sync
-// ordering). Version-1 files (single slot at page 0) still open, in
-// legacy mode, where the slot is rewritten in place.
+// ordering). Version-1 files (a single slot at page 0, rewritten in place)
+// are refused at open with an UnsupportedFormatError.
 //
 // Metadata slot payload (after the standard page header):
 //
@@ -49,8 +49,7 @@ type DiskManager struct {
 	// extended, so a lock-free reader that sees an id in range finds it.
 	numPages atomic.Uint64
 	meta     Page
-	curSlot  PageID // slot holding the current metadata (always 0 when !duplex)
-	duplex   bool   // format version >= 2: A/B metadata slots at pages 0 and 1
+	curSlot  PageID // slot holding the current metadata
 }
 
 const (
@@ -73,14 +72,24 @@ const MetaSlots = 2
 // ErrNotADatabase reports a file that does not carry the kimdb magic.
 var ErrNotADatabase = errors.New("storage: not a kimdb database file")
 
+// UnsupportedFormatError reports a kimdb file whose metadata format version
+// this build does not read. It wraps ErrNotADatabase: such a file is refused
+// before anything past its metadata slot is read.
+type UnsupportedFormatError struct{ Version uint32 }
+
+func (e *UnsupportedFormatError) Error() string {
+	return fmt.Sprintf("storage: metadata format version %d is not supported (this build reads version %d)", e.Version, diskVersion)
+}
+
+func (e *UnsupportedFormatError) Unwrap() error { return ErrNotADatabase }
+
 // Disk is the complete disk surface the store programs against: the buffer
 // pool's page I/O plus lifecycle. *DiskManager is the production
 // implementation; the fault-injection layer (internal/fault) wraps it to
-// script I/O failures and simulated crashes.
+// script I/O failures and simulated crashes. Data pages start at MetaSlots.
 type Disk interface {
 	DiskBackend
 	NumPages() PageID
-	FirstDataPage() PageID
 	Close() error
 }
 
@@ -102,7 +111,6 @@ func OpenDisk(path string) (*DiskManager, error) {
 	if st.Size() == 0 {
 		// Fresh database: format both metadata slots so the alternating
 		// writer always has a valid fallback from the first write on.
-		d.duplex = true
 		d.meta.Init(pageTypeMeta)
 		binary.BigEndian.PutUint32(d.meta.buf[metaOffMagic:], diskMagic)
 		binary.BigEndian.PutUint32(d.meta.buf[metaOffVersion:], diskVersion)
@@ -130,10 +138,11 @@ func OpenDisk(path string) (*DiskManager, error) {
 	return d, nil
 }
 
-// openMeta reads the metadata slot(s) and installs the newest valid one.
-// For duplexed files a torn or stale slot is tolerated as long as its twin
-// verifies — that fallback is the whole point of the duplexing and is
-// counted on storage_meta_slot_fallbacks.
+// openMeta reads the metadata slots and installs the newest valid one. A
+// torn or stale slot is tolerated as long as its twin verifies — that
+// fallback is the whole point of the duplexing and is counted on
+// storage_meta_slot_fallbacks. A slot of any other format version refuses
+// the file.
 func (d *DiskManager) openMeta() error {
 	type slotState struct {
 		page  Page
@@ -180,16 +189,16 @@ func (d *DiskManager) openMeta() error {
 		}
 		return fmt.Errorf("storage: metadata page: not a metadata slot")
 	}
+	if v := binary.BigEndian.Uint32(slots[winner].page.buf[metaOffVersion:]); v != diskVersion {
+		return &UnsupportedFormatError{Version: v}
+	}
 	d.meta = slots[winner].page
 	d.curSlot = PageID(winner)
-	d.duplex = binary.BigEndian.Uint32(d.meta.buf[metaOffVersion:]) >= 2
-	if d.duplex {
-		for i := range slots {
-			if PageID(i) < n && !slots[i].valid {
-				// The twin slot exists but did not verify: a torn metadata
-				// write survived by its sibling.
-				mMetaSlotFallback.Add(1)
-			}
+	for i := range slots {
+		if PageID(i) < n && !slots[i].valid {
+			// The twin slot exists but did not verify: a torn metadata
+			// write survived by its sibling.
+			mMetaSlotFallback.Add(1)
 		}
 	}
 	return nil
@@ -208,16 +217,6 @@ func (d *DiskManager) Close() error {
 
 // NumPages returns the current file size in pages.
 func (d *DiskManager) NumPages() PageID { return PageID(d.numPages.Load()) }
-
-// FirstDataPage returns the id of the first page that can hold data: past
-// both metadata slots on a duplexed file, past page 0 on a legacy one. The
-// format is fixed at open, so this takes no lock.
-func (d *DiskManager) FirstDataPage() PageID {
-	if d.duplex {
-		return MetaSlots
-	}
-	return 1
-}
 
 // ReadPage reads the page into p, verifying its checksum.
 //
@@ -257,7 +256,7 @@ func (d *DiskManager) WritePage(id PageID, p *Page) error {
 }
 
 func (d *DiskManager) writePageLocked(id PageID, p *Page) error {
-	if id < d.FirstDataPage() {
+	if id < MetaSlots {
 		return fmt.Errorf("storage: write of metadata slot %d through the page seam", id)
 	}
 	if n := d.NumPages(); id >= n {
@@ -318,7 +317,7 @@ func (d *DiskManager) AllocPage() (PageID, error) {
 func (d *DiskManager) FreePage(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id == InvalidPage || id < d.FirstDataPage() || id >= d.NumPages() {
+	if id == InvalidPage || id < MetaSlots || id >= d.NumPages() {
 		return fmt.Errorf("storage: free of invalid page %d", id)
 	}
 	var p Page
@@ -399,16 +398,13 @@ func (d *DiskManager) SetRoots(roots map[MetaRoot]PageID) error {
 	return d.writeMetaLocked()
 }
 
-// writeMetaLocked persists the metadata: on a duplexed file the epoch is
-// bumped and the write targets the slot not holding the current state, so
-// a crash mid-write still leaves the previous state readable; a legacy
-// file rewrites its single slot in place.
+// writeMetaLocked persists the metadata: the epoch is bumped and the write
+// targets the slot not holding the current state, so a crash mid-write
+// still leaves the previous state readable.
 func (d *DiskManager) writeMetaLocked() error {
-	if d.duplex {
-		epoch := binary.BigEndian.Uint64(d.meta.buf[metaOffEpoch:]) + 1
-		binary.BigEndian.PutUint64(d.meta.buf[metaOffEpoch:], epoch)
-		d.curSlot = 1 - d.curSlot
-	}
+	epoch := binary.BigEndian.Uint64(d.meta.buf[metaOffEpoch:]) + 1
+	binary.BigEndian.PutUint64(d.meta.buf[metaOffEpoch:], epoch)
+	d.curSlot = 1 - d.curSlot
 	d.meta.Seal()
 	if _, err := d.file.WriteAt(d.meta.buf[:], int64(d.curSlot)*PageSize); err != nil {
 		return fmt.Errorf("storage: write metadata page: %w", err)

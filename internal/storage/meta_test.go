@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -158,8 +160,8 @@ func TestMetaBothSlotsDestroyed(t *testing.T) {
 }
 
 // TestMetaLegacySingleSlot synthesizes a format-version-1 file (single
-// metadata slot at page 0, rewritten in place) and verifies it still opens
-// and operates in legacy mode.
+// metadata slot at page 0, rewritten in place) and verifies open refuses it
+// with a typed error wrapping ErrNotADatabase, leaving the file untouched.
 func TestMetaLegacySingleSlot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.kdb")
 	var p Page
@@ -177,38 +179,16 @@ func TestMetaLegacySingleSlot(t *testing.T) {
 	f.Close()
 
 	d, err := OpenDisk(path)
-	if err != nil {
-		t.Fatalf("open legacy file: %v", err)
+	if err == nil {
+		d.Close()
+		t.Fatal("open accepted a format-version-1 file")
 	}
-	if d.FirstDataPage() != 1 {
-		t.Fatalf("legacy FirstDataPage = %d, want 1", d.FirstDataPage())
+	var ufe *UnsupportedFormatError
+	if !errors.As(err, &ufe) || ufe.Version != 1 || !errors.Is(err, ErrNotADatabase) {
+		t.Fatalf("open of a v1 file = %v, want an UnsupportedFormatError{1} wrapping ErrNotADatabase", err)
 	}
-	// Allocation, write, free and root updates all work in place.
-	id, err := d.AllocPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hp Page
-	hp.Init(pageTypeHeap)
-	if err := d.WritePage(id, &hp); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetRoot(RootCatalog, id); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenDisk(path)
-	if err != nil {
-		t.Fatalf("reopen legacy file: %v", err)
-	}
-	defer d2.Close()
-	if got := d2.GetRoot(RootCatalog); got != id {
-		t.Fatalf("legacy root = %d, want %d", got, id)
-	}
-	if d2.FirstDataPage() != 1 {
-		t.Fatalf("legacy reopen FirstDataPage = %d, want 1", d2.FirstDataPage())
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, p.buf[:]) {
+		t.Fatalf("refused open changed the file (err %v)", err)
 	}
 }
 

@@ -47,12 +47,9 @@ var ErrNoSegment = errors.New("storage: no segment for class")
 // Options configures a Store.
 type Options struct {
 	// PoolPages is the buffer pool capacity in pages. Zero means the
-	// default (1024 pages = 4 MiB).
+	// default (1024 pages = 4 MiB). The pool is striped over up to
+	// DefaultPoolShards lock shards, never fewer than 8 frames each.
 	PoolPages int
-	// PoolShards is the number of lock stripes in the buffer pool. Zero
-	// means DefaultPoolShards; it is clamped to PoolPages and rounded down
-	// to a power of two.
-	PoolShards int
 	// WrapDisk, when set, wraps the disk manager before the store builds on
 	// it — the seam the fault-injection layer uses to script I/O failures.
 	WrapDisk func(Disk) Disk
@@ -65,9 +62,6 @@ func Open(path string, opts Options) (*Store, error) {
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 1024
 	}
-	if opts.PoolShards == 0 {
-		opts.PoolShards = DefaultPoolShards
-	}
 	dm, err := OpenDisk(path)
 	if err != nil {
 		return nil, err
@@ -78,7 +72,7 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		disk:   disk,
-		pool:   NewShardedBufferPool(disk, opts.PoolPages, opts.PoolShards),
+		pool:   NewBufferPool(disk, opts.PoolPages),
 		access: obs.NewAccessTracker(),
 		heaps:  make(map[model.ClassID]*Heap),
 		dir:    make(map[model.OID]RID),

@@ -118,10 +118,6 @@ type Attr struct {
 type Options struct {
 	// PoolPages is the buffer pool capacity in 4 KiB pages (0 = 1024).
 	PoolPages int
-	// PoolShards is the number of lock stripes in the buffer pool
-	// (0 = 16). More shards let more concurrent readers fetch unrelated
-	// pages without contending.
-	PoolShards int
 	// CheckpointBytes triggers an automatic checkpoint when the WAL grows
 	// past this size (0 = 8 MiB).
 	CheckpointBytes int64
@@ -154,7 +150,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	eng, err := core.Open(dir, core.Options{
 		PoolPages:       opts.PoolPages,
-		PoolShards:      opts.PoolShards,
 		CheckpointBytes: opts.CheckpointBytes,
 		NoSync:          opts.NoSync,
 		Durability:      durability,
