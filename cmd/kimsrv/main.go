@@ -6,10 +6,11 @@
 //	       [-max-sessions N] [-idle-timeout D] [-drain-timeout D]
 //
 // kimsrv is the network front end of the embedded engine: each client
-// connection becomes a session with its own workspace and optional
-// explicit transaction (see internal/server). On SIGTERM or SIGINT it
-// drains gracefully — refuses new dials, lets in-flight commits finish,
-// aborts stragglers after -drain-timeout, checkpoints, and exits.
+// connection becomes an oodb.Session, which reads and writes exactly as an
+// embedded one does, with an optional explicit transaction (see
+// internal/server). On SIGTERM or SIGINT it drains gracefully — refuses
+// new dials, lets in-flight commits finish, aborts stragglers after
+// -drain-timeout, checkpoints, and exits.
 //
 // -http mounts the observability mux (/metrics JSON, /debug/pprof) on a
 // separate listener; the wire port carries only protocol frames.
@@ -69,12 +70,11 @@ func main() {
 	}
 
 	srv := server.New(db, server.Options{
-		Addr:         *addr,
-		Tokens:       tokenMap,
-		MaxSessions:  *maxSessions,
-		MaxInFlight:  *maxInFlight,
-		IdleTimeout:  *idleTimeout,
-		DrainTimeout: *drainTimeout,
+		Addr:        *addr,
+		Tokens:      tokenMap,
+		MaxSessions: *maxSessions,
+		MaxInFlight: *maxInFlight,
+		IdleTimeout: *idleTimeout,
 	})
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "kimsrv: listen:", err)

@@ -138,53 +138,65 @@ func doorScript(t *testing.T, d door) string {
 	return b.String()
 }
 
+// newDoorDB opens a database with doorScript's schema.
+func newDoorDB(t *testing.T) *oodb.DB {
+	t.Helper()
+	db, err := oodb.Open(t.TempDir(), oodb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if _, err := db.DefineClass("Maker", nil,
+		oodb.Attr{Name: "name", Domain: "String"},
+		oodb.Attr{Name: "city", Domain: "String"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineClass("Part", nil,
+		oodb.Attr{Name: "name", Domain: "String"},
+		oodb.Attr{Name: "weight", Domain: "Integer"},
+		oodb.Attr{Name: "tag", Domain: "String"},
+		oodb.Attr{Name: "maker", Domain: "Maker"}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// serveDoorDB serves db on an in-process kimsrv and returns its address.
+func serveDoorDB(t *testing.T, db *oodb.DB) string {
+	t.Helper()
+	s := server.New(db, server.Options{})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Drain(2 * time.Second) })
+	return s.Addr().String()
+}
+
+// dialDoor dials a client to addr and closes it with the test.
+func dialDoor(t *testing.T, addr string) *client.Client {
+	t.Helper()
+	c, err := client.Dial(addr, client.Options{Role: "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestDoorParity runs doorScript through the three front doors — an
 // open-mode Session, a client on an in-process kimsrv, and a router over
 // one member (member 0: global OID = local) — each over its own database
 // built alike, and requires one transcript: the same OIDs, rows, values and
 // the same kind of error for a missing object and an unknown class.
 func TestDoorParity(t *testing.T) {
-	newDB := func() *oodb.DB {
-		db, err := oodb.Open(t.TempDir(), oodb.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		if _, err := db.DefineClass("Maker", nil,
-			oodb.Attr{Name: "name", Domain: "String"},
-			oodb.Attr{Name: "city", Domain: "String"}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.DefineClass("Part", nil,
-			oodb.Attr{Name: "name", Domain: "String"},
-			oodb.Attr{Name: "weight", Domain: "Integer"},
-			oodb.Attr{Name: "tag", Domain: "String"},
-			oodb.Attr{Name: "maker", Domain: "Maker"}); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	serve := func() string {
-		s := server.New(newDB(), server.Options{})
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Drain(2 * time.Second) })
-		return s.Addr().String()
-	}
-
-	c, err := client.Dial(serve(), client.Options{Role: "app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r, err := shard.New([]string{serve()}, shard.Options{Client: client.Options{Role: "app"}})
+	c := dialDoor(t, serveDoorDB(t, newDoorDB(t)))
+	r, err := shard.New([]string{serveDoorDB(t, newDoorDB(t))}, shard.Options{Client: client.Options{Role: "app"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	embedded := doorScript(t, newDB().Session(nil, ""))
+	embedded := doorScript(t, newDoorDB(t).Session(nil, ""))
 	for _, e := range strings.Split("fetch of a deleted object,get on a deleted object,update of a deleted object,"+
 		"insert into an unknown class,query of an unknown class", ",") {
 		if !strings.Contains(embedded, e+": not-found\n") {
@@ -194,6 +206,68 @@ func TestDoorParity(t *testing.T) {
 	for name, d := range map[string]door{"kimsrv client": c, "shard router": r} {
 		if got := doorScript(t, d); got != embedded {
 			t.Errorf("%s disagrees with the embedded session:\n%s", name, firstDiff(embedded, got))
+		}
+	}
+}
+
+// TestSecondWriterVisibleThroughEveryDoor: a door reads an object with Get,
+// Fetch and Query; a second writer on the same database — another session,
+// another client of the same server, or a client dialed straight to the
+// router's member — commits an update; every one of the door's reads then
+// returns the new value. A door that answered from what it read before
+// would be silently wrong.
+func TestSecondWriterVisibleThroughEveryDoor(t *testing.T) {
+	type writer interface {
+		Update(oid oodb.OID, attrs oodb.Attrs) error
+	}
+	embeddedDB := newDoorDB(t)
+	servedAddr := serveDoorDB(t, newDoorDB(t))
+	memberAddr := serveDoorDB(t, newDoorDB(t))
+	r, err := shard.New([]string{memberAddr}, shard.Options{Client: client.Options{Role: "app"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	for _, tc := range []struct {
+		name   string
+		reader door
+		writer writer
+	}{
+		{"embedded session", embeddedDB.Session(nil, ""), embeddedDB.Session(nil, "")},
+		{"kimsrv client", dialDoor(t, servedAddr), dialDoor(t, servedAddr)},
+		// Member 0 of the router: its global OIDs are the member's own.
+		{"shard router", r, dialDoor(t, memberAddr)},
+	} {
+		d := tc.reader
+		oid, err := d.Insert("Part", oodb.Attrs{"name": oodb.String("cam"), "weight": oodb.Int(1)})
+		if err != nil {
+			t.Fatalf("%s: insert: %v", tc.name, err)
+		}
+		reads := func() [3]string {
+			t.Helper()
+			v, err := d.Get(oid, "weight")
+			if err != nil {
+				t.Fatalf("%s: get: %v", tc.name, err)
+			}
+			obj, err := d.Fetch(oid)
+			if err != nil {
+				t.Fatalf("%s: fetch: %v", tc.name, err)
+			}
+			res, err := d.Query(`SELECT weight FROM Part WHERE name = 'cam'`)
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("%s: query: %v, %v", tc.name, res, err)
+			}
+			return [3]string{v.String(), obj.Attrs["weight"].String(), res.Rows[0].Values[0].String()}
+		}
+		if got := reads(); got != [3]string{"1", "1", "1"} {
+			t.Fatalf("%s: get, fetch, query before the update = %v", tc.name, got)
+		}
+		if err := tc.writer.Update(oid, oodb.Attrs{"weight": oodb.Int(2)}); err != nil {
+			t.Fatalf("%s: second writer: %v", tc.name, err)
+		}
+		if got := reads(); got != [3]string{"2", "2", "2"} {
+			t.Errorf("%s: get, fetch, query after a second writer's commit = %v, want the new weight 2 from each", tc.name, got)
 		}
 	}
 }

@@ -16,14 +16,14 @@ import (
 //
 //   - Trigger. After every completed checkpoint the engine calls observe,
 //     which reads each segment's O(1) counters and marks the classes under
-//     MinOccupancy with at least MinPages as pending. Nothing polls.
+//     minOccupancy with at least minPages as pending. Nothing polls.
 //   - Quiet rule. A pending class is rewritten once its segment has gone
 //     quietPeriod without a write (the heap's mutation counter stands
 //     still). A load-then-delete is therefore rewritten once, after it has
 //     ended, and a write-hot segment is never stalled behind the class
 //     write lock the rewrite takes.
 //   - Hysteresis. A rewrite that leaves its segment still under
-//     MinOccupancy (records too small or too awkward to pack) would be
+//     minOccupancy (records too small or too awkward to pack) would be
 //     signalled again by the very next checkpoint; the occupancy it reached
 //     is remembered and the class is left alone until it has fallen to half
 //     of that.
@@ -63,20 +63,20 @@ func (a *autoState) init() {
 
 // sparse is the trigger predicate shared by the full sweep and the
 // automatic path (a class without a segment has a nil info).
-func (o *Options) sparse(info *storage.SegmentInfo) bool {
-	return info != nil && info.Pages >= o.MinPages && info.Occupancy < o.MinOccupancy
+func (m *Manager) sparse(info *storage.SegmentInfo) bool {
+	return info != nil && info.Pages >= m.minPages && info.Occupancy < m.minOccupancy
 }
 
 // observe is the checkpoint hook: an O(classes) pass over counters, on the
 // checkpointing goroutine. It takes only the auto mutex (a compaction holds
 // m.mu across its own closing checkpoint).
 func (m *Manager) observe() {
-	opts, now := m.opts.Load(), m.now()
+	now := m.now()
 	found := false
 	m.auto.mu.Lock()
 	for _, class := range m.db.Store.Classes() {
 		info := m.db.Store.SegmentInfo(class)
-		if !opts.sparse(info) {
+		if !m.sparse(info) {
 			continue
 		}
 		if floor, ok := m.auto.floor[class]; ok && info.Occupancy >= floor/2 {
@@ -117,7 +117,6 @@ func (m *Manager) loop(stop <-chan struct{}, done chan<- struct{}) {
 // segment is no longer sparse, looked at again a quiet period later when it
 // was written meanwhile, and rewritten otherwise.
 func (m *Manager) runDue(now time.Time) (next time.Time, ok bool) {
-	opts := m.opts.Load()
 	m.auto.mu.Lock()
 	var due []model.ClassID
 	for class, w := range m.auto.pending {
@@ -129,7 +128,7 @@ func (m *Manager) runDue(now time.Time) (next time.Time, ok bool) {
 		w := m.auto.pending[class]
 		info := m.db.Store.SegmentInfo(class)
 		switch {
-		case !opts.sparse(info):
+		case !m.sparse(info):
 			delete(m.auto.pending, class)
 		case info.Mutations != w.muts:
 			mAutoSkipQuiet.Add(1)
@@ -137,7 +136,7 @@ func (m *Manager) runDue(now time.Time) (next time.Time, ok bool) {
 		default:
 			delete(m.auto.pending, class)
 			m.auto.mu.Unlock()
-			m.autoCompact(class, opts)
+			m.autoCompact(class)
 			m.auto.mu.Lock()
 		}
 	}
@@ -154,7 +153,7 @@ func (m *Manager) runDue(now time.Time) (next time.Time, ok bool) {
 // what it cost. A failure (the database closing under the manager, a
 // poisoned engine) leaves the data as it was; the next checkpoint signals
 // the class again.
-func (m *Manager) autoCompact(class model.ClassID, opts *Options) {
+func (m *Manager) autoCompact(class model.ClassID) {
 	m.mu.Lock()
 	res, err := m.compact(class, ClusterNone)
 	if err == nil {
@@ -180,7 +179,7 @@ func (m *Manager) autoCompact(class model.ClassID, opts *Options) {
 	// the class: that signal describes the segment it has just replaced.
 	delete(m.auto.pending, class)
 	m.auto.last[class] = m.now()
-	if info := m.db.Store.SegmentInfo(class); opts.sparse(info) {
+	if info := m.db.Store.SegmentInfo(class); m.sparse(info) {
 		m.auto.floor[class] = info.Occupancy
 	} else {
 		delete(m.auto.floor, class)

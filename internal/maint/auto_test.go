@@ -17,11 +17,13 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// hooked returns a manager wired to db's checkpoint events and to a fake
-// clock, with no loop running: the test plays the loop by calling runDue.
-func hooked(db *core.DB, opts Options) (*Manager, *fakeClock) {
+// hooked returns a manager with the given occupancy trigger, wired to db's
+// checkpoint events and to a fake clock, with no loop running: the test
+// plays the loop by calling runDue.
+func hooked(db *core.DB, occupancy float64) (*Manager, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	m := New(db, opts)
+	m := New(db, Options{})
+	m.minOccupancy = occupancy
 	m.now = clk.now
 	db.OnCheckpoint(m.observe)
 	return m, clk
@@ -47,7 +49,7 @@ func insertOne(t *testing.T, db *core.DB, cl *schema.Class, n int64) model.OID {
 // quiet look rewrites it, once.
 func TestNoCompactWhileWriteHot(t *testing.T) {
 	db, cl, _ := openDB(t)
-	m, clk := hooked(db, Options{})
+	m, clk := hooked(db, minOccupancy)
 	kept := fragment(t, db, cl, 2000, 10)
 	runs0, quiet0 := counter("maint_auto_compactions_total"), counter("maint_auto_skipped_quiet_total")
 
@@ -121,7 +123,7 @@ func TestNoCompactWhileWriteHot(t *testing.T) {
 // again, until it has lost half of what the rewrite reached.
 func TestAutoCompactHysteresis(t *testing.T) {
 	db, cl, _ := openDB(t)
-	m, clk := hooked(db, Options{MinOccupancy: 0.99})
+	m, clk := hooked(db, 0.99)
 	var oids []model.OID
 	if err := db.Do(func(tx *core.Tx) error {
 		for i := 0; i < 3000; i++ {

@@ -49,15 +49,8 @@ func (p ClusterPolicy) String() string {
 	}
 }
 
-// policyFor resolves the effective policy for a class: per-class override
-// first, then the manager-wide default.
-func (m *Manager) policyFor(class model.ClassID) ClusterPolicy {
-	opts := m.opts.Load()
-	if p, ok := opts.ClusterOverride[class]; ok {
-		return p
-	}
-	return opts.Clustering
-}
+// policy is the placement policy the manager is configured with.
+func (m *Manager) policy() ClusterPolicy { return m.opts.Load().Clustering }
 
 // placement builds the storage.Placement for a policy, or nil for
 // ClusterNone. The returned closure runs inside the compaction's DDL

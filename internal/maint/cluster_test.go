@@ -232,11 +232,9 @@ func TestHeatPlacementOrdersByFetchCount(t *testing.T) {
 	}
 }
 
-// TestClusterOverrideAndMetrics pins per-class policy override resolution
-// and the maint_cluster_* counters: a class overridden to ClusterNone
-// under a ClusterHot default compacts without touching the clustering
-// counters, and vice versa.
-func TestClusterOverrideAndMetrics(t *testing.T) {
+// TestClusterMetrics pins the maint_cluster_* counters: a compaction under
+// ClusterNone leaves them alone, one under ClusterHot counts.
+func TestClusterMetrics(t *testing.T) {
 	db, cl, _ := openDB(t)
 	kept := fragment(t, db, cl, 200, 10)
 	for r := 0; r < 5; r++ { // skewed heat so ClusterHot would reorder
@@ -245,27 +243,15 @@ func TestClusterOverrideAndMetrics(t *testing.T) {
 		}
 	}
 
-	m := New(db, Options{
-		Clustering:      ClusterHot,
-		ClusterOverride: map[model.ClassID]ClusterPolicy{cl.ID: ClusterNone},
-	})
-	if got := m.policyFor(cl.ID); got != ClusterNone {
-		t.Fatalf("override policy = %v, want ClusterNone", got)
-	}
-	if got := m.policyFor(model.ClassID(999)); got != ClusterHot {
-		t.Fatalf("default policy = %v, want ClusterHot", got)
-	}
-
 	before := obs.TakeSnapshot().Counters["maint_cluster_compactions_total"]
-	if _, err := m.CompactClass(cl.ID); err != nil {
+	if _, err := New(db, Options{}).CompactClass(cl.ID); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.TakeSnapshot().Counters["maint_cluster_compactions_total"]
 	if after != before {
-		t.Fatalf("overridden-to-none compaction bumped maint_cluster_compactions_total (%d -> %d)", before, after)
+		t.Fatalf("ClusterNone compaction bumped maint_cluster_compactions_total (%d -> %d)", before, after)
 	}
 
-	// Remove the override: now the default ClusterHot applies and counts.
 	m2 := New(db, Options{Clustering: ClusterHot})
 	res, err := m2.CompactClass(cl.ID)
 	if err != nil {

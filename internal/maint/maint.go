@@ -25,53 +25,42 @@ import (
 	"oodb/internal/storage"
 )
 
-// Options tunes the maintenance policy. Zero values select defaults.
+// Options tunes the maintenance policy.
 type Options struct {
-	// LeakThreshold is the leaked-page count at which a sweep runs the
-	// reclaimer (default 1: any leak is reclaimed).
-	LeakThreshold uint64
-	// MinOccupancy triggers compaction when a segment's live-byte occupancy
-	// falls below it (default 0.5).
-	MinOccupancy float64
-	// MinPages exempts segments smaller than this from compaction — a
-	// near-empty two-page segment is not worth a rewrite (default 4).
-	MinPages int
-	// ReclaimWait bounds the quiesce window the reclaimer may hold new
-	// transaction begins open while in-flight ones drain (default 100ms).
-	// Without it, any steady trickle of transactions starves the
-	// reclaimer forever and leaked pages accumulate unbounded.
-	ReclaimWait time.Duration
 	// Clustering selects the placement policy compactions use (default
 	// ClusterNone: physical scan order, byte-identical to the
 	// pre-clustering compactor). See cluster.go.
 	Clustering ClusterPolicy
-	// ClusterOverride pins a policy per class, overriding Clustering —
-	// e.g. composite clustering for the CAD assembly class while the rest
-	// of the database keeps scan order.
-	ClusterOverride map[model.ClassID]ClusterPolicy
 }
 
-func (o Options) withDefaults() Options {
-	if o.LeakThreshold == 0 {
-		o.LeakThreshold = 1
-	}
-	if o.MinOccupancy == 0 {
-		o.MinOccupancy = 0.5
-	}
-	if o.MinPages == 0 {
-		o.MinPages = 4
-	}
-	if o.ReclaimWait == 0 {
-		o.ReclaimWait = 100 * time.Millisecond
-	}
-	return o
-}
+// Trigger policy. A Manager starts with these; tests lower them.
+const (
+	// leakThreshold is the leaked-page count at which a sweep runs the
+	// reclaimer: any leak is reclaimed.
+	leakThreshold = 1
+	// minOccupancy triggers compaction when a segment's live-byte
+	// occupancy falls below it.
+	minOccupancy = 0.5
+	// minPages exempts smaller segments from compaction — a near-empty
+	// two-page segment is not worth a rewrite.
+	minPages = 4
+	// reclaimWait bounds the quiesce window the reclaimer may hold new
+	// transaction begins open while in-flight ones drain. Without it, any
+	// steady trickle of transactions starves the reclaimer forever and
+	// leaked pages accumulate unbounded.
+	reclaimWait = 100 * time.Millisecond
+)
 
 // Manager runs maintenance for one database. All entry points are safe for
 // concurrent use; sweeps and compactions are serialized against each other.
 type Manager struct {
 	db   *core.DB
 	opts atomic.Pointer[Options] // replaced whole by Configure
+
+	leakThreshold uint64
+	minOccupancy  float64
+	minPages      int
+	reclaimWait   time.Duration
 
 	mu      sync.Mutex // serializes sweeps, compactions and Start/Stop state
 	started bool
@@ -85,18 +74,17 @@ type Manager struct {
 // New returns a manager over db. Nothing runs in the background until
 // Start; every operation is also available on demand.
 func New(db *core.DB, opts Options) *Manager {
-	m := &Manager{db: db, now: time.Now}
+	m := &Manager{db: db, now: time.Now, leakThreshold: leakThreshold,
+		minOccupancy: minOccupancy, minPages: minPages, reclaimWait: reclaimWait}
 	m.auto.init()
 	m.Configure(opts)
 	return m
 }
 
-// Configure replaces the manager's options (zero values select defaults).
-// It is how a database's one manager is given another trigger threshold or
-// placement policy; a compaction already running finishes under the old
-// ones.
+// Configure replaces the manager's options. It is how a database's one
+// manager is given another placement policy; a compaction already running
+// finishes under the old one.
 func (m *Manager) Configure(opts Options) {
-	opts = opts.withDefaults()
 	m.opts.Store(&opts)
 }
 
@@ -152,7 +140,6 @@ func (m *Manager) Stop() {
 func (m *Manager) RunOnce() (SweepReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	opts := m.opts.Load()
 	mSweepRuns.Add(1)
 	t0 := time.Now()
 	defer func() { mSweepNs.Observe(uint64(time.Since(t0))) }()
@@ -166,12 +153,12 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if acct.Leaked >= opts.LeakThreshold {
+	if acct.Leaked >= m.leakThreshold {
 		// Bounded quiesce: briefly hold new begins and let in-flight
 		// transactions drain. A sweep that still cannot quiesce counts as
 		// starved — a run of those is the signal the window is too small
 		// for the workload.
-		n, err := m.db.ReclaimLeakedWait(opts.ReclaimWait)
+		n, err := m.db.ReclaimLeakedWait(m.reclaimWait)
 		switch {
 		case err == core.ErrBusy:
 			rep.Busy = true
@@ -189,10 +176,10 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		if !opts.sparse(info) {
+		if !m.sparse(info) {
 			continue
 		}
-		res, err := m.compact(cl.ID, m.policyFor(cl.ID))
+		res, err := m.compact(cl.ID, m.policy())
 		if err != nil {
 			return rep, err
 		}
@@ -217,7 +204,7 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 func (m *Manager) CompactClass(class model.ClassID) (*storage.CompactResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.compact(class, m.policyFor(class))
+	return m.compact(class, m.policy())
 }
 
 // compact rewrites one segment under the given placement policy. Caller
@@ -271,7 +258,7 @@ func (m *Manager) CompactAll() (map[model.ClassID]*storage.CompactResult, error)
 		if info == nil {
 			continue
 		}
-		res, err := m.compact(cl.ID, m.policyFor(cl.ID))
+		res, err := m.compact(cl.ID, m.policy())
 		if err != nil {
 			return out, err
 		}
@@ -328,15 +315,15 @@ func (m *Manager) AnalyzeAll() (int, error) {
 	return n, nil
 }
 
-// ReclaimLeaked frees leaked pages on demand, quiescing for up to the
-// configured ReclaimWait (ErrBusy when transactions outlast the window).
+// ReclaimLeaked frees leaked pages on demand, quiescing for up to
+// reclaimWait (ErrBusy when transactions outlast the window).
 // It takes the sweep mutex: between a compaction's checkpoint and its frees
 // the old chain is unnamed but still allocated, and a reclaim running there
 // would free it a first time.
 func (m *Manager) ReclaimLeaked() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, err := m.db.ReclaimLeakedWait(m.opts.Load().ReclaimWait)
+	n, err := m.db.ReclaimLeakedWait(m.reclaimWait)
 	switch {
 	case err == core.ErrBusy:
 		mReclaimStarved.Add(1)

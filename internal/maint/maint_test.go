@@ -181,14 +181,15 @@ func TestSweepTriggerPolicy(t *testing.T) {
 		t.Fatalf("sweep compacted a dense segment: %+v", rep)
 	}
 
-	// Sparse but tiny: below MinPages.
+	// Sparse but tiny: below minPages.
 	db2, cl2, _ := openDB(t)
 	fragment(t, db2, cl2, 40, 40)
 	info, err := db2.SegmentInfo(cl2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(db2, Options{MinPages: info.Pages + 1})
+	m2 := New(db2, Options{})
+	m2.minPages = info.Pages + 1
 	rep2, err := m2.RunOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +453,8 @@ func TestReclaimStarvedCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mReclaimStarved.Value()
-	m := New(db, Options{ReclaimWait: time.Millisecond})
+	m := New(db, Options{})
+	m.reclaimWait = time.Millisecond
 	if _, err := m.ReclaimLeaked(); err != core.ErrBusy {
 		t.Fatalf("reclaim against a held transaction = %v, want ErrBusy", err)
 	}

@@ -129,27 +129,20 @@ type Options struct {
 	Role string
 	// Token authenticates the role when the server requires one.
 	Token string
-	// DialTimeout bounds the TCP connect + handshake (default 10s).
-	DialTimeout time.Duration
 	// RequestTimeout bounds each request round-trip (default 60s).
 	RequestTimeout time.Duration
-	// MaxFrame caps accepted response frames (default proto.MaxFrame).
-	MaxFrame int
 }
+
+// dialTimeout bounds the TCP connect + handshake.
+const dialTimeout = 10 * time.Second
 
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Role == "" {
 		out.Role = "public"
 	}
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 10 * time.Second
-	}
 	if out.RequestTimeout <= 0 {
 		out.RequestTimeout = 60 * time.Second
-	}
-	if out.MaxFrame <= 0 || out.MaxFrame > proto.MaxFrame {
-		out.MaxFrame = proto.MaxFrame
 	}
 	return out
 }
@@ -180,13 +173,12 @@ type Client struct {
 // Dial connects to a kimsrv server and performs the protocol handshake.
 func Dial(addr string, opts Options) (*Client, error) {
 	o := opts.withDefaults()
-	nc, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{nc: nc, opts: o}
-	deadline := time.Now().Add(o.DialTimeout)
-	_ = nc.SetDeadline(deadline)
+	_ = nc.SetDeadline(time.Now().Add(dialTimeout))
 	body := proto.AppendHello(nil, proto.Hello{Version: proto.Version, Role: o.Role, Token: o.Token})
 	respBody, err := c.roundTripLocked(proto.VerbHello, body)
 	_ = nc.SetDeadline(time.Time{})
@@ -249,7 +241,7 @@ func (c *Client) roundTripLocked(verb byte, body []byte) ([]byte, error) {
 	if _, err := c.nc.Write(framed); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
-	respPayload, err := proto.ReadFrame(c.nc, c.opts.MaxFrame)
+	respPayload, err := proto.ReadFrame(c.nc, proto.MaxFrame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
@@ -305,22 +297,11 @@ func (c *Client) query(verb byte, src string) (*Result, error) {
 	return res, nil
 }
 
-// Fetch returns an object with its effective attributes. Reads hit the
-// session's server-side workspace cache; pass refresh to force a reload
-// of the last committed state.
-func (c *Client) Fetch(oid model.OID) (*Object, error) { return c.fetch(oid, false) }
-
-// FetchFresh is Fetch bypassing the session's workspace cache.
-func (c *Client) FetchFresh(oid model.OID) (*Object, error) { return c.fetch(oid, true) }
-
-func (c *Client) fetch(oid model.OID, refresh bool) (*Object, error) {
-	req := proto.AppendOID(nil, oid)
-	var rb byte
-	if refresh {
-		rb = 1
-	}
-	req = append(req, rb)
-	body, err := c.roundTrip(proto.VerbFetch, req)
+// Fetch returns an object with its effective attributes: inside an open
+// transaction as that transaction sees it, otherwise the last committed
+// state.
+func (c *Client) Fetch(oid model.OID) (*Object, error) {
+	body, err := c.roundTrip(proto.VerbFetch, proto.AppendOID(nil, oid))
 	if err != nil {
 		return nil, err
 	}

@@ -42,29 +42,11 @@ type Redialer struct {
 	lastErr error         // dial error reported during the backoff window
 }
 
-// RedialOptions configures a Redialer beyond the embedded client options.
-type RedialOptions struct {
-	// Backoff is the first retry delay after a failed dial (default 50ms).
-	Backoff time.Duration
-	// BackoffCap bounds the exponential growth (default 5s).
-	BackoffCap time.Duration
-}
-
 // NewRedialer returns a Redialer for addr. No connection is made until
-// the first Client or Do call.
-func NewRedialer(addr string, opts Options, ropts RedialOptions) *Redialer {
-	base := ropts.Backoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	cap := ropts.BackoffCap
-	if cap < base {
-		cap = 5 * time.Second
-		if cap < base {
-			cap = base
-		}
-	}
-	return &Redialer{addr: addr, opts: opts, base: base, cap: cap}
+// the first Client or Do call. The first retry waits 50ms, doubling up to
+// 5s.
+func NewRedialer(addr string, opts Options) *Redialer {
+	return &Redialer{addr: addr, opts: opts, base: 50 * time.Millisecond, cap: 5 * time.Second}
 }
 
 // Addr returns the dial address.

@@ -30,7 +30,7 @@ type request struct {
 // conn is one client session. Two goroutines serve it: the reader decodes
 // frames and enqueues them (shedding on overflow without blocking), the
 // worker executes them in order and writes responses. The oodb.Session —
-// role, explicit transaction, read cache — is touched only by the worker,
+// role and explicit transaction — is touched only by the worker,
 // so it needs no locks; teardown runs after both goroutines exit.
 type conn struct {
 	srv  *Server
@@ -55,7 +55,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		srv:   s,
 		nc:    nc,
 		br:    bufio.NewReaderSize(&countingReader{r: nc}, 32<<10),
-		queue: make(chan request, s.opts.SessionQueue),
+		queue: make(chan request, s.sessionQueue),
 	}
 	c.lastActive.Store(time.Now().UnixNano())
 	if !c.handshake() {
@@ -107,8 +107,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // already reserved (teardown in serveConn releases it).
 func (c *conn) handshake() bool {
 	s := c.srv
-	_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
-	payload, err := proto.ReadFrame(c.br, s.opts.MaxFrame)
+	_ = c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	payload, err := proto.ReadFrame(c.br, s.maxFrame)
 	if err != nil {
 		if errors.Is(err, proto.ErrFrameTooLarge) {
 			c.writeResponse(proto.AppendError(nil, 0, proto.ErrCodeTooLarge, err.Error()))
@@ -151,7 +151,7 @@ func (c *conn) handshake() bool {
 			fmt.Sprintf("session limit %d reached", s.opts.MaxSessions))
 	}
 	c.id = s.sessionSeq.Add(1)
-	c.sess = s.db.Session(s.opts.Authorizer, hello.Role).WithCache()
+	c.sess = s.db.Session(s.opts.Authorizer, hello.Role)
 	resp := proto.AppendOK(nil, seq)
 	resp = proto.AppendWelcome(resp, proto.Welcome{Version: proto.Version, SessionID: c.id})
 	if !c.writeResponse(resp) {
@@ -171,7 +171,7 @@ func (c *conn) readerLoop() {
 		// session that sends nothing for well past the idle limit fails
 		// its read even if eviction lost the race.
 		_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout + s.opts.IdleTimeout/2))
-		payload, err := proto.ReadFrame(c.br, s.opts.MaxFrame)
+		payload, err := proto.ReadFrame(c.br, s.maxFrame)
 		if err != nil {
 			if errors.Is(err, proto.ErrFrameTooLarge) {
 				// The stream is unsynchronized past a refused length
@@ -226,7 +226,7 @@ func (c *conn) execute(req request) (resp []byte) {
 	select {
 	case s.inflight <- struct{}{}:
 	default:
-		t := time.NewTimer(s.opts.QueueWait)
+		t := time.NewTimer(queueWait)
 		select {
 		case s.inflight <- struct{}{}:
 			t.Stop()
@@ -329,7 +329,7 @@ func errCode(err error) byte {
 // stream. It reports whether the write succeeded.
 func (c *conn) writeResponse(payload []byte) bool {
 	framed := proto.AppendFrame(make([]byte, 0, len(payload)+4), payload)
-	_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
+	_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := c.nc.Write(framed)
 	mBytesOut.Add(uint64(n))
 	return err == nil
@@ -385,15 +385,10 @@ func (c *conn) dispatch(verb byte, r *proto.Reader) ([]byte, error) {
 		return proto.AppendResult(nil, res), nil
 	case proto.VerbFetch:
 		oid := r.OID()
-		refresh := r.Byte()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		fetch := sess.Fetch
-		if refresh != 0 {
-			fetch = sess.FetchFresh
-		}
-		obj, err := fetch(oid)
+		obj, err := sess.Fetch(oid)
 		if err != nil {
 			return nil, err
 		}

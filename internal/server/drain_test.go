@@ -84,7 +84,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	t.Logf("drain landed with %d acknowledged commits", len(acked))
 
 	// (b) New dials are refused.
-	if _, err := client.Dial(s.Addr().String(), client.Options{Role: "app", DialTimeout: time.Second}); err == nil {
+	if _, err := client.Dial(s.Addr().String(), client.Options{Role: "app"}); err == nil {
 		t.Fatal("dial succeeded against a drained server")
 	}
 	if !s.Draining() {

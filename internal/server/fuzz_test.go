@@ -42,7 +42,9 @@ func rawDial(t *testing.T, s *Server, handshake bool) net.Conn {
 // client still gets service afterwards.
 func TestMalformedFramesNeverCrash(t *testing.T) {
 	db := newTestDB(t)
-	s := startServer(t, db, Options{MaxFrame: 1 << 16})
+	s := New(db, Options{})
+	s.maxFrame = 1 << 16
+	start(t, s)
 	panicsBefore := mConnPanics.Value()
 	rng := rand.New(rand.NewSource(42))
 
@@ -89,7 +91,7 @@ func TestMalformedFramesNeverCrash(t *testing.T) {
 	// error before the server allocates, then the connection hangs up.
 	nc := rawDial(t, s, true)
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(s.opts.MaxFrame+1))
+	binary.BigEndian.PutUint32(hdr[:], uint32(s.maxFrame+1))
 	if _, err := nc.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,9 @@ const Magic = "kimw"
 // Version is the protocol version this build speaks. A server refuses a
 // client with a different version (ErrCodeVersion) and reports its own
 // version in the handshake response, so mixed deployments fail fast and
-// loud instead of misparsing frames.
-const Version = 1
+// loud instead of misparsing frames. Version 2's Fetch body is the OID
+// alone; version 1 followed it with a cache-refresh byte.
+const Version = 2
 
 // MaxFrame is the default maximum frame length (16 MiB): generous enough
 // for multi-megabyte blob attribute values and large result sets, small

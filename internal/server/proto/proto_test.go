@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -144,40 +143,86 @@ func TestObjectRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReaderNeverPanics drives the decoding cursor with random junk: every
-// decode must end in a latched error or clean values, never a panic or an
-// out-of-range slice. This is the unit-level half of the server's
-// malformed-frame guarantee.
-func TestReaderNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		buf := make([]byte, rng.Intn(64))
-		rng.Read(buf)
-		r := NewReader(buf)
-		// Exercise every read primitive in a random order.
-		for k := 0; k < 8; k++ {
-			switch rng.Intn(6) {
-			case 0:
-				r.Byte()
-			case 1:
-				r.Uvarint()
-			case 2:
-				_ = r.ReadString()
-			case 3:
-				r.Value()
-			case 4:
-				r.Attrs()
-			case 5:
-				r.Uint32()
+// FuzzReader feeds arbitrary bytes to every decoder a peer's bytes reach:
+// the frame reader, the handshake halves, a query result, an object, an
+// error response and a Fetch body. None may panic, and whatever decodes must
+// re-encode with the matching Append* to bytes that decode equal.
+func FuzzReader(f *testing.F) {
+	f.Add(AppendFrame(nil, AppendRequest(nil, VerbPing, 1)))
+	f.Add(AppendHello(nil, Hello{Version: Version, Role: "engineer", Token: "s3cret"}))
+	f.Add(AppendWelcome(nil, Welcome{Version: Version, SessionID: 42}))
+	f.Add(AppendResult(nil, &Result{
+		Cols: []string{"name", "weight"},
+		Rows: []ResultRow{
+			{OID: model.OID(1<<40 | 7), Values: []model.Value{model.String("cam"), model.Int(10)}},
+			{Values: []model.Value{model.Null, model.Set(model.Ref(model.OID(3)), model.Float(1.5))}},
+		},
+	}))
+	f.Add(AppendObject(nil, &Object{OID: model.OID(3<<40 | 9), Class: "Vehicle",
+		Attrs: map[string]model.Value{"weight": model.Int(7600), "ok": model.Bool(true)}}))
+	f.Add(AppendError(nil, 7, ErrCodeRetryable, "shed"))
+	f.Add(AppendOID(nil, model.OID(1<<40|7)))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		// A frame may claim no more than the input holds, so a hostile
+		// length prefix never allocates past it.
+		if p, err := ReadFrame(bytes.NewReader(buf), len(buf)); err == nil {
+			if again := AppendFrame(nil, p); !bytes.Equal(again, buf[:len(again)]) {
+				t.Fatalf("frame re-encodes to %x, read from %x", again, buf)
 			}
 		}
-		r2 := NewReader(buf)
-		_, _ = ReadResult(r2)
-		r3 := NewReader(buf)
-		_, _ = ReadObject(r3)
-		r4 := NewReader(buf)
-		_, _ = ReadHello(r4)
+		if h, err := ReadHello(NewReader(buf)); err == nil {
+			if again, err := ReadHello(NewReader(AppendHello(nil, h))); err != nil || again != h {
+				t.Fatalf("hello %+v re-decodes to %+v (%v)", h, again, err)
+			}
+		}
+		if w, err := ReadWelcome(NewReader(buf)); err == nil {
+			if again, err := ReadWelcome(NewReader(AppendWelcome(nil, w))); err != nil || again != w {
+				t.Fatalf("welcome %+v re-decodes to %+v (%v)", w, again, err)
+			}
+		}
+		if res, err := ReadResult(NewReader(buf)); err == nil {
+			enc := AppendResult(nil, res)
+			again, err := ReadResult(NewReader(enc))
+			if err != nil || !bytes.Equal(AppendResult(nil, again), enc) {
+				t.Fatalf("result %+v re-decodes to %+v (%v)", res, again, err)
+			}
+		}
+		if o, err := ReadObject(NewReader(buf)); err == nil {
+			again, err := ReadObject(NewReader(AppendObject(nil, o)))
+			if err != nil || !sameObject(o, again) {
+				t.Fatalf("object %+v re-decodes to %+v (%v)", o, again, err)
+			}
+		}
+		r := NewReader(buf)
+		status, seq, code, msg := r.Byte(), r.Uint32(), r.Byte(), r.ReadString()
+		if r.Err() == nil && status == StatusErr {
+			r2 := NewReader(AppendError(nil, seq, code, msg))
+			if r2.Byte() != status || r2.Uint32() != seq || r2.Byte() != code || r2.ReadString() != msg || r2.Err() != nil {
+				t.Fatalf("error response seq=%d code=%d %q does not re-decode", seq, code, msg)
+			}
+		}
+		r = NewReader(buf)
+		if oid := r.OID(); r.Err() == nil {
+			if again := NewReader(AppendOID(nil, oid)).OID(); again != oid {
+				t.Fatalf("fetch body %v re-decodes to %v", oid, again)
+			}
+		}
+	})
+}
+
+// sameObject compares two objects attribute by attribute in the canonical
+// value encoding, which tells apart what Compare equates (1 and 1.0).
+func sameObject(a, b *Object) bool {
+	if a.OID != b.OID || a.Class != b.Class || len(a.Attrs) != len(b.Attrs) {
+		return false
 	}
+	for name, v := range a.Attrs {
+		w, ok := b.Attrs[name]
+		if !ok || !bytes.Equal(model.AppendValue(nil, v), model.AppendValue(nil, w)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestErrorResponseShape(t *testing.T) {

@@ -47,8 +47,7 @@ func TestRedialerHealsLatchedClient(t *testing.T) {
 	}
 	addr := s.Addr().String()
 
-	rd := client.NewRedialer(addr, client.Options{Role: "app", RequestTimeout: 2 * time.Second},
-		client.RedialOptions{Backoff: 10 * time.Millisecond, BackoffCap: 100 * time.Millisecond})
+	rd := client.NewRedialer(addr, client.Options{Role: "app", RequestTimeout: 2 * time.Second})
 	defer rd.Close()
 
 	var oid model.OID
@@ -110,7 +109,7 @@ func TestRedialerHealsLatchedClient(t *testing.T) {
 func TestRedialerDoAtMostOnce(t *testing.T) {
 	db := newTestDB(t)
 	s := startServer(t, db, Options{})
-	rd := client.NewRedialer(s.Addr().String(), client.Options{Role: "app"}, client.RedialOptions{})
+	rd := client.NewRedialer(s.Addr().String(), client.Options{Role: "app"})
 	defer rd.Close()
 
 	// Latch the cached connection closed behind the redialer's back: the
@@ -180,8 +179,7 @@ func TestRedialerBackoffFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd := client.NewRedialer(addr, client.Options{DialTimeout: 500 * time.Millisecond},
-		client.RedialOptions{Backoff: time.Minute, BackoffCap: time.Minute})
+	rd := client.NewRedialer(addr, client.Options{})
 	defer rd.Close()
 
 	if _, err := rd.Client(); err == nil {

@@ -6,8 +6,9 @@
 // and this package is that front end. Each accepted connection becomes a
 // session: a protocol handshake maps the client to a role (token
 // authentication) and binds it to an oodb.Session — the engine's one
-// role-bound data door, with its read cache on — and every data verb of
-// the wire protocol defined in internal/server/proto is one call on it.
+// role-bound data door, the same one an embedded caller gets — and every
+// data verb of the wire protocol defined in internal/server/proto is one
+// call on it.
 // What a role may see or write is decided there, not in this package.
 //
 // Operational spine:
@@ -63,35 +64,14 @@ type Options struct {
 	// Excess handshakes are refused with a typed ServerFull error.
 	MaxSessions int
 
-	// SessionQueue caps pipelined requests buffered per session (default
-	// 8). Overflow is shed with a typed retryable error.
-	SessionQueue int
-
 	// MaxInFlight caps requests executing concurrently across all
 	// sessions (default 4×GOMAXPROCS). A request that cannot get a slot
-	// within QueueWait is shed with a typed retryable error.
+	// within queueWait is shed with a typed retryable error.
 	MaxInFlight int
-
-	// QueueWait bounds how long a request waits for a global execution
-	// slot before being shed (default 25ms).
-	QueueWait time.Duration
 
 	// IdleTimeout evicts sessions with no request activity for this long
 	// (default 5m), aborting their open transaction.
 	IdleTimeout time.Duration
-
-	// HandshakeTimeout bounds the wait for the hello frame (default 10s).
-	HandshakeTimeout time.Duration
-
-	// WriteTimeout bounds each response write (default 30s).
-	WriteTimeout time.Duration
-
-	// MaxFrame caps accepted frame length (default proto.MaxFrame).
-	MaxFrame int
-
-	// DrainTimeout is how long Close lets in-flight work finish before
-	// aborting stragglers (default 5s). Drain takes an explicit deadline.
-	DrainTimeout time.Duration
 }
 
 func (o *Options) withDefaults() Options {
@@ -102,32 +82,31 @@ func (o *Options) withDefaults() Options {
 	if out.MaxSessions <= 0 {
 		out.MaxSessions = 1024
 	}
-	if out.SessionQueue <= 0 {
-		out.SessionQueue = 8
-	}
 	if out.MaxInFlight <= 0 {
 		out.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if out.QueueWait <= 0 {
-		out.QueueWait = 25 * time.Millisecond
 	}
 	if out.IdleTimeout <= 0 {
 		out.IdleTimeout = 5 * time.Minute
 	}
-	if out.HandshakeTimeout <= 0 {
-		out.HandshakeTimeout = 10 * time.Second
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 30 * time.Second
-	}
-	if out.MaxFrame <= 0 || out.MaxFrame > proto.MaxFrame {
-		out.MaxFrame = proto.MaxFrame
-	}
-	if out.DrainTimeout <= 0 {
-		out.DrainTimeout = 5 * time.Second
-	}
 	return out
 }
+
+// Fixed limits of the served door.
+const (
+	// sessionQueue caps pipelined requests buffered per session; overflow
+	// is shed with a typed retryable error.
+	sessionQueue = 8
+	// queueWait bounds how long a request waits for a global execution
+	// slot before being shed.
+	queueWait = 25 * time.Millisecond
+	// handshakeTimeout bounds the wait for the hello frame.
+	handshakeTimeout = 10 * time.Second
+	// writeTimeout bounds each response write.
+	writeTimeout = 30 * time.Second
+	// drainTimeout is how long Close lets in-flight work finish before
+	// aborting stragglers; Drain takes an explicit deadline.
+	drainTimeout = 5 * time.Second
+)
 
 // ErrServerClosed is returned by Start after Drain or Close.
 var ErrServerClosed = errors.New("server: closed")
@@ -147,6 +126,11 @@ type Server struct {
 	sessions   atomic.Int64 // active sessions (mirrors mSessionsActive)
 	inflight   chan struct{}
 
+	// sessionQueue and maxFrame start at the package constants; tests
+	// shrink them before Start.
+	sessionQueue int
+	maxFrame     int
+
 	wg          sync.WaitGroup // accept loop + connection goroutines
 	janitorStop chan struct{}
 
@@ -159,11 +143,13 @@ type Server struct {
 func New(db *oodb.DB, opts Options) *Server {
 	o := opts.withDefaults()
 	return &Server{
-		db:          db,
-		opts:        o,
-		conns:       make(map[*conn]struct{}),
-		inflight:    make(chan struct{}, o.MaxInFlight),
-		janitorStop: make(chan struct{}),
+		db:           db,
+		opts:         o,
+		conns:        make(map[*conn]struct{}),
+		inflight:     make(chan struct{}, o.MaxInFlight),
+		sessionQueue: sessionQueue,
+		maxFrame:     proto.MaxFrame,
+		janitorStop:  make(chan struct{}),
 	}
 }
 
@@ -313,8 +299,8 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// Close drains with the configured DrainTimeout.
-func (s *Server) Close() error { return s.Drain(s.opts.DrainTimeout) }
+// Close drains with a fixed deadline of drainTimeout.
+func (s *Server) Close() error { return s.Drain(drainTimeout) }
 
 // Draining reports whether the server has begun shutdown.
 func (s *Server) Draining() bool { return s.draining.Load() }

@@ -35,7 +35,12 @@ func newTestDB(t *testing.T) *oodb.DB {
 // startServer starts a server over db and tears it down with the test.
 func startServer(t *testing.T, db *oodb.DB, opts Options) *Server {
 	t.Helper()
-	s := New(db, opts)
+	return start(t, New(db, opts))
+}
+
+// start starts s and tears it down with the test.
+func start(t *testing.T, s *Server) *Server {
+	t.Helper()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +91,12 @@ func TestClientServerRoundTrip(t *testing.T) {
 		t.Fatalf("get: %v", v)
 	}
 
-	// Update + cached re-read through the session workspace.
+	// Update, then re-read: the session reads its own write.
 	if err := c.Update(oid, map[string]model.Value{"weight": model.Int(15)}); err != nil {
 		t.Fatal(err)
 	}
 	if v, err = c.Get(oid, "weight"); err != nil || model.Compare(v, model.Int(15)) != 0 {
-		t.Fatalf("get after update: %v %v (read-your-writes through the workspace)", v, err)
+		t.Fatalf("get after update: %v %v (read-your-writes)", v, err)
 	}
 
 	// Query and snapshot query agree.
@@ -476,7 +481,9 @@ func TestIdleSessionEviction(t *testing.T) {
 func TestSessionQueueShed(t *testing.T) {
 	db := newTestDB(t)
 	gate := make(chan struct{})
-	s := startServer(t, db, Options{SessionQueue: 2, MaxInFlight: 64})
+	s := New(db, Options{MaxInFlight: 64})
+	s.sessionQueue = 2
+	start(t, s)
 	s.testHook = func(verb byte) {
 		if verb == proto.VerbPing {
 			<-gate
@@ -497,7 +504,7 @@ func TestSessionQueueShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pipeline many pings: 1 executes (blocked on the gate), SessionQueue
+	// Pipeline many pings: 1 executes (blocked on the gate), sessionQueue
 	// buffer, the rest shed.
 	const n = 10
 	for seq := uint32(2); seq < 2+n; seq++ {
@@ -506,7 +513,7 @@ func TestSessionQueueShed(t *testing.T) {
 		}
 	}
 	sheds := 0
-	for i := 0; i < n-3; i++ { // at least n-1-SessionQueue responses are sheds
+	for i := 0; i < n-3; i++ { // at least n-1-sessionQueue responses are sheds
 		resp, err := proto.ReadFrame(nc, proto.MaxFrame)
 		if err != nil {
 			t.Fatal(err)

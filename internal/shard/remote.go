@@ -37,7 +37,7 @@ type RemoteSource struct {
 // NewRemoteSource returns a federation member backed by the kimsrv at
 // addr. No connection is made until the first use.
 func NewRemoteSource(addr string, opts client.Options) *RemoteSource {
-	return &RemoteSource{rd: client.NewRedialer(addr, opts, client.RedialOptions{})}
+	return &RemoteSource{rd: client.NewRedialer(addr, opts)}
 }
 
 // Close closes the underlying connection.

@@ -15,53 +15,25 @@ import (
 
 // Options configures a Router. The zero value is usable.
 type Options struct {
-	// Client configures every member connection (role, token, timeouts).
+	// Client configures every member connection (role, token, timeout).
 	Client client.Options
-	// Vnodes is the virtual node count per member on the hash ring
-	// (default 64).
-	Vnodes int
-	// Fanout bounds concurrent member requests per scatter (default 4).
-	Fanout int
-	// Retries is how many times a retryable member error (admission shed,
-	// session limit — client.Retryable) is retried with exponential
-	// backoff before it counts as the member's failure. Zero means the
-	// default of 3; a negative value disables retries entirely.
-	Retries int
-	// RetryBase is the first retry delay (default 25ms); RetryCap bounds
-	// the exponential growth (default 1s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// ProbeInterval is the health-probe period (default 2s).
-	ProbeInterval time.Duration
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.Vnodes <= 0 {
-		out.Vnodes = 64
-	}
-	if out.Fanout <= 0 {
-		out.Fanout = 4
-	}
-	if out.Retries < 0 {
-		out.Retries = 0
-	} else if out.Retries == 0 {
-		out.Retries = 3
-	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 25 * time.Millisecond
-	}
-	if out.RetryCap < out.RetryBase {
-		out.RetryCap = time.Second
-		if out.RetryCap < out.RetryBase {
-			out.RetryCap = out.RetryBase
-		}
-	}
-	if out.ProbeInterval <= 0 {
-		out.ProbeInterval = 2 * time.Second
-	}
-	return out
-}
+// Fixed policy of the router.
+const (
+	// vnodes is the virtual node count per member on the hash ring.
+	vnodes = 64
+	// fanout bounds concurrent member requests per scatter.
+	fanout = 4
+	// probeInterval is the health-probe period.
+	probeInterval = 2 * time.Second
+	// A retryable member error (admission shed, session limit —
+	// client.Retryable) is retried up to retries times, the first after
+	// retryBase, doubling up to retryCap.
+	retries   = 3
+	retryBase = 25 * time.Millisecond
+	retryCap  = time.Second
+)
 
 // member is one kimsrv process in the shard set.
 type member struct {
@@ -75,7 +47,6 @@ type member struct {
 // gather queries, owner-routed single-object operations, health probes.
 // Safe for concurrent use.
 type Router struct {
-	opts    Options
 	members []*member
 	ring    *ring
 
@@ -100,10 +71,8 @@ func New(addrs []string, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("%w: %d members exceed the %d the OID scheme can route",
 			ErrOIDSpace, len(addrs), MaxMembers)
 	}
-	o := opts.withDefaults()
 	r := &Router{
-		opts:      o,
-		ring:      newRing(len(addrs), o.Vnodes),
+		ring:      newRing(len(addrs), vnodes),
 		placement: make(map[string]map[int]bool),
 		probeStop: make(chan struct{}),
 	}
@@ -111,21 +80,21 @@ func New(addrs []string, opts Options) (*Router, error) {
 		r.members = append(r.members, &member{
 			idx:  i,
 			addr: addr,
-			rd:   client.NewRedialer(addr, o.Client, client.RedialOptions{}),
+			rd:   client.NewRedialer(addr, opts.Client),
 		})
 	}
 	return r, nil
 }
 
 // Start launches the health prober (one immediate probe, then every
-// ProbeInterval). Optional: the router works without it, but Status and
+// probeInterval). Optional: the router works without it, but Status and
 // the shard_members_healthy gauge stay cold.
 func (r *Router) Start() {
 	r.probe()
 	r.probeWg.Add(1)
 	go func() {
 		defer r.probeWg.Done()
-		t := time.NewTicker(r.opts.ProbeInterval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -212,17 +181,17 @@ func (r *Router) call(m *member, idempotent bool, fn func(*client.Client) error)
 	if idempotent {
 		do = m.rd.DoIdempotent
 	}
-	backoff := r.opts.RetryBase
+	backoff := retryBase
 	for attempt := 0; ; attempt++ {
 		err := do(fn)
-		if err == nil || !client.Retryable(err) || attempt >= r.opts.Retries {
+		if err == nil || !client.Retryable(err) || attempt >= retries {
 			return err
 		}
 		mRetries.Add(1)
 		time.Sleep(backoff)
 		backoff *= 2
-		if backoff > r.opts.RetryCap {
-			backoff = r.opts.RetryCap
+		if backoff > retryCap {
+			backoff = retryCap
 		}
 	}
 }
@@ -427,7 +396,7 @@ func (r *Router) Fetch(g model.OID) (*client.Object, error) {
 	var obj *client.Object
 	err = r.call(m, true, func(c *client.Client) error {
 		var err error
-		obj, err = c.FetchFresh(local)
+		obj, err = c.Fetch(local)
 		return err
 	})
 	if err != nil {
@@ -542,7 +511,7 @@ type memberResult struct {
 // scatter ships src to every given member with bounded parallelism.
 func (r *Router) scatter(members []*member, src string) []memberResult {
 	out := make([]memberResult, len(members))
-	sem := make(chan struct{}, r.opts.Fanout)
+	sem := make(chan struct{}, fanout)
 	var wg sync.WaitGroup
 	for i, m := range members {
 		wg.Add(1)

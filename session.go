@@ -10,9 +10,6 @@ import (
 	"oodb/internal/server/proto"
 )
 
-// wsCacheCap bounds a session's read cache (objects, not bytes).
-const wsCacheCap = 4096
-
 // Transaction-state errors of a session.
 var (
 	ErrTxOpen = errors.New("oodb: transaction already open on this session")
@@ -36,26 +33,12 @@ type Session struct {
 	az   *authz.Authorizer
 	role string
 	tx   *Tx
-	// ws, when set, caches the objects Fetch and Get read outside a
-	// transaction — the paper's memory-resident workspace. Everything in it
-	// is clean (the session never writes through descriptors); the
-	// session's own writes evict, other sessions' commits are seen by
-	// FetchFresh.
-	ws *Workspace
 }
 
 // Session binds a role to this database under an authorizer (nil = open
 // mode).
 func (db *DB) Session(az *authz.Authorizer, role string) *Session {
 	return &Session{db: db, az: az, role: role}
-}
-
-// WithCache turns on the session's read cache and returns the session. A
-// long-lived session with a working set (a served connection) wants it; a
-// short-lived or shared one reads the last committed state every time.
-func (s *Session) WithCache() *Session {
-	s.ws = s.db.NewWorkspace()
-	return s
 }
 
 // Role returns the session's role.
@@ -201,44 +184,23 @@ func (s *Session) checkPaths(plan *query.Plan) error {
 }
 
 // fetchObject reads an object for this session: through the open
-// transaction (a locked read), else through the read cache when it is on,
-// else the last committed state. refresh bypasses the cached copy.
-func (s *Session) fetchObject(oid OID, refresh bool) (*Object, error) {
-	switch {
-	case s.tx != nil:
+// transaction (a locked read), else the last committed state.
+func (s *Session) fetchObject(oid OID) (*Object, error) {
+	if s.tx != nil {
 		return s.tx.Fetch(oid)
-	case s.ws == nil:
-		return s.db.Fetch(oid)
 	}
-	if refresh {
-		s.ws.Evict(oid)
-	}
-	if s.ws.Len() >= wsCacheCap {
-		// Everything cached is clean, so a wholesale discard is safe and
-		// cheaper than LRU bookkeeping.
-		s.ws.Discard()
-	}
-	d, err := s.ws.Fetch(oid)
-	if err != nil {
-		return nil, err
-	}
-	return d.Object(), nil
+	return s.db.Fetch(oid)
 }
 
 // Fetch returns an object the role may read as its class name and
 // effective attributes (inheritance and class defaults applied).
 // Attributes the role is explicitly forbidden to read are left out rather
 // than failing the fetch — content filtering, like Query's rows.
-func (s *Session) Fetch(oid OID) (*proto.Object, error) { return s.fetch(oid, false) }
-
-// FetchFresh is Fetch bypassing the session's read cache.
-func (s *Session) FetchFresh(oid OID) (*proto.Object, error) { return s.fetch(oid, true) }
-
-func (s *Session) fetch(oid OID, refresh bool) (*proto.Object, error) {
+func (s *Session) Fetch(oid OID) (*proto.Object, error) {
 	if err := s.check(authz.Read, authz.Instance(oid)); err != nil {
 		return nil, err
 	}
-	obj, err := s.fetchObject(oid, refresh)
+	obj, err := s.fetchObject(oid)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +234,7 @@ func (s *Session) Get(oid OID, attr string) (Value, error) {
 	if err := s.attrProhibited(authz.Read, oid.Class(), attr); err != nil {
 		return Null, err
 	}
-	obj, err := s.fetchObject(oid, false)
+	obj, err := s.fetchObject(oid)
 	if err != nil {
 		return Null, err
 	}
@@ -326,8 +288,6 @@ func (s *Session) Update(oid OID, attrs Attrs) error {
 			return err
 		}
 	}
-	// The cache must not serve the pre-update image back to this session.
-	defer s.evict(oid)
 	return s.write(func(tx *Tx) error { return tx.Update(oid, attrs) })
 }
 
@@ -336,12 +296,5 @@ func (s *Session) Delete(oid OID) error {
 	if err := s.check(authz.Write, authz.Instance(oid)); err != nil {
 		return err
 	}
-	defer s.evict(oid)
 	return s.write(func(tx *Tx) error { return tx.Delete(oid) })
-}
-
-func (s *Session) evict(oid OID) {
-	if s.ws != nil {
-		s.ws.Evict(oid)
-	}
 }
