@@ -64,7 +64,7 @@ metrics-lint:
 # every schedule crashes the engine at a distinct I/O op and verifies the
 # recovery invariants after reopening (crash_test.go, internal/fault). The
 # pattern takes in every TestCrash* sweep of the root package — compaction,
-# MVCC, commit pipeline, clustered compaction.
+# drop class, MVCC, commit pipeline, checkpoint root swap.
 crash:
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrash' .
 

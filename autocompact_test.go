@@ -17,7 +17,6 @@ import (
 	"oodb"
 	"oodb/internal/bench"
 	"oodb/internal/core"
-	"oodb/internal/maint"
 	"oodb/internal/obs"
 )
 
@@ -77,7 +76,7 @@ func TestAutoCompactOnceAfterBulkDelete(t *testing.T) {
 	if info.Occupancy < 0.8 || info.Pages >= loaded.Pages || info.LiveRecords != len(g.Parts) {
 		t.Fatalf("Part segment after the rewrite: %+v (after the load: %+v)", info, loaded)
 	}
-	if _, ok := db.Maintenance(maint.Options{}).LastAutoCompaction(cls.ID); !ok {
+	if _, ok := db.Maintenance().LastAutoCompaction(cls.ID); !ok {
 		t.Fatal("the manager Maintenance returns is not the one that compacted")
 	}
 	for pid, oid := range g.Parts {
@@ -102,7 +101,7 @@ func TestFetchDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	mnt := db.Maintenance(maint.Options{})
+	mnt := db.Maintenance()
 	mnt.Stop() // the test drives the rewrites itself, back to back
 	if _, err := db.DefineClass("P", nil,
 		oodb.Attr{Name: "n", Domain: "Integer"},

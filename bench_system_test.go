@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,7 +21,6 @@ import (
 
 	"oodb"
 	"oodb/internal/bench"
-	"oodb/internal/maint"
 	"oodb/internal/model"
 	"oodb/internal/obs"
 	"oodb/internal/server"
@@ -43,7 +41,7 @@ func BenchmarkCompactDeadHeap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.Maintenance(maint.Options{}).Stop() // the "before" scan needs the dead space
+	db.Maintenance().Stop() // the "before" scan needs the dead space
 	if _, err := db.DefineClass("P", nil,
 		oodb.Attr{Name: "n", Domain: "Integer"}, oodb.Attr{Name: "pad", Domain: "String"}); err != nil {
 		b.Fatal(err)
@@ -86,7 +84,7 @@ func BenchmarkCompactDeadHeap(b *testing.B) {
 		b.ReportMetric(float64(info.Pages), "pages")
 	}
 	b.Run("before", scan)
-	if _, err := db.Maintenance(maint.Options{}).CompactClass(cls); err != nil {
+	if _, err := db.Maintenance().CompactClass(cls); err != nil {
 		b.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -247,17 +245,18 @@ func BenchmarkE16_DurableCommits(b *testing.B) {
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "commits/s")
 }
 
-// --- E17: clustering policies on OO1 navigation ---------------------------
+// --- E17: composite clustering on OO1 navigation -------------------------
 
 // BenchmarkE17_OO1 builds one 8,000-part OO1 graph (3 connections a part,
 // 90% to the 1% nearest pids) shuffled among 4 padded noise parts each,
-// which are then deleted, and copies it into four layouts: as built
-// (fragmented), compacted in scan order (compacted), in composite
-// depth-first order (composite), and in heat order after three passes over
-// a random 10% hot set (hot). One op is depth-first closure traversals
-// from 4 roots through a cold 64-page pool. Each layout reports its pages,
-// the records its rewrite moved off scan order, its misses per op, and the
-// misses of one cold pass over the hot set.
+// which are then deleted, and copies it into three layouts: as built
+// (fragmented), compacted in scan order (compacted), and reclustered —
+// composite.Recluster from each of the 4 roots, one transaction per root,
+// then compacted in scan order (reclustered). One op is depth-first
+// closure traversals from the 4 roots through a cold 64-page pool. Each
+// layout reports its pages and its misses per op. The precondition: every
+// layout traverses the same graph, reclustering costs no page over
+// compaction, and its cold pass misses less than compaction's.
 func BenchmarkE17_OO1(b *testing.B) {
 	const parts, seed = 8000, 17
 	src := b.TempDir()
@@ -265,7 +264,7 @@ func BenchmarkE17_OO1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.Maintenance(maint.Options{}).Stop()
+	db.Maintenance().Stop()
 	g, err := bench.BuildOO1(db, parts, 3, 4, seed)
 	if err != nil {
 		b.Fatal(err)
@@ -291,28 +290,17 @@ func BenchmarkE17_OO1(b *testing.B) {
 		}
 		return visits, hash
 	}
-	hot := rand.New(rand.NewSource(seed + 1)).Perm(parts)[:parts/10]
-	fetchHot := func(db *oodb.DB) {
-		for _, pid := range hot {
-			if _, err := db.Fetch(g.Parts[pid]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 
 	type layout struct {
-		name                        string
-		policy                      maint.ClusterPolicy
-		compact                     bool
-		dir                         string
-		pages, reordered, hotMisses int
+		name               string
+		recluster, compact bool
+		dir                string
+		pages, misses      int
 	}
-	layouts := []*layout{
-		{name: "fragmented"},
-		{name: "compacted", policy: maint.ClusterNone, compact: true},
-		{name: "composite", policy: maint.ClusterComposite, compact: true},
-		{name: "hot", policy: maint.ClusterHot, compact: true},
-	}
+	fragmented := &layout{name: "fragmented"}
+	compacted := &layout{name: "compacted", compact: true}
+	reclustered := &layout{name: "reclustered", recluster: true, compact: true}
+	layouts := []*layout{fragmented, compacted, reclustered}
 	var want [2]uint64
 	for i, l := range layouts {
 		l.dir = copyDir(b, src)
@@ -320,18 +308,27 @@ func BenchmarkE17_OO1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mnt := db.Maintenance(maint.Options{Clustering: l.policy})
+		mnt := db.Maintenance()
 		mnt.Stop()
-		for pass := 0; pass < 3; pass++ {
-			fetchHot(db) // heat, read only by ClusterHot
-		}
-		cls := mustClassID(b, db, "Part")
-		if l.compact {
-			res, err := mnt.CompactClass(cls)
+		if l.recluster {
+			cm, err := db.Composites()
 			if err != nil {
 				b.Fatal(err)
 			}
-			l.reordered = res.Reordered
+			for _, root := range roots {
+				if err := db.Do(func(tx *oodb.Tx) error {
+					_, err := cm.Recluster(tx, g.Parts[root])
+					return err
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		cls := mustClassID(b, db, "Part")
+		if l.compact {
+			if _, err := mnt.CompactClass(cls); err != nil {
+				b.Fatal(err)
+			}
 		}
 		info, err := db.Engine().SegmentInfo(cls)
 		if err != nil {
@@ -344,16 +341,21 @@ func BenchmarkE17_OO1(b *testing.B) {
 
 		db = openCold(b, l.dir, 64)
 		_, m0 := db.Engine().Store.PoolStats()
-		fetchHot(db)
-		_, m1 := db.Engine().Store.PoolStats()
-		l.hotMisses = int(m1 - m0)
 		visits, hash := closures(b, db)
+		_, m1 := db.Engine().Store.PoolStats()
+		l.misses = int(m1 - m0)
 		db.Close()
 		if got := [2]uint64{uint64(visits), hash}; i == 0 {
 			want = got
 		} else if got != want {
 			b.Fatalf("%s traversal fingerprint (visits, hash) = %x, fragmented %x", l.name, got, want)
 		}
+	}
+	if reclustered.pages != compacted.pages {
+		b.Fatalf("reclustered segment has %d pages, compacted %d", reclustered.pages, compacted.pages)
+	}
+	if reclustered.misses >= compacted.misses {
+		b.Fatalf("reclustered cold pass missed %d times, compacted %d: clustering gained nothing", reclustered.misses, compacted.misses)
 	}
 	for _, l := range layouts {
 		b.Run(l.name, func(b *testing.B) {
@@ -372,8 +374,6 @@ func BenchmarkE17_OO1(b *testing.B) {
 			}
 			b.ReportMetric(float64(l.pages), "pages")
 			b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
-			b.ReportMetric(float64(l.reordered), "reordered")
-			b.ReportMetric(float64(l.hotMisses), "hot_misses")
 		})
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"oodb"
 	"oodb/internal/bench"
 	"oodb/internal/composite"
-	"oodb/internal/maint"
 	"oodb/internal/model"
 	"oodb/internal/relational"
 )
@@ -825,7 +824,7 @@ func openCold(b *testing.B, dir string, pages int) *oodb.DB {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.Maintenance(maint.Options{}).Stop()
+	db.Maintenance().Stop()
 	b.Cleanup(func() { db.Close() })
 	return db
 }

@@ -1,14 +1,14 @@
 package oodb_test
 
-// Differential suite for the clustered compaction rewrite: a placement
-// policy may only change WHERE records live, never WHAT any reader sees.
-// For every policy (none, composite, hot) the test compares the full
-// logical state — per-object bytes, graph fingerprint, closure traversal,
-// index-backed query results — before and after the rewrite, and keeps a
-// snapshot reader hammering closures concurrently with the compaction to
-// pin snapshot isolation across the physical segment swap. The clustered
-// policies must also actually move records; a policy that silently
-// degrades to scan order would make the suite (and the benchmark) vacuous.
+// Differential suite for segment rewrites: compaction, alone or after
+// composite clustering (composite.Recluster), may only change WHERE records
+// live, never WHAT any reader sees. Each row compares the full logical
+// state — per-object bytes, graph fingerprint, closure traversal,
+// index-backed query results — before and after, and keeps a reader
+// hammering closures concurrently with the compaction to pin isolation
+// across the physical segment swap. The clustered row must also actually
+// move records; a Recluster that silently left scan order alone would make
+// the suite (and E17) vacuous.
 
 import (
 	"bytes"
@@ -18,7 +18,6 @@ import (
 
 	"oodb"
 	"oodb/internal/bench"
-	"oodb/internal/maint"
 	"oodb/internal/model"
 )
 
@@ -59,16 +58,14 @@ func clImages(t *testing.T, db *oodb.DB, class model.ClassID) map[model.OID][]by
 
 func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 	for _, tc := range []struct {
-		policy     maint.ClusterPolicy
-		wantMoved  bool
-		makeHeat   bool
+		name       string
+		recluster  bool // composite.Recluster from part 0 before the compaction
 		wantReason string
 	}{
-		{maint.ClusterNone, false, false, "default rewrite must keep scan order byte for byte"},
-		{maint.ClusterComposite, true, false, "composite placement on a decorrelated graph must move records"},
-		{maint.ClusterHot, true, true, "heat placement with skewed fetches must move records"},
+		{"none", false, "compaction must keep scan order"},
+		{"composite", true, "Recluster on a decorrelated graph must move records"},
 	} {
-		t.Run(tc.policy.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			db, err := oodb.Open(dir, oodb.Options{NoSync: true})
 			if err != nil {
@@ -77,7 +74,7 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 			defer db.Close()
 			// The physical contract below is about the one rewrite the test
 			// asks for: no automatic one before it.
-			mnt := db.Maintenance(maint.Options{Clustering: tc.policy})
+			mnt := db.Maintenance()
 			mnt.Stop()
 			g, err := bench.BuildOO1(db, clParts, clConn, clNoisePer, clSeed)
 			if err != nil {
@@ -124,20 +121,19 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 			}
 			preProbe := probe()
 
-			if tc.makeHeat {
-				db.Engine().Store.ResetAccessCounts()
-				// Skewed heat: the last scan-order records get the fetches,
-				// so heat order must differ from scan order.
-				for i := 0; i < 5; i++ {
-					for _, oid := range preOrder[len(preOrder)-20:] {
-						if _, err := db.Fetch(oid); err != nil {
-							t.Fatal(err)
-						}
-					}
+			// Recluster deletes and re-puts each record, so a lock-free
+			// fetch could fall between the two halves: it runs before the
+			// reader starts.
+			if tc.recluster {
+				if err := db.Do(func(tx *oodb.Tx) error {
+					_, err := cm.Recluster(tx, g.Parts[0])
+					return err
+				}); err != nil {
+					t.Fatal(err)
 				}
 			}
 
-			// Concurrent snapshot reader: closures must return the reference
+			// Concurrent reader: closures must return the reference
 			// fingerprint whether they observe the old layout, the new one,
 			// or the swap in between.
 			stop := make(chan struct{})
@@ -169,7 +165,7 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 				}
 			}()
 
-			res, err := mnt.CompactClass(cls.ID)
+			_, err = mnt.CompactClass(cls.ID)
 			close(stop)
 			wg.Wait()
 			if err != nil {
@@ -192,11 +188,8 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 					moved++
 				}
 			}
-			if tc.wantMoved && (moved == 0 || res.Reordered == 0) {
-				t.Fatalf("%s (moved=%d, Reordered=%d)", tc.wantReason, moved, res.Reordered)
-			}
-			if !tc.wantMoved && (moved != 0 || res.Reordered != 0) {
-				t.Fatalf("%s (moved=%d, Reordered=%d)", tc.wantReason, moved, res.Reordered)
+			if tc.recluster != (moved != 0) {
+				t.Fatalf("%s (moved=%d)", tc.wantReason, moved)
 			}
 
 			// Logical contract: every reader path sees the identical state.
@@ -207,36 +200,36 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 			for oid, want := range preImages {
 				got, ok := postImages[oid]
 				if !ok {
-					t.Fatalf("object %s lost by %s rewrite", oid, tc.policy)
+					t.Fatalf("object %s lost by %s rewrite", oid, tc.name)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("object %s bytes changed by %s rewrite", oid, tc.policy)
+					t.Fatalf("object %s bytes changed by %s rewrite", oid, tc.name)
 				}
 			}
 			if h, err := g.GraphHash(db); err != nil || h != preHash {
-				t.Fatalf("graph hash after %s rewrite: %x (err %v), want %x", tc.policy, h, err, preHash)
+				t.Fatalf("graph hash after %s rewrite: %x (err %v), want %x", tc.name, h, err, preHash)
 			}
 			if v, h, err := g.Closure(db, 0); err != nil || v != preVisits || h != preClosure {
-				t.Fatalf("closure after %s rewrite: (%d, %x, %v), want (%d, %x)", tc.policy, v, h, err, preVisits, preClosure)
+				t.Fatalf("closure after %s rewrite: (%d, %x, %v), want (%d, %x)", tc.name, v, h, err, preVisits, preClosure)
 			}
 			if got := probe(); got != preProbe {
-				t.Fatalf("index probe after %s rewrite:\n got %q\nwant %q", tc.policy, got, preProbe)
+				t.Fatalf("index probe after %s rewrite:\n got %q\nwant %q", tc.name, got, preProbe)
 			}
 		})
 	}
 }
 
-// TestSnapshotPinnedAcrossClusteredRewrite pins the harder isolation
-// property: a snapshot BEGUN BEFORE the rewrite, read only AFTER it, must
-// still see the pre-rewrite images even though every record has moved.
-func TestSnapshotPinnedAcrossClusteredRewrite(t *testing.T) {
+// TestSnapshotPinnedAcrossCompaction pins the harder isolation property: a
+// snapshot BEGUN BEFORE a segment rewrite, read only AFTER it, must still
+// see the pre-rewrite images even though every record has moved.
+func TestSnapshotPinnedAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	db, err := oodb.Open(dir, oodb.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	mnt := db.Maintenance(maint.Options{Clustering: maint.ClusterComposite})
+	mnt := db.Maintenance()
 	mnt.Stop() // the rewrite under test is the only one
 	g, err := bench.BuildOO1(db, 100, 2, 2, clSeed)
 	if err != nil {
@@ -246,21 +239,14 @@ func TestSnapshotPinnedAcrossClusteredRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := db.Composites()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cm.DeclareComposite(cls.ID, "to", false); err != nil {
-		t.Fatal(err)
-	}
 	preImages := clImages(t, db, cls.ID)
 
 	snap := db.BeginSnapshot()
 	defer snap.Commit()
 	if res, err := mnt.CompactClass(cls.ID); err != nil {
 		t.Fatal(err)
-	} else if res.Reordered == 0 {
-		t.Fatal("rewrite moved nothing; snapshot pinning untested")
+	} else if res.PagesAfter >= res.PagesBefore {
+		t.Fatalf("rewrite kept %d of %d pages; snapshot pinning untested", res.PagesAfter, res.PagesBefore)
 	}
 
 	seen := 0

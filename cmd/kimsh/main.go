@@ -68,7 +68,6 @@ import (
 	"strings"
 
 	"oodb"
-	"oodb/internal/maint"
 	"oodb/internal/obs"
 	"oodb/internal/server/client"
 	"oodb/internal/shard"
@@ -339,14 +338,10 @@ func (sh *shell) exec(line string) error {
 	}
 }
 
-// mnt is the embedded database's one maintenance manager, the one that also
-// compacts on its own: what the shell asks for is serialized with that.
-func (sh *shell) mnt() *maint.Manager { return sh.db.Maintenance(maint.Options{}) }
-
 // segments lists every class's segment from the heap's own counters (no
 // page is read) and when the manager last compacted it unasked.
 func (sh *shell) segments() error {
-	mnt := sh.mnt()
+	mnt := sh.db.Maintenance()
 	fmt.Fprintf(sh.out, "  %-20s %8s %10s %9s  %s\n", "class", "pages", "live", "occupancy", "last auto-compaction")
 	for _, cl := range sh.db.Engine().Catalog.Classes() {
 		info, err := sh.db.Engine().SegmentInfo(cl.ID)
@@ -376,14 +371,14 @@ func (sh *shell) compact(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := sh.mnt().CompactClass(cl.ID)
+		res, err := sh.db.Maintenance().CompactClass(cl.ID)
 		if err != nil {
 			return err
 		}
 		report(cl.Name, res.PagesBefore, res.PagesAfter)
 		return sh.db.Checkpoint()
 	}
-	results, err := sh.mnt().CompactAll()
+	results, err := sh.db.Maintenance().CompactAll()
 	if err != nil {
 		return err
 	}
@@ -405,14 +400,14 @@ func (sh *shell) stats(args []string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := sh.mnt().AnalyzeClass(cl.ID); err != nil {
+		if _, err := sh.db.Maintenance().AnalyzeClass(cl.ID); err != nil {
 			return err
 		}
 		if err := sh.db.Checkpoint(); err != nil {
 			return err
 		}
 		classes = []*oodb.Class{cl}
-	} else if _, err := sh.mnt().AnalyzeAll(); err != nil {
+	} else if _, err := sh.db.Maintenance().AnalyzeAll(); err != nil {
 		return err
 	}
 	reg := sh.db.Engine().Stats

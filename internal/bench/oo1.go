@@ -7,14 +7,14 @@ package bench
 // *physical* placement: parts are inserted in seeded-shuffled pid order,
 // interleaved with padded same-class noise objects that are then deleted.
 // The result is a ~90%-dead, shuffled segment — the worst case a long-lived
-// database converges to — on which the compactor's placement policies
-// (internal/maint) have something real to win.
+// database converges to — on which composite clustering
+// (composite.Recluster, then compaction) has something real to win.
 //
 // Everything is driven by one seeded rand stream, so a given (nParts, conn,
 // noisePer, seed) tuple reproduces the identical graph, byte for byte —
 // pinned by the determinism test and relied on by perfbench, which builds
 // the graph afresh in every run it compares. BenchmarkE17_OO1 builds it
-// once and compares copies of it in four layouts.
+// once and compares copies of it in three layouts.
 //
 // Build order is load-bearing:
 //

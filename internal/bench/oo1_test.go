@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"oodb"
-	"oodb/internal/maint"
 )
 
 // TestOO1Deterministic pins the property OO1 comparisons rely on: the same
@@ -21,7 +20,7 @@ func TestOO1Deterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		db.Maintenance(maint.Options{}).Stop() // the fragmentation check below needs the layout left alone
+		db.Maintenance().Stop() // the fragmentation check below needs the layout left alone
 		g, err := BuildOO1(db, 200, 3, 2, seed)
 		if err != nil {
 			t.Fatal(err)

@@ -265,22 +265,20 @@ func refsOf(v model.Value) []model.OID {
 	return out
 }
 
-// DirectComponents returns the objects directly referenced by oid through
+// directComponents returns the objects directly referenced by oid through
 // its composite attributes, in declaration order — one DFS step of
-// Components. The compaction placement policy (internal/maint) uses it to
-// drive its own traversal without materializing whole closures per root.
-// A missing object yields nil, nil: dangling links are skipped, not
+// Components. A missing object yields nil: dangling links are skipped, not
 // errors.
-func (m *Manager) DirectComponents(oid model.OID) ([]model.OID, error) {
+func (m *Manager) directComponents(oid model.OID) []model.OID {
 	obj, err := m.db.FetchObject(oid)
 	if err != nil {
-		return nil, nil // dangling link: skip
+		return nil
 	}
 	var out []model.OID
 	for _, d := range m.compositeAttrs(oid.Class()) {
 		out = append(out, refsOf(obj.Get(d.attr))...)
 	}
-	return out, nil
+	return out
 }
 
 // Components returns every component reachable from root through
@@ -288,27 +286,18 @@ func (m *Manager) DirectComponents(oid model.OID) ([]model.OID, error) {
 func (m *Manager) Components(root model.OID) ([]model.OID, error) {
 	var out []model.OID
 	seen := map[model.OID]bool{root: true}
-	var walk func(oid model.OID) error
-	walk = func(oid model.OID) error {
-		refs, err := m.DirectComponents(oid)
-		if err != nil {
-			return err
-		}
-		for _, ref := range refs {
+	var walk func(oid model.OID)
+	walk = func(oid model.OID) {
+		for _, ref := range m.directComponents(oid) {
 			if seen[ref] {
 				continue
 			}
 			seen[ref] = true
 			out = append(out, ref)
-			if err := walk(ref); err != nil {
-				return err
-			}
+			walk(ref)
 		}
-		return nil
 	}
-	if err := walk(root); err != nil {
-		return nil, err
-	}
+	walk(root)
 	return out, nil
 }
 
@@ -373,8 +362,10 @@ func (m *Manager) LockComposite(tx *core.Tx, root model.OID, write bool) error {
 
 // Recluster physically rewrites the composite object's components in DFS
 // order so same-class components land on contiguous heap pages — the
-// physical clustering of §4.2, measured in experiment E11. Returns the
-// number of objects rewritten.
+// physical clustering of §4.2, and kimdb's only clustering mechanism,
+// measured in experiments E11 and E17. The relocated records leave dead
+// slots behind; a compaction afterwards packs the segment in the new order.
+// Returns the number of objects rewritten.
 func (m *Manager) Recluster(tx *core.Tx, root model.OID) (int, error) {
 	comps, err := m.Components(root)
 	if err != nil {

@@ -26,23 +26,6 @@ import (
 	"oodb/internal/wal"
 )
 
-// Durability selects the commit contract.
-type Durability int
-
-// The durability modes.
-const (
-	// DurabilityFull (the default): Commit returns only after the commit
-	// record is fsynced (parked on the WAL's durability watermark).
-	DurabilityFull Durability = iota
-	// DurabilityRelaxed: every Commit behaves like CommitAsync — the
-	// commit record is appended and queued for the WAL writer's next
-	// batch, but the call returns without waiting for the fsync. A crash
-	// may lose a suffix of recent commits (bounded by the writer's batch
-	// window); it can never lose a commit an earlier surviving commit
-	// depends on, because WAL order is commit order.
-	DurabilityRelaxed
-)
-
 // Options configures a database.
 type Options struct {
 	// PoolPages is the buffer pool capacity in pages (0 = default).
@@ -52,9 +35,6 @@ type Options struct {
 	CheckpointBytes int64
 	// NoSync skips the fsync at commit. Unsafe; benchmarks only.
 	NoSync bool
-	// Durability selects the commit contract (default DurabilityFull).
-	// Per-transaction override: Tx.CommitAsync.
-	Durability Durability
 	// WrapDisk and WrapWAL, when set, wrap the storage disk layer and the
 	// WAL's backing file — the seams the fault-injection harness
 	// (internal/fault) uses to script I/O failures and simulated crashes.

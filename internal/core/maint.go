@@ -35,22 +35,9 @@ var ErrBusy = errors.New("core: maintenance blocked by transactions in flight")
 //
 // visit, when non-nil, observes every surviving record during the copy —
 // the hook the maintenance subsystem uses to collect statistics in the
-// same sweep. Indexes need no maintenance: they map values to OIDs and
-// compaction only changes RIDs.
+// same sweep; data is valid only until visit returns. Indexes need no
+// maintenance: they map values to OIDs and compaction only changes RIDs.
 func (db *DB) CompactClass(class model.ClassID, visit func(oid model.OID, data []byte)) (*storage.CompactResult, error) {
-	return db.CompactClassOrdered(class, nil, visit)
-}
-
-// CompactClassOrdered is CompactClass with a placement policy deciding the
-// physical order of the rewritten segment (nil = physical scan order,
-// byte-identical to CompactClass). The policy runs inside the DDL critical
-// section — writers of the class are excluded, so the layout it computes
-// from the live set is the layout that lands. It may read objects through
-// the store (FetchObject takes no transaction locks) but must not write.
-// Placement changes only where records sit; the logical contract — OIDs,
-// visible bytes, index postings, WAL replay — is untouched, which is what
-// TestClusteredRewriteLogicallyInvisible pins.
-func (db *DB) CompactClassOrdered(class model.ClassID, order storage.Placement, visit func(oid model.OID, data []byte)) (*storage.CompactResult, error) {
 	var (
 		detached *storage.DetachedSegment
 		result   *storage.CompactResult
@@ -62,7 +49,7 @@ func (db *DB) CompactClassOrdered(class model.ClassID, order storage.Placement, 
 			return err
 		}
 		var err error
-		detached, result, err = db.Store.RewriteSegmentOrdered(class, order, visit)
+		detached, result, err = db.Store.RewriteSegment(class, visit)
 		return err
 	})
 	if err != nil {

@@ -358,11 +358,11 @@ func (tx *Tx) ScanLocked(class model.ClassID, fn func(model.Image) bool) error {
 	return verr
 }
 
-// Commit makes the transaction durable and releases its locks. For a
-// snapshot transaction it simply releases the snapshot. Under
-// Options.Durability == DurabilityRelaxed it behaves like CommitAsync.
+// Commit makes the transaction durable and releases its locks: it returns
+// only after the commit record is fsynced. For a snapshot transaction it
+// simply releases the snapshot. CommitAsync skips the wait.
 func (tx *Tx) Commit() error {
-	return tx.commitMode(tx.db.opts.Durability == DurabilityRelaxed)
+	return tx.commitMode(false)
 }
 
 // CommitAsync commits without waiting for the commit record to reach disk:

@@ -28,9 +28,6 @@ import (
 //     is remembered and the class is left alone until it has fallen to half
 //     of that.
 //
-// Automatic rewrites keep physical scan order whatever placement policy the
-// manager is configured with: a policy reads the object graph, and once the
-// live set fits the buffer pool no ordering can be seen from outside.
 // Darmont & Gruenwald's condition for automatic reorganisation is that its
 // cost is reported beside its gain: the maint_auto_* metrics do that.
 
@@ -149,13 +146,12 @@ func (m *Manager) runDue(now time.Time) (next time.Time, ok bool) {
 	return next, ok
 }
 
-// autoCompact rewrites one quiet, sparse segment in scan order and books
-// what it cost. A failure (the database closing under the manager, a
-// poisoned engine) leaves the data as it was; the next checkpoint signals
-// the class again.
+// autoCompact rewrites one quiet, sparse segment and books what it cost. A
+// failure (the database closing under the manager, a poisoned engine)
+// leaves the data as it was; the next checkpoint signals the class again.
 func (m *Manager) autoCompact(class model.ClassID) {
 	m.mu.Lock()
-	res, err := m.compact(class, ClusterNone)
+	res, err := m.compact(class)
 	if err == nil {
 		// As after a sweep: persist the statistics the rewrite collected,
 		// and truncate the log — freeing the old chain logged a page image

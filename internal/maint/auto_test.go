@@ -22,7 +22,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 // plays the loop by calling runDue.
 func hooked(db *core.DB, occupancy float64) (*Manager, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	m := New(db, Options{})
+	m := New(db)
 	m.minOccupancy = occupancy
 	m.now = clk.now
 	db.OnCheckpoint(m.observe)
@@ -194,7 +194,7 @@ func TestAutoCompactHysteresis(t *testing.T) {
 // waiting for a checkpoint.
 func TestStartStop(t *testing.T) {
 	db, cl, _ := openDB(t)
-	m := New(db, Options{})
+	m := New(db)
 	m.Start()
 	m.Start() // idempotent
 	kept := fragment(t, db, cl, 2000, 10)
@@ -237,7 +237,7 @@ func TestStartStop(t *testing.T) {
 		t.Fatal("a stopped manager compacted")
 	}
 
-	m2 := New(db, Options{})
+	m2 := New(db)
 	m2.Start()
 	defer m2.Stop()
 	deadline = time.Now().Add(10 * time.Second)

@@ -2,8 +2,8 @@
 // open database runs (oodb.Open starts one) to compact heap segments live
 // once they have gone mostly dead (auto.go), and the on-demand operations —
 // a full sweep that also reclaims pages leaked by crashes inside the
-// detach→checkpoint→free window, clustered rewrites, and collection of the
-// per-class statistics the query planner's selectivity model consumes
+// detach→checkpoint→free window, and collection of the per-class
+// statistics the query planner's selectivity model consumes
 // (internal/stats → internal/query). Kim §5 calls out performance as the
 // open front for OODBs; a database that runs for months needs its physical
 // layout and its optimizer statistics maintained while it serves traffic —
@@ -16,7 +16,6 @@ package maint
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oodb/internal/core"
@@ -24,14 +23,6 @@ import (
 	"oodb/internal/stats"
 	"oodb/internal/storage"
 )
-
-// Options tunes the maintenance policy.
-type Options struct {
-	// Clustering selects the placement policy compactions use (default
-	// ClusterNone: physical scan order, byte-identical to the
-	// pre-clustering compactor). See cluster.go.
-	Clustering ClusterPolicy
-}
 
 // Trigger policy. A Manager starts with these; tests lower them.
 const (
@@ -54,8 +45,7 @@ const (
 // Manager runs maintenance for one database. All entry points are safe for
 // concurrent use; sweeps and compactions are serialized against each other.
 type Manager struct {
-	db   *core.DB
-	opts atomic.Pointer[Options] // replaced whole by Configure
+	db *core.DB
 
 	leakThreshold uint64
 	minOccupancy  float64
@@ -73,19 +63,11 @@ type Manager struct {
 
 // New returns a manager over db. Nothing runs in the background until
 // Start; every operation is also available on demand.
-func New(db *core.DB, opts Options) *Manager {
+func New(db *core.DB) *Manager {
 	m := &Manager{db: db, now: time.Now, leakThreshold: leakThreshold,
 		minOccupancy: minOccupancy, minPages: minPages, reclaimWait: reclaimWait}
 	m.auto.init()
-	m.Configure(opts)
 	return m
-}
-
-// Configure replaces the manager's options. It is how a database's one
-// manager is given another placement policy; a compaction already running
-// finishes under the old one.
-func (m *Manager) Configure(opts Options) {
-	m.opts.Store(&opts)
 }
 
 // SweepReport summarizes one maintenance sweep.
@@ -179,7 +161,7 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 		if !m.sparse(info) {
 			continue
 		}
-		res, err := m.compact(cl.ID, m.policy())
+		res, err := m.compact(cl.ID)
 		if err != nil {
 			return rep, err
 		}
@@ -204,19 +186,15 @@ func (m *Manager) RunOnce() (SweepReport, error) {
 func (m *Manager) CompactClass(class model.ClassID) (*storage.CompactResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.compact(class, m.policy())
+	return m.compact(class)
 }
 
-// compact rewrites one segment under the given placement policy. Caller
-// holds m.mu.
-func (m *Manager) compact(class model.ClassID, policy ClusterPolicy) (*storage.CompactResult, error) {
+// compact rewrites one segment in scan order, collecting its statistics
+// in the same pass. Caller holds m.mu.
+func (m *Manager) compact(class model.ClassID) (*storage.CompactResult, error) {
 	t0 := time.Now()
-	order, err := m.placement(class, policy)
-	if err != nil {
-		return nil, err
-	}
 	col := stats.NewCollector(class)
-	res, err := m.db.CompactClassOrdered(class, order, func(oid model.OID, data []byte) {
+	res, err := m.db.CompactClass(class, func(oid model.OID, data []byte) {
 		if obj, derr := model.DecodeObject(data); derr == nil {
 			col.Observe(obj, len(data))
 		}
@@ -230,15 +208,6 @@ func (m *Manager) compact(class model.ClassID, policy ClusterPolicy) (*storage.C
 	mCompactObjects.Add(uint64(res.LiveRecords))
 	if res.PagesBefore > res.PagesAfter {
 		mCompactPagesFreed.Add(uint64(res.PagesBefore - res.PagesAfter))
-	}
-	if policy != ClusterNone {
-		mClusterCompactions.Add(1)
-		mClusterReordered.Add(uint64(res.Reordered))
-		if policy == ClusterHot {
-			// Heat consumed: reset so the next heat-ordered compaction sees
-			// the workload since this one, not all history.
-			m.db.Store.ResetAccessCounts()
-		}
 	}
 	mCompactNs.Observe(uint64(time.Since(t0)))
 	return res, nil
@@ -258,7 +227,7 @@ func (m *Manager) CompactAll() (map[model.ClassID]*storage.CompactResult, error)
 		if info == nil {
 			continue
 		}
-		res, err := m.compact(cl.ID, m.policy())
+		res, err := m.compact(cl.ID)
 		if err != nil {
 			return out, err
 		}

@@ -123,7 +123,7 @@ func TestSweepReclaimsAndCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(db, Options{})
+	m := New(db)
 	rep, err := m.RunOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSweepTriggerPolicy(t *testing.T) {
 	db, cl, _ := openDB(t)
 	// Dense: everything inserted, nothing deleted.
 	fragment(t, db, cl, 1000, 1)
-	m := New(db, Options{})
+	m := New(db)
 	rep, err := m.RunOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestSweepTriggerPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(db2, Options{})
+	m2 := New(db2)
 	m2.minPages = info.Pages + 1
 	rep2, err := m2.RunOnce()
 	if err != nil {
@@ -222,7 +222,7 @@ func TestAnalyzeStatsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(db, Options{})
+	m := New(db)
 	cs, err := m.AnalyzeClass(cl.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestAnalyzeStatsValues(t *testing.T) {
 func TestStatsSurviveReopen(t *testing.T) {
 	db, cl, dir := openDB(t)
 	fragment(t, db, cl, 300, 3)
-	m := New(db, Options{})
+	m := New(db)
 	if _, err := m.AnalyzeAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestCompactionInvisible(t *testing.T) {
 	}
 	before := snapshot(db)
 
-	m := New(db, Options{})
+	m := New(db)
 	if _, err := m.CompactClass(cl.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestReclaimYieldsToTransactions(t *testing.T) {
 	if _, err := tx.InsertClass(cl.ID, map[string]model.Value{"n": model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	m := New(db, Options{})
+	m := New(db)
 	if _, err := m.ReclaimLeaked(); err != core.ErrBusy {
 		t.Fatalf("reclaim with a live transaction = %v, want ErrBusy", err)
 	}
@@ -421,7 +421,7 @@ func TestAnalyzeIgnoresUncommitted(t *testing.T) {
 		}
 	}
 
-	m := New(db, Options{})
+	m := New(db)
 	cs, err := m.AnalyzeClass(cl.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ func TestReclaimStarvedCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mReclaimStarved.Value()
-	m := New(db, Options{})
+	m := New(db)
 	m.reclaimWait = time.Millisecond
 	if _, err := m.ReclaimLeaked(); err != core.ErrBusy {
 		t.Fatalf("reclaim against a held transaction = %v, want ErrBusy", err)

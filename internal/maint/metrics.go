@@ -16,12 +16,6 @@ var (
 	mReclaimStarved    = obs.RegisterCounter("maint_reclaim_starved")
 	mStatsAnalyzed     = obs.RegisterCounter("maint_stats_classes_analyzed")
 
-	// Clustering counters: how many compactions ran under a non-default
-	// placement policy, and how many records those placements actually
-	// moved away from scan order (CompactResult.Reordered).
-	mClusterCompactions = obs.RegisterCounter("maint_cluster_compactions_total")
-	mClusterReordered   = obs.RegisterCounter("maint_cluster_objects_reordered")
-
 	// Automatic compaction, cost beside gain (auto.go): how many rewrites
 	// the manager started on its own, what they wrote (the pages and record
 	// bytes of the fresh segments — the reorganisation I/O), how long each

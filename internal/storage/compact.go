@@ -33,29 +33,11 @@ type CompactResult struct {
 	LiveBytes   int64 // full (overflow-resolved) bytes copied
 	PagesBefore int   // heap chain length before (overflow pages excluded)
 	PagesAfter  int   // heap chain length after
-	Reordered   int   // records placed at a different position than scan order
 	// LockHeld is how long writers of the class were excluded: from the
 	// class write lock being granted to its release after the closing
-	// checkpoint. Set by core.CompactClassOrdered, which takes the lock.
+	// checkpoint. Set by core.CompactClass, which takes the lock.
 	LockHeld time.Duration
 }
-
-// Placement is a compaction ordering policy: given the class's live OIDs in
-// physical scan order, it returns the order records should be laid into the
-// fresh segment. Placement decides layout and nothing else — the rewrite
-// copies exactly the live set regardless of what the policy returns:
-//
-//   - OIDs absent from scanOrder (not live in this class) are ignored;
-//   - duplicates keep their first position;
-//   - live OIDs the policy omitted are appended afterwards in scan order.
-//
-// So a policy may safely return a partial or over-complete order (e.g. a
-// composite DFS that only reaches part of the graph, or heat counts that
-// include since-deleted objects). A nil Placement means physical scan
-// order — byte-identical to an unordered rewrite. The policy runs inside
-// the compaction critical section but outside all storage locks, so it may
-// fetch objects through the store; it must not write.
-type Placement func(scanOrder []model.OID) []model.OID
 
 // SegmentInfo is the occupancy snapshot the maintenance trigger policy
 // reads: how full a class's heap pages are with live records.
@@ -93,10 +75,12 @@ func (s *Store) SegmentInfo(class model.ClassID) *SegmentInfo {
 }
 
 // RewriteSegment copies every live, current record of the class into a
-// fresh heap in physical scan order and swaps the fresh heap in. The old
-// segment is returned detached — its pages (and the old overflow chains)
-// are still allocated; the caller frees them with FreeDetached once the
-// metadata that stopped naming them is durable.
+// fresh heap in physical scan order and swaps the fresh heap in. The copy
+// streams: each record goes into the fresh heap as the scan hands it over,
+// so the live set is never held in memory. The old segment is returned
+// detached — its pages (and the old overflow chains) are still allocated;
+// the caller frees them with FreeDetached once the metadata that stopped
+// naming them is durable.
 //
 // Concurrency contract: the caller must exclude writers of the class for
 // the duration (core.CompactClass holds the class write lock under the DDL
@@ -107,7 +91,8 @@ func (s *Store) SegmentInfo(class model.ClassID) *SegmentInfo {
 //
 // visit, when non-nil, observes each copied record — the statistics
 // collector rides along on the sweep so compaction and ANALYZE share one
-// pass.
+// pass. data is the scan's own buffer (see Heap.Scan): it is valid only
+// until visit returns, and a visitor that keeps it clones it.
 //
 // Records the directory does not name at their scanned RID are dropped:
 // dead slots, and stale duplicates a crash can leave behind (an update
@@ -115,21 +100,6 @@ func (s *Store) SegmentInfo(class model.ClassID) *SegmentInfo {
 // entry, but both physical copies survive rebuild). Compaction is thus
 // also the dedup pass for such slots.
 func (s *Store) RewriteSegment(class model.ClassID, visit func(oid model.OID, data []byte)) (*DetachedSegment, *CompactResult, error) {
-	return s.RewriteSegmentOrdered(class, nil, visit)
-}
-
-// RewriteSegmentOrdered is RewriteSegment with a placement policy deciding
-// the physical order of the fresh segment. A nil order is physical scan
-// order — the byte-identical default. See Placement for the ordering
-// contract; everything else (live-set selection, crash safety, the swap
-// discipline) is identical to RewriteSegment.
-//
-// The live records are buffered in memory for the reorder (overflow
-// resolved — the same bytes the streaming path holds one at a time), then
-// inserted in final order; overflow chains are re-created by Insert as
-// records land. The policy callback runs after the scan with no storage
-// locks held.
-func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visit func(oid model.OID, data []byte)) (*DetachedSegment, *CompactResult, error) {
 	s.mu.RLock()
 	old, ok := s.heaps[class]
 	cur := make(map[model.OID]RID)
@@ -144,63 +114,6 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 	}
 	res := &CompactResult{Class: class, PagesBefore: old.Stats().Pages}
 
-	// Collect the live set in scan order. The scan's buffer is reused from
-	// page to page, so each kept record is copied out of it.
-	type liveRec struct {
-		oid  model.OID
-		data []byte
-	}
-	var live []liveRec
-	err := old.Scan(func(rid RID, data []byte) bool {
-		raw, n := binary.Uvarint(data)
-		if n <= 0 {
-			return true // torn record: nothing names it
-		}
-		oid := model.OID(raw)
-		if r, ok := cur[oid]; !ok || r != rid {
-			return true // dead or shadowed copy
-		}
-		live = append(live, liveRec{oid, append([]byte(nil), data...)})
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Apply the placement policy: map OID → scan position, walk the
-	// policy's order keeping first-seen live OIDs, append the rest in scan
-	// order. final holds indexes into live.
-	final := make([]int, 0, len(live))
-	if order != nil {
-		scanOrder := make([]model.OID, len(live))
-		pos := make(map[model.OID]int, len(live))
-		for i, r := range live {
-			scanOrder[i] = r.oid
-			pos[r.oid] = i
-		}
-		placed := make([]bool, len(live))
-		for _, oid := range order(scanOrder) {
-			if i, ok := pos[oid]; ok && !placed[i] {
-				placed[i] = true
-				final = append(final, i)
-			}
-		}
-		for i := range live {
-			if !placed[i] {
-				final = append(final, i)
-			}
-		}
-		for at, i := range final {
-			if at != i {
-				res.Reordered++
-			}
-		}
-	} else {
-		for i := range live {
-			final = append(final, i)
-		}
-	}
-
 	fresh, err := NewHeap(s.pool)
 	if err != nil {
 		return nil, nil, err
@@ -211,19 +124,34 @@ func (s *Store) RewriteSegmentOrdered(class model.ClassID, order Placement, visi
 		_ = s.FreeDetached(&DetachedSegment{heap: fresh})
 		return nil, nil, cause
 	}
-	newDir := make(map[model.OID]RID, len(live))
-	for _, i := range final {
-		r := live[i]
-		nrid, ierr := fresh.Insert(r.data)
-		if ierr != nil {
-			return abort(ierr)
+	newDir := make(map[model.OID]RID, len(cur))
+	var ierr error
+	err = old.Scan(func(rid RID, data []byte) bool {
+		raw, n := binary.Uvarint(data)
+		if n <= 0 {
+			return true // torn record: nothing names it
 		}
-		newDir[r.oid] = nrid
+		oid := model.OID(raw)
+		if r, ok := cur[oid]; !ok || r != rid {
+			return true // dead or shadowed copy
+		}
+		var nrid RID
+		if nrid, ierr = fresh.Insert(data); ierr != nil {
+			return false
+		}
+		newDir[oid] = nrid
 		res.LiveRecords++
-		res.LiveBytes += int64(len(r.data))
+		res.LiveBytes += int64(len(data))
 		if visit != nil {
-			visit(r.oid, r.data)
+			visit(oid, data)
 		}
+		return true
+	})
+	if err == nil {
+		err = ierr
+	}
+	if err != nil {
+		return abort(err)
 	}
 	res.PagesAfter = fresh.Stats().Pages
 	s.mu.Lock()

@@ -230,157 +230,3 @@ func TestReclaimLeaked(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// scanOrderOf returns the class's OIDs in physical scan order.
-func scanOrderOf(t *testing.T, s *Store, class model.ClassID) []model.OID {
-	t.Helper()
-	var order []model.OID
-	if err := s.ScanClass(class, func(oid model.OID, _ []byte) bool {
-		order = append(order, oid)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return order
-}
-
-// TestRewriteSegmentOrderedContract exercises the full Placement contract
-// against a deliberately abusive policy: reversed order, an unknown OID, a
-// duplicate, and an omitted live OID. The rewrite must lay records in the
-// filtered policy order with the omitted survivor appended in scan order,
-// keep every byte identical, and count the displaced records.
-func TestRewriteSegmentOrderedContract(t *testing.T) {
-	s, _ := openTestStore(t, 64)
-	defer s.Close()
-	oids := fillSegment(t, s, compactTestClass, 40, 10)
-	want := make(map[model.OID][]byte)
-	for i, oid := range oids {
-		if i%2 != 0 {
-			if err := s.Delete(oid); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		data, err := s.Get(oid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[oid] = append([]byte(nil), data...)
-	}
-	before := scanOrderOf(t, s, compactTestClass)
-	if len(before) != len(want) {
-		t.Fatalf("pre-rewrite scan sees %d records, want %d", len(before), len(want))
-	}
-
-	var sawScanOrder []model.OID
-	policy := func(scanOrder []model.OID) []model.OID {
-		sawScanOrder = append([]model.OID(nil), scanOrder...)
-		out := []model.OID{model.MakeOID(compactTestClass, 9999)} // unknown: ignored
-		for i := len(scanOrder) - 1; i >= 1; i-- {                // omit scanOrder[0]
-			out = append(out, scanOrder[i])
-		}
-		out = append(out, scanOrder[len(scanOrder)-1]) // duplicate: first position wins
-		return out
-	}
-	detached, res, err := s.RewriteSegmentOrdered(compactTestClass, policy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.FreeDetached(detached)
-	if len(sawScanOrder) != len(before) {
-		t.Fatalf("policy saw %d live OIDs, want %d", len(sawScanOrder), len(before))
-	}
-	for i := range before {
-		if sawScanOrder[i] != before[i] {
-			t.Fatalf("policy input differs from scan order at %d", i)
-		}
-	}
-	if res.LiveRecords != len(want) {
-		t.Fatalf("rewrote %d records, want %d", res.LiveRecords, len(want))
-	}
-
-	// Expected final order: reversed tail, then the omitted head appended.
-	var expect []model.OID
-	for i := len(before) - 1; i >= 1; i-- {
-		expect = append(expect, before[i])
-	}
-	expect = append(expect, before[0])
-	after := scanOrderOf(t, s, compactTestClass)
-	if len(after) != len(expect) {
-		t.Fatalf("post-rewrite scan sees %d records, want %d", len(after), len(expect))
-	}
-	for i := range expect {
-		if after[i] != expect[i] {
-			t.Fatalf("physical order at %d = %s, want %s\n got %v\nwant %v", i, after[i], expect[i], after, expect)
-		}
-	}
-	moved := 0
-	for i := range expect {
-		if expect[i] != before[i] {
-			moved++
-		}
-	}
-	if res.Reordered != moved {
-		t.Fatalf("Reordered = %d, want %d", res.Reordered, moved)
-	}
-	for oid, w := range want {
-		got, err := s.Get(oid)
-		if err != nil {
-			t.Fatalf("get %s after ordered rewrite: %v", oid, err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Fatalf("object %s changed across ordered rewrite", oid)
-		}
-	}
-}
-
-// TestRewriteSegmentOrderedNilMatchesDefault pins the byte-identity of the
-// default path: a nil placement and an identity placement produce the same
-// physical order as the unordered RewriteSegment, with Reordered == 0.
-func TestRewriteSegmentOrderedNilMatchesDefault(t *testing.T) {
-	build := func(t *testing.T) *Store {
-		s, _ := openTestStore(t, 64)
-		oids := fillSegment(t, s, compactTestClass, 60, 15)
-		for i, oid := range oids {
-			if i%3 != 0 {
-				if err := s.Delete(oid); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return s
-	}
-	orders := make([][]model.OID, 3)
-	for i, order := range []Placement{
-		nil,
-		func(scan []model.OID) []model.OID { return scan },
-		nil, // third store uses the legacy RewriteSegment entry point
-	} {
-		s := build(t)
-		var res *CompactResult
-		var err error
-		if i == 2 {
-			_, res, err = s.RewriteSegment(compactTestClass, nil)
-		} else {
-			_, res, err = s.RewriteSegmentOrdered(compactTestClass, order, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Reordered != 0 {
-			t.Fatalf("variant %d: Reordered = %d, want 0", i, res.Reordered)
-		}
-		orders[i] = scanOrderOf(t, s, compactTestClass)
-		s.Close()
-	}
-	for v := 1; v < 3; v++ {
-		if len(orders[v]) != len(orders[0]) {
-			t.Fatalf("variant %d order length %d != %d", v, len(orders[v]), len(orders[0]))
-		}
-		for i := range orders[0] {
-			if orders[v][i] != orders[0][i] {
-				t.Fatalf("variant %d diverges from nil placement at position %d", v, i)
-			}
-		}
-	}
-}

@@ -41,14 +41,6 @@ var (
 	// crash harness (`make crash`); the future compactor's target.
 	mPagesLeaked = obs.RegisterGauge("storage_account_leaked_pages")
 	mPagesTotal  = obs.RegisterGauge("storage_account_total_pages")
-
-	// Published by Store.AccessCounts from the per-store fetch-heat tracker
-	// (obs.AccessTracker sampled in Store.Get) — the signal behind
-	// heat-ordered compaction placement. With several stores open in one
-	// process the gauges reflect whichever store snapshotted last.
-	mAccessTracked = obs.RegisterGauge("storage_access_tracked_objects")
-	mAccessTouches = obs.RegisterGauge("storage_access_touches_total")
-	mAccessDropped = obs.RegisterGauge("storage_access_dropped_keys")
 )
 
 // readPageTimed wraps disk reads with the page-read latency histogram.

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"oodb/internal/model"
-	"oodb/internal/obs"
 )
 
 // Store binds the disk manager, buffer pool, per-class heap segments and
@@ -23,12 +22,6 @@ import (
 type Store struct {
 	disk Disk
 	pool *BufferPool
-
-	// access counts per-OID fetch frequency (Get only — internal scans and
-	// rewrites do not register as workload heat). It feeds heat-ordered
-	// compaction placement (internal/maint); per-store so tests opening
-	// many databases in one process do not cross-pollute heat.
-	access *obs.AccessTracker
 
 	mu    sync.RWMutex
 	heaps map[model.ClassID]*Heap
@@ -71,12 +64,11 @@ func Open(path string, opts Options) (*Store, error) {
 		disk = opts.WrapDisk(disk)
 	}
 	s := &Store{
-		disk:   disk,
-		pool:   NewBufferPool(disk, opts.PoolPages),
-		access: obs.NewAccessTracker(),
-		heaps:  make(map[model.ClassID]*Heap),
-		dir:    make(map[model.OID]RID),
-		seq:    make(map[model.ClassID]uint64),
+		disk:  disk,
+		pool:  NewBufferPool(disk, opts.PoolPages),
+		heaps: make(map[model.ClassID]*Heap),
+		dir:   make(map[model.OID]RID),
+		seq:   make(map[model.ClassID]uint64),
 	}
 	if err := s.loadSegments(); err != nil {
 		disk.Close()
@@ -266,14 +258,7 @@ func (s *Store) Put(oid model.OID, data []byte) error {
 }
 
 // Get returns the stored image of oid.
-//
-// Get is the access-heat sampling site: both the locked fetch path
-// (core.Tx.Fetch → FetchObject) and the snapshot path (snapshotFetch)
-// funnel through here, while internal sweeps (ScanClass, rewrites,
-// recovery) bypass it — so the tracker sees exactly the object-navigation
-// workload that heat-ordered placement should optimize for.
 func (s *Store) Get(oid model.OID) ([]byte, error) {
-	s.access.Touch(uint64(oid))
 	for {
 		s.mu.RLock()
 		h, ok := s.heaps[oid.Class()]
@@ -383,27 +368,6 @@ func sortClassIDs(ids []model.ClassID) {
 
 // PoolStats returns buffer pool hit/miss counters.
 func (s *Store) PoolStats() (hits, misses uint64) { return s.pool.Stats() }
-
-// AccessCounts snapshots the per-OID fetch counters sampled in Get, and
-// publishes the tracker totals to the storage_access_* gauges as a side
-// effect. Heat-ordered placement (internal/maint) reads this; callers may
-// follow with ResetAccessCounts so the next compaction sees recent heat
-// rather than all history.
-func (s *Store) AccessCounts() map[model.OID]uint64 {
-	raw := s.access.Counts()
-	out := make(map[model.OID]uint64, len(raw))
-	for k, n := range raw {
-		out[model.OID(k)] = n
-	}
-	mAccessTracked.Set(int64(s.access.Tracked()))
-	mAccessTouches.Set(int64(s.access.Touches()))
-	mAccessDropped.Set(int64(s.access.Drops()))
-	return out
-}
-
-// ResetAccessCounts clears the fetch-heat counters — the decay step after
-// a placement consumed them.
-func (s *Store) ResetAccessCounts() { s.access.Reset() }
 
 // Checkpoint persists the segment table and flushes every dirty page to
 // disk. After Checkpoint returns, the on-disk state is self-contained: a

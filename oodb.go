@@ -123,13 +123,6 @@ type Options struct {
 	CheckpointBytes int64
 	// NoSync skips the fsync at commit. Unsafe; benchmarking only.
 	NoSync bool
-	// RelaxedDurability makes every Commit behave like CommitAsync: the
-	// commit record is queued for the WAL writer's next batch and the call
-	// returns without waiting for the fsync. A crash loses at most a suffix
-	// of acknowledged commits, never an intermediate one, and the store is
-	// never corrupted. Per-transaction control is available via
-	// Tx.CommitAsync under the default full durability.
-	RelaxedDurability bool
 }
 
 // DB is an open database.
@@ -144,20 +137,15 @@ type DB struct {
 // mostly dead are compacted in the background (DESIGN §11; Maintenance
 // reaches the manager, and its Stop freezes the physical layout).
 func Open(dir string, opts Options) (*DB, error) {
-	durability := core.DurabilityFull
-	if opts.RelaxedDurability {
-		durability = core.DurabilityRelaxed
-	}
 	eng, err := core.Open(dir, core.Options{
 		PoolPages:       opts.PoolPages,
 		CheckpointBytes: opts.CheckpointBytes,
 		NoSync:          opts.NoSync,
-		Durability:      durability,
 	})
 	if err != nil {
 		return nil, err
 	}
-	mnt := maint.New(eng, maint.Options{})
+	mnt := maint.New(eng)
 	mnt.Start()
 	return &DB{eng: eng, q: query.NewEngine(eng), mnt: mnt}, nil
 }
@@ -431,15 +419,12 @@ func (db *DB) QueryEngine() *query.Engine { return db.q }
 // swizzling; see Workspace).
 func (db *DB) NewWorkspace() *Workspace { return workspace.New(db.eng) }
 
-// Maintenance returns the database's one maintenance manager, reconfigured
-// with opts: segment compaction, leaked-page reclamation and
-// planner-statistics collection (DESIGN §11). It is the manager Open
-// started, so what is driven through it on demand is serialized with the
-// automatic compactions; Stop it to keep the layout as it is.
-func (db *DB) Maintenance(opts maint.Options) *maint.Manager {
-	db.mnt.Configure(opts)
-	return db.mnt
-}
+// Maintenance returns the database's one maintenance manager: segment
+// compaction, leaked-page reclamation and planner-statistics collection
+// (DESIGN §11). It is the manager Open started, so what is driven through
+// it on demand is serialized with the automatic compactions; Stop it to
+// keep the layout as it is.
+func (db *DB) Maintenance() *maint.Manager { return db.mnt }
 
 // --- Feature layers ----------------------------------------------------
 
