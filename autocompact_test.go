@@ -101,8 +101,7 @@ func TestFetchDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	mnt := db.Maintenance()
-	mnt.Stop() // the test drives the rewrites itself, back to back
+	db.Maintenance().Stop() // the test drives the rewrites itself, back to back
 	if _, err := db.DefineClass("P", nil,
 		oodb.Attr{Name: "n", Domain: "Integer"},
 		oodb.Attr{Name: "pad", Domain: "String"}); err != nil {
@@ -226,7 +225,7 @@ func TestFetchDuringCompaction(t *testing.T) {
 	}()
 
 	for round := 0; round < 25; round++ {
-		if _, err := mnt.CompactClass(cls.ID); err != nil {
+		if _, err := db.Engine().CompactClass(cls.ID); err != nil {
 			t.Fatal(err)
 		}
 		select {

@@ -84,10 +84,7 @@ func BenchmarkCompactDeadHeap(b *testing.B) {
 		b.ReportMetric(float64(info.Pages), "pages")
 	}
 	b.Run("before", scan)
-	if _, err := db.Maintenance().CompactClass(cls); err != nil {
-		b.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
+	if _, err := db.Engine().CompactClass(cls); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("after", scan)
@@ -308,8 +305,7 @@ func BenchmarkE17_OO1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mnt := db.Maintenance()
-		mnt.Stop()
+		db.Maintenance().Stop()
 		if l.recluster {
 			cm, err := db.Composites()
 			if err != nil {
@@ -326,7 +322,7 @@ func BenchmarkE17_OO1(b *testing.B) {
 		}
 		cls := mustClassID(b, db, "Part")
 		if l.compact {
-			if _, err := mnt.CompactClass(cls); err != nil {
+			if _, err := db.Engine().CompactClass(cls); err != nil {
 				b.Fatal(err)
 			}
 		}

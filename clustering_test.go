@@ -74,8 +74,7 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 			defer db.Close()
 			// The physical contract below is about the one rewrite the test
 			// asks for: no automatic one before it.
-			mnt := db.Maintenance()
-			mnt.Stop()
+			db.Maintenance().Stop()
 			g, err := bench.BuildOO1(db, clParts, clConn, clNoisePer, clSeed)
 			if err != nil {
 				t.Fatal(err)
@@ -165,7 +164,7 @@ func TestClusteredRewriteLogicallyInvisible(t *testing.T) {
 				}
 			}()
 
-			_, err = mnt.CompactClass(cls.ID)
+			_, err = db.Engine().CompactClass(cls.ID)
 			close(stop)
 			wg.Wait()
 			if err != nil {
@@ -229,8 +228,7 @@ func TestSnapshotPinnedAcrossCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	mnt := db.Maintenance()
-	mnt.Stop() // the rewrite under test is the only one
+	db.Maintenance().Stop() // the rewrite under test is the only one
 	g, err := bench.BuildOO1(db, 100, 2, 2, clSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +241,7 @@ func TestSnapshotPinnedAcrossCompaction(t *testing.T) {
 
 	snap := db.BeginSnapshot()
 	defer snap.Commit()
-	if res, err := mnt.CompactClass(cls.ID); err != nil {
+	if res, err := db.Engine().CompactClass(cls.ID); err != nil {
 		t.Fatal(err)
 	} else if res.PagesAfter >= res.PagesBefore {
 		t.Fatalf("rewrite kept %d of %d pages; snapshot pinning untested", res.PagesAfter, res.PagesBefore)

@@ -360,56 +360,62 @@ func (sh *shell) segments() error {
 	return nil
 }
 
-// compact rewrites one class's segment (or every segment) online and
-// reports the space recovered.
-func (sh *shell) compact(args []string) error {
-	report := func(name string, before, after int) {
-		fmt.Fprintf(sh.out, "  %s: %d pages -> %d pages\n", name, before, after)
-	}
+// segmentClasses resolves the optional class argument of .compact and
+// .stats: the named class, or every class that has a segment.
+func (sh *shell) segmentClasses(args []string) ([]*oodb.Class, error) {
 	if len(args) == 1 {
 		cl, err := sh.db.ClassByName(args[0])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res, err := sh.db.Maintenance().CompactClass(cl.ID)
-		if err != nil {
-			return err
-		}
-		report(cl.Name, res.PagesBefore, res.PagesAfter)
-		return sh.db.Checkpoint()
+		return []*oodb.Class{cl}, nil
 	}
-	results, err := sh.db.Maintenance().CompactAll()
+	var out []*oodb.Class
+	for _, cl := range sh.db.Engine().Catalog.Classes() {
+		info, err := sh.db.Engine().SegmentInfo(cl.ID)
+		if err != nil {
+			return nil, err
+		}
+		if info != nil {
+			out = append(out, cl)
+		}
+	}
+	return out, nil
+}
+
+// compact rewrites one class's segment (or every segment) online and
+// reports the space recovered.
+func (sh *shell) compact(args []string) error {
+	classes, err := sh.segmentClasses(args)
 	if err != nil {
 		return err
 	}
-	cat := sh.db.Engine().Catalog
-	for _, cl := range cat.Classes() {
-		if res, ok := results[cl.ID]; ok {
-			report(cl.Name, res.PagesBefore, res.PagesAfter)
+	for _, cl := range classes {
+		res, err := sh.db.Engine().CompactClass(cl.ID)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(sh.out, "  %s: %d pages -> %d pages\n", cl.Name, res.PagesBefore, res.PagesAfter)
 	}
 	return nil
 }
 
-// stats collects (or refreshes) planner statistics and prints them.
+// stats collects (or refreshes) planner statistics, persists them and
+// prints them.
 func (sh *shell) stats(args []string) error {
-	cat := sh.db.Engine().Catalog
-	classes := cat.Classes()
-	if len(args) == 1 {
-		cl, err := sh.db.ClassByName(args[0])
-		if err != nil {
-			return err
-		}
-		if _, err := sh.db.Maintenance().AnalyzeClass(cl.ID); err != nil {
-			return err
-		}
-		if err := sh.db.Checkpoint(); err != nil {
-			return err
-		}
-		classes = []*oodb.Class{cl}
-	} else if _, err := sh.db.Maintenance().AnalyzeAll(); err != nil {
+	classes, err := sh.segmentClasses(args)
+	if err != nil {
 		return err
 	}
+	for _, cl := range classes {
+		if _, err := sh.db.Engine().AnalyzeClass(cl.ID); err != nil {
+			return err
+		}
+	}
+	if err := sh.db.Checkpoint(); err != nil {
+		return err
+	}
+	cat := sh.db.Engine().Catalog
 	reg := sh.db.Engine().Stats
 	for _, cl := range classes {
 		cs := reg.Get(cl.ID)

@@ -461,11 +461,10 @@ func dropWorkload(dir string, inj *fault.Injector) (keep, doomed []model.OID, er
 // free sequence: the surviving class is always fully intact, and the dropped
 // class is all-or-nothing — either still present with every committed row
 // readable (drop not yet durable) or gone entirely (never half-dropped with
-// its pages already freed). This is the regression net for the hole where
-// DropSegment freed committed heap pages before the DDL checkpoint was
-// durable: a crash in that window lost rows while the durable metadata
-// still named the class, which surfaces here as a doomed row neither intact
-// nor gone.
+// its pages already freed). This is the regression net for freeing the
+// heap pages before the DDL checkpoint is durable: a crash in that window
+// loses rows while the durable metadata still names the class, which
+// surfaces here as a doomed row neither intact nor gone.
 func TestCrashDuringDropClass(t *testing.T) {
 	cdir := t.TempDir()
 	cinj := fault.NewCensus(matrixSeed)
@@ -544,10 +543,9 @@ func verifyDropCrash(t *testing.T, dir string, sched fault.Schedule, keep, doome
 		}
 	}
 	// The dropped class: while the catalog still names it, every committed
-	// row must be fully intact — this is the regression net for the old
-	// DropSegment behavior, which freed the heap pages BEFORE the DDL
-	// checkpoint was durable and so lost rows the durable metadata still
-	// named. Once the catalog has dropped the class, its rows must be gone
+	// row must be fully intact — this is the regression net for freeing
+	// the heap pages BEFORE the DDL checkpoint is durable, which loses rows
+	// the durable metadata still names. Once the catalog has dropped the class, its rows must be gone
 	// entirely: the checkpoint swaps catalog and segment table under a
 	// single metadata write (BufferPool.SwapBlobs), so the old window where
 	// a crash between the two blob swaps left readable orphans no longer
@@ -663,7 +661,7 @@ func compactWorkload(dir string, inj *fault.Injector) (kept, deleted []model.OID
 		return kept, deleted, err
 	}
 	inj.SetPhase("compact")
-	if _, err := db.CompactClass(cl.ID, nil); err != nil {
+	if _, err := db.CompactClass(cl.ID); err != nil {
 		return kept, deleted, err
 	}
 	inj.SetPhase("close")
@@ -789,7 +787,7 @@ func verifyCompactCrash(t *testing.T, dir string, sched fault.Schedule, kept, de
 
 	// The reclaimer sweeps whatever chain the crash leaked (fresh pages
 	// before the checkpoint, old pages after) without touching live data.
-	if _, err := db.ReclaimLeaked(); err != nil {
+	if _, err := db.ReclaimLeaked(0); err != nil {
 		db.Close()
 		t.Fatalf("schedule {%v}: reclaim after recovery: %v", sched, err)
 	}

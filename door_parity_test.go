@@ -272,6 +272,71 @@ func TestSecondWriterVisibleThroughEveryDoor(t *testing.T) {
 	}
 }
 
+// TestUncommittedWriteInvisibleThroughEveryDoor: while a second writer —
+// another session, another client of the same server, or a client dialed
+// straight to the router's member — holds an uncommitted update, a door's
+// Get and Fetch outside a transaction return the committed value, and the
+// same value again after the writer aborts. Reading the writer's bytes
+// would be a silently wrong answer that the abort then takes back.
+func TestUncommittedWriteInvisibleThroughEveryDoor(t *testing.T) {
+	type writer interface {
+		Begin() error
+		Update(oid oodb.OID, attrs oodb.Attrs) error
+		Abort() error
+	}
+	embeddedDB := newDoorDB(t)
+	servedAddr := serveDoorDB(t, newDoorDB(t))
+	memberAddr := serveDoorDB(t, newDoorDB(t))
+	r, err := shard.New([]string{memberAddr}, shard.Options{Client: client.Options{Role: "app"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	for _, tc := range []struct {
+		name   string
+		reader door
+		writer writer
+	}{
+		{"embedded session", embeddedDB.Session(nil, ""), embeddedDB.Session(nil, "")},
+		{"kimsrv client", dialDoor(t, servedAddr), dialDoor(t, servedAddr)},
+		{"shard router", r, dialDoor(t, memberAddr)},
+	} {
+		d := tc.reader
+		oid, err := d.Insert("Part", oodb.Attrs{"name": oodb.String("cam"), "weight": oodb.Int(1)})
+		if err != nil {
+			t.Fatalf("%s: insert: %v", tc.name, err)
+		}
+		reads := func() [2]string {
+			t.Helper()
+			v, err := d.Get(oid, "weight")
+			if err != nil {
+				t.Fatalf("%s: get: %v", tc.name, err)
+			}
+			obj, err := d.Fetch(oid)
+			if err != nil {
+				t.Fatalf("%s: fetch: %v", tc.name, err)
+			}
+			return [2]string{v.String(), obj.Attrs["weight"].String()}
+		}
+		if err := tc.writer.Begin(); err != nil {
+			t.Fatalf("%s: begin: %v", tc.name, err)
+		}
+		if err := tc.writer.Update(oid, oodb.Attrs{"weight": oodb.Int(2)}); err != nil {
+			t.Fatalf("%s: uncommitted update: %v", tc.name, err)
+		}
+		if got := reads(); got != [2]string{"1", "1"} {
+			t.Errorf("%s: get, fetch beside an uncommitted update = %v, want the committed weight 1", tc.name, got)
+		}
+		if err := tc.writer.Abort(); err != nil {
+			t.Fatalf("%s: abort: %v", tc.name, err)
+		}
+		if got := reads(); got != [2]string{"1", "1"} {
+			t.Errorf("%s: get, fetch after the writer aborted = %v, want 1", tc.name, got)
+		}
+	}
+}
+
 // firstDiff shows the first line two transcripts disagree on.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

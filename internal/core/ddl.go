@@ -5,7 +5,6 @@ import (
 
 	"oodb/internal/model"
 	"oodb/internal/schema"
-	"oodb/internal/storage"
 )
 
 // DDL operations. Schema evolution is auto-committed: each operation takes
@@ -14,8 +13,20 @@ import (
 // catalog and data are durably consistent — the engine's invariant that WAL
 // replay never needs to reconstruct DDL.
 
-// ddl runs fn with exclusive locks on the given classes.
-func (db *DB) ddl(classes []model.ClassID, fn func() error) error {
+// ddl runs fn with exclusive locks on the given classes, then checkpoints.
+//
+// fn may return then, the part of the operation that has to wait until
+// what fn did is durable: the frees of a segment fn detached (DropClass,
+// CompactClass). ddl runs it after the checkpoint and then checkpoints
+// again, which truncates the page images the frees logged
+// (WAL-before-data) — nothing needs them once the frees are on disk.
+// Freeing before the first checkpoint would destroy committed pages the
+// durable metadata still names; a crash between the checkpoint and the
+// frees merely leaks them (Store.AccountPages counts the leak,
+// ReclaimLeaked recovers it). All of it runs under ddlMu, which the
+// reclaimer also takes, so it never finds a detached chain unreachable and
+// frees it ahead of then.
+func (db *DB) ddl(classes []model.ClassID, fn func() (then func() error, err error)) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -28,7 +39,17 @@ func (db *DB) ddl(classes []model.ClassID, fn func() error) error {
 			return err
 		}
 	}
-	if err := fn(); err != nil {
+	then, err := fn()
+	if err != nil {
+		return err
+	}
+	if err := db.Checkpoint(); err != nil || then == nil {
+		return err
+	}
+	if db.beforeFree != nil {
+		db.beforeFree()
+	}
+	if err := then(); err != nil {
 		return err
 	}
 	return db.Checkpoint()
@@ -38,33 +59,22 @@ func (db *DB) ddl(classes []model.ClassID, fn func() error) error {
 // storage segment.
 func (db *DB) DefineClass(name string, supers []model.ClassID, attrs ...schema.AttrSpec) (*schema.Class, error) {
 	var cl *schema.Class
-	err := db.ddl(nil, func() error {
+	err := db.ddl(nil, func() (func() error, error) {
 		var err error
 		cl, err = db.Catalog.DefineClass(name, supers, attrs...)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return db.Store.CreateSegment(cl.ID)
+		return nil, db.Store.CreateSegment(cl.ID)
 	})
 	return cl, err
 }
 
 // DropClass deletes every instance of the class, removes indexes rooted at
-// it, and drops it from the catalog (subclasses re-link per Banerjee).
-//
-// Destruction is ordered after durability: inside the DDL critical
-// section the segment is only *detached* (catalog, segment table and
-// directory stop naming it), and ddl's closing checkpoint makes that
-// removal durable. Only then are the segment's pages physically freed.
-// Freeing first — the old behavior — destroyed committed heap pages in
-// place before the checkpoint; a crash in that window reopened with a
-// catalog still naming the class but its pages free-sealed, losing
-// committed objects that predate the last checkpoint (no WAL redo exists
-// for them). A crash after the checkpoint but before the frees merely
-// leaks the pages, which the accountant (Store.AccountPages) counts.
+// it, and drops it from the catalog (subclasses re-link per Banerjee). The
+// segment is detached here and freed once the removal is durable (ddl).
 func (db *DB) DropClass(class model.ClassID) error {
-	var detached *storage.DetachedSegment
-	err := db.ddl([]model.ClassID{class}, func() error {
+	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
 		// Unindex the class's instances everywhere, then detach the segment.
 		err := db.Store.ScanClass(class, func(oid model.OID, data []byte) bool {
 			if obj, derr := model.DecodeObject(data); derr == nil {
@@ -73,9 +83,9 @@ func (db *DB) DropClass(class model.ClassID) error {
 			return true
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		detached = db.Store.DetachSegment(class)
+		detached := db.Store.DetachSegment(class)
 		// Indexes rooted at the dropped class are dropped with it.
 		for _, idx := range db.Indexes.All() {
 			if idx.Class == class {
@@ -84,12 +94,8 @@ func (db *DB) DropClass(class model.ClassID) error {
 		}
 		db.Stats.Remove(class)
 		_, err = db.Catalog.DropClass(class)
-		return err
+		return func() error { return db.Store.FreeDetached(detached) }, err
 	})
-	if err != nil {
-		return err
-	}
-	return db.Store.FreeDetached(detached)
 }
 
 // AddAttribute adds an attribute to a class. Existing instances are
@@ -97,10 +103,10 @@ func (db *DB) DropClass(class model.ClassID) error {
 // evolution; see AttrValue).
 func (db *DB) AddAttribute(class model.ClassID, spec schema.AttrSpec) (*schema.Attribute, error) {
 	var attr *schema.Attribute
-	err := db.ddl([]model.ClassID{class}, func() error {
+	err := db.ddl([]model.ClassID{class}, func() (func() error, error) {
 		var err error
 		attr, _, err = db.Catalog.AddAttribute(class, spec)
-		return err
+		return nil, err
 	})
 	return attr, err
 }
@@ -113,9 +119,9 @@ func (db *DB) DropAttribute(class model.ClassID, name string) error {
 	if err != nil {
 		return err
 	}
-	return db.ddl([]model.ClassID{class}, func() error {
+	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
 		if _, err := db.Catalog.DropAttribute(class, name); err != nil {
-			return err
+			return nil, err
 		}
 		for _, idx := range db.Indexes.All() {
 			for _, step := range idx.Path {
@@ -125,45 +131,45 @@ func (db *DB) DropAttribute(class model.ClassID, name string) error {
 				}
 			}
 		}
-		return nil
+		return nil, nil
 	})
 }
 
 // RenameAttribute renames a locally defined attribute.
 func (db *DB) RenameAttribute(class model.ClassID, oldName, newName string) error {
-	return db.ddl([]model.ClassID{class}, func() error {
+	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
 		_, err := db.Catalog.RenameAttribute(class, oldName, newName)
-		return err
+		return nil, err
 	})
 }
 
 // AddSuperclass adds an inheritance edge. Indexes rooted above the class
 // gain coverage of its instances, so they are repopulated.
 func (db *DB) AddSuperclass(class, super model.ClassID) error {
-	return db.ddl([]model.ClassID{class, super}, func() error {
+	return db.ddl([]model.ClassID{class, super}, func() (func() error, error) {
 		if _, err := db.Catalog.AddSuperclass(class, super); err != nil {
-			return err
+			return nil, err
 		}
-		return db.repopulateClass(class)
+		return nil, db.repopulateClass(class)
 	})
 }
 
 // DropSuperclass removes an inheritance edge; hierarchy indexes that no
 // longer cover the class shed its instances.
 func (db *DB) DropSuperclass(class, super model.ClassID) error {
-	return db.ddl([]model.ClassID{class, super}, func() error {
+	return db.ddl([]model.ClassID{class, super}, func() (func() error, error) {
 		if _, err := db.Catalog.DropSuperclass(class, super); err != nil {
-			return err
+			return nil, err
 		}
-		return db.reindexAfterUncover(class)
+		return nil, db.reindexAfterUncover(class)
 	})
 }
 
 // AddMethod defines a method with its implementation.
 func (db *DB) AddMethod(class model.ClassID, name string, impl schema.MethodImpl) error {
-	return db.ddl([]model.ClassID{class}, func() error {
+	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
 		_, err := db.Catalog.AddMethod(class, name, impl)
-		return err
+		return nil, err
 	})
 }
 
@@ -181,15 +187,15 @@ func (db *DB) CreateIndex(name string, class model.ClassID, path []string, hiera
 	if err != nil {
 		return err
 	}
-	return db.ddl([]model.ClassID{class}, func() error {
-		return db.buildIndex(name, class, attrPath, hierarchy)
+	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
+		return nil, db.buildIndex(name, class, attrPath, hierarchy)
 	})
 }
 
 // DropIndex removes an index.
 func (db *DB) DropIndex(name string) error {
-	return db.ddl(nil, func() error {
-		return db.Indexes.Drop(name)
+	return db.ddl(nil, func() (func() error, error) {
+		return nil, db.Indexes.Drop(name)
 	})
 }
 

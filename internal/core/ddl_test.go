@@ -7,6 +7,7 @@ import (
 
 	"oodb/internal/model"
 	"oodb/internal/schema"
+	"oodb/internal/storage"
 )
 
 func TestRenameAttributeEngine(t *testing.T) {
@@ -237,5 +238,78 @@ func TestLockClassScanFootprint(t *testing.T) {
 	// Finished transactions refuse further scans.
 	if err := tx.LockClassScan(classes); !errors.Is(err, ErrTxnFinished) {
 		t.Fatalf("expected ErrTxnFinished, got %v", err)
+	}
+}
+
+// TestDropClassRacingReclaim starts a reclaim while DropClass sits between
+// its checkpoint and the frees of the detached segment. There the
+// segment is durably unnamed but still allocated — leaked, to the
+// accountant — so a reclaim that got in would free it, and DropClass would
+// then free every page a second time, putting it on the free list twice.
+// The reclaim has to wait for the DDL section to end and find nothing.
+func TestDropClassRacingReclaim(t *testing.T) {
+	td := openVehicleDB(t)
+	if err := td.Do(func(tx *Tx) error {
+		for i := 0; i < 2000; i++ {
+			if _, err := tx.Insert("Truck", map[string]model.Value{"weight": model.Int(int64(i))}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var reclaimed int
+	done := make(chan error, 1)
+	td.beforeFree = func() {
+		td.beforeFree = nil
+		go func() {
+			n, err := td.ReclaimLeaked(time.Second)
+			reclaimed = n
+			done <- err
+		}()
+		// Give the reclaim its chance to run inside the window.
+		select {
+		case err := <-done:
+			done <- err
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	if err := td.DropClass(td.truck.ID); err != nil {
+		t.Fatalf("DropClass: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ReclaimLeaked: %v", err)
+	}
+	if reclaimed != 0 {
+		t.Errorf("the reclaim freed %d pages of the segment DropClass was freeing", reclaimed)
+	}
+	acct, err := td.Store.AccountPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acct.Leaked != 0 {
+		t.Errorf("%d pages leaked: %v", acct.Leaked, acct.LeakedPages)
+	}
+	// The free list holds every free page once: popping it hands out
+	// distinct pages, as many as the account counts, and then the file grows.
+	disk := td.Store.Disk()
+	seen := make(map[storage.PageID]bool)
+	for {
+		end := disk.NumPages()
+		id, err := disk.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == end {
+			break
+		}
+		if seen[id] {
+			t.Fatalf("page %d is on the free list twice (freed twice)", id)
+		}
+		seen[id] = true
+	}
+	if uint64(len(seen)) != acct.Free {
+		t.Fatalf("free list holds %d pages, the account counts %d free", len(seen), acct.Free)
 	}
 }

@@ -49,16 +49,16 @@ type DB struct {
 	Log     *wal.WAL
 	Locks   *txn.LockManager
 	Indexes *index.Manager
-	// Stats holds the planner statistics collected by the maintenance
-	// subsystem (internal/maint): per-class cardinality and per-attribute
-	// distinct/min/max summaries, persisted under the metadata's stats root
-	// at every checkpoint. Advisory only — an empty registry just means the
-	// planner keeps its heuristic ranking.
+	// Stats holds the planner statistics CompactClass and AnalyzeClass
+	// collect: per-class cardinality and per-attribute distinct/min/max
+	// summaries, persisted under the metadata's stats root at every
+	// checkpoint. Advisory only — an empty registry just means the planner
+	// keeps its heuristic ranking.
 	Stats *stats.Registry
 	// Versions is the MVCC overlay: per-object version chains and the
 	// commit-epoch counter that give snapshot transactions (BeginSnapshot)
 	// their lock-free visibility rule. Writers feed it from the Tx write
-	// paths; the maintenance sweep vacuums it (see internal/mvcc).
+	// paths; commits, aborts and snapshot ends prune it (see internal/mvcc).
 	Versions *mvcc.Manager
 
 	opts       Options
@@ -86,9 +86,10 @@ type DB struct {
 
 	// beforeCkptFence, when set, runs on the checkpointing goroutine
 	// between the checkpoint's flush and its taking of the begin fence —
-	// the window a concurrent commit can land in. Tests only; set before
-	// the checkpoint that is to call it.
-	beforeCkptFence func()
+	// the window a concurrent commit can land in. beforeFree runs in ddl
+	// between the checkpoint and the frees of a detached segment.
+	// Tests only; set before the operation that is to call them.
+	beforeCkptFence, beforeFree func()
 
 	closed atomic.Bool
 
@@ -288,21 +289,20 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	if err := db.FailStopped(); err != nil {
-		db.Store.CloseNoFlush()
-		db.Log.Close()
-		return err
+	err := db.Checkpoint() // the poison error, without a flush, when fail-stopped
+	if err == nil {
+		// Repeats the segment-table swap the checkpoint just made. The crash
+		// matrices name their schedules by the op index of this sequence;
+		// dropping the repeat re-indexes their close phases.
+		err = db.Store.Checkpoint()
 	}
-	if err := db.Checkpoint(); err != nil {
-		db.Store.Close()
-		db.Log.Close()
-		return err
+	if serr := db.Store.Close(); err == nil {
+		err = serr
 	}
-	if err := db.Store.Close(); err != nil {
-		db.Log.Close()
-		return err
+	if lerr := db.Log.Close(); err == nil {
+		err = lerr
 	}
-	return db.Log.Close()
+	return err
 }
 
 // Checkpoint makes the on-disk state self-contained: catalog, index
@@ -317,9 +317,8 @@ func (db *DB) Close() error {
 // All four system blobs move under a single metadata write (SwapBlobs): a
 // crash during the checkpoint leaves either every root pointing at the old
 // blobs or every root pointing at the new ones, never a mix — the
-// metadata-swap window that three sequential ReplaceBlob calls used to
-// leave open (catalog new, segment table old ⇒ a recreated class scanning
-// a freed segment) is gone.
+// metadata-swap window separate root writes would leave open (catalog new,
+// segment table old ⇒ a recreated class scanning a freed segment) is gone.
 func (db *DB) Checkpoint() error {
 	db.ckptRun.Lock()
 	err := db.checkpointExclusive()
@@ -380,7 +379,7 @@ func (db *DB) checkpointExclusive() error {
 
 // checkpointBody is the fence-free first half of Checkpoint: flush every
 // dirty page, then move all four system roots in one atomic swap. Shared
-// with ReclaimLeakedWait, which runs it while already holding the begin
+// with ReclaimLeaked, which runs it while already holding the begin
 // fence (Checkpoint itself must not, since it takes the fence afterwards).
 func (db *DB) checkpointBody() error {
 	t0 := time.Now()

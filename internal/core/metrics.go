@@ -21,6 +21,15 @@ var (
 	mReplayOps = obs.RegisterCounter("core_replay_redo_ops_total")
 	mReplayNs  = obs.RegisterHistogram("core_replay_duration_ns")
 
+	// Segment compaction (CompactClass) and statistics collection
+	// (CompactClass, AnalyzeClass): what the rewrites recovered and how
+	// many classes' planner statistics were refreshed.
+	mCompactRuns       = obs.RegisterCounter("core_compact_segments_total")
+	mCompactPagesFreed = obs.RegisterCounter("core_compact_pages_freed")
+	mCompactObjects    = obs.RegisterCounter("core_compact_objects_moved")
+	mCompactNs         = obs.RegisterHistogram("core_compact_duration_ns")
+	mStatsAnalyzed     = obs.RegisterCounter("core_stats_classes_analyzed")
+
 	// Snapshot-transaction traffic: begins/ends pair up (a leak shows as
 	// a widening gap), reads count objects resolved through the overlay
 	// path. Chain-shape health lives in internal/mvcc's metrics.

@@ -119,7 +119,7 @@ func (tx *Tx) snapshotScanRaw(class model.ClassID, fn func(oid model.OID, data [
 		}
 		// Heap state is irrelevant here: the heap scan already missed the
 		// record, so visibility is decided by the chain alone. A chain
-		// vacuumed between listing and resolving had converged with the
+		// dropped between listing and resolving had converged with the
 		// heap, meaning the object was either scanned above or invisible.
 		vdata, ok := tx.db.Versions.Resolve(oid, nil, false, tx.snapEpoch)
 		if !ok {

@@ -113,8 +113,9 @@ func TestSnapshotReadOnlyEnforced(t *testing.T) {
 
 // TestSnapshotDifferentialLockedScan is the acceptance differential: on a
 // quiesced database a snapshot scan must return byte-identical images to
-// a locked heap scan, including when the overlay still carries chains
-// from history that ran while older snapshots were live.
+// a locked heap scan, both while the overlay still carries chains from
+// history that ran beside an older, still live snapshot and after that
+// snapshot's end has dropped them.
 func TestSnapshotDifferentialLockedScan(t *testing.T) {
 	db, cl, oids := openGenDB(t, 40)
 
@@ -145,7 +146,6 @@ func TestSnapshotDifferentialLockedScan(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pin.Commit()
 	if db.Versions.Chains() == 0 {
 		t.Fatal("test is vacuous: overlay converged before the differential ran")
 	}
@@ -175,7 +175,8 @@ func TestSnapshotDifferentialLockedScan(t *testing.T) {
 	snap := collect(func(fn func(model.OID, []byte) bool) error {
 		return stx.snapshotScanRaw(cl.ID, fn)
 	})
-	stx.Commit() // chains are only droppable once no snapshot is live
+	stx.Commit()
+	pin.Commit() // the last live snapshot: its end drops the chains
 
 	if len(snap) != len(locked) {
 		t.Fatalf("snapshot scan returned %d objects, locked scan %d", len(snap), len(locked))
@@ -190,9 +191,9 @@ func TestSnapshotDifferentialLockedScan(t *testing.T) {
 		}
 	}
 
-	// And after the vacuum converges the overlay, still identical.
-	if live := db.Versions.Vacuum(); live != 0 {
-		t.Fatalf("vacuum on a quiesced database left %d chains", live)
+	// Ending the last snapshot converged the overlay; still identical.
+	if live := db.Versions.Chains(); live != 0 {
+		t.Fatalf("%d chains left after the last snapshot ended", live)
 	}
 	stx2 := db.BeginSnapshot()
 	defer stx2.Commit()
@@ -200,11 +201,11 @@ func TestSnapshotDifferentialLockedScan(t *testing.T) {
 		return stx2.snapshotScanRaw(cl.ID, fn)
 	})
 	if len(snap2) != len(locked) {
-		t.Fatalf("post-vacuum snapshot scan returned %d objects, want %d", len(snap2), len(locked))
+		t.Fatalf("converged snapshot scan returned %d objects, want %d", len(snap2), len(locked))
 	}
 	for oid, want := range locked {
 		if !bytes.Equal(snap2[oid], want) {
-			t.Fatalf("post-vacuum object %s differs from locked scan", oid)
+			t.Fatalf("converged object %s differs from locked scan", oid)
 		}
 	}
 }
@@ -388,18 +389,52 @@ func TestSnapshotReadersVsWritersStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesced end state: one vacuum converges the overlay completely.
-	db.Versions.Vacuum()
+	// Quiesced end state: the last snapshot to end converged the overlay.
 	if n := db.Versions.Chains(); n != 0 {
-		t.Fatalf("overlay still holds %d chains after quiesce+vacuum", n)
+		t.Fatalf("overlay still holds %d chains with no snapshot live", n)
 	}
 }
 
-// TestReclaimLeakedWaitQuiesces pins the ErrBusy-starvation fix: under a
+// TestChainsGoneWhenSnapshotEnds: an insert committed beside an open
+// snapshot keeps its version chain while that snapshot lives. Ending the
+// snapshot must drop every such chain by itself — nothing else would: the
+// commits and the checkpoint that follow see no live snapshot, but prune
+// only what they wrote.
+func TestChainsGoneWhenSnapshotEnds(t *testing.T) {
+	db, cl, oids := openGenDB(t, 1)
+	snap := db.BeginSnapshot()
+	for i := 0; i < 100; i++ {
+		if err := db.Do(func(tx *Tx) error {
+			_, err := tx.InsertClass(cl.ID, map[string]model.Value{"g": model.Int(1), "k": model.Int(int64(i))})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.Versions.Chains(); n != 100 {
+		t.Fatalf("chains beside the open snapshot = %d, want 100", n)
+	}
+	if err := snap.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := setGeneration(db, cl, oids, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Versions.Chains(); n != 0 {
+		t.Fatalf("chains after the snapshot ended = %d, want 0", n)
+	}
+}
+
+// TestReclaimLeakedQuiesces pins the ErrBusy-starvation fix: under a
 // continuous stream of short transactions the bounded quiesce window
-// (hold new begins, drain in-flight) lets the reclaimer run, where the
-// old try-once behavior returned ErrBusy forever.
-func TestReclaimLeakedWaitQuiesces(t *testing.T) {
+// (hold new begins, drain in-flight) lets the reclaimer run, where a
+// try-once reclaim (wait 0) returns ErrBusy.
+func TestReclaimLeakedQuiesces(t *testing.T) {
 	db, cl, oids := openGenDB(t, 4)
 
 	stop := make(chan struct{})
@@ -425,14 +460,14 @@ func TestReclaimLeakedWaitQuiesces(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	busySeen := false
 	for i := 0; i < 50; i++ {
-		if _, err := db.ReclaimLeaked(); err == ErrBusy {
+		if _, err := db.ReclaimLeaked(0); err == ErrBusy {
 			busySeen = true
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := db.ReclaimLeakedWait(5 * time.Second); err != nil {
+		if _, err := db.ReclaimLeaked(5 * time.Second); err != nil {
 			t.Fatalf("bounded quiesce run %d failed under continuous load: %v", i, err)
 		}
 	}
@@ -447,13 +482,13 @@ func TestReclaimLeakedWaitQuiesces(t *testing.T) {
 	if _, err := held.InsertClass(cl.ID, map[string]model.Value{"g": model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ReclaimLeakedWait(10 * time.Millisecond); err != ErrBusy {
+	if _, err := db.ReclaimLeaked(10 * time.Millisecond); err != ErrBusy {
 		t.Fatalf("reclaim with a held transaction = %v, want ErrBusy", err)
 	}
 	if err := held.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ReclaimLeakedWait(time.Second); err != nil {
+	if _, err := db.ReclaimLeaked(time.Second); err != nil {
 		t.Fatalf("reclaim after release: %v", err)
 	}
 }

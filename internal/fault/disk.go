@@ -171,20 +171,6 @@ func (d *Disk) GetRoot(r storage.MetaRoot) storage.PageID {
 	return d.under.GetRoot(r)
 }
 
-func (d *Disk) SetRoot(r storage.MetaRoot, id storage.PageID) error {
-	if d.initErr != nil {
-		return d.initErr
-	}
-	switch d.inj.begin(OpDiskRoot) {
-	case decError:
-		return ErrInjected
-	case decOK:
-		return d.under.SetRoot(r, id)
-	default:
-		return ErrCrashed
-	}
-}
-
 // SetRoots is one metadata write no matter how many roots it carries, so
 // it costs one injectable op — the single-root-swap checkpoint relies on
 // the whole batch having exactly one crash point.

@@ -158,13 +158,6 @@ func (in *Injector) Census() []Point {
 	return append([]Point(nil), in.census...)
 }
 
-// Ops returns the number of ops observed so far.
-func (in *Injector) Ops() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.n
-}
-
 // Crashed reports whether the simulated crash has fired.
 func (in *Injector) Crashed() bool {
 	in.mu.Lock()

@@ -75,9 +75,7 @@ type Manager struct {
 }
 
 // NewManager creates an index manager over the catalog. The fetcher is
-// used to walk paths during nested-index maintenance and may be set after
-// construction via SetFetcher (the engine wires it once the object manager
-// exists).
+// used to walk paths during nested-index maintenance.
 func NewManager(cat *schema.Catalog, fetch Fetcher) *Manager {
 	return &Manager{
 		cat:    cat,
@@ -86,13 +84,6 @@ func NewManager(cat *schema.Catalog, fetch Fetcher) *Manager {
 		byName: make(map[string]*Index),
 		nextID: 1,
 	}
-}
-
-// SetFetcher wires the object fetcher.
-func (m *Manager) SetFetcher(f Fetcher) {
-	m.mu.Lock()
-	m.fetch = f
-	m.mu.Unlock()
 }
 
 // Create defines a new index. The caller is responsible for populating it

@@ -58,15 +58,15 @@ func (a *autoState) init() {
 	a.wake = make(chan struct{}, 1)
 }
 
-// sparse is the trigger predicate shared by the full sweep and the
-// automatic path (a class without a segment has a nil info).
+// sparse is the trigger predicate (a class without a segment has a nil
+// info).
 func (m *Manager) sparse(info *storage.SegmentInfo) bool {
 	return info != nil && info.Pages >= m.minPages && info.Occupancy < m.minOccupancy
 }
 
 // observe is the checkpoint hook: an O(classes) pass over counters, on the
-// checkpointing goroutine. It takes only the auto mutex (a compaction holds
-// m.mu across its own closing checkpoint).
+// checkpointing goroutine. It takes only the auto mutex (it also runs
+// inside a compaction's own checkpoints, on the loop goroutine).
 func (m *Manager) observe() {
 	now := m.now()
 	found := false
@@ -150,16 +150,7 @@ func (m *Manager) runDue(now time.Time) (next time.Time, ok bool) {
 // failure (the database closing under the manager, a poisoned engine)
 // leaves the data as it was; the next checkpoint signals the class again.
 func (m *Manager) autoCompact(class model.ClassID) {
-	m.mu.Lock()
-	res, err := m.compact(class)
-	if err == nil {
-		// As after a sweep: persist the statistics the rewrite collected,
-		// and truncate the log — freeing the old chain logged a page image
-		// per page (WAL-before-data), several times the segment's live
-		// bytes, which nothing needs once the frees are on disk.
-		err = m.db.Checkpoint()
-	}
-	m.mu.Unlock()
+	res, err := m.db.CompactClass(class)
 	if err != nil {
 		mAutoErrors.Add(1)
 		return
@@ -171,8 +162,8 @@ func (m *Manager) autoCompact(class model.ClassID) {
 
 	m.auto.mu.Lock()
 	defer m.auto.mu.Unlock()
-	// The rewrite's own closing checkpoint signalled while it still held
-	// the class: that signal describes the segment it has just replaced.
+	// The rewrite's own checkpoints signalled while it still held the
+	// class: that signal describes the segment it has just replaced.
 	delete(m.auto.pending, class)
 	m.auto.last[class] = m.now()
 	if info := m.db.Store.SegmentInfo(class); m.sparse(info) {

@@ -99,10 +99,12 @@ func leakPages(t *testing.T, db *core.DB) {
 	}
 }
 
-// TestSweepReclaimsAndCompacts is the subsystem's acceptance test: after a
-// leak workload plus heavy fragmentation, one sweep reclaims every leaked
-// page (driving storage_account_leaked_pages to zero), compacts the
-// fragmented segment, and leaves every surviving object readable.
+// TestSweepReclaimsAndCompacts is the maintenance acceptance test: after a
+// leak workload plus heavy fragmentation, the engine's on-demand jobs — one
+// call each — reclaim every leaked page (driving
+// storage_account_leaked_pages to zero), compact the fragmented segment and
+// refresh its statistics in the same pass, and leave every surviving
+// object readable.
 func TestSweepReclaimsAndCompacts(t *testing.T) {
 	db, cl, _ := openDB(t)
 	kept := fragment(t, db, cl, 2000, 10)
@@ -116,86 +118,88 @@ func TestSweepReclaimsAndCompacts(t *testing.T) {
 		t.Fatal("leak workload produced no leaked pages")
 	}
 	if g := obs.TakeSnapshot().Gauges["storage_account_leaked_pages"]; g == 0 {
-		t.Fatal("leak gauge not raised before the sweep")
+		t.Fatal("leak gauge not raised before the reclaim")
 	}
 	infoBefore, err := db.SegmentInfo(cl.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m := New(db)
-	rep, err := m.RunOnce()
+	n, err := db.ReclaimLeaked(0)
+	if err != nil {
+		t.Fatalf("reclaim on an idle database: %v", err)
+	}
+	if uint64(n) != acct.Leaked {
+		t.Fatalf("reclaimed %d pages, want %d", n, acct.Leaked)
+	}
+	res, err := db.CompactClass(cl.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Busy {
-		t.Fatal("sweep reported busy on an idle database")
-	}
-	if uint64(rep.Reclaimed) != acct.Leaked {
-		t.Fatalf("sweep reclaimed %d pages, want %d", rep.Reclaimed, acct.Leaked)
-	}
-	if rep.Compacted == 0 || rep.PagesFreed == 0 {
-		t.Fatalf("sweep did not compact the fragmented segment: %+v", rep)
+	if res.PagesAfter >= res.PagesBefore || res.PagesBefore != infoBefore.Pages {
+		t.Fatalf("compaction did not shrink the fragmented segment: %+v", res)
 	}
 	if g := obs.TakeSnapshot().Gauges["storage_account_leaked_pages"]; g != 0 {
-		t.Fatalf("storage_account_leaked_pages = %d after sweep, want 0", g)
+		t.Fatalf("storage_account_leaked_pages = %d after the reclaim, want 0", g)
 	}
 	after, err := db.Store.AccountPages()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Leaked != 0 {
-		t.Fatalf("%d pages still leaked after sweep (ids %v)", after.Leaked, after.LeakedPages)
+		t.Fatalf("%d pages leaked after reclaim and compaction (ids %v)", after.Leaked, after.LeakedPages)
 	}
 	infoAfter, err := db.SegmentInfo(cl.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infoAfter.Pages >= infoBefore.Pages {
-		t.Fatalf("segment not compacted: %d -> %d pages", infoBefore.Pages, infoAfter.Pages)
+	if infoAfter.Pages != res.PagesAfter {
+		t.Fatalf("segment has %d pages, the compaction reported %d", infoAfter.Pages, res.PagesAfter)
 	}
 	for _, oid := range kept {
 		if _, err := db.FetchObject(oid); err != nil {
-			t.Fatalf("object %s unreadable after sweep: %v", oid, err)
+			t.Fatalf("object %s unreadable after compaction: %v", oid, err)
 		}
 	}
-	// The sweep analyzed the class in the same pass.
+	// The compaction analyzed the class in the same pass.
 	cs := db.Stats.Get(cl.ID)
 	if cs == nil || cs.Cardinality != uint64(len(kept)) {
-		t.Fatalf("stats after sweep = %+v, want cardinality %d", cs, len(kept))
+		t.Fatalf("stats after compaction = %+v, want cardinality %d", cs, len(kept))
 	}
 }
 
-// TestSweepTriggerPolicy verifies the sweep leaves alone what its policy
-// says to leave alone: dense segments and segments below the size floor.
+// TestSweepTriggerPolicy verifies the trigger leaves alone what its policy
+// says to leave alone: dense segments and segments below the size floor
+// are not signalled by a checkpoint.
 func TestSweepTriggerPolicy(t *testing.T) {
 	db, cl, _ := openDB(t)
+	m, clk := hooked(db, minOccupancy)
 	// Dense: everything inserted, nothing deleted.
 	fragment(t, db, cl, 1000, 1)
-	m := New(db)
-	rep, err := m.RunOnce()
-	if err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Compacted != 0 {
-		t.Fatalf("sweep compacted a dense segment: %+v", rep)
+	if _, ok := m.runDue(clk.now()); ok {
+		t.Fatal("a dense segment was signalled")
 	}
 
 	// Sparse but tiny: below minPages.
 	db2, cl2, _ := openDB(t)
+	m2, clk2 := hooked(db2, minOccupancy)
 	fragment(t, db2, cl2, 40, 40)
 	info, err := db2.SegmentInfo(cl2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(db2)
+	if info.Occupancy >= minOccupancy {
+		t.Fatalf("fragment left the tiny segment dense: %+v", info)
+	}
 	m2.minPages = info.Pages + 1
-	rep2, err := m2.RunOnce()
-	if err != nil {
+	if err := db2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Compacted != 0 {
-		t.Fatalf("sweep compacted a segment below the size floor: %+v", rep2)
+	if _, ok := m2.runDue(clk2.now()); ok {
+		t.Fatal("a segment below the size floor was signalled")
 	}
 }
 
@@ -222,10 +226,12 @@ func TestAnalyzeStatsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(db)
-	cs, err := m.AnalyzeClass(cl.ID)
+	cs, err := db.AnalyzeClass(cl.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if db.Stats.Get(cl.ID) != cs {
+		t.Fatal("AnalyzeClass did not publish its statistics")
 	}
 	if cs.Cardinality != total {
 		t.Fatalf("cardinality = %d, want %d", cs.Cardinality, total)
@@ -252,12 +258,6 @@ func TestAnalyzeStatsValues(t *testing.T) {
 	if ap == nil || ap.Count != total || ap.Distinct != 2 {
 		t.Fatalf("attr pad stats = %+v, want count=%d distinct=2", ap, total)
 	}
-
-	// The registry round-trips through its durable encoding: reopen and
-	// compare after AnalyzeAll persisted it.
-	if _, err := m.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestStatsSurviveReopen verifies analyzed statistics persist across a
@@ -265,8 +265,7 @@ func TestAnalyzeStatsValues(t *testing.T) {
 func TestStatsSurviveReopen(t *testing.T) {
 	db, cl, dir := openDB(t)
 	fragment(t, db, cl, 300, 3)
-	m := New(db)
-	if _, err := m.AnalyzeAll(); err != nil {
+	if _, err := db.AnalyzeClass(cl.ID); err != nil {
 		t.Fatal(err)
 	}
 	want := db.Stats.Get(cl.ID)
@@ -334,11 +333,7 @@ func TestCompactionInvisible(t *testing.T) {
 	}
 	before := snapshot(db)
 
-	m := New(db)
-	if _, err := m.CompactClass(cl.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
+	if _, err := db.CompactClass(cl.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -372,21 +367,20 @@ func TestCompactionInvisible(t *testing.T) {
 
 // TestReclaimYieldsToTransactions verifies the reclaimer's begin fence:
 // with a transaction in flight the walk would misclassify its uncommitted
-// pages, so the manager must yield with ErrBusy instead of freeing them.
+// pages, so the reclaim must yield with ErrBusy instead of freeing them.
 func TestReclaimYieldsToTransactions(t *testing.T) {
 	db, cl, _ := openDB(t)
 	tx := db.Begin()
 	if _, err := tx.InsertClass(cl.ID, map[string]model.Value{"n": model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	m := New(db)
-	if _, err := m.ReclaimLeaked(); err != core.ErrBusy {
+	if _, err := db.ReclaimLeaked(time.Millisecond); err != core.ErrBusy {
 		t.Fatalf("reclaim with a live transaction = %v, want ErrBusy", err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ReclaimLeaked(); err != nil {
+	if _, err := db.ReclaimLeaked(0); err != nil {
 		t.Fatalf("reclaim after commit: %v", err)
 	}
 }
@@ -421,8 +415,7 @@ func TestAnalyzeIgnoresUncommitted(t *testing.T) {
 		}
 	}
 
-	m := New(db)
-	cs, err := m.AnalyzeClass(cl.ID)
+	cs, err := db.AnalyzeClass(cl.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,34 +427,11 @@ func TestAnalyzeIgnoresUncommitted(t *testing.T) {
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	cs, err = m.AnalyzeClass(cl.ID)
+	cs, err = db.AnalyzeClass(cl.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.Cardinality != committed {
 		t.Fatalf("ANALYZE after abort: cardinality = %d, want %d", cs.Cardinality, committed)
-	}
-}
-
-// TestReclaimStarvedCounter verifies a quiesce that times out is visible
-// as maint_reclaim_starved, the operator's signal that the window is too
-// small for the workload.
-func TestReclaimStarvedCounter(t *testing.T) {
-	db, cl, _ := openDB(t)
-	tx := db.Begin()
-	if _, err := tx.InsertClass(cl.ID, map[string]model.Value{"n": model.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	before := mReclaimStarved.Value()
-	m := New(db)
-	m.reclaimWait = time.Millisecond
-	if _, err := m.ReclaimLeaked(); err != core.ErrBusy {
-		t.Fatalf("reclaim against a held transaction = %v, want ErrBusy", err)
-	}
-	if got := mReclaimStarved.Value(); got != before+1 {
-		t.Fatalf("maint_reclaim_starved = %d, want %d", got, before+1)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
 	}
 }

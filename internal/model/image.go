@@ -17,13 +17,8 @@ import (
 // they may outlive it.
 type Image struct {
 	oid   OID
-	pairs []byte // n × (AttrID uvarint, Value)
+	pairs []byte // n × (AttrID uvarint, Value), ids strictly ascending
 	n     int
-	// ordered reports strictly ascending attribute ids, the order
-	// EncodeObject writes. Only then may Lookup stop at the first larger
-	// id; an image that violates it is read through Decode, which applies
-	// the pairs the way DecodeObject always has.
-	ordered bool
 }
 
 // imageHeader parses the OID and the pair count, checking nothing beyond.
@@ -41,14 +36,15 @@ func imageHeader(buf []byte) (Image, error) {
 
 // ViewImage checks the structure of an encoded object — every pair is
 // walked once, values skipped rather than decoded — and returns the view.
-// Truncated or malformed bytes yield ErrCorrupt; a view that was returned
-// never fails a later Lookup or Decode and never reads past buf.
+// Truncated or malformed bytes yield ErrCorrupt, and so do attribute ids
+// that are not strictly ascending (EncodeObject writes no other order); a
+// view that was returned never fails a later Lookup or Decode and never
+// reads past buf.
 func ViewImage(buf []byte) (Image, error) {
 	im, err := imageHeader(buf)
 	if err != nil {
 		return Image{}, err
 	}
-	im.ordered = true
 	rest := im.pairs
 	var prev AttrID
 	for i := 0; i < im.n; i++ {
@@ -62,7 +58,7 @@ func ViewImage(buf []byte) (Image, error) {
 		}
 		rest = rest[m+used:]
 		if i > 0 && AttrID(id) <= prev {
-			im.ordered = false
+			return Image{}, errOutOfOrder
 		}
 		prev = AttrID(id)
 	}
@@ -75,13 +71,6 @@ func (im Image) OID() OID { return im.oid }
 // Lookup returns the stored value of attribute a and whether it is
 // present, exactly as Decode().Lookup(a) would.
 func (im Image) Lookup(a AttrID) (Value, bool) {
-	if !im.ordered {
-		obj, err := im.Decode()
-		if err != nil {
-			return Null, false
-		}
-		return obj.Lookup(a)
-	}
 	rest := im.pairs
 	for i := 0; i < im.n; i++ {
 		id, m := binary.Uvarint(rest)
@@ -119,16 +108,16 @@ func (im Image) Decode() (*Object, error) {
 			return nil, err
 		}
 		rest = rest[m+used:]
-		// Images are written in ascending id order; append on the fast
-		// path, insert in place if an old image violates the order.
-		if k := len(obj.attrs); k == 0 || obj.attrs[k-1].ID < AttrID(id) {
-			obj.attrs = append(obj.attrs, AttrVal{ID: AttrID(id), V: v})
-		} else {
-			obj.Set(AttrID(id), v)
+		if k := len(obj.attrs); k > 0 && obj.attrs[k-1].ID >= AttrID(id) {
+			return nil, errOutOfOrder
 		}
+		obj.attrs = append(obj.attrs, AttrVal{ID: AttrID(id), V: v})
 	}
 	return obj, nil
 }
+
+// errOutOfOrder reports an image whose attribute ids do not ascend.
+var errOutOfOrder = fmt.Errorf("%w: attribute ids out of order", ErrCorrupt)
 
 // skipValue returns the encoded length of the value at the front of buf,
 // accepting exactly the inputs decodeValue accepts.

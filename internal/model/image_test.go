@@ -9,8 +9,7 @@ import (
 )
 
 // rawImage encodes pairs in the order given — unlike EncodeObject it can
-// write what only an old or foreign writer would: ids out of order,
-// repeated, or with an explicit null.
+// write what only a foreign writer would: ids out of order or repeated.
 func rawImage(oid OID, pairs []AttrVal) []byte {
 	buf := binary.AppendUvarint(nil, uint64(oid))
 	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
@@ -70,14 +69,20 @@ func TestImageMatchesDecodeObject(t *testing.T) {
 		}
 		checkImage(t, EncodeObject(obj), 14)
 
-		// Legacy shapes: the same pairs shuffled, with a repeat and an
-		// explicit null thrown in.
-		r.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		if len(pairs) > 0 {
-			pairs = append(pairs, AttrVal{ID: pairs[r.Intn(len(pairs))].ID, V: randValue(r, 1)})
-			pairs = append(pairs, AttrVal{ID: pairs[r.Intn(len(pairs))].ID, V: Null})
+		// The same pairs shuffled, with a repeated id thrown in: an order
+		// EncodeObject never writes, which both readers refuse.
+		if len(pairs) == 0 {
+			continue
 		}
-		checkImage(t, rawImage(oid, pairs), 14)
+		r.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
+		pairs = append(pairs, AttrVal{ID: pairs[r.Intn(len(pairs))].ID, V: randValue(r, 1)})
+		buf := rawImage(oid, pairs)
+		if _, err := ViewImage(buf); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ViewImage of ids out of order: %v, want ErrCorrupt", err)
+		}
+		if _, err := DecodeObject(buf); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeObject of ids out of order: %v, want ErrCorrupt", err)
+		}
 	}
 }
 
@@ -123,6 +128,8 @@ var corruptSeeds = [][]byte{
 	{0x01, 0x01, 0x02, byte(KindString), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, // length 2^64-1
 	{0x01, 0x01, 0x02, byte(KindSet), 0x02, byte(KindNull)},                                          // set short a member
 	{0x01, 0x01, 0x02, 0x63},                                                                         // unknown kind
+	{0x01, 0x02, 0x03, byte(KindNull), 0x02, byte(KindNull)},                                         // ids out of order
+	{0x01, 0x02, 0x03, byte(KindNull), 0x03, byte(KindNull)},                                         // an id repeated
 	bytes.Repeat([]byte{byte(KindSet), 0x01}, maxDecodeDepth+8),                                      // nesting bomb
 }
 

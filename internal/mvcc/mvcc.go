@@ -24,10 +24,11 @@
 //     commit epoch itself is persisted in commit records and restored to
 //     the maximum seen during replay, keeping epochs monotonic across a
 //     crash.
-//   - Vacuum prunes versions older than the newest version visible to the
-//     oldest live snapshot and drops chains that have converged with the
-//     heap — wired into the internal/maint sweep and run inline at commit
-//     for the chains the committing transaction touched.
+//   - Commit and abort prune the chains they touched: versions older than
+//     the newest one the oldest live snapshot can see go, and a chain that
+//     has converged with the heap is dropped — at once when no snapshot is
+//     live, else when the last live snapshot ends (EndSnapshot). No sweep
+//     is needed: every chain is dropped by the call that ends its last use.
 //
 // The ordering protocol that makes lock-free reads sound: a writer
 // installs the chain entry (under the chain's shard lock) before it
@@ -42,22 +43,24 @@
 // aborted (heap restored, chain converged and dropped), and the reader now
 // finds no chain and trusts the stale bytes. Chains are therefore only
 // dropped when no snapshot is live at all; while snapshots exist, pruning
-// trims a chain's version list but keeps the chain installed.
+// trims a chain's version list but keeps the chain installed, and the
+// manager remembers it for the EndSnapshot that leaves none live.
 //
 // Locking is two-level so that readers scale independently of writers:
 //
-//   - The manager lock guards the epoch, the snapshot registry and the
-//     per-writer bookkeeping. Commit holds it across stamping AND epoch
-//     publication, so a concurrent BeginSnapshot sees either none or all
-//     of a commit's versions. Readers touch it only at snapshot begin/end.
+//   - The manager lock guards the epoch, the snapshot registry, the
+//     per-writer bookkeeping and the chains kept for live snapshots.
+//     Commit holds it across stamping AND epoch publication, so a
+//     concurrent BeginSnapshot sees either none or all of a commit's
+//     versions. Readers touch it only at snapshot begin/end.
 //   - Chains live in shards hashed by OID, each with its own lock. A
 //     reader resolving N objects takes N brief shard read-locks that
 //     almost never collide with the writer — per-object resolution
 //     against a single manager lock would serialize every scan behind a
 //     bulk writer's lock traffic (the -mvcc bench pins this ratio).
 //
-// Nesting order is manager lock → shard lock (Commit, Abort); record
-// takes them sequentially, never nested.
+// Nesting order is manager lock → shard lock (Commit, Abort, EndSnapshot);
+// record takes them sequentially, never nested.
 package mvcc
 
 import (
@@ -91,7 +94,7 @@ type chain struct {
 // visible returns the newest committed version with epoch ≤ snap.
 // ok reports whether the chain has any version that old (it always does
 // for snapshots begun after the chain was created; false can only occur
-// for epochs older than the vacuum horizon, which the snapshot registry
+// for epochs older than the prune horizon, which the snapshot registry
 // prevents).
 func (c *chain) visible(snap uint64) (data []byte, ok bool) {
 	for i := len(c.versions) - 1; i >= 0; i-- {
@@ -123,10 +126,13 @@ func (m *Manager) shardOf(oid model.OID) *shard {
 // Manager is the process-wide MVCC state of one database. All methods are
 // safe for concurrent use.
 type Manager struct {
-	mu    sync.RWMutex           // epoch, snaps, byTxn
+	mu    sync.RWMutex           // epoch, snaps, byTxn, held
 	epoch uint64                 // last committed epoch
 	byTxn map[uint64][]model.OID // pending chains per writer
 	snaps map[uint64]int         // live snapshots per epoch
+	// held lists the chains a commit or abort would have dropped but for a
+	// live snapshot; the EndSnapshot that leaves none live drops them.
+	held map[model.OID]struct{}
 
 	shards [chainShards]shard
 }
@@ -164,7 +170,7 @@ func (m *Manager) RestoreEpoch(e uint64) {
 
 // BeginSnapshot pins the current commit epoch and registers the snapshot
 // as live, shielding every version it can see — and every chain — from
-// the vacuum.
+// pruning.
 func (m *Manager) BeginSnapshot() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -172,15 +178,31 @@ func (m *Manager) BeginSnapshot() uint64 {
 	return m.epoch
 }
 
-// EndSnapshot releases a snapshot pinned by BeginSnapshot.
+// EndSnapshot releases a snapshot pinned by BeginSnapshot. The one that
+// leaves no snapshot live drops the chains kept for it (held); it holds the
+// manager lock while it does, so no BeginSnapshot can start a reader that
+// might already sit between a heap read and its Resolve.
 func (m *Manager) EndSnapshot(epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n := m.snaps[epoch]; n > 1 {
 		m.snaps[epoch] = n - 1
-	} else {
-		delete(m.snaps, epoch)
+		return
 	}
+	delete(m.snaps, epoch)
+	if len(m.snaps) > 0 {
+		return
+	}
+	// A chain with a writer in flight stays: its commit or abort prunes it.
+	for oid := range m.held {
+		s := m.shardOf(oid)
+		s.mu.Lock()
+		if c := s.chains[oid]; c != nil {
+			s.pruneLocked(oid, c, m.epoch, true)
+		}
+		s.mu.Unlock()
+	}
+	m.held = nil
 }
 
 // LiveSnapshots returns the number of currently registered snapshots.
@@ -274,6 +296,7 @@ func (m *Manager) Commit(txn uint64) uint64 {
 		mChainLength.Observe(uint64(len(c.versions)))
 		s.pruneLocked(oid, c, oldest, drop)
 		s.mu.Unlock()
+		m.holdLocked(oid, drop)
 	}
 	return e
 }
@@ -300,7 +323,20 @@ func (m *Manager) Abort(txn uint64) {
 			s.pruneLocked(oid, c, oldest, drop)
 		}
 		s.mu.Unlock()
+		m.holdLocked(oid, drop)
 	}
+}
+
+// holdLocked remembers a chain pruned without drop, for the EndSnapshot
+// that leaves no snapshot live. Caller holds m.mu.
+func (m *Manager) holdLocked(oid model.OID, drop bool) {
+	if drop {
+		return
+	}
+	if m.held == nil {
+		m.held = make(map[model.OID]struct{})
+	}
+	m.held[oid] = struct{}{}
 }
 
 // Resolve maps a heap read to the snapshot-visible state of oid.
@@ -325,14 +361,6 @@ func (m *Manager) Resolve(oid model.OID, heapData []byte, heapOK bool, snap uint
 		return nil, false
 	}
 	return data, data != nil
-}
-
-// HasChain reports whether oid currently has a version chain.
-func (m *Manager) HasChain(oid model.OID) bool {
-	s := m.shardOf(oid)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.chains[oid] != nil
 }
 
 // ClassChains returns the OIDs of the given class that currently have
@@ -369,7 +397,7 @@ func (m *Manager) ClassTombstones(class model.ClassID) int {
 	return n
 }
 
-// oldestLocked is the vacuum horizon: the oldest live snapshot epoch, or
+// oldestLocked is the prune horizon: the oldest live snapshot epoch, or
 // the current epoch when no snapshot is live. Caller holds m.mu.
 func (m *Manager) oldestLocked() uint64 {
 	oldest := m.epoch
@@ -410,34 +438,6 @@ func (s *shard) pruneLocked(oid model.OID, c *chain, oldest uint64, drop bool) {
 		mVersionsPruned.Add(1)
 		mChainsLive.Add(-1)
 	}
-}
-
-// Vacuum prunes every chain against the current horizon and returns the
-// number of chains still live — the maintenance sweep's version GC. The
-// manager read-lock is held across the whole sweep: BeginSnapshot needs
-// the write lock, so the "no snapshot is live" drop decision cannot be
-// invalidated mid-sweep by a snapshot that starts reading (and might
-// already hold un-resolved dirty heap bytes) while chains disappear.
-// Writers stall on the manager lock for the sweep's duration; readers
-// (Resolve) never touch it.
-func (m *Manager) Vacuum() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	oldest := m.oldestLocked()
-	drop := len(m.snaps) == 0
-	live := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for oid, c := range s.chains {
-			s.pruneLocked(oid, c, oldest, drop)
-			if s.chains[oid] != nil {
-				live++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return live
 }
 
 // Chains returns the number of live version chains (tests, metrics).

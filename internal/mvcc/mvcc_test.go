@@ -98,7 +98,11 @@ func TestDeleteVisibleToOlderSnapshot(t *testing.T) {
 	m.EndSnapshot(cur)
 }
 
-func TestVacuumPrunesConvergedChains(t *testing.T) {
+// TestChainsDropWhenLastSnapshotEnds: a chain committed beside a live
+// snapshot outlives the commit (the snapshot still reads through it) and is
+// dropped by the EndSnapshot that leaves no snapshot live — not by an
+// earlier one, and without a sweep.
+func TestChainsDropWhenLastSnapshotEnds(t *testing.T) {
 	m := NewManager()
 	id := oid(1, 1)
 	m.RecordWrite(1, id, []byte("v1"), []byte("v2"))
@@ -113,15 +117,27 @@ func TestVacuumPrunesConvergedChains(t *testing.T) {
 	snap := m.BeginSnapshot()
 	m.RecordWrite(3, id, []byte("v3"), []byte("v4"))
 	m.Commit(3)
-	if live := m.Vacuum(); live != 1 {
-		t.Fatalf("vacuum with live snapshot pruned the pinned chain (live=%d)", live)
-	}
+	other := oid(1, 2)
+	m.RecordWrite(4, other, []byte("o1"), []byte("dirty"))
+	m.Abort(4)
+	later := m.BeginSnapshot()
 	if got, ok := resolve(t, m, id, []byte("v4"), snap); !ok || !bytes.Equal(got, []byte("v3")) {
 		t.Fatalf("pinned snapshot sees %q ok=%v, want v3", got, ok)
 	}
 	m.EndSnapshot(snap)
-	if live := m.Vacuum(); live != 0 {
-		t.Fatalf("vacuum after snapshot end left %d chains", live)
+	if m.Chains() != 2 {
+		t.Fatalf("chains with a snapshot still live = %d, want 2", m.Chains())
+	}
+	// A writer in flight on the chain when the last snapshot ends keeps it;
+	// its own commit drops it.
+	m.RecordWrite(5, id, []byte("v4"), []byte("v5"))
+	m.EndSnapshot(later)
+	if m.Chains() != 1 {
+		t.Fatalf("chains after the last snapshot ended = %d, want only the one with a writer in flight", m.Chains())
+	}
+	m.Commit(5)
+	if m.Chains() != 0 {
+		t.Fatalf("chains after the in-flight writer committed = %d, want 0", m.Chains())
 	}
 }
 
@@ -145,22 +161,19 @@ func TestNoChainDropWhileSnapshotLive(t *testing.T) {
 	if got, ok := m.Resolve(id, []byte("dirty"), true, snap); !ok || !bytes.Equal(got, []byte("v1")) {
 		t.Fatalf("racing reader resolves %q ok=%v, want shielded base v1", got, ok)
 	}
-	if live := m.Vacuum(); live != 1 {
-		t.Fatalf("vacuum dropped a chain with a live snapshot (live=%d)", live)
-	}
 
 	// Committed write with no older pin than the commit itself: still kept
 	// while the snapshot registry is non-empty.
-	m.EndSnapshot(snap)
 	snap2 := m.BeginSnapshot()
+	m.EndSnapshot(snap)
 	m.RecordWrite(12, id, []byte("v1"), []byte("v2"))
 	m.Commit(12)
 	if m.Chains() != 1 {
 		t.Fatalf("chain dropped at commit with a live snapshot (chains=%d)", m.Chains())
 	}
 	m.EndSnapshot(snap2)
-	if live := m.Vacuum(); live != 0 {
-		t.Fatalf("vacuum with no snapshots left %d chains", live)
+	if m.Chains() != 0 {
+		t.Fatalf("chains after the last snapshot ended = %d, want 0", m.Chains())
 	}
 }
 
@@ -223,7 +236,7 @@ func TestConcurrentSnapshotEpochNeverHalfStamped(t *testing.T) {
 		snap := m.BeginSnapshot()
 		// Heap state is unknowable mid-race; pass heapOK=false and demand
 		// both objects resolve from chains to the same generation. A chain
-		// may already be vacuumed (converged) — then heap would be truth —
+		// may already be dropped (converged) — then heap would be truth —
 		// so only compare when both resolve through the overlay.
 		va, oka := m.Resolve(a, nil, false, snap)
 		vb, okb := m.Resolve(b, nil, false, snap)

@@ -7,7 +7,6 @@ import (
 	"oodb/internal/core"
 	"oodb/internal/model"
 	"oodb/internal/schema"
-	"oodb/internal/stats"
 )
 
 // selDB builds one class P{n Integer} with a hierarchy index on n, holding
@@ -40,21 +39,13 @@ func selDB(t *testing.T, total, distinct int) (*core.DB, *Engine, *schema.Class)
 	return db, NewEngine(db), cl
 }
 
-// analyze collects statistics for every class in the scope, the way
-// internal/maint does (duplicated here to keep the test dependency-free).
+// analyze collects statistics for every class in the scope.
 func analyze(t *testing.T, db *core.DB, classes ...model.ClassID) {
 	t.Helper()
 	for _, c := range classes {
-		col := stats.NewCollector(c)
-		err := db.AnalyzeClass(c, func(oid model.OID, data []byte) {
-			if obj, derr := model.DecodeObject(data); derr == nil {
-				col.Observe(obj, len(data))
-			}
-		})
-		if err != nil {
+		if _, err := db.AnalyzeClass(c); err != nil {
 			t.Fatal(err)
 		}
-		db.Stats.Put(col.Finalize())
 	}
 }
 

@@ -166,12 +166,6 @@ func (r *Relation) CreateIndex(col string) error {
 	return nil
 }
 
-// HasIndex reports whether a column is indexed.
-func (r *Relation) HasIndex(col string) bool {
-	_, ok := r.indexes[col]
-	return ok
-}
-
 // Scan calls fn with every live tuple.
 func (r *Relation) Scan(fn func(row int, tuple []model.Value) bool) {
 	for row, tuple := range r.rows {

@@ -123,15 +123,6 @@ func (c *Catalog) Descendants(id model.ClassID) ([]model.ClassID, error) {
 	return out, nil
 }
 
-// Ancestors returns the MRO of id without id itself.
-func (c *Catalog) Ancestors(id model.ClassID) ([]model.ClassID, error) {
-	mro, err := c.MRO(id)
-	if err != nil {
-		return nil, err
-	}
-	return mro[1:], nil
-}
-
 // wouldCycle reports whether adding super as a superclass of sub would
 // create a cycle, i.e. whether sub is reachable from super via superclass
 // edges... equivalently whether super is a descendant of sub. Caller holds

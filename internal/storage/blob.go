@@ -101,40 +101,6 @@ func (bp *BufferPool) FreeBlob(head PageID) error {
 	return nil
 }
 
-// ReplaceBlob atomically (with respect to the metadata root) swaps the blob
-// stored under root for data: the new chain is written AND made durable
-// first, the root is flipped, then the old chain is freed. The durability
-// barrier before the flip is load-bearing: the root write reaches the
-// metadata page immediately, so if the chain pages were still only buffered
-// a crash before the next checkpoint flush would leave the root pointing at
-// garbage and the store unopenable (the old chain, though intact, is no
-// longer referenced).
-func (bp *BufferPool) ReplaceBlob(root MetaRoot, data []byte) error {
-	old := bp.disk.GetRoot(root)
-	head, err := bp.WriteBlob(data)
-	if err != nil {
-		return err
-	}
-	if err := bp.FlushChain(head); err != nil {
-		return err
-	}
-	if err := bp.disk.SetRoot(root, head); err != nil {
-		return err
-	}
-	if old != InvalidPage {
-		// The flip must be durable before the old chain is destroyed. The
-		// metadata slots are no longer modeled durable-at-write: a crash can
-		// lose the root flip, and if the old chain's pages were already
-		// free-sealed the surviving (old) root would lead into reused pages
-		// and the store could not open.
-		if err := bp.disk.Sync(); err != nil {
-			return err
-		}
-		return bp.FreeBlob(old)
-	}
-	return nil
-}
-
 // swapRootOrder fixes the order in which SwapBlobs writes and frees chains.
 // The order is load-bearing for the crash harness: schedules are replayed
 // by global I/O op index, so the checkpoint's I/O sequence must be
@@ -144,11 +110,11 @@ var swapRootOrder = []MetaRoot{RootCatalog, RootSegTable, RootIndexTable, RootSt
 // SwapBlobs replaces several system blobs as one atomic transition: every
 // new chain is written and made durable first, then all roots are flipped
 // with a single metadata write (SetRoots), the flip is synced, and only
-// then are the old chains freed. Compared with per-root ReplaceBlob calls
-// this closes the metadata-swap window the checkpoint used to have — a
-// crash between the catalog flip and the segment-table flip could reopen
-// with a segment whose class was gone from the catalog (readable orphan
-// rows). With one root write there is no between: a crash leaves either
+// then are the old chains freed. One root write for all of them leaves no
+// metadata-swap window — flipping the catalog and the segment table
+// separately, a crash between the two could reopen with a segment whose
+// class was gone from the catalog (readable orphan rows). With one root
+// write there is no between: a crash leaves either
 // every old root or every new one, and the not-yet-referenced (or
 // no-longer-freed) chains merely leak pages, which the accountant counts
 // and the compactor reclaims.
@@ -181,8 +147,9 @@ func (bp *BufferPool) SwapBlobs(blobs map[MetaRoot][]byte) error {
 	if err := bp.disk.SetRoots(roots); err != nil {
 		return err
 	}
-	// Same barrier as ReplaceBlob: the flip must be durable before any old
-	// chain page is destroyed in place.
+	// The flip must be durable before any old chain page is destroyed in
+	// place: a crash can lose the root write, and the surviving old roots
+	// would then lead into free-sealed or reused pages.
 	if err := bp.disk.Sync(); err != nil {
 		return err
 	}

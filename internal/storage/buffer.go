@@ -18,7 +18,6 @@ type DiskBackend interface {
 	FreePage(id PageID) error
 	Sync() error
 	GetRoot(r MetaRoot) PageID
-	SetRoot(r MetaRoot, id PageID) error
 	// SetRoots updates several roots with one metadata write — atomic
 	// under the crash model (see DiskManager.SetRoots).
 	SetRoots(roots map[MetaRoot]PageID) error
@@ -501,7 +500,7 @@ func (bp *BufferPool) FlushAll() error {
 
 // FlushChain writes back and syncs every page of a linked chain (pages
 // threaded by their Next pointer, e.g. a blob chain), making the chain
-// durably readable. ReplaceBlob uses this to persist a new chain BEFORE
+// durably readable. SwapBlobs uses this to persist a new chain BEFORE
 // flipping the meta root to it: without that ordering, a crash after the
 // root write but before the next full flush leaves the root pointing at
 // pages that never reached disk, and the store cannot open.

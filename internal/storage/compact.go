@@ -34,8 +34,9 @@ type CompactResult struct {
 	PagesBefore int   // heap chain length before (overflow pages excluded)
 	PagesAfter  int   // heap chain length after
 	// LockHeld is how long writers of the class were excluded: from the
-	// class write lock being granted to its release after the closing
-	// checkpoint. Set by core.CompactClass, which takes the lock.
+	// class write lock being granted to its release, after the checkpoints
+	// and frees that close the DDL section. Set by core.CompactClass, which
+	// takes the lock.
 	LockHeld time.Duration
 }
 

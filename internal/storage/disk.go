@@ -22,7 +22,7 @@ import (
 // being written, and the survivor is the state exactly one metadata write
 // earlier — every metadata transition (free-list push/pop, root flip) is
 // designed so that losing only its final write leaks a page at worst (see
-// AllocPage's abandoned-head fallback and ReplaceBlob/SwapBlobs' sync
+// AllocPage's abandoned-head fallback and SwapBlobs' sync
 // ordering). Version-1 files (a single slot at page 0, rewritten in place)
 // are refused at open with an UnsupportedFormatError.
 //
@@ -371,15 +371,6 @@ func (d *DiskManager) GetRoot(r MetaRoot) PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return PageID(binary.BigEndian.Uint64(d.meta.buf[r.offset():]))
-}
-
-// SetRoot stores a page chain head under the root and persists the
-// metadata page.
-func (d *DiskManager) SetRoot(r MetaRoot, id PageID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	binary.BigEndian.PutUint64(d.meta.buf[r.offset():], uint64(id))
-	return d.writeMetaLocked()
 }
 
 // SetRoots stores several roots with a single metadata write. Because one

@@ -43,7 +43,7 @@ func TestMetaSlotAlternation(t *testing.T) {
 	// Each write alternates slots and bumps the epoch.
 	wantEpoch := uint64(1)
 	for i := 1; i <= 5; i++ {
-		if err := d.SetRoot(RootCatalog, PageID(100+i)); err != nil {
+		if err := d.SetRoots(map[MetaRoot]PageID{RootCatalog: PageID(100 + i)}); err != nil {
 			t.Fatal(err)
 		}
 		wantEpoch++
@@ -86,10 +86,10 @@ func TestMetaTornNewestSlotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetRoot(RootCatalog, 7); err != nil {
+	if err := d.SetRoots(map[MetaRoot]PageID{RootCatalog: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetRoot(RootCatalog, 9); err != nil {
+	if err := d.SetRoots(map[MetaRoot]PageID{RootCatalog: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {

@@ -151,6 +151,9 @@ func TestSegmentCountersMatchScan(t *testing.T) {
 				}
 			default:
 				what = "reopen"
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}

@@ -81,21 +81,11 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Close checkpoints and closes the store.
+// Close releases the disk without flushing the pool. A store closed
+// without a checkpoint — a failed open, a fail-stopped engine whose dirty
+// pages may hold uncommitted state with no durable undo — reopens from its
+// last durable metadata and the WAL.
 func (s *Store) Close() error {
-	if err := s.Checkpoint(); err != nil {
-		s.disk.Close()
-		return err
-	}
-	return s.disk.Close()
-}
-
-// CloseNoFlush releases the disk without flushing the pool — the engine's
-// fail-stop close path. A poisoned database's dirty pages may hold
-// uncommitted heap state whose WAL undo information never became durable;
-// persisting them would make the corruption real, so they are dropped and
-// the next open recovers from the durable prefix instead.
-func (s *Store) CloseNoFlush() error {
 	return s.disk.Close()
 }
 
@@ -127,22 +117,20 @@ func (s *Store) CreateSegment(class model.ClassID) error {
 // DetachedSegment is a segment logically removed from the store — no
 // longer named by the heap map, directory or the next encodeSegTable —
 // whose pages are still allocated on disk. The detach/free split lets DDL
-// order destruction after durability: DropClass detaches inside its
-// critical section, checkpoints (so the catalog and segment table durably
-// stop naming the class), and only then frees the pages. A crash between
-// the checkpoint and the frees merely leaks pages (counted by the
-// accountant, AccountPages); freeing before the checkpoint — the old
-// single-call DropSegment behavior — destroyed committed heap pages in
-// place while the durable metadata still named them, and a crash in that
-// window lost data that predated the last checkpoint and so had no WAL
-// redo to restore it.
+// order destruction after durability (core's ddl): detach, checkpoint (so
+// the catalog and segment table durably stop naming the class), and only
+// then free the pages. A crash between the checkpoint and the frees merely
+// leaks pages (counted by the accountant, AccountPages); freeing before
+// the checkpoint would destroy committed heap pages in place while the
+// durable metadata still named them, losing data that predates the last
+// checkpoint and so has no WAL redo to restore it.
 type DetachedSegment struct {
 	heap *Heap
 }
 
 // DetachSegment logically removes a class's segment: the heap mapping,
 // sequence counter and directory entries are deleted, so the next
-// Checkpoint persists a segment table without the class. The segment's
+// checkpoint persists a segment table without the class. The segment's
 // pages are untouched; free them with FreeDetached once the metadata that
 // stopped naming them is durable. Returns nil if the class has no
 // segment.
@@ -200,13 +188,6 @@ func (s *Store) FreeDetached(d *DetachedSegment) error {
 		id = next
 	}
 	return nil
-}
-
-// DropSegment deletes a class's segment and every object in it: a detach
-// followed immediately by the physical frees. DDL paths that must order
-// the frees after a checkpoint call the two halves separately.
-func (s *Store) DropSegment(class model.ClassID) error {
-	return s.FreeDetached(s.DetachSegment(class))
 }
 
 // NewOID mints the next OID for the class. The segment must exist.
@@ -369,20 +350,17 @@ func sortClassIDs(ids []model.ClassID) {
 // PoolStats returns buffer pool hit/miss counters.
 func (s *Store) PoolStats() (hits, misses uint64) { return s.pool.Stats() }
 
-// Checkpoint persists the segment table and flushes every dirty page to
-// disk. After Checkpoint returns, the on-disk state is self-contained: a
-// reopened store rebuilds its directory without any WAL. Data pages flush
-// before the root moves: the new table may name chains still dirty in the
-// pool (a compaction's rewritten heap), and publishing the root first
-// would lose them on a crash between the two steps.
+// Checkpoint flushes every dirty page, then persists the segment table
+// under its root (SwapBlobs). Data pages flush before the root moves: the
+// new table may name chains still dirty in the pool (a compaction's
+// rewritten heap), and publishing the root first would lose them on a
+// crash between the two steps. The engine's checkpoint persists the table
+// together with its other system blobs instead (core.DB.Checkpoint).
 func (s *Store) Checkpoint() error {
-	s.mu.RLock()
-	table := s.encodeSegTable()
-	s.mu.RUnlock()
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
-	return s.pool.ReplaceBlob(RootSegTable, table)
+	return s.pool.SwapBlobs(map[MetaRoot][]byte{RootSegTable: s.EncodeSegTable()})
 }
 
 // EncodeSegTable serializes the current segment table — the blob the

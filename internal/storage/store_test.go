@@ -306,6 +306,9 @@ func TestStoreReopenRebuildsDirectory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Delete(oids[i])
 	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +378,7 @@ func TestStoreDropSegment(t *testing.T) {
 	s.CreateSegment(class)
 	oid, _ := s.NewOID(class)
 	s.Put(oid, img(oid, "gone"))
-	if err := s.DropSegment(class); err != nil {
+	if err := s.FreeDetached(s.DetachSegment(class)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(oid); !errors.Is(err, ErrNoObject) {
@@ -411,14 +414,13 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplaceBlobSwapsRoot(t *testing.T) {
+func TestSwapBlobsSwapsRoot(t *testing.T) {
 	s, _ := openTestStore(t, 64)
 	defer s.Close()
-	if err := s.pool.ReplaceBlob(RootCatalog, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.pool.ReplaceBlob(RootCatalog, []byte("v2")); err != nil {
-		t.Fatal(err)
+	for _, v := range []string{"v1", "v2"} {
+		if err := s.pool.SwapBlobs(map[MetaRoot][]byte{RootCatalog: []byte(v)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := s.pool.ReadBlob(s.disk.GetRoot(RootCatalog))
 	if err != nil || string(got) != "v2" {
@@ -434,6 +436,9 @@ func TestStoreLargeObjectSurvivesReopen(t *testing.T) {
 	o := model.NewObject(oid)
 	o.Set(1, model.Bytes(bytes.Repeat([]byte{7}, 2*PageSize)))
 	if err := s.Put(oid, model.EncodeObject(o)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

@@ -360,8 +360,10 @@ func (db *DB) QuerySnapshot(src string) (*Result, error) {
 // with one automatic retry after a deadlock.
 func (db *DB) Do(fn func(tx *Tx) error) error { return db.eng.Do(fn) }
 
-// Fetch returns the last committed state of an object (no locks; for
-// transactional reads use Tx.Fetch).
+// Fetch returns the stored image of an object, without locks or a
+// snapshot: it includes the writes of transactions still open. For the
+// last committed state use a snapshot (BeginSnapshot, then Tx.Fetch) or a
+// Session; for a locked read, Tx.Fetch.
 func (db *DB) Fetch(oid OID) (*Object, error) { return db.eng.FetchObject(oid) }
 
 // Get reads an attribute of an object by name, applying inheritance and
@@ -419,11 +421,10 @@ func (db *DB) QueryEngine() *query.Engine { return db.q }
 // swizzling; see Workspace).
 func (db *DB) NewWorkspace() *Workspace { return workspace.New(db.eng) }
 
-// Maintenance returns the database's one maintenance manager: segment
-// compaction, leaked-page reclamation and planner-statistics collection
-// (DESIGN §11). It is the manager Open started, so what is driven through
-// it on demand is serialized with the automatic compactions; Stop it to
-// keep the layout as it is.
+// Maintenance returns the manager Open started, which compacts sparse
+// segments on its own (DESIGN §11); Stop it to keep the layout as it is.
+// On-demand compaction, statistics and leaked-page reclaim are engine
+// calls: Engine().CompactClass, AnalyzeClass and ReclaimLeaked.
 func (db *DB) Maintenance() *maint.Manager { return db.mnt }
 
 // --- Feature layers ----------------------------------------------------

@@ -184,12 +184,15 @@ func (s *Session) checkPaths(plan *query.Plan) error {
 }
 
 // fetchObject reads an object for this session: through the open
-// transaction (a locked read), else the last committed state.
+// transaction (a locked read), else the last committed state, through a
+// snapshot — no lock, and no wait behind another session's writer.
 func (s *Session) fetchObject(oid OID) (*Object, error) {
 	if s.tx != nil {
 		return s.tx.Fetch(oid)
 	}
-	return s.db.Fetch(oid)
+	tx := s.db.BeginSnapshot()
+	defer tx.Commit()
+	return tx.Fetch(oid)
 }
 
 // Fetch returns an object the role may read as its class name and
