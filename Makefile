@@ -4,7 +4,7 @@ GO ?= go
 # pre-merge gate sweeps wider). Override: make crash CRASH_SCHEDULES=500
 CRASH_SCHEDULES ?= 120
 
-.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash metrics-lint verify
+.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash metrics-lint chain-lint verify
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,12 @@ fuzz:
 metrics-lint:
 	$(GO) run ./internal/obs/metricslint .
 
+# Static check that only the chain walker follows a page's Next link in
+# internal/storage: a go/parser walk of the package source
+# (TestOnlyTheWalkerFollowsNext in chainlint_test.go).
+chain-lint:
+	$(GO) test -count=1 -run '^TestOnlyTheWalkerFollowsNext$$' ./internal/storage/
+
 # The crash-recovery matrices under the race detector, at pre-merge breadth:
 # every schedule crashes the engine at a distinct I/O op and verifies the
 # recovery invariants after reopening (crash_test.go, internal/fault). The
@@ -73,4 +79,4 @@ crash:
 # detector, the crash matrices at CRASH_SCHEDULES breadth, and one pass of
 # every benchmark. To work on one subsystem, run its tests directly, e.g.
 # `go test -race -count=1 ./internal/mvcc/`.
-verify: build vet fmtcheck metrics-lint benchbuild race crash benchsmoke
+verify: build vet fmtcheck metrics-lint chain-lint benchbuild race crash benchsmoke

@@ -159,7 +159,7 @@ func (db *DB) check() error {
 // files: data.kdb (pages) and log.wal (the write-ahead log). Open runs
 // crash recovery: committed work since the last checkpoint is redone,
 // uncommitted work is undone, and all indexes are rebuilt.
-func Open(dir string, opts Options) (*DB, error) {
+func Open(dir string, opts Options) (_ *DB, err error) {
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = 8 << 20
 	}
@@ -174,18 +174,26 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A failed open releases what it opened: the store, then the log.
+	var store *storage.Store
+	defer func() {
+		if err != nil {
+			if store != nil {
+				store.Close()
+			}
+			log.Close()
+		}
+	}()
 	if imgs := wal.PageImages(records); len(imgs) > 0 {
 		if _, err := storage.RestoreTornPages(dataPath, imgs); err != nil {
-			log.Close()
 			return nil, fmt.Errorf("core: page-image restore failed: %w", err)
 		}
 	}
-	store, err := storage.Open(dataPath, storage.Options{
+	store, err = storage.Open(dataPath, storage.Options{
 		PoolPages: opts.PoolPages,
 		WrapDisk:  opts.WrapDisk,
 	})
 	if err != nil {
-		log.Close()
 		return nil, err
 	}
 	// From here on, in-place page writes log full-page images first.
@@ -197,14 +205,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	if head := store.Disk().GetRoot(storage.RootCatalog); head != storage.InvalidPage {
 		blob, err := store.Pool().ReadBlob(head)
 		if err != nil {
-			store.Close()
-			log.Close()
 			return nil, err
 		}
-		cat, err = schema.DecodeCatalog(blob)
-		if err != nil {
-			store.Close()
-			log.Close()
+		if cat, err = schema.DecodeCatalog(blob); err != nil {
 			return nil, err
 		}
 	}
@@ -241,8 +244,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		err := db.replay(records)
 		store.Pool().SetRecovering(false)
 		if err != nil {
-			store.Close()
-			log.Close()
 			return nil, fmt.Errorf("core: recovery failed: %w", err)
 		}
 	}
@@ -251,20 +252,14 @@ func Open(dir string, opts Options) (*DB, error) {
 	if head := store.Disk().GetRoot(storage.RootIndexTable); head != storage.InvalidPage {
 		blob, err := store.Pool().ReadBlob(head)
 		if err != nil {
-			store.Close()
-			log.Close()
 			return nil, err
 		}
 		defs, err := index.DecodeDefs(blob)
 		if err != nil {
-			store.Close()
-			log.Close()
 			return nil, err
 		}
 		for _, d := range defs {
 			if err := db.buildIndex(d.Name, d.Class, d.Path, d.Hierarchy); err != nil {
-				store.Close()
-				log.Close()
 				return nil, err
 			}
 		}
@@ -273,8 +268,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	// Recovery done: checkpoint so the log starts clean.
 	if len(records) > 0 {
 		if err := db.Checkpoint(); err != nil {
-			store.Close()
-			log.Close()
 			return nil, err
 		}
 	}

@@ -417,10 +417,11 @@ func EncodeDefs(m *Manager) []byte {
 	return buf
 }
 
-// DecodeDefs returns the index definitions stored in buf.
+// DecodeDefs returns the index definitions stored in buf. Every error is
+// model.ErrCorrupt.
 func DecodeDefs(buf []byte) ([]Def, error) {
 	n, used := binary.Uvarint(buf)
-	if used <= 0 {
+	if used <= 0 || n > uint64(len(buf)) { // n definitions take more than n bytes
 		return nil, model.ErrCorrupt
 	}
 	buf = buf[used:]

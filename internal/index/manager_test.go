@@ -55,7 +55,7 @@ type vehicleWorld struct {
 	weight, manufacturer, location model.AttrID
 }
 
-func newVehicleWorld(t *testing.T) *vehicleWorld {
+func newVehicleWorld(t testing.TB) *vehicleWorld {
 	t.Helper()
 	cat := schema.NewCatalog()
 	company, _ := cat.DefineClass("Company", nil,

@@ -67,10 +67,11 @@ func EncodeCatalog(c *Catalog) []byte {
 }
 
 // DecodeCatalog reconstructs a catalog from EncodeCatalog output. Method
-// implementations are nil until re-registered.
+// implementations are nil until re-registered. Every error wraps
+// model.ErrCorrupt.
 func DecodeCatalog(buf []byte) (*Catalog, error) {
 	if len(buf) < 4 || binary.BigEndian.Uint32(buf) != catalogMagic {
-		return nil, fmt.Errorf("schema: bad catalog magic")
+		return nil, fmt.Errorf("schema: bad catalog magic: %w", model.ErrCorrupt)
 	}
 	r := reader{buf: buf[4:]}
 	c := NewCatalog()
@@ -84,6 +85,10 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 		name := r.str()
 		id := model.ClassID(r.uvarint())
 		ns := r.uvarint()
+		if ns > uint64(len(r.buf)) {
+			r.err = model.ErrCorrupt // each superclass id takes a byte at least
+			break
+		}
 		supers := make([]model.ClassID, ns)
 		for j := range supers {
 			supers[j] = model.ClassID(r.uvarint())
@@ -112,8 +117,14 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 	}
 	// Two-phase install: a class's superclass may have a higher id than the
 	// class itself (AddSuperclass can link to a newer class), so register
-	// every class before wiring subclass back-edges.
+	// every class before wiring subclass back-edges. A user class never
+	// takes a primitive's id, nor an id or a name already taken.
 	for _, cl := range decoded {
+		_, idTaken := c.classes[cl.ID]
+		_, nameTaken := c.byName[cl.Name]
+		if IsPrimitive(cl.ID) || idTaken || nameTaken {
+			return nil, fmt.Errorf("schema: corrupt catalog image: class %d %q: %w", cl.ID, cl.Name, model.ErrCorrupt)
+		}
 		c.classes[cl.ID] = cl
 		c.byName[cl.Name] = cl.ID
 	}
@@ -121,7 +132,7 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 		for _, s := range cl.Supers {
 			sup, ok := c.classes[s]
 			if !ok {
-				return nil, fmt.Errorf("schema: corrupt catalog image: class %d references unknown superclass %d", cl.ID, s)
+				return nil, fmt.Errorf("schema: corrupt catalog image: class %d references unknown superclass %d: %w", cl.ID, s, model.ErrCorrupt)
 			}
 			sup.Subs = append(sup.Subs, cl.ID)
 		}

@@ -11,7 +11,7 @@ import (
 // subclasses Automobile and Truck (Automobile specialized further), and
 // Company with subclasses AutoCompany/TruckCompany, AutoCompany specialized
 // to JapaneseAutoCompany; Vehicle.manufacturer has domain Company.
-func buildVehicleSchema(t *testing.T) (*Catalog, map[string]*Class) {
+func buildVehicleSchema(t testing.TB) (*Catalog, map[string]*Class) {
 	t.Helper()
 	c := NewCatalog()
 	classes := map[string]*Class{}

@@ -98,11 +98,12 @@ func (r *Registry) Encode() []byte {
 	return buf
 }
 
-// DecodeRegistry rebuilds a registry from its persisted blob.
+// DecodeRegistry rebuilds a registry from its persisted blob. Every error
+// wraps model.ErrCorrupt.
 func DecodeRegistry(buf []byte) (*Registry, error) {
 	r := NewRegistry()
 	if len(buf) < len(statsMagic) || string(buf[:4]) != string(statsMagic[:]) {
-		return nil, fmt.Errorf("stats: bad registry magic")
+		return nil, fmt.Errorf("stats: bad registry magic: %w", model.ErrCorrupt)
 	}
 	buf = buf[4:]
 	rd := reader{buf: buf}

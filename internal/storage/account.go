@@ -1,9 +1,5 @@
 package storage
 
-import (
-	"encoding/binary"
-)
-
 // PageAccount is the result of a full-file reachability walk: every page is
 // classified by type, and pages that no live structure names — not a heap
 // chain, not a live record's overflow chain, not a system blob chain, and
@@ -52,9 +48,10 @@ func (a *PageAccount) leak(id PageID) {
 func (s *Store) AccountPages() (*PageAccount, error) {
 	reach := make(map[PageID]bool)
 
-	// Heap chains, and overflow chains hanging off live records. The chain
-	// walks are type-guarded exactly like the recovery walks: a stale link
-	// into a reused page must not adopt that page.
+	// Heap chains, and overflow chains hanging off live records, then the
+	// system blob chains (catalog, segment table, index table, statistics).
+	// The walker refuses a stale link into a reused page, so no walk adopts
+	// one; each walk stops before a page already reached.
 	s.mu.RLock()
 	heaps := make([]*Heap, 0, len(s.heaps))
 	for _, h := range s.heaps {
@@ -63,68 +60,19 @@ func (s *Store) AccountPages() (*PageAccount, error) {
 	s.mu.RUnlock()
 	for _, h := range heaps {
 		h.mu.RLock()
-		for id := h.First; id != InvalidPage && !reach[id]; {
-			p, err := s.pool.Fetch(id)
-			if err != nil {
-				break
-			}
-			if p.Type() != pageTypeHeap {
-				s.pool.Unpin(id, false)
-				break
-			}
-			reach[id] = true
-			n := p.Slots()
-			for slot := 0; slot < n; slot++ {
-				if !p.Live(slot) {
-					continue
-				}
-				rec, err := p.Read(slot)
-				if err != nil || len(rec) == 0 || rec[0] != recOverflow {
-					continue
-				}
-				_, n1 := binary.Uvarint(rec[1:])
-				head, n2 := binary.Uvarint(rec[1+n1:])
-				if n1 <= 0 || n2 <= 0 {
-					continue
-				}
-				for ov := PageID(head); ov != InvalidPage && !reach[ov]; {
-					op, err := s.pool.Fetch(ov)
-					if err != nil {
-						break
+		s.reachChain(reach, h.First, pageTypeHeap, func(p *Page) {
+			for slot := 0; slot < p.Slots(); slot++ {
+				if rec, err := p.Read(slot); err == nil && len(rec) > 0 && rec[0] == recOverflow {
+					if _, head, ok := overflowStub(rec); ok {
+						s.reachChain(reach, head, pageTypeOverflow, nil)
 					}
-					if op.Type() != pageTypeOverflow {
-						s.pool.Unpin(ov, false)
-						break
-					}
-					reach[ov] = true
-					next := op.Next()
-					s.pool.Unpin(ov, false)
-					ov = next
 				}
 			}
-			next := p.Next()
-			s.pool.Unpin(id, false)
-			id = next
-		}
+		})
 		h.mu.RUnlock()
 	}
-
-	// System blob chains (catalog, segment table, index table, statistics).
 	for _, r := range []MetaRoot{RootCatalog, RootSegTable, RootIndexTable, RootStats} {
-		for id := s.disk.GetRoot(r); id != InvalidPage && !reach[id]; {
-			p, err := s.pool.Fetch(id)
-			if err != nil {
-				break
-			}
-			if p.Type() != pageTypeBlob {
-				s.pool.Unpin(id, false)
-				break
-			}
-			reach[id] = true
-			next := p.Next()
-			s.pool.Unpin(id, false)
-			id = next
-		}
+		s.reachChain(reach, s.disk.GetRoot(r), pageTypeBlob, nil)
 	}
 
 	// Classify every page. Free-sealed pages are accounted free whether or
@@ -168,4 +116,21 @@ func (s *Store) AccountPages() (*PageAccount, error) {
 	mPagesLeaked.Set(int64(acct.Leaked))
 	mPagesTotal.Set(int64(acct.Total))
 	return acct, nil
+}
+
+// reachChain marks the pages of the chain at head reached, up to the first
+// page already reached or refused by the walker, and hands each one, still
+// pinned, to visit when it is set.
+func (s *Store) reachChain(reach map[PageID]bool, head PageID, typ byte, visit func(*Page)) {
+	for w := s.pool.walkChain(head, typ); !reach[w.id]; {
+		id, p, _ := w.step()
+		if p == nil {
+			return
+		}
+		reach[id] = true
+		if visit != nil {
+			visit(p)
+		}
+		s.pool.Unpin(id, false)
+	}
 }

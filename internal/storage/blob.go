@@ -9,96 +9,19 @@ import "fmt"
 
 // WriteBlob stores data in a fresh page chain and returns the head.
 func (bp *BufferPool) WriteBlob(data []byte) (PageID, error) {
-	if len(data) == 0 {
-		// An empty blob still needs a page so the root distinguishes
-		// "empty" from "absent".
-		id, p, err := bp.FetchNew(pageTypeBlob)
-		if err != nil {
-			return InvalidPage, err
-		}
-		_, err = p.Insert(nil)
-		bp.Unpin(id, true)
-		return id, err
-	}
-	var head, prev PageID
-	for off := 0; off < len(data); {
-		chunk := len(data) - off
-		if chunk > maxInline {
-			chunk = maxInline
-		}
-		id, p, err := bp.FetchNew(pageTypeBlob)
-		if err != nil {
-			return InvalidPage, err
-		}
-		if _, err := p.Insert(data[off : off+chunk]); err != nil {
-			bp.Unpin(id, false)
-			return InvalidPage, err
-		}
-		bp.Unpin(id, true)
-		if head == InvalidPage {
-			head = id
-		} else {
-			pp, err := bp.Fetch(prev)
-			if err != nil {
-				return InvalidPage, err
-			}
-			pp.SetNext(id)
-			bp.Unpin(prev, true)
-		}
-		prev = id
-		off += chunk
-	}
-	return head, nil
+	return bp.writeChain(pageTypeBlob, data)
 }
 
 // ReadBlob reassembles a blob from its chain head.
 func (bp *BufferPool) ReadBlob(head PageID) ([]byte, error) {
-	var out []byte
-	for id := head; id != InvalidPage; {
-		p, err := bp.Fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		if p.Type() != pageTypeBlob {
-			bp.Unpin(id, false)
-			return nil, fmt.Errorf("storage: page %d is not a blob page", id)
-		}
-		chunk, err := p.Read(0)
-		if err != nil {
-			bp.Unpin(id, false)
-			return nil, fmt.Errorf("storage: corrupt blob page %d: %w", id, err)
-		}
-		out = append(out, chunk...)
-		next := p.Next()
-		bp.Unpin(id, false)
-		id = next
-	}
-	return out, nil
+	return bp.appendChain(nil, head, pageTypeBlob)
 }
 
-// FreeBlob returns a blob chain's pages to the free list. Pages that are
-// not blob-typed terminate the walk and are leaked, not freed: after a
-// crash a stale chain pointer can lead into a reused page, and freeing it
-// would hand one page to two owners (same rule as heap overflow chains).
+// FreeBlob returns a blob chain's pages to the free list; a page it cannot
+// verify ends the free and the rest leaks (freeChain).
 func (bp *BufferPool) FreeBlob(head PageID) error {
-	for id := head; id != InvalidPage; {
-		p, err := bp.Fetch(id)
-		if err != nil {
-			return nil // unverifiable page: leak the rest of the chain
-		}
-		if p.Type() != pageTypeBlob {
-			bp.Unpin(id, false)
-			return nil
-		}
-		next := p.Next()
-		bp.Unpin(id, false)
-		bp.Drop(id)
-		if err := bp.FreePage(id); err != nil {
-			return err
-		}
-		id = next
-	}
-	return nil
+	_, err := bp.freeChain(head, pageTypeBlob)
+	return err
 }
 
 // swapRootOrder fixes the order in which SwapBlobs writes and frees chains.

@@ -17,6 +17,9 @@ type DiskBackend interface {
 	AllocPage() (PageID, error)
 	FreePage(id PageID) error
 	Sync() error
+	// NumPages is the file's length in pages; the chain walker refuses a
+	// link at or past it without reading.
+	NumPages() PageID
 	GetRoot(r MetaRoot) PageID
 	// SetRoots updates several roots with one metadata write — atomic
 	// under the crash model (see DiskManager.SetRoots).

@@ -89,7 +89,6 @@ func (e *UnsupportedFormatError) Unwrap() error { return ErrNotADatabase }
 // script I/O failures and simulated crashes. Data pages start at MetaSlots.
 type Disk interface {
 	DiskBackend
-	NumPages() PageID
 	Close() error
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"oodb/internal/model"
 )
 
 // RID is a record identifier: the physical address of a stored record.
@@ -118,25 +120,26 @@ func (h *Heap) Insert(data []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.Mutations++
-	return h.insert(data)
-}
-
-func (h *Heap) insert(data []byte) (RID, error) {
-	if len(data) <= maxInline {
-		rec := make([]byte, 0, len(data)+1)
-		rec = append(rec, recInline)
-		rec = append(rec, data...)
-		return h.insertRec(rec)
-	}
-	head, err := h.writeOverflow(data)
+	rec, err := h.record(data)
 	if err != nil {
 		return RID{}, err
 	}
-	stub := make([]byte, 0, 16)
-	stub = append(stub, recOverflow)
-	stub = binary.AppendUvarint(stub, uint64(len(data)))
-	stub = binary.AppendUvarint(stub, uint64(head))
-	return h.insertRec(stub)
+	return h.insertRec(rec)
+}
+
+// record builds the tagged record that stores data: the payload inline, or
+// the stub naming a fresh overflow chain that holds it.
+func (h *Heap) record(data []byte) ([]byte, error) {
+	if len(data) <= maxInline {
+		return append(append(make([]byte, 0, len(data)+1), recInline), data...), nil
+	}
+	head, err := h.pool.writeChain(pageTypeOverflow, data)
+	if err != nil {
+		return nil, err
+	}
+	mOverflowWrites.Add(1)
+	stub := binary.AppendUvarint(append(make([]byte, 0, 16), recOverflow), uint64(len(data)))
+	return binary.AppendUvarint(stub, uint64(head)), nil
 }
 
 // insertRec places an already-tagged record on the tail page, growing the
@@ -223,15 +226,35 @@ func (h *Heap) appendPayload(dst, rec []byte, rid RID) ([]byte, error) {
 	case recInline:
 		return append(dst, rec[1:]...), nil
 	case recOverflow:
-		total, n := binary.Uvarint(rec[1:])
-		head, m := binary.Uvarint(rec[1+n:])
-		if n <= 0 || m <= 0 {
-			return dst, fmt.Errorf("storage: corrupt overflow stub at %s", rid)
+		// The chain is read into a buffer of exactly the stub's size, so a
+		// size no file of this length can hold is refused before allocating.
+		total, head, ok := overflowStub(rec)
+		if !ok || total > uint64(h.pool.disk.NumPages())*maxInline {
+			return dst, fmt.Errorf("%w: overflow stub at %s", model.ErrCorrupt, rid)
 		}
-		return h.appendOverflow(dst, PageID(head), int(total))
+		start := len(dst)
+		if cap(dst)-start < int(total) {
+			dst = append(make([]byte, 0, start+int(total)), dst...)
+		}
+		out, err := h.pool.appendChain(dst, head, pageTypeOverflow)
+		if err == nil && len(out)-start != int(total) {
+			err = fmt.Errorf("%w: overflow chain at %s holds %d bytes, stub says %d", model.ErrCorrupt, rid, len(out)-start, total)
+		}
+		return out, err
 	default:
-		return dst, fmt.Errorf("storage: unknown record tag %d at %s", rec[0], rid)
+		return dst, fmt.Errorf("%w: unknown record tag %d at %s", model.ErrCorrupt, rec[0], rid)
 	}
+}
+
+// overflowStub decodes an overflow record: the payload size and the head
+// of the chain that holds it.
+func overflowStub(rec []byte) (total uint64, head PageID, ok bool) {
+	total, n := binary.Uvarint(rec[1:])
+	if n <= 0 {
+		return 0, InvalidPage, false
+	}
+	hd, m := binary.Uvarint(rec[1+n:])
+	return total, PageID(hd), m > 0
 }
 
 // Update replaces the payload at rid, returning the (possibly new) RID.
@@ -247,21 +270,9 @@ func (h *Heap) update(rid RID, data []byte) (RID, error) {
 	if err := h.freeIfOverflow(rid); err != nil {
 		return RID{}, err
 	}
-	var rec []byte
-	if len(data) <= maxInline {
-		rec = make([]byte, 0, len(data)+1)
-		rec = append(rec, recInline)
-		rec = append(rec, data...)
-	} else {
-		// New image needs overflow: write chain, swap the stub in.
-		head, err := h.writeOverflow(data)
-		if err != nil {
-			return RID{}, err
-		}
-		rec = make([]byte, 0, 16)
-		rec = append(rec, recOverflow)
-		rec = binary.AppendUvarint(rec, uint64(len(data)))
-		rec = binary.AppendUvarint(rec, uint64(head))
+	rec, err := h.record(data)
+	if err != nil {
+		return RID{}, err
 	}
 	p, err := h.pool.Fetch(rid.Page)
 	if err != nil {
@@ -325,115 +336,29 @@ func (h *Heap) freeIfOverflow(rid RID) error {
 		return err
 	}
 	rec, err := p.Read(int(rid.Slot))
-	if err != nil {
-		h.pool.Unpin(rid.Page, false)
-		return fmt.Errorf("%w: %s (%v)", ErrNoRecord, rid, err)
-	}
-	var head PageID
-	if rec[0] == recOverflow {
-		_, n := binary.Uvarint(rec[1:])
-		hd, m := binary.Uvarint(rec[1+n:])
-		if n <= 0 || m <= 0 {
-			h.pool.Unpin(rid.Page, false)
-			return fmt.Errorf("storage: corrupt overflow stub at %s", rid)
-		}
-		head = PageID(hd)
+	head, ok := InvalidPage, true
+	if err == nil && len(rec) > 0 && rec[0] == recOverflow {
+		_, head, ok = overflowStub(rec)
 	}
 	h.pool.Unpin(rid.Page, false)
-	freed := head != InvalidPage
-	for head != InvalidPage {
-		op, err := h.pool.Fetch(head)
-		if err != nil {
-			// Unreadable chain page: stop and leak the rest. Freeing pages
-			// we cannot verify risks freeing someone else's page.
-			mOverflowLeaked.Add(1)
-			return nil
-		}
-		if op.Type() != pageTypeOverflow {
-			// Stale stub (crash recovery replaying over a reverted page
-			// image): the chain pointer leads to a page that was freed and
-			// reused. Freeing it would enter a live page — or a page
-			// already on the free list — into the free list and a later
-			// alloc would hand it to two owners. Stop; leak the chain.
-			h.pool.Unpin(head, false)
-			mOverflowLeaked.Add(1)
-			return nil
-		}
-		next := op.Next()
-		h.pool.Unpin(head, false)
-		h.pool.Drop(head)
-		if err := h.pool.FreePage(head); err != nil {
-			return err
-		}
-		head = next
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: %s (%v)", ErrNoRecord, rid, err)
+	case !ok:
+		return fmt.Errorf("%w: overflow stub at %s", model.ErrCorrupt, rid)
+	case head == InvalidPage:
+		return nil
 	}
-	if freed {
+	// A stale stub (replay over a reverted page image) can name a chain
+	// that was freed and reused; freeChain stops at its first foreign page.
+	leaked, err := h.pool.freeChain(head, pageTypeOverflow)
+	switch {
+	case leaked:
+		mOverflowLeaked.Add(1)
+	case err == nil:
 		mOverflowFrees.Add(1)
 	}
-	return nil
-}
-
-// writeOverflow spills the payload across a fresh chain of overflow pages
-// and returns the chain head.
-func (h *Heap) writeOverflow(data []byte) (PageID, error) {
-	var head, prev PageID
-	for off := 0; off < len(data); {
-		chunk := len(data) - off
-		if chunk > maxInline {
-			chunk = maxInline
-		}
-		id, p, err := h.pool.FetchNew(pageTypeOverflow)
-		if err != nil {
-			return InvalidPage, err
-		}
-		if _, err := p.Insert(data[off : off+chunk]); err != nil {
-			h.pool.Unpin(id, false)
-			return InvalidPage, err
-		}
-		h.pool.Unpin(id, true)
-		if head == InvalidPage {
-			head = id
-		} else {
-			pp, err := h.pool.Fetch(prev)
-			if err != nil {
-				return InvalidPage, err
-			}
-			pp.SetNext(id)
-			h.pool.Unpin(prev, true)
-		}
-		prev = id
-		off += chunk
-	}
-	mOverflowWrites.Add(1)
-	return head, nil
-}
-
-// appendOverflow reassembles a payload of total bytes from an overflow
-// chain onto dst.
-func (h *Heap) appendOverflow(dst []byte, head PageID, total int) ([]byte, error) {
-	start := len(dst)
-	if cap(dst)-start < total {
-		dst = append(make([]byte, 0, start+total), dst...)
-	}
-	for id := head; id != InvalidPage; {
-		p, err := h.pool.Fetch(id)
-		if err != nil {
-			return dst, err
-		}
-		chunk, err := p.Read(0)
-		if err != nil {
-			h.pool.Unpin(id, false)
-			return dst, fmt.Errorf("storage: corrupt overflow page %d: %w", id, err)
-		}
-		dst = append(dst, chunk...)
-		next := p.Next()
-		h.pool.Unpin(id, false)
-		id = next
-	}
-	if len(dst)-start != total {
-		return dst, fmt.Errorf("storage: overflow chain length %d, expected %d", len(dst)-start, total)
-	}
-	return dst, nil
+	return err
 }
 
 // Scan calls fn for every live record in the heap, in physical order. If
@@ -475,7 +400,8 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
 // checksum-valid) states — is quarantined and the scan continues, where a
 // normal Scan would fail. A quarantined record's transaction either logged
 // its redo before acknowledging (logical WAL replay reinserts the object)
-// or never acknowledged (the record had to disappear anyway).
+// or never acknowledged (the record had to disappear anyway). A damaged
+// heap chain fails both scans alike (chainWalk).
 //
 // It is also where an opened heap's accounting comes from: the pages and the
 // records that survive the scan are counted into h.stats.
@@ -499,22 +425,15 @@ func (h *Heap) scan(fn func(rid RID, data []byte) bool, recovering bool) error {
 			h.mu.Unlock()
 		}()
 	}
-	for id := h.First; id != InvalidPage; {
+	for w := h.pool.walkChain(h.First, pageTypeHeap); ; {
+		// The step reads the page's Next link under the latch: insertRec
+		// writes the tail's there.
 		h.mu.RLock()
-		p, err := h.pool.Fetch(id)
-		if err != nil {
+		id, p, err := w.step()
+		if p == nil {
 			h.mu.RUnlock()
 			return err
 		}
-		if recovering && p.Type() != pageTypeHeap {
-			// Stale chain link into a reused page (rebuildDirectory cuts
-			// these, but the scan guards independently): stop here rather
-			// than read someone else's records.
-			h.pool.Unpin(id, false)
-			h.mu.RUnlock()
-			return nil
-		}
-		next := p.Next()
 		// Size both buffers for the page up front: its slot count, and the
 		// record bytes it holds (overflow payloads grow the arena further).
 		n := p.Slots()
@@ -556,9 +475,7 @@ func (h *Heap) scan(fn func(rid RID, data []byte) bool, recovering bool) error {
 				return nil
 			}
 		}
-		id = next
 	}
-	return nil
 }
 
 // quarantine deletes an unreadable record's slot in place without touching

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -154,8 +155,11 @@ func (s *Store) DetachSegment(class model.ClassID) *DetachedSegment {
 // FreeDetached physically frees a detached segment: every record's
 // overflow chain, then the heap chain pages. All frees go through the
 // pool's FreePage, which forces the log before the free-list seal
-// destroys page content in place (WAL-before-data). Calling with nil is a
-// no-op.
+// destroys page content in place (WAL-before-data). Like every chain free
+// it stops at a page it cannot verify and leaks the rest (freeChain): a
+// record scan that fails part way leaves the overflow chains it did not
+// reach, and the only error returned is a heap page's failed FreePage.
+// Calling with nil is a no-op.
 func (s *Store) FreeDetached(d *DetachedSegment) error {
 	if d == nil {
 		return nil
@@ -167,27 +171,14 @@ func (s *Store) FreeDetached(d *DetachedSegment) error {
 	// before the caller's checkpoint) and let the scans already inside
 	// finish, before any page goes back to the free list.
 	h.detach()
-	// Free overflow chains record by record, then the heap pages.
-	if err := h.scan(func(rid RID, _ []byte) bool {
+	// The scan's error is the leak rule's: the chains it did not reach
+	// leak, and the heap pages are freed regardless.
+	_ = h.scan(func(rid RID, _ []byte) bool {
 		_ = h.Delete(rid)
 		return true
-	}, false); err != nil {
-		return err
-	}
-	for id := h.First; id != InvalidPage; {
-		p, err := s.pool.Fetch(id)
-		if err != nil {
-			return err
-		}
-		next := p.Next()
-		s.pool.Unpin(id, false)
-		s.pool.Drop(id)
-		if err := s.pool.FreePage(id); err != nil {
-			return err
-		}
-		id = next
-	}
-	return nil
+	}, false)
+	_, err := s.pool.freeChain(h.First, pageTypeHeap)
+	return err
 }
 
 // NewOID mints the next OID for the class. The segment must exist.
@@ -451,8 +442,9 @@ func (s *Store) loadSegments() error {
 // sequence high-water marks past every object seen. It also repairs heap
 // tail pointers that a crash may have left stale (the chain on disk can be
 // longer than the persisted Last), and amputates torn pages: a page that
-// fails its checksum is cut out of the chain and freed, its records left
-// to logical WAL replay above this layer.
+// fails its checksum is cut out of the chain (see amputate), its records
+// left to logical WAL replay above this layer. A chain that loops or links
+// out of the file fails the open with model.ErrCorrupt.
 func (s *Store) rebuildDirectory() error {
 	// Deterministic class order: recovery I/O must replay identically for
 	// the crash harness's schedule reproduction.
@@ -469,37 +461,25 @@ func (s *Store) rebuildDirectory() error {
 		// persisted comes back checksum-valid with someone else's content
 		// (a stale free-list seal whose next link aims at, say, a live
 		// catalog page), and following it would adopt — and later
-		// quarantine-mutate — pages this class does not own.
-		last := h.First
+		// quarantine-mutate — pages this class does not own. A crash leaves
+		// no loop and no link out of the file, so those are damage.
 		prev := InvalidPage
-		for id := h.First; id != InvalidPage; {
-			p, err := s.pool.Fetch(id)
-			bad := errors.Is(err, ErrBadChecksum)
-			if err == nil && p.Type() != pageTypeHeap {
-				s.pool.Unpin(id, false)
-				bad = true
-			}
-			if bad {
-				if err := s.amputate(h, prev, id); err != nil {
-					return err
-				}
-				if prev == InvalidPage {
-					last = h.First // head was reformatted in place
-				} else {
-					last = prev
-				}
-				break
-			}
-			if err != nil {
+		w := s.pool.walkChain(h.First, pageTypeHeap)
+		id, p, err := w.step()
+		for ; p != nil; id, p, err = w.step() {
+			s.pool.Unpin(id, false)
+			prev = id
+		}
+		switch {
+		case errors.Is(err, ErrBadChecksum) || errors.Is(err, errChainType):
+			if err := s.amputate(h, prev, id); err != nil {
 				return err
 			}
-			next := p.Next()
-			s.pool.Unpin(id, false)
-			prev, last = id, id
-			id = next
+		case err != nil:
+			return fmt.Errorf("storage: segment of class %d: %w", class, err)
 		}
-		h.Last = last
-		err := h.RecoverScan(func(rid RID, data []byte) bool {
+		h.Last = cmp.Or(prev, h.First) // an amputated head was reformatted in place
+		err = h.RecoverScan(func(rid RID, data []byte) bool {
 			raw, n := binary.Uvarint(data)
 			if n <= 0 {
 				return true // torn record: skip, WAL replay restores it
