@@ -1,8 +1,10 @@
 GO ?= go
 
-# Crash matrix breadth for `make crash` (the test's default is 60; the
-# pre-merge gate sweeps wider). Override: make crash CRASH_SCHEDULES=500
-CRASH_SCHEDULES ?= 120
+# Crash matrix breadth for `make crash`: how many crash points
+# TestCrashMatrix takes from each workload phase (the test's default is
+# 10, 61 schedules; 21 gives 121 — the one-op open and 15-op abort phases
+# give all they have). Override: make crash CRASH_SCHEDULES=60
+CRASH_SCHEDULES ?= 21
 
 .PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash metrics-lint chain-lint verify
 
@@ -67,10 +69,12 @@ chain-lint:
 	$(GO) test -count=1 -run '^TestOnlyTheWalkerFollowsNext$$' ./internal/storage/
 
 # The crash-recovery matrices under the race detector, at pre-merge breadth:
-# every schedule crashes the engine at a distinct I/O op and verifies the
+# every schedule crashes the engine at a distinct I/O op, named by its
+# workload phase and its index within that phase, and verifies the
 # recovery invariants after reopening (crash_test.go, internal/fault). The
-# pattern takes in every TestCrash* sweep of the root package — compaction,
-# drop class, MVCC, commit pipeline, checkpoint root swap.
+# pattern takes in every TestCrash* sweep of the root package — the
+# per-phase census table, compaction, drop class, MVCC, commit pipeline,
+# checkpoint root swap, the pinned regressions.
 crash:
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrash' .
 

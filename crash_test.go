@@ -1,21 +1,25 @@
 package oodb_test
 
-// Crash-recovery matrix: the harness workload is run once under a census
-// injector to enumerate every I/O op it performs, then re-run once per
-// selected crash point with the injector scripted to crash there —
-// cleanly, mid-write (torn), or behind a lying fsync. After each crash the
-// database is reopened without fault injection and checked against the
-// reference model. Every failure message prints the fault.Schedule that
-// reproduces it; the workload seed is fixed in this file, so
-// schedule + seed fully determine the run.
+// Crash-recovery matrices: each workload is run once under an injector
+// that never fires — the census, which enumerates its I/O ops by workload
+// phase — then re-run once per selected crash point with the injector
+// scripted to crash there: cleanly, mid-write (torn), or behind a lying
+// fsync. After each crash the database is reopened without fault injection
+// and verified. A crash point is addressed by its phase and its index
+// within the phase, so an I/O change in one phase renames only that
+// phase's subtests; every failure message prints the fault.Schedule that
+// reproduces it.
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"oodb/internal/core"
@@ -26,16 +30,19 @@ import (
 	"oodb/internal/storage"
 )
 
-// matrixSeed drives both the matrix workload and (by derivation) its crash
-// schedules. Changing it changes every schedule; failures always print the
-// derived schedule, which together with this constant reproduces the run.
+// matrixSeed seeds the census runs and, with a crash point's key, every
+// crash schedule (crashSchedule).
 const matrixSeed int64 = 42
 
 const matrixSteps = 48
 
-// crashScheduleCount returns how many crash points to run (bounded for CI;
-// override with CRASH_SCHEDULES).
-func crashScheduleCount(t *testing.T) int {
+// everyOp is the per-phase quota of the tests that crash one narrow
+// window at every op of it, however many ops it grows to.
+const everyOp = math.MaxInt
+
+// crashQuota returns how many crash points TestCrashMatrix takes from each
+// workload phase (bounded for CI; override with CRASH_SCHEDULES).
+func crashQuota(t *testing.T) int {
 	if s := os.Getenv("CRASH_SCHEDULES"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 {
@@ -43,146 +50,274 @@ func crashScheduleCount(t *testing.T) int {
 		}
 		return n
 	}
-	return 60
+	return 10
 }
 
-// censusPoints runs the workload once with a never-firing injector and
-// returns every I/O op it performed, tagged with the workload phase.
-func censusPoints(t *testing.T) []fault.Point {
+// crashRun is what a verify function checks: the recovered directory, the
+// schedule that crashed it (zero for the census run), its injector, and
+// the workload's results from the census run and from this run (partial
+// when it crashed).
+type crashRun[R any] struct {
+	dir         string
+	sched       fault.Schedule
+	inj         *fault.Injector
+	census, got R
+}
+
+// crashCensus runs workload once without faults and verifies it, then
+// crashes it at up to quota points of each window phase (selectCrashPoints)
+// and verifies every recovery. A subtest is named <phase>_<at>_<op>_<style>
+// and its seed and style derive from (phase, at) alone. The test's
+// historical pins (historicalPins) then run under their own names.
+func crashCensus[R any](t *testing.T, workload func(string, *fault.Injector) (R, error),
+	window []string, quota int, styles []fault.Style, verify func(*testing.T, crashRun[R])) {
 	t.Helper()
 	dir := t.TempDir()
-	inj := fault.NewCensus(matrixSeed)
-	m := harness.NewModel()
-	res := harness.Run(dir, inj, matrixSeed, matrixSteps, m)
-	if res.Err != nil {
-		t.Fatalf("census run failed: %v", res.Err)
+	inj := fault.NewInjector(fault.Schedule{Seed: matrixSeed})
+	census, err := workload(dir, inj)
+	if err != nil {
+		t.Fatalf("census run failed: %v", err)
 	}
-	if err := harness.Check(dir, m, nil); err != nil {
-		t.Fatalf("census run (no faults) fails its own invariants: %v", err)
-	}
-	// A run with no faults must account for every page: anything leaked
-	// here is a genuine space bug, not a deliberate recovery trade-off.
-	acct := accountPages(t, dir)
-	if acct.Leaked != 0 {
-		t.Fatalf("census run (no faults) leaked %d pages: %v", acct.Leaked, acct.LeakedPages)
-	}
-	return inj.Census()
-}
-
-// selectCrashPoints spreads n crash points across the workload phases:
-// every phase contributes evenly spaced points, so commit, group-commit,
-// checkpoint and DDL paths are all crashed even when one phase dominates
-// the op count.
-func selectCrashPoints(pts []fault.Point, n int) []fault.Point {
-	byPhase := make(map[string][]fault.Point)
-	for _, p := range pts {
-		byPhase[p.Phase] = append(byPhase[p.Phase], p)
-	}
-	phases := make([]string, 0, len(byPhase))
-	for ph := range byPhase {
-		phases = append(phases, ph)
-	}
-	sort.Strings(phases)
-
-	picked := make(map[int]bool)
-	var out []fault.Point
-	for round := 0; len(out) < n && round < len(pts); round++ {
-		for _, ph := range phases {
-			if len(out) >= n {
-				break
-			}
-			list := byPhase[ph]
-			// Evenly spaced position for this round within the phase list.
-			k := (round*2049 + 1025) % len(list) // deterministic low-discrepancy walk
-			p := list[k]
-			if picked[p.Index] {
-				// Linear probe to the next unpicked point of the phase.
-				for i := 0; i < len(list); i++ {
-					q := list[(k+i)%len(list)]
-					if !picked[q.Index] {
-						p = q
-						break
-					}
-				}
-				if picked[p.Index] {
-					continue // phase exhausted
-				}
-			}
-			picked[p.Index] = true
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// TestCrashMatrix enumerates crash points across the workload and verifies
-// both recovery invariants after every one.
-func TestCrashMatrix(t *testing.T) {
-	pts := censusPoints(t)
-	if len(pts) < 50 {
-		t.Fatalf("workload exposes only %d crash points; need >= 50", len(pts))
-	}
-	phaseSeen := make(map[string]bool)
-	for _, p := range pts {
-		phaseSeen[p.Phase] = true
-	}
-	for _, required := range []string{"dml", "group-commit", "checkpoint", "ddl"} {
-		if !phaseSeen[required] {
-			t.Fatalf("census has no crash points in required phase %q", required)
-		}
-	}
-
-	n := crashScheduleCount(t)
-	selected := selectCrashPoints(pts, n)
-	t.Logf("census: %d I/O ops; crashing at %d of them", len(pts), len(selected))
-
-	for i, p := range selected {
-		sched := fault.Schedule{
-			Seed:    matrixSeed*1_000_000 + int64(p.Index),
-			CrashAt: p.Index,
-			Style:   fault.Style(i % 3),
-		}
-		name := fmt.Sprintf("op%04d_%s_%s_%s", p.Index, p.Op, p.Phase, sched.Style)
-		t.Run(name, func(t *testing.T) {
+	verify(t, crashRun[R]{dir: dir, inj: inj, census: census, got: census})
+	ran := make(map[fault.Style]bool)
+	for _, p := range selectCrashPoints(t, inj.Census(), window, quota) {
+		sched := crashSchedule(p.Phase, p.At, styles)
+		ran[sched.Style] = true
+		t.Run(fmt.Sprintf("%s_%04d_%s_%s", p.Phase, p.At, p.Op, sched.Style), func(t *testing.T) {
 			t.Parallel()
-			runSchedule(t, sched)
+			runCrash(t, sched, workload, census, verify)
+		})
+	}
+	if len(ran) != len(styles) {
+		t.Fatalf("the selection runs styles %v of %v", ran, styles)
+	}
+	runPins(t, inj.Census(), historicalPins(t, styles), workload, census, verify)
+}
+
+// crashPin is a crash point pinned by name: the schedule crashes at op at
+// of phase in style, drawing its crash-time fates from seed, and the census
+// must have op there.
+type crashPin struct {
+	name  string
+	phase string
+	at    int
+	op    fault.Op
+	style fault.Style
+	seed  int64
+}
+
+// globalSeed is the seed a crash schedule had when it was addressed by the
+// global index i of its op: a pin that keeps it replays that schedule's
+// crash-time draws (torn-write prefix, fate of each unsynced page).
+func globalSeed(i int) int64 { return matrixSeed*1_000_000 + int64(i) }
+
+// runPins crashes workload at every pin whose op the census pts has at the
+// pin's key, and fails naming each pin whose op has moved.
+func runPins[R any](t *testing.T, pts []fault.Point, pins []crashPin,
+	workload func(string, *fault.Injector) (R, error), census R, verify func(*testing.T, crashRun[R])) {
+	t.Helper()
+	ops := make(map[string]fault.Op)
+	for _, p := range pts {
+		ops[fmt.Sprintf("%s/%d", p.Phase, p.At)] = p.Op
+	}
+	for _, c := range pins {
+		if op := ops[fmt.Sprintf("%s/%d", c.phase, c.at)]; op != c.op {
+			t.Errorf("pin %s: the census has %q at %s/%d, not %s", c.name, op, c.phase, c.at, c.op)
+			continue
+		}
+		sched := fault.Schedule{Seed: c.seed, Phase: c.phase, CrashAt: c.at, Style: c.style}
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			runCrash(t, sched, workload, census, verify)
 		})
 	}
 }
 
-// runSchedule executes one crash/recover/check cycle and reports failures
-// with the reproducing schedule.
-func runSchedule(t *testing.T, sched fault.Schedule) {
+// historicalPins returns the pins testdata/crash_pins.txt holds for the
+// running test: crash points kept under the names they had when subtests
+// were named by global op index, each with the seed that index gave it
+// (see the file's header).
+func historicalPins(t *testing.T, styles []fault.Style) []crashPin {
+	t.Helper()
+	data, err := os.ReadFile("testdata/crash_pins.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins []crashPin
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") || f[0] != t.Name() {
+			continue
+		}
+		if len(f) != 6 {
+			t.Fatalf("crash_pins.txt: bad line %q", line)
+		}
+		var old int
+		at, err := strconv.Atoi(f[3])
+		if _, err2 := fmt.Sscanf(f[1], "op%d_", &old); err != nil || err2 != nil {
+			t.Fatalf("crash_pins.txt: bad line %q", line)
+		}
+		c := crashPin{name: f[1], phase: f[2], at: at, op: fault.Op(f[4]), style: -1, seed: globalSeed(old)}
+		for _, st := range styles {
+			if st.String() == f[5] {
+				c.style = st
+			}
+		}
+		if c.style < 0 {
+			t.Fatalf("crash_pins.txt: %s runs no style %q", t.Name(), f[5])
+		}
+		pins = append(pins, c)
+	}
+	return pins
+}
+
+// runCrash runs workload under sched, expects the crash to fire, and
+// verifies the recovered directory.
+func runCrash[R any](t *testing.T, sched fault.Schedule, workload func(string, *fault.Injector) (R, error),
+	census R, verify func(*testing.T, crashRun[R])) {
 	t.Helper()
 	dir := t.TempDir()
-	m := harness.NewModel()
 	inj := fault.NewInjector(sched)
-	res := harness.Run(dir, inj, matrixSeed, matrixSteps, m)
-	if res.Err != nil && !res.Crashed {
-		t.Fatalf("schedule {%v}: workload error without a crash: %v", sched, res.Err)
+	got, err := workload(dir, inj)
+	if err != nil && !inj.Crashed() {
+		t.Fatalf("schedule {%v}: workload error without a crash: %v", sched, err)
 	}
-	if inj.Lied() {
-		// An fsync acknowledged without durability: full model equality is
-		// unenforceable (see harness.CheckLied), check the lie contract.
-		if err := harness.CheckLied(dir, m); err != nil {
-			t.Fatalf("schedule {%v}: lie contract violated: %v\nreproduce: the schedule is derived from matrixSeed=%d and CrashAt=%d in crash_test.go", sched, err, matrixSeed, sched.CrashAt)
-		}
-		runtime.GC()
-		return
+	if !inj.Crashed() && !inj.Lied() {
+		t.Fatalf("schedule {%v}: crash never fired", sched)
 	}
-	if err := harness.Check(dir, m, res.Indet); err != nil {
-		t.Fatalf("schedule {%v}: recovery invariant violated: %v\nreproduce: the schedule is derived from matrixSeed=%d and CrashAt=%d in crash_test.go", sched, err, matrixSeed, sched.CrashAt)
-	}
-	// Post-recovery page accounting: recovery may leak pages by design
-	// (quarantined chains, amputated pages — freeing them risks double
-	// ownership), but the count should be visible, not silent.
-	if acct := accountPages(t, dir); acct.Leaked > 0 {
-		t.Logf("schedule {%v}: recovery leaked %d of %d pages (deliberate: see AccountPages)", sched, acct.Leaked, acct.Total)
-	}
+	verify(t, crashRun[R]{dir, sched, inj, census, got})
 	// The crashed engine is abandoned, not closed (that is the point);
 	// nudge the runtime to reclaim its descriptors between subtests.
 	runtime.GC()
+}
+
+// crashSchedule is the schedule that crashes at op at of phase. Its seed,
+// and its style (one of styles), are functions of that key alone.
+func crashSchedule(phase string, at int, styles []fault.Style) fault.Schedule {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s/%d", phase, at)
+	k := h.Sum64()
+	return fault.Schedule{Seed: matrixSeed ^ int64(k>>1), Phase: phase, CrashAt: at, Style: styles[k%uint64(len(styles))]}
+}
+
+// selectCrashPoints picks up to quota evenly spaced ops of each window
+// phase by their position within that phase alone: a phase with no more
+// ops than quota gives all of them, and none hands its unused quota on.
+func selectCrashPoints(t *testing.T, pts []fault.Point, window []string, quota int) []fault.Point {
+	t.Helper()
+	byPhase := make(map[string][]fault.Point)
+	for _, p := range pts {
+		byPhase[p.Phase] = append(byPhase[p.Phase], p)
+	}
+	var out []fault.Point
+	for _, ph := range window {
+		list := byPhase[ph]
+		if len(list) == 0 {
+			t.Fatalf("census has no ops in phase %q", ph)
+		}
+		n := min(quota, len(list))
+		for j := 0; j < n; j++ {
+			out = append(out, list[(2*j+1)*len(list)/(2*n)])
+		}
+	}
+	return out
+}
+
+// censusOf runs workload without faults and counts its ops by phase.
+func censusOf[R any](t *testing.T, workload func(string, *fault.Injector) (R, error)) map[string]int {
+	t.Helper()
+	inj := fault.NewInjector(fault.Schedule{Seed: matrixSeed})
+	if _, err := workload(t.TempDir(), inj); err != nil {
+		t.Fatalf("census run failed: %v", err)
+	}
+	counts := make(map[string]int)
+	for _, p := range inj.Census() {
+		counts[p.Phase]++
+	}
+	return counts
+}
+
+// TestCrashCensus pins the I/O op count of every phase of the five census
+// workloads. A change to the engine's I/O fails here with the phases it
+// moved (close: 32 → 25), not as renamed subtests of the matrices; the
+// change updates this table.
+func TestCrashCensus(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want map[string]int
+	}{
+		{"matrix", censusOf(t, matrixWorkload), map[string]int{
+			"open": 1, "ddl": 242, "dml": 85, "abort": 15, "group-commit": 141, "checkpoint": 76, "close": 25}},
+		{"mvcc", censusOf(t, mvccRun), map[string]int{
+			"open": 1, "setup": 23, "stamp": 8, "checkpoint": 24, "close": 24}},
+		{"rootswap", censusOf(t, ckptWorkload), map[string]int{
+			"open": 1, "setup": 50, "rootswap1": 30, "grow": 33, "rootswap2": 30, "close": 21}},
+		{"drop", censusOf(t, dropWorkload), map[string]int{
+			"open": 1, "setup": 81, "checkpoint": 37, "drop": 49, "close": 21}},
+		{"compaction", censusOf(t, compactWorkload), map[string]int{
+			"open": 1, "setup": 54, "shred": 14, "checkpoint": 28, "compact": 64, "close": 24}},
+	} {
+		var phases []string
+		for ph := range c.got {
+			phases = append(phases, ph)
+		}
+		for ph := range c.want {
+			if _, ok := c.got[ph]; !ok {
+				phases = append(phases, ph)
+			}
+		}
+		sort.Strings(phases)
+		for _, ph := range phases {
+			if c.got[ph] != c.want[ph] {
+				t.Errorf("%s census, %s: %d → %d", c.name, ph, c.want[ph], c.got[ph])
+			}
+		}
+	}
+}
+
+// matrixRun is a harness run's result: the reference model it kept and
+// the effect of the commit in flight at the crash.
+type matrixRun struct {
+	m     *harness.Model
+	indet *harness.TxnEffect
+}
+
+func matrixWorkload(dir string, inj *fault.Injector) (matrixRun, error) {
+	m := harness.NewModel()
+	res := harness.Run(dir, inj, matrixSeed, matrixSteps, m)
+	return matrixRun{m, res.Indet}, res.Err
+}
+
+// TestCrashMatrix crashes the harness workload across all of its phases
+// and verifies both recovery invariants after every one.
+func TestCrashMatrix(t *testing.T) {
+	crashCensus(t, matrixWorkload,
+		[]string{"open", "ddl", "dml", "abort", "group-commit", "checkpoint", "close"}, crashQuota(t),
+		[]fault.Style{fault.StyleClean, fault.StyleTorn, fault.StyleLie}, verifyMatrixCrash)
+}
+
+func verifyMatrixCrash(t *testing.T, r crashRun[matrixRun]) {
+	t.Helper()
+	if r.inj.Lied() {
+		// An fsync acknowledged without durability: full model equality is
+		// unenforceable (see harness.CheckLied), check the lie contract.
+		if err := harness.CheckLied(r.dir, r.got.m); err != nil {
+			t.Fatalf("schedule {%v}: lie contract violated: %v", r.sched, err)
+		}
+		return
+	}
+	if err := harness.Check(r.dir, r.got.m, r.got.indet); err != nil {
+		t.Fatalf("schedule {%v}: recovery invariant violated: %v", r.sched, err)
+	}
+	// Post-recovery page accounting: recovery may leak pages by design
+	// (quarantined chains, amputated pages — freeing them risks double
+	// ownership), but the count should be visible, not silent. A run with
+	// no crash must account for every page.
+	if acct := accountPages(t, r.dir); acct.Leaked > 0 && !r.inj.Crashed() {
+		t.Fatalf("run without a crash leaked %d pages: %v", acct.Leaked, acct.LeakedPages)
+	} else if acct.Leaked > 0 {
+		t.Logf("schedule {%v}: recovery leaked %d of %d pages (deliberate: see AccountPages)", r.sched, acct.Leaked, acct.Total)
+	}
 }
 
 // accountPages reopens the recovered database without fault injection and
@@ -201,30 +336,33 @@ func accountPages(t *testing.T, dir string) *storage.PageAccount {
 	return acct
 }
 
-// TestCrashRegressions replays the exact schedules under which the harness
-// caught real recovery bugs, so the fixes stay fixed. Each schedule is
-// relative to the matrix workload (matrixSeed/matrixSteps); if the
-// workload's I/O sequence ever changes these crash elsewhere, which is
-// still a valid (if different) crash test.
+// TestCrashRegressions replays the crash points at which the harness caught
+// real recovery bugs, so the fixes stay fixed. Each is pinned by its key in
+// the matrix workload's census and the op found there, and keeps the seed
+// of the schedule that caught the bug, so it replays the same crash-time
+// draws; a pin whose op has moved fails the test by name, to be re-pinned
+// where the bug's op now is.
 func TestCrashRegressions(t *testing.T) {
-	cases := []struct {
-		name  string
-		sched fault.Schedule
-	}{
+	inj := fault.NewInjector(fault.Schedule{Seed: matrixSeed})
+	census, err := matrixWorkload(t.TempDir(), inj)
+	if err != nil {
+		t.Fatalf("census run failed: %v", err)
+	}
+	runPins(t, inj.Census(), []crashPin{
 		// freeIfOverflow destroyed a committed overflow chain in place
 		// before the freeing transaction's undo records were durable: a
 		// loser update left the old value unrecoverable. Fixed by forcing
 		// the log ahead of every destructive free (BufferPool.FreePage).
-		{"undo_durable_before_free_clean", fault.Schedule{Seed: matrixSeed*1_000_000 + 402, CrashAt: 402, Style: fault.StyleClean}},
-		{"undo_durable_before_free_abort", fault.Schedule{Seed: matrixSeed*1_000_000 + 451, CrashAt: 451, Style: fault.StyleClean}},
-		{"undo_durable_before_free_torn", fault.Schedule{Seed: matrixSeed*1_000_000 + 459, CrashAt: 459, Style: fault.StyleTorn}},
+		{"undo_durable_before_free_clean", "ddl", 183, fault.OpDiskFree, fault.StyleClean, globalSeed(402)},
+		{"undo_durable_before_free_abort", "group-commit", 120, fault.OpDiskFree, fault.StyleClean, globalSeed(451)},
+		{"undo_durable_before_free_torn", "dml", 64, fault.OpWALWrite, fault.StyleTorn, globalSeed(459)},
 		// A lost overflow write reverted a chain page to a stale but
 		// checksum-valid state; the open-time directory rebuild died on it
 		// instead of quarantining the record for WAL replay to reinsert.
 		// Fixed by Heap.RecoverScan.
-		{"stale_overflow_quarantined", fault.Schedule{Seed: matrixSeed*1_000_000 + 239, CrashAt: 239, Style: fault.StyleClean}},
-		{"stale_overflow_quarantined_torn", fault.Schedule{Seed: matrixSeed*1_000_000 + 240, CrashAt: 240, Style: fault.StyleTorn}},
-		{"stale_overflow_mid_group_commit", fault.Schedule{Seed: matrixSeed*1_000_000 + 407, CrashAt: 407, Style: fault.StyleTorn}},
+		{"stale_overflow_quarantined", "ddl", 124, fault.OpDiskSync, fault.StyleClean, globalSeed(239)},
+		{"stale_overflow_quarantined_torn", "ddl", 125, fault.OpDiskAlloc, fault.StyleTorn, globalSeed(240)},
+		{"stale_overflow_mid_group_commit", "dml", 52, fault.OpDiskAlloc, fault.StyleTorn, globalSeed(407)},
 		// A class created just before a checkpoint crash left its first
 		// heap page durable only as its old free-list seal — checksum
 		// valid, type free, with a free-list link aimed at a page reused
@@ -233,11 +371,11 @@ func TestCrashRegressions(t *testing.T) {
 		// catalog record. Fixed by type-guarding the chain walk (and
 		// amputate no longer frees the cut page — its provenance is
 		// unknowable, so freeing risks handing one page to two owners).
-		{"stale_chain_walk_adopts_reused_page", fault.Schedule{Seed: matrixSeed*1_000_000 + 517, CrashAt: 517, Style: fault.StyleClean}},
+		{"stale_chain_walk_adopts_reused_page", "dml", 83, fault.OpDiskAlloc, fault.StyleClean, globalSeed(517)},
 		// A lie schedule whose crash op is a disk.free degrades to a clean
 		// crash, so the strong checker applies; the failure it caught was
 		// replay freeing a chain through a stale heap stub.
-		{"lie_degraded_free_crash", fault.Schedule{Seed: matrixSeed*1_000_000 + 495, CrashAt: 495, Style: fault.StyleLie}},
+		{"lie_degraded_free_crash", "ddl", 209, fault.OpDiskFree, fault.StyleLie, globalSeed(495)},
 		// WAL replay freed an overflow chain through a stub read from a
 		// reverted page: the chain pages had since been reallocated to
 		// another record's chain (same page type — no guard can tell), so
@@ -245,15 +383,8 @@ func TestCrashRegressions(t *testing.T) {
 		// write clobbered the other record's chunk. Fixed by suppressing
 		// all stub-driven frees during replay (BufferPool recovery mode);
 		// replaced chains leak instead.
-		{"replay_free_through_stale_stub", fault.Schedule{Seed: matrixSeed*1_000_000 + 263, CrashAt: 263, Style: fault.StyleTorn}},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			t.Parallel()
-			runSchedule(t, c.sched)
-		})
-	}
+		{"replay_free_through_stale_stub", "dml", 24, fault.OpDiskAlloc, fault.StyleTorn, globalSeed(263)},
+	}, matrixWorkload, census, verifyMatrixCrash)
 }
 
 // TestCrashDifferential is the property-based differential test: random
@@ -390,7 +521,7 @@ func TestCrashDuringConcurrentGroupCommit(t *testing.T) {
 // overflow chains) and an index on the doomed class, a checkpoint, then
 // DropClass. Every run issues the identical I/O sequence, so a census
 // enumerates exactly the ops a scheduled crash run will hit.
-func dropWorkload(dir string, inj *fault.Injector) (keep, doomed []model.OID, err error) {
+func dropWorkload(dir string, inj *fault.Injector) (r dropRows, err error) {
 	inj.SetPhase("open")
 	db, err := core.Open(dir, core.Options{
 		PoolPages: 64,
@@ -398,7 +529,7 @@ func dropWorkload(dir string, inj *fault.Injector) (keep, doomed []model.OID, er
 		WrapWAL:   fault.WrapWAL(inj),
 	})
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	inj.SetPhase("setup")
 	attrs := []schema.AttrSpec{
@@ -407,14 +538,14 @@ func dropWorkload(dir string, inj *fault.Injector) (keep, doomed []model.OID, er
 	}
 	clKeep, err := db.DefineClass("Keep", nil, attrs...)
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	clDoomed, err := db.DefineClass("Doomed", nil, attrs...)
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	if err := db.CreateIndex("doomed_n", clDoomed.ID, []string{"n"}, false); err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	big := make([]byte, 6000)
 	for i := range big {
@@ -436,24 +567,24 @@ func dropWorkload(dir string, inj *fault.Injector) (keep, doomed []model.OID, er
 			if err != nil {
 				return err
 			}
-			keep = append(keep, ko)
-			doomed = append(doomed, do)
+			r.keep = append(r.keep, ko)
+			r.doomed = append(r.doomed, do)
 		}
 		return nil
 	})
 	if err != nil {
-		return keep, doomed, err
+		return r, err
 	}
 	inj.SetPhase("checkpoint")
 	if err := db.Checkpoint(); err != nil {
-		return keep, doomed, err
+		return r, err
 	}
 	inj.SetPhase("drop")
 	if err := db.DropClass(clDoomed.ID); err != nil {
-		return keep, doomed, err
+		return r, err
 	}
 	inj.SetPhase("close")
-	return keep, doomed, db.Close()
+	return r, db.Close()
 }
 
 // TestCrashDuringDropClass crashes at every I/O op inside the DropClass
@@ -466,50 +597,17 @@ func dropWorkload(dir string, inj *fault.Injector) (keep, doomed []model.OID, er
 // loses rows while the durable metadata still names the class, which
 // surfaces here as a doomed row neither intact nor gone.
 func TestCrashDuringDropClass(t *testing.T) {
-	cdir := t.TempDir()
-	cinj := fault.NewCensus(matrixSeed)
-	keep, doomed, err := dropWorkload(cdir, cinj)
-	if err != nil {
-		t.Fatalf("census drop workload failed: %v", err)
-	}
-	var window []fault.Point
-	for _, p := range cinj.Census() {
-		if p.Phase == "drop" {
-			window = append(window, p)
-		}
-	}
-	if len(window) < 5 {
-		t.Fatalf("drop window exposes only %d I/O ops; the test is vacuous", len(window))
-	}
-	// Crash at every op in the window (evenly sampled if it is very wide),
-	// alternating clean and torn styles.
-	step := 1
-	if len(window) > 60 {
-		step = len(window) / 60
-	}
-	for i := 0; i < len(window); i += step {
-		p := window[i]
-		sched := fault.Schedule{
-			Seed:    matrixSeed*1_000_000 + int64(p.Index),
-			CrashAt: p.Index,
-			Style:   fault.Style(i % 2), // clean, torn
-		}
-		name := fmt.Sprintf("op%04d_%s_%s", p.Index, p.Op, sched.Style)
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			inj := fault.NewInjector(sched)
-			_, _, err := dropWorkload(dir, inj)
-			if err == nil && !inj.Crashed() {
-				t.Fatalf("schedule {%v}: crash never fired", sched)
-			}
-			verifyDropCrash(t, dir, sched, keep, doomed)
-		})
-	}
+	crashCensus(t, dropWorkload, []string{"drop"}, everyOp,
+		[]fault.Style{fault.StyleClean, fault.StyleTorn}, verifyDropCrash)
 }
 
-func verifyDropCrash(t *testing.T, dir string, sched fault.Schedule, keep, doomed []model.OID) {
+// dropRows are the rows dropWorkload committed to the surviving class and
+// to the dropped one.
+type dropRows struct{ keep, doomed []model.OID }
+
+func verifyDropCrash(t *testing.T, r crashRun[dropRows]) {
 	t.Helper()
+	dir, sched, keep, doomed := r.dir, r.sched, r.census.keep, r.census.doomed
 	db, err := core.Open(dir, core.Options{})
 	if err != nil {
 		t.Fatalf("recovery reopen after {%v}: %v", sched, err)
@@ -583,7 +681,6 @@ func verifyDropCrash(t *testing.T, dir string, sched fault.Schedule, keep, doome
 	if acct := accountPages(t, dir); acct.Leaked > 0 {
 		t.Logf("schedule {%v}: drop crash leaked %d of %d pages (deliberate: freed only after the checkpoint)", sched, acct.Leaked, acct.Total)
 	}
-	runtime.GC()
 }
 
 // compactWorkload is the deterministic workload behind
@@ -591,7 +688,7 @@ func verifyDropCrash(t *testing.T, dir string, sched fault.Schedule, keep, doome
 // spilling to overflow chains), two thirds deleted to fragment the
 // segment, a checkpoint, then an online compaction. Returns the OIDs that
 // must survive and the ones that must stay deleted.
-func compactWorkload(dir string, inj *fault.Injector) (kept, deleted []model.OID, err error) {
+func compactWorkload(dir string, inj *fault.Injector) (r compactRows, err error) {
 	inj.SetPhase("open")
 	db, err := core.Open(dir, core.Options{
 		PoolPages: 64,
@@ -599,17 +696,17 @@ func compactWorkload(dir string, inj *fault.Injector) (kept, deleted []model.OID
 		WrapWAL:   fault.WrapWAL(inj),
 	})
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	inj.SetPhase("setup")
 	cl, err := db.DefineClass("C", nil,
 		schema.AttrSpec{Name: "n", Domain: schema.ClassInteger, Default: model.Int(0)},
 		schema.AttrSpec{Name: "s", Domain: schema.ClassString, Default: model.String("")})
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	if err := db.CreateIndex("c_n", cl.ID, []string{"n"}, false); err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	big := make([]byte, 6000)
 	for i := range big {
@@ -632,7 +729,7 @@ func compactWorkload(dir string, inj *fault.Injector) (kept, deleted []model.OID
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	inj.SetPhase("shred")
 	err = db.Do(func(tx *core.Tx) error {
@@ -647,25 +744,25 @@ func compactWorkload(dir string, inj *fault.Injector) (kept, deleted []model.OID
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	for i, oid := range all {
 		if i%3 == 0 {
-			kept = append(kept, oid)
+			r.kept = append(r.kept, oid)
 		} else {
-			deleted = append(deleted, oid)
+			r.deleted = append(r.deleted, oid)
 		}
 	}
 	inj.SetPhase("checkpoint")
 	if err := db.Checkpoint(); err != nil {
-		return kept, deleted, err
+		return r, err
 	}
 	inj.SetPhase("compact")
 	if _, err := db.CompactClass(cl.ID); err != nil {
-		return kept, deleted, err
+		return r, err
 	}
 	inj.SetPhase("close")
-	return kept, deleted, db.Close()
+	return r, db.Close()
 }
 
 // TestCrashDuringCompaction crashes at every I/O op inside the online
@@ -676,48 +773,16 @@ func compactWorkload(dir string, inj *fault.Injector) (kept, deleted []model.OID
 // before the checkpoint and the old chain after it may leak, which the
 // reclaimer then drives to zero).
 func TestCrashDuringCompaction(t *testing.T) {
-	cdir := t.TempDir()
-	cinj := fault.NewCensus(matrixSeed)
-	kept, deleted, err := compactWorkload(cdir, cinj)
-	if err != nil {
-		t.Fatalf("census compact workload failed: %v", err)
-	}
-	var window []fault.Point
-	for _, p := range cinj.Census() {
-		if p.Phase == "compact" {
-			window = append(window, p)
-		}
-	}
-	if len(window) < 5 {
-		t.Fatalf("compact window exposes only %d I/O ops; the test is vacuous", len(window))
-	}
-	step := 1
-	if len(window) > 60 {
-		step = len(window) / 60
-	}
-	for i := 0; i < len(window); i += step {
-		p := window[i]
-		sched := fault.Schedule{
-			Seed:    matrixSeed*1_000_000 + int64(p.Index),
-			CrashAt: p.Index,
-			Style:   fault.Style(i % 2), // clean, torn
-		}
-		name := fmt.Sprintf("op%04d_%s_%s", p.Index, p.Op, sched.Style)
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			inj := fault.NewInjector(sched)
-			_, _, err := compactWorkload(dir, inj)
-			if err == nil && !inj.Crashed() {
-				t.Fatalf("schedule {%v}: crash never fired", sched)
-			}
-			verifyCompactCrash(t, dir, sched, kept, deleted)
-		})
-	}
+	crashCensus(t, compactWorkload, []string{"compact"}, everyOp,
+		[]fault.Style{fault.StyleClean, fault.StyleTorn}, verifyCompactCrash)
 }
 
-func verifyCompactCrash(t *testing.T, dir string, sched fault.Schedule, kept, deleted []model.OID) {
+// compactRows are the rows compactWorkload kept and the ones it deleted.
+type compactRows struct{ kept, deleted []model.OID }
+
+func verifyCompactCrash(t *testing.T, r crashRun[compactRows]) {
 	t.Helper()
+	dir, sched, kept, deleted := r.dir, r.sched, r.census.kept, r.census.deleted
 	db, err := core.Open(dir, core.Options{})
 	if err != nil {
 		t.Fatalf("recovery reopen after {%v}: %v", sched, err)
@@ -810,7 +875,6 @@ func verifyCompactCrash(t *testing.T, dir string, sched fault.Schedule, kept, de
 	if err := db.Close(); err != nil {
 		t.Fatalf("schedule {%v}: close after verification: %v", sched, err)
 	}
-	runtime.GC()
 }
 
 // ckptWorkload is the deterministic workload behind
@@ -818,7 +882,7 @@ func verifyCompactCrash(t *testing.T, dir string, sched fault.Schedule, kept, de
 // index, then two explicit checkpoints — each of which rewrites all four
 // system blobs (catalog, segment table, index table, statistics) and
 // publishes them with the single atomic root swap (DiskManager.SetRoots).
-func ckptWorkload(dir string, inj *fault.Injector) (rowsA, rowsB []model.OID, err error) {
+func ckptWorkload(dir string, inj *fault.Injector) (r ckptRows, err error) {
 	inj.SetPhase("open")
 	db, err := core.Open(dir, core.Options{
 		PoolPages: 64,
@@ -826,7 +890,7 @@ func ckptWorkload(dir string, inj *fault.Injector) (rowsA, rowsB []model.OID, er
 		WrapWAL:   fault.WrapWAL(inj),
 	})
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	inj.SetPhase("setup")
 	attrs := []schema.AttrSpec{
@@ -835,10 +899,10 @@ func ckptWorkload(dir string, inj *fault.Injector) (rowsA, rowsB []model.OID, er
 	}
 	clA, err := db.DefineClass("A", nil, attrs...)
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	if err := db.CreateIndex("a_n", clA.ID, []string{"n"}, false); err != nil {
-		return nil, nil, err
+		return r, err
 	}
 	big := make([]byte, 6000)
 	for i := range big {
@@ -863,27 +927,27 @@ func ckptWorkload(dir string, inj *fault.Injector) (rowsA, rowsB []model.OID, er
 		})
 		return out, err
 	}
-	if rowsA, err = insert(clA.ID, 0); err != nil {
-		return nil, nil, err
+	if r.a, err = insert(clA.ID, 0); err != nil {
+		return r, err
 	}
 	inj.SetPhase("rootswap1")
 	if err := db.Checkpoint(); err != nil {
-		return rowsA, nil, err
+		return r, err
 	}
 	inj.SetPhase("grow")
 	clB, err := db.DefineClass("B", nil, attrs...)
 	if err != nil {
-		return rowsA, nil, err
+		return r, err
 	}
-	if rowsB, err = insert(clB.ID, 100); err != nil {
-		return rowsA, nil, err
+	if r.b, err = insert(clB.ID, 100); err != nil {
+		return r, err
 	}
 	inj.SetPhase("rootswap2")
 	if err := db.Checkpoint(); err != nil {
-		return rowsA, rowsB, err
+		return r, err
 	}
 	inj.SetPhase("close")
-	return rowsA, rowsB, db.Close()
+	return r, db.Close()
 }
 
 // TestCrashCheckpointRootSwap crashes at every I/O op inside the two
@@ -895,48 +959,16 @@ func ckptWorkload(dir string, inj *fault.Injector) (rowsA, rowsB []model.OID, er
 // could publish a new catalog against an old segment table (or vice
 // versa); this is the census-enumerated net over that window.
 func TestCrashCheckpointRootSwap(t *testing.T) {
-	cdir := t.TempDir()
-	cinj := fault.NewCensus(matrixSeed)
-	rowsA, rowsB, err := ckptWorkload(cdir, cinj)
-	if err != nil {
-		t.Fatalf("census checkpoint workload failed: %v", err)
-	}
-	var window []fault.Point
-	for _, p := range cinj.Census() {
-		if p.Phase == "rootswap1" || p.Phase == "rootswap2" {
-			window = append(window, p)
-		}
-	}
-	if len(window) < 5 {
-		t.Fatalf("checkpoint windows expose only %d I/O ops; the test is vacuous", len(window))
-	}
-	step := 1
-	if len(window) > 60 {
-		step = len(window) / 60
-	}
-	for i := 0; i < len(window); i += step {
-		p := window[i]
-		sched := fault.Schedule{
-			Seed:    matrixSeed*1_000_000 + int64(p.Index),
-			CrashAt: p.Index,
-			Style:   fault.Style(i % 2), // clean, torn
-		}
-		name := fmt.Sprintf("op%04d_%s_%s_%s", p.Index, p.Op, p.Phase, sched.Style)
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			inj := fault.NewInjector(sched)
-			_, _, err := ckptWorkload(dir, inj)
-			if err == nil && !inj.Crashed() {
-				t.Fatalf("schedule {%v}: crash never fired", sched)
-			}
-			verifyRootSwapCrash(t, dir, sched, rowsA, rowsB)
-		})
-	}
+	crashCensus(t, ckptWorkload, []string{"rootswap1", "rootswap2"}, everyOp,
+		[]fault.Style{fault.StyleClean, fault.StyleTorn}, verifyRootSwapCrash)
 }
 
-func verifyRootSwapCrash(t *testing.T, dir string, sched fault.Schedule, rowsA, rowsB []model.OID) {
+// ckptRows are the rows ckptWorkload committed to classes A and B.
+type ckptRows struct{ a, b []model.OID }
+
+func verifyRootSwapCrash(t *testing.T, r crashRun[ckptRows]) {
 	t.Helper()
+	dir, sched, rowsA, rowsB := r.dir, r.sched, r.census.a, r.census.b
 	db, err := core.Open(dir, core.Options{})
 	if err != nil {
 		t.Fatalf("recovery reopen after {%v}: %v", sched, err)
@@ -985,5 +1017,4 @@ func verifyRootSwapCrash(t *testing.T, dir string, sched fault.Schedule, rowsA, 
 			t.Fatalf("schedule {%v}: segment for class %d has no catalog entry (roots swapped non-atomically)", sched, classID)
 		}
 	}
-	runtime.GC()
 }

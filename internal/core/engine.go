@@ -283,12 +283,6 @@ func (db *DB) Close() error {
 		return nil
 	}
 	err := db.Checkpoint() // the poison error, without a flush, when fail-stopped
-	if err == nil {
-		// Repeats the segment-table swap the checkpoint just made. The crash
-		// matrices name their schedules by the op index of this sequence;
-		// dropping the repeat re-indexes their close phases.
-		err = db.Store.Checkpoint()
-	}
 	if serr := db.Store.Close(); err == nil {
 		err = serr
 	}

@@ -24,8 +24,9 @@ var ErrBusy = errors.New("core: maintenance blocked by transactions in flight")
 // dead slots and any stale duplicates a past crash left behind), the
 // segment table is atomically repointed, and only after the checkpoint
 // makes the new segment durable are the old pages freed. The class's
-// statistics are collected during the copy and published with the frees;
-// the checkpoint that closes the DDL section persists them.
+// statistics are collected during the copy and published before that
+// checkpoint, which persists them in the same root swap as the new
+// segment table.
 //
 // Crash safety mirrors DropClass: a RecCompaction marker is logged first
 // (replay-inert — compaction never changes logical content, so recovery
@@ -55,10 +56,8 @@ func (db *DB) CompactClass(class model.ClassID) (*storage.CompactResult, error) 
 			return nil, err
 		}
 		result = res
-		return func() error {
-			db.Stats.Put(col.Finalize())
-			return db.Store.FreeDetached(detached)
-		}, nil
+		db.Stats.Put(col.Finalize())
+		return func() error { return db.Store.FreeDetached(detached) }, nil
 	})
 	if err != nil {
 		return nil, err

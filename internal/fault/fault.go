@@ -7,10 +7,10 @@
 // "reboot" (reopening the database without the crashed wrapper).
 //
 // Determinism is the point: every run is driven by a Schedule (seed + crash
-// point + style), ops are counted globally across both seams, and the
-// lost-write simulation applied at crash time draws from the schedule's
-// seeded RNG in a fixed order. A failing schedule printed by the harness
-// reproduces the identical crash state when re-run.
+// point + style), ops are counted across both seams — per workload phase
+// and in total — and the lost-write simulation applied at crash time draws
+// from the schedule's seeded RNG in a fixed order. A failing schedule
+// printed by the harness reproduces the identical crash state when re-run.
 package fault
 
 import (
@@ -75,23 +75,28 @@ func (s Style) String() string {
 }
 
 // Schedule scripts one deterministic run: the RNG seed (workload and
-// lost-write decisions) and the global op index at which to crash.
+// lost-write decisions) and the op at which to crash. CrashAt counts the
+// ops of Phase (see SetPhase); the empty phase counts every op. Addressing
+// a crash by its phase keeps it in place when another phase's I/O changes.
 type Schedule struct {
 	Seed    int64
-	CrashAt int // 1-based global op index; 0 never crashes
+	Phase   string
+	CrashAt int // 1-based op index within Phase; 0 never crashes
 	Style   Style
 }
 
 func (s Schedule) String() string {
-	return fmt.Sprintf("seed=%d crashAt=%d style=%s", s.Seed, s.CrashAt, s.Style)
+	return fmt.Sprintf("seed=%d phase=%q crashAt=%d style=%s", s.Seed, s.Phase, s.CrashAt, s.Style)
 }
 
-// Point is one enumerable crash site observed by a census run: the global
-// op index, the site, and the workload phase active when it executed.
+// Point is one enumerable crash site observed by a census run: the
+// workload phase active when the op executed, the op's 1-based index
+// within that phase, and the site. Schedule{Phase: p.Phase, CrashAt: p.At}
+// crashes at it.
 type Point struct {
-	Index int
-	Op    Op
 	Phase string
+	At    int
+	Op    Op
 }
 
 // decision is the injector's verdict for one op.
@@ -106,7 +111,8 @@ const (
 )
 
 // Injector counts I/O ops across every wrapped seam and decides, per op,
-// whether it proceeds, fails, or crashes the "process". All decisions and
+// whether it proceeds, fails, or crashes the "process". It records every
+// op it lets through as a Point (see Census). All decisions and
 // all randomness are serialized under one mutex so concurrent I/O still
 // yields a well-defined (if interleaving-dependent) outcome; the
 // single-threaded harness workload is fully deterministic.
@@ -114,9 +120,9 @@ type Injector struct {
 	mu      sync.Mutex
 	sched   Schedule
 	rng     *rand.Rand
-	n       int
+	n       int            // ops so far, every phase
+	inPhase map[string]int // ops so far, per phase
 	phase   string
-	record  bool
 	census  []Point
 	crashed bool
 	lieFrom int // >0: syncs lie from this op on; crash at lieAt
@@ -129,29 +135,25 @@ type Injector struct {
 // NewInjector builds an injector for the schedule.
 func NewInjector(sched Schedule) *Injector {
 	return &Injector{
-		sched:  sched,
-		rng:    rand.New(rand.NewSource(sched.Seed)),
-		failAt: make(map[Op]int),
-		seen:   make(map[Op]int),
+		sched:   sched,
+		rng:     rand.New(rand.NewSource(sched.Seed)),
+		inPhase: make(map[string]int),
+		failAt:  make(map[Op]int),
+		seen:    make(map[Op]int),
 	}
 }
 
-// NewCensus builds an injector that never fires but records every op as a
-// Point, so a harness can enumerate the crash sites of a workload.
-func NewCensus(seed int64) *Injector {
-	in := NewInjector(Schedule{Seed: seed})
-	in.record = true
-	return in
-}
-
-// SetPhase labels subsequent ops with the workload phase (census metadata).
+// SetPhase labels subsequent ops with the workload phase. A phase entered
+// again continues its count.
 func (in *Injector) SetPhase(p string) {
 	in.mu.Lock()
 	in.phase = p
 	in.mu.Unlock()
 }
 
-// Census returns the recorded points of a census run.
+// Census returns the ops recorded so far. An injector whose schedule never
+// crashes (CrashAt 0) enumerates the crash sites of a workload; a crashed
+// one's last point is the op it crashed.
 func (in *Injector) Census() []Point {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -219,10 +221,9 @@ func (in *Injector) begin(op Op) decision {
 		return decCrash
 	}
 	in.n++
+	in.inPhase[in.phase]++
 	in.seen[op]++
-	if in.record {
-		in.census = append(in.census, Point{Index: in.n, Op: op, Phase: in.phase})
-	}
+	in.census = append(in.census, Point{Phase: in.phase, At: in.inPhase[in.phase], Op: op})
 	if at, ok := in.failAt[op]; ok && in.seen[op] == at {
 		delete(in.failAt, op)
 		return decError
@@ -236,7 +237,7 @@ func (in *Injector) begin(op Op) decision {
 			return decLie // the device keeps lying until the crash
 		}
 	}
-	if in.sched.CrashAt > 0 && in.n == in.sched.CrashAt {
+	if in.crashOp() {
 		switch in.sched.Style {
 		case StyleTorn:
 			if op == OpDiskWrite || op == OpWALWrite {
@@ -253,6 +254,14 @@ func (in *Injector) begin(op Op) decision {
 		return decCrash
 	}
 	return decOK
+}
+
+// crashOp reports whether the op just counted is the schedule's crash op.
+func (in *Injector) crashOp() bool {
+	if in.sched.Phase == "" {
+		return in.n == in.sched.CrashAt
+	}
+	return in.phase == in.sched.Phase && in.inPhase[in.phase] == in.sched.CrashAt
 }
 
 func (in *Injector) crashLocked() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"oodb/internal/storage"
@@ -72,23 +73,52 @@ func TestFailAtIsOneShot(t *testing.T) {
 }
 
 func TestCensusRecordsEveryOp(t *testing.T) {
-	in := NewCensus(1)
+	in := NewInjector(Schedule{Seed: 1})
 	in.SetPhase("alpha")
 	in.begin(OpWALWrite)
 	in.SetPhase("beta")
 	in.begin(OpDiskSync)
-	pts := in.Census()
-	if len(pts) != 2 {
-		t.Fatalf("census has %d points, want 2", len(pts))
+	in.SetPhase("alpha")
+	in.begin(OpDiskWrite)
+	want := []Point{
+		{Phase: "alpha", At: 1, Op: OpWALWrite},
+		{Phase: "beta", At: 1, Op: OpDiskSync},
+		{Phase: "alpha", At: 2, Op: OpDiskWrite}, // a re-entered phase continues its count
 	}
-	if pts[0] != (Point{Index: 1, Op: OpWALWrite, Phase: "alpha"}) {
-		t.Fatalf("point 0: %+v", pts[0])
-	}
-	if pts[1] != (Point{Index: 2, Op: OpDiskSync, Phase: "beta"}) {
-		t.Fatalf("point 1: %+v", pts[1])
+	if pts := in.Census(); !slices.Equal(pts, want) {
+		t.Fatalf("census %+v, want %+v", pts, want)
 	}
 	if in.Crashed() {
-		t.Fatal("census injector must never crash")
+		t.Fatal("an injector with CrashAt 0 must never crash")
+	}
+}
+
+// TestPhaseCrashAt: CrashAt counts the ops of the schedule's phase only,
+// across re-entries; the empty phase counts every op.
+func TestPhaseCrashAt(t *testing.T) {
+	phases := []string{"a", "b", "a", "b", "a"}
+	run := func(sched Schedule) int {
+		in := NewInjector(sched)
+		for i, ph := range phases {
+			in.SetPhase(ph)
+			if in.begin(OpDiskWrite) == decCrash {
+				return i + 1
+			}
+		}
+		return 0
+	}
+	for _, c := range []struct {
+		sched Schedule
+		want  int // 1-based op that crashes, 0 none
+	}{
+		{Schedule{Phase: "a", CrashAt: 2}, 3},
+		{Schedule{Phase: "b", CrashAt: 2}, 4},
+		{Schedule{Phase: "b", CrashAt: 3}, 0},
+		{Schedule{CrashAt: 2}, 2},
+	} {
+		if got := run(c.sched); got != c.want {
+			t.Errorf("{%v}: crashed at op %d, want %d", c.sched, got, c.want)
+		}
 	}
 }
 

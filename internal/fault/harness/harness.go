@@ -14,8 +14,10 @@
 //     object is found under its key.
 //
 // Everything is reproducible from a fault.Schedule: the workload draws all
-// decisions from the schedule seed, I/O ops are counted globally, and the
-// lost-write simulation at the crash point is seeded too.
+// decisions from its seed, labels every I/O op with the workload phase
+// (open, ddl, dml, abort, group-commit, checkpoint, close) that the
+// schedule's crash point is counted in, and the lost-write simulation at
+// the crash point is seeded too.
 package harness
 
 import (

@@ -195,7 +195,7 @@ func (f *chainFixture) damage(t *testing.T, link PageID) {
 // refuses any other damage with model.ErrCorrupt.
 func (f *chainFixture) reopen(t *testing.T, amputates bool) {
 	t.Helper()
-	if err := within(t, "Checkpoint", f.s.Checkpoint); err != nil {
+	if err := within(t, "checkpoint", func() error { return checkpoint(f.s) }); err != nil {
 		t.Fatal(err)
 	}
 	f.s.Close()

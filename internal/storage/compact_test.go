@@ -87,7 +87,7 @@ func TestRewriteSegmentFidelity(t *testing.T) {
 	}
 	// Mirror the engine protocol: persist the new segment table, then free
 	// the detached chain — after which nothing should be leaked.
-	if err := s.Checkpoint(); err != nil {
+	if err := checkpoint(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FreeDetached(detached); err != nil {
@@ -186,7 +186,7 @@ func TestReclaimLeaked(t *testing.T) {
 	if d == nil {
 		t.Fatal("detach returned nil for an existing segment")
 	}
-	if err := s.Checkpoint(); err != nil {
+	if err := checkpoint(s); err != nil {
 		t.Fatal(err)
 	}
 	// The detached chain is now garbage: durably unnamed, never freed.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"oodb/internal/model"
 )
 
 // DiskManager reads and writes fixed-size pages in a single database file
@@ -140,67 +142,60 @@ func OpenDisk(path string) (*DiskManager, error) {
 // openMeta reads the metadata slots and installs the newest valid one. A
 // torn or stale slot is tolerated as long as its twin verifies — that
 // fallback is the whole point of the duplexing and is counted on
-// storage_meta_slot_fallbacks. A slot of any other format version refuses
-// the file.
+// storage_meta_slot_fallbacks. With no valid slot the file is refused with
+// slot 0's error; a slot of any other format version refuses it too.
 func (d *DiskManager) openMeta() error {
 	type slotState struct {
-		page  Page
-		epoch uint64
-		valid bool
+		page    Page
+		version uint32
+		epoch   uint64
+		err     error
 	}
 	var slots [MetaSlots]slotState
-	n := d.NumPages()
-	if n > MetaSlots {
-		n = MetaSlots
-	}
-	for i := PageID(0); i < n; i++ {
-		s := &slots[i]
-		if _, err := d.file.ReadAt(s.page.buf[:], int64(i)*PageSize); err != nil {
-			continue
-		}
-		if s.page.Verify() != nil || s.page.Type() != pageTypeMeta {
-			continue
-		}
-		if binary.BigEndian.Uint32(s.page.buf[metaOffMagic:]) != diskMagic {
-			continue
-		}
-		s.epoch = binary.BigEndian.Uint64(s.page.buf[metaOffEpoch:])
-		s.valid = true
-	}
+	n := min(d.NumPages(), MetaSlots)
 	winner := -1
-	for i := range slots {
-		if slots[i].valid && (winner < 0 || slots[i].epoch > slots[winner].epoch) {
+	for i := range int(n) {
+		s := &slots[i]
+		if _, s.err = d.file.ReadAt(s.page.buf[:], int64(i)*PageSize); s.err == nil {
+			s.version, s.epoch, s.err = decodeMetaSlot(&s.page)
+		}
+		if s.err == nil && (winner < 0 || s.epoch > slots[winner].epoch) {
 			winner = i
 		}
 	}
 	if winner < 0 {
-		// Reproduce the single-slot error surface: a readable page-0 with
-		// the wrong magic is "not a database", anything else is corruption.
-		var p0 Page
-		if _, err := d.file.ReadAt(p0.buf[:], 0); err != nil {
-			return fmt.Errorf("storage: metadata page: %w", err)
-		}
-		if err := p0.Verify(); err != nil {
-			return fmt.Errorf("storage: metadata page: %w", err)
-		}
-		if binary.BigEndian.Uint32(p0.buf[metaOffMagic:]) != diskMagic {
-			return ErrNotADatabase
-		}
-		return fmt.Errorf("storage: metadata page: not a metadata slot")
+		return fmt.Errorf("storage: metadata page: %w", slots[0].err)
 	}
-	if v := binary.BigEndian.Uint32(slots[winner].page.buf[metaOffVersion:]); v != diskVersion {
+	if v := slots[winner].version; v != diskVersion {
 		return &UnsupportedFormatError{Version: v}
 	}
 	d.meta = slots[winner].page
 	d.curSlot = PageID(winner)
-	for i := range slots {
-		if PageID(i) < n && !slots[i].valid {
+	for i := range int(n) {
+		if slots[i].err != nil {
 			// The twin slot exists but did not verify: a torn metadata
 			// write survived by its sibling.
 			mMetaSlotFallback.Add(1)
 		}
 	}
 	return nil
+}
+
+// decodeMetaSlot checks a raw metadata slot — checksum, kimdb magic, page
+// type, in that order — and returns its format version and epoch. A
+// checksum-valid page without the magic is ErrNotADatabase; one with the
+// magic but another page type is corrupt.
+func decodeMetaSlot(p *Page) (version uint32, epoch uint64, err error) {
+	if err := p.Verify(); err != nil {
+		return 0, 0, err
+	}
+	if binary.BigEndian.Uint32(p.buf[metaOffMagic:]) != diskMagic {
+		return 0, 0, ErrNotADatabase
+	}
+	if p.Type() != pageTypeMeta {
+		return 0, 0, fmt.Errorf("page type %d is not a metadata slot: %w", p.Type(), model.ErrCorrupt)
+	}
+	return binary.BigEndian.Uint32(p.buf[metaOffVersion:]), binary.BigEndian.Uint64(p.buf[metaOffEpoch:]), nil
 }
 
 // Close syncs and closes the file.
@@ -413,12 +408,6 @@ func MetaSlotInfo(buf []byte) (version uint32, epoch uint64, ok bool) {
 	}
 	var p Page
 	copy(p.buf[:], buf)
-	if p.Verify() != nil || p.Type() != pageTypeMeta {
-		return 0, 0, false
-	}
-	if binary.BigEndian.Uint32(p.buf[metaOffMagic:]) != diskMagic {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint32(p.buf[metaOffVersion:]),
-		binary.BigEndian.Uint64(p.buf[metaOffEpoch:]), true
+	version, epoch, err := decodeMetaSlot(&p)
+	return version, epoch, err == nil
 }

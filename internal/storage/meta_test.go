@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"oodb/internal/model"
 )
 
 // readSlot reads one metadata slot's raw image from the file.
@@ -219,4 +221,75 @@ func TestMetaSlotInfo(t *testing.T) {
 	if _, _, ok := MetaSlotInfo(hp.buf[:]); ok {
 		t.Fatal("MetaSlotInfo accepted a heap page")
 	}
+}
+
+// FuzzMetaSlot writes the fuzzed bytes over both metadata slots of a
+// small database file and opens it: OpenDisk never panics, every refusal
+// is ErrCorrupt, ErrBadChecksum, ErrNotADatabase or an
+// UnsupportedFormatError, and a file it accepts can allocate a page from
+// whatever free list the winning slot names. Bit i of seal re-checksums
+// slot i, so the fuzzer reaches past the checksum into the decoder.
+func FuzzMetaSlot(f *testing.F) {
+	base := filepath.Join(f.TempDir(), "base.kdb")
+	d, err := OpenDisk(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.AllocPage(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := d.FreePage(MetaSlots + 1); err != nil {
+		f.Fatal(err)
+	}
+	if err := d.SetRoots(map[MetaRoot]PageID{RootCatalog: MetaSlots, RootStats: MetaSlots + 2}); err != nil {
+		f.Fatal(err)
+	}
+	d.Close()
+	image, err := os.ReadFile(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	slot0, slot1 := image[:PageSize], image[PageSize:2*PageSize]
+	var legacy, heap Page
+	legacy.Init(pageTypeMeta)
+	binary.BigEndian.PutUint32(legacy.buf[metaOffMagic:], diskMagic)
+	binary.BigEndian.PutUint32(legacy.buf[metaOffVersion:], 1)
+	heap.Init(pageTypeHeap)
+	binary.BigEndian.PutUint32(heap.buf[metaOffMagic:], diskMagic)
+	f.Add(slot0, slot1, byte(0))
+	f.Add(slot1, slot0, byte(3))
+	f.Add(slot0[:100], slot1, byte(1))
+	f.Add(legacy.buf[:], []byte{}, byte(1))
+	f.Add(heap.buf[:], heap.buf[:], byte(3))
+
+	f.Fuzz(func(t *testing.T, a, b []byte, seal byte) {
+		file := bytes.Clone(image)
+		for i, in := range [][]byte{a, b} {
+			var p Page
+			copy(p.buf[:], in)
+			if seal&(1<<i) != 0 {
+				p.Seal()
+			}
+			copy(file[i*PageSize:], p.buf[:])
+		}
+		path := filepath.Join(t.TempDir(), "f.kdb")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDisk(path)
+		if err != nil {
+			var ufe *UnsupportedFormatError
+			if !errors.Is(err, model.ErrCorrupt) && !errors.Is(err, ErrBadChecksum) &&
+				!errors.Is(err, ErrNotADatabase) && !errors.As(err, &ufe) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		defer d.Close()
+		if _, err := d.AllocPage(); err != nil {
+			t.Fatalf("accepted file cannot allocate: %v", err)
+		}
+	})
 }

@@ -151,7 +151,7 @@ func TestSegmentCountersMatchScan(t *testing.T) {
 				}
 			default:
 				what = "reopen"
-				if err := s.Checkpoint(); err != nil {
+				if err := checkpoint(s); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Close(); err != nil {

@@ -341,19 +341,6 @@ func sortClassIDs(ids []model.ClassID) {
 // PoolStats returns buffer pool hit/miss counters.
 func (s *Store) PoolStats() (hits, misses uint64) { return s.pool.Stats() }
 
-// Checkpoint flushes every dirty page, then persists the segment table
-// under its root (SwapBlobs). Data pages flush before the root moves: the
-// new table may name chains still dirty in the pool (a compaction's
-// rewritten heap), and publishing the root first would lose them on a
-// crash between the two steps. The engine's checkpoint persists the table
-// together with its other system blobs instead (core.DB.Checkpoint).
-func (s *Store) Checkpoint() error {
-	if err := s.pool.FlushAll(); err != nil {
-		return err
-	}
-	return s.pool.SwapBlobs(map[MetaRoot][]byte{RootSegTable: s.EncodeSegTable()})
-}
-
 // EncodeSegTable serializes the current segment table — the blob the
 // engine's checkpoint swaps under RootSegTable together with the catalog
 // (see BufferPool.SwapBlobs).

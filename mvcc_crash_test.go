@@ -12,8 +12,6 @@ package oodb_test
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"oodb/internal/core"
@@ -109,11 +107,18 @@ func mvccWorkload(dir string, inj *fault.Injector) error {
 	return db.Close()
 }
 
+// mvccRun is mvccWorkload for the census driver: it returns no result to
+// verify against.
+func mvccRun(dir string, inj *fault.Injector) (struct{}, error) {
+	return struct{}{}, mvccWorkload(dir, inj)
+}
+
 // verifyMVCCCrash reopens the crashed database without fault injection
 // and checks the snapshot contract on the recovered state.
-func verifyMVCCCrash(t *testing.T, dir string, sched fault.Schedule) {
+func verifyMVCCCrash(t *testing.T, r crashRun[struct{}]) {
 	t.Helper()
-	db, err := core.Open(dir, core.Options{})
+	sched := r.sched
+	db, err := core.Open(r.dir, core.Options{})
 	if err != nil {
 		t.Fatalf("recovery reopen after {%v}: %v", sched, err)
 	}
@@ -223,55 +228,16 @@ func verifyMVCCCrash(t *testing.T, dir string, sched fault.Schedule) {
 	if err != nil {
 		t.Fatalf("schedule {%v}: post-recovery snapshot scan: %v", sched, err)
 	}
-	runtime.GC()
 }
 
-// TestCrashMatrixMVCC enumerates the workload's I/O ops and crashes at a
-// phase-balanced sample of them, verifying the snapshot contract after
-// every recovery.
+// TestCrashMatrixMVCC crashes the workload in every phase that does I/O
+// and verifies the snapshot contract after every recovery. The append and
+// abort windows perform no I/O of their own (WAL appends buffer until the
+// commit's group sync, heap writes live in the pool), so a crash "between
+// the chain append and the stamp" is physically a crash at the stamp's
+// first op — the stamp, checkpoint and close phases together cover every
+// window the overlay creates. Lie schedules void the contract checked here.
 func TestCrashMatrixMVCC(t *testing.T) {
-	cdir := t.TempDir()
-	cinj := fault.NewCensus(matrixSeed)
-	if err := mvccWorkload(cdir, cinj); err != nil {
-		t.Fatalf("census mvcc workload failed: %v", err)
-	}
-	pts := cinj.Census()
-	if len(pts) < 20 {
-		t.Fatalf("mvcc workload exposes only %d I/O ops; the test is vacuous", len(pts))
-	}
-	phaseSeen := make(map[string]bool)
-	for _, p := range pts {
-		phaseSeen[p.Phase] = true
-	}
-	// The append and abort windows perform no I/O of their own (WAL
-	// appends buffer until the commit's group sync, heap writes live in
-	// the pool), so a crash "between the chain append and the stamp" is
-	// physically a crash at the stamp's first op — the stamp, checkpoint
-	// and close phases together cover every window the overlay creates.
-	for _, required := range []string{"stamp", "checkpoint", "close"} {
-		if !phaseSeen[required] {
-			t.Fatalf("census has no crash points in required phase %q", required)
-		}
-	}
-
-	selected := selectCrashPoints(pts, 40)
-	t.Logf("census: %d I/O ops; crashing at %d of them", len(pts), len(selected))
-	for i, p := range selected {
-		sched := fault.Schedule{
-			Seed:    matrixSeed*1_000_000 + int64(p.Index),
-			CrashAt: p.Index,
-			Style:   fault.Style(i % 2), // clean, torn (lie voids the contract checked here)
-		}
-		name := fmt.Sprintf("op%04d_%s_%s_%s", p.Index, p.Op, p.Phase, sched.Style)
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			inj := fault.NewInjector(sched)
-			err := mvccWorkload(dir, inj)
-			if err == nil && !inj.Crashed() {
-				t.Fatalf("schedule {%v}: crash never fired", sched)
-			}
-			verifyMVCCCrash(t, dir, sched)
-		})
-	}
+	crashCensus(t, mvccRun, []string{"open", "setup", "stamp", "checkpoint", "close"}, 12,
+		[]fault.Style{fault.StyleClean, fault.StyleTorn}, verifyMVCCCrash)
 }
