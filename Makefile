@@ -6,7 +6,7 @@ GO ?= go
 # give all they have). Override: make crash CRASH_SCHEDULES=60
 CRASH_SCHEDULES ?= 21
 
-.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash metrics-lint chain-lint verify
+.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash metrics-lint chain-lint decode-lint verify
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,14 @@ metrics-lint:
 chain-lint:
 	$(GO) test -count=1 -run '^TestOnlyTheWalkerFollowsNext$$' ./internal/storage/
 
+# Static check that objects are decoded only below the engine's two raw
+# reads (core.DB.FetchObject, ScanObjects): no non-test file outside
+# internal/core, internal/storage and internal/model names DecodeObject or
+# ScanImages (internal/fault may scan images). A go/parser walk of the
+# module (TestOnlyTheEngineDecodes in internal/core/decodelint_test.go).
+decode-lint:
+	$(GO) test -count=1 -run '^TestOnlyTheEngineDecodes$$' ./internal/core/
+
 # The crash-recovery matrices under the race detector, at pre-merge breadth:
 # every schedule crashes the engine at a distinct I/O op, named by its
 # workload phase and its index within that phase, and verifies the
@@ -83,4 +91,4 @@ crash:
 # detector, the crash matrices at CRASH_SCHEDULES breadth, and one pass of
 # every benchmark. To work on one subsystem, run its tests directly, e.g.
 # `go test -race -count=1 ./internal/mvcc/`.
-verify: build vet fmtcheck metrics-lint chain-lint benchbuild race crash benchsmoke
+verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race crash benchsmoke

@@ -32,8 +32,8 @@ const (
 func clScanOrder(t *testing.T, db *oodb.DB, class model.ClassID) []model.OID {
 	t.Helper()
 	var order []model.OID
-	if err := db.Engine().Store.ScanClass(class, func(oid model.OID, _ []byte) bool {
-		order = append(order, oid)
+	if err := db.Engine().ScanObjects([]model.ClassID{class}, func(obj *model.Object) bool {
+		order = append(order, obj.OID)
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -167,16 +167,11 @@ func parseValue(s string) (oodb.Value, error) {
 	case s == "false":
 		return oodb.Bool(false), nil
 	case strings.HasPrefix(s, "@"):
-		parts := strings.SplitN(s[1:], ":", 2)
-		if len(parts) != 2 {
-			return oodb.Null, fmt.Errorf("bad reference %q", s)
+		oid, err := oodb.ParseOID(s)
+		if err != nil {
+			return oodb.Null, err
 		}
-		class, err1 := strconv.ParseUint(parts[0], 10, 32)
-		seq, err2 := strconv.ParseUint(parts[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return oodb.Null, fmt.Errorf("bad reference %q", s)
-		}
-		return oodb.Ref(oodb.OID(class<<40 | seq)), nil
+		return oodb.Ref(oid), nil
 	}
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return oodb.Int(n), nil

@@ -479,24 +479,6 @@ func (sh *shell) schema(name string) error {
 	return nil
 }
 
-// parseOID parses "@class:seq".
-func parseOID(s string) (oodb.OID, error) {
-	s = strings.TrimPrefix(s, "@")
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return 0, fmt.Errorf("bad oid %q (want @class:seq)", s)
-	}
-	class, err := strconv.ParseUint(parts[0], 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad oid class %q", parts[0])
-	}
-	seq, err := strconv.ParseUint(parts[1], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad oid seq %q", parts[1])
-	}
-	return oodb.OID(uint64(class)<<40 | seq), nil
-}
-
 // parseAttrs parses a=v pairs.
 func parseAttrs(pairs []string) (oodb.Attrs, error) {
 	out := oodb.Attrs{}
@@ -524,7 +506,7 @@ func parseValue(s string) (oodb.Value, error) {
 	case s == "false":
 		return oodb.Bool(false), nil
 	case strings.HasPrefix(s, "@"):
-		oid, err := parseOID(s)
+		oid, err := oodb.ParseOID(s)
 		if err != nil {
 			return oodb.Null, err
 		}
@@ -621,7 +603,7 @@ func (sh *shell) execData(d door, line string, fields []string) (bool, error) {
 		if len(fields) < 3 {
 			return true, fmt.Errorf("usage: .set @c:s a=v ...")
 		}
-		oid, err := parseOID(fields[1])
+		oid, err := oodb.ParseOID(fields[1])
 		if err != nil {
 			return true, err
 		}
@@ -634,7 +616,7 @@ func (sh *shell) execData(d door, line string, fields []string) (bool, error) {
 		if len(fields) != 2 {
 			return true, fmt.Errorf("usage: .del @c:s")
 		}
-		oid, err := parseOID(fields[1])
+		oid, err := oodb.ParseOID(fields[1])
 		if err != nil {
 			return true, err
 		}
@@ -643,7 +625,7 @@ func (sh *shell) execData(d door, line string, fields []string) (bool, error) {
 		if len(fields) != 2 && len(fields) != 3 {
 			return true, fmt.Errorf("usage: .get @c:s [attr]")
 		}
-		oid, err := parseOID(fields[1])
+		oid, err := oodb.ParseOID(fields[1])
 		if err != nil {
 			return true, err
 		}

@@ -46,13 +46,10 @@ type Manager struct {
 // records in the shared database remain in force.
 func New(db *core.DB) (*Manager, error) {
 	m := &Manager{db: db, privates: make(map[string]*workspace.Workspace)}
-	cl, err := db.Catalog.ClassByName(recordClassName)
-	if errors.Is(err, schema.ErrNoSuchClass) {
-		cl, err = db.DefineClass(recordClassName, nil,
-			schema.AttrSpec{Name: "object", Domain: schema.ClassObject},
-			schema.AttrSpec{Name: "user", Domain: schema.ClassString},
-		)
-	}
+	cl, err := db.SystemClass(recordClassName,
+		schema.AttrSpec{Name: "object", Domain: schema.ClassObject},
+		schema.AttrSpec{Name: "user", Domain: schema.ClassString},
+	)
 	if err != nil {
 		return nil, err
 	}
@@ -76,16 +73,12 @@ func (m *Manager) Workspace(user string) *workspace.Workspace {
 func (m *Manager) holder(oid model.OID) (string, model.OID, error) {
 	var user string
 	var rec model.OID
-	err := m.db.Store.ScanClass(m.record.ID, func(roid model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			return true
-		}
+	err := m.db.ScanObjects([]model.ClassID{m.record.ID}, func(obj *model.Object) bool {
 		v, _ := m.db.AttrValue(obj, "object")
 		if ref, ok := v.AsRef(); ok && ref == oid {
 			uv, _ := m.db.AttrValue(obj, "user")
 			user, _ = uv.AsString()
-			rec = roid
+			rec = obj.OID
 			return false
 		}
 		return true
@@ -209,11 +202,7 @@ func (m *Manager) GuardUpdate(tx *core.Tx, user string, oid model.OID, attrs map
 // CheckedOutBy lists the objects a user currently holds.
 func (m *Manager) CheckedOutBy(user string) ([]model.OID, error) {
 	var out []model.OID
-	err := m.db.Store.ScanClass(m.record.ID, func(_ model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			return true
-		}
+	err := m.db.ScanObjects([]model.ClassID{m.record.ID}, func(obj *model.Object) bool {
 		uv, _ := m.db.AttrValue(obj, "user")
 		if u, _ := uv.AsString(); u != user {
 			return true

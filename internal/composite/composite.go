@@ -60,25 +60,18 @@ type Manager struct {
 // New creates (or re-attaches) the composite layer.
 func New(db *core.DB) (*Manager, error) {
 	m := &Manager{db: db}
-	cl, err := db.Catalog.ClassByName(declClassName)
-	if errors.Is(err, schema.ErrNoSuchClass) {
-		cl, err = db.DefineClass(declClassName, nil,
-			schema.AttrSpec{Name: "class", Domain: schema.ClassInteger},
-			schema.AttrSpec{Name: "attr", Domain: schema.ClassInteger},
-			schema.AttrSpec{Name: "attrName", Domain: schema.ClassString},
-			schema.AttrSpec{Name: "exclusive", Domain: schema.ClassBoolean},
-		)
-	}
+	cl, err := db.SystemClass(declClassName,
+		schema.AttrSpec{Name: "class", Domain: schema.ClassInteger},
+		schema.AttrSpec{Name: "attr", Domain: schema.ClassInteger},
+		schema.AttrSpec{Name: "attrName", Domain: schema.ClassString},
+		schema.AttrSpec{Name: "exclusive", Domain: schema.ClassBoolean},
+	)
 	if err != nil {
 		return nil, err
 	}
 	m.declClass = cl
 	// Reload persisted declarations.
-	err = db.Store.ScanClass(cl.ID, func(oid model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			return true
-		}
+	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		get := func(name string) model.Value {
 			v, _ := db.AttrValue(obj, name)
 			return v
@@ -217,35 +210,23 @@ func (m *Manager) ownerOf(child model.OID, d decl) (model.OID, error) {
 		return model.NilOID, err
 	}
 	var owner model.OID
-	for _, c := range classes {
-		err := m.db.Store.ScanClass(c, func(oid model.OID, data []byte) bool {
-			obj, derr := model.DecodeObject(data)
-			if derr != nil {
-				return true
-			}
-			v := obj.Get(d.attr)
-			if ref, ok := v.AsRef(); ok && ref == child {
-				owner = oid
-				return false
-			}
-			if members, ok := v.AsSet(); ok {
-				for _, mem := range members {
-					if ref, ok := mem.AsRef(); ok && ref == child {
-						owner = oid
-						return false
-					}
+	err = m.db.ScanObjects(classes, func(obj *model.Object) bool {
+		v := obj.Get(d.attr)
+		if ref, ok := v.AsRef(); ok && ref == child {
+			owner = obj.OID
+			return false
+		}
+		if members, ok := v.AsSet(); ok {
+			for _, mem := range members {
+				if ref, ok := mem.AsRef(); ok && ref == child {
+					owner = obj.OID
+					return false
 				}
 			}
-			return true
-		})
-		if err != nil {
-			return model.NilOID, err
 		}
-		if !owner.IsNil() {
-			break
-		}
-	}
-	return owner, nil
+		return true
+	})
+	return owner, err
 }
 
 // refsOf extracts the object references out of an attribute value: the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 
 	"oodb/internal/model"
@@ -70,20 +72,36 @@ func (db *DB) DefineClass(name string, supers []model.ClassID, attrs ...schema.A
 	return cl, err
 }
 
+// SystemClass returns the class named name, defining it with attrs first
+// if it does not exist: the bootstrap of the classes the feature layers
+// (versions, composites, checkout, views, schema snapshots) keep their
+// state in.
+func (db *DB) SystemClass(name string, attrs ...schema.AttrSpec) (*schema.Class, error) {
+	cl, err := db.Catalog.ClassByName(name)
+	if errors.Is(err, schema.ErrNoSuchClass) {
+		return db.DefineClass(name, nil, attrs...)
+	}
+	return cl, err
+}
+
 // DropClass deletes every instance of the class, removes indexes rooted at
 // it, and drops it from the catalog (subclasses re-link per Banerjee). The
 // segment is detached here and freed once the removal is durable (ddl).
 func (db *DB) DropClass(class model.ClassID) error {
 	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
-		// Unindex the class's instances everywhere, then detach the segment.
-		err := db.Store.ScanClass(class, func(oid model.OID, data []byte) bool {
-			if obj, derr := model.DecodeObject(data); derr == nil {
-				_ = db.Indexes.OnDelete(obj)
-			}
+		// Unindex the class's instances everywhere, then detach the
+		// segment. The whole class is read first: a damaged record fails
+		// the drop before any index has changed.
+		var objs []*model.Object
+		err := db.ScanObjects([]model.ClassID{class}, func(obj *model.Object) bool {
+			objs = append(objs, obj)
 			return true
 		})
 		if err != nil {
 			return nil, err
+		}
+		for _, obj := range objs {
+			_ = db.Indexes.OnDelete(obj)
 		}
 		detached := db.Store.DetachSegment(class)
 		// Indexes rooted at the dropped class are dropped with it.
@@ -222,6 +240,8 @@ func (db *DB) resolvePath(class model.ClassID, path []string) ([]model.AttrID, e
 }
 
 // buildIndex creates the index and populates it from the covered classes.
+// An index that cannot be populated is dropped again: no query may probe a
+// half-built one.
 func (db *DB) buildIndex(name string, class model.ClassID, path []model.AttrID, hierarchy bool) error {
 	idx, err := db.Indexes.Create(name, class, path, hierarchy)
 	if err != nil {
@@ -233,23 +253,15 @@ func (db *DB) buildIndex(name string, class model.ClassID, path []model.AttrID, 
 			return err
 		}
 	}
-	for _, c := range classes {
-		err := db.Store.ScanClass(c, func(oid model.OID, data []byte) bool {
-			obj, derr := model.DecodeObject(data)
-			if derr != nil {
-				return true
-			}
-			if perr := db.Indexes.Populate(idx, obj); perr != nil {
-				err = perr
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
+	var perr error
+	err = db.ScanObjects(classes, func(obj *model.Object) bool {
+		perr = db.Indexes.Populate(idx, obj)
+		return perr == nil
+	})
+	if err = cmp.Or(err, perr); err != nil {
+		_ = db.Indexes.Drop(name)
 	}
-	return nil
+	return err
 }
 
 // repopulateClass re-feeds every instance of class (and its descendants)
@@ -259,27 +271,12 @@ func (db *DB) repopulateClass(class model.ClassID) error {
 	if err != nil {
 		return err
 	}
-	for _, c := range classes {
-		var ierr error
-		err := db.Store.ScanClass(c, func(oid model.OID, data []byte) bool {
-			obj, derr := model.DecodeObject(data)
-			if derr != nil {
-				return true
-			}
-			if perr := db.Indexes.OnPut(obj, obj); perr != nil {
-				ierr = perr
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if ierr != nil {
-			return ierr
-		}
-	}
-	return nil
+	var ierr error
+	err = db.ScanObjects(classes, func(obj *model.Object) bool {
+		ierr = db.Indexes.OnPut(obj, obj)
+		return ierr == nil
+	})
+	return cmp.Or(err, ierr)
 }
 
 // reindexAfterUncover rebuilds every hierarchy index from scratch — the

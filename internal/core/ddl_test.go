@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -77,6 +78,36 @@ func TestDropSuperclassReindexes(t *testing.T) {
 	}
 	if td.Catalog.IsSubclassOf(td.truck.ID, td.vehicle.ID) {
 		t.Fatal("edge not dropped")
+	}
+}
+
+// TestDropClassOverDamagedRecordLeavesIndexes: DropClass reads the whole
+// class before it unindexes an instance, so a record that does not decode
+// fails the drop with ErrCorrupt and an index over a superclass keeps the
+// instances scanned before it.
+func TestDropClassOverDamagedRecordLeavesIndexes(t *testing.T) {
+	td := openVehicleDB(t)
+	if err := td.CreateIndex("w", td.vehicle.ID, []string{"weight"}, true); err != nil {
+		t.Fatal(err)
+	}
+	truck := td.mustInsert(t, "Truck", map[string]model.Value{"weight": model.Int(9000)})
+	// Behind it in the heap, a truck whose one value has an unknown kind.
+	bad, err := td.Store.NewOID(td.truck.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := td.Store.Put(bad, append(binary.AppendUvarint(nil, uint64(bad)), 1, 1, 238)); err != nil {
+		t.Fatal(err)
+	}
+	if err := td.DropClass(td.truck.ID); !errors.Is(err, model.ErrCorrupt) {
+		t.Fatalf("DropClass over a damaged record: %v, want ErrCorrupt", err)
+	}
+	idx, err := td.Indexes.Get("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Lookup(model.Int(9000), nil); len(got) != 1 || got[0] != truck {
+		t.Fatalf("vehicle index after the failed drop: %v, want [%s]", got, truck)
 	}
 }
 

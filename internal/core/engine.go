@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -503,6 +504,36 @@ func (db *DB) FetchObject(oid model.OID) (*model.Object, error) {
 		return nil, err
 	}
 	return model.DecodeObject(data)
+}
+
+// ScanObjects calls fn with the last stored state of every instance of
+// each class in classes, class by class and each in physical order, until
+// fn returns false. fn owns the object it is given. A record that does not
+// decode stops the scan with an error that wraps model.ErrCorrupt and names
+// the class and the object.
+//
+// It is the scan twin of FetchObject: read-uncommitted, no locks. The two
+// are the engine's raw reads — every read above the engine that is neither
+// a transaction nor a query goes through one of them — so a change to what
+// a raw read sees changes both together.
+func (db *DB) ScanObjects(classes []model.ClassID, fn func(*model.Object) bool) error {
+	for _, class := range classes {
+		var derr error
+		more := true
+		err := db.Store.ScanImages(class, func(oid model.OID, data []byte) bool {
+			obj, err := model.DecodeObject(data)
+			if err != nil {
+				derr = fmt.Errorf("core: class %d object %s: %w", class, oid, err)
+				return false
+			}
+			more = fn(obj)
+			return more
+		})
+		if err = cmp.Or(err, derr); err != nil || !more {
+			return err
+		}
+	}
+	return nil
 }
 
 // AttrValue reads an attribute of an object by name, applying inheritance

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"time"
 
 	"oodb/internal/model"
@@ -49,8 +51,8 @@ func (db *DB) CompactClass(class model.ClassID) (*storage.CompactResult, error) 
 			return nil, err
 		}
 		col := stats.NewCollector(class)
-		detached, res, err := db.Store.RewriteSegment(class, func(_ model.OID, data []byte) {
-			observe(col, data)
+		detached, res, err := db.Store.RewriteSegment(class, func(oid model.OID, data []byte) error {
+			return observe(col, oid, data)
 		})
 		if err != nil {
 			return nil, err
@@ -87,10 +89,12 @@ func (db *DB) AnalyzeClass(class model.ClassID) (*stats.ClassStats, error) {
 	tx := db.BeginSnapshot()
 	defer tx.Commit()
 	col := stats.NewCollector(class)
-	if err := tx.snapshotScanRaw(class, func(_ model.OID, data []byte) bool {
-		observe(col, data)
-		return true
-	}); err != nil {
+	var oerr error
+	err := tx.snapshotScanRaw(class, func(oid model.OID, data []byte) bool {
+		oerr = observe(col, oid, data)
+		return oerr == nil
+	})
+	if err = cmp.Or(err, oerr); err != nil {
 		return nil, err
 	}
 	cs := col.Finalize()
@@ -99,11 +103,15 @@ func (db *DB) AnalyzeClass(class model.ClassID) (*stats.ClassStats, error) {
 	return cs, nil
 }
 
-// observe feeds one object image to col.
-func observe(col *stats.Collector, data []byte) {
-	if obj, err := model.DecodeObject(data); err == nil {
-		col.Observe(obj, len(data))
+// observe feeds one object image to col; an image that does not decode is
+// the statistics' error, not a row they leave out.
+func observe(col *stats.Collector, oid model.OID, data []byte) error {
+	obj, err := model.DecodeObject(data)
+	if err != nil {
+		return fmt.Errorf("core: statistics of object %s: %w", oid, err)
 	}
+	col.Observe(obj, len(data))
+	return nil
 }
 
 // ReclaimLeaked frees every page the accountant classifies as leaked —

@@ -30,32 +30,22 @@ type SchemaVersion struct {
 // ErrNoSuchSnapshot reports an unknown snapshot label.
 var ErrNoSuchSnapshot = errors.New("core: no such schema snapshot")
 
-// ensureSchemaVersionClass lazily defines the system class that stores
-// snapshots.
-func (db *DB) ensureSchemaVersionClass() (*schema.Class, error) {
-	cl, err := db.Catalog.ClassByName(schemaVersionClassName)
-	if err == nil {
-		return cl, nil
-	}
-	if !errors.Is(err, schema.ErrNoSuchClass) {
-		return nil, err
-	}
-	return db.DefineClass(schemaVersionClassName, nil,
+// SnapshotSchema stores a durable snapshot of the current catalog under a
+// label. Labels are unique; re-snapshotting a label fails.
+func (db *DB) SnapshotSchema(label string) (uint64, error) {
+	cl, err := db.SystemClass(schemaVersionClassName,
 		schema.AttrSpec{Name: "label", Domain: schema.ClassString},
 		schema.AttrSpec{Name: "version", Domain: schema.ClassInteger},
 		schema.AttrSpec{Name: "image", Domain: schema.ClassBytes},
 	)
-}
-
-// SnapshotSchema stores a durable snapshot of the current catalog under a
-// label. Labels are unique; re-snapshotting a label fails.
-func (db *DB) SnapshotSchema(label string) (uint64, error) {
-	cl, err := db.ensureSchemaVersionClass()
 	if err != nil {
 		return 0, err
 	}
-	if _, err := db.findSnapshot(cl, label); err == nil {
+	switch _, err := db.findSnapshot(label); {
+	case err == nil:
 		return 0, fmt.Errorf("core: schema snapshot %q already exists", label)
+	case !errors.Is(err, ErrNoSuchSnapshot):
+		return 0, err
 	}
 	version := db.Catalog.Version()
 	image := schema.EncodeCatalog(db.Catalog)
@@ -73,28 +63,18 @@ func (db *DB) SnapshotSchema(label string) (uint64, error) {
 	return version, nil
 }
 
-// findSnapshot locates the snapshot object with the given label.
-func (db *DB) findSnapshot(cl *schema.Class, label string) (*model.Object, error) {
-	var found *model.Object
-	err := db.Store.ScanClass(cl.ID, func(_ model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			return true
-		}
-		lv, _ := db.AttrValue(obj, "label")
-		if s, _ := lv.AsString(); s == label {
-			found = obj
-			return false
-		}
-		return true
-	})
+// findSnapshot returns the OID of the snapshot stored under label.
+func (db *DB) findSnapshot(label string) (model.OID, error) {
+	versions, err := db.SchemaVersions()
 	if err != nil {
-		return nil, err
+		return model.NilOID, err
 	}
-	if found == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchSnapshot, label)
+	for _, v := range versions {
+		if v.Label == label {
+			return v.OID, nil
+		}
 	}
-	return found, nil
+	return model.NilOID, fmt.Errorf("%w: %q", ErrNoSuchSnapshot, label)
 }
 
 // SchemaVersions lists stored snapshots in label order.
@@ -107,16 +87,12 @@ func (db *DB) SchemaVersions() ([]SchemaVersion, error) {
 		return nil, err
 	}
 	var out []SchemaVersion
-	err = db.Store.ScanClass(cl.ID, func(oid model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			return true
-		}
+	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		lv, _ := db.AttrValue(obj, "label")
 		vv, _ := db.AttrValue(obj, "version")
 		label, _ := lv.AsString()
 		v, _ := vv.AsInt()
-		out = append(out, SchemaVersion{Label: label, Version: uint64(v), OID: oid})
+		out = append(out, SchemaVersion{Label: label, Version: uint64(v), OID: obj.OID})
 		return true
 	})
 	if err != nil {
@@ -130,14 +106,11 @@ func (db *DB) SchemaVersions() ([]SchemaVersion, error) {
 // catalog is a standalone read-only copy: method implementations are nil
 // and changes to it do not affect the live schema.
 func (db *DB) CatalogAt(label string) (*schema.Catalog, error) {
-	cl, err := db.Catalog.ClassByName(schemaVersionClassName)
-	if errors.Is(err, schema.ErrNoSuchClass) {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchSnapshot, label)
-	}
+	oid, err := db.findSnapshot(label)
 	if err != nil {
 		return nil, err
 	}
-	obj, err := db.findSnapshot(cl, label)
+	obj, err := db.FetchObject(oid)
 	if err != nil {
 		return nil, err
 	}

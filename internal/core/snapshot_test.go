@@ -167,7 +167,7 @@ func TestSnapshotDifferentialLockedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	locked := collect(func(fn func(model.OID, []byte) bool) error {
-		return db.Store.ScanClass(cl.ID, fn)
+		return db.Store.ScanImages(cl.ID, fn)
 	})
 	ltx.Commit()
 

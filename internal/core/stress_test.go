@@ -92,12 +92,7 @@ func TestConcurrentSameClassWriters(t *testing.T) {
 	}
 	scanCounts := map[int64]int{}
 	total := 0
-	err = db.Store.ScanClass(cl.ID, func(oid model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			t.Errorf("corrupt object %v: %v", oid, derr)
-			return true
-		}
+	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		v, _ := db.AttrValue(obj, "n")
 		n, _ := v.AsInt()
 		scanCounts[n]++

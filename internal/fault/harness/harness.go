@@ -517,7 +517,7 @@ func CheckLied(dir string, m *Model) error {
 	defer db.Close()
 	for _, c := range db.Store.Classes() {
 		var oids []model.OID
-		err := db.Store.ScanClass(c, func(oid model.OID, _ []byte) bool {
+		err := db.Store.ScanImages(c, func(oid model.OID, _ []byte) bool {
 			oids = append(oids, oid)
 			return true
 		})
@@ -578,7 +578,7 @@ func cloneObjects(objs map[model.OID]map[string]model.Value) map[model.OID]map[s
 func checkObjects(db *core.DB, want map[model.OID]map[string]model.Value) error {
 	got := make(map[model.OID]bool)
 	for _, c := range db.Store.Classes() {
-		err := db.Store.ScanClass(c, func(oid model.OID, _ []byte) bool {
+		err := db.Store.ScanImages(c, func(oid model.OID, _ []byte) bool {
 			got[oid] = true
 			return true
 		})

@@ -323,7 +323,7 @@ func TestCompactionInvisible(t *testing.T) {
 
 	snapshot := func(d *core.DB) map[model.OID][]byte {
 		out := make(map[model.OID][]byte)
-		if err := d.Store.ScanClass(cl.ID, func(oid model.OID, data []byte) bool {
+		if err := d.Store.ScanImages(cl.ID, func(oid model.OID, data []byte) bool {
 			out[oid] = append([]byte(nil), data...)
 			return true
 		}); err != nil {

@@ -9,7 +9,12 @@
 // an integer, a reference to a general object, or a set of such values).
 package model
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // ClassID identifies a class in the schema. Class identifiers are assigned
 // by the catalog and are stable for the life of a database. The low 24 bits
@@ -74,4 +79,26 @@ func (o OID) String() string {
 		return "nil"
 	}
 	return fmt.Sprintf("%d:%d", o.Class(), o.Seq())
+}
+
+// ErrBadOID reports an OID literal that does not parse or whose class or
+// sequence number does not fit in an OID.
+var ErrBadOID = errors.New("model: bad OID literal")
+
+// ParseOID parses an OID literal as String writes it, "class:seq" or
+// "nil", with an optional leading "@" (the shell's and the loader's
+// spelling). A class above MaxClassID or a sequence number above 40 bits is
+// ErrBadOID, not an OID of some other class.
+func ParseOID(s string) (OID, error) {
+	lit := strings.TrimPrefix(s, "@")
+	if lit == "nil" {
+		return NilOID, nil
+	}
+	cs, ss, ok := strings.Cut(lit, ":")
+	class, cerr := strconv.ParseUint(cs, 10, 24)
+	seq, serr := strconv.ParseUint(ss, 10, seqBits)
+	if !ok || cerr != nil || serr != nil {
+		return NilOID, fmt.Errorf("%w: %q (want @class:seq, class below 2^24, seq below 2^40)", ErrBadOID, s)
+	}
+	return MakeOID(ClassID(class), seq), nil
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -68,5 +69,36 @@ func TestOIDZeroSeqZeroClassIsNil(t *testing.T) {
 	// catalog never assigns class id 0, so this documents the invariant.
 	if !MakeOID(0, 0).IsNil() {
 		t.Fatal("MakeOID(0,0) should be NilOID")
+	}
+}
+
+func TestParseOIDRoundTrip(t *testing.T) {
+	f := func(raw uint64) bool {
+		o := OID(raw)
+		got, err := ParseOID(o.String())
+		at, aerr := ParseOID("@" + o.String())
+		return err == nil && got == o && aerr == nil && at == o
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []OID{NilOID, MakeOID(16, 1), MakeOID(MaxClassID, maxSeq)} {
+		if got, err := ParseOID(o.String()); err != nil || got != o {
+			t.Errorf("ParseOID(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+}
+
+// TestParseOIDRejects: a part out of range is an error, never an OID of
+// another class (the hand-built class<<40|seq read @16777216:5 as 0:5 and
+// @1:1099511627776 as 2:0).
+func TestParseOIDRejects(t *testing.T) {
+	for _, s := range []string{
+		"@16777216:5", "@1:1099511627776", "@-1:2", "@1:-2", "@1", "@:1", "@1:",
+		"@1:2:3", "@x:1", "@1:y", "", "@", "@@1:2", "1 :2",
+	} {
+		if o, err := ParseOID(s); !errors.Is(err, ErrBadOID) {
+			t.Errorf("ParseOID(%q) = %v, %v; want ErrBadOID", s, o, err)
+		}
 	}
 }

@@ -74,9 +74,10 @@ func (r Rule) String() string {
 
 // EDB supplies extensional facts.
 type EDB interface {
-	// Facts calls fn with each fact of pred; it returns false if the
-	// predicate is unknown to this EDB.
-	Facts(pred string, fn func(args []model.Value)) bool
+	// Facts calls fn with each fact of pred; known is false if the
+	// predicate is unknown to this EDB. An error means the facts could not
+	// all be read: those fn saw are not the predicate's extent.
+	Facts(pred string, fn func(args []model.Value)) (known bool, err error)
 }
 
 // Errors of the rule engine.
@@ -171,15 +172,15 @@ func (e *Engine) relevant(goal string) map[string]bool {
 }
 
 // edbRelation materializes an EDB predicate.
-func (e *Engine) edbRelation(pred string) (*relation, bool) {
+func (e *Engine) edbRelation(pred string) (*relation, bool, error) {
 	rel := newRelation()
-	known := e.edb.Facts(pred, func(args []model.Value) {
+	known, err := e.edb.Facts(pred, func(args []model.Value) {
 		rel.add(append(tuple(nil), args...))
 	})
-	if !known {
-		return nil, false
+	if !known || err != nil {
+		return nil, known, err
 	}
-	return rel, true
+	return rel, true, nil
 }
 
 // Infer computes all facts of the goal predicate (extensional and
@@ -187,7 +188,10 @@ func (e *Engine) edbRelation(pred string) (*relation, bool) {
 func (e *Engine) Infer(goal string) ([][]model.Value, error) {
 	idb := e.relevant(goal)
 	_, isIDB := e.byPred[goal]
-	edbRel, isEDB := e.edbRelation(goal)
+	edbRel, isEDB, err := e.edbRelation(goal)
+	if err != nil {
+		return nil, err
+	}
 	if !isIDB && !isEDB {
 		return nil, fmt.Errorf("%w: %q", ErrUnknown, goal)
 	}
@@ -203,7 +207,10 @@ func (e *Engine) Infer(goal string) ([][]model.Value, error) {
 				if _, done := edbRels[a.Pred]; done || idb[a.Pred] {
 					continue
 				}
-				rel, ok := e.edbRelation(a.Pred)
+				rel, ok, err := e.edbRelation(a.Pred)
+				if err != nil {
+					return nil, err
+				}
 				if !ok {
 					return nil, fmt.Errorf("%w: %q in %s", ErrUnknown, a.Pred, e.rules[ri])
 				}
@@ -447,15 +454,14 @@ func (o *ObjectEDB) MapAttr(pred, className, attrName string) error {
 }
 
 // Facts implements EDB.
-func (o *ObjectEDB) Facts(pred string, fn func(args []model.Value)) bool {
+func (o *ObjectEDB) Facts(pred string, fn func(args []model.Value)) (bool, error) {
 	if class, ok := o.classes[pred]; ok {
-		o.scanHierarchy(class, func(obj *model.Object) {
+		return true, o.scanHierarchy(class, func(obj *model.Object) {
 			fn([]model.Value{model.Ref(obj.OID)})
 		})
-		return true
 	}
 	if m, ok := o.attrs[pred]; ok {
-		o.scanHierarchy(m.class, func(obj *model.Object) {
+		return true, o.scanHierarchy(m.class, func(obj *model.Object) {
 			a, err := o.db.Catalog.ResolveAttr(obj.Class(), m.attr)
 			if err != nil {
 				return
@@ -475,24 +481,19 @@ func (o *ObjectEDB) Facts(pred string, fn func(args []model.Value)) bool {
 			}
 			fn([]model.Value{model.Ref(obj.OID), v})
 		})
-		return true
 	}
-	return false
+	return false, nil
 }
 
-func (o *ObjectEDB) scanHierarchy(class model.ClassID, fn func(*model.Object)) {
+func (o *ObjectEDB) scanHierarchy(class model.ClassID, fn func(*model.Object)) error {
 	classes, err := o.db.Catalog.Descendants(class)
 	if err != nil {
-		return
+		return err
 	}
-	for _, c := range classes {
-		_ = o.db.Store.ScanClass(c, func(_ model.OID, data []byte) bool {
-			if obj, derr := model.DecodeObject(data); derr == nil {
-				fn(obj)
-			}
-			return true
-		})
-	}
+	return o.db.ScanObjects(classes, func(obj *model.Object) bool {
+		fn(obj)
+		return true
+	})
 }
 
 // interface check
@@ -502,13 +503,10 @@ var _ EDB = (*ObjectEDB)(nil)
 type MapEDB map[string][][]model.Value
 
 // Facts implements EDB.
-func (m MapEDB) Facts(pred string, fn func(args []model.Value)) bool {
+func (m MapEDB) Facts(pred string, fn func(args []model.Value)) (bool, error) {
 	rows, ok := m[pred]
-	if !ok {
-		return false
-	}
 	for _, r := range rows {
 		fn(r)
 	}
-	return true
+	return ok, nil
 }

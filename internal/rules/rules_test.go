@@ -165,6 +165,31 @@ func TestUnknownBodyPredicate(t *testing.T) {
 	}
 }
 
+// failingEDB knows every predicate and fails after one fact.
+type failingEDB struct{ err error }
+
+func (f failingEDB) Facts(_ string, fn func(args []model.Value)) (bool, error) {
+	fn([]model.Value{s("a"), s("b")})
+	return true, f.err
+}
+
+// TestEDBErrorIsReturned: an EDB that cannot read all of a predicate's
+// facts fails Infer and Query, whether the predicate is the goal or a body
+// atom — the facts it did deliver are not an answer.
+func TestEDBErrorIsReturned(t *testing.T) {
+	boom := errors.New("edb: read failed")
+	e := NewEngine(failingEDB{boom})
+	e.AddRule(Rule{Head: A("anc", V("X"), V("Y")), Body: []Atom{A("parent", V("X"), V("Y"))}})
+	for _, goal := range []string{"parent", "anc"} {
+		if _, err := e.Infer(goal); !errors.Is(err, boom) {
+			t.Errorf("Infer(%s) = %v, want the EDB's error", goal, err)
+		}
+		if _, err := e.Query(A(goal, V("X"), V("Y"))); !errors.Is(err, boom) {
+			t.Errorf("Query(%s) = %v, want the EDB's error", goal, err)
+		}
+	}
+}
+
 // TestObjectEDB runs the deductive layer over a real database: the
 // "deductive object-oriented database" of §5.4.
 func TestObjectEDB(t *testing.T) {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -93,14 +92,15 @@ func (s *Store) SegmentInfo(class model.ClassID) *SegmentInfo {
 // visit, when non-nil, observes each copied record — the statistics
 // collector rides along on the sweep so compaction and ANALYZE share one
 // pass. data is the scan's own buffer (see Heap.Scan): it is valid only
-// until visit returns, and a visitor that keeps it clones it.
+// until visit returns, and a visitor that keeps it clones it. An error from
+// visit abandons the rewrite and is returned.
 //
 // Records the directory does not name at their scanned RID are dropped:
 // dead slots, and stale duplicates a crash can leave behind (an update
 // torn between its delete and insert halves replays into one directory
 // entry, but both physical copies survive rebuild). Compaction is thus
 // also the dedup pass for such slots.
-func (s *Store) RewriteSegment(class model.ClassID, visit func(oid model.OID, data []byte)) (*DetachedSegment, *CompactResult, error) {
+func (s *Store) RewriteSegment(class model.ClassID, visit func(oid model.OID, data []byte) error) (*DetachedSegment, *CompactResult, error) {
 	s.mu.RLock()
 	old, ok := s.heaps[class]
 	cur := make(map[model.OID]RID)
@@ -128,11 +128,10 @@ func (s *Store) RewriteSegment(class model.ClassID, visit func(oid model.OID, da
 	newDir := make(map[model.OID]RID, len(cur))
 	var ierr error
 	err = old.Scan(func(rid RID, data []byte) bool {
-		raw, n := binary.Uvarint(data)
-		if n <= 0 {
-			return true // torn record: nothing names it
+		var oid model.OID
+		if oid, ierr = recordOID(class, data); ierr != nil {
+			return false
 		}
-		oid := model.OID(raw)
 		if r, ok := cur[oid]; !ok || r != rid {
 			return true // dead or shadowed copy
 		}
@@ -144,9 +143,9 @@ func (s *Store) RewriteSegment(class model.ClassID, visit func(oid model.OID, da
 		res.LiveRecords++
 		res.LiveBytes += int64(len(data))
 		if visit != nil {
-			visit(oid, data)
+			ierr = visit(oid, data)
 		}
-		return true
+		return ierr == nil
 	})
 	if err == nil {
 		err = ierr

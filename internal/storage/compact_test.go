@@ -61,11 +61,12 @@ func TestRewriteSegmentFidelity(t *testing.T) {
 	}
 
 	visited := 0
-	detached, res, err := s.RewriteSegment(compactTestClass, func(oid model.OID, data []byte) {
+	detached, res, err := s.RewriteSegment(compactTestClass, func(oid model.OID, data []byte) error {
 		visited++
 		if w, ok := want[oid]; !ok || !bytes.Equal(w, data) {
 			t.Errorf("visit callback saw wrong image for %s", oid)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestRewriteSegmentDropsStaleCopies(t *testing.T) {
 		t.Fatalf("rewrite copied %d records, want %d (stale copy must be dropped)", res.LiveRecords, len(oids))
 	}
 	n := 0
-	err = s.ScanClass(compactTestClass, func(oid model.OID, data []byte) bool {
+	err = s.ScanImages(compactTestClass, func(oid model.OID, data []byte) bool {
 		n++
 		return true
 	})

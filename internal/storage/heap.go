@@ -367,7 +367,7 @@ func (h *Heap) freeIfOverflow(rid RID) error {
 // Each page is pinned once and its live records are copied, in one pass
 // over the slot array, into an arena the scan reuses from page to page:
 // the payload passed to fn is valid only until fn returns, and a caller
-// that keeps it clones it (Store.ScanClass does).
+// that keeps it clones it.
 //
 // Each page is collected AND read under a single hold of the heap latch,
 // so a concurrent update cannot relocate a record within a page between

@@ -17,7 +17,7 @@ import (
 // object's OID as a uvarint — model.EncodeObject's layout — because the
 // open-time directory rebuild recovers OIDs by peeking that prefix.
 // The store mutex is a sync.RWMutex: the read paths (Get, Exists,
-// ScanClass, Count, Classes) only consult the heap map and directory, so
+// ScanImages, Count, Classes) only consult the heap map and directory, so
 // concurrent readers share the lock and serialize only against writers
 // (segment DDL, directory updates).
 type Store struct {
@@ -50,8 +50,10 @@ type Options struct {
 }
 
 // Open opens (or creates) the object store at path and rebuilds the object
-// directory by scanning every class segment. Records that fail checksum or
-// decoding are skipped — logical WAL replay above this layer restores them.
+// directory by scanning every class segment. Pages that fail their checksum
+// are cut out and records whose overflow chain does not reassemble are
+// quarantined — logical WAL replay above this layer restores them; a record
+// whose OID prefix is damaged fails the open with model.ErrCorrupt.
 func Open(path string, opts Options) (*Store, error) {
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 1024
@@ -282,27 +284,36 @@ func (s *Store) ScanImages(class model.ClassID, fn func(oid model.OID, data []by
 		if !ok {
 			return nil
 		}
+		var oerr error
 		err := h.Scan(func(rid RID, data []byte) bool {
-			oid, n := binary.Uvarint(data)
-			if n <= 0 {
-				return true // skip torn record
+			var oid model.OID
+			if oid, oerr = recordOID(class, data); oerr != nil {
+				return false
 			}
-			return fn(model.OID(oid), data)
+			return fn(oid, data)
 		})
 		// Detached since the lookup, and nothing delivered yet (see
 		// Heap.Scan): scan the segment the directory names now.
 		if err != errHeapDetached {
-			return err
+			return cmp.Or(err, oerr)
 		}
 	}
 }
 
-// ScanClass is ScanImages for callers that keep the bytes: every image is
-// handed over as its own copy, which fn may retain.
-func (s *Store) ScanClass(class model.ClassID, fn func(oid model.OID, data []byte) bool) error {
-	return s.ScanImages(class, func(oid model.OID, data []byte) bool {
-		return fn(oid, append([]byte(nil), data...))
-	})
+// recordOID reads the OID prefix of a live record in class's segment. A
+// prefix that does not parse, or that names another class, is damage and
+// model.ErrCorrupt: a crash leaves neither, since a torn page fails its
+// checksum and is amputated whole at open.
+func recordOID(class model.ClassID, data []byte) (model.OID, error) {
+	raw, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, fmt.Errorf("storage: class %d: record without an OID: %w", class, model.ErrCorrupt)
+	}
+	oid := model.OID(raw)
+	if oid.Class() != class {
+		return 0, fmt.Errorf("storage: class %d: record of object %s: %w", class, oid, model.ErrCorrupt)
+	}
+	return oid, nil
 }
 
 // Count returns the number of live objects of exactly the given class.
@@ -431,7 +442,8 @@ func (s *Store) loadSegments() error {
 // longer than the persisted Last), and amputates torn pages: a page that
 // fails its checksum is cut out of the chain (see amputate), its records
 // left to logical WAL replay above this layer. A chain that loops or links
-// out of the file fails the open with model.ErrCorrupt.
+// out of the file fails the open with model.ErrCorrupt, and so does a live
+// record whose OID prefix does not parse or names another class (recordOID).
 func (s *Store) rebuildDirectory() error {
 	// Deterministic class order: recovery I/O must replay identically for
 	// the crash harness's schedule reproduction.
@@ -466,14 +478,11 @@ func (s *Store) rebuildDirectory() error {
 			return fmt.Errorf("storage: segment of class %d: %w", class, err)
 		}
 		h.Last = cmp.Or(prev, h.First) // an amputated head was reformatted in place
+		var oerr error
 		err = h.RecoverScan(func(rid RID, data []byte) bool {
-			raw, n := binary.Uvarint(data)
-			if n <= 0 {
-				return true // torn record: skip, WAL replay restores it
-			}
-			oid := model.OID(raw)
-			if oid.Class() != class {
-				return true // foreign record: corrupt, skip
+			var oid model.OID
+			if oid, oerr = recordOID(class, data); oerr != nil {
+				return false
 			}
 			s.dir[oid] = rid
 			if next := oid.Seq() + 1; next > s.seq[class] {
@@ -481,7 +490,7 @@ func (s *Store) rebuildDirectory() error {
 			}
 			return true
 		})
-		if err != nil {
+		if err = cmp.Or(err, oerr); err != nil {
 			return err
 		}
 	}

@@ -347,7 +347,7 @@ func TestStoreReopenRebuildsDirectory(t *testing.T) {
 	}
 }
 
-func TestStoreScanClass(t *testing.T) {
+func TestStoreScanImages(t *testing.T) {
 	s, _ := openTestStore(t, 64)
 	defer s.Close()
 	const a, b = model.ClassID(30), model.ClassID(31)
@@ -362,7 +362,7 @@ func TestStoreScanClass(t *testing.T) {
 		s.Put(oid, img(oid, "b"))
 	}
 	n := 0
-	s.ScanClass(a, func(oid model.OID, _ []byte) bool {
+	s.ScanImages(a, func(oid model.OID, _ []byte) bool {
 		if oid.Class() != a {
 			t.Errorf("scan leaked class %d", oid.Class())
 		}
@@ -374,9 +374,50 @@ func TestStoreScanClass(t *testing.T) {
 	}
 	// Early stop.
 	n = 0
-	s.ScanClass(a, func(model.OID, []byte) bool { n++; return n < 3 })
+	s.ScanImages(a, func(model.OID, []byte) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Errorf("early stop at %d, want 3", n)
+	}
+}
+
+// TestDamagedRecordOIDIsCorrupt: a live record whose OID prefix does not
+// parse, or names another class, is model.ErrCorrupt for the scan, the
+// segment rewrite and the directory rebuild of the next open — none of them
+// skips it.
+func TestDamagedRecordOIDIsCorrupt(t *testing.T) {
+	const a, b = model.ClassID(30), model.ClassID(31)
+	for name, bad := range map[string][]byte{
+		"unparsable": {0xff},
+		"foreign":    img(model.MakeOID(b, 1), "b"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, path := openTestStore(t, 64)
+			s.CreateSegment(a)
+			for i := 0; i < 5; i++ {
+				oid, _ := s.NewOID(a)
+				s.Put(oid, img(oid, "a"))
+			}
+			oid, _ := s.NewOID(a)
+			if err := s.Put(oid, bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ScanImages(a, func(model.OID, []byte) bool { return true }); !errors.Is(err, model.ErrCorrupt) {
+				t.Errorf("ScanImages: %v, want ErrCorrupt", err)
+			}
+			if _, _, err := s.RewriteSegment(a, nil); !errors.Is(err, model.ErrCorrupt) {
+				t.Errorf("RewriteSegment: %v, want ErrCorrupt", err)
+			}
+			if err := checkpoint(s); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if s, err := Open(path, Options{PoolPages: 64}); !errors.Is(err, model.ErrCorrupt) {
+				if err == nil {
+					s.Close()
+				}
+				t.Errorf("reopen: %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -164,14 +164,11 @@ func New(db *core.DB) (*Manager, error) {
 		dependents: make(map[model.OID]map[model.OID]bool),
 		stale:      make(map[model.OID]bool),
 	}
-	cl, err := db.Catalog.ClassByName(genericClassName)
-	if errors.Is(err, schema.ErrNoSuchClass) {
-		cl, err = db.DefineClass(genericClassName, nil,
-			schema.AttrSpec{Name: attrDefault, Domain: schema.ClassObject},
-			schema.AttrSpec{Name: attrNext, Domain: schema.ClassInteger, Default: model.Int(1)},
-			schema.AttrSpec{Name: attrVersions, Domain: schema.ClassObject, SetValued: true},
-		)
-	}
+	cl, err := db.SystemClass(genericClassName,
+		schema.AttrSpec{Name: attrDefault, Domain: schema.ClassObject},
+		schema.AttrSpec{Name: attrNext, Domain: schema.ClassInteger, Default: model.Int(1)},
+		schema.AttrSpec{Name: attrVersions, Domain: schema.ClassObject, SetValued: true},
+	)
 	if err != nil {
 		return nil, err
 	}

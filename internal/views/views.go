@@ -56,13 +56,10 @@ func New(db *core.DB) (*Manager, error) {
 		defs: make(map[string]string),
 		oids: make(map[string]model.OID),
 	}
-	cl, err := db.Catalog.ClassByName(defClassName)
-	if errors.Is(err, schema.ErrNoSuchClass) {
-		cl, err = db.DefineClass(defClassName, nil,
-			schema.AttrSpec{Name: "name", Domain: schema.ClassString},
-			schema.AttrSpec{Name: "source", Domain: schema.ClassString},
-		)
-	}
+	cl, err := db.SystemClass(defClassName,
+		schema.AttrSpec{Name: "name", Domain: schema.ClassString},
+		schema.AttrSpec{Name: "source", Domain: schema.ClassString},
+	)
 	if err != nil {
 		return nil, err
 	}
@@ -70,18 +67,14 @@ func New(db *core.DB) (*Manager, error) {
 	// Wire view-name resolution into the query engine: FROM <ViewName>
 	// plans as the view's query merged with the outer query.
 	m.eng.Views = m.lookup
-	err = db.Store.ScanClass(cl.ID, func(oid model.OID, data []byte) bool {
-		obj, derr := model.DecodeObject(data)
-		if derr != nil {
-			return true
-		}
+	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		nv, _ := db.AttrValue(obj, "name")
 		sv, _ := db.AttrValue(obj, "source")
 		name, _ := nv.AsString()
 		src, _ := sv.AsString()
 		if name != "" {
 			m.defs[name] = src
-			m.oids[name] = oid
+			m.oids[name] = obj.OID
 		}
 		return true
 	})

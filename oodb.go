@@ -101,6 +101,9 @@ var (
 // Compare defines the total order over values (also the index key order).
 var Compare = model.Compare
 
+// ParseOID parses an OID literal, "@class:seq" (the "@" is optional).
+var ParseOID = model.ParseOID
+
 // Attrs is the attribute map passed to Insert and Update.
 type Attrs = map[string]Value
 
