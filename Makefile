@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # The experiment families (bench_test.go, bench_system_test.go: E1-E19
-# and segment compaction) and the storage and WAL benchmarks, at the
-# default benchtime. -p 1: one package's benchmarks at a time. Narrow with
-# e.g. `go test -run '^$' -bench 'E17' .`
+# and segment compaction), the query executor's benchmarks (heap-scan
+# aggregate, ordered range with LIMIT) and the storage and WAL benchmarks,
+# at the default benchtime. -p 1: one package's benchmarks at a time.
+# Narrow with e.g. `go test -run '^$' -bench 'E17' .`
 bench:
-	$(GO) test -p 1 -run '^$$' -bench . -benchmem . ./internal/storage/ ./internal/wal/
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem . ./internal/query/ ./internal/storage/ ./internal/wal/
 
 # Every benchmark of the module once (-benchtime 1x), so a family whose
 # setup breaks or whose precondition fails is caught by verify, not by the

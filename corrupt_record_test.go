@@ -155,6 +155,28 @@ func TestDamagedRecordIsCorruptForEveryConsumer(t *testing.T) {
 			_, err := db.Query("SELECT name FROM Part WHERE w = 5")
 			return err
 		}},
+		// A streamed aggregate keeps no rows: it must fail, not return a
+		// count that left the record out. Part alone is scanned serially.
+		{"ScanAggregate", "Part", func(db *oodb.DB, _ corruptFixture) error {
+			_, err := db.Query("SELECT COUNT(*), SUM(w) FROM Part")
+			return err
+		}},
+		// With a subclass the scope is a hierarchy, scanned one class per
+		// goroutine.
+		{"ScanAggregateFanOut", "Part", func(db *oodb.DB, _ corruptFixture) error {
+			if _, err := db.DefineClass("Bolt", []string{"Part"}); err != nil {
+				return err
+			}
+			err := db.Do(func(tx *oodb.Tx) error {
+				_, err := tx.Insert("Bolt", oodb.Attrs{"name": oodb.String("bolt"), "w": oodb.Int(1)})
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			_, err = db.Query("SELECT COUNT(*), SUM(w) FROM Part")
+			return err
+		}},
 		// The failed build leaves no half-built index for the query to probe.
 		{"CreateIndex", "Part", func(db *oodb.DB, _ corruptFixture) error {
 			if err := db.CreateIndex("pw", "Part", []string{"w"}, false); !errors.Is(err, model.ErrCorrupt) {

@@ -216,7 +216,7 @@ func TestConcurrentHierarchyScansAndWriters(t *testing.T) {
 						wg.Add(1)
 						go func(i int, c model.ClassID) {
 							defer wg.Done()
-							tx.ScanLocked(c, func(model.Image) bool {
+							tx.ScanLocked(c, nil, func(model.Image) bool {
 								counts[i]++
 								return true
 							})

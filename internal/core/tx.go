@@ -311,7 +311,7 @@ func (tx *Tx) Scan(class model.ClassID, fn func(*model.Object) bool) error {
 		}
 	}
 	var derr error
-	err := tx.ScanLocked(class, func(im model.Image) bool {
+	err := tx.ScanLocked(class, nil, func(im model.Image) bool {
 		var obj *model.Object
 		if obj, derr = im.Decode(); derr != nil {
 			return false
@@ -332,16 +332,20 @@ func (tx *Tx) Scan(class model.ClassID, fn func(*model.Object) bool) error {
 // scans out in parallel. In snapshot mode no lock is assumed (there is
 // none): the scan resolves visibility by epoch instead.
 //
-// fn sees each instance as a view over its stored bytes, valid only until
-// fn returns; it decodes the object (Image.Decode) if it needs to keep it.
-func (tx *Tx) ScanLocked(class model.ClassID, fn func(model.Image) bool) error {
+// Each record is read in one pass (model.ReadImage): its structure is
+// checked — a damaged record stops the scan with ErrCorrupt — and the
+// attributes fields names are decoded into fields before fn sees the
+// record. fn sees it as a view over its stored bytes, valid only until fn
+// returns; it decodes the object (Image.Decode) if it needs to keep it.
+// Concurrent scans need fields of their own.
+func (tx *Tx) ScanLocked(class model.ClassID, fields []model.Field, fn func(model.Image) bool) error {
 	if tx.done {
 		return ErrTxnFinished
 	}
 	var verr error
 	visit := func(_ model.OID, data []byte) bool {
 		var im model.Image
-		if im, verr = model.ViewImage(data); verr != nil {
+		if im, verr = model.ReadImage(data, fields); verr != nil {
 			return false
 		}
 		return fn(im)

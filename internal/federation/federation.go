@@ -50,8 +50,8 @@ type Source interface {
 // to the Scan path. A source must only report handled=true for results
 // the Scan path would also give — the pushdown is an optimization, never a
 // semantic fork (pinned by the differential test). Both paths run the
-// engine's evaluator (query.Matches, query.OrderLimit); they can differ
-// only in how an entity's paths are read.
+// engine's compiled program (query.Compile) and query.OrderLimit; they can
+// differ only in how an entity's paths are read.
 type QueryableSource interface {
 	Source
 	RunQuery(q *query.Query) (res *Result, handled bool, err error)
@@ -144,10 +144,24 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 			res.Cols = append(res.Cols, p.String())
 		}
 	}
+	prog, err := query.Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	// The frame fills a slot through the lenient reader: an attribute the
+	// member does not have is null here, not the error it is inside the
+	// engine — members are heterogeneous.
+	var cur Entity
+	frame := prog.NewFrame(func(slot int) (model.Value, error) {
+		v, _ := cur.Get(prog.Path(slot))
+		return v, nil
+	})
 	var evalErr error
 	err = s.Scan(q.From, func(ent Entity) bool {
+		cur = ent
+		frame.Reset()
 		var ok bool
-		if ok, evalErr = query.Matches(q.Where, lenient(ent)); evalErr != nil || !ok {
+		if ok, evalErr = frame.Match(); evalErr != nil || !ok {
 			return evalErr == nil
 		}
 		row := Row{Entity: ent}
@@ -166,21 +180,13 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 	}
 	var key func(*Row) (model.Value, error)
 	if q.OrderBy != nil {
-		key = func(r *Row) (model.Value, error) { return lenient(r.Entity)(q.OrderBy.Steps) }
+		key = func(r *Row) (model.Value, error) {
+			v, _ := r.Entity.Get(q.OrderBy.Steps)
+			return v, nil
+		}
 	}
 	res.Rows, err = query.OrderLimit(res.Rows, key, q.Desc, q.Limit)
 	return res, err
-}
-
-// lenient is the accessor the engine's evaluator reads an entity through.
-// One evaluator, two accessors: an attribute the member does not have is
-// null here, not the error it is inside the engine — members are
-// heterogeneous — and that is the one thing this accessor decides.
-func lenient(ent Entity) query.Accessor {
-	return func(steps []string) (model.Value, error) {
-		v, _ := ent.Get(steps)
-		return v, nil
-	}
 }
 
 // ---------------------------------------------------------------------

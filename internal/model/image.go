@@ -5,16 +5,12 @@ import (
 	"fmt"
 )
 
-// Image is a read-only view over one encoded object — the bytes
-// EncodeObject writes and the heap stores. It lets a scan read the few
-// attributes a predicate or aggregate names without building the *Object:
-// Lookup walks the (AttrID, Value) pairs, skipping the values it is not
-// asked for, and allocates nothing for scalar values. Decode materialises
+// Image is one encoded object — the bytes EncodeObject writes and the
+// heap stores — whose structure ReadImage has checked. Decode materialises
 // the full object for the rows that need one.
 //
 // An Image borrows the bytes it was made from: it is valid for as long as
-// they are, and values read through it are copies (strings included), so
-// they may outlive it.
+// they are.
 type Image struct {
 	oid   OID
 	pairs []byte // n × (AttrID uvarint, Value), ids strictly ascending
@@ -34,25 +30,47 @@ func imageHeader(buf []byte) (Image, error) {
 	return Image{oid: OID(oid), pairs: buf[n+m:], n: int(cnt)}, nil
 }
 
-// ViewImage checks the structure of an encoded object — every pair is
-// walked once, values skipped rather than decoded — and returns the view.
-// Truncated or malformed bytes yield ErrCorrupt, and so do attribute ids
-// that are not strictly ascending (EncodeObject writes no other order); a
-// view that was returned never fails a later Lookup or Decode and never
-// reads past buf.
-func ViewImage(buf []byte) (Image, error) {
+// Field is one attribute a record read picks out: the caller sets ID,
+// ReadImage sets V to the stored value and OK to whether one is stored.
+type Field struct {
+	ID AttrID
+	V  Value
+	OK bool
+}
+
+// ReadImage checks the structure of an encoded object in one pass over its
+// pairs and, in the same pass, decodes the values of the attributes fields
+// asks for (ids ascending, no repeats); every other value is skipped, not
+// decoded. Truncated or malformed bytes yield ErrCorrupt, and so do
+// attribute ids that are not strictly ascending (EncodeObject writes no
+// other order): ReadImage accepts exactly what DecodeObject accepts, and
+// a field reads what DecodeObject(buf).Lookup(ID) returns. The returned
+// image never fails a later Decode and never reads past buf. Values
+// decoded into fields are copies (strings included), so they may outlive
+// buf; after an error the fields hold nothing meaningful.
+func ReadImage(buf []byte, fields []Field) (Image, error) {
 	im, err := imageHeader(buf)
 	if err != nil {
 		return Image{}, err
 	}
-	rest := im.pairs
+	rest, next := im.pairs, 0
 	var prev AttrID
 	for i := 0; i < im.n; i++ {
 		id, m := binary.Uvarint(rest)
 		if m <= 0 {
 			return Image{}, ErrCorrupt
 		}
-		used, err := skipValue(rest[m:], 0)
+		for ; next < len(fields) && fields[next].ID < AttrID(id); next++ {
+			fields[next].V, fields[next].OK = Null, false
+		}
+		var used int
+		if next < len(fields) && fields[next].ID == AttrID(id) {
+			fields[next].V, used, err = decodeValue(rest[m:], 0)
+			fields[next].OK = true
+			next++
+		} else {
+			used, err = skipValue(rest[m:], 0)
+		}
 		if err != nil {
 			return Image{}, err
 		}
@@ -62,34 +80,14 @@ func ViewImage(buf []byte) (Image, error) {
 		}
 		prev = AttrID(id)
 	}
+	for ; next < len(fields); next++ {
+		fields[next].V, fields[next].OK = Null, false
+	}
 	return im, nil
 }
 
 // OID returns the identity stored in the image.
 func (im Image) OID() OID { return im.oid }
-
-// Lookup returns the stored value of attribute a and whether it is
-// present, exactly as Decode().Lookup(a) would.
-func (im Image) Lookup(a AttrID) (Value, bool) {
-	rest := im.pairs
-	for i := 0; i < im.n; i++ {
-		id, m := binary.Uvarint(rest)
-		rest = rest[m:]
-		if AttrID(id) >= a {
-			if AttrID(id) > a {
-				break
-			}
-			v, _, err := DecodeValue(rest)
-			return v, err == nil
-		}
-		used, err := skipValue(rest, 0)
-		if err != nil {
-			break
-		}
-		rest = rest[used:]
-	}
-	return Null, false
-}
 
 // Decode materialises the object.
 func (im Image) Decode() (*Object, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,27 +21,40 @@ func rawImage(oid OID, pairs []AttrVal) []byte {
 	return buf
 }
 
-// checkImage requires the view of buf to agree with DecodeObject on the
-// identity, on every attribute id up to maxID (present and absent alike)
-// and on the decoded object.
+// readFields reads ids (ascending, no repeats) out of buf in one pass.
+func readFields(buf []byte, ids []AttrID) (Image, []Field, error) {
+	fields := make([]Field, len(ids))
+	for i, id := range ids {
+		fields[i] = Field{ID: id, V: Int(-1), OK: true} // stale values the read must clear
+	}
+	im, err := ReadImage(buf, fields)
+	return im, fields, err
+}
+
+// checkImage requires the one-pass read of buf to agree with DecodeObject
+// on the identity, on every attribute id up to maxID (present and absent
+// alike) and on the decoded object.
 func checkImage(t *testing.T, buf []byte, maxID AttrID) {
 	t.Helper()
 	want, err := DecodeObject(buf)
 	if err != nil {
 		t.Fatalf("DecodeObject: %v", err)
 	}
-	im, err := ViewImage(buf)
+	var ids []AttrID
+	for id := AttrID(0); id <= maxID; id++ {
+		ids = append(ids, id)
+	}
+	im, fields, err := readFields(buf, ids)
 	if err != nil {
-		t.Fatalf("ViewImage rejects what DecodeObject accepts: %v", err)
+		t.Fatalf("ReadImage rejects what DecodeObject accepts: %v", err)
 	}
 	if im.OID() != want.OID {
 		t.Fatalf("OID %s, want %s", im.OID(), want.OID)
 	}
-	for id := AttrID(0); id <= maxID; id++ {
-		gv, gok := im.Lookup(id)
-		wv, wok := want.Lookup(id)
-		if gok != wok || Compare(gv, wv) != 0 || gv.Kind() != wv.Kind() {
-			t.Fatalf("Lookup(%d) = %v,%v; object has %v,%v", id, gv, gok, wv, wok)
+	for _, f := range fields {
+		wv, wok := want.Lookup(f.ID)
+		if f.OK != wok || Compare(f.V, wv) != 0 || f.V.Kind() != wv.Kind() {
+			t.Fatalf("field %d = %v,%v; object has %v,%v", f.ID, f.V, f.OK, wv, wok)
 		}
 	}
 	got, err := im.Decode()
@@ -77,8 +91,8 @@ func TestImageMatchesDecodeObject(t *testing.T) {
 		r.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
 		pairs = append(pairs, AttrVal{ID: pairs[r.Intn(len(pairs))].ID, V: randValue(r, 1)})
 		buf := rawImage(oid, pairs)
-		if _, err := ViewImage(buf); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ViewImage of ids out of order: %v, want ErrCorrupt", err)
+		if _, _, err := readFields(buf, []AttrID{pairs[0].ID}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadImage of ids out of order: %v, want ErrCorrupt", err)
 		}
 		if _, err := DecodeObject(buf); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("DecodeObject of ids out of order: %v, want ErrCorrupt", err)
@@ -86,31 +100,29 @@ func TestImageMatchesDecodeObject(t *testing.T) {
 	}
 }
 
-// TestImageLookupStopsEarly pins the skip: a lookup of a leading attribute
-// never touches the bytes behind it.
-func TestImageLookupStopsEarly(t *testing.T) {
+// TestReadImageScalarsDoNotAllocate pins what a heap scan's per-row cost
+// rests on: reading integer fields, present or absent, allocates nothing.
+func TestReadImageScalarsDoNotAllocate(t *testing.T) {
 	obj := NewObject(MakeOID(3, 9))
 	obj.Set(2, Int(41))
 	obj.Set(5, String("tail"))
+	obj.Set(7, Float(2.5))
 	buf := EncodeObject(obj)
-	im, err := ViewImage(buf)
-	if err != nil {
+	fields := []Field{{ID: 1}, {ID: 2}, {ID: 4}, {ID: 7}}
+	if _, err := ReadImage(buf, fields); err != nil {
 		t.Fatal(err)
 	}
-	for i := len(buf) - 5; i < len(buf); i++ {
-		buf[i] = 0xFF // wreck the string behind the view's back
+	if f := fields[1]; !f.OK || Compare(f.V, Int(41)) != 0 {
+		t.Fatalf("field 2 = %v,%v", f.V, f.OK)
 	}
-	if v, ok := im.Lookup(2); !ok || Compare(v, Int(41)) != 0 {
-		t.Fatalf("Lookup(2) = %v,%v", v, ok)
+	if fields[0].OK || fields[2].OK {
+		t.Fatal("an absent attribute was found")
 	}
-	if _, ok := im.Lookup(1); ok {
-		t.Fatal("Lookup(1) found an absent attribute")
+	if f := fields[3]; !f.OK || Compare(f.V, Float(2.5)) != 0 {
+		t.Fatalf("field 7 = %v,%v", f.V, f.OK)
 	}
-	if _, ok := im.Lookup(4); ok {
-		t.Fatal("Lookup(4) found an absent attribute")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { im.Lookup(2) }); allocs != 0 {
-		t.Fatalf("Lookup of an integer allocates %.1f objects", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { ReadImage(buf, fields) }); allocs != 0 {
+		t.Fatalf("ReadImage of scalar fields allocates %.1f objects", allocs)
 	}
 }
 
@@ -148,32 +160,39 @@ func fuzzSeeds(f *testing.F) {
 	}
 }
 
-// FuzzImage: on any bytes ViewImage and DecodeObject agree on whether the
-// image is sound — failing only with ErrCorrupt — and a sound image reads
-// the same through the view as through the object.
+// FuzzImage: on any bytes ReadImage and DecodeObject agree on whether the
+// image is sound — failing only with ErrCorrupt — and a sound image's
+// fields read, for every requested id (present, absent, 0, 1<<31), the
+// value and presence the decoded object's Lookup gives.
 func FuzzImage(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		im, verr := ViewImage(buf)
 		obj, derr := DecodeObject(buf)
-		if (verr == nil) != (derr == nil) {
-			t.Fatalf("ViewImage err %v, DecodeObject err %v", verr, derr)
+		probe := []AttrID{0, 1, 1 << 31}
+		if derr == nil {
+			for _, av := range obj.AttrVals() {
+				probe = append(probe, av.ID, av.ID+1)
+			}
 		}
-		if verr != nil {
-			if !errors.Is(verr, ErrCorrupt) || !errors.Is(derr, ErrCorrupt) {
-				t.Fatalf("untyped error: %v / %v", verr, derr)
+		slices.Sort(probe)
+		ids := slices.Compact(probe)
+		im, fields, rerr := readFields(buf, ids)
+		if (rerr == nil) != (derr == nil) {
+			t.Fatalf("ReadImage err %v, DecodeObject err %v", rerr, derr)
+		}
+		if rerr != nil {
+			if !errors.Is(rerr, ErrCorrupt) || !errors.Is(derr, ErrCorrupt) {
+				t.Fatalf("untyped error: %v / %v", rerr, derr)
 			}
 			return
 		}
-		ids := []AttrID{0, 1, 1 << 31}
-		for _, av := range obj.AttrVals() {
-			ids = append(ids, av.ID, av.ID+1)
+		if im.OID() != obj.OID {
+			t.Fatalf("OID %s, want %s", im.OID(), obj.OID)
 		}
-		for _, id := range ids {
-			gv, gok := im.Lookup(id)
-			wv, wok := obj.Lookup(id)
-			if gok != wok || gv.Kind() != wv.Kind() || (gok && !bytes.Equal(AppendValue(nil, gv), AppendValue(nil, wv))) {
-				t.Fatalf("Lookup(%d) = %v,%v; object has %v,%v", id, gv, gok, wv, wok)
+		for _, f := range fields {
+			wv, wok := obj.Lookup(f.ID)
+			if f.OK != wok || f.V.Kind() != wv.Kind() || (wok && !bytes.Equal(AppendValue(nil, f.V), AppendValue(nil, wv))) {
+				t.Fatalf("field %d = %v,%v; object has %v,%v", f.ID, f.V, f.OK, wv, wok)
 			}
 		}
 	})

@@ -37,16 +37,16 @@ func Partial(f AggFunc, v, count model.Value) (Accumulator, error) {
 	if f == AggCount {
 		v, count = model.Null, v
 	}
-	err := a.add(v) // one reported value, not a set to spread
+	err := a.add(&v) // one reported value, not a set to spread
 	a.count, _ = count.AsInt()
 	return a, err
 }
 
-// Add folds one value in.
-func (a *Accumulator) Add(v model.Value) error {
+// Add folds one value in. v is only read.
+func (a *Accumulator) Add(v *model.Value) error {
 	if members, ok := v.AsSet(); ok {
-		for _, m := range members {
-			if err := a.add(m); err != nil {
+		for i := range members {
+			if err := a.add(&members[i]); err != nil {
 				return err
 			}
 		}
@@ -55,7 +55,7 @@ func (a *Accumulator) Add(v model.Value) error {
 	return a.add(v)
 }
 
-func (a *Accumulator) add(v model.Value) error {
+func (a *Accumulator) add(v *model.Value) error {
 	if v.IsNull() {
 		return nil
 	}
@@ -70,7 +70,7 @@ func (a *Accumulator) add(v model.Value) error {
 			return fmt.Errorf("query: %s over non-numeric value %s", a.fn, v)
 		}
 	case AggMin, AggMax:
-		a.keepBest(v)
+		a.keepBest(*v)
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"oodb/internal/core"
 	"oodb/internal/model"
 	"oodb/internal/schema"
 )
@@ -28,78 +31,15 @@ func (e *Engine) bindStep(class model.ClassID, step string) binding {
 	return binding{class: class, step: step}
 }
 
-// bindings are the path heads one execution (or one scan worker, for its
-// class) has resolved so far. Resolving costs a catalog lock and two map
-// lookups, so the first step of every path in a statement is resolved once
-// per class met, not once per row; the steps behind a reference resolve as
-// they are reached, against the class of the object they land on. A
-// statement has a few heads and meets a few classes, so the table is a
-// slice searched in order — and past maxBindings entries, where searching
-// would cost more than resolving, it stops growing.
-type bindings []binding
-
-const maxBindings = 64
-
-// row is the evaluator's handle on one candidate: its stored image, its
-// decoded object, or both. A heap scan starts from the image and decodes
-// only on demand; an index probe fetched the object already.
-type row struct {
-	im   model.Image
-	obj  *model.Object
-	bind *bindings // nil: resolve every step afresh
-}
-
-// object returns the candidate decoded, decoding it at most once.
-func (r *row) object() (*model.Object, error) {
-	if r.obj == nil {
-		obj, err := r.im.Decode()
-		if err != nil {
-			return nil, err
-		}
-		r.obj = obj
-	}
-	return r.obj, nil
-}
-
-func (r *row) class() model.ClassID {
-	if r.obj != nil {
-		return r.obj.Class()
-	}
-	return r.im.OID().Class()
-}
-
-// binding returns the candidate's class's binding for a path head.
-func (r *row) binding(e *Engine, step string) *binding {
-	class := r.class()
-	if r.bind != nil {
-		for i := range *r.bind {
-			if b := &(*r.bind)[i]; b.class == class && b.step == step {
-				return b
-			}
-		}
-		if len(*r.bind) < maxBindings {
-			*r.bind = append(*r.bind, e.bindStep(class, step))
-			return &(*r.bind)[len(*r.bind)-1]
-		}
-	}
-	b := e.bindStep(class, step)
-	return &b
-}
-
 // errNoAttr is the one wording of ErrNoAttr, for the planner's path-head
 // check and the executor alike.
 func (e *Engine) errNoAttr(b *binding) error {
 	return fmt.Errorf("%w %q on %s", ErrNoAttr, b.step, e.className(b.class))
 }
 
-// readStep reads one path step on one candidate.
-func (e *Engine) readStep(r *row, step string) (model.Value, error) {
-	return e.stepValue(r, r.binding(e, step))
-}
-
-// stepValue reads one bound step on one candidate: the stored value, else
-// the class default; or the method's result (late-bound, no arguments).
-func (e *Engine) stepValue(r *row, b *binding) (model.Value, error) {
+// readStep reads one bound step on obj: the stored value, else the class
+// default; or the method's result (late-bound, no arguments).
+func (e *Engine) readStep(b *binding, obj *model.Object) (model.Value, error) {
 	switch {
 	case !b.found:
 		return model.Null, e.errNoAttr(b)
@@ -107,21 +47,189 @@ func (e *Engine) stepValue(r *row, b *binding) (model.Value, error) {
 		if b.method.Impl == nil {
 			return model.Null, fmt.Errorf("query: method %q has no registered implementation", b.step)
 		}
-		obj, err := r.object()
-		if err != nil {
-			return model.Null, err
-		}
 		return b.method.Impl(e.db, obj, nil)
 	}
-	var v model.Value
-	var ok bool
-	if r.obj != nil {
-		v, ok = r.obj.Lookup(b.attr)
-	} else {
-		v, ok = r.im.Lookup(b.attr)
+	if v, ok := obj.Lookup(b.attr); ok {
+		return v, nil
 	}
-	if !ok {
+	return b.def, nil
+}
+
+// EvalPath walks a path from obj as the executor does for a candidate:
+// attributes (stored value or class default) and methods are steps, interior
+// references are followed, set-valued steps fan out. A nil tx, like a locked
+// one, reads the objects the path crosses from the heap.
+func (e *Engine) EvalPath(tx *core.Tx, obj *model.Object, steps []string) (model.Value, error) {
+	return WalkPath(obj, steps, func(o *model.Object, step string) (model.Value, error) {
+		b := e.bindStep(o.Class(), step)
+		return e.readStep(&b, o)
+	}, func(oid model.OID) (*model.Object, error) { return e.deref(tx, oid) })
+}
+
+// slotBinding is one slot of a program bound to one class.
+type slotBinding struct {
+	head  binding // the path's first step on the class
+	field int     // a scan's index of the head in cand.fields, or -1
+}
+
+// cand evaluates one execution's program on one candidate at a time: a
+// record a heap scan is reading, or an object an index probe fetched. One
+// scan worker, or the single-threaded stages of one execution, owns it.
+type cand struct {
+	Frame
+	e     *Engine
+	tx    *core.Tx
+	bound []model.ClassID // the classes met so far; a probe's candidates mix them
+	binds []slotBinding   // each bound class's slots, len(prog.paths) apiece
+	cs    []slotBinding   // the current candidate's class's slots
+	// fields are the attributes a heap scan decodes in its pass over each
+	// record: the heads of the slots the WHERE clause and the aggregates
+	// read, ascending, no repeats.
+	fields []model.Field
+	im     model.Image   // the record, while scanned
+	inScan bool          // im is the current candidate's record
+	obj    *model.Object // the candidate decoded, once it is
+	// inner caches the steps behind a reference, resolved against the
+	// class of the object each lands on.
+	inner map[innerStep]binding
+}
+
+type innerStep struct {
+	class model.ClassID
+	step  string
+}
+
+// newCand returns a candidate for prog with room to bind classes classes.
+func (e *Engine) newCand(tx *core.Tx, prog *Program, classes int) *cand {
+	c := &cand{e: e, tx: tx, Frame: Frame{prog: prog, slots: make([]slotValue, len(prog.paths))},
+		bound: make([]model.ClassID, 0, classes), binds: make([]slotBinding, 0, classes*len(prog.paths))}
+	c.Frame.fill = c.fill
+	return c
+}
+
+// bind returns the program's slots bound to class, binding them on first
+// use.
+func (c *cand) bind(class model.ClassID) []slotBinding {
+	n := len(c.prog.paths)
+	for k, bc := range c.bound {
+		if bc == class {
+			return c.binds[k*n : (k+1)*n]
+		}
+	}
+	for _, steps := range c.prog.paths {
+		c.binds = append(c.binds, slotBinding{head: c.e.bindStep(class, steps[0]), field: -1})
+	}
+	c.bound = append(c.bound, class)
+	return c.binds[len(c.binds)-n:]
+}
+
+// scanClass binds the program to the class a heap scan reads and sets up
+// the fields its pass over each record decodes.
+func (c *cand) scanClass(class model.ClassID) {
+	c.cs = c.bind(class)
+	byAttr := func(f model.Field, a model.AttrID) int { return cmp.Compare(f.ID, a) }
+	for slot := range c.cs[:c.prog.scanned] {
+		if b := &c.cs[slot].head; b.found && b.method == nil {
+			if i, found := slices.BinarySearchFunc(c.fields, b.attr, byAttr); !found {
+				c.fields = slices.Insert(c.fields, i, model.Field{ID: b.attr})
+			}
+		}
+	}
+	for slot := range c.cs[:c.prog.scanned] {
+		if b := &c.cs[slot].head; b.found && b.method == nil {
+			c.cs[slot].field, _ = slices.BinarySearchFunc(c.fields, b.attr, byAttr)
+		}
+	}
+}
+
+// scan points the candidate at a record that ScanLocked read with
+// c.fields, and fills the one-step slots whose attribute the read decoded.
+// A set is left to fill, which flattens it.
+func (c *cand) scan(im model.Image) {
+	c.Reset()
+	c.im, c.inScan, c.obj = im, true, nil
+	for slot := range c.cs {
+		sb := &c.cs[slot]
+		if sb.field < 0 || len(c.prog.paths[slot]) > 1 {
+			continue
+		}
+		v := &sb.head.def
+		if f := &c.fields[sb.field]; f.OK {
+			v = &f.V
+		}
+		if v.Kind() != model.KindSet {
+			c.slots[slot] = slotValue{v: *v, have: true}
+		}
+	}
+}
+
+// object points the candidate at a decoded object.
+func (c *cand) object(obj *model.Object) {
+	c.Reset()
+	c.cs = c.bind(obj.Class())
+	c.im, c.inScan, c.obj = model.Image{}, false, obj
+}
+
+// decoded returns the candidate as an object, decoding its record at most
+// once.
+func (c *cand) decoded() (*model.Object, error) {
+	if c.obj == nil {
+		obj, err := c.im.Decode()
+		if err != nil {
+			return nil, err
+		}
+		c.obj = obj
+	}
+	return c.obj, nil
+}
+
+// fill reads a slot's path on the candidate. A one-step path ends as a
+// walk does: a set is flattened, so a singleton yields its member and an
+// empty set null.
+func (c *cand) fill(slot int) (model.Value, error) {
+	steps := c.prog.paths[slot]
+	if len(steps) == 1 {
+		v, err := c.head(slot)
+		if members, ok := v.AsSet(); ok {
+			v = terminal(members)
+		}
+		return v, err
+	}
+	// The walk starts on the candidate, which nil stands for.
+	return WalkPath(nil, steps, func(o *model.Object, step string) (model.Value, error) {
+		if o == nil {
+			return c.head(slot)
+		}
+		key := innerStep{o.Class(), step}
+		b, ok := c.inner[key]
+		if !ok {
+			if c.inner == nil {
+				c.inner = make(map[innerStep]binding)
+			}
+			b = c.e.bindStep(key.class, step)
+			c.inner[key] = b
+		}
+		return c.e.readStep(&b, o)
+	}, func(oid model.OID) (*model.Object, error) { return c.e.deref(c.tx, oid) })
+}
+
+// head reads the first step of a slot's path on the candidate: from the
+// fields the scan decoded when it has them, else from the object.
+func (c *cand) head(slot int) (model.Value, error) {
+	sb := &c.cs[slot]
+	b := &sb.head
+	if sb.field >= 0 && c.inScan {
+		if f := &c.fields[sb.field]; f.OK {
+			return f.V, nil
+		}
 		return b.def, nil
 	}
-	return v, nil
+	if !b.found {
+		return model.Null, c.e.errNoAttr(b)
+	}
+	obj, err := c.decoded()
+	if err != nil {
+		return model.Null, err
+	}
+	return c.e.readStep(b, obj)
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"oodb/internal/model"
@@ -12,94 +11,15 @@ import (
 // of the class it is read on.
 var ErrNoAttr = errors.New("query: no such attribute or method")
 
-// Accessor reads one path on the candidate under evaluation. What an
-// unknown step means is the accessor's business: the engine's returns
-// ErrNoAttr, the federation's reads it as null.
-type Accessor func(steps []string) (model.Value, error)
-
-// Matches evaluates a predicate against the candidate behind get; a nil
-// predicate matches everything. It is the only evaluator: the executor and
-// the federation's Scan path, for every kind of member, both run it.
-func Matches(ex Expr, get Accessor) (bool, error) {
-	switch n := ex.(type) {
-	case nil:
-		return true, nil
-	case *Binary:
-		switch n.Op {
-		case OpAnd:
-			l, err := Matches(n.L, get)
-			if err != nil || !l {
-				return false, err
-			}
-			return Matches(n.R, get)
-		case OpOr:
-			l, err := Matches(n.L, get)
-			if err != nil || l {
-				return l, err
-			}
-			return Matches(n.R, get)
-		case OpIn:
-			lv, err := evalValue(n.L, get)
-			if err != nil {
-				return false, err
-			}
-			list, ok := n.R.(*List)
-			if !ok {
-				return false, fmt.Errorf("query: IN requires a literal list")
-			}
-			for _, item := range list.Items {
-				if compareOp(OpEq, lv, item) {
-					return true, nil
-				}
-			}
-			return false, nil
-		default:
-			lv, err := evalValue(n.L, get)
-			if err != nil {
-				return false, err
-			}
-			rv, err := evalValue(n.R, get)
-			if err != nil {
-				return false, err
-			}
-			if n.Op == OpContains {
-				return lv.Contains(rv), nil
-			}
-			return compareOp(n.Op, lv, rv), nil
-		}
-	case *Not:
-		v, err := Matches(n.E, get)
-		return !v, err
-	case *PathExpr, *Lit:
-		v, err := evalValue(ex, get)
-		b, _ := v.AsBool()
-		return b, err
-	default:
-		return false, fmt.Errorf("query: cannot evaluate %T as boolean", ex)
-	}
-}
-
-// evalValue evaluates an operand expression to a value.
-func evalValue(ex Expr, get Accessor) (model.Value, error) {
-	switch n := ex.(type) {
-	case *Lit:
-		return n.V, nil
-	case *PathExpr:
-		return get(n.Path.Steps)
-	default:
-		return model.Null, fmt.Errorf("query: cannot evaluate %T as value", ex)
-	}
-}
-
 // compareOp applies a comparison with SQL-style null semantics: ordering
 // comparisons with null are false; equality treats null = null as true
 // (needed for `path = null` existence tests). Multi-valued operands
 // (set-valued attributes, paths through set-valued references) compare
 // existentially, and so does IN, which is compareOp(OpEq) per list item.
-func compareOp(op BinOp, l, r model.Value) bool {
+func compareOp(op BinOp, l, r *model.Value) bool {
 	if lm, ok := l.AsSet(); ok && r.Kind() != model.KindSet {
-		for _, m := range lm {
-			if compareOp(op, m, r) {
+		for i := range lm {
+			if compareOp(op, &lm[i], r) {
 				return true
 			}
 		}
@@ -107,14 +27,14 @@ func compareOp(op BinOp, l, r model.Value) bool {
 	}
 	switch op {
 	case OpEq:
-		return model.Compare(l, r) == 0
+		return model.Compare(*l, *r) == 0
 	case OpNe:
-		return model.Compare(l, r) != 0
+		return model.Compare(*l, *r) != 0
 	}
 	if l.IsNull() || r.IsNull() {
 		return false
 	}
-	c := model.Compare(l, r)
+	c := model.Compare(*l, *r)
 	switch op {
 	case OpLt:
 		return c < 0

@@ -71,9 +71,9 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		return nil, err
 	}
 	q := p.Query
-	// cur is the candidate slot, and the bindings, of the single-threaded
-	// stages: probe, sort, fold and projection point it at one row at a time.
-	cur := &row{bind: new(bindings)}
+	// cur runs the program in the single-threaded stages: probe, sort, fold
+	// and projection point it at one row at a time.
+	cur := e.newCand(tx, p.prog, len(p.Scope))
 
 	var rows []Row
 	var aggs []Accumulator // set when the scan folded the aggregates itself
@@ -100,8 +100,12 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		sortSpan = span.Child("sort")
 		sortSpan.Set("rows_in", int64(len(rows)))
 		sortKey = func(r *Row) (model.Value, error) {
-			cur.obj = r.Object
-			return e.evalPath(tx, cur, q.OrderBy.Steps)
+			cur.object(r.Object)
+			v, err := cur.value(p.prog.order)
+			if err != nil {
+				return model.Null, err
+			}
+			return *v, nil
 		}
 	}
 	rows, err = OrderLimit(rows, sortKey, q.Desc, q.Limit)
@@ -117,8 +121,8 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		if aggs == nil {
 			aggs, matched = newAccumulators(q), uint64(len(rows))
 			for i := range rows {
-				cur.obj = rows[i].Object
-				if err := e.accumulate(tx, q, aggs, cur); err != nil {
+				cur.object(rows[i].Object)
+				if err := cur.accumulate(aggs); err != nil {
 					return nil, err
 				}
 			}
@@ -155,13 +159,13 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		backing := make([]model.Value, len(rows)*w)
 		for i := range rows {
 			vals := backing[i*w : (i+1)*w : (i+1)*w]
-			cur.obj = rows[i].Object
-			for j, path := range q.Select {
-				v, err := e.evalPath(tx, cur, path.Steps)
+			cur.object(rows[i].Object)
+			for j, slot := range p.prog.sel {
+				v, err := cur.value(slot)
 				if err != nil {
 					return nil, err
 				}
-				vals[j] = v
+				vals[j] = *v
 			}
 			rows[i].Values = vals
 		}
@@ -178,13 +182,6 @@ func earlyLimit(p *Plan, ordered bool) int {
 		return p.Query.Limit
 	}
 	return 0
-}
-
-// accessor binds the evaluator to one candidate slot: the caller points r
-// at each candidate in turn, so a scan worker or a probe makes one accessor,
-// not one per row.
-func (e *Engine) accessor(tx *core.Tx, r *row) Accessor {
-	return func(steps []string) (model.Value, error) { return e.evalPath(tx, r, steps) }
 }
 
 // deref resolves an interior reference for path evaluation. Snapshot
@@ -276,10 +273,11 @@ type scanPart struct {
 	err     error
 }
 
-// scanClass scans scope class i. The predicate — and, when the statement
-// streams its aggregates, their arguments — is evaluated on the stored
-// image through the class's bindings; an object is decoded only for a row
-// that matched and is kept, or when a path step is a method.
+// scanClass scans scope class i. The program's slots are bound to the
+// class once, and each record is read in one pass that checks it and
+// decodes the attributes the predicate and the aggregates start from; an
+// object is decoded only for a row that matched and is kept, or when a
+// path step is a method.
 func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, full *atomic.Int64) (part scanPart) {
 	if int64(i) > full.Load() {
 		return part
@@ -287,29 +285,29 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 	class := p.Scope[i]
 	cs := span.Child("scan " + e.className(class))
 	defer cs.End()
-	r := &row{bind: new(bindings)}
-	get := e.accessor(tx, r)
+	c := e.newCand(tx, p.prog, 1)
+	c.scanClass(class)
 	if streamsAggregates(p.Query) {
 		part.aggs = newAccumulators(p.Query)
 	}
 	var scanned uint64
-	err := tx.ScanLocked(class, func(im model.Image) bool {
+	err := tx.ScanLocked(class, c.fields, func(im model.Image) bool {
 		if int64(i) > full.Load() {
 			return false
 		}
 		scanned++
-		r.im, r.obj = im, nil
+		c.scan(im)
 		var ok bool
-		if ok, part.err = Matches(p.Query.Where, get); part.err != nil || !ok {
+		if ok, part.err = c.Match(); part.err != nil || !ok {
 			return part.err == nil
 		}
 		part.matched++
 		if part.aggs != nil {
-			part.err = e.accumulate(tx, p.Query, part.aggs, r)
+			part.err = c.accumulate(part.aggs)
 			return part.err == nil
 		}
 		var obj *model.Object
-		if obj, part.err = r.object(); part.err != nil {
+		if obj, part.err = c.decoded(); part.err != nil {
 			return false
 		}
 		part.rows = append(part.rows, Row{OID: obj.OID, Object: obj})
@@ -358,7 +356,7 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 // before the index moves, which is why the overlay is read after the walk.
 // The full WHERE re-evaluation in collect keeps stale postings out on both
 // paths.
-func (e *Engine) probeRows(tx *core.Tx, p *Plan, r *row, span *obs.Span, ordered bool) ([]Row, bool, error) {
+func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, ordered bool) ([]Row, bool, error) {
 	scopeSet := make(map[model.ClassID]bool, len(p.Scope))
 	for _, c := range p.Scope {
 		scopeSet[c] = true
@@ -389,7 +387,6 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, r *row, span *obs.Span, ordered
 	// walk goes on (limit not yet satisfied, no evaluation error).
 	var examined, matched uint64
 	var cerr error
-	get := e.accessor(tx, r)
 	collect := func(oid model.OID) bool {
 		if seen[oid] {
 			return true
@@ -403,8 +400,8 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, r *row, span *obs.Span, ordered
 		if !scopeSet[obj.Class()] {
 			return true
 		}
-		r.obj = obj
-		ok, err := Matches(p.Query.Where, get)
+		cur.object(obj)
+		ok, err := cur.Match()
 		if err != nil {
 			cerr = err
 			return false
@@ -413,12 +410,12 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, r *row, span *obs.Span, ordered
 			return true
 		}
 		if ordered {
-			v, err := e.evalPath(tx, r, p.Query.OrderBy.Steps)
+			v, err := cur.value(p.prog.order)
 			if err != nil {
 				cerr = err
 				return false
 			}
-			if !model.KeyExact(v) {
+			if !model.KeyExact(*v) {
 				// Nothing was skipped so far; collect the rest and sort.
 				ordered, limit = false, earlyLimit(p, false)
 			}
@@ -517,59 +514,4 @@ func newAccumulators(q *Query) []Accumulator {
 		aggs[i] = NewAccumulator(agg.Func)
 	}
 	return aggs
-}
-
-// countStar is what COUNT(*) adds for a row: any non-null value counts.
-var countStar = model.Bool(true)
-
-// accumulate feeds one matched row to the statement's aggregates.
-func (e *Engine) accumulate(tx *core.Tx, q *Query, aggs []Accumulator, r *row) error {
-	for i, agg := range q.Aggregates {
-		v := countStar
-		if agg.Path != nil {
-			var err error
-			if v, err = e.evalPath(tx, r, agg.Path.Steps); err != nil {
-				return err
-			}
-		}
-		if err := aggs[i].Add(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EvalPath walks a path from obj as the executor does for a candidate:
-// attributes (stored value or class default) and methods are steps, interior
-// references are followed, set-valued steps fan out. A nil tx, like a locked
-// one, reads the objects the path crosses from the heap.
-func (e *Engine) EvalPath(tx *core.Tx, obj *model.Object, steps []string) (model.Value, error) {
-	return e.evalPath(tx, &row{obj: obj}, steps)
-}
-
-// evalPath is WalkPath over the database: each step reads an attribute or
-// invokes a method as a derived attribute, and a dangling reference
-// dead-ends. The first step reads through the candidate's bindings, from its
-// stored image when that is all the row has; later steps run on the objects
-// the path crosses, resolve against their own classes and share the
-// candidate's bindings table.
-func (e *Engine) evalPath(tx *core.Tx, r *row, steps []string) (model.Value, error) {
-	// Single-step fast path: the common `WHERE attr op k` shape. Scans
-	// evaluate this once per object, so the general walk (closures, a slice
-	// per step) would turn hot loops GC-bound. It ends as the walk does: a
-	// set is flattened, so a singleton yields its member, an empty set null.
-	if len(steps) == 1 {
-		v, err := e.stepValue(r, r.binding(e, steps[0]))
-		if members, ok := v.AsSet(); ok {
-			v = terminal(members)
-		}
-		return v, err
-	}
-	return WalkPath(r, steps, e.readStep, func(oid model.OID) (*row, error) {
-		o, err := e.deref(tx, oid)
-		if err != nil {
-			return nil, err
-		}
-		return &row{obj: o, bind: r.bind}, nil
-	})
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -122,77 +121,18 @@ func newKernelWorld(t testing.TB) *kernelWorld {
 }
 
 // fullDecode answers src the way the executor did before it read stored
-// images: every object of every scope class is decoded (Tx.Scan), every
-// path step resolves against the catalog for every row (a row without
-// bindings), and filter, sort, limit, aggregate and projection run over
-// the retained objects. It is the reference the kernel is compared with.
+// images (oracleRun): every object of every scope class is decoded, every
+// path step resolves against the catalog for every row, and the predicate
+// is the tree walker. It is the reference the kernel is compared with.
 func fullDecode(t *testing.T, eng *Engine, tx *core.Tx, src string) [][]string {
 	t.Helper()
 	q, err := Parse(src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	p, err := eng.PlanQuery(q)
+	out, err := oracleRun(eng, tx, q)
 	if err != nil {
-		t.Fatalf("%s: %v", src, err)
-	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: reference: %v", src, err)
-		}
-	}
-	var objs []*model.Object
-	for _, class := range p.Scope {
-		must(tx.Scan(class, func(obj *model.Object) bool {
-			ok, err := Matches(q.Where, eng.accessor(tx, &row{obj: obj}))
-			must(err)
-			if ok {
-				objs = append(objs, obj)
-			}
-			return true
-		}))
-	}
-	if q.OrderBy != nil {
-		keys := make(map[*model.Object]model.Value, len(objs))
-		for _, obj := range objs {
-			keys[obj], err = eng.evalPath(tx, &row{obj: obj}, q.OrderBy.Steps)
-			must(err)
-		}
-		sort.SliceStable(objs, func(a, b int) bool {
-			c := model.Compare(keys[objs[a]], keys[objs[b]])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-	}
-	if q.Limit > 0 && len(objs) > q.Limit {
-		objs = objs[:q.Limit]
-	}
-	if len(q.Aggregates) > 0 {
-		aggs := newAccumulators(q)
-		for _, obj := range objs {
-			must(eng.accumulate(tx, q, aggs, &row{obj: obj}))
-		}
-		out := []string{model.NilOID.String()}
-		for i := range aggs {
-			out = append(out, aggs[i].Result().String())
-		}
-		return [][]string{out}
-	}
-	out := make([][]string, 0, len(objs))
-	for _, obj := range objs {
-		r := []string{obj.OID.String()}
-		if len(q.Select) == 0 {
-			r = append(r, model.Ref(obj.OID).String())
-		}
-		for _, path := range q.Select {
-			v, err := eng.evalPath(tx, &row{obj: obj}, path.Steps)
-			must(err)
-			r = append(r, v.String())
-		}
-		out = append(out, r)
+		t.Fatalf("%s: reference: %v", src, err)
 	}
 	return out
 }

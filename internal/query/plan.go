@@ -44,6 +44,7 @@ type Plan struct {
 	Query   *Query
 	Target  *schema.Class
 	Scope   []model.ClassID // classes whose instances the query ranges over
+	prog    *Program
 	kind    accessKind
 	indexes []*index.Index // 1 for single-index plans, per-class for unions
 	iv      index.Interval // key interval probed; a point for equality
@@ -151,6 +152,9 @@ func (e *Engine) planQuery(q *Query, viewDepth int) (*Plan, error) {
 		if err := e.checkPathHead(cl.ID, *q.OrderBy); err != nil {
 			return nil, err
 		}
+	}
+	if p.prog, err = Compile(q); err != nil {
+		return nil, err
 	}
 	p.kind = accessScan
 	if q.Where == nil || e.ForceScan {

@@ -145,7 +145,7 @@ func rangeFraction(as *stats.AttrStats, s sarg) (f float64, ok bool) {
 	if hi <= lo {
 		// Degenerate domain: one observed value — the comparison either
 		// admits it or not.
-		if compareOp(s.op, as.Min, s.lit) {
+		if compareOp(s.op, &as.Min, &s.lit) {
 			return 1, true
 		}
 		return 0, true

@@ -172,7 +172,7 @@ func verifyMVCCCrash(t *testing.T, r crashRun[struct{}]) {
 		t.Fatalf("schedule {%v}: lock scan: %v", sched, err)
 	}
 	heap := 0
-	err = ltx.ScanLocked(cl.ID, func(im model.Image) bool {
+	err = ltx.ScanLocked(cl.ID, nil, func(im model.Image) bool {
 		heap++
 		obj, err := im.Decode()
 		if err != nil {
