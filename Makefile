@@ -72,8 +72,11 @@ chain-lint:
 # Static check that objects are decoded only below the engine's two raw
 # reads (core.DB.FetchObject, ScanObjects): no non-test file outside
 # internal/core, internal/storage and internal/model names DecodeObject or
-# ScanImages (internal/fault may scan images). A go/parser walk of the
-# module (TestOnlyTheEngineDecodes in internal/core/decodelint_test.go).
+# ScanImages (internal/fault may scan images). It also keeps locking inside
+# core.Tx: no non-test file outside internal/core and internal/txn names
+# the lock manager's LockInstance*, LockClass* or LockHierarchyRead. A
+# go/parser walk of the module (TestOnlyTheEngineDecodes in
+# internal/core/decodelint_test.go).
 decode-lint:
 	$(GO) test -count=1 -run '^TestOnlyTheEngineDecodes$$' ./internal/core/
 

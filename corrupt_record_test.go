@@ -21,8 +21,9 @@ import (
 // never a row left out of an index, a statistic, a view list or a fact set.
 
 // corruptFixture is a closed database: ten Parts (w = 0..9), two
-// Assemblies, a view, a composite declaration, one checkout and one schema
-// snapshot.
+// Assemblies, a view, a composite declaration with asm-b owning part-5,
+// one checkout, one schema snapshot and a versioned Design whose two
+// versions are design-1 and design-2.
 type corruptFixture struct {
 	dir    string
 	oids   map[string]oodb.OID // by name attribute: part-0.., asm-a, asm-b
@@ -30,7 +31,7 @@ type corruptFixture struct {
 }
 
 // newCorruptFixture builds the fixture. The victims are Part w = 5, Asm
-// asm-a and the one instance of each system class.
+// asm-a, Design design-2 and the one instance of each system class.
 func newCorruptFixture(t *testing.T, withIndex bool) corruptFixture {
 	t.Helper()
 	dir := t.TempDir()
@@ -78,14 +79,31 @@ func newCorruptFixture(t *testing.T, withIndex bool) corruptFixture {
 	asm, err := db.ClassByName("Asm")
 	must(err)
 	must(cm.DeclareComposite(asm.ID, "part", true))
+	must(db.Do(func(tx *oodb.Tx) error {
+		return cm.Attach(tx, f.oids["asm-b"], "part", f.oids["part-5"])
+	}))
 	co, err := db.Checkouts()
 	must(err)
 	_, err = co.Checkout("ann", f.oids["part-0"])
 	must(err)
 	_, err = db.SnapshotSchema("v1")
 	must(err)
+	design, err := db.DefineClass("Design", nil, oodb.Attr{Name: "name", Domain: "String"})
+	must(err)
+	versions, err := db.Versions()
+	must(err)
+	must(versions.EnableVersioning(design.ID))
+	must(db.Do(func(tx *oodb.Tx) error {
+		g, v1, err := versions.CreateVersioned(tx, design.ID, oodb.Attrs{"name": oodb.String("design")})
+		if err != nil {
+			return err
+		}
+		v2, err := versions.Derive(tx, v1)
+		f.oids["design"], f.oids["design-1"], f.oids["design-2"] = g, v1, v2
+		return err
+	}))
 
-	victims := map[string]oodb.OID{"Part": f.oids["part-5"], "Asm": f.oids["asm-a"]}
+	victims := map[string]oodb.OID{"Part": f.oids["part-5"], "Asm": f.oids["asm-a"], "Design": f.oids["design-2"]}
 	for _, name := range []string{"ViewDef", "CompositeDecl", "CheckoutRecord", "SchemaVersion"} {
 		cl, err := db.ClassByName(name)
 		must(err)
@@ -221,6 +239,32 @@ func TestDamagedRecordIsCorruptForEveryConsumer(t *testing.T) {
 			return db.Do(func(tx *oodb.Tx) error {
 				return cm.Attach(tx, f.oids["asm-b"], "part", f.oids["part-1"])
 			})
+		}},
+		// The walk reads asm-b's component part-5.
+		{"Components", "Part", func(db *oodb.DB, f corruptFixture) error {
+			cm, err := db.Composites()
+			if err != nil {
+				return err
+			}
+			_, err = cm.Components(f.oids["asm-b"])
+			return err
+		}},
+		// Delete propagates to asm-b's exclusive component part-5.
+		{"DeleteComposite", "Part", func(db *oodb.DB, f corruptFixture) error {
+			cm, err := db.Composites()
+			if err != nil {
+				return err
+			}
+			return db.Do(func(tx *oodb.Tx) error { return cm.DeleteComposite(tx, f.oids["asm-b"]) })
+		}},
+		// With no default, dynamic binding reads every version's number.
+		{"Resolve", "Design", func(db *oodb.DB, f corruptFixture) error {
+			vm, err := db.Versions()
+			if err != nil {
+				return err
+			}
+			_, err = vm.Resolve(f.oids["design"])
+			return err
 		}},
 		{"CheckedOutBy", "CheckoutRecord", func(db *oodb.DB, _ corruptFixture) error {
 			co, err := db.Checkouts()

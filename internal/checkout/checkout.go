@@ -17,6 +17,7 @@ package checkout
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"oodb/internal/core"
 	"oodb/internal/model"
@@ -32,11 +33,14 @@ var (
 
 const recordClassName = "CheckoutRecord"
 
-// Manager mediates checkout/checkin against one shared database.
+// Manager mediates checkout/checkin against one shared database. It is
+// safe for concurrent use; each user's workspace is used by one goroutine
+// at a time.
 type Manager struct {
 	db     *core.DB
 	record *schema.Class
 
+	mu sync.Mutex
 	// privates holds each user's private workspace (the "private
 	// database" of the paper, realized as a memory-resident workspace).
 	privates map[string]*workspace.Workspace
@@ -45,7 +49,6 @@ type Manager struct {
 // New creates (or re-attaches) the checkout layer. Existing checkout
 // records in the shared database remain in force.
 func New(db *core.DB) (*Manager, error) {
-	m := &Manager{db: db, privates: make(map[string]*workspace.Workspace)}
 	cl, err := db.SystemClass(recordClassName,
 		schema.AttrSpec{Name: "object", Domain: schema.ClassObject},
 		schema.AttrSpec{Name: "user", Domain: schema.ClassString},
@@ -53,13 +56,14 @@ func New(db *core.DB) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.record = cl
-	return m, nil
+	return &Manager{db: db, record: cl, privates: make(map[string]*workspace.Workspace)}, nil
 }
 
 // Workspace returns the user's private workspace, creating it on first
 // use.
 func (m *Manager) Workspace(user string) *workspace.Workspace {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	ws, ok := m.privates[user]
 	if !ok {
 		ws = workspace.New(m.db)
@@ -68,22 +72,39 @@ func (m *Manager) Workspace(user string) *workspace.Workspace {
 	return ws
 }
 
+// records calls fn with each checkout record, the object it checks out
+// and its user, until fn returns false.
+func (m *Manager) records(fn func(rec, oid model.OID, user string) bool) error {
+	return m.db.ScanObjects([]model.ClassID{m.record.ID}, func(obj *model.Object) bool {
+		ov, _ := m.db.AttrValue(obj, "object")
+		uv, _ := m.db.AttrValue(obj, "user")
+		oid, _ := ov.AsRef()
+		user, _ := uv.AsString()
+		return fn(obj.OID, oid, user)
+	})
+}
+
 // holder returns who has oid checked out ("" if nobody) and the record's
 // OID.
-func (m *Manager) holder(oid model.OID) (string, model.OID, error) {
-	var user string
-	var rec model.OID
-	err := m.db.ScanObjects([]model.ClassID{m.record.ID}, func(obj *model.Object) bool {
-		v, _ := m.db.AttrValue(obj, "object")
-		if ref, ok := v.AsRef(); ok && ref == oid {
-			uv, _ := m.db.AttrValue(obj, "user")
-			user, _ = uv.AsString()
-			rec = obj.OID
-			return false
+func (m *Manager) holder(oid model.OID) (user string, rec model.OID, err error) {
+	err = m.records(func(r, o model.OID, u string) bool {
+		if o == oid {
+			user, rec = u, r
 		}
-		return true
+		return o != oid
 	})
 	return user, rec, err
+}
+
+// lockHolder takes X on oid in tx and then reads who holds it. Every
+// transaction that writes a checkout record for oid starts here, so the
+// scan sees no other transaction's uncommitted record for oid. A deleted
+// object is still locked, so its checkout can be released.
+func (m *Manager) lockHolder(tx *core.Tx, oid model.OID) (string, model.OID, error) {
+	if _, err := tx.FetchForUpdate(oid); err != nil && !errors.Is(err, core.ErrNoObject) {
+		return "", model.NilOID, err
+	}
+	return m.holder(oid)
 }
 
 // Holder reports who has the object checked out ("" if nobody).
@@ -96,32 +117,29 @@ func (m *Manager) Holder(oid model.OID) (string, error) {
 // records the checkout persistently. Checking out an object you already
 // hold is a no-op returning the resident descriptor.
 func (m *Manager) Checkout(user string, oid model.OID) (*workspace.Descriptor, error) {
-	cur, _, err := m.holder(oid)
-	if err != nil {
-		return nil, err
-	}
-	switch cur {
-	case "":
-		err := m.db.Do(func(tx *core.Tx) error {
-			// Short lock to serialize competing checkouts.
-			if _, err := tx.Fetch(oid); err != nil {
-				return err
-			}
-			_, err := tx.InsertClass(m.record.ID, map[string]model.Value{
+	var d *workspace.Descriptor
+	err := m.db.Do(func(tx *core.Tx) error {
+		cur, _, err := m.lockHolder(tx, oid)
+		if err != nil {
+			return err
+		}
+		switch cur {
+		case "":
+			if _, err := tx.InsertClass(m.record.ID, map[string]model.Value{
 				"object": model.Ref(oid),
 				"user":   model.String(user),
-			})
-			return err
-		})
-		if err != nil {
-			return nil, err
+			}); err != nil {
+				return err
+			}
+		case user:
+			// Already ours.
+		default:
+			return fmt.Errorf("%w: held by %q", ErrCheckedOut, cur)
 		}
-	case user:
-		// Already ours.
-	default:
-		return nil, fmt.Errorf("%w: held by %q", ErrCheckedOut, cur)
-	}
-	return m.Workspace(user).Fetch(oid)
+		d, err = m.Workspace(user).Fetch(oid)
+		return err
+	})
+	return d, err
 }
 
 // CheckoutComposite checks out an object together with the given
@@ -129,67 +147,60 @@ func (m *Manager) Checkout(user string, oid model.OID) (*workspace.Descriptor, e
 func (m *Manager) CheckoutComposite(user string, root model.OID, components []model.OID) ([]*workspace.Descriptor, error) {
 	all := append([]model.OID{root}, components...)
 	out := make([]*workspace.Descriptor, 0, len(all))
-	var done []model.OID
 	for _, oid := range all {
 		d, err := m.Checkout(user, oid)
 		if err != nil {
 			// Roll back the checkouts made so far.
-			for _, u := range done {
-				m.Cancel(user, u)
+			for _, done := range all[:len(out)] {
+				m.Cancel(user, done)
 			}
 			return nil, err
 		}
-		done = append(done, oid)
 		out = append(out, d)
 	}
 	return out, nil
 }
 
 // Checkin writes the user's private changes to the object back to the
-// shared database and releases the checkout.
-func (m *Manager) Checkin(user string, oid model.OID) error {
-	cur, rec, err := m.holder(oid)
-	if err != nil {
-		return err
-	}
-	if cur != user {
-		return fmt.Errorf("%w: %s", ErrNotCheckedOut, oid)
-	}
+// shared database and releases the checkout, in one transaction. Other
+// objects in the workspace are left as they are.
+func (m *Manager) Checkin(user string, oid model.OID) error { return m.release(user, oid, true) }
+
+// Cancel abandons a checkout: the object's private copy is dropped
+// without writing back, and the checkout released.
+func (m *Manager) Cancel(user string, oid model.OID) error { return m.release(user, oid, false) }
+
+// release ends user's checkout of oid, writing the private state back
+// first when save is set, and then drops the private copy.
+func (m *Manager) release(user string, oid model.OID, save bool) error {
 	ws := m.Workspace(user)
-	// Save flushes every dirty descriptor in the workspace; per-object
-	// checkin writes just this object if dirty.
-	if ws.Resident(oid) {
-		if err := ws.Save(); err != nil {
+	err := m.db.Do(func(tx *core.Tx) error {
+		cur, rec, err := m.lockHolder(tx, oid)
+		if err != nil {
 			return err
 		}
-		ws.Evict(oid)
-	}
-	return m.db.Do(func(tx *core.Tx) error {
+		if cur != user {
+			return fmt.Errorf("%w: %s", ErrNotCheckedOut, oid)
+		}
+		if save {
+			if err := ws.WriteBack(tx, oid); err != nil {
+				return err
+			}
+		}
 		return tx.Delete(rec)
 	})
-}
-
-// Cancel abandons a checkout without writing back.
-func (m *Manager) Cancel(user string, oid model.OID) error {
-	cur, rec, err := m.holder(oid)
 	if err != nil {
 		return err
 	}
-	if cur != user {
-		return fmt.Errorf("%w: %s", ErrNotCheckedOut, oid)
-	}
-	ws := m.Workspace(user)
-	ws.Discard() // drop private state (all of it: cancel is abandonment)
-	return m.db.Do(func(tx *core.Tx) error {
-		return tx.Delete(rec)
-	})
+	ws.Discard(oid)
+	return nil
 }
 
 // GuardUpdate enforces the cooperative protocol for direct shared-database
 // writers: an update through this guard fails while someone else holds the
 // object checked out.
 func (m *Manager) GuardUpdate(tx *core.Tx, user string, oid model.OID, attrs map[string]model.Value) error {
-	cur, _, err := m.holder(oid)
+	cur, _, err := m.lockHolder(tx, oid)
 	if err != nil {
 		return err
 	}
@@ -202,14 +213,9 @@ func (m *Manager) GuardUpdate(tx *core.Tx, user string, oid model.OID, attrs map
 // CheckedOutBy lists the objects a user currently holds.
 func (m *Manager) CheckedOutBy(user string) ([]model.OID, error) {
 	var out []model.OID
-	err := m.db.ScanObjects([]model.ClassID{m.record.ID}, func(obj *model.Object) bool {
-		uv, _ := m.db.AttrValue(obj, "user")
-		if u, _ := uv.AsString(); u != user {
-			return true
-		}
-		v, _ := m.db.AttrValue(obj, "object")
-		if ref, ok := v.AsRef(); ok {
-			out = append(out, ref)
+	err := m.records(func(_, oid model.OID, u string) bool {
+		if u == user {
+			out = append(out, oid)
 		}
 		return true
 	})

@@ -210,3 +210,79 @@ func TestCheckoutComposite(t *testing.T) {
 		t.Fatalf("partial composite checkout not rolled back: %v", held)
 	}
 }
+
+// revOf reads oid's shared rev.
+func (w *world) revOf(t *testing.T, oid model.OID) int64 {
+	t.Helper()
+	obj, err := w.db.FetchObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := w.db.AttrValue(obj, "rev")
+	n, _ := v.AsInt()
+	return n
+}
+
+// editTwo checks out w.oid and a second design b as alice and edits both
+// privately: a's rev to 2, b's to 9.
+func editTwo(t *testing.T, w *world) (a, b model.OID) {
+	t.Helper()
+	a = w.oid
+	if err := w.db.Do(func(tx *core.Tx) error {
+		var err error
+		b, err = tx.InsertClass(w.design.ID, map[string]model.Value{"rev": model.Int(1)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for oid, rev := range map[model.OID]int64{a: 2, b: 9} {
+		d, err := w.cm.Checkout("alice", oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Set("rev", model.Int(rev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a, b
+}
+
+// Checkin writes back only the object checked in.
+func TestCheckinWritesOnlyThatObject(t *testing.T) {
+	w := newWorld(t)
+	a, b := editTwo(t, w)
+	if err := w.cm.Checkin("alice", a); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.revOf(t, a); got != 2 {
+		t.Fatalf("a's rev = %d after its checkin, want 2", got)
+	}
+	if got := w.revOf(t, b); got != 1 {
+		t.Fatalf("b's rev = %d while b is still checked out, want 1: its private edit was written", got)
+	}
+	if err := w.cm.Checkin("alice", b); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.revOf(t, b); got != 9 {
+		t.Fatalf("b's rev = %d after its checkin, want 9", got)
+	}
+}
+
+// Cancel drops only the object cancelled: another object's private edit
+// survives it and is written by that object's checkin.
+func TestCancelDropsOnlyThatObject(t *testing.T) {
+	w := newWorld(t)
+	a, b := editTwo(t, w)
+	if err := w.cm.Cancel("alice", b); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.revOf(t, b); got != 1 {
+		t.Fatalf("b's rev = %d after cancel, want 1", got)
+	}
+	if err := w.cm.Checkin("alice", a); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.revOf(t, a); got != 2 {
+		t.Fatalf("a's rev = %d after cancelling b and checking a in, want 2: the edit was dropped", got)
+	}
+}

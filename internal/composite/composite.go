@@ -25,6 +25,7 @@ package composite
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"oodb/internal/core"
 	"oodb/internal/model"
@@ -42,7 +43,6 @@ var (
 type decl struct {
 	class     model.ClassID
 	attr      model.AttrID
-	attrName  string
 	exclusive bool
 }
 
@@ -50,11 +50,13 @@ type decl struct {
 const declClassName = "CompositeDecl"
 
 // Manager tracks composite declarations and implements composite
-// operations over a database.
+// operations over a database. It is safe for concurrent use.
 type Manager struct {
 	db        *core.DB
 	declClass *schema.Class
-	decls     []decl
+
+	mu    sync.Mutex
+	decls []decl
 }
 
 // New creates (or re-attaches) the composite layer.
@@ -78,10 +80,9 @@ func New(db *core.DB) (*Manager, error) {
 		}
 		c, _ := get("class").AsInt()
 		a, _ := get("attr").AsInt()
-		n, _ := get("attrName").AsString()
 		x, _ := get("exclusive").AsBool()
 		m.decls = append(m.decls, decl{
-			class: model.ClassID(c), attr: model.AttrID(a), attrName: n, exclusive: x,
+			class: model.ClassID(c), attr: model.AttrID(a), exclusive: x,
 		})
 		return true
 	})
@@ -102,6 +103,8 @@ func (m *Manager) DeclareComposite(class model.ClassID, attrName string, exclusi
 	if schema.IsPrimitive(a.Domain) {
 		return fmt.Errorf("composite: attribute %q has primitive domain %d", attrName, a.Domain)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, d := range m.decls {
 		if d.class == class && d.attr == a.ID {
 			return fmt.Errorf("composite: %s.%s already declared", className(m.db, class), attrName)
@@ -119,7 +122,7 @@ func (m *Manager) DeclareComposite(class model.ClassID, attrName string, exclusi
 	if err != nil {
 		return err
 	}
-	m.decls = append(m.decls, decl{class: class, attr: a.ID, attrName: attrName, exclusive: exclusive})
+	m.decls = append(m.decls, decl{class: class, attr: a.ID, exclusive: exclusive})
 	return nil
 }
 
@@ -134,6 +137,8 @@ func className(db *core.DB, id model.ClassID) string {
 // compositeAttrs returns the composite declarations applying to class
 // (declared on it or any ancestor).
 func (m *Manager) compositeAttrs(class model.ClassID) []decl {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []decl
 	for _, d := range m.decls {
 		if m.db.Catalog.IsSubclassOf(class, d.class) {
@@ -145,13 +150,17 @@ func (m *Manager) compositeAttrs(class model.ClassID) []decl {
 
 // Attach links child as a component of parent through the named composite
 // attribute, enforcing exclusivity (an exclusive component may have only
-// one parent) and acyclicity of the part-of graph.
+// one parent) and acyclicity of the part-of graph. An exclusive attach
+// looks for an owner holding X on child (DESIGN §6 "Feature layers").
 func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child model.OID) error {
-	d, err := m.findDecl(parent.Class(), attrName)
+	d, a, err := m.findDecl(parent.Class(), attrName)
 	if err != nil {
 		return err
 	}
 	if d.exclusive {
+		if _, err := tx.FetchForUpdate(child); err != nil {
+			return err
+		}
 		owner, err := m.ownerOf(child, d)
 		if err != nil {
 			return err
@@ -161,49 +170,44 @@ func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child m
 		}
 	}
 	// Cycle check: parent must not be reachable from child via composite
-	// links.
-	reach, err := m.Components(child)
+	// links (child itself included).
+	reach, err := m.walk(child, m.db.FetchObject)
 	if err != nil {
 		return err
-	}
-	if child == parent {
-		return ErrCycle
 	}
 	for _, c := range reach {
 		if c == parent {
 			return ErrCycle
 		}
 	}
-	a, err := m.db.Catalog.ResolveAttr(parent.Class(), attrName)
-	if err != nil {
-		return err
-	}
-	obj, err := tx.Fetch(parent)
+	obj, err := tx.FetchForUpdate(parent)
 	if err != nil {
 		return err
 	}
 	if a.SetValued {
-		cur := obj.Get(a.ID)
-		members, _ := cur.AsSet()
+		members, _ := obj.Get(a.ID).AsSet()
 		next := append(append([]model.Value(nil), members...), model.Ref(child))
 		return tx.Update(parent, map[string]model.Value{attrName: model.Set(next...)})
 	}
 	return tx.Update(parent, map[string]model.Value{attrName: model.Ref(child)})
 }
 
-// findDecl resolves a composite declaration for class.attrName.
-func (m *Manager) findDecl(class model.ClassID, attrName string) (decl, error) {
-	for _, d := range m.compositeAttrs(class) {
-		if d.attrName == attrName {
-			return d, nil
+// findDecl resolves class.attrName to its attribute and the composite
+// declaration that covers it.
+func (m *Manager) findDecl(class model.ClassID, attrName string) (decl, *schema.Attribute, error) {
+	if a, err := m.db.Catalog.ResolveAttr(class, attrName); err == nil {
+		for _, d := range m.compositeAttrs(class) {
+			if d.attr == a.ID {
+				return d, a, nil
+			}
 		}
 	}
-	return decl{}, fmt.Errorf("%w: %s.%s", ErrNotComposite, className(m.db, class), attrName)
+	return decl{}, nil, fmt.Errorf("%w: %s.%s", ErrNotComposite, className(m.db, class), attrName)
 }
 
 // ownerOf finds the existing exclusive parent of child under declaration
 // d (scan of the declaring class hierarchy — exclusivity checks are rare
-// compared to reads).
+// compared to reads). Attach calls it holding X on child.
 func (m *Manager) ownerOf(child model.OID, d decl) (model.OID, error) {
 	classes, err := m.db.Catalog.Descendants(d.class)
 	if err != nil {
@@ -211,17 +215,10 @@ func (m *Manager) ownerOf(child model.OID, d decl) (model.OID, error) {
 	}
 	var owner model.OID
 	err = m.db.ScanObjects(classes, func(obj *model.Object) bool {
-		v := obj.Get(d.attr)
-		if ref, ok := v.AsRef(); ok && ref == child {
-			owner = obj.OID
-			return false
-		}
-		if members, ok := v.AsSet(); ok {
-			for _, mem := range members {
-				if ref, ok := mem.AsRef(); ok && ref == child {
-					owner = obj.OID
-					return false
-				}
+		for _, ref := range refsOf(obj.Get(d.attr)) {
+			if ref == child {
+				owner = obj.OID
+				return false
 			}
 		}
 		return true
@@ -246,74 +243,70 @@ func refsOf(v model.Value) []model.OID {
 	return out
 }
 
-// directComponents returns the objects directly referenced by oid through
-// its composite attributes, in declaration order — one DFS step of
-// Components. A missing object yields nil: dangling links are skipped, not
-// errors.
-func (m *Manager) directComponents(oid model.OID) []model.OID {
-	obj, err := m.db.FetchObject(oid)
-	if err != nil {
+// walk returns root and every component reachable from it through
+// composite attributes, in DFS order, reading each object through fetch.
+// A component that no longer exists is a dangling link: it is listed but
+// has no components. Any other read error stops the walk.
+func (m *Manager) walk(root model.OID, fetch func(model.OID) (*model.Object, error)) ([]model.OID, error) {
+	var out []model.OID
+	seen := map[model.OID]bool{}
+	var visit func(oid model.OID) error
+	visit = func(oid model.OID) error {
+		seen[oid] = true
+		out = append(out, oid)
+		obj, err := fetch(oid)
+		if errors.Is(err, core.ErrNoObject) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		for _, d := range m.compositeAttrs(oid.Class()) {
+			for _, ref := range refsOf(obj.Get(d.attr)) {
+				if seen[ref] {
+					continue
+				}
+				if err := visit(ref); err != nil {
+					return err
+				}
+			}
+		}
 		return nil
 	}
-	var out []model.OID
-	for _, d := range m.compositeAttrs(oid.Class()) {
-		out = append(out, refsOf(obj.Get(d.attr))...)
-	}
-	return out
+	err := visit(root)
+	return out, err
 }
 
 // Components returns every component reachable from root through
 // composite attributes, in DFS order (root excluded).
 func (m *Manager) Components(root model.OID) ([]model.OID, error) {
-	var out []model.OID
-	seen := map[model.OID]bool{root: true}
-	var walk func(oid model.OID)
-	walk = func(oid model.OID) {
-		for _, ref := range m.directComponents(oid) {
-			if seen[ref] {
-				continue
-			}
-			seen[ref] = true
-			out = append(out, ref)
-			walk(ref)
-		}
+	all, err := m.walk(root, m.db.FetchObject)
+	if err != nil {
+		return nil, err
 	}
-	walk(root)
-	return out, nil
+	return all[1:], nil
 }
 
 // DeleteComposite deletes root and, recursively, every exclusive
 // component (delete propagation; shared components survive).
 func (m *Manager) DeleteComposite(tx *core.Tx, root model.OID) error {
-	obj, err := m.db.FetchObject(root)
+	obj, err := tx.FetchForUpdate(root)
 	if err != nil {
 		return err
 	}
 	// Collect exclusive children before deleting the root.
 	var children []model.OID
 	for _, d := range m.compositeAttrs(root.Class()) {
-		if !d.exclusive {
-			continue
-		}
-		v := obj.Get(d.attr)
-		if ref, ok := v.AsRef(); ok {
-			children = append(children, ref)
-		} else if members, ok := v.AsSet(); ok {
-			for _, mem := range members {
-				if ref, ok := mem.AsRef(); ok {
-					children = append(children, ref)
-				}
-			}
+		if d.exclusive {
+			children = append(children, refsOf(obj.Get(d.attr))...)
 		}
 	}
 	if err := tx.Delete(root); err != nil {
 		return err
 	}
 	for _, c := range children {
-		if _, err := m.db.FetchObject(c); err != nil {
-			continue // already gone (diamond reached twice)
-		}
-		if err := m.DeleteComposite(tx, c); err != nil {
+		// A child already gone was reached twice (a diamond) or dangles.
+		if err := m.DeleteComposite(tx, c); err != nil && !errors.Is(err, core.ErrNoObject) {
 			return err
 		}
 	}
@@ -322,23 +315,15 @@ func (m *Manager) DeleteComposite(tx *core.Tx, root model.OID) error {
 
 // LockComposite locks the whole composite object as a unit: the root and
 // every component, in the requested mode (read or write) — the composite
-// lock of [KIM89c].
+// lock of [KIM89c]. Each object is locked before its links are read, so
+// the components locked are the ones the locks protect.
 func (m *Manager) LockComposite(tx *core.Tx, root model.OID, write bool) error {
-	comps, err := m.Components(root)
-	if err != nil {
-		return err
+	fetch := tx.Fetch
+	if write {
+		fetch = tx.FetchForUpdate
 	}
-	all := append([]model.OID{root}, comps...)
-	for _, oid := range all {
-		if write {
-			if err := m.db.Locks.LockInstanceWrite(tx.ID(), oid); err != nil {
-				return err
-			}
-		} else if err := m.db.Locks.LockInstanceRead(tx.ID(), oid); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := m.walk(root, fetch)
+	return err
 }
 
 // Recluster physically rewrites the composite object's components in DFS
@@ -348,12 +333,12 @@ func (m *Manager) LockComposite(tx *core.Tx, root model.OID, write bool) error {
 // slots behind; a compaction afterwards packs the segment in the new order.
 // Returns the number of objects rewritten.
 func (m *Manager) Recluster(tx *core.Tx, root model.OID) (int, error) {
-	comps, err := m.Components(root)
+	all, err := m.walk(root, tx.FetchForUpdate)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, oid := range append([]model.OID{root}, comps...) {
+	for _, oid := range all {
 		if err := tx.Rewrite(oid); err != nil {
 			return n, err
 		}

@@ -1,0 +1,95 @@
+package composite
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"oodb/internal/core"
+	"oodb/internal/model"
+)
+
+// An exclusive Attach holds X on the child before it looks for an owner,
+// so the owner it sees is committed.
+
+// owners lists the assemblies whose parts include child.
+func (w *cadWorld) owners(t *testing.T, child model.OID) []model.OID {
+	t.Helper()
+	var out []model.OID
+	err := w.db.ScanObjects([]model.ClassID{w.assembly.ID}, func(obj *model.Object) bool {
+		parts, _ := w.db.AttrValue(obj, "parts")
+		for _, ref := range refsOf(parts) {
+			if ref == child {
+				out = append(out, obj.OID)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// tx1 attaches p to a1 and stays open; tx2's attach of p to a2 parks; tx1
+// aborts. tx2's attach succeeds: the refusal would have rested on a link
+// that never committed.
+func TestAttachBesideAbortedAttach(t *testing.T) {
+	w := newCADWorld(t)
+	a1, a2 := w.newAssembly(t, "a1"), w.newAssembly(t, "a2")
+	p := w.newPart(t, "p")
+	tx1 := w.db.Begin()
+	if err := w.cm.Attach(tx1, a1, "parts", p); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- w.db.Do(func(tx *core.Tx) error { return w.cm.Attach(tx, a2, "parts", p) })
+	}()
+	time.Sleep(50 * time.Millisecond) // let tx2 park behind tx1
+	if err := tx1.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("attach after the other attach aborted: %v", err)
+	}
+	if got := w.owners(t, p); len(got) != 1 || got[0] != a2 {
+		t.Fatalf("owners of %s = %v, want [%s]", p, got, a2)
+	}
+}
+
+// Two exclusive attaches of one part to two assemblies start together,
+// trial after trial: exactly one succeeds, and the part has one owner.
+func TestConcurrentExclusiveAttachesOneOwner(t *testing.T) {
+	w := newCADWorld(t)
+	parents := [2]model.OID{w.newAssembly(t, "a1"), w.newAssembly(t, "a2")}
+	for trial := 0; trial < 50; trial++ {
+		p := w.newPart(t, "p")
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i, parent := range parents {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = w.db.Do(func(tx *core.Tx) error { return w.cm.Attach(tx, parent, "parts", p) })
+			}()
+		}
+		close(start)
+		wg.Wait()
+		won := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case !errors.Is(err, ErrAlreadyOwned):
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		if got := w.owners(t, p); won != 1 || len(got) != 1 {
+			t.Fatalf("trial %d: %d attaches succeeded, owners %v; want exactly one", trial, won, got)
+		}
+	}
+}

@@ -10,19 +10,33 @@ import (
 	"testing"
 )
 
-// TestOnlyTheEngineDecodes is a static check over the module source: a
-// stored object is read above the engine through FetchObject or
+// TestOnlyTheEngineDecodes is a static check over the module source: the
+// engine alone decodes records and calls the lock manager.
+//
+// A stored object is read above the engine through FetchObject or
 // ScanObjects, which turn a record that does not decode into
 // model.ErrCorrupt, so no layer can skip one by hand. A non-test file
 // outside internal/core, internal/storage and internal/model may not name
 // ScanImages or DecodeObject; internal/fault (the crash harness, which
-// counts the records recovery left) may name ScanImages. The perfbench
-// module is not walked. `make decode-lint` runs it alone.
+// counts the records recovery left) may name ScanImages.
+//
+// A lock is taken above the engine through core.Tx (Fetch,
+// FetchForUpdate, the writes, LockClassScan), which rolls a deadlock victim
+// back before it returns the error. No non-test file outside internal/core
+// and internal/txn may name the lock manager's Lock* calls.
+//
+// The perfbench module is not walked. `make decode-lint` runs it alone.
 func TestOnlyTheEngineDecodes(t *testing.T) {
 	root := filepath.Join("..", "..")
+	engine := []string{"internal/core/", "internal/txn/"}
 	allowed := map[string][]string{
-		"ScanImages":   {"internal/core/", "internal/storage/", "internal/model/", "internal/fault/"},
-		"DecodeObject": {"internal/core/", "internal/storage/", "internal/model/"},
+		"ScanImages":        {"internal/core/", "internal/storage/", "internal/model/", "internal/fault/"},
+		"DecodeObject":      {"internal/core/", "internal/storage/", "internal/model/"},
+		"LockInstanceRead":  engine,
+		"LockInstanceWrite": engine,
+		"LockClassRead":     engine,
+		"LockClassWrite":    engine,
+		"LockHierarchyRead": engine,
 	}
 	fset := token.NewFileSet()
 	files, uses := 0, 0
@@ -61,7 +75,7 @@ func TestOnlyTheEngineDecodes(t *testing.T) {
 					return true
 				}
 			}
-			t.Errorf("%s: %s outside the engine: read objects with core.DB.FetchObject or ScanObjects",
+			t.Errorf("%s: %s outside the engine: read objects with core.DB.FetchObject or ScanObjects, lock them through core.Tx",
 				fset.Position(sel.Pos()), sel.Sel.Name)
 			return true
 		})

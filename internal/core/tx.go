@@ -144,13 +144,7 @@ func (tx *Tx) InsertClass(class model.ClassID, attrs map[string]model.Value) (mo
 
 // Update overwrites the given attributes of an existing object.
 func (tx *Tx) Update(oid model.OID, attrs map[string]model.Value) error {
-	if err := tx.ensureBegan(); err != nil {
-		return err
-	}
-	if err := tx.abortOn(tx.db.Locks.LockInstanceWrite(tx.id, oid)); err != nil {
-		return err
-	}
-	old, err := tx.db.FetchObject(oid)
+	old, err := tx.FetchForUpdate(oid)
 	if err != nil {
 		return err
 	}
@@ -167,13 +161,7 @@ func (tx *Tx) Update(oid model.OID, attrs map[string]model.Value) error {
 
 // Delete removes an object.
 func (tx *Tx) Delete(oid model.OID) error {
-	if err := tx.ensureBegan(); err != nil {
-		return err
-	}
-	if err := tx.abortOn(tx.db.Locks.LockInstanceWrite(tx.id, oid)); err != nil {
-		return err
-	}
-	old, err := tx.db.FetchObject(oid)
+	old, err := tx.FetchForUpdate(oid)
 	if err != nil {
 		return err
 	}
@@ -225,13 +213,7 @@ func (tx *Tx) applyPut(old, next *model.Object) error {
 // in sequence therefore places them on contiguous pages — the physical
 // clustering primitive (Kim §4.2) used by the composite layer's Recluster.
 func (tx *Tx) Rewrite(oid model.OID) error {
-	if err := tx.ensureBegan(); err != nil {
-		return err
-	}
-	if err := tx.abortOn(tx.db.Locks.LockInstanceWrite(tx.id, oid)); err != nil {
-		return err
-	}
-	old, err := tx.db.FetchObject(oid)
+	old, err := tx.FetchForUpdate(oid)
 	if err != nil {
 		return err
 	}
@@ -253,6 +235,21 @@ func (tx *Tx) Rewrite(oid model.OID) error {
 	}
 	tx.undos = append(tx.undos, undo{oid: oid, before: old})
 	return nil
+}
+
+// FetchForUpdate takes the exclusive lock a write of oid needs, then reads
+// the object. A check that guards a write reads through it, so two writers
+// queue on the lock instead of deadlocking on an S→X upgrade. The lock
+// stays held when the read fails (ErrNoObject). Update, Delete and Rewrite
+// start with it.
+func (tx *Tx) FetchForUpdate(oid model.OID) (*model.Object, error) {
+	if err := tx.ensureBegan(); err != nil {
+		return nil, err
+	}
+	if err := tx.abortOn(tx.db.Locks.LockInstanceWrite(tx.id, oid)); err != nil {
+		return nil, err
+	}
+	return tx.db.FetchObject(oid)
 }
 
 // Fetch returns the object under a shared lock (snapshot mode: the
@@ -299,16 +296,8 @@ func (tx *Tx) LockClassScan(classes []model.ClassID) error {
 // Scan iterates the stored instances of exactly one class under a class
 // S lock (snapshot mode: the snapshot-visible instances, no lock).
 func (tx *Tx) Scan(class model.ClassID, fn func(*model.Object) bool) error {
-	if tx.done {
-		return ErrTxnFinished
-	}
-	if !tx.snap {
-		if err := tx.db.check(); err != nil {
-			return err
-		}
-		if err := tx.abortOn(tx.db.Locks.LockClassRead(tx.id, class)); err != nil {
-			return err
-		}
+	if err := tx.LockClassScan([]model.ClassID{class}); err != nil {
+		return err
 	}
 	var derr error
 	err := tx.ScanLocked(class, nil, func(im model.Image) bool {

@@ -114,7 +114,6 @@ type Manager struct {
 	generic *schema.Class
 
 	mu         sync.Mutex
-	enabled    map[model.ClassID]bool
 	dependents map[model.OID]map[model.OID]bool // generic -> dependents
 	stale      map[model.OID]bool               // dependents flagged out-of-date
 	callback   func(Notification)
@@ -128,42 +127,27 @@ func (m *Manager) SetPolicy(p Policy) {
 	m.mu.Unlock()
 }
 
-func (m *Manager) canUpdate(st State) bool {
+// rules returns the installed policy with the Chou-Kim defaults filled in.
+func (m *Manager) rules() Policy {
 	m.mu.Lock()
-	f := m.policy.CanUpdate
+	p := m.policy
 	m.mu.Unlock()
-	if f == nil {
-		return st == Transient
+	if p.CanUpdate == nil {
+		p.CanUpdate = func(st State) bool { return st == Transient }
 	}
-	return f(st)
-}
-
-func (m *Manager) canDelete(st State) bool {
-	m.mu.Lock()
-	f := m.policy.CanDelete
-	m.mu.Unlock()
-	if f == nil {
-		return st != Released
+	if p.CanDelete == nil {
+		p.CanDelete = func(st State) bool { return st != Released }
 	}
-	return f(st)
-}
-
-func (m *Manager) promoteParentOnDerive() bool {
-	m.mu.Lock()
-	p := m.policy.PromoteParentOnDerive
-	m.mu.Unlock()
-	return p == nil || *p
+	if p.PromoteParentOnDerive == nil {
+		p.PromoteParentOnDerive = new(bool)
+		*p.PromoteParentOnDerive = true
+	}
+	return p
 }
 
 // New creates (or re-attaches) the version layer, installing the generic
 // class if absent.
 func New(db *core.DB) (*Manager, error) {
-	m := &Manager{
-		db:         db,
-		enabled:    make(map[model.ClassID]bool),
-		dependents: make(map[model.OID]map[model.OID]bool),
-		stale:      make(map[model.OID]bool),
-	}
 	cl, err := db.SystemClass(genericClassName,
 		schema.AttrSpec{Name: attrDefault, Domain: schema.ClassObject},
 		schema.AttrSpec{Name: attrNext, Domain: schema.ClassInteger, Default: model.Int(1)},
@@ -172,17 +156,12 @@ func New(db *core.DB) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.generic = cl
-	// Re-detect versioning-enabled classes (they carry the hidden attrs).
-	for _, c := range db.Catalog.Classes() {
-		if schema.IsPrimitive(c.ID) {
-			continue
-		}
-		if _, err := db.Catalog.ResolveAttr(c.ID, attrGeneric); err == nil {
-			m.enabled[c.ID] = true
-		}
-	}
-	return m, nil
+	return &Manager{
+		db:         db,
+		generic:    cl,
+		dependents: make(map[model.OID]map[model.OID]bool),
+		stale:      make(map[model.OID]bool),
+	}, nil
 }
 
 // OnChange installs a notification callback (message-based notification;
@@ -196,12 +175,9 @@ func (m *Manager) OnChange(fn func(Notification)) {
 // EnableVersioning makes a class versionable by adding the hidden version
 // attributes. Idempotent.
 func (m *Manager) EnableVersioning(class model.ClassID) error {
-	m.mu.Lock()
-	if m.enabled[class] {
-		m.mu.Unlock()
+	if m.isEnabled(class) {
 		return nil
 	}
-	m.mu.Unlock()
 	for _, spec := range []schema.AttrSpec{
 		{Name: attrGeneric, Domain: m.generic.ID},
 		{Name: attrParent, Domain: schema.ClassObject},
@@ -212,9 +188,6 @@ func (m *Manager) EnableVersioning(class model.ClassID) error {
 			return err
 		}
 	}
-	m.mu.Lock()
-	m.enabled[class] = true
-	m.mu.Unlock()
 	return nil
 }
 
@@ -245,52 +218,100 @@ func (m *Manager) CreateVersioned(tx *core.Tx, class model.ClassID, attrs map[st
 	return generic, version, err
 }
 
+// isEnabled reports whether class is versionable: the catalog, which
+// every reopen reloads, holds the hidden attributes.
 func (m *Manager) isEnabled(class model.ClassID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.enabled[class]
+	_, err := m.db.Catalog.ResolveAttr(class, attrGeneric)
+	return err == nil
+}
+
+// info is a version's bookkeeping, decoded from one object.
+type info struct {
+	state   State
+	generic model.OID // nil: the object belongs to no version set
+	parent  model.OID // nil for a first version
+	number  int64
+}
+
+// load reads version oid through fetch — the engine's raw read for the
+// accessors that take no transaction, a transaction's locked read for a
+// write — and decodes its bookkeeping. An object of a class that is not
+// versioning-enabled is ErrNotVersion.
+func (m *Manager) load(fetch func(model.OID) (*model.Object, error), oid model.OID) (*model.Object, info, error) {
+	obj, err := fetch(oid)
+	if err != nil {
+		return nil, info{}, err
+	}
+	var vals [4]model.Value
+	for i, name := range [...]string{attrState, attrGeneric, attrParent, attrNumber} {
+		if vals[i], err = m.db.AttrValue(obj, name); err != nil {
+			return nil, info{}, ErrNotVersion
+		}
+	}
+	st, _ := vals[0].AsInt()
+	g, _ := vals[1].AsRef()
+	p, _ := vals[2].AsRef()
+	n, _ := vals[3].AsInt()
+	return obj, info{state: State(st), generic: g, parent: p, number: n}, nil
+}
+
+// lockGeneric takes X on v's generic in tx and reads its version set.
+// Every write of the layer locks the version first (load through
+// tx.FetchForUpdate) and its generic second, so two writers of one
+// version set queue in one order.
+func (m *Manager) lockGeneric(tx *core.Tx, v info) (*model.Object, []model.Value, error) {
+	if v.generic.IsNil() {
+		return nil, nil, ErrNotVersion
+	}
+	gobj, err := tx.FetchForUpdate(v.generic)
+	if err != nil {
+		return nil, nil, err
+	}
+	vs, err := m.members(gobj)
+	return gobj, vs, err
+}
+
+// members returns the version set of generic object gobj.
+func (m *Manager) members(gobj *model.Object) ([]model.Value, error) {
+	v, err := m.db.AttrValue(gobj, attrVersions)
+	if err != nil {
+		return nil, ErrNotGeneric
+	}
+	members, _ := v.AsSet()
+	return members, nil
 }
 
 // StateOf returns the lifecycle state of a version instance.
 func (m *Manager) StateOf(oid model.OID) (State, error) {
-	obj, err := m.db.FetchObject(oid)
-	if err != nil {
-		return Transient, err
-	}
-	v, err := m.db.AttrValue(obj, attrState)
-	if err != nil {
-		return Transient, ErrNotVersion
-	}
-	n, _ := v.AsInt()
-	return State(n), nil
+	_, v, err := m.load(m.db.FetchObject, oid)
+	return v.state, err
 }
 
 // GenericOf returns the generic object of a version instance.
 func (m *Manager) GenericOf(oid model.OID) (model.OID, error) {
-	obj, err := m.db.FetchObject(oid)
-	if err != nil {
-		return model.NilOID, err
+	_, v, err := m.load(m.db.FetchObject, oid)
+	if err == nil && v.generic.IsNil() {
+		err = ErrNotVersion
 	}
-	v, err := m.db.AttrValue(obj, attrGeneric)
-	if err != nil {
-		return model.NilOID, ErrNotVersion
-	}
-	g, ok := v.AsRef()
-	if !ok {
-		return model.NilOID, ErrNotVersion
-	}
-	return g, nil
+	return v.generic, err
+}
+
+// ParentOf returns the version a version was derived from (nil for the
+// first version).
+func (m *Manager) ParentOf(oid model.OID) (model.OID, error) {
+	_, v, err := m.load(m.db.FetchObject, oid)
+	return v.parent, err
 }
 
 // UpdateVersion writes attributes of a version, enforcing the update
 // rules: only transient versions are updatable.
 func (m *Manager) UpdateVersion(tx *core.Tx, oid model.OID, attrs map[string]model.Value) error {
-	st, err := m.StateOf(oid)
+	_, v, err := m.load(tx.FetchForUpdate, oid)
 	if err != nil {
 		return err
 	}
-	if !m.canUpdate(st) {
-		return fmt.Errorf("%w (state %s)", ErrFrozen, st)
+	if !m.rules().CanUpdate(v.state) {
+		return fmt.Errorf("%w (state %s)", ErrFrozen, v.state)
 	}
 	return tx.Update(oid, attrs)
 }
@@ -298,20 +319,24 @@ func (m *Manager) UpdateVersion(tx *core.Tx, oid model.OID, attrs map[string]mod
 // Promote advances a version transient → working → released. Promoting a
 // released version is a no-op.
 func (m *Manager) Promote(tx *core.Tx, oid model.OID) (State, error) {
-	st, err := m.StateOf(oid)
+	_, v, err := m.load(tx.FetchForUpdate, oid)
 	if err != nil {
-		return st, err
+		return v.state, err
 	}
-	if st == Released {
+	return m.promote(tx, oid, v)
+}
+
+// promote is Promote of a version tx has locked and read as v.
+func (m *Manager) promote(tx *core.Tx, oid model.OID, v info) (State, error) {
+	if v.state == Released {
 		return Released, nil
 	}
-	next := st + 1
+	next := v.state + 1
 	if err := tx.Update(oid, map[string]model.Value{attrState: model.Int(int64(next))}); err != nil {
-		return st, err
+		return v.state, err
 	}
-	g, err := m.GenericOf(oid)
-	if err == nil {
-		m.notify(Notification{Generic: g, Version: oid, Event: "promote", NewState: next})
+	if !v.generic.IsNil() {
+		m.notify(Notification{Generic: v.generic, Version: oid, Event: "promote", NewState: next})
 	}
 	return next, nil
 }
@@ -320,52 +345,37 @@ func (m *Manager) Promote(tx *core.Tx, oid model.OID) (State, error) {
 // Chou-Kim, deriving from a transient version first promotes it to
 // working (a version with derivations must be stable).
 func (m *Manager) Derive(tx *core.Tx, parent model.OID) (model.OID, error) {
-	st, err := m.StateOf(parent)
+	pobj, p, err := m.load(tx.FetchForUpdate, parent)
 	if err != nil {
 		return model.NilOID, err
 	}
-	if st == Transient && m.promoteParentOnDerive() {
-		if _, err := m.Promote(tx, parent); err != nil {
+	if p.state == Transient && *m.rules().PromoteParentOnDerive {
+		if _, err := m.promote(tx, parent, p); err != nil {
 			return model.NilOID, err
 		}
 	}
-	pobj, err := m.db.FetchObject(parent)
+	gobj, vs, err := m.lockGeneric(tx, p)
 	if err != nil {
 		return model.NilOID, err
 	}
-	g, err := m.GenericOf(parent)
-	if err != nil {
-		return model.NilOID, err
-	}
-	gobj, err := m.db.FetchObject(g)
-	if err != nil {
-		return model.NilOID, err
-	}
-	nextV, err := m.db.AttrValue(gobj, attrNext)
-	if err != nil {
-		return model.NilOID, ErrNotGeneric
-	}
+	nextV, _ := m.db.AttrValue(gobj, attrNext)
 	n, _ := nextV.AsInt()
 	if n == 0 {
 		n = 1
 	}
 
 	// Copy the parent's application state.
-	child := model.NewObject(model.NilOID) // template
-	for _, av := range pobj.AttrVals() {
-		child.Set(av.ID, av.V)
-	}
-	attrs := map[string]model.Value{}
 	effAttrs, err := m.db.Catalog.EffectiveAttrs(parent.Class())
 	if err != nil {
 		return model.NilOID, err
 	}
+	attrs := map[string]model.Value{}
 	for _, a := range effAttrs {
-		if v, ok := child.Lookup(a.ID); ok {
+		if v, ok := pobj.Lookup(a.ID); ok {
 			attrs[a.Name] = v
 		}
 	}
-	attrs[attrGeneric] = model.Ref(g)
+	attrs[attrGeneric] = model.Ref(p.generic)
 	attrs[attrParent] = model.Ref(parent)
 	attrs[attrNumber] = model.Int(n)
 	attrs[attrState] = model.Int(int64(Transient))
@@ -375,93 +385,95 @@ func (m *Manager) Derive(tx *core.Tx, parent model.OID) (model.OID, error) {
 	}
 
 	// Register with the generic object.
-	versions, _ := m.db.AttrValue(gobj, attrVersions)
-	members, _ := versions.AsSet()
-	newSet := append(append([]model.Value(nil), members...), model.Ref(oid))
-	if err := tx.Update(g, map[string]model.Value{
-		attrVersions: model.Set(newSet...),
+	if err := tx.Update(p.generic, map[string]model.Value{
+		attrVersions: model.Set(append(vs[:len(vs):len(vs)], model.Ref(oid))...),
 		attrNext:     model.Int(n + 1),
 	}); err != nil {
 		return model.NilOID, err
 	}
-	m.notify(Notification{Generic: g, Version: oid, Event: "derive"})
+	m.notify(Notification{Generic: p.generic, Version: oid, Event: "derive"})
 	return oid, nil
 }
 
 // DeleteVersion removes a version; released versions are protected.
 func (m *Manager) DeleteVersion(tx *core.Tx, oid model.OID) error {
-	st, err := m.StateOf(oid)
+	_, v, err := m.load(tx.FetchForUpdate, oid)
 	if err != nil {
 		return err
 	}
-	if !m.canDelete(st) {
+	if !m.rules().CanDelete(v.state) {
 		return ErrReleased
 	}
-	g, err := m.GenericOf(oid)
+	gobj, vs, err := m.lockGeneric(tx, v)
 	if err != nil {
 		return err
 	}
-	gobj, err := m.db.FetchObject(g)
-	if err != nil {
-		return err
-	}
-	versions, _ := m.db.AttrValue(gobj, attrVersions)
-	members, _ := versions.AsSet()
 	var kept []model.Value
-	for _, mem := range members {
+	for _, mem := range vs {
 		if ref, _ := mem.AsRef(); ref != oid {
 			kept = append(kept, mem)
 		}
 	}
 	upd := map[string]model.Value{attrVersions: model.Set(kept...)}
 	// Clear the default if it pointed at the deleted version.
-	if def, _ := m.db.AttrValue(gobj, attrDefault); !def.IsNull() {
-		if ref, _ := def.AsRef(); ref == oid {
-			upd[attrDefault] = model.Null
-		}
+	def, _ := m.db.AttrValue(gobj, attrDefault)
+	if ref, _ := def.AsRef(); ref == oid {
+		upd[attrDefault] = model.Null
 	}
-	if err := tx.Update(g, upd); err != nil {
+	if err := tx.Update(v.generic, upd); err != nil {
 		return err
 	}
 	return tx.Delete(oid)
 }
 
 // SetDefault pins the generic object's default version (static binding).
+// The version, which must belong to generic, is read under S first: a
+// DeleteVersion of it finishes before (and SetDefault fails) or waits.
 func (m *Manager) SetDefault(tx *core.Tx, generic, version model.OID) error {
+	_, v, err := m.load(tx.Fetch, version)
+	if err != nil {
+		return err
+	}
+	if v.generic != generic {
+		return fmt.Errorf("%w: %s is not a version of %s", ErrNotVersion, version, generic)
+	}
 	return tx.Update(generic, map[string]model.Value{attrDefault: model.Ref(version)})
 }
 
 // Resolve performs dynamic binding: a reference to the generic object
 // resolves to its default version if set, else to the most recently
-// derived (highest-numbered) version.
+// derived (highest-numbered) version. A member that no longer exists is a
+// dangling link and is passed over; any other read error is returned.
 func (m *Manager) Resolve(generic model.OID) (model.OID, error) {
 	gobj, err := m.db.FetchObject(generic)
 	if err != nil {
 		return model.NilOID, err
 	}
-	if def, err := m.db.AttrValue(gobj, attrDefault); err == nil && !def.IsNull() {
+	if def, err := m.db.AttrValue(gobj, attrDefault); err == nil {
 		if oid, ok := def.AsRef(); ok {
 			return oid, nil
 		}
 	}
-	vs, err := m.Versions(generic)
+	vs, err := m.members(gobj)
 	if err != nil {
 		return model.NilOID, err
 	}
 	if len(vs) == 0 {
 		return model.NilOID, fmt.Errorf("version: generic %s has no versions", generic)
 	}
-	best := vs[0]
+	best, _ := vs[0].AsRef()
 	bestN := int64(-1)
-	for _, v := range vs {
-		obj, err := m.db.FetchObject(v)
-		if err != nil {
+	for _, mem := range vs {
+		oid, _ := mem.AsRef()
+		_, v, err := m.load(m.db.FetchObject, oid)
+		if errors.Is(err, core.ErrNoObject) {
 			continue
 		}
-		nv, _ := m.db.AttrValue(obj, attrNumber)
-		n, _ := nv.AsInt()
-		if n > bestN {
-			bestN, best = n, v
+		if err != nil {
+			return model.NilOID, err
+		}
+		if v.number > bestN {
+			bestN, best = v.number, oid
 		}
 	}
 	return best, nil
@@ -473,11 +485,10 @@ func (m *Manager) Versions(generic model.OID) ([]model.OID, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs, err := m.db.AttrValue(gobj, attrVersions)
+	members, err := m.members(gobj)
 	if err != nil {
-		return nil, ErrNotGeneric
+		return nil, err
 	}
-	members, _ := vs.AsSet()
 	out := make([]model.OID, 0, len(members))
 	for _, mem := range members {
 		if oid, ok := mem.AsRef(); ok {
@@ -485,21 +496,6 @@ func (m *Manager) Versions(generic model.OID) ([]model.OID, error) {
 		}
 	}
 	return out, nil
-}
-
-// ParentOf returns the version a version was derived from (nil for the
-// first version).
-func (m *Manager) ParentOf(oid model.OID) (model.OID, error) {
-	obj, err := m.db.FetchObject(oid)
-	if err != nil {
-		return model.NilOID, err
-	}
-	v, err := m.db.AttrValue(obj, attrParent)
-	if err != nil {
-		return model.NilOID, ErrNotVersion
-	}
-	p, _ := v.AsRef()
-	return p, nil
 }
 
 // RegisterDependent subscribes an object to change notification for a

@@ -43,19 +43,21 @@ type Manager struct {
 	eng *query.Engine
 
 	mu    sync.RWMutex
-	defs  map[string]string    // name -> query source
-	oids  map[string]model.OID // name -> persisted definition object
+	defs  map[string]def
 	class *schema.Class
 }
 
-// New creates (or re-attaches) the view layer.
-func New(db *core.DB) (*Manager, error) {
-	m := &Manager{
-		db:   db,
-		eng:  query.NewEngine(db),
-		defs: make(map[string]string),
-		oids: make(map[string]model.OID),
-	}
+// def is one stored view.
+type def struct {
+	src string    // query source
+	oid model.OID // persisted definition object
+}
+
+// New creates (or re-attaches) the view layer over db and resolves view
+// names in eng's queries: FROM <ViewName> plans as the view's query merged
+// with the outer query. Run executes views through eng.
+func New(db *core.DB, eng *query.Engine) (*Manager, error) {
+	m := &Manager{db: db, eng: eng, defs: make(map[string]def)}
 	cl, err := db.SystemClass(defClassName,
 		schema.AttrSpec{Name: "name", Domain: schema.ClassString},
 		schema.AttrSpec{Name: "source", Domain: schema.ClassString},
@@ -64,23 +66,20 @@ func New(db *core.DB) (*Manager, error) {
 		return nil, err
 	}
 	m.class = cl
-	// Wire view-name resolution into the query engine: FROM <ViewName>
-	// plans as the view's query merged with the outer query.
-	m.eng.Views = m.lookup
 	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		nv, _ := db.AttrValue(obj, "name")
 		sv, _ := db.AttrValue(obj, "source")
 		name, _ := nv.AsString()
 		src, _ := sv.AsString()
 		if name != "" {
-			m.defs[name] = src
-			m.oids[name] = obj.OID
+			m.defs[name] = def{src: src, oid: obj.OID}
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
+	eng.Views = m.lookup
 	return m, nil
 }
 
@@ -108,8 +107,7 @@ func (m *Manager) Define(name, src string) error {
 	if err != nil {
 		return err
 	}
-	m.defs[name] = src
-	m.oids[name] = oid
+	m.defs[name] = def{src: src, oid: oid}
 	return nil
 }
 
@@ -141,17 +139,17 @@ func (m *Manager) Redefine(name, src string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	oid, ok := m.oids[name]
+	d, ok := m.defs[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchView, name)
 	}
 	err := m.db.Do(func(tx *core.Tx) error {
-		return tx.Update(oid, map[string]model.Value{"source": model.String(src)})
+		return tx.Update(d.oid, map[string]model.Value{"source": model.String(src)})
 	})
 	if err != nil {
 		return err
 	}
-	m.defs[name] = src
+	m.defs[name] = def{src: src, oid: d.oid}
 	return nil
 }
 
@@ -159,28 +157,24 @@ func (m *Manager) Redefine(name, src string) error {
 func (m *Manager) Drop(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	oid, ok := m.oids[name]
+	d, ok := m.defs[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchView, name)
 	}
-	err := m.db.Do(func(tx *core.Tx) error { return tx.Delete(oid) })
+	err := m.db.Do(func(tx *core.Tx) error { return tx.Delete(d.oid) })
 	if err != nil {
 		return err
 	}
 	delete(m.defs, name)
-	delete(m.oids, name)
 	return nil
 }
 
 // Source returns a view's query text.
 func (m *Manager) Source(name string) (string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	src, ok := m.defs[name]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrNoSuchView, name)
+	if src, ok := m.lookup(name); ok {
+		return src, nil
 	}
-	return src, nil
+	return "", fmt.Errorf("%w: %q", ErrNoSuchView, name)
 }
 
 // Names lists defined views.
@@ -199,14 +193,8 @@ func (m *Manager) Names() []string {
 func (m *Manager) lookup(name string) (string, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	src, ok := m.defs[name]
-	return src, ok
-}
-
-// AttachTo wires this manager's views into another query engine so its
-// queries can use FROM <ViewName> too.
-func (m *Manager) AttachTo(eng *query.Engine) {
-	eng.Views = m.lookup
+	d, ok := m.defs[name]
+	return d.src, ok
 }
 
 // Run executes the view as a query inside tx.

@@ -6,6 +6,7 @@ import (
 
 	"oodb/internal/core"
 	"oodb/internal/model"
+	"oodb/internal/query"
 	"oodb/internal/schema"
 )
 
@@ -26,7 +27,7 @@ func newWorld(t *testing.T) *world {
 		schema.AttrSpec{Name: "id", Domain: schema.ClassString},
 		schema.AttrSpec{Name: "weight", Domain: schema.ClassInteger})
 	db.DefineClass("Truck", []model.ClassID{vehicle.ID})
-	vm, err := New(db)
+	vm, err := New(db, query.NewEngine(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestViewsSurviveReopen(t *testing.T) {
 	db, _ := core.Open(dir, core.Options{})
 	db.DefineClass("Vehicle", nil,
 		schema.AttrSpec{Name: "weight", Domain: schema.ClassInteger})
-	vm, _ := New(db)
+	vm, _ := New(db, query.NewEngine(db))
 	vm.Define("Heavy", `SELECT * FROM Vehicle WHERE weight > 7500`)
 	db.Do(func(tx *core.Tx) error {
 		_, err := tx.Insert("Vehicle", map[string]model.Value{"weight": model.Int(9000)})
@@ -148,7 +149,7 @@ func TestViewsSurviveReopen(t *testing.T) {
 
 	db2, _ := core.Open(dir, core.Options{})
 	defer db2.Close()
-	vm2, err := New(db2)
+	vm2, err := New(db2, query.NewEngine(db2))
 	if err != nil {
 		t.Fatal(err)
 	}

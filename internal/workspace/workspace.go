@@ -87,15 +87,10 @@ func (ws *Workspace) Len() int { return len(ws.cache) }
 // are kept (their changes would be lost); it reports whether the object is
 // gone.
 func (ws *Workspace) Evict(oid model.OID) bool {
-	d, ok := ws.cache[oid]
-	if !ok {
-		return true
-	}
-	if d.dirty {
+	if d, ok := ws.cache[oid]; ok && d.dirty {
 		return false
 	}
-	ws.unswizzle(oid)
-	delete(ws.cache, oid)
+	ws.Discard(oid)
 	return true
 }
 
@@ -115,48 +110,60 @@ func (ws *Workspace) unswizzle(oid model.OID) {
 // success the workspace is clean; on error the transaction is aborted and
 // descriptors keep their in-memory state.
 func (ws *Workspace) Save() error {
-	var dirty []*Descriptor
-	for _, d := range ws.cache {
+	var dirty []model.OID
+	for oid, d := range ws.cache {
 		if d.dirty {
-			dirty = append(dirty, d)
+			dirty = append(dirty, oid)
 		}
 	}
-	if len(dirty) == 0 {
-		return nil
-	}
-	err := ws.db.Do(func(tx *core.Tx) error {
-		for _, d := range dirty {
-			attrs := make(map[string]model.Value)
-			// Write back by attribute name against the effective schema
-			// so domain checks run.
-			effAttrs, err := ws.db.Catalog.EffectiveAttrs(d.obj.Class())
-			if err != nil {
-				return err
-			}
-			for _, a := range effAttrs {
-				if v, ok := d.obj.Lookup(a.ID); ok {
-					attrs[a.Name] = v
-				}
-			}
-			if err := tx.Update(d.obj.OID, attrs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := ws.db.Do(func(tx *core.Tx) error { return ws.WriteBack(tx, dirty...) }); err != nil {
 		return err
 	}
-	mWriteBacks.Add(uint64(len(dirty)))
-	for _, d := range dirty {
-		d.dirty = false
+	for _, oid := range dirty {
+		ws.cache[oid].dirty = false
 	}
 	return nil
 }
 
-// Discard drops all resident descriptors, losing unsaved changes.
-func (ws *Workspace) Discard() {
-	ws.cache = make(map[model.OID]*Descriptor)
+// WriteBack writes the state of each given descriptor that is resident and
+// dirty back through tx, by attribute name against the effective schema so
+// domain checks run. The descriptors stay dirty: once tx commits, the
+// caller marks them clean (Save) or discards them (a checkin).
+func (ws *Workspace) WriteBack(tx *core.Tx, oids ...model.OID) error {
+	for _, oid := range oids {
+		d, ok := ws.cache[oid]
+		if !ok || !d.dirty {
+			continue
+		}
+		effAttrs, err := ws.db.Catalog.EffectiveAttrs(oid.Class())
+		if err != nil {
+			return err
+		}
+		attrs := make(map[string]model.Value)
+		for _, a := range effAttrs {
+			if v, ok := d.obj.Lookup(a.ID); ok {
+				attrs[a.Name] = v
+			}
+		}
+		if err := tx.Update(oid, attrs); err != nil {
+			return err
+		}
+		mWriteBacks.Add(1)
+	}
+	return nil
+}
+
+// Discard drops the given descriptors, or every descriptor when none is
+// given, losing their unsaved changes.
+func (ws *Workspace) Discard(oids ...model.OID) {
+	if len(oids) == 0 {
+		ws.cache = make(map[model.OID]*Descriptor)
+		return
+	}
+	for _, oid := range oids {
+		ws.unswizzle(oid)
+		delete(ws.cache, oid)
+	}
 }
 
 // OID returns the object's identifier.
@@ -240,8 +247,11 @@ func (d *Descriptor) DerefSet(name string) ([]*Descriptor, error) {
 			continue
 		}
 		t, err := d.ws.Fetch(oid)
-		if err != nil {
+		if errors.Is(err, core.ErrNoObject) {
 			continue // dangling member
+		}
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, t)
 	}

@@ -30,6 +30,7 @@ package oodb
 
 import (
 	"fmt"
+	"sync"
 
 	"oodb/internal/authz"
 	"oodb/internal/checkout"
@@ -133,6 +134,13 @@ type DB struct {
 	eng *core.DB
 	q   *query.Engine
 	mnt *maint.Manager
+
+	// The feature layers' managers, one each, built on first use.
+	layerMu    sync.Mutex
+	versions   *version.Manager
+	composites *composite.Manager
+	checkouts  *checkout.Manager
+	views      *views.Manager
 }
 
 // Open opens (or creates) a database in dir, running crash recovery if
@@ -432,24 +440,40 @@ func (db *DB) Maintenance() *maint.Manager { return db.mnt }
 
 // --- Feature layers ----------------------------------------------------
 
-// Versions returns the version-management layer (Chou-Kim model).
-func (db *DB) Versions() (*version.Manager, error) { return version.New(db.eng) }
+// Versions returns the version-management layer (Chou-Kim model). It and
+// the three accessors below return the database's one manager of a layer,
+// built on the first call and safe for concurrent use, so what a manager
+// keeps in memory belongs to the database. A failed build (a damaged
+// system record is ErrCorrupt) is not kept: the next call builds again.
+func (db *DB) Versions() (*version.Manager, error) { return layer(db, &db.versions, version.New) }
 
 // Composites returns the composite-object layer (part-of semantics).
-func (db *DB) Composites() (*composite.Manager, error) { return composite.New(db.eng) }
+func (db *DB) Composites() (*composite.Manager, error) {
+	return layer(db, &db.composites, composite.New)
+}
 
-// Checkouts returns the long-transaction (checkout/checkin) layer.
-func (db *DB) Checkouts() (*checkout.Manager, error) { return checkout.New(db.eng) }
+// Checkouts returns the long-transaction (checkout/checkin) layer, which
+// holds each user's private workspace.
+func (db *DB) Checkouts() (*checkout.Manager, error) { return layer(db, &db.checkouts, checkout.New) }
 
-// Views returns the view layer and wires its names into this database's
-// query engine, so db.Query can use FROM <ViewName>.
+// Views returns the view layer, whose names this database's queries
+// resolve: db.Query can use FROM <ViewName>.
 func (db *DB) Views() (*views.Manager, error) {
-	vm, err := views.New(db.eng)
-	if err != nil {
-		return nil, err
+	return layer(db, &db.views, func(eng *core.DB) (*views.Manager, error) { return views.New(eng, db.q) })
+}
+
+// layer returns *slot, building it first if it is nil.
+func layer[M any](db *DB, slot **M, build func(*core.DB) (*M, error)) (*M, error) {
+	db.layerMu.Lock()
+	defer db.layerMu.Unlock()
+	if *slot == nil {
+		m, err := build(db.eng)
+		if err != nil {
+			return nil, err
+		}
+		*slot = m
 	}
-	vm.AttachTo(db.q)
-	return vm, nil
+	return *slot, nil
 }
 
 // Authorizer returns a fresh authorization lattice bound to this
