@@ -25,12 +25,13 @@ race:
 	$(GO) test -race ./...
 
 # The experiment families (bench_test.go, bench_system_test.go: E1-E19
-# and segment compaction), the query executor's benchmarks (heap-scan
-# aggregate, ordered range with LIMIT) and the storage and WAL benchmarks,
-# at the default benchtime. -p 1: one package's benchmarks at a time.
+# and segment compaction), the engine's point read of an OO1 part
+# (BenchmarkFetch), the query executor's benchmarks (heap-scan aggregate,
+# ordered range with LIMIT) and the storage and WAL benchmarks, at the
+# default benchtime. -p 1: one package's benchmarks at a time.
 # Narrow with e.g. `go test -run '^$' -bench 'E17' .`
 bench:
-	$(GO) test -p 1 -run '^$$' -bench . -benchmem . ./internal/query/ ./internal/storage/ ./internal/wal/
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem . ./internal/core/ ./internal/query/ ./internal/storage/ ./internal/wal/
 
 # Every benchmark of the module once (-benchtime 1x), so a family whose
 # setup breaks or whose precondition fails is caught by verify, not by the
@@ -74,11 +75,15 @@ chain-lint:
 # internal/core, internal/storage and internal/model names DecodeObject or
 # ScanImages (internal/fault may scan images). It also keeps locking inside
 # core.Tx: no non-test file outside internal/core and internal/txn names
-# the lock manager's LockInstance*, LockClass* or LockHierarchyRead. A
-# go/parser walk of the module (TestOnlyTheEngineDecodes in
+# the lock manager's LockInstance*, LockClass* or LockHierarchyRead. And it
+# keeps unowned bytes where they are made safe: no non-test file outside
+# internal/storage and internal/core names Store.View (its payload aliases
+# a pinned page), and none outside internal/model imports unsafe (the one
+# exception is internal/obs/obs.go). Go/parser walks of the module
+# (TestOnlyTheEngineDecodes, TestPinnedReadsStayInTheEngine in
 # internal/core/decodelint_test.go).
 decode-lint:
-	$(GO) test -count=1 -run '^TestOnlyTheEngineDecodes$$' ./internal/core/
+	$(GO) test -count=1 -run '^(TestOnlyTheEngineDecodes|TestPinnedReadsStayInTheEngine)$$' ./internal/core/
 
 # The crash-recovery matrices under the race detector, at pre-merge breadth:
 # every schedule crashes the engine at a distinct I/O op, named by its

@@ -498,12 +498,16 @@ func (db *DB) redoOne(r wal.Record) error {
 // FetchObject returns the last stored state of oid, without locking: the
 // read-uncommitted path used by method bodies, index maintenance and the
 // workspace. Transactional reads go through Tx.Fetch.
+//
+// The object is decoded straight from the record's pinned page
+// (storage.Store.View); it owns every byte it holds.
 func (db *DB) FetchObject(oid model.OID) (*model.Object, error) {
-	data, err := db.Store.Get(oid)
-	if err != nil {
-		return nil, err
-	}
-	return model.DecodeObject(data)
+	var obj *model.Object
+	err := db.Store.View(oid, func(payload []byte) (err error) {
+		obj, err = model.DecodeObject(payload)
+		return err
+	})
+	return obj, err
 }
 
 // ScanObjects calls fn with the last stored state of every instance of

@@ -55,19 +55,33 @@ func (tx *Tx) endSnapshot() {
 
 // snapshotFetch resolves one object at the pinned epoch. The heap is read
 // first and the overlay consulted second — the reader half of the MVCC
-// ordering protocol (see internal/mvcc).
+// ordering protocol (see internal/mvcc). Both happen inside one
+// Store.View: the overlay is resolved against the pinned record, and the
+// visible image is decoded before the page is let go. When the heap has
+// no readable record, the overlay alone decides.
 func (tx *Tx) snapshotFetch(oid model.OID) (*model.Object, error) {
-	data, err := tx.db.Store.Get(oid)
-	heapOK := err == nil
-	vdata, ok := tx.db.Versions.Resolve(oid, data, heapOK, tx.snapEpoch)
-	if !ok {
-		if err != nil {
-			return nil, err
+	var obj *model.Object
+	visible := false
+	resolve := func(heap []byte, heapOK bool) (err error) {
+		vdata, ok := tx.db.Versions.Resolve(oid, heap, heapOK, tx.snapEpoch)
+		if visible = ok; !ok {
+			return nil
 		}
+		mSnapReads.Add(1)
+		obj, err = model.DecodeObject(vdata)
+		return err
+	}
+	err := tx.db.Store.View(oid, func(payload []byte) error { return resolve(payload, true) })
+	switch {
+	case err != nil && !visible: // View found no readable record
+		if rerr := resolve(nil, false); visible {
+			return obj, rerr
+		}
+		return nil, err
+	case !visible:
 		return nil, fmt.Errorf("%w: %s", ErrNoObject, oid)
 	}
-	mSnapReads.Add(1)
-	return model.DecodeObject(vdata)
+	return obj, err
 }
 
 // snapshotScanRaw iterates the snapshot-visible images of exactly one

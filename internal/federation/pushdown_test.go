@@ -279,10 +279,11 @@ func TestFallbackScanIsTransactional(t *testing.T) {
 	}
 
 	// A damaged record is a typed error on both paths, not a shorter answer.
-	img, err := odb.Store.Get(oids[1])
+	obj, err := odb.FetchObject(oids[1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	img := model.EncodeObject(obj)
 	if err := odb.Store.Put(oids[1], img[:len(img)-1]); err != nil { // cut mid-value
 		t.Fatal(err)
 	}

@@ -26,13 +26,13 @@ func AppendValue(dst []byte, v Value) []byte {
 	case KindBool:
 		dst = append(dst, byte(v.num))
 	case KindString, KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		dst = append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, v.num)
+		dst = append(dst, v.str()...)
 	case KindRef:
 		dst = binary.AppendUvarint(dst, v.num)
 	case KindSet:
-		dst = binary.AppendUvarint(dst, uint64(len(v.set)))
-		for _, m := range v.set {
+		dst = binary.AppendUvarint(dst, v.num)
+		for _, m := range v.set() {
 			dst = AppendValue(dst, m)
 		}
 	}
@@ -83,11 +83,8 @@ func decodeValue(buf []byte, depth int) (Value, int, error) {
 		if m <= 0 || l > uint64(len(buf)-n-m) {
 			return Null, 0, ErrCorrupt
 		}
-		payload := string(buf[n+m : n+m+int(l)])
-		if kind == KindString {
-			return String(payload), n + m + int(l), nil
-		}
-		return Value{kind: KindBytes, str: payload}, n + m + int(l), nil
+		// The payload is copied: a decoded value never aliases buf.
+		return stringValue(kind, string(buf[n+m:n+m+int(l)])), n + m + int(l), nil
 	case KindRef:
 		o, m := binary.Uvarint(buf[n:])
 		if m <= 0 {
@@ -113,7 +110,7 @@ func decodeValue(buf []byte, depth int) (Value, int, error) {
 			n += used
 		}
 		// Members were normalized at Set() time; trust the stored order.
-		return Value{kind: KindSet, set: members}, n, nil
+		return setValue(members), n, nil
 	default:
 		return Null, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
@@ -167,8 +164,9 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = append(dst, tag)
 		// Escape 0x00 as 0x00 0xFF so the 0x00 0x00 terminator sorts
 		// before any continuation of the string.
-		for i := 0; i < len(v.str); i++ {
-			c := v.str[i]
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			c := s[i]
 			dst = append(dst, c)
 			if c == 0x00 {
 				dst = append(dst, 0xFF)
@@ -180,7 +178,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		return binary.BigEndian.AppendUint64(dst, v.num)
 	case KindSet:
 		dst = append(dst, keySet)
-		for _, m := range v.set {
+		for _, m := range v.set() {
 			dst = AppendKey(dst, m)
 		}
 		return append(dst, keyNull) // terminator sorts before any member tag

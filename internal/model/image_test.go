@@ -167,6 +167,7 @@ func fuzzSeeds(f *testing.F) {
 func FuzzImage(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, buf []byte) {
+		buf = bytes.Clone(buf) // scribbled over below
 		obj, derr := DecodeObject(buf)
 		probe := []AttrID{0, 1, 1 << 31}
 		if derr == nil {
@@ -194,6 +195,15 @@ func FuzzImage(f *testing.F) {
 			if f.OK != wok || f.V.Kind() != wv.Kind() || (wok && !bytes.Equal(AppendValue(nil, f.V), AppendValue(nil, wv))) {
 				t.Fatalf("field %d = %v,%v; object has %v,%v", f.ID, f.V, f.OK, wv, wok)
 			}
+		}
+		// A decoded object owns its payloads: the buffer it came from may
+		// be rewritten (a page reused) without changing it.
+		want := EncodeObject(obj)
+		for i := range buf {
+			buf[i] ^= 0xA5
+		}
+		if got := EncodeObject(obj); !bytes.Equal(got, want) {
+			t.Fatalf("object changed with the buffer it was decoded from: %x, want %x", got, want)
 		}
 	})
 }

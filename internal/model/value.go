@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the primitive classes of the core model plus the two
@@ -56,13 +57,49 @@ func (k Kind) String() string {
 // reference to a general object, or a set of values. Value is an immutable
 // tagged union; the zero Value is null.
 //
-// Bytes values are stored in an immutable string so that sharing a Value
-// never aliases mutable storage.
+// A Value is 24 bytes: the kind, one word of number, and one pointer. A
+// string or bytes value keeps its length in num and its first byte in ptr;
+// a set keeps its member count in num and its first member in ptr. str and
+// set rebuild the string and the slice from the two words. Whatever ptr
+// points at is owned by the value and never written again: Bytes and
+// DecodeValue copy their input, Set copies its members, so a Value never
+// aliases a caller's buffer or a page of the store, and sharing one is
+// safe. The leading zero-size func field keeps Value non-comparable (== on
+// two Values does not compile; use Equal); it goes first because a trailing
+// zero-size field would pad the struct.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	num  uint64 // int64 bits, float64 bits, bool (0/1), or OID
-	str  string // string or bytes payload
-	set  []Value
+	num  uint64 // int64 bits, float64 bits, bool (0/1), OID, or payload length
+	ptr  unsafe.Pointer
+}
+
+// stringValue returns a string or bytes value over s, which the value
+// then owns.
+func stringValue(kind Kind, s string) Value {
+	return Value{kind: kind, num: uint64(len(s)), ptr: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// setValue returns a set value over members, which the value then owns.
+func setValue(members []Value) Value {
+	return Value{kind: KindSet, num: uint64(len(members)), ptr: unsafe.Pointer(unsafe.SliceData(members))}
+}
+
+// str returns the payload of a string or bytes value.
+func (v Value) str() string {
+	if v.kind != KindString && v.kind != KindBytes {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ptr), int(v.num))
+}
+
+// set returns the members of a set value. The slice is the value's own
+// storage: callers must not modify it.
+func (v Value) set() []Value {
+	if v.kind != KindSet {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.ptr), int(v.num))
 }
 
 // Null is the null value (absence of a value; also the null reference).
@@ -84,10 +121,10 @@ func Bool(v bool) Value {
 }
 
 // String returns a string value.
-func String(v string) Value { return Value{kind: KindString, str: v} }
+func String(v string) Value { return stringValue(KindString, v) }
 
 // Bytes returns a long-unstructured-data value. The input is copied.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, str: string(v)} }
+func Bytes(v []byte) Value { return stringValue(KindBytes, string(v)) }
 
 // Ref returns a reference value holding the OID of another object. A nil
 // OID yields the null value, so Ref(NilOID).IsNull() is true.
@@ -110,7 +147,7 @@ func Set(members ...Value) Value {
 			out = append(out, v)
 		}
 	}
-	return Value{kind: KindSet, set: out}
+	return setValue(out)
 }
 
 // Kind returns the kind tag of the value.
@@ -155,7 +192,7 @@ func (v Value) AsString() (s string, ok bool) {
 	if v.kind != KindString {
 		return "", false
 	}
-	return v.str, true
+	return v.str(), true
 }
 
 // AsBytes returns a copy of the bytes payload. ok is false if the value is
@@ -164,7 +201,7 @@ func (v Value) AsBytes() (b []byte, ok bool) {
 	if v.kind != KindBytes {
 		return nil, false
 	}
-	return []byte(v.str), true
+	return []byte(v.str()), true
 }
 
 // AsRef returns the referenced OID. ok is false if the value is not a
@@ -182,7 +219,7 @@ func (v Value) AsSet() (members []Value, ok bool) {
 	if v.kind != KindSet {
 		return nil, false
 	}
-	return v.set, true
+	return v.set(), true
 }
 
 // Contains reports whether a set value contains member (by Compare
@@ -191,8 +228,9 @@ func (v Value) Contains(member Value) bool {
 	if v.kind != KindSet {
 		return false
 	}
-	i := sort.Search(len(v.set), func(i int) bool { return Compare(v.set[i], member) >= 0 })
-	return i < len(v.set) && Compare(v.set[i], member) == 0
+	members := v.set()
+	i := sort.Search(len(members), func(i int) bool { return Compare(members[i], member) >= 0 })
+	return i < len(members) && Compare(members[i], member) == 0
 }
 
 // String renders the value for logs, query results and the shell.
@@ -207,14 +245,15 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.num == 1)
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str())
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.str))
+		return fmt.Sprintf("bytes[%d]", len(v.str()))
 	case KindRef:
 		return "@" + OID(v.num).String()
 	case KindSet:
-		parts := make([]string, len(v.set))
-		for i, m := range v.set {
+		members := v.set()
+		parts := make([]string, len(members))
+		for i, m := range members {
 			parts[i] = m.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
@@ -291,7 +330,7 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case a.kind == KindString, a.kind == KindBytes:
-		return strings.Compare(a.str, b.str)
+		return strings.Compare(a.str(), b.str())
 	case a.kind == KindRef:
 		switch {
 		case a.num < b.num:
@@ -301,15 +340,16 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	default: // set
-		for i := 0; i < len(a.set) && i < len(b.set); i++ {
-			if c := Compare(a.set[i], b.set[i]); c != 0 {
+		as, bs := a.set(), b.set()
+		for i := 0; i < len(as) && i < len(bs); i++ {
+			if c := Compare(as[i], bs[i]); c != 0 {
 				return c
 			}
 		}
 		switch {
-		case len(a.set) < len(b.set):
+		case len(as) < len(bs):
 			return -1
-		case len(a.set) > len(b.set):
+		case len(as) > len(bs):
 			return 1
 		}
 		return 0

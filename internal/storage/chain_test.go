@@ -85,7 +85,7 @@ var chainKinds = []chainKind{
 			return f
 		},
 		read: func(f *chainFixture) error {
-			_, err := f.s.Get(f.oids[0])
+			_, err := get(f.s, f.oids[0])
 			return err
 		},
 		free: func(f *chainFixture) error { return f.s.Delete(f.oids[0]) },
@@ -129,7 +129,7 @@ var chainDamages = []struct {
 // of another type, link past the end of the file}, each made through the
 // pool and flushed, so every checksum is valid and only the walker's own
 // checks stand between the damage and the caller. Readers fail with
-// model.ErrCorrupt — ReadBlob, Store.Get, ScanImages, and storage.Open for
+// model.ErrCorrupt — ReadBlob, Store.View, ScanImages, and storage.Open for
 // the heap rows but the foreign link, which the open amputates as it does
 // a stale link after a crash. Frees stop and leak: every page of the chain
 // goes on the free list once and the foreign page is untouched. The
@@ -239,7 +239,7 @@ func (f *chainFixture) checkForeign(t *testing.T) {
 		return
 	}
 	for _, oid := range f.oids[1:] {
-		if _, err := f.s.Get(oid); err != nil {
+		if _, err := get(f.s, oid); err != nil {
 			t.Fatalf("%s beside the freed chain: %v", oid, err)
 		}
 	}

@@ -53,7 +53,7 @@ func TestRewriteSegmentFidelity(t *testing.T) {
 			}
 			continue
 		}
-		data, err := s.Get(oid)
+		data, err := get(s, oid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRewriteSegmentFidelity(t *testing.T) {
 		t.Fatalf("compaction did not shrink the chain: %d -> %d pages", res.PagesBefore, res.PagesAfter)
 	}
 	for oid, w := range want {
-		got, err := s.Get(oid)
+		got, err := get(s, oid)
 		if err != nil {
 			t.Fatalf("get %s after rewrite: %v", oid, err)
 		}

@@ -73,7 +73,7 @@ type HeapStats struct {
 	Mutations uint64 // inserts, updates and deletes since open: unchanged means write-quiet
 }
 
-// errHeapDetached is the sentinel Read and Scan return on a heap whose
+// errHeapDetached is the sentinel view and Scan return on a heap whose
 // pages are being freed. It never leaves the package: the Store callers
 // re-resolve the class through the directory.
 var errHeapDetached = errors.New("storage: heap detached")
@@ -191,31 +191,37 @@ func (h *Heap) Bounds() (first, last PageID) {
 	return h.First, h.Last
 }
 
-// Read returns a copy of the payload stored at rid, or errHeapDetached when
-// the heap's pages are being freed.
-func (h *Heap) Read(rid RID) ([]byte, error) {
+// view calls fn with the payload stored at rid, under the heap latch in
+// read mode and a pin on the record's page (see Store.View), or returns
+// errHeapDetached when the heap's pages are being freed. An inline payload
+// is a full slice expression of the page bytes, so an append by fn cannot
+// reach the page; an overflow payload is reassembled into its own buffer.
+func (h *Heap) view(rid RID, fn func(payload []byte) error) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if h.detached {
-		return nil, errHeapDetached
+		return errHeapDetached
 	}
-	return h.read(rid)
-}
-
-func (h *Heap) read(rid RID) ([]byte, error) {
 	p, err := h.pool.Fetch(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer h.pool.Unpin(rid.Page, false)
 	rec, err := p.Read(int(rid.Slot))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s (%v)", ErrNoRecord, rid, err)
+		return fmt.Errorf("%w: %s (%v)", ErrNoRecord, rid, err)
 	}
 	if len(rec) == 0 {
-		return nil, fmt.Errorf("%w: %s (empty record)", ErrNoRecord, rid)
+		return fmt.Errorf("%w: %s (empty record)", ErrNoRecord, rid)
 	}
-	return h.appendPayload(make([]byte, 0, len(rec)-1), rec, rid)
+	if rec[0] == recInline {
+		return fn(rec[1:len(rec):len(rec)])
+	}
+	payload, err := h.appendPayload(nil, rec, rid)
+	if err != nil {
+		return err
+	}
+	return fn(payload)
 }
 
 // appendPayload appends the payload of the tagged record rec (stored at

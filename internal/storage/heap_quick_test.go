@@ -78,7 +78,7 @@ func TestHeapRandomizedAgainstMap(t *testing.T) {
 		// Spot-check a random survivor.
 		if len(rids) > 0 {
 			rid := rids[r.Intn(len(rids))]
-			got, err := h.Read(rid)
+			got, err := read(h, rid)
 			if err != nil {
 				t.Fatalf("step %d: read %v: %v", step, rid, err)
 			}
@@ -114,7 +114,7 @@ func TestHeapRandomizedAgainstMap(t *testing.T) {
 		if err := h.Delete(rid); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Read(rid); !errors.Is(err, ErrNoRecord) {
+		if _, err := read(h, rid); !errors.Is(err, ErrNoRecord) {
 			t.Fatalf("read of deleted record: %v", err)
 		}
 	}

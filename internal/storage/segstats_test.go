@@ -167,7 +167,7 @@ func TestSegmentCountersMatchScan(t *testing.T) {
 			}
 		}
 		for oid, pl := range live {
-			got, err := s.Get(oid)
+			got, err := get(s, oid)
 			if err != nil || !bytes.Equal(got, img(oid, pl)) {
 				t.Errorf("seed %d: %s reads back wrong (%v)", seed, oid, err)
 				return false
@@ -209,7 +209,7 @@ func TestSegmentInfoNoPageIO(t *testing.T) {
 // TestDetachedHeapTurnsReadersAway is the reader-vs-FreeDetached race made
 // deterministic. A reader that resolved the old heap before a rewrite and
 // reaches it after its pages were freed gets the sentinel, not a freed
-// page; Store.Get and ScanImages resolve again and answer from the fresh
+// page; Store.View and ScanImages resolve again and answer from the fresh
 // heap; and a scan that was already inside the old heap holds the free back
 // until it has finished on intact pages.
 func TestDetachedHeapTurnsReadersAway(t *testing.T) {
@@ -266,14 +266,14 @@ func TestDetachedHeapTurnsReadersAway(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := old.Read(staleRID); err != errHeapDetached {
+	if _, err := read(old, staleRID); err != errHeapDetached {
 		t.Fatalf("read through a freed heap: %v, want the detached sentinel", err)
 	}
 	if err := old.Scan(func(RID, []byte) bool { return true }); err != errHeapDetached {
 		t.Fatalf("scan of a freed heap: %v, want the detached sentinel", err)
 	}
 	for i, oid := range oids {
-		got, err := s.Get(oid)
+		got, err := get(s, oid)
 		if i%4 != 0 {
 			if err == nil {
 				t.Fatalf("deleted %s still readable", oid)

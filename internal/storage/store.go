@@ -16,7 +16,7 @@ import (
 // Contract with callers: the byte images handed to Put must begin with the
 // object's OID as a uvarint — model.EncodeObject's layout — because the
 // open-time directory rebuild recovers OIDs by peeking that prefix.
-// The store mutex is a sync.RWMutex: the read paths (Get, Exists,
+// The store mutex is a sync.RWMutex: the read paths (View, Exists,
 // ScanImages, Count, Classes) only consult the heap map and directory, so
 // concurrent readers share the lock and serialize only against writers
 // (segment DDL, directory updates).
@@ -231,20 +231,32 @@ func (s *Store) Put(oid model.OID, data []byte) error {
 	return nil
 }
 
-// Get returns the stored image of oid.
-func (s *Store) Get(oid model.OID) ([]byte, error) {
+// View calls fn with the stored image of oid and returns what fn returns.
+// It takes the directory lookup under the store's read lock, then the
+// segment's heap latch in read mode, then a pin on the record's page. An
+// inline record's payload is handed to fn straight from the pinned page; an
+// overflow record is first reassembled into a buffer of its own. The page
+// is unpinned and the latch let go after fn returns.
+//
+// payload aliases the page for as long as fn runs: fn must not write to it
+// or keep it, and must copy whatever outlives the call (model.DecodeObject
+// does). No writer of the segment runs while fn does, so fn must be short
+// and must not call back into the store. It is the store's one point read:
+// the engine's raw read (core.DB.FetchObject) and its snapshot read are
+// its only callers above this package.
+func (s *Store) View(oid model.OID, fn func(payload []byte) error) error {
 	for {
 		s.mu.RLock()
 		h, ok := s.heaps[oid.Class()]
 		rid, found := s.dir[oid]
 		s.mu.RUnlock()
 		if !ok || !found {
-			return nil, fmt.Errorf("%w: %s", ErrNoObject, oid)
+			return fmt.Errorf("%w: %s", ErrNoObject, oid)
 		}
 		// A heap detached since the lookup (a segment rewrite or DropClass
 		// freeing it) is no longer in the directory: look again.
-		if data, err := h.Read(rid); err != errHeapDetached {
-			return data, err
+		if err := h.view(rid, fn); err != errHeapDetached {
+			return err
 		}
 	}
 }

@@ -30,6 +30,26 @@ func checkpoint(s *Store) error {
 	return s.pool.SwapBlobs(map[MetaRoot][]byte{RootSegTable: s.EncodeSegTable()})
 }
 
+// get returns a copy of the stored image of oid, read through View.
+func get(s *Store, oid model.OID) ([]byte, error) {
+	var out []byte
+	err := s.View(oid, func(payload []byte) error {
+		out = bytes.Clone(payload)
+		return nil
+	})
+	return out, err
+}
+
+// read returns a copy of the payload stored at rid, read through view.
+func read(h *Heap, rid RID) ([]byte, error) {
+	var out []byte
+	err := h.view(rid, func(payload []byte) error {
+		out = bytes.Clone(payload)
+		return nil
+	})
+	return out, err
+}
+
 // img builds a store image for an object with one string attribute.
 func img(oid model.OID, payload string) []byte {
 	o := model.NewObject(oid)
@@ -167,20 +187,20 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := h.Read(rid); string(got) != "alpha" {
+	if got, _ := read(h, rid); string(got) != "alpha" {
 		t.Errorf("Read = %q", got)
 	}
 	nrid, err := h.Update(rid, []byte("beta"))
 	if err != nil || nrid != rid {
 		t.Fatalf("in-place update moved: %v %v", nrid, err)
 	}
-	if got, _ := h.Read(rid); string(got) != "beta" {
+	if got, _ := read(h, rid); string(got) != "beta" {
 		t.Errorf("Read after update = %q", got)
 	}
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Read(rid); !errors.Is(err, ErrNoRecord) {
+	if _, err := read(h, rid); !errors.Is(err, ErrNoRecord) {
 		t.Errorf("expected ErrNoRecord, got %v", err)
 	}
 }
@@ -204,7 +224,7 @@ func TestHeapGrowsAcrossPages(t *testing.T) {
 		t.Fatalf("expected multi-page heap, got %d pages", pages)
 	}
 	for i, rid := range rids {
-		got, err := h.Read(rid)
+		got, err := read(h, rid)
 		if err != nil || got[0] != byte(i) {
 			t.Fatalf("record %d lost: %v", i, err)
 		}
@@ -229,7 +249,7 @@ func TestHeapOverflowRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Read(rid)
+	got, err := read(h, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +271,7 @@ func TestHeapOverflowRecords(t *testing.T) {
 			t.Fatalf("freed overflow pages not reused (got page %d, file had %d)", id, before)
 		}
 	}
-	if got, _ := h.Read(rid); string(got) != "small" {
+	if got, _ := read(h, rid); string(got) != "small" {
 		t.Errorf("Read = %q", got)
 	}
 }
@@ -270,7 +290,7 @@ func TestStorePutGetDelete(t *testing.T) {
 	if err := s.Put(oid, img(oid, "one")); err != nil {
 		t.Fatal(err)
 	}
-	data, err := s.Get(oid)
+	data, err := get(s, oid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +302,7 @@ func TestStorePutGetDelete(t *testing.T) {
 	if err := s.Put(oid, img(oid, "two")); err != nil {
 		t.Fatal(err)
 	}
-	data, _ = s.Get(oid)
+	data, _ = get(s, oid)
 	obj, _ = model.DecodeObject(data)
 	if v, _ := obj.Get(1).AsString(); v != "two" {
 		t.Errorf("after upsert = %q", v)
@@ -290,7 +310,7 @@ func TestStorePutGetDelete(t *testing.T) {
 	if err := s.Delete(oid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(oid); !errors.Is(err, ErrNoObject) {
+	if _, err := get(s, oid); !errors.Is(err, ErrNoObject) {
 		t.Errorf("expected ErrNoObject, got %v", err)
 	}
 	// Idempotent delete.
@@ -331,7 +351,7 @@ func TestStoreReopenRebuildsDirectory(t *testing.T) {
 		t.Fatalf("Count = %d, want 190", got)
 	}
 	for i := 10; i < 200; i++ {
-		data, err := s2.Get(oids[i])
+		data, err := get(s2, oids[i])
 		if err != nil {
 			t.Fatalf("Get(%v): %v", oids[i], err)
 		}
@@ -431,7 +451,7 @@ func TestStoreDropSegment(t *testing.T) {
 	if err := s.FreeDetached(s.DetachSegment(class)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(oid); !errors.Is(err, ErrNoObject) {
+	if _, err := get(s, oid); !errors.Is(err, ErrNoObject) {
 		t.Errorf("object survived segment drop: %v", err)
 	}
 	if s.Count(class) != 0 {
@@ -498,7 +518,7 @@ func TestStoreLargeObjectSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	data, err := s2.Get(oid)
+	data, err := get(s2, oid)
 	if err != nil {
 		t.Fatal(err)
 	}
