@@ -70,16 +70,18 @@ metrics-lint:
 chain-lint:
 	$(GO) test -count=1 -run '^TestOnlyTheWalkerFollowsNext$$' ./internal/storage/
 
-# Static check that objects are decoded only below the engine's two raw
-# reads (core.DB.FetchObject, ScanObjects): no non-test file outside
-# internal/core, internal/storage and internal/model names DecodeObject or
-# ScanImages (internal/fault may scan images). It also keeps locking inside
-# core.Tx: no non-test file outside internal/core and internal/txn names
-# the lock manager's LockInstance*, LockClass* or LockHierarchyRead. And it
-# keeps unowned bytes where they are made safe: no non-test file outside
-# internal/storage and internal/core names Store.View (its payload aliases
-# a pinned page), and none outside internal/model imports unsafe (the one
-# exception is internal/obs/obs.go). Go/parser walks of the module
+# Static check that objects are decoded only inside the engine's reads
+# (the point reads core.DB.Fetch and the core.Tx reads, the scan
+# ScanObjects): no non-test file outside internal/core, internal/storage
+# and internal/model names DecodeObject or ScanImages (internal/fault may
+# scan images). It also keeps locking inside core.Tx: no non-test file
+# outside internal/core and internal/txn names the lock manager's
+# LockInstance*, LockClass* or LockHierarchyRead. And it keeps unowned
+# bytes where they are made safe: no non-test file outside internal/storage
+# and internal/core names Store.View (its payload aliases a pinned page),
+# exactly one function in internal/core does (the one point read, DB.read),
+# and none outside internal/model imports unsafe (the one exception is
+# internal/obs/obs.go). Go/parser walks of the module
 # (TestOnlyTheEngineDecodes, TestPinnedReadsStayInTheEngine in
 # internal/core/decodelint_test.go).
 decode-lint:

@@ -491,7 +491,7 @@ func TestCrashDuringConcurrentGroupCommit(t *testing.T) {
 		t.Fatalf("index g_n missing after recovery: %v", err)
 	}
 	for _, a := range all {
-		obj, err := db2.FetchObject(a.oid)
+		obj, err := db2.Fetch(a.oid)
 		if err != nil {
 			t.Fatalf("acked commit lost: object %s (n=%d): %v (schedule {%v})", a.oid, a.n, err, sched)
 		}
@@ -615,7 +615,7 @@ func verifyDropCrash(t *testing.T, r crashRun[dropRows]) {
 	// The surviving class must be fully intact: its rows committed before
 	// the checkpoint, so no crash inside the drop window may touch them.
 	for i, oid := range keep {
-		obj, err := db.FetchObject(oid)
+		obj, err := db.Fetch(oid)
 		if err != nil {
 			db.Close()
 			t.Fatalf("schedule {%v}: surviving row %s lost: %v", sched, oid, err)
@@ -650,7 +650,7 @@ func verifyDropCrash(t *testing.T, r crashRun[dropRows]) {
 	// exists.
 	if _, err := db.Catalog.ClassByName("Doomed"); err == nil {
 		for i, oid := range doomed {
-			obj, err := db.FetchObject(oid)
+			obj, err := db.Fetch(oid)
 			if err != nil {
 				db.Close()
 				t.Fatalf("schedule {%v}: drop not durable but row %s lost: %v", sched, oid, err)
@@ -667,7 +667,7 @@ func verifyDropCrash(t *testing.T, r crashRun[dropRows]) {
 		}
 	} else {
 		for _, oid := range doomed {
-			if _, err := db.FetchObject(oid); err == nil {
+			if _, err := db.Fetch(oid); err == nil {
 				db.Close()
 				t.Fatalf("schedule {%v}: class Doomed dropped but row %s still readable (catalog and segment table must swap atomically)", sched, oid)
 			}
@@ -790,7 +790,7 @@ func verifyCompactCrash(t *testing.T, r crashRun[compactRows]) {
 	checkRows := func(label string) {
 		for _, oid := range kept {
 			i := int(oid.Seq() - 1) // OIDs were minted in insertion order
-			obj, err := db.FetchObject(oid)
+			obj, err := db.Fetch(oid)
 			if err != nil {
 				db.Close()
 				t.Fatalf("schedule {%v}: %s: committed row %s lost across compaction crash: %v", sched, label, oid, err)
@@ -808,7 +808,7 @@ func verifyCompactCrash(t *testing.T, r crashRun[compactRows]) {
 			}
 		}
 		for _, oid := range deleted {
-			if _, err := db.FetchObject(oid); err == nil {
+			if _, err := db.Fetch(oid); err == nil {
 				db.Close()
 				t.Fatalf("schedule {%v}: %s: deleted row %s resurrected by compaction crash", sched, label, oid)
 			}
@@ -867,7 +867,7 @@ func verifyCompactCrash(t *testing.T, r crashRun[compactRows]) {
 	}
 	checkRows("after reclaim")
 	for _, oid := range fresh {
-		if _, err := db.FetchObject(oid); err != nil {
+		if _, err := db.Fetch(oid); err != nil {
 			db.Close()
 			t.Fatalf("schedule {%v}: exercise row %s lost after reclaim: %v", sched, oid, err)
 		}
@@ -976,7 +976,7 @@ func verifyRootSwapCrash(t *testing.T, r crashRun[ckptRows]) {
 	defer db.Close()
 	checkClass := func(name string, rows []model.OID, base int) {
 		for i, oid := range rows {
-			obj, err := db.FetchObject(oid)
+			obj, err := db.Fetch(oid)
 			if err != nil {
 				t.Fatalf("schedule {%v}: class %s row %s lost across checkpoint crash: %v", sched, name, oid, err)
 			}

@@ -54,7 +54,7 @@ func TestCheckoutEditCheckin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shared database still sees rev 1.
-	obj, _ := w.db.FetchObject(w.oid)
+	obj, _ := w.db.Fetch(w.oid)
 	rv, _ := w.db.AttrValue(obj, "rev")
 	if n, _ := rv.AsInt(); n != 1 {
 		t.Fatal("private edit leaked before checkin")
@@ -62,7 +62,7 @@ func TestCheckoutEditCheckin(t *testing.T) {
 	if err := w.cm.Checkin("alice", w.oid); err != nil {
 		t.Fatal(err)
 	}
-	obj, _ = w.db.FetchObject(w.oid)
+	obj, _ = w.db.Fetch(w.oid)
 	rv, _ = w.db.AttrValue(obj, "rev")
 	if n, _ := rv.AsInt(); n != 2 {
 		t.Fatal("checkin did not write back")
@@ -101,7 +101,7 @@ func TestCancelDiscardsChanges(t *testing.T) {
 	if err := w.cm.Cancel("alice", w.oid); err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := w.db.FetchObject(w.oid)
+	obj, _ := w.db.Fetch(w.oid)
 	rv, _ := w.db.AttrValue(obj, "rev")
 	if n, _ := rv.AsInt(); n != 1 {
 		t.Fatal("canceled change reached shared database")
@@ -173,7 +173,7 @@ func TestCheckoutSurvivesReopen(t *testing.T) {
 	if err := cm2.Checkin("alice", oid); err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := db2.FetchObject(oid)
+	obj, _ := db2.Fetch(oid)
 	rv, _ := db2.AttrValue(obj, "rev")
 	if n, _ := rv.AsInt(); n != 7 {
 		t.Fatal("resumed checkin lost")
@@ -214,7 +214,7 @@ func TestCheckoutComposite(t *testing.T) {
 // revOf reads oid's shared rev.
 func (w *world) revOf(t *testing.T, oid model.OID) int64 {
 	t.Helper()
-	obj, err := w.db.FetchObject(oid)
+	obj, err := w.db.Fetch(oid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child m
 	}
 	// Cycle check: parent must not be reachable from child via composite
 	// links (child itself included).
-	reach, err := m.walk(child, m.db.FetchObject)
+	reach, err := m.walk(child, tx.Read)
 	if err != nil {
 		return err
 	}
@@ -280,7 +280,7 @@ func (m *Manager) walk(root model.OID, fetch func(model.OID) (*model.Object, err
 // Components returns every component reachable from root through
 // composite attributes, in DFS order (root excluded).
 func (m *Manager) Components(root model.OID) ([]model.OID, error) {
-	all, err := m.walk(root, m.db.FetchObject)
+	all, err := m.walk(root, m.db.Fetch)
 	if err != nil {
 		return nil, err
 	}

@@ -176,12 +176,12 @@ func TestDeletePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, oid := range []model.OID{root, sub, p} {
-		if _, err := w.db.FetchObject(oid); err == nil {
+		if _, err := w.db.Fetch(oid); err == nil {
 			t.Errorf("component %v survived composite delete", oid)
 		}
 	}
 	// The library part, referenced through a plain attribute, survives.
-	if _, err := w.db.FetchObject(libPart); err != nil {
+	if _, err := w.db.Fetch(libPart); err != nil {
 		t.Error("non-composite reference propagated delete")
 	}
 }
@@ -214,7 +214,7 @@ func TestNonExclusiveComponentsSurviveDelete(t *testing.T) {
 	}
 	// Deleting d1 must not delete the shared figure.
 	w.db.Do(func(tx *core.Tx) error { return w.cm.DeleteComposite(tx, d1) })
-	if _, err := w.db.FetchObject(fig); err != nil {
+	if _, err := w.db.Fetch(fig); err != nil {
 		t.Error("shared (non-exclusive) component deleted")
 	}
 }
@@ -271,7 +271,7 @@ func TestDeclarationsSurviveReopen(t *testing.T) {
 	}
 	// Delete propagation still applies.
 	db2.Do(func(tx *core.Tx) error { return cm2.DeleteComposite(tx, root) })
-	if _, err := db2.FetchObject(sub); err == nil {
+	if _, err := db2.Fetch(sub); err == nil {
 		t.Error("propagation lost after reopen")
 	}
 }

@@ -93,3 +93,40 @@ func TestConcurrentExclusiveAttachesOneOwner(t *testing.T) {
 		}
 	}
 }
+
+// Components takes no transaction and reads committed links: an attach
+// still open is not listed, and one that aborted never is.
+func TestComponentsBesideUncommittedAttach(t *testing.T) {
+	w := newCADWorld(t)
+	a := w.newAssembly(t, "a")
+	p := w.newPart(t, "p")
+	tx := w.db.Begin()
+	if err := w.cm.Attach(tx, a, "parts", p); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := w.cm.Components(a); err != nil || len(got) != 0 {
+		t.Fatalf("components of %s beside an open attach = %v (%v), want none", a, got, err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := w.cm.Components(a); err != nil || len(got) != 0 {
+		t.Fatalf("components of %s after the attach aborted = %v (%v), want none", a, got, err)
+	}
+}
+
+// Attach's cycle walk reads the transaction's own links: a→b then b→a in
+// one transaction is refused.
+func TestCycleWithinOneTransactionRejected(t *testing.T) {
+	w := newCADWorld(t)
+	a, b := w.newAssembly(t, "a"), w.newAssembly(t, "b")
+	err := w.db.Do(func(tx *core.Tx) error {
+		if err := w.cm.Attach(tx, a, "subs", b); err != nil {
+			return err
+		}
+		return w.cm.Attach(tx, b, "subs", a)
+	})
+	if !errors.Is(err, ErrCycle) {
+		t.Fatalf("a→b then b→a in one transaction: %v, want ErrCycle", err)
+	}
+}

@@ -135,7 +135,7 @@ func reopenAndFetch(dir string, opts Options, class model.ClassID, acked [][]mod
 	for _, oids := range acked {
 		for _, oid := range oids {
 			total++
-			if _, err := db.FetchObject(oid); err != nil {
+			if _, err := db.Fetch(oid); err != nil {
 				missing++
 			}
 		}

@@ -18,7 +18,7 @@ func TestRenameAttributeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stored value readable under the new name (same AttrID).
-	obj, _ := td.FetchObject(oid)
+	obj, _ := td.Fetch(oid)
 	v, err := td.AttrValue(obj, "grossWeight")
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestRenameAttributeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	obj, _ = db2.FetchObject(oid)
+	obj, _ = db2.Fetch(oid)
 	if _, err := db2.AttrValue(obj, "grossWeight"); err != nil {
 		t.Fatal("rename lost across restart")
 	}
@@ -190,7 +190,7 @@ func TestRewriteRelocatesWithoutStateChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// State unchanged.
-	obj, err := td.FetchObject(a)
+	obj, err := td.Fetch(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRewriteRelocatesWithoutStateChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	if _, err := td.FetchObject(a); err != nil {
+	if _, err := td.Fetch(a); err != nil {
 		t.Fatalf("aborted rewrite lost object: %v", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // TestOnlyTheEngineDecodes is a static check over the module source: the
 // engine alone decodes records and calls the lock manager.
 //
-// A stored object is read above the engine through FetchObject or
+// A stored object is read above the engine through DB.Fetch, a Tx read or
 // ScanObjects, which turn a record that does not decode into
 // model.ErrCorrupt, so no layer can skip one by hand. A non-test file
 // outside internal/core, internal/storage and internal/model may not name
@@ -55,7 +55,7 @@ func TestOnlyTheEngineDecodes(t *testing.T) {
 					return true
 				}
 			}
-			t.Errorf("%s: %s outside the engine: read objects with core.DB.FetchObject or ScanObjects, lock them through core.Tx",
+			t.Errorf("%s: %s outside the engine: read objects with core.DB.Fetch, core.Tx or ScanObjects, lock them through core.Tx",
 				fset.Position(sel.Pos()), sel.Sel.Name)
 			return true
 		})
@@ -70,9 +70,11 @@ func TestOnlyTheEngineDecodes(t *testing.T) {
 // them.
 //
 // storage.Store.View hands its callback a slice of a pinned page, valid
-// only while the callback runs; the engine's two point reads decode inside
-// it. No non-test file outside internal/storage and internal/core may name
-// View.
+// only while the callback runs; the engine's one point read (DB.read)
+// resolves and decodes inside it. No non-test file outside
+// internal/storage and internal/core may name View, and exactly one
+// function in internal/core may: every point read shares what that one
+// decides a reader may see.
 //
 // model.Value keeps its payload behind an unsafe.Pointer, and the rule that
 // makes that sound (a payload is an owned, immutable copy) is kept in
@@ -84,6 +86,7 @@ func TestPinnedReadsStayInTheEngine(t *testing.T) {
 		return strings.HasPrefix(rel, "internal/model/") || rel == "internal/obs/obs.go"
 	}
 	imports, views := 0, 0
+	coreViews := map[string]bool{} // positions of the declarations naming View
 	files := walkSource(t, func(rel string, fset *token.FileSet, file *ast.File) {
 		for _, imp := range file.Imports {
 			if imp.Path.Value != `"unsafe"` {
@@ -94,20 +97,31 @@ func TestPinnedReadsStayInTheEngine(t *testing.T) {
 				t.Errorf("%s: imports unsafe outside internal/model", fset.Position(imp.Pos()))
 			}
 		}
-		inEngine := strings.HasPrefix(rel, "internal/storage/") || strings.HasPrefix(rel, "internal/core/")
-		ast.Inspect(file, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "View" {
+		inCore := strings.HasPrefix(rel, "internal/core/")
+		inEngine := inCore || strings.HasPrefix(rel, "internal/storage/")
+		for _, decl := range file.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "View" {
+					return true
+				}
 				views++
 				if !inEngine {
-					t.Errorf("%s: Store.View outside the engine: its payload aliases a pinned page; read objects with core.DB.FetchObject",
+					t.Errorf("%s: Store.View outside the engine: its payload aliases a pinned page; read objects with core.DB.Fetch or a core.Tx read",
 						fset.Position(sel.Pos()))
 				}
-			}
-			return true
-		})
+				if inCore {
+					coreViews[fset.Position(decl.Pos()).String()] = true
+				}
+				return true
+			})
+		}
 	})
 	if files < 50 || imports == 0 || views == 0 {
 		t.Fatalf("walked %d files, found %d unsafe imports and %d View calls: the check is not reading the module", files, imports, views)
+	}
+	if len(coreViews) != 1 {
+		t.Errorf("%d functions in internal/core name Store.View, want one (DB.read, the engine's one point read): at %v", len(coreViews), coreViews)
 	}
 }
 

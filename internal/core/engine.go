@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -234,7 +235,7 @@ func Open(dir string, opts Options) (_ *DB, err error) {
 		Versions: mvcc.NewManager(),
 		opts:     opts,
 	}
-	db.Indexes = index.NewManager(cat, db)
+	db.Indexes = index.NewManager(cat, db.fetchRaw)
 
 	// Crash recovery: logical redo of winners, undo of losers. Replay runs
 	// with stub-driven frees suppressed — a stub read back from the heap
@@ -495,20 +496,53 @@ func (db *DB) redoOne(r wal.Record) error {
 	return nil
 }
 
-// FetchObject returns the last stored state of oid, without locking: the
-// read-uncommitted path used by method bodies, index maintenance and the
-// workspace. Transactional reads go through Tx.Fetch.
-//
-// The object is decoded straight from the record's pinned page
-// (storage.Store.View); it owns every byte it holds.
-func (db *DB) FetchObject(oid model.OID) (*model.Object, error) {
+const (
+	newest = math.MaxUint64 // read's epoch for the newest committed state
+	raw    = math.MaxUint64 // read's txn for the stored image, overlay skipped
+)
+
+// read is the engine's one point read (DESIGN §6 "The point read"): oid's
+// state at epoch, except that a pending write of txn is read as it stands.
+// The heap record is resolved through the overlay and decoded inside the
+// Store.View that pins it, under the heap latch; a newest read registers
+// no snapshot for it (DESIGN §12). A heap miss reads again under a
+// registered snapshot, where the overlay alone decides it.
+func (db *DB) read(oid model.OID, epoch, txn uint64) (*model.Object, error) {
 	var obj *model.Object
-	err := db.Store.View(oid, func(payload []byte) (err error) {
-		obj, err = model.DecodeObject(payload)
+	visible := false
+	resolve := func(heap []byte, heapOK bool) (err error) {
+		if txn != raw {
+			heap, heapOK = db.Versions.Resolve(oid, heap, heapOK, epoch, txn)
+		}
+		if visible = heapOK; heapOK {
+			obj, err = model.DecodeObject(heap)
+		}
 		return err
-	})
-	return obj, err
+	}
+	err := db.Store.View(oid, func(payload []byte) error { return resolve(payload, true) })
+	switch {
+	case err == nil && !visible:
+		return nil, fmt.Errorf("%w: %s", ErrNoObject, oid)
+	case err == nil || visible || txn == raw:
+		return obj, err
+	case epoch == newest:
+		snap := db.Versions.BeginSnapshot()
+		defer db.Versions.EndSnapshot(snap)
+		return db.read(oid, snap, txn)
+	}
+	if rerr := resolve(nil, false); visible {
+		return obj, rerr
+	}
+	return nil, err
 }
+
+// Fetch returns the newest committed state of oid, without a lock: it
+// never waits for a writer, nor returns a write that has not committed.
+func (db *DB) Fetch(oid model.OID) (*model.Object, error) { return db.read(oid, newest, 0) }
+
+// fetchRaw returns the stored image of oid, uncommitted writes included:
+// the raw read of Tx.Abort's undo and of the index manager.
+func (db *DB) fetchRaw(oid model.OID) (*model.Object, error) { return db.read(oid, newest, raw) }
 
 // ScanObjects calls fn with the last stored state of every instance of
 // each class in classes, class by class and each in physical order, until
@@ -516,10 +550,7 @@ func (db *DB) FetchObject(oid model.OID) (*model.Object, error) {
 // decode stops the scan with an error that wraps model.ErrCorrupt and names
 // the class and the object.
 //
-// It is the scan twin of FetchObject: read-uncommitted, no locks. The two
-// are the engine's raw reads — every read above the engine that is neither
-// a transaction nor a query goes through one of them — so a change to what
-// a raw read sees changes both together.
+// It is the engine's raw scan: read-uncommitted, no locks.
 func (db *DB) ScanObjects(classes []model.ClassID, fn func(*model.Object) bool) error {
 	for _, class := range classes {
 		var derr error
@@ -558,9 +589,9 @@ func (db *DB) AttrValue(obj *model.Object, name string) (model.Value, error) {
 // Send dispatches a message to an object with late binding (Kim §3.1
 // model 6): the method is resolved starting at the instance's class and
 // walking up the hierarchy; the body runs with this database as its
-// engine.
+// engine. The receiver is read as Fetch reads it: newest committed state.
 func (db *DB) Send(oid model.OID, message string, args ...model.Value) (model.Value, error) {
-	obj, err := db.FetchObject(oid)
+	obj, err := db.Fetch(oid)
 	if err != nil {
 		return model.Null, err
 	}
@@ -574,9 +605,5 @@ func (db *DB) Send(oid model.OID, message string, args ...model.Value) (model.Va
 	return m.Impl(db, obj, args)
 }
 
-// interface conformance: the engine is the method-execution environment
-// and the index manager's object fetcher.
-var (
-	_ schema.MethodEngine = (*DB)(nil)
-	_ index.Fetcher       = (*DB)(nil)
-)
+// interface conformance: the engine is the method-execution environment.
+var _ schema.MethodEngine = (*DB)(nil)

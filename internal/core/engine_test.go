@@ -130,7 +130,7 @@ func TestInheritedAttributeOnSubclass(t *testing.T) {
 	if oid.Class() != td.truck.ID {
 		t.Fatalf("class = %d", oid.Class())
 	}
-	obj, _ := td.FetchObject(oid)
+	obj, _ := td.Fetch(oid)
 	w, _ := td.AttrValue(obj, "weight")
 	if v, _ := w.AsInt(); v != 9000 {
 		t.Error("inherited attribute lost")
@@ -157,11 +157,11 @@ func TestAbortRollsBackStoreAndIndexes(t *testing.T) {
 	}
 
 	// Inserted object gone.
-	if _, err := td.FetchObject(ins); !errors.Is(err, ErrNoObject) {
+	if _, err := td.Fetch(ins); !errors.Is(err, ErrNoObject) {
 		t.Errorf("aborted insert visible: %v", err)
 	}
 	// Update reversed.
-	obj, _ := td.FetchObject(pre)
+	obj, _ := td.Fetch(pre)
 	w, _ := td.AttrValue(obj, "weight")
 	if v, _ := w.AsInt(); v != 100 {
 		t.Errorf("aborted update visible: %v", w)
@@ -210,7 +210,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatal("catalog lost")
 	}
 	for i, oid := range oids {
-		obj, err := db2.FetchObject(oid)
+		obj, err := db2.Fetch(oid)
 		if err != nil {
 			t.Fatalf("object %d lost: %v", i, err)
 		}
@@ -263,7 +263,7 @@ func TestCrashRecoveryCommittedSurvives(t *testing.T) {
 	defer db2.Close()
 
 	// Committed object survives with its committed value.
-	obj, err := db2.FetchObject(committed)
+	obj, err := db2.Fetch(committed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCrashRecoveryCommittedSurvives(t *testing.T) {
 		t.Fatalf("committed value = %v, want 7 (loser update must be undone)", n)
 	}
 	// Loser insert is gone.
-	if _, err := db2.FetchObject(loser); !errors.Is(err, ErrNoObject) {
+	if _, err := db2.Fetch(loser); !errors.Is(err, ErrNoObject) {
 		t.Fatalf("loser insert survived crash: %v", err)
 	}
 }
@@ -299,7 +299,7 @@ func TestCrashRecoveryRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	obj, err := db2.FetchObject(oid)
+	obj, err := db2.Fetch(oid)
 	if err != nil {
 		t.Fatalf("committed insert lost (redo failed): %v", err)
 	}
@@ -387,7 +387,7 @@ func TestMethodsCanSendAndFetch(t *testing.T) {
 		if !ok {
 			return model.Null, nil
 		}
-		maker, err := eng.FetchObject(oid)
+		maker, err := eng.Fetch(oid)
 		if err != nil {
 			return model.Null, err
 		}
@@ -416,7 +416,7 @@ func TestLazyEvolutionDefaults(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := td.FetchObject(oid)
+	obj, _ := td.Fetch(oid)
 	c, err := td.AttrValue(obj, "color")
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestLazyEvolutionDefaults(t *testing.T) {
 	td.Do(func(tx *Tx) error {
 		return tx.Update(oid, map[string]model.Value{"color": model.String("red")})
 	})
-	obj, _ = td.FetchObject(oid)
+	obj, _ = td.Fetch(oid)
 	c, _ = td.AttrValue(obj, "color")
 	if s, _ := c.AsString(); s != "red" {
 		t.Errorf("written value = %v", c)
@@ -462,7 +462,7 @@ func TestDropClassRemovesInstances(t *testing.T) {
 	if err := td.DropClass(leaf.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := td.FetchObject(oid); !errors.Is(err, ErrNoObject) {
+	if _, err := td.Fetch(oid); !errors.Is(err, ErrNoObject) {
 		t.Error("instance survived class drop")
 	}
 	if _, err := td.Catalog.ClassByName("Moped"); err == nil {

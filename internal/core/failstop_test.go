@@ -107,14 +107,14 @@ func TestFsyncFailurePoisonsDB(t *testing.T) {
 		t.Fatalf("reopen after fail-stop: %v", err)
 	}
 	defer db2.Close()
-	obj, err := db2.FetchObject(keep)
+	obj, err := db2.Fetch(keep)
 	if err != nil {
 		t.Fatalf("durable pre-fault object lost: %v", err)
 	}
 	if v, _ := db2.AttrValue(obj, "n"); !model.Equal(v, model.Int(1)) {
 		t.Fatalf("pre-fault object n = %v, want 1", v)
 	}
-	if obj, err := db2.FetchObject(victim); err == nil {
+	if obj, err := db2.Fetch(victim); err == nil {
 		if v, _ := db2.AttrValue(obj, "n"); !model.Equal(v, model.Int(2)) {
 			t.Fatalf("recovered victim has n = %v, want 2", v)
 		}

@@ -70,30 +70,35 @@ func TestValueSize(t *testing.T) {
 	}
 }
 
-// TestFetchAllocations holds a point read of an OO1 part, raw or through
-// a snapshot, to the object, its attribute slice, its one non-empty string
-// and its set's members.
+// TestFetchAllocations holds every point read of an OO1 part — DB.Fetch,
+// Tx.Read, a locked Tx.Fetch and a snapshot Tx.Fetch — to the object, its
+// attribute slice, its one non-empty string and its set's members.
 func TestFetchAllocations(t *testing.T) {
 	db, oids := openParts(t, 8)
-	obj, err := db.FetchObject(oids[0])
+	obj, err := db.Fetch(oids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if obj.NumAttrs() != 6 {
 		t.Fatalf("part has %d stored attributes, want 6", obj.NumAttrs())
 	}
+	locked := db.Begin()
+	defer locked.Commit()
 	snap := db.BeginSnapshot()
 	defer snap.Commit()
-	for name, fetch := range map[string]func(model.OID) (*model.Object, error){"raw": db.FetchObject, "snapshot": snap.Fetch} {
-		allocs := testing.AllocsPerRun(200, func() { fetchSink, _ = fetch(oids[0]) })
+	for _, rd := range []struct {
+		name  string
+		fetch func(model.OID) (*model.Object, error)
+	}{{"DB.Fetch", db.Fetch}, {"Tx.Read", locked.Read}, {"locked Tx.Fetch", locked.Fetch}, {"snapshot Tx.Fetch", snap.Fetch}} {
+		allocs := testing.AllocsPerRun(200, func() { fetchSink, _ = rd.fetch(oids[0]) })
 		if allocs > 4 {
-			t.Errorf("a %s part fetch makes %.1f allocations, want at most 4", name, allocs)
+			t.Errorf("a %s of a part makes %.1f allocations, want at most 4", rd.name, allocs)
 		}
 	}
 }
 
 // BenchmarkFetch is the per-object cost of an OO1 traversal with every
-// page in the pool: parallel raw fetches of 1000 parts.
+// page in the pool: parallel DB.Fetch reads of 1000 parts.
 func BenchmarkFetch(b *testing.B) {
 	db, oids := openParts(b, 1000)
 	b.ReportAllocs()
@@ -102,7 +107,7 @@ func BenchmarkFetch(b *testing.B) {
 		var obj *model.Object
 		for i := 0; pb.Next(); i++ {
 			var err error
-			if obj, err = db.FetchObject(oids[i%len(oids)]); err != nil {
+			if obj, err = db.Fetch(oids[i%len(oids)]); err != nil {
 				b.Error(err)
 				return
 			}
@@ -135,19 +140,20 @@ func docOf(c byte, pad int) doc {
 
 // TestFetchedObjectOutlivesItsPage holds every object read to the
 // owned-payload rule of model.Value: an object fetched from a page keeps
-// its values after the page's bytes are rewritten. Each of the three reads
-// (raw, locked, snapshot) fetches an inline and an overflow record, the
-// page is reused — the object updated in place to a same-length image, the
-// object deleted and others inserted into its slot and over its bytes, or
-// the page evicted
-// from a 16-page pool by a stream of other records — and the object must
-// still equal what was stored and re-encode to the bytes it had when read.
+// its values after the page's bytes are rewritten. Each of the four reads
+// (raw, committed, locked, snapshot) fetches an inline and an overflow
+// record, the page is reused — the object updated in place to a
+// same-length image, the object deleted and others inserted into its slot
+// and over its bytes, or the page evicted from a 16-page pool by a stream
+// of other records — and the object must still equal what was stored and
+// re-encode to the bytes it had when read.
 func TestFetchedObjectOutlivesItsPage(t *testing.T) {
 	reads := []struct {
 		name  string
 		fetch func(*DB, model.OID) (*model.Object, error)
 	}{
-		{"raw", (*DB).FetchObject},
+		{"raw", (*DB).fetchRaw},
+		{"committed", (*DB).Fetch},
 		{"locked", func(db *DB, oid model.OID) (*model.Object, error) {
 			tx := db.Begin()
 			defer tx.Commit()

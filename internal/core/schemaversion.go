@@ -110,7 +110,7 @@ func (db *DB) CatalogAt(label string) (*schema.Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	obj, err := db.FetchObject(oid)
+	obj, err := db.Fetch(oid)
 	if err != nil {
 		return nil, err
 	}

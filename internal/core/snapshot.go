@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"oodb/internal/model"
 )
@@ -32,56 +31,12 @@ func (db *DB) BeginSnapshot() *Tx {
 	}
 }
 
-// Snapshot reports whether the transaction is a snapshot (read-only,
-// lock-free) transaction.
-func (tx *Tx) Snapshot() bool { return tx.snap }
-
-// SnapshotEpoch returns the pinned commit epoch of a snapshot
-// transaction (0, false for a locked transaction).
-func (tx *Tx) SnapshotEpoch() (uint64, bool) {
-	if !tx.snap {
-		return 0, false
-	}
-	return tx.snapEpoch, true
-}
-
 // endSnapshot releases the snapshot registration exactly once.
 func (tx *Tx) endSnapshot() {
 	if tx.snapEnded.CompareAndSwap(false, true) {
 		tx.db.Versions.EndSnapshot(tx.snapEpoch)
 		mSnapEnds.Add(1)
 	}
-}
-
-// snapshotFetch resolves one object at the pinned epoch. The heap is read
-// first and the overlay consulted second — the reader half of the MVCC
-// ordering protocol (see internal/mvcc). Both happen inside one
-// Store.View: the overlay is resolved against the pinned record, and the
-// visible image is decoded before the page is let go. When the heap has
-// no readable record, the overlay alone decides.
-func (tx *Tx) snapshotFetch(oid model.OID) (*model.Object, error) {
-	var obj *model.Object
-	visible := false
-	resolve := func(heap []byte, heapOK bool) (err error) {
-		vdata, ok := tx.db.Versions.Resolve(oid, heap, heapOK, tx.snapEpoch)
-		if visible = ok; !ok {
-			return nil
-		}
-		mSnapReads.Add(1)
-		obj, err = model.DecodeObject(vdata)
-		return err
-	}
-	err := tx.db.Store.View(oid, func(payload []byte) error { return resolve(payload, true) })
-	switch {
-	case err != nil && !visible: // View found no readable record
-		if rerr := resolve(nil, false); visible {
-			return obj, rerr
-		}
-		return nil, err
-	case !visible:
-		return nil, fmt.Errorf("%w: %s", ErrNoObject, oid)
-	}
-	return obj, err
 }
 
 // snapshotScanRaw iterates the snapshot-visible images of exactly one
@@ -103,7 +58,7 @@ func (tx *Tx) snapshotScanRaw(class model.ClassID, fn func(oid model.OID, data [
 		if !seen.add(oid) {
 			return true // a concurrent relocation surfaced it twice
 		}
-		vdata, ok := tx.db.Versions.Resolve(oid, data, true, tx.snapEpoch)
+		vdata, ok := tx.db.Versions.Resolve(oid, data, true, tx.snapEpoch, 0)
 		if !ok {
 			return true // invisible at this epoch
 		}
@@ -135,7 +90,7 @@ func (tx *Tx) snapshotScanRaw(class model.ClassID, fn func(oid model.OID, data [
 		// record, so visibility is decided by the chain alone. A chain
 		// dropped between listing and resolving had converged with the
 		// heap, meaning the object was either scanned above or invisible.
-		vdata, ok := tx.db.Versions.Resolve(oid, nil, false, tx.snapEpoch)
+		vdata, ok := tx.db.Versions.Resolve(oid, nil, false, tx.snapEpoch, 0)
 		if !ok {
 			continue
 		}

@@ -73,11 +73,8 @@ func attrInt(t *testing.T, db *DB, obj *model.Object, name string) int64 {
 func TestSnapshotReadOnlyEnforced(t *testing.T) {
 	db, cl, oids := openGenDB(t, 3)
 	tx := db.BeginSnapshot()
-	if !tx.Snapshot() {
+	if !tx.snap {
 		t.Fatal("BeginSnapshot returned a non-snapshot transaction")
-	}
-	if _, ok := tx.SnapshotEpoch(); !ok {
-		t.Fatal("snapshot has no pinned epoch")
 	}
 	if _, err := tx.InsertClass(cl.ID, map[string]model.Value{"g": model.Int(1)}); !errors.Is(err, ErrReadOnlyTxn) {
 		t.Fatalf("Insert through snapshot = %v, want ErrReadOnlyTxn", err)
@@ -340,7 +337,7 @@ func TestSnapshotReadersVsWritersStress(t *testing.T) {
 				}
 				floor := lastCommitted.Load()
 				tx := db.BeginSnapshot()
-				epoch, _ := tx.SnapshotEpoch()
+				epoch := tx.snapEpoch
 				if epoch < prevEpoch {
 					t.Errorf("epoch went backwards: %d after %d", epoch, prevEpoch)
 				}

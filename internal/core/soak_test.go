@@ -39,7 +39,7 @@ func TestCrashSoak(t *testing.T) {
 			t.Fatalf("round %d: %d objects stored, model has %d", round, got, len(expected))
 		}
 		for oid, want := range expected {
-			obj, err := db.FetchObject(oid)
+			obj, err := db.Fetch(oid)
 			if err != nil {
 				t.Fatalf("round %d: committed object %v missing: %v", round, oid, err)
 			}
@@ -69,7 +69,7 @@ func TestCrashSoak(t *testing.T) {
 						ok = false
 						break
 					}
-					obj, _ := db.FetchObject(oid)
+					obj, _ := tx.Read(oid)
 					v, _ := db.AttrValue(obj, "n")
 					n, _ := v.AsInt()
 					staged[oid] = n
@@ -152,7 +152,7 @@ func TestCrashSoak(t *testing.T) {
 		t.Fatalf("final: %d objects, model has %d", got, len(expected))
 	}
 	for oid, want := range expected {
-		obj, err := db.FetchObject(oid)
+		obj, err := db.Fetch(oid)
 		if err != nil {
 			t.Fatalf("final: %v missing", oid)
 		}

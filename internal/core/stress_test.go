@@ -305,7 +305,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}()
 	}
-	// Point readers through the lock-free path (read-uncommitted).
+	// Point readers through the lock-free committed read.
 	for w := 0; w < 3; w++ {
 		readers.Add(1)
 		go func(w int) {
@@ -317,7 +317,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := db.FetchObject(oids[r.Intn(len(oids))]); err != nil {
+				if _, err := db.Fetch(oids[r.Intn(len(oids))]); err != nil {
 					t.Errorf("fetch: %v", err)
 					return
 				}

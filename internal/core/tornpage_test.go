@@ -85,7 +85,7 @@ func TestTornPageRecovered(t *testing.T) {
 	}
 	defer db2.Close()
 	for i, oid := range oids {
-		obj, err := db2.FetchObject(oid)
+		obj, err := db2.Fetch(oid)
 		if err != nil {
 			t.Fatalf("object %d (%v) lost to torn page: %v", i, oid, err)
 		}
@@ -218,7 +218,7 @@ func TestAbortThenCommitThenCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	obj, err := db2.FetchObject(oid)
+	obj, err := db2.Fetch(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestCheckpointKeepsLogWithActiveTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	obj, _ := db2.FetchObject(oid)
+	obj, _ := db2.Fetch(oid)
 	v, _ := db2.AttrValue(obj, "n")
 	if n, _ := v.AsInt(); n != 1 {
 		t.Fatalf("n = %v, want 1 (in-flight update must be undone)", v)
@@ -325,7 +325,7 @@ func TestReplayToleratesDroppedClass(t *testing.T) {
 		t.Fatalf("recovery failed on dropped-class record: %v", err)
 	}
 	defer db2.Close()
-	obj, err := db2.FetchObject(kept)
+	obj, err := db2.Fetch(kept)
 	if err != nil {
 		t.Fatal(err)
 	}

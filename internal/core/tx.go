@@ -249,31 +249,41 @@ func (tx *Tx) FetchForUpdate(oid model.OID) (*model.Object, error) {
 	if err := tx.abortOn(tx.db.Locks.LockInstanceWrite(tx.id, oid)); err != nil {
 		return nil, err
 	}
-	return tx.db.FetchObject(oid)
+	return tx.Read(oid)
 }
 
-// Fetch returns the object under a shared lock (snapshot mode: the
-// snapshot-visible version, no lock). The returned object is a private
-// copy; mutate it freely and write back with Update.
+// Fetch is Read under a shared lock (snapshot mode: no lock). The returned
+// object is a private copy; mutate it freely and write back with Update.
 func (tx *Tx) Fetch(oid model.OID) (*model.Object, error) {
+	if !tx.snap && !tx.done {
+		// Locked reads check the poison latch: a fail-stopped DB retains the
+		// failed committer's locks forever, so without the check a reader
+		// would block indefinitely instead of learning the engine is dead.
+		// (A lock-free read stays safe without it — the failed transaction's
+		// version chains were never committed, so they shield its heap bytes.)
+		if err := tx.db.check(); err != nil {
+			return nil, err
+		}
+		if err := tx.abortOn(tx.db.Locks.LockInstanceRead(tx.id, oid)); err != nil {
+			return nil, err
+		}
+	}
+	return tx.Read(oid)
+}
+
+// Read returns the object without a lock: a snapshot's version at its
+// epoch; in a locked transaction its own write, else the newest committed
+// state — never another transaction's uncommitted write. Like ScanLocked
+// it keeps no per-call state, so parallel scans may call it at once.
+func (tx *Tx) Read(oid model.OID) (*model.Object, error) {
 	if tx.done {
 		return nil, ErrTxnFinished
 	}
 	if tx.snap {
-		return tx.snapshotFetch(oid)
+		mSnapReads.Add(1)
+		return tx.db.read(oid, tx.snapEpoch, 0)
 	}
-	// Locked reads check the poison latch: a fail-stopped DB retains the
-	// failed committer's locks forever, so without the check a reader would
-	// block indefinitely instead of learning the engine is dead. (Snapshot
-	// reads above stay safe without it — the failed transaction's version
-	// chains were never committed, so they shield its heap bytes.)
-	if err := tx.db.check(); err != nil {
-		return nil, err
-	}
-	if err := tx.abortOn(tx.db.Locks.LockInstanceRead(tx.id, oid)); err != nil {
-		return nil, err
-	}
-	return tx.db.FetchObject(oid)
+	return tx.db.read(oid, newest, tx.id)
 }
 
 // LockClassScan takes the class-scan (S) lock footprint over the given
@@ -467,7 +477,7 @@ func (tx *Tx) Abort() error {
 	}
 	for i := len(tx.undos) - 1; i >= 0; i-- {
 		u := tx.undos[i]
-		cur, _ := tx.db.FetchObject(u.oid) // nil if currently absent
+		cur, _ := tx.db.fetchRaw(u.oid) // nil if currently absent
 		if u.before != nil {
 			img := model.EncodeObject(u.before)
 			_, err := tx.db.Log.Append(wal.Record{

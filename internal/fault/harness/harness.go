@@ -528,7 +528,7 @@ func CheckLied(dir string, m *Model) error {
 			if !m.Ever[oid] {
 				return fmt.Errorf("lie recovery: object %s visible but never written by the workload", oid)
 			}
-			obj, err := db.FetchObject(oid)
+			obj, err := db.Fetch(oid)
 			if err != nil {
 				return fmt.Errorf("lie recovery: visible object %s unreadable: %w", oid, err)
 			}
@@ -595,7 +595,7 @@ func checkObjects(db *core.DB, want map[model.OID]map[string]model.Value) error 
 		if !got[oid] {
 			return fmt.Errorf("acknowledged object %s lost after recovery", oid)
 		}
-		obj, err := db.FetchObject(oid)
+		obj, err := db.Fetch(oid)
 		if err != nil {
 			return fmt.Errorf("fetch acknowledged object %s: %w", oid, err)
 		}

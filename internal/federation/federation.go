@@ -280,9 +280,9 @@ type ooEntity struct {
 // Get resolves a path with the engine's own walk (defaults, methods,
 // fan-out through sets); any step the engine cannot read makes ok false.
 // Entities outlive the transaction that produced them, so the objects a
-// path crosses are read from the heap, as a locked transaction reads them.
+// path crosses are read at their newest committed state (DB.Fetch).
 func (e *ooEntity) Get(path []string) (model.Value, bool) {
-	v, err := e.src.eng.EvalPath(nil, e.obj, path)
+	v, err := e.src.eng.EvalPath(e.src.db.Fetch, e.obj, path)
 	return v, err == nil
 }
 

@@ -279,7 +279,7 @@ func TestFallbackScanIsTransactional(t *testing.T) {
 	}
 
 	// A damaged record is a typed error on both paths, not a shorter answer.
-	obj, err := odb.FetchObject(oids[1])
+	obj, err := odb.Fetch(oids[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,9 @@ import (
 	"oodb/internal/schema"
 )
 
-// Fetcher supplies object state to path-key computation. The engine's
-// object manager implements it.
-type Fetcher interface {
-	FetchObject(oid model.OID) (*model.Object, error)
-}
+// Fetcher supplies object state to path-key computation. Postings track
+// the uncommitted present, so the engine passes in its raw read.
+type Fetcher func(oid model.OID) (*model.Object, error)
 
 // Def describes one index.
 //
@@ -260,7 +258,7 @@ func (m *Manager) maintain(idx *Index, old, next *model.Object) error {
 				snapshot = append(snapshot, head)
 			}
 			for _, head := range snapshot {
-				ho, err := m.fetch.FetchObject(head)
+				ho, err := m.fetch(head)
 				if err != nil {
 					// Head vanished: unindex it.
 					m.unindexHead(idx, head)
@@ -358,7 +356,7 @@ func (m *Manager) pathKeys(idx *Index, head *model.Object) (keys [][]byte, chain
 				if !ok {
 					return nil // non-reference interior value: path dead-ends
 				}
-				obj, ferr := m.fetch.FetchObject(oid)
+				obj, ferr := m.fetch(oid)
 				if ferr != nil {
 					return nil // dangling reference: path dead-ends
 				}

@@ -8,14 +8,15 @@ import (
 	"oodb/internal/schema"
 )
 
-// fakeStore is an in-memory Fetcher for manager tests.
+// fakeStore is an in-memory object store for manager tests; its fetch is
+// the manager's Fetcher.
 type fakeStore struct {
 	objs map[model.OID]*model.Object
 }
 
 func newFakeStore() *fakeStore { return &fakeStore{objs: map[model.OID]*model.Object{}} }
 
-func (f *fakeStore) FetchObject(oid model.OID) (*model.Object, error) {
+func (f *fakeStore) fetch(oid model.OID) (*model.Object, error) {
 	o, ok := f.objs[oid]
 	if !ok {
 		return nil, errors.New("no such object")
@@ -67,7 +68,7 @@ func newVehicleWorld(t testing.TB) *vehicleWorld {
 	auto, _ := cat.DefineClass("Automobile", []model.ClassID{vehicle.ID})
 	truck, _ := cat.DefineClass("Truck", []model.ClassID{vehicle.ID})
 	store := newFakeStore()
-	mgr := NewManager(cat, store)
+	mgr := NewManager(cat, store.fetch)
 	w, _ := cat.ResolveAttr(vehicle.ID, "weight")
 	m, _ := cat.ResolveAttr(vehicle.ID, "manufacturer")
 	l, _ := cat.ResolveAttr(company.ID, "location")
@@ -266,7 +267,7 @@ func TestSetValuedAttributeIndexed(t *testing.T) {
 		schema.AttrSpec{Name: "tags", Domain: schema.ClassString, SetValued: true})
 	tags, _ := cat.ResolveAttr(doc.ID, "tags")
 	store := newFakeStore()
-	mgr := NewManager(cat, store)
+	mgr := NewManager(cat, store.fetch)
 	idx, _ := mgr.Create("doc_tags", doc.ID, []model.AttrID{tags.ID}, true)
 
 	o := model.NewObject(model.MakeOID(doc.ID, 1))
@@ -374,7 +375,7 @@ func TestThreeLevelNestedIndex(t *testing.T) {
 	man, _ := cat.ResolveAttr(vehicle.ID, "manufacturer")
 
 	store := newFakeStore()
-	mgr := NewManager(cat, store)
+	mgr := NewManager(cat, store.fetch)
 	idx, _ := mgr.Create("deep", vehicle.ID, []model.AttrID{man.ID, div.ID, city.ID}, true)
 
 	d := model.NewObject(model.MakeOID(division.ID, 1))

@@ -103,7 +103,7 @@ func TestNoCompactWhileWriteHot(t *testing.T) {
 		t.Fatalf("log is %d bytes (%v) after the rewrite of a %d-page segment", size, err, before.Pages)
 	}
 	for _, oid := range kept {
-		if _, err := db.FetchObject(oid); err != nil {
+		if _, err := db.Fetch(oid); err != nil {
 			t.Fatalf("%s unreadable after the rewrite: %v", oid, err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestStartStop(t *testing.T) {
 		t.Fatalf("after the automatic rewrite: %+v", info)
 	}
 	for _, oid := range kept {
-		if _, err := db.FetchObject(oid); err != nil {
+		if _, err := db.Fetch(oid); err != nil {
 			t.Fatalf("%s unreadable: %v", oid, err)
 		}
 	}

@@ -157,7 +157,7 @@ func TestSweepReclaimsAndCompacts(t *testing.T) {
 		t.Fatalf("segment has %d pages, the compaction reported %d", infoAfter.Pages, res.PagesAfter)
 	}
 	for _, oid := range kept {
-		if _, err := db.FetchObject(oid); err != nil {
+		if _, err := db.Fetch(oid); err != nil {
 			t.Fatalf("object %s unreadable after compaction: %v", oid, err)
 		}
 	}

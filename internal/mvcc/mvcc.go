@@ -339,17 +339,18 @@ func (m *Manager) holdLocked(oid model.OID, drop bool) {
 	m.held[oid] = struct{}{}
 }
 
-// Resolve maps a heap read to the snapshot-visible state of oid.
+// Resolve maps a heap read to the state of oid visible at epoch snap.
 // heapData/heapOK describe what the heap returned (and must have been
 // read before the call — see the ordering protocol in the package
-// comment). The result is the visible image and whether the object exists
-// at the snapshot. Resolve takes only the OID's shard read-lock, so scans
+// comment); a pending entry of txn (nonzero) passes them through. The
+// result is the visible image and whether the object exists at the
+// snapshot. Resolve takes only the OID's shard read-lock, so scans
 // resolving thousands of objects do not serialize behind writers.
-func (m *Manager) Resolve(oid model.OID, heapData []byte, heapOK bool, snap uint64) ([]byte, bool) {
+func (m *Manager) Resolve(oid model.OID, heapData []byte, heapOK bool, snap, txn uint64) ([]byte, bool) {
 	s := m.shardOf(oid)
 	s.mu.RLock()
 	c := s.chains[oid]
-	if c == nil {
+	if c == nil || txn != 0 && c.pendingTxn == txn {
 		s.mu.RUnlock()
 		return heapData, heapOK
 	}

@@ -15,7 +15,7 @@ func oid(class model.ClassID, seq uint64) model.OID { return model.MakeOID(class
 // version. Tests that need a divergent heap call Resolve directly.
 func resolve(t *testing.T, m *Manager, id model.OID, heap []byte, snap uint64) ([]byte, bool) {
 	t.Helper()
-	return m.Resolve(id, heap, heap != nil, snap)
+	return m.Resolve(id, heap, heap != nil, snap, 0)
 }
 
 func TestVisibilityAcrossEpochs(t *testing.T) {
@@ -49,14 +49,39 @@ func TestPendingInvisible(t *testing.T) {
 	m.RecordWrite(7, id, v1, dirty)
 	snap := m.BeginSnapshot()
 	// The heap already holds the uncommitted image; the chain shields it.
-	if got, ok := m.Resolve(id, dirty, true, snap); !ok || !bytes.Equal(got, v1) {
+	if got, ok := m.Resolve(id, dirty, true, snap, 0); !ok || !bytes.Equal(got, v1) {
 		t.Fatalf("snapshot sees %q ok=%v, want committed %q", got, ok, v1)
 	}
 	m.Abort(7)
-	if got, ok := m.Resolve(id, v1, true, snap); !ok || !bytes.Equal(got, v1) {
+	if got, ok := m.Resolve(id, v1, true, snap, 0); !ok || !bytes.Equal(got, v1) {
 		t.Fatalf("after abort snapshot sees %q ok=%v, want %q", got, ok, v1)
 	}
 	m.EndSnapshot(snap)
+}
+
+// TestPendingVisibleToItsWriter: the pending entry's owner reads the heap
+// bytes — its own write, or its own delete — and every other reader the
+// newest committed version.
+func TestPendingVisibleToItsWriter(t *testing.T) {
+	m := NewManager()
+	id := oid(1, 1)
+	v1, dirty := []byte("v1"), []byte("dirty")
+	m.RecordWrite(7, id, v1, dirty)
+	const newest = ^uint64(0)
+	if got, ok := m.Resolve(id, dirty, true, newest, 7); !ok || !bytes.Equal(got, dirty) {
+		t.Fatalf("writer sees %q ok=%v, want its own %q", got, ok, dirty)
+	}
+	if got, ok := m.Resolve(id, dirty, true, newest, 8); !ok || !bytes.Equal(got, v1) {
+		t.Fatalf("another reader sees %q ok=%v, want committed %q", got, ok, v1)
+	}
+	m.RecordDelete(7, id, v1)
+	if _, ok := m.Resolve(id, nil, false, newest, 7); ok {
+		t.Fatal("writer still sees the object it deleted")
+	}
+	if got, ok := m.Resolve(id, nil, false, newest, 0); !ok || !bytes.Equal(got, v1) {
+		t.Fatalf("a reader beside the delete sees %q ok=%v, want committed %q", got, ok, v1)
+	}
+	m.Abort(7)
 }
 
 func TestInsertInvisibleToOlderSnapshot(t *testing.T) {
@@ -65,11 +90,11 @@ func TestInsertInvisibleToOlderSnapshot(t *testing.T) {
 	snap := m.BeginSnapshot()
 	m.RecordWrite(3, id, nil, []byte("new")) // insert: no base image
 	m.Commit(3)
-	if _, ok := m.Resolve(id, []byte("new"), true, snap); ok {
+	if _, ok := m.Resolve(id, []byte("new"), true, snap, 0); ok {
 		t.Fatal("insert committed after snapshot began must be invisible")
 	}
 	cur := m.BeginSnapshot()
-	if got, ok := m.Resolve(id, []byte("new"), true, cur); !ok || !bytes.Equal(got, []byte("new")) {
+	if got, ok := m.Resolve(id, []byte("new"), true, cur, 0); !ok || !bytes.Equal(got, []byte("new")) {
 		t.Fatalf("current snapshot sees %q ok=%v, want the insert", got, ok)
 	}
 	m.EndSnapshot(snap)
@@ -84,11 +109,11 @@ func TestDeleteVisibleToOlderSnapshot(t *testing.T) {
 	m.RecordDelete(5, id, v1)
 	m.Commit(5)
 	// Heap record is gone; the old snapshot still sees the base version.
-	if got, ok := m.Resolve(id, nil, false, snap); !ok || !bytes.Equal(got, v1) {
+	if got, ok := m.Resolve(id, nil, false, snap, 0); !ok || !bytes.Equal(got, v1) {
 		t.Fatalf("old snapshot sees %q ok=%v, want %q", got, ok, v1)
 	}
 	cur := m.BeginSnapshot()
-	if _, ok := m.Resolve(id, nil, false, cur); ok {
+	if _, ok := m.Resolve(id, nil, false, cur, 0); ok {
 		t.Fatal("current snapshot must not see the deleted object")
 	}
 	if got := m.ClassChains(model.ClassID(2)); len(got) != 1 || got[0] != id {
@@ -158,7 +183,7 @@ func TestNoChainDropWhileSnapshotLive(t *testing.T) {
 	if m.Chains() != 1 {
 		t.Fatalf("chain dropped at abort with a live snapshot (chains=%d)", m.Chains())
 	}
-	if got, ok := m.Resolve(id, []byte("dirty"), true, snap); !ok || !bytes.Equal(got, []byte("v1")) {
+	if got, ok := m.Resolve(id, []byte("dirty"), true, snap, 0); !ok || !bytes.Equal(got, []byte("v1")) {
 		t.Fatalf("racing reader resolves %q ok=%v, want shielded base v1", got, ok)
 	}
 
@@ -238,8 +263,8 @@ func TestConcurrentSnapshotEpochNeverHalfStamped(t *testing.T) {
 		// both objects resolve from chains to the same generation. A chain
 		// may already be dropped (converged) — then heap would be truth —
 		// so only compare when both resolve through the overlay.
-		va, oka := m.Resolve(a, nil, false, snap)
-		vb, okb := m.Resolve(b, nil, false, snap)
+		va, oka := m.Resolve(a, nil, false, snap, 0)
+		vb, okb := m.Resolve(b, nil, false, snap, 0)
 		if oka && okb && !bytes.Equal(va, vb) {
 			t.Errorf("snapshot %d saw torn commit: a=%v b=%v", snap, va, vb)
 		}

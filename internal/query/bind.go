@@ -57,13 +57,13 @@ func (e *Engine) readStep(b *binding, obj *model.Object) (model.Value, error) {
 
 // EvalPath walks a path from obj as the executor does for a candidate:
 // attributes (stored value or class default) and methods are steps, interior
-// references are followed, set-valued steps fan out. A nil tx, like a locked
-// one, reads the objects the path crosses from the heap.
-func (e *Engine) EvalPath(tx *core.Tx, obj *model.Object, steps []string) (model.Value, error) {
+// references are followed, set-valued steps fan out. The objects the path
+// crosses are read with read: a transaction's Tx.Read, or core.DB.Fetch.
+func (e *Engine) EvalPath(read func(model.OID) (*model.Object, error), obj *model.Object, steps []string) (model.Value, error) {
 	return WalkPath(obj, steps, func(o *model.Object, step string) (model.Value, error) {
 		b := e.bindStep(o.Class(), step)
 		return e.readStep(&b, o)
-	}, func(oid model.OID) (*model.Object, error) { return e.deref(tx, oid) })
+	}, read)
 }
 
 // slotBinding is one slot of a program bound to one class.
@@ -210,7 +210,7 @@ func (c *cand) fill(slot int) (model.Value, error) {
 			c.inner[key] = b
 		}
 		return c.e.readStep(&b, o)
-	}, func(oid model.OID) (*model.Object, error) { return c.e.deref(c.tx, oid) })
+	}, c.tx.Read)
 }
 
 // head reads the first step of a slot's path on the candidate: from the

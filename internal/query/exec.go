@@ -62,9 +62,12 @@ func (e *Engine) Execute(tx *core.Tx, p *Plan) (*Result, error) {
 // method treats as a no-op.
 //
 // Under a snapshot transaction (core.BeginSnapshot) the same pipeline
-// runs lock-free: LockClassScan is a no-op, scans and probes resolve
-// visibility by the pinned commit epoch, and path dereferences read the
-// snapshot-visible version of every object they cross.
+// runs lock-free: LockClassScan is a no-op, and scans and probes resolve
+// visibility by the pinned commit epoch. Either way a path dereference
+// reads the object it crosses through Tx.Read: the snapshot-visible
+// version, or in a locked transaction its own write, else the newest
+// committed state — never another transaction's uncommitted bytes, since
+// the scope S locks do not cover the classes a path leaves the scope for.
 func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) {
 	mQueriesTotal.Add(1)
 	if err := tx.LockClassScan(p.Scope); err != nil {
@@ -182,18 +185,6 @@ func earlyLimit(p *Plan, ordered bool) int {
 		return p.Query.Limit
 	}
 	return 0
-}
-
-// deref resolves an interior reference for path evaluation. Snapshot
-// transactions read the version visible at their pinned epoch — a path
-// that crosses an object mid-overwrite must not observe the writer's
-// uncommitted bytes. Locked transactions read the heap directly; their
-// scope S locks already make that stable.
-func (e *Engine) deref(tx *core.Tx, oid model.OID) (*model.Object, error) {
-	if tx != nil && tx.Snapshot() {
-		return tx.Fetch(oid)
-	}
-	return e.db.FetchObject(oid)
 }
 
 // scanRows runs a heap-scan plan: one scanClass per scope class, merged in
@@ -393,7 +384,7 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, orde
 		}
 		seen[oid] = true
 		examined++
-		obj, err := e.deref(tx, oid)
+		obj, err := tx.Read(oid)
 		if err != nil {
 			return true // dangling entry or invisible at this snapshot
 		}

@@ -136,7 +136,7 @@ func oracleAccumulate(e *Engine, tx *core.Tx, q *Query, aggs []Accumulator, obj 
 		v := countStar
 		if agg.Path != nil {
 			var err error
-			if v, err = e.EvalPath(tx, obj, agg.Path.Steps); err != nil {
+			if v, err = e.EvalPath(tx.Read, obj, agg.Path.Steps); err != nil {
 				return err
 			}
 		}
@@ -150,7 +150,7 @@ func oracleAccumulate(e *Engine, tx *core.Tx, q *Query, aggs []Accumulator, obj 
 // oracleGet reads paths on obj the way the old executor's accessor did for
 // a decoded candidate.
 func oracleGet(e *Engine, tx *core.Tx, obj *model.Object) oracleAccessor {
-	return func(steps []string) (model.Value, error) { return e.EvalPath(tx, obj, steps) }
+	return func(steps []string) (model.Value, error) { return e.EvalPath(tx.Read, obj, steps) }
 }
 
 // oracleRun answers q with the reference evaluator: every object of every
@@ -194,7 +194,7 @@ func oracleRun(eng *Engine, tx *core.Tx, q *Query) ([][]string, error) {
 	if q.OrderBy != nil {
 		keys := make(map[*model.Object]model.Value, len(objs))
 		for _, obj := range objs {
-			if keys[obj], err = eng.EvalPath(tx, obj, q.OrderBy.Steps); err != nil {
+			if keys[obj], err = eng.EvalPath(tx.Read, obj, q.OrderBy.Steps); err != nil {
 				return nil, err
 			}
 		}
@@ -231,7 +231,7 @@ func oracleRun(eng *Engine, tx *core.Tx, q *Query) ([][]string, error) {
 			r = append(r, model.Ref(obj.OID).String())
 		}
 		for _, path := range q.Select {
-			v, err := eng.EvalPath(tx, obj, path.Steps)
+			v, err := eng.EvalPath(tx.Read, obj, path.Steps)
 			if err != nil {
 				return nil, err
 			}

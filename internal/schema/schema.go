@@ -64,11 +64,12 @@ type Attribute struct {
 }
 
 // MethodEngine is the slice of the database engine a method body may use:
-// fetching objects and sending further messages. It is an interface so the
+// reading objects and sending further messages. It is an interface so the
 // catalog does not depend on the engine packages.
 type MethodEngine interface {
-	// FetchObject returns the current state of the object, or an error.
-	FetchObject(oid model.OID) (*model.Object, error)
+	// Fetch returns the newest committed state of the object, without a
+	// lock: never a write that may still abort.
+	Fetch(oid model.OID) (*model.Object, error)
 	// Send dispatches a message to an object with late binding.
 	Send(oid model.OID, message string, args ...model.Value) (model.Value, error)
 }

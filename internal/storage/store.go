@@ -241,9 +241,9 @@ func (s *Store) Put(oid model.OID, data []byte) error {
 // payload aliases the page for as long as fn runs: fn must not write to it
 // or keep it, and must copy whatever outlives the call (model.DecodeObject
 // does). No writer of the segment runs while fn does, so fn must be short
-// and must not call back into the store. It is the store's one point read:
-// the engine's raw read (core.DB.FetchObject) and its snapshot read are
-// its only callers above this package.
+// and must not call back into the store. It is the store's one point read,
+// and the engine's one point read (core.DB.read) is its only caller above
+// this package.
 func (s *Store) View(oid model.OID, fn func(payload []byte) error) error {
 	for {
 		s.mu.RLock()

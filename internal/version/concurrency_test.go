@@ -24,7 +24,7 @@ func listsExactly(t *testing.T, w *world, g model.OID, want ...model.OID) {
 	numbers := map[int64]model.OID{}
 	for _, v := range vs {
 		got[v] = true
-		obj, err := w.db.FetchObject(v)
+		obj, err := w.db.Fetch(v)
 		if err != nil {
 			t.Fatalf("version set %v lists %s: %v", vs, v, err)
 		}
@@ -109,5 +109,25 @@ func TestConcurrentDerivesAreBothListed(t *testing.T) {
 			}
 		}
 		listsExactly(t, w, g, v1, children[0], children[1])
+	}
+}
+
+// StateOf takes no transaction and reads committed state: beside an open
+// Promote it still reports transient, and after the promote aborts too.
+func TestStateOfBesideUncommittedPromote(t *testing.T) {
+	w := newWorld(t)
+	_, v1 := w.create(t)
+	tx := w.db.Begin()
+	if st, err := w.vm.Promote(tx, v1); err != nil || st != Working {
+		t.Fatalf("promote = %v (%v), want working", st, err)
+	}
+	if st, err := w.vm.StateOf(v1); err != nil || st != Transient {
+		t.Fatalf("state beside an open promote = %v (%v), want transient", st, err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := w.vm.StateOf(v1); err != nil || st != Transient {
+		t.Fatalf("state after the promote aborted = %v (%v), want transient", st, err)
 	}
 }

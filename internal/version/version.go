@@ -233,8 +233,8 @@ type info struct {
 	number  int64
 }
 
-// load reads version oid through fetch — the engine's raw read for the
-// accessors that take no transaction, a transaction's locked read for a
+// load reads version oid through fetch — the engine's committed read for
+// the accessors that take no transaction, a transaction's locked read for a
 // write — and decodes its bookkeeping. An object of a class that is not
 // versioning-enabled is ErrNotVersion.
 func (m *Manager) load(fetch func(model.OID) (*model.Object, error), oid model.OID) (*model.Object, info, error) {
@@ -283,13 +283,13 @@ func (m *Manager) members(gobj *model.Object) ([]model.Value, error) {
 
 // StateOf returns the lifecycle state of a version instance.
 func (m *Manager) StateOf(oid model.OID) (State, error) {
-	_, v, err := m.load(m.db.FetchObject, oid)
+	_, v, err := m.load(m.db.Fetch, oid)
 	return v.state, err
 }
 
 // GenericOf returns the generic object of a version instance.
 func (m *Manager) GenericOf(oid model.OID) (model.OID, error) {
-	_, v, err := m.load(m.db.FetchObject, oid)
+	_, v, err := m.load(m.db.Fetch, oid)
 	if err == nil && v.generic.IsNil() {
 		err = ErrNotVersion
 	}
@@ -299,7 +299,7 @@ func (m *Manager) GenericOf(oid model.OID) (model.OID, error) {
 // ParentOf returns the version a version was derived from (nil for the
 // first version).
 func (m *Manager) ParentOf(oid model.OID) (model.OID, error) {
-	_, v, err := m.load(m.db.FetchObject, oid)
+	_, v, err := m.load(m.db.Fetch, oid)
 	return v.parent, err
 }
 
@@ -445,7 +445,7 @@ func (m *Manager) SetDefault(tx *core.Tx, generic, version model.OID) error {
 // derived (highest-numbered) version. A member that no longer exists is a
 // dangling link and is passed over; any other read error is returned.
 func (m *Manager) Resolve(generic model.OID) (model.OID, error) {
-	gobj, err := m.db.FetchObject(generic)
+	gobj, err := m.db.Fetch(generic)
 	if err != nil {
 		return model.NilOID, err
 	}
@@ -465,7 +465,7 @@ func (m *Manager) Resolve(generic model.OID) (model.OID, error) {
 	bestN := int64(-1)
 	for _, mem := range vs {
 		oid, _ := mem.AsRef()
-		_, v, err := m.load(m.db.FetchObject, oid)
+		_, v, err := m.load(m.db.Fetch, oid)
 		if errors.Is(err, core.ErrNoObject) {
 			continue
 		}
@@ -481,7 +481,7 @@ func (m *Manager) Resolve(generic model.OID) (model.OID, error) {
 
 // Versions lists a generic object's versions.
 func (m *Manager) Versions(generic model.OID) ([]model.OID, error) {
-	gobj, err := m.db.FetchObject(generic)
+	gobj, err := m.db.Fetch(generic)
 	if err != nil {
 		return nil, err
 	}

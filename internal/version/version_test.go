@@ -127,7 +127,7 @@ func TestDeriveCopiesStateAndPromotesParent(t *testing.T) {
 	if st != Transient {
 		t.Errorf("child state = %v", st)
 	}
-	obj, _ := w.db.FetchObject(v2)
+	obj, _ := w.db.Fetch(v2)
 	area, _ := w.db.AttrValue(obj, "area")
 	if n, _ := area.AsInt(); n != 100 {
 		t.Errorf("copied area = %v", area)
@@ -162,7 +162,7 @@ func TestDerivationHierarchy(t *testing.T) {
 	// Version numbers are distinct and increasing.
 	nums := map[int64]bool{}
 	for _, v := range []model.OID{v1, v2, v3, v4} {
-		obj, _ := w.db.FetchObject(v)
+		obj, _ := w.db.Fetch(v)
 		nv, _ := w.db.AttrValue(obj, attrNumber)
 		n, _ := nv.AsInt()
 		if nums[n] {
@@ -223,7 +223,7 @@ func TestDeleteRules(t *testing.T) {
 	if len(vs) != 1 || vs[0] != v1 {
 		t.Fatalf("versions after delete = %v", vs)
 	}
-	if _, err := w.db.FetchObject(v2); err == nil {
+	if _, err := w.db.Fetch(v2); err == nil {
 		t.Fatal("deleted version still stored")
 	}
 }

@@ -63,7 +63,7 @@ func (ws *Workspace) Fetch(oid model.OID) (*Descriptor, error) {
 		mCacheHits.Add(1)
 		return d, nil
 	}
-	obj, err := ws.db.FetchObject(oid)
+	obj, err := ws.db.Fetch(oid)
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func TestSetMarksDirtyAndSaves(t *testing.T) {
 		t.Fatal("Save left descriptor dirty")
 	}
 	// Visible through a fresh database read.
-	obj, _ := p.db.FetchObject(p.oids[0])
+	obj, _ := p.db.Fetch(p.oids[0])
 	v, _ := p.db.AttrValue(obj, "x")
 	if n, _ := v.AsInt(); n != 999 {
 		t.Fatalf("saved value = %v", v)
@@ -230,7 +230,7 @@ func TestDiscardDropsChanges(t *testing.T) {
 	if ws.Len() != 0 {
 		t.Fatal("Discard left residents")
 	}
-	obj, _ := p.db.FetchObject(p.oids[0])
+	obj, _ := p.db.Fetch(p.oids[0])
 	v, _ := p.db.AttrValue(obj, "x")
 	if n, _ := v.AsInt(); n == 555 {
 		t.Fatal("discarded change reached the database")

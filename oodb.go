@@ -371,11 +371,12 @@ func (db *DB) QuerySnapshot(src string) (*Result, error) {
 // with one automatic retry after a deadlock.
 func (db *DB) Do(fn func(tx *Tx) error) error { return db.eng.Do(fn) }
 
-// Fetch returns the stored image of an object, without locks or a
-// snapshot: it includes the writes of transactions still open. For the
-// last committed state use a snapshot (BeginSnapshot, then Tx.Fetch) or a
-// Session; for a locked read, Tx.Fetch.
-func (db *DB) Fetch(oid OID) (*Object, error) { return db.eng.FetchObject(oid) }
+// Fetch returns the newest committed state of an object. It takes no lock
+// and registers no snapshot, so it never waits for a writer, and it never
+// returns the write of a transaction still open. For a read that stays
+// the same until the transaction ends use Tx.Fetch (locked) or a snapshot
+// (BeginSnapshot); inside a transaction, Tx.Read also sees its own writes.
+func (db *DB) Fetch(oid OID) (*Object, error) { return db.eng.Fetch(oid) }
 
 // Get reads an attribute of an object by name, applying inheritance and
 // class defaults.

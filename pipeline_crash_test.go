@@ -89,7 +89,7 @@ func TestCrashDuringPipelineCommit(t *testing.T) {
 			t.Fatalf("recovery reopen after {%v}: %v", sched, err)
 		}
 		checkRow := func(a acked) bool {
-			obj, err := db2.FetchObject(a.oid)
+			obj, err := db2.Fetch(a.oid)
 			if err != nil {
 				return false
 			}
@@ -191,7 +191,7 @@ func TestCrashAtWatermarkPublish(t *testing.T) {
 	}
 	defer db2.Close()
 	for _, a := range all {
-		obj, err := db2.FetchObject(a.oid)
+		obj, err := db2.Fetch(a.oid)
 		if err != nil {
 			t.Fatalf("acked commit lost at publish-window crash: %s (n=%d): %v", a.oid, a.n, err)
 		}

@@ -27,7 +27,10 @@ var (
 //
 // A session carries at most one explicit transaction (Begin … Commit,
 // CommitAsync or Abort); the data verbs join it while it is open and
-// autocommit otherwise. A session is used by one goroutine at a time.
+// autocommit otherwise; outside one, Fetch and Get read the newest
+// committed state (DB.Fetch), so they neither wait for another session's
+// writer nor see its open writes. A session is used by one goroutine at a
+// time.
 type Session struct {
 	db   *DB
 	az   *authz.Authorizer
@@ -183,16 +186,12 @@ func (s *Session) checkPaths(plan *query.Plan) error {
 	return nil
 }
 
-// fetchObject reads an object for this session: through the open
-// transaction (a locked read), else the last committed state, through a
-// snapshot — no lock, and no wait behind another session's writer.
+// fetchObject reads an object in the open transaction, else committed.
 func (s *Session) fetchObject(oid OID) (*Object, error) {
 	if s.tx != nil {
 		return s.tx.Fetch(oid)
 	}
-	tx := s.db.BeginSnapshot()
-	defer tx.Commit()
-	return tx.Fetch(oid)
+	return s.db.Fetch(oid)
 }
 
 // Fetch returns an object the role may read as its class name and
