@@ -26,9 +26,11 @@ race:
 
 # The experiment families (bench_test.go, bench_system_test.go: E1-E19
 # and segment compaction), the engine's point read of an OO1 part
-# (BenchmarkFetch), the query executor's benchmarks (heap-scan aggregate,
-# ordered range with LIMIT) and the storage and WAL benchmarks, at the
-# default benchtime. -p 1: one package's benchmarks at a time.
+# (BenchmarkFetch), the query executor's benchmarks (the same aggregate
+# statement as a heap scan with no index, BenchmarkScanAggregate, and
+# folded from a class-hierarchy index, BenchmarkIndexAggregate; ordered
+# range with LIMIT) and the storage and WAL benchmarks, at the default
+# benchtime. -p 1: one package's benchmarks at a time.
 # Narrow with e.g. `go test -run '^$' -bench 'E17' .`
 bench:
 	$(GO) test -p 1 -run '^$$' -bench . -benchmem . ./internal/core/ ./internal/query/ ./internal/storage/ ./internal/wal/

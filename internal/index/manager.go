@@ -55,10 +55,20 @@ type Index struct {
 	// it. When that object's Path[i] attribute changes, every head in
 	// rev[i][oid] is re-keyed.
 	rev []map[model.OID]map[model.OID]struct{}
+	// headChain remembers, per head of a nested index, the interior OIDs
+	// its entries in rev sit under (chain[i] for rev[i]), so unindexing a
+	// head deletes exactly those entries instead of walking all of rev.
+	headChain map[model.OID][][]model.OID
 
 	// headKeys remembers the key(s) currently indexed for each head
 	// instance so updates and deletes can unindex exactly what was indexed.
+	// Every indexed head has an entry: a head with no key (a null value)
+	// has a nil one.
 	headKeys map[model.OID][][]byte
+	// unkeyed counts, per class, the heads with no key. Kept for one-step
+	// indexes only: there a head has no key exactly when its attribute is
+	// null, which an aggregate folded from the keys must still see.
+	unkeyed map[model.ClassID]int
 }
 
 // Manager owns all indexes of a database and keeps them consistent with
@@ -112,6 +122,9 @@ func (m *Manager) Create(name string, class model.ClassID, path []model.AttrID, 
 		for i := 1; i < len(path); i++ {
 			idx.rev[i] = make(map[model.OID]map[model.OID]struct{})
 		}
+		idx.headChain = make(map[model.OID][][]model.OID)
+	} else {
+		idx.unkeyed = make(map[model.ClassID]int)
 	}
 	m.nextID++
 	m.byID[idx.ID] = idx
@@ -287,9 +300,11 @@ func (m *Manager) reindexHead(idx *Index, head model.OID, next *model.Object) er
 	for _, k := range keys {
 		idx.tree.Insert(k, head)
 	}
-	if len(keys) > 0 {
-		idx.headKeys[head] = keys
+	idx.headKeys[head] = keys
+	if idx.unkeyed != nil && len(keys) == 0 {
+		idx.unkeyed[head.Class()]++
 	}
+	interior := false
 	for i := 1; i < len(chain); i++ {
 		for _, oid := range chain[i] {
 			set := idx.rev[i][oid]
@@ -298,7 +313,11 @@ func (m *Manager) reindexHead(idx *Index, head model.OID, next *model.Object) er
 				idx.rev[i][oid] = set
 			}
 			set[head] = struct{}{}
+			interior = true
 		}
+	}
+	if interior {
+		idx.headChain[head] = chain
 	}
 	return nil
 }
@@ -306,13 +325,22 @@ func (m *Manager) reindexHead(idx *Index, head model.OID, next *model.Object) er
 // unindexHead removes all current entries of a head instance. Caller holds
 // m.mu.
 func (m *Manager) unindexHead(idx *Index, head model.OID) {
-	for _, k := range idx.headKeys[head] {
+	keys, indexed := idx.headKeys[head]
+	if !indexed {
+		return
+	}
+	for _, k := range keys {
 		idx.tree.Delete(k, head)
 	}
 	delete(idx.headKeys, head)
-	for i := 1; i < len(idx.rev); i++ {
-		for oid, set := range idx.rev[i] {
-			if _, ok := set[head]; ok {
+	if idx.unkeyed != nil && len(keys) == 0 {
+		if idx.unkeyed[head.Class()]--; idx.unkeyed[head.Class()] == 0 {
+			delete(idx.unkeyed, head.Class())
+		}
+	}
+	for i, oids := range idx.headChain[head] {
+		for _, oid := range oids {
+			if set := idx.rev[i][oid]; set != nil {
 				delete(set, head)
 				if len(set) == 0 {
 					delete(idx.rev[i], oid)
@@ -320,14 +348,15 @@ func (m *Manager) unindexHead(idx *Index, head model.OID) {
 			}
 		}
 	}
+	delete(idx.headChain, head)
 }
 
 // pathKeys walks the index path from the head object and returns the
 // terminal key encodings plus, per path position i >= 1, the OIDs of the
 // interior objects whose Path[i] attribute is read along some
-// instantiation. Set-valued terminal attributes produce one key per
-// member; a null anywhere along a branch ends that branch. Multi-valued
-// interior steps index every branch.
+// instantiation, or would be if the object could be read. Set-valued
+// terminal attributes produce one key per member; a null anywhere along a
+// branch ends that branch. Multi-valued interior steps index every branch.
 func (m *Manager) pathKeys(idx *Index, head *model.Object) (keys [][]byte, chain [][]model.OID, err error) {
 	chain = make([][]model.OID, len(idx.Path))
 	objs := []*model.Object{head}
@@ -356,11 +385,14 @@ func (m *Manager) pathKeys(idx *Index, head *model.Object) (keys [][]byte, chain
 				if !ok {
 					return nil // non-reference interior value: path dead-ends
 				}
+				// A dangling reference dead-ends the path, but its OID joins
+				// the chain: should the object appear (an aborted delete puts
+				// it back), its reverse entry re-keys the head.
+				chain[step+1] = append(chain[step+1], oid)
 				obj, ferr := m.fetch(oid)
 				if ferr != nil {
-					return nil // dangling reference: path dead-ends
+					return nil
 				}
-				chain[step+1] = append(chain[step+1], oid)
 				nextObjs = append(nextObjs, obj)
 				return nil
 			}

@@ -2,6 +2,11 @@ package index
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"oodb/internal/model"
@@ -410,5 +415,181 @@ func TestThreeLevelNestedIndex(t *testing.T) {
 	}
 	if got := idx.Lookup(model.String("Dallas"), nil); got != nil {
 		t.Fatalf("stale mid-path key: %v", got)
+	}
+}
+
+// indexState is everything an index keeps, in a form two indexes built by
+// different histories can be compared in.
+type indexState struct {
+	Postings map[string][]model.OID            // key → OIDs
+	HeadKeys map[model.OID][]string            // head → its keys, sorted
+	Rev      []map[model.OID][]model.OID       // position → interior OID → heads, sorted
+	Chains   map[model.OID]map[int][]model.OID // head → position → interior OIDs, sorted, deduplicated
+	Unkeyed  map[model.ClassID]int
+}
+
+func stateOf(idx *Index) indexState {
+	st := indexState{Postings: map[string][]model.OID{}, HeadKeys: map[model.OID][]string{},
+		Chains: map[model.OID]map[int][]model.OID{}, Unkeyed: map[model.ClassID]int{}}
+	idx.tree.Range(nil, nil, true, true, func(key []byte, posts []model.OID) bool {
+		st.Postings[string(key)] = slices.Clone(posts)
+		return true
+	})
+	for head, keys := range idx.headKeys {
+		ks := []string{}
+		for _, k := range keys {
+			ks = append(ks, string(k))
+		}
+		slices.Sort(ks)
+		st.HeadKeys[head] = ks
+	}
+	for i, m := range idx.rev {
+		st.Rev = append(st.Rev, map[model.OID][]model.OID{})
+		for oid, heads := range m {
+			var hs []model.OID
+			for h := range heads {
+				hs = append(hs, h)
+			}
+			slices.Sort(hs)
+			st.Rev[i][oid] = hs
+		}
+	}
+	for head, chain := range idx.headChain {
+		st.Chains[head] = map[int][]model.OID{}
+		for i, oids := range chain {
+			if len(oids) > 0 {
+				oids = slices.Clone(oids)
+				slices.Sort(oids)
+				st.Chains[head][i] = slices.Compact(oids)
+			}
+		}
+	}
+	maps.Copy(st.Unkeyed, idx.unkeyed)
+	return st
+}
+
+// TestIndexBookkeepingMatchesRebuild churns a one-step and a nested index —
+// head inserts, updates and deletes, interior updates and deletes, and an
+// aborted batch undone in reverse — and holds the tree, headKeys, the
+// reverse maps, the per-head chains and the unkeyed counts to a manager
+// built from scratch over the final objects.
+func TestIndexBookkeepingMatchesRebuild(t *testing.T) {
+	w := newVehicleWorld(t)
+	weight, _ := w.mgr.Create("vw", w.vehicle.ID, []model.AttrID{w.weight}, true)
+	nested, _ := w.mgr.Create("vml", w.vehicle.ID, []model.AttrID{w.manufacturer, w.location}, true)
+	r := rand.New(rand.NewSource(35))
+	var companies, vehicles []model.OID
+	seq := uint64(0)
+	live := func(oids []model.OID) []model.OID {
+		var out []model.OID
+		for _, oid := range oids {
+			if w.store.objs[oid] != nil {
+				out = append(out, oid)
+			}
+		}
+		return out
+	}
+	vehicle := func(oid model.OID) *model.Object {
+		o := model.NewObject(oid)
+		if r.Intn(5) > 0 {
+			o.Set(w.weight, model.Int(int64(r.Intn(8))))
+		}
+		if cs := live(companies); len(cs) > 0 && r.Intn(6) > 0 {
+			o.Set(w.manufacturer, model.Ref(cs[r.Intn(len(cs))]))
+		}
+		return o
+	}
+	// step makes one random write and returns its undo: the object's prior
+	// state, nil for an insert.
+	step := func() (model.OID, *model.Object) {
+		seq++
+		switch op := r.Intn(10); {
+		case op < 2 || len(companies) == 0:
+			oid := model.MakeOID(w.company.ID, seq)
+			companies = append(companies, oid)
+			w.store.put(t, w.mgr, w.newCompany(seq, fmt.Sprint("City", r.Intn(4))))
+			return oid, nil
+		case op < 5 || len(vehicles) == 0:
+			classes := []model.ClassID{w.vehicle.ID, w.auto.ID, w.truck.ID}
+			oid := model.MakeOID(classes[r.Intn(3)], seq)
+			vehicles = append(vehicles, oid)
+			w.store.put(t, w.mgr, vehicle(oid))
+			return oid, nil
+		case op < 7: // head update
+			oid := vehicles[r.Intn(len(vehicles))]
+			old := w.store.objs[oid]
+			if old == nil {
+				return oid, nil
+			}
+			w.store.put(t, w.mgr, vehicle(oid))
+			return oid, old
+		case op < 8: // head delete
+			oid := vehicles[r.Intn(len(vehicles))]
+			old := w.store.objs[oid]
+			w.store.del(t, w.mgr, oid)
+			return oid, old
+		case op < 9: // interior update
+			oid := companies[r.Intn(len(companies))]
+			old := w.store.objs[oid]
+			if old == nil {
+				return oid, nil
+			}
+			next := old.Clone()
+			if r.Intn(4) == 0 {
+				next.Set(w.location, model.Null)
+			} else {
+				next.Set(w.location, model.String(fmt.Sprint("City", r.Intn(4))))
+			}
+			w.store.put(t, w.mgr, next)
+			return oid, old
+		default: // interior delete
+			oid := companies[r.Intn(len(companies))]
+			old := w.store.objs[oid]
+			w.store.del(t, w.mgr, oid)
+			return oid, old
+		}
+	}
+	for i := 0; i < 400; i++ {
+		step()
+	}
+	// An aborted batch: its writes undone newest first, as Tx.Abort does.
+	type undo struct {
+		oid model.OID
+		old *model.Object
+	}
+	var log []undo
+	for i := 0; i < 60; i++ {
+		oid, old := step()
+		log = append(log, undo{oid, old})
+	}
+	for i := len(log) - 1; i >= 0; i-- {
+		if u := log[i]; u.old == nil {
+			w.store.del(t, w.mgr, u.oid)
+		} else {
+			w.store.put(t, w.mgr, u.old)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+
+	fresh := NewManager(w.cat, w.store.fetch)
+	for _, idx := range []*Index{weight, nested} {
+		rebuilt, _ := fresh.Create(idx.Name, idx.Class, idx.Path, idx.Hierarchy)
+		for _, o := range w.store.objs {
+			if err := fresh.Populate(rebuilt, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := stateOf(idx), stateOf(rebuilt)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s after churn differs from a rebuild:\n got %+v\nwant %+v", idx.Name, got, want)
+		}
+		if len(want.HeadKeys) == 0 || len(want.Postings) == 0 {
+			t.Fatalf("%s: the churn left nothing indexed", idx.Name)
+		}
+	}
+	if len(stateOf(weight).Unkeyed) == 0 || len(stateOf(nested).Rev[1]) == 0 {
+		t.Fatal("the churn left no unkeyed head or no reverse entry to compare")
 	}
 }

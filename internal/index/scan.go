@@ -1,6 +1,8 @@
 package index
 
 import (
+	"slices"
+
 	"oodb/internal/model"
 )
 
@@ -76,19 +78,14 @@ func (iv Interval) String() string {
 // leaf's worth); a batch always ends on a key boundary.
 const scanBatch = 64
 
-// Scan is the one read path of an index: it calls fn with every OID indexed
-// under a key in iv, restricted to the given classes (nil = no filter), in
-// (key, OID) order, until fn returns false. For a CH index a query scoped
-// `ONLY C` passes just {C}; a hierarchy-scoped query passes the descendant
-// set or nil.
-//
-// Maintenance mutates the tree under the manager's write lock, so Scan
-// copies a bounded batch of postings under the read lock, releases it, and
-// only then calls fn — fn fetches objects, and index maintenance fetches
-// objects under the write lock. The next batch resumes strictly after the
-// last key copied by descending from the root again, so a leaf split or a
-// lazy delete between batches can neither skip nor repeat a key.
-func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(model.OID) bool) {
+// walk is the batching under both read paths: it visits the keys of iv in
+// order, handing collect each key and its postings under the read lock
+// until batch postings were seen (a batch ends on a key boundary), then
+// releases the lock and calls flush, which reports whether to go on. The
+// next batch resumes strictly after the last key collected by descending
+// from the root again, so a leaf split or a lazy delete between batches can
+// neither skip nor repeat a key. collect may keep a key, not the postings.
+func (idx *Index) walk(iv Interval, batch int, collect func(key []byte, posts []model.OID), flush func() bool) {
 	if iv.Empty() {
 		return
 	}
@@ -100,35 +97,105 @@ func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(mode
 		hi = model.Key(iv.Hi)
 	}
 	loInc := iv.LoInc
-	var buf [scanBatch]model.OID
 	for {
-		batch, visited, more := buf[:0], 0, false
+		visited, more := 0, false
 		idx.mu.RLock()
 		idx.tree.Range(lo, hi, loInc, iv.HiInc, func(key []byte, posts []model.OID) bool {
-			if visited >= scanBatch {
+			if visited >= batch {
 				more = true
 				return false
 			}
 			visited += len(posts)
-			for _, oid := range posts {
-				if classes == nil || classes[oid.Class()] {
-					batch = append(batch, oid)
-				}
-			}
+			collect(key, posts)
 			lo = key
 			return true
 		})
 		idx.mu.RUnlock()
 		loInc = false
-		for _, oid := range batch {
-			if !fn(oid) {
-				return
-			}
-		}
-		if !more {
+		if !flush() || !more {
 			return
 		}
 	}
+}
+
+// Scan is the one read path of an index's postings: it calls fn with every
+// OID indexed under a key in iv, restricted to the given classes (nil = no
+// filter), in (key, OID) order, until fn returns false. For a CH index a
+// query scoped `ONLY C` passes just {C}; a hierarchy-scoped query passes the
+// descendant set or nil.
+//
+// Maintenance mutates the tree under the manager's write lock, so Scan
+// copies a bounded batch of postings under the read lock, releases it, and
+// only then calls fn — fn fetches objects, and index maintenance fetches
+// objects under the write lock.
+func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(model.OID) bool) {
+	var buf [scanBatch]model.OID
+	batch := buf[:0]
+	idx.walk(iv, scanBatch, func(_ []byte, posts []model.OID) {
+		for _, oid := range posts {
+			if classes == nil || classes[oid.Class()] {
+				batch = append(batch, oid)
+			}
+		}
+	}, func() bool {
+		for _, oid := range batch {
+			if !fn(oid) {
+				return false
+			}
+		}
+		batch = batch[:0]
+		return true
+	})
+}
+
+// countBatch bounds how many postings one read-lock hold of KeyCounts
+// counts. Nothing is fetched under it, so it is larger than scanBatch.
+const countBatch = 256
+
+// KeyCounts is the read path of an aggregate answered from the keys alone:
+// it calls fn with every key in iv that indexes an instance of one of the
+// given classes, and how many such instances it indexes, in key order,
+// until fn returns false. It batches as Scan does; fn runs outside the read
+// lock.
+func (idx *Index) KeyCounts(iv Interval, classes []model.ClassID, fn func(key []byte, n int) bool) {
+	type keyCount struct {
+		key []byte
+		n   int
+	}
+	var buf [countBatch]keyCount // a key holds one posting at least
+	batch := buf[:0]
+	idx.walk(iv, countBatch, func(key []byte, posts []model.OID) {
+		n := 0
+		for _, oid := range posts {
+			if slices.Contains(classes, oid.Class()) {
+				n++
+			}
+		}
+		if n > 0 {
+			batch = append(batch, keyCount{key, n})
+		}
+	}, func() bool {
+		for _, kc := range batch {
+			if !fn(kc.key, kc.n) {
+				return false
+			}
+		}
+		batch = batch[:0]
+		return true
+	})
+}
+
+// Unkeyed returns how many instances of the given classes a one-step index
+// holds no key for: those whose attribute is null. It is 0 for a nested
+// index, which does not count them.
+func (idx *Index) Unkeyed(classes []model.ClassID) int {
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	n := 0
+	for _, c := range classes {
+		n += idx.unkeyed[c]
+	}
+	return n
 }
 
 // Lookup returns the OIDs indexed under exactly v, filtered by class.

@@ -190,6 +190,28 @@ func AppendKey(dst []byte, v Value) []byte {
 // Key returns the order-preserving key encoding of v as a fresh slice.
 func Key(v Value) []byte { return AppendKey(nil, v) }
 
+// DecodeIntKey returns the integer a numeric key encodes: the inverse of
+// AppendKey over integers, which is how an index answers from its keys
+// alone. ok is false for a key that is not numeric, or whose number is not
+// an integer in int64's range. A key of magnitude 2^53 or more decodes to
+// one of the integers that share it: check the result with KeyExact.
+func DecodeIntKey(key []byte) (v Value, ok bool) {
+	if len(key) != 9 || key[0] != keyNum {
+		return Null, false
+	}
+	bits := binary.BigEndian.Uint64(key[1:])
+	if bits&(1<<63) != 0 {
+		bits &^= 1 << 63 // non-negative: clear the sign bit set on encode
+	} else {
+		bits = ^bits // negative: flip all bits back
+	}
+	f := math.Float64frombits(bits)
+	if f != math.Trunc(f) || math.Abs(f) >= 1<<63 {
+		return Null, false
+	}
+	return Int(int64(f)), true
+}
+
 // KeyExact reports whether v's key is held by values equal to v alone.
 // Numeric keys are the float64 image of the value, so from 2^53 up distinct
 // integers round to one key, and NaN compares equal to everything: there,

@@ -231,3 +231,33 @@ func TestKeyExact(t *testing.T) {
 		t.Error("expected 2^53 and 2^53+1 to share a key and differ under Compare")
 	}
 }
+
+func TestDecodeIntKeyRoundTrip(t *testing.T) {
+	const big = int64(1) << 53
+	ints := []int64{0, 1, -1, 2, -2, 1000, -1000, big - 1, -big + 1, math.MaxInt32, math.MinInt32}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		ints = append(ints, r.Int63n(2*big-1)-(big-1))
+	}
+	for _, i := range ints {
+		v, ok := DecodeIntKey(Key(Int(i)))
+		if !ok || v.Kind() != KindInt || Compare(v, Int(i)) != 0 {
+			t.Fatalf("DecodeIntKey(Key(%d)) = %s, %v", i, v, ok)
+		}
+		// A float with an integral value shares the integer's key.
+		if v, ok := DecodeIntKey(Key(Float(float64(i)))); !ok || Compare(v, Int(i)) != 0 {
+			t.Fatalf("DecodeIntKey(Key(%d.0)) = %s, %v", i, v, ok)
+		}
+	}
+	// From 2^53 up a key stands for several integers: it decodes to one of
+	// them, and KeyExact says the decode is not the value.
+	if v, ok := DecodeIntKey(Key(Int(big + 1))); !ok || KeyExact(v) {
+		t.Errorf("DecodeIntKey(Key(2^53+1)) = %s, %v; want an inexact integer", v, ok)
+	}
+	for _, v := range []Value{Float(1.5), Float(-0.25), Float(math.NaN()), Float(math.Inf(1)),
+		Float(1e300), String("7"), Bool(true), Null, Ref(MakeOID(3, 4))} {
+		if got, ok := DecodeIntKey(Key(v)); ok {
+			t.Errorf("DecodeIntKey(Key(%s)) = %s, want no integer", v, got)
+		}
+	}
+}

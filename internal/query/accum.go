@@ -37,35 +37,45 @@ func Partial(f AggFunc, v, count model.Value) (Accumulator, error) {
 	if f == AggCount {
 		v, count = model.Null, v
 	}
-	err := a.add(&v) // one reported value, not a set to spread
+	err := a.add(&v, 1) // one reported value, not a set to spread
 	a.count, _ = count.AsInt()
 	return a, err
 }
 
 // Add folds one value in. v is only read.
-func (a *Accumulator) Add(v *model.Value) error {
+func (a *Accumulator) Add(v *model.Value) error { return a.addN(v, 1) }
+
+// addN folds in n copies of v (n >= 1) — how an index fold adds the n
+// instances one key stands for. An integer sum stays exact exactly as n
+// calls of Add would keep it; a float's n copies are added as one product,
+// which rounds once where n additions round n times.
+func (a *Accumulator) addN(v *model.Value, n int64) error {
 	if members, ok := v.AsSet(); ok {
 		for i := range members {
-			if err := a.add(&members[i]); err != nil {
+			if err := a.add(&members[i], n); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return a.add(v)
+	return a.add(v, n)
 }
 
-func (a *Accumulator) add(v *model.Value) error {
+func (a *Accumulator) add(v *model.Value, n int64) error {
 	if v.IsNull() {
 		return nil
 	}
-	a.count++
+	a.count += n
 	switch a.fn {
 	case AggSum, AggAvg:
 		if i, ok := v.AsInt(); ok {
-			a.addInt(i)
+			if p := i * n; n == 1 || p/n == i {
+				a.addInt(p)
+			} else {
+				a.fsum, a.float = a.sum()+float64(i)*float64(n), true
+			}
 		} else if f, ok := v.AsFloat(); ok {
-			a.fsum, a.float = a.sum()+f, true
+			a.fsum, a.float = a.sum()+f*float64(n), true
 		} else {
 			return fmt.Errorf("query: %s over non-numeric value %s", a.fn, v)
 		}

@@ -79,15 +79,20 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	cur := e.newCand(tx, p.prog, len(p.Scope))
 
 	var rows []Row
-	var aggs []Accumulator // set when the scan folded the aggregates itself
+	var aggs []Accumulator // set when the index or the scan folded the aggregates
 	var matched uint64
 	var ordered bool // rows already arrived in ORDER BY order
 	var err error
-	if p.kind == accessScan {
+	if idx, iv := e.foldable(p); idx != nil {
+		aggs, matched, err = e.foldAggregates(tx, p, idx, iv, span)
+	}
+	switch {
+	case err != nil || aggs != nil:
+	case p.kind == accessScan:
 		var all scanPart
 		all, err = e.scanRows(tx, p, span)
 		rows, aggs, matched = all.rows, all.aggs, all.matched
-	} else {
+	default:
 		rows, ordered, err = e.probeRows(tx, p, cur, span, p.ordered)
 	}
 	if err != nil {
@@ -125,7 +130,7 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 			aggs, matched = newAccumulators(q), uint64(len(rows))
 			for i := range rows {
 				cur.object(rows[i].Object)
-				if err := cur.accumulate(aggs); err != nil {
+				if err := cur.accumulate(aggs, 1); err != nil {
 					return nil, err
 				}
 			}
@@ -294,7 +299,7 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 		}
 		part.matched++
 		if part.aggs != nil {
-			part.err = c.accumulate(part.aggs)
+			part.err = c.accumulate(part.aggs, 1)
 			return part.err == nil
 		}
 		var obj *model.Object
@@ -362,12 +367,10 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, orde
 		}
 		return out, moved
 	}
-	if ordered {
+	if ordered && overlayMoved(tx, p.Scope) {
 		// The index has already moved under this snapshot: where overlay
 		// rows sort is unknown, so do not start an ordered walk at all.
-		if _, moved := overlays(); moved {
-			ordered = false
-		}
+		ordered = false
 	}
 	limit := earlyLimit(p, ordered)
 	var rows []Row

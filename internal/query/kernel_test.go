@@ -381,3 +381,29 @@ func BenchmarkScanAggregate(b *testing.B) {
 		mustRun(b, eng, tx, fmt.Sprintf(`SELECT COUNT(*), SUM(val) FROM H1 WHERE val != %d`, i%1000))
 	}
 }
+
+// BenchmarkIndexAggregate is BenchmarkScanAggregate's statement over the
+// same world with a class-hierarchy index on H1.val: the index fold answers
+// it from the keys, where BenchmarkScanAggregate scans the heap.
+func BenchmarkIndexAggregate(b *testing.B) {
+	db, eng := scanAggWorld(b)
+	h1, err := db.Catalog.ClassByName("H1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.CreateIndex("h1_val", h1.ID, []string{"val"}, true); err != nil {
+		b.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Commit()
+	folds := mFolds.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustRun(b, eng, tx, fmt.Sprintf(`SELECT COUNT(*), SUM(val) FROM H1 WHERE val != %d`, i%1000))
+	}
+	b.StopTimer()
+	if n := mFolds.Value() - folds; n != uint64(b.N) {
+		b.Fatalf("%d of %d statements folded from the index", n, b.N)
+	}
+}

@@ -13,4 +13,8 @@ var (
 	mEarlyExits   = obs.RegisterCounter("query_limit_early_exits")
 	mFanoutWidth  = obs.RegisterHistogram("query_scan_fanout_width")
 	mQueriesTotal = obs.RegisterCounter("query_exec_statements_total")
+	// An aggregate statement answered from index keys, and one whose fold
+	// gave up and ran the heap scan or probe instead.
+	mFolds         = obs.RegisterCounter("query_fold_statements_total")
+	mFoldFallbacks = obs.RegisterCounter("query_fold_fallbacks_total")
 )

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"oodb/internal/core"
@@ -52,6 +53,11 @@ type Plan struct {
 	// so the executor may skip the sort and stop at LIMIT (see
 	// orderFromIndex for the plan-time half of the precondition).
 	ordered bool
+	// fold is the index the executor is expected to fold the aggregates
+	// from (see foldable) — what EXPLAIN shows. Execute decides again under
+	// the scope's locks.
+	fold   *index.Index
+	foldIV index.Interval
 
 	// EstRows is the statistics-based result cardinality estimate; HasEst
 	// reports whether statistics covered the whole scope (see selectivity.go).
@@ -63,19 +69,21 @@ type Plan struct {
 func (p *Plan) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "scope=%s(%d classes) ", p.Target.Name, len(p.Scope))
-	switch p.kind {
-	case accessScan:
+	switch {
+	case p.fold != nil:
+		fmt.Fprintf(&sb, "access=index-agg(%s)%s", p.fold.Name, p.foldIV)
+	case p.kind == accessScan:
 		sb.WriteString("access=heap-scan")
-	case accessIndexEq:
+	case p.kind == accessIndexEq:
 		fmt.Fprintf(&sb, "access=index-eq(%s)", p.indexes[0].Name)
-	case accessIndexRng:
+	case p.kind == accessIndexRng:
 		fmt.Fprintf(&sb, "access=index-range(%s)", p.indexes[0].Name)
-	case accessUnionEq:
+	case p.kind == accessUnionEq:
 		fmt.Fprintf(&sb, "access=index-union-eq(%d indexes)", len(p.indexes))
-	case accessUnionRng:
+	case p.kind == accessUnionRng:
 		fmt.Fprintf(&sb, "access=index-union-range(%d indexes)", len(p.indexes))
 	}
-	if p.kind != accessScan {
+	if p.fold == nil && p.kind != accessScan {
 		sb.WriteString(p.iv.String())
 	}
 	if p.Query.OrderBy != nil {
@@ -157,12 +165,11 @@ func (e *Engine) planQuery(q *Query, viewDepth int) (*Plan, error) {
 		return nil, err
 	}
 	p.kind = accessScan
-	if q.Where == nil || e.ForceScan {
-		e.annotatePlan(p)
-		return p, nil
+	if q.Where != nil && !e.ForceScan {
+		e.chooseIndex(p)
 	}
-	e.chooseIndex(p)
 	e.annotatePlan(p)
+	p.fold, p.foldIV = e.foldable(p)
 	return p, nil
 }
 
@@ -308,26 +315,30 @@ func flip(op BinOp) BinOp {
 // resolveAttrPath maps a name path to AttrIDs starting at class, following
 // reference domains; it fails if any step is a method or unknown. single
 // reports that no step is set-valued, so an instance has at most one value
-// (and one index key) along the path.
-func (e *Engine) resolveAttrPath(class model.ClassID, path Path) (ids []model.AttrID, single, ok bool) {
+// (and one index key) along the path. def is what an instance that stores
+// no value reads on a one-step path, the attribute's default; the index
+// holds no key for it. A nested path with a non-null default on a step
+// fails: an index cannot stand for it.
+func (e *Engine) resolveAttrPath(class model.ClassID, path Path) (ids []model.AttrID, single bool, def model.Value, ok bool) {
 	cur := class
 	ids = make([]model.AttrID, 0, len(path.Steps))
 	single = true
 	for i, step := range path.Steps {
 		a, err := e.db.Catalog.ResolveAttr(cur, step)
-		if err != nil {
-			return nil, false, false
+		if err != nil || (len(path.Steps) > 1 && !a.Default.IsNull()) {
+			return nil, false, model.Null, false
 		}
 		ids = append(ids, a.ID)
 		single = single && !a.SetValued
+		def = a.Default
 		if i < len(path.Steps)-1 {
 			if schema.IsPrimitive(a.Domain) {
-				return nil, false, false
+				return nil, false, model.Null, false
 			}
 			cur = a.Domain
 		}
 	}
-	return ids, single, true
+	return ids, single, def, true
 }
 
 // candidate is one usable access path: the index (or per-class union of
@@ -343,6 +354,10 @@ type candidate struct {
 	ordered bool      // the walk yields ORDER BY order (see orderFromIndex)
 	sargs   []estSarg // the conjuncts iv stands for; meaningful when estOK
 	estOK   bool
+	// def is the value an instance with no stored value reads, which has no
+	// key; defOut says a sarg rejects it, so the interval misses no match.
+	def    model.Value
+	defOut bool
 }
 
 func (c *candidate) kind() accessKind {
@@ -362,6 +377,7 @@ func (c *candidate) kind() accessKind {
 // stays inclusive at the key level when the literal's key is shared by
 // neighbouring values: the index narrows, the residual decides.
 func (c *candidate) narrow(s sarg, attr model.AttrID) {
+	c.defOut = c.defOut || !compareOp(s.op, &c.def, &s.lit)
 	switch s.op {
 	case OpEq:
 		c.iv.NarrowLo(s.lit, true)
@@ -411,7 +427,7 @@ func (e *Engine) chooseIndex(p *Plan) {
 	var cands []*candidate
 sargs:
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, single, ok := e.resolveAttrPath(p.Target.ID, s.path)
+		attrPath, single, def, ok := e.resolveAttrPath(p.Target.ID, s.path)
 		if !ok {
 			continue
 		}
@@ -424,7 +440,7 @@ sargs:
 				}
 			}
 		}
-		c := &candidate{path: attrPath, single: single, estOK: estOK}
+		c := &candidate{path: attrPath, single: single, estOK: estOK, def: def}
 		if idx := e.findCoveringIndex(p, attrPath); idx != nil {
 			// Single index covering the whole scope.
 			c.indexes = []*index.Index{idx}
@@ -437,6 +453,9 @@ sargs:
 		c.narrow(s, attr)
 		cands = append(cands, c)
 	}
+	// An index has no key for an absent value, which reads as the default:
+	// the interval stands for the matches only when a sarg rejects it.
+	cands = slices.DeleteFunc(cands, func(c *candidate) bool { return !c.defOut })
 	if len(cands) == 0 {
 		return
 	}
@@ -501,7 +520,7 @@ func (e *Engine) orderFromIndex(p *Plan, c *candidate) bool {
 	if q.OrderBy == nil || q.Desc || c.union || !c.single || len(c.path) != 1 {
 		return false
 	}
-	orderPath, _, ok := e.resolveAttrPath(p.Target.ID, *q.OrderBy)
+	orderPath, _, _, ok := e.resolveAttrPath(p.Target.ID, *q.OrderBy)
 	return ok && pathEqual(orderPath, c.path)
 }
 

@@ -244,8 +244,9 @@ func (f *Frame) Match() (bool, error) {
 	return f.prog.where(f)
 }
 
-// accumulate feeds the current candidate to one accumulator per aggregate.
-func (f *Frame) accumulate(aggs []Accumulator) error {
+// accumulate feeds the current candidate to one accumulator per aggregate,
+// n times over: a row is one instance, an index fold's key stands for n.
+func (f *Frame) accumulate(aggs []Accumulator, n int64) error {
 	for i, slot := range f.prog.aggs {
 		v := &countStar
 		if slot >= 0 {
@@ -254,7 +255,7 @@ func (f *Frame) accumulate(aggs []Accumulator) error {
 				return err
 			}
 		}
-		if err := aggs[i].Add(v); err != nil {
+		if err := aggs[i].addN(v, n); err != nil {
 			return err
 		}
 	}

@@ -174,7 +174,7 @@ func (e *Engine) estimableSargs(p *Plan) []estSarg {
 	}
 	var out []estSarg
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, _, ok := e.resolveAttrPath(p.Target.ID, s.path)
+		attrPath, _, _, ok := e.resolveAttrPath(p.Target.ID, s.path)
 		if !ok {
 			continue
 		}

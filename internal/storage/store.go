@@ -245,19 +245,47 @@ func (s *Store) Put(oid model.OID, data []byte) error {
 // and the engine's one point read (core.DB.read) is its only caller above
 // this package.
 func (s *Store) View(oid model.OID, fn func(payload []byte) error) error {
+	s.mu.RLock()
+	h, ok := s.heaps[oid.Class()]
+	rid, found := s.dir[oid]
+	s.mu.RUnlock()
+	if !ok || !found {
+		return fmt.Errorf("%w: %s", ErrNoObject, oid)
+	}
+	return s.viewAt(oid, h, rid, fn)
+}
+
+// viewAt is View from a directory lookup that named rid in h. The lookup's
+// lock is let go before the heap latch is taken, and in that window a
+// segment rewrite or DropClass may detach h, or a committed delete may free
+// the slot and an insert on the tail page reuse it for another object. So
+// under the latch the record's OID prefix must name oid; when it does not,
+// or h is detached, viewAt looks again. A directory that still names the
+// same slot gets the miss a freed slot gets.
+func (s *Store) viewAt(oid model.OID, h *Heap, rid RID, fn func(payload []byte) error) error {
 	for {
-		s.mu.RLock()
-		h, ok := s.heaps[oid.Class()]
-		rid, found := s.dir[oid]
-		s.mu.RUnlock()
-		if !ok || !found {
-			return fmt.Errorf("%w: %s", ErrNoObject, oid)
-		}
-		// A heap detached since the lookup (a segment rewrite or DropClass
-		// freeing it) is no longer in the directory: look again.
-		if err := h.view(rid, fn); err != errHeapDetached {
+		stale := false
+		err := h.view(rid, func(payload []byte) error {
+			if got, n := binary.Uvarint(payload); n > 0 && model.OID(got) != oid {
+				stale = true
+				return nil
+			}
+			return fn(payload)
+		})
+		if err != errHeapDetached && !stale {
 			return err
 		}
+		s.mu.RLock()
+		now, ok := s.heaps[oid.Class()]
+		nowRID, found := s.dir[oid]
+		s.mu.RUnlock()
+		switch {
+		case !ok || !found:
+			return fmt.Errorf("%w: %s", ErrNoObject, oid)
+		case stale && now == h && nowRID == rid:
+			return fmt.Errorf("%w: %s (holds another object)", ErrNoRecord, rid)
+		}
+		h, rid = now, nowRID
 	}
 }
 

@@ -319,6 +319,48 @@ func TestStorePutGetDelete(t *testing.T) {
 	}
 }
 
+// TestViewAtStaleRID replays the window between View's directory lookup and
+// its heap latch: A is looked up, then deleted, and B is inserted into A's
+// freed slot. Reading A at the RID the lookup returned must not hand over
+// B's record: the directory no longer has A, so the read is A's miss; and a
+// directory that still named the slot would get a freed slot's miss.
+func TestViewAtStaleRID(t *testing.T) {
+	s, _ := openTestStore(t, 64)
+	defer s.Close()
+	const class = model.ClassID(20)
+	if err := s.CreateSegment(class); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.NewOID(class)
+	b, _ := s.NewOID(class)
+	if err := s.Put(a, img(a, "A")); err != nil {
+		t.Fatal(err)
+	}
+	h, rid := s.heaps[class], s.dir[a]
+	if err := s.Delete(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(b, img(b, "B")); err != nil {
+		t.Fatal(err)
+	}
+	if s.dir[b] != rid {
+		t.Fatalf("B went to %s, not to A's freed slot %s", s.dir[b], rid)
+	}
+	called := false
+	read := func([]byte) error { called = true; return nil }
+	if err := s.viewAt(a, h, rid, read); !errors.Is(err, ErrNoObject) || called {
+		t.Fatalf("read of deleted A at its stale RID: %v (fn called: %v), want ErrNoObject", err, called)
+	}
+	s.dir[a] = rid
+	if err := s.viewAt(a, h, rid, read); !errors.Is(err, ErrNoRecord) || called {
+		t.Fatalf("read of A at a slot that holds B: %v (fn called: %v), want ErrNoRecord", err, called)
+	}
+	delete(s.dir, a)
+	if data, err := get(s, b); err != nil || !bytes.Equal(data, img(b, "B")) {
+		t.Fatalf("B after the stale reads: %q, %v", data, err)
+	}
+}
+
 func TestStoreReopenRebuildsDirectory(t *testing.T) {
 	s, path := openTestStore(t, 64)
 	const class = model.ClassID(21)
