@@ -73,10 +73,13 @@ chain-lint:
 	$(GO) test -count=1 -run '^TestOnlyTheWalkerFollowsNext$$' ./internal/storage/
 
 # Static check that objects are decoded only inside the engine's reads
-# (the point reads core.DB.Fetch and the core.Tx reads, the scan
-# ScanObjects): no non-test file outside internal/core, internal/storage
-# and internal/model names DecodeObject or ScanImages (internal/fault may
-# scan images). It also keeps locking inside core.Tx: no non-test file
+# (the point reads core.DB.Fetch and the core.Tx reads, the scans
+# core.DB.Scan and core.Tx.Scan): no non-test file outside internal/core,
+# internal/storage and internal/model names DecodeObject or ScanImages
+# (internal/fault may scan images), and none outside internal/core,
+# internal/query, internal/checkout and internal/composite names the raw
+# Tx.ScanLocked, which is sound only under its caller's locks. It also
+# keeps locking inside core.Tx: no non-test file
 # outside internal/core and internal/txn names the lock manager's
 # LockInstance*, LockClass* or LockHierarchyRead. And it keeps unowned
 # bytes where they are made safe: no non-test file outside internal/storage

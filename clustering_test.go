@@ -32,7 +32,7 @@ const (
 func clScanOrder(t *testing.T, db *oodb.DB, class model.ClassID) []model.OID {
 	t.Helper()
 	var order []model.OID
-	if err := db.Engine().ScanObjects([]model.ClassID{class}, func(obj *model.Object) bool {
+	if err := db.Engine().Scan([]model.ClassID{class}, func(obj *model.Object) bool {
 		order = append(order, obj.OID)
 		return true
 	}); err != nil {

@@ -2,6 +2,8 @@ package oodb
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"oodb/internal/core"
@@ -128,4 +130,58 @@ func TestLockedQueryPathBesideUncommittedUpdate(t *testing.T) {
 	if res, err = db.Query(q); err != nil || len(res.Rows) != 0 {
 		t.Fatalf("locked query after the abort returned %v (%v), want no rows", res.Rows, err)
 	}
+}
+
+// The rule engine's facts over a class are its committed instances: beside
+// a transaction that has updated one Owner, inserted one and deleted one,
+// and again after that transaction aborts.
+func TestRuleFactsBesideUncommittedWrites(t *testing.T) {
+	db, owner, other := openItemOwner(t)
+	eng, edb := db.RuleEngine()
+	if err := edb.MapClass("owner", "Owner"); err != nil {
+		t.Fatal(err)
+	}
+	if err := edb.MapAttr("weight", "Owner", "w"); err != nil {
+		t.Fatal(err)
+	}
+	w := db.Begin()
+	defer w.Abort()
+	if err := w.Update(owner, Attrs{"w": Int(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Insert("Owner", Attrs{"w": Int(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Delete(other); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"owner":  {fmt.Sprint([]Value{Ref(owner)}), fmt.Sprint([]Value{Ref(other)})},
+		"weight": {fmt.Sprint([]Value{Ref(owner), Int(1)}), fmt.Sprint([]Value{Ref(other), Int(2)})},
+	}
+	for _, facts := range want {
+		slices.Sort(facts)
+	}
+	check := func(when string) {
+		t.Helper()
+		for pred, want := range want {
+			facts, err := eng.Infer(pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, f := range facts {
+				got = append(got, fmt.Sprint(f))
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %s facts %v, want %v", when, pred, got, want)
+			}
+		}
+	}
+	check("beside the open writer")
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the abort")
 }

@@ -39,6 +39,7 @@ const recordClassName = "CheckoutRecord"
 type Manager struct {
 	db     *core.DB
 	record *schema.Class
+	fields [2]model.Field // the record's object and user (defined, so numbered, in this order)
 
 	mu sync.Mutex
 	// privates holds each user's private workspace (the "private
@@ -56,7 +57,15 @@ func New(db *core.DB) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{db: db, record: cl, privates: make(map[string]*workspace.Workspace)}, nil
+	m := &Manager{db: db, record: cl, privates: make(map[string]*workspace.Workspace)}
+	for i, name := range []string{"object", "user"} {
+		a, err := db.Catalog.ResolveAttr(cl.ID, name)
+		if err != nil {
+			return nil, err
+		}
+		m.fields[i].ID = a.ID
+	}
+	return m, nil
 }
 
 // Workspace returns the user's private workspace, creating it on first
@@ -72,22 +81,22 @@ func (m *Manager) Workspace(user string) *workspace.Workspace {
 	return ws
 }
 
-// records calls fn with each checkout record, the object it checks out
-// and its user, until fn returns false.
-func (m *Manager) records(fn func(rec, oid model.OID, user string) bool) error {
-	return m.db.ScanObjects([]model.ClassID{m.record.ID}, func(obj *model.Object) bool {
-		ov, _ := m.db.AttrValue(obj, "object")
-		uv, _ := m.db.AttrValue(obj, "user")
-		oid, _ := ov.AsRef()
-		user, _ := uv.AsString()
-		return fn(obj.OID, oid, user)
+// records calls fn with each checkout record of tx, the object it checks
+// out and its user, until fn returns false. tx is a snapshot, or holds X
+// on the object the caller looks for (lockHolder).
+func (m *Manager) records(tx *core.Tx, fn func(rec, oid model.OID, user string) bool) error {
+	fields := m.fields
+	return tx.ScanLocked(m.record.ID, fields[:], func(im model.Image) bool {
+		oid, _ := fields[0].V.AsRef()
+		user, _ := fields[1].V.AsString()
+		return fn(im.OID(), oid, user)
 	})
 }
 
-// holder returns who has oid checked out ("" if nobody) and the record's
-// OID.
-func (m *Manager) holder(oid model.OID) (user string, rec model.OID, err error) {
-	err = m.records(func(r, o model.OID, u string) bool {
+// holder returns who has oid checked out in tx ("" if nobody) and the
+// record's OID.
+func (m *Manager) holder(tx *core.Tx, oid model.OID) (user string, rec model.OID, err error) {
+	err = m.records(tx, func(r, o model.OID, u string) bool {
 		if o == oid {
 			user, rec = u, r
 		}
@@ -104,12 +113,15 @@ func (m *Manager) lockHolder(tx *core.Tx, oid model.OID) (string, model.OID, err
 	if _, err := tx.FetchForUpdate(oid); err != nil && !errors.Is(err, core.ErrNoObject) {
 		return "", model.NilOID, err
 	}
-	return m.holder(oid)
+	return m.holder(tx, oid)
 }
 
-// Holder reports who has the object checked out ("" if nobody).
+// Holder reports who has the object checked out ("" if nobody), as
+// committed.
 func (m *Manager) Holder(oid model.OID) (string, error) {
-	user, _, err := m.holder(oid)
+	tx := m.db.BeginSnapshot()
+	defer tx.Commit()
+	user, _, err := m.holder(tx, oid)
 	return user, err
 }
 
@@ -210,10 +222,12 @@ func (m *Manager) GuardUpdate(tx *core.Tx, user string, oid model.OID, attrs map
 	return tx.Update(oid, attrs)
 }
 
-// CheckedOutBy lists the objects a user currently holds.
+// CheckedOutBy lists the objects a user holds, as committed.
 func (m *Manager) CheckedOutBy(user string) ([]model.OID, error) {
+	tx := m.db.BeginSnapshot()
+	defer tx.Commit()
 	var out []model.OID
-	err := m.records(func(_, oid model.OID, u string) bool {
+	err := m.records(tx, func(_, oid model.OID, u string) bool {
 		if u == user {
 			out = append(out, oid)
 		}

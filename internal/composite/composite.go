@@ -25,6 +25,7 @@ package composite
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"oodb/internal/core"
@@ -73,7 +74,7 @@ func New(db *core.DB) (*Manager, error) {
 	}
 	m.declClass = cl
 	// Reload persisted declarations.
-	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
+	err = db.Scan([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		get := func(name string) model.Value {
 			v, _ := db.AttrValue(obj, name)
 			return v
@@ -161,7 +162,7 @@ func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child m
 		if _, err := tx.FetchForUpdate(child); err != nil {
 			return err
 		}
-		owner, err := m.ownerOf(child, d)
+		owner, err := m.ownerOf(tx, child, d)
 		if err != nil {
 			return err
 		}
@@ -207,23 +208,27 @@ func (m *Manager) findDecl(class model.ClassID, attrName string) (decl, *schema.
 
 // ownerOf finds the existing exclusive parent of child under declaration
 // d (scan of the declaring class hierarchy — exclusivity checks are rare
-// compared to reads). Attach calls it holding X on child.
-func (m *Manager) ownerOf(child model.OID, d decl) (model.OID, error) {
+// compared to reads). Attach calls it in tx holding X on child, so no
+// other transaction has an uncommitted link to child.
+func (m *Manager) ownerOf(tx *core.Tx, child model.OID, d decl) (model.OID, error) {
 	classes, err := m.db.Catalog.Descendants(d.class)
 	if err != nil {
 		return model.NilOID, err
 	}
 	var owner model.OID
-	err = m.db.ScanObjects(classes, func(obj *model.Object) bool {
-		for _, ref := range refsOf(obj.Get(d.attr)) {
-			if ref == child {
-				owner = obj.OID
-				return false
+	fields := []model.Field{{ID: d.attr}}
+	for _, class := range classes {
+		err := tx.ScanLocked(class, fields, func(im model.Image) bool {
+			if slices.Contains(refsOf(fields[0].V), child) {
+				owner = im.OID()
 			}
+			return owner.IsNil()
+		})
+		if err != nil || !owner.IsNil() {
+			return owner, err
 		}
-		return true
-	})
-	return owner, err
+	}
+	return owner, nil
 }
 
 // refsOf extracts the object references out of an attribute value: the

@@ -1,7 +1,9 @@
 package composite
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +19,7 @@ import (
 func (w *cadWorld) owners(t *testing.T, child model.OID) []model.OID {
 	t.Helper()
 	var out []model.OID
-	err := w.db.ScanObjects([]model.ClassID{w.assembly.ID}, func(obj *model.Object) bool {
+	err := w.db.Scan([]model.ClassID{w.assembly.ID}, func(obj *model.Object) bool {
 		parts, _ := w.db.AttrValue(obj, "parts")
 		for _, ref := range refsOf(parts) {
 			if ref == child {
@@ -129,4 +131,61 @@ func TestCycleWithinOneTransactionRejected(t *testing.T) {
 	if !errors.Is(err, ErrCycle) {
 		t.Fatalf("a→b then b→a in one transaction: %v, want ErrCycle", err)
 	}
+}
+
+// New loads the committed composite declarations: beside an open
+// transaction that inserts a declaration record, rewrites one and deletes
+// another, and again after it aborts.
+func TestNewBesideUncommittedDeclarations(t *testing.T) {
+	w := newCADWorld(t)
+	byID := func(a, b decl) int { return cmp.Compare(a.attr, b.attr) }
+	want := w.cm.compositeAttrs(w.assembly.ID)
+	slices.SortFunc(want, byID)
+	byAttr := map[string]model.OID{}
+	snap := w.db.BeginSnapshot()
+	err := snap.Scan(w.cm.declClass.ID, func(obj *model.Object) bool {
+		name, _ := w.db.AttrValue(obj, "attrName")
+		s, _ := name.AsString()
+		byAttr[s] = obj.OID
+		return true
+	})
+	snap.Commit()
+	if err != nil || len(want) != 2 || len(byAttr) != 2 {
+		t.Fatalf("declarations %v, records %v, %v", want, byAttr, err)
+	}
+	library, err := w.db.Catalog.ResolveAttr(w.assembly.ID, "library")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := w.db.Begin()
+	defer tx.Abort()
+	if _, err := tx.InsertClass(w.cm.declClass.ID, map[string]model.Value{
+		"class": model.Int(int64(w.assembly.ID)), "attr": model.Int(int64(library.ID)),
+		"attrName": model.String("library"), "exclusive": model.Bool(true),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(byAttr["subs"], map[string]model.Value{"exclusive": model.Bool(false)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete(byAttr["parts"]); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		cm, err := New(w.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cm.compositeAttrs(w.assembly.ID)
+		slices.SortFunc(got, byID)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: declarations %v, want %v", when, got, want)
+		}
+	}
+	check("beside the open transaction")
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after its abort")
 }

@@ -93,7 +93,7 @@ func (db *DB) DropClass(class model.ClassID) error {
 		// segment. The whole class is read first: a damaged record fails
 		// the drop before any index has changed.
 		var objs []*model.Object
-		err := db.ScanObjects([]model.ClassID{class}, func(obj *model.Object) bool {
+		err := db.scanRaw([]model.ClassID{class}, func(obj *model.Object) bool {
 			objs = append(objs, obj)
 			return true
 		})
@@ -254,7 +254,7 @@ func (db *DB) buildIndex(name string, class model.ClassID, path []model.AttrID, 
 		}
 	}
 	var perr error
-	err = db.ScanObjects(classes, func(obj *model.Object) bool {
+	err = db.scanRaw(classes, func(obj *model.Object) bool {
 		perr = db.Indexes.Populate(idx, obj)
 		return perr == nil
 	})
@@ -272,7 +272,7 @@ func (db *DB) repopulateClass(class model.ClassID) error {
 		return err
 	}
 	var ierr error
-	err = db.ScanObjects(classes, func(obj *model.Object) bool {
+	err = db.scanRaw(classes, func(obj *model.Object) bool {
 		ierr = db.Indexes.OnPut(obj, obj)
 		return ierr == nil
 	})

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -71,6 +70,8 @@ type DB struct {
 	// ddlMu serializes DDL (schema evolution is rare and heavyweight:
 	// catalog change + instance/index maintenance + checkpoint).
 	ddlMu sync.Mutex
+	// snapMu makes SnapshotSchema's label check and insert one step.
+	snapMu sync.Mutex
 
 	// ckptMu fences WAL truncation against transaction begin: a
 	// transaction logs its begin record and raises activeTxns under the
@@ -544,31 +545,21 @@ func (db *DB) Fetch(oid model.OID) (*model.Object, error) { return db.read(oid, 
 // the raw read of Tx.Abort's undo and of the index manager.
 func (db *DB) fetchRaw(oid model.OID) (*model.Object, error) { return db.read(oid, newest, raw) }
 
-// ScanObjects calls fn with the last stored state of every instance of
-// each class in classes, class by class and each in physical order, until
-// fn returns false. fn owns the object it is given. A record that does not
-// decode stops the scan with an error that wraps model.ErrCorrupt and names
-// the class and the object.
-//
-// It is the engine's raw scan: read-uncommitted, no locks.
-func (db *DB) ScanObjects(classes []model.ClassID, fn func(*model.Object) bool) error {
-	for _, class := range classes {
-		var derr error
-		more := true
-		err := db.Store.ScanImages(class, func(oid model.OID, data []byte) bool {
-			obj, err := model.DecodeObject(data)
-			if err != nil {
-				derr = fmt.Errorf("core: class %d object %s: %w", class, oid, err)
-				return false
-			}
-			more = fn(obj)
-			return more
-		})
-		if err = cmp.Or(err, derr); err != nil || !more {
-			return err
-		}
-	}
-	return nil
+// Scan calls fn with the newest committed state of every instance of each
+// class in classes, class by class, until fn returns false; fn owns each.
+// Like Fetch it takes no lock: it reads one snapshot, so it never waits for
+// a writer nor sees an uncommitted write. A damaged record is ErrCorrupt.
+func (db *DB) Scan(classes []model.ClassID, fn func(*model.Object) bool) error {
+	tx := db.BeginSnapshot()
+	defer tx.Commit()
+	return tx.decodeScan(classes, fn)
+}
+
+// scanRaw is Scan over the stored records, uncommitted writes included:
+// for index builds, which key the uncommitted present that Abort un-keys,
+// and DropClass, which holds the class X lock.
+func (db *DB) scanRaw(classes []model.ClassID, fn func(*model.Object) bool) error {
+	return (&Tx{db: db}).decodeScan(classes, fn)
 }
 
 // AttrValue reads an attribute of an object by name, applying inheritance

@@ -31,8 +31,12 @@ type SchemaVersion struct {
 var ErrNoSuchSnapshot = errors.New("core: no such schema snapshot")
 
 // SnapshotSchema stores a durable snapshot of the current catalog under a
-// label. Labels are unique; re-snapshotting a label fails.
+// label. Labels are unique; re-snapshotting a label fails. Callers queue
+// on snapMu, so the first defines the snapshot class before any other
+// looks it up, and each checks its label against the ones committed.
 func (db *DB) SnapshotSchema(label string) (uint64, error) {
+	db.snapMu.Lock()
+	defer db.snapMu.Unlock()
 	cl, err := db.SystemClass(schemaVersionClassName,
 		schema.AttrSpec{Name: "label", Domain: schema.ClassString},
 		schema.AttrSpec{Name: "version", Domain: schema.ClassInteger},
@@ -87,7 +91,7 @@ func (db *DB) SchemaVersions() ([]SchemaVersion, error) {
 		return nil, err
 	}
 	var out []SchemaVersion
-	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
+	err = db.Scan([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		lv, _ := db.AttrValue(obj, "label")
 		vv, _ := db.AttrValue(obj, "version")
 		label, _ := lv.AsString()

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"oodb/internal/model"
@@ -122,4 +125,102 @@ func mustClass(t *testing.T, db *DB, name string) model.ClassID {
 		t.Fatal(err)
 	}
 	return cl.ID
+}
+
+// SchemaVersions and CatalogAt read the committed snapshots: beside an
+// open transaction that inserts a snapshot record, rewrites one and
+// deletes another, and again after it aborts.
+func TestSchemaVersionsBesideUncommittedSnapshots(t *testing.T) {
+	td := openVehicleDB(t)
+	for _, label := range []string{"v1", "v2"} {
+		if _, err := td.SnapshotSchema(label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed, err := td.SchemaVersions()
+	if err != nil || len(committed) != 2 {
+		t.Fatalf("versions = %v, %v", committed, err)
+	}
+	tx := td.Begin()
+	defer tx.Abort()
+	if _, err := tx.InsertClass(mustClass(t, td.DB, schemaVersionClassName), map[string]model.Value{
+		"label": model.String("ghost"), "version": model.Int(1),
+		"image": model.Bytes(schema.EncodeCatalog(td.Catalog)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(committed[0].OID, map[string]model.Value{"label": model.String("v1x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete(committed[1].OID); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got, err := td.SchemaVersions()
+		if err != nil || len(got) != 2 || got[0] != committed[0] || got[1] != committed[1] {
+			t.Fatalf("%s: versions = %v, %v; want %v", when, got, err, committed)
+		}
+		for _, label := range []string{"v1", "v2"} {
+			if _, err := td.CatalogAt(label); err != nil {
+				t.Fatalf("%s: CatalogAt(%q): %v", when, label, err)
+			}
+		}
+		for _, label := range []string{"ghost", "v1x"} {
+			if _, err := td.CatalogAt(label); !errors.Is(err, ErrNoSuchSnapshot) {
+				t.Fatalf("%s: CatalogAt(%q) = %v, want ErrNoSuchSnapshot", when, label, err)
+			}
+		}
+	}
+	check("beside the open transaction")
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after its abort")
+}
+
+// SnapshotSchema checks its label and inserts it under one lock, so of
+// eight concurrent snapshots under one label exactly one is stored.
+func TestConcurrentSnapshotsStoreALabelOnce(t *testing.T) {
+	td := openVehicleDB(t)
+	const labels, callers = 50, 8
+	for l := 0; l < labels; l++ {
+		label := fmt.Sprintf("l%d", l)
+		var errs [callers]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = td.SnapshotSchema(label)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		stored := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				stored++
+			case !strings.Contains(err.Error(), "already exists"):
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		if stored != 1 {
+			t.Fatalf("%s: %d snapshots stored, want one", label, stored)
+		}
+	}
+	vs, err := td.SchemaVersions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, v := range vs {
+		seen[v.Label]++
+	}
+	if len(vs) != labels || len(seen) != labels {
+		t.Fatalf("%d snapshots under %d labels, want %d of each", len(vs), len(seen), labels)
+	}
 }

@@ -92,7 +92,7 @@ func TestConcurrentSameClassWriters(t *testing.T) {
 	}
 	scanCounts := map[int64]int{}
 	total := 0
-	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
+	err = db.scanRaw([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		v, _ := db.AttrValue(obj, "n")
 		n, _ := v.AsInt()
 		scanCounts[n]++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -309,56 +310,72 @@ func (tx *Tx) Scan(class model.ClassID, fn func(*model.Object) bool) error {
 	if err := tx.LockClassScan([]model.ClassID{class}); err != nil {
 		return err
 	}
-	var derr error
-	err := tx.ScanLocked(class, nil, func(im model.Image) bool {
-		var obj *model.Object
-		if obj, derr = im.Decode(); derr != nil {
-			return false
-		}
-		return fn(obj)
-	})
-	if err != nil {
-		return err
-	}
-	return derr
+	return tx.decodeScan([]model.ClassID{class}, fn)
 }
 
-// ScanLocked iterates the stored images of exactly one class, assuming
-// the transaction already holds the class S lock (via LockClassScan). It
-// acquires no locks and performs no abort handling, so — unlike the rest
-// of Tx — it is safe to call from multiple goroutines at once: the query
-// executor locks a hierarchy scope up front and then fans the per-class
-// scans out in parallel. In snapshot mode no lock is assumed (there is
-// none): the scan resolves visibility by epoch instead.
+// decodeScan calls fn with each object of each class in classes, as
+// scanImages reads them, class by class, until fn returns false. Each
+// record is decoded in one pass (model.DecodeObject), which checks it as
+// ScanLocked does.
+func (tx *Tx) decodeScan(classes []model.ClassID, fn func(*model.Object) bool) error {
+	more := true
+	for _, class := range classes {
+		var derr error
+		err := tx.scanImages(class, func(oid model.OID, data []byte) bool {
+			obj, err := model.DecodeObject(data)
+			if err != nil {
+				derr = fmt.Errorf("core: class %d object %s: %w", class, oid, err)
+				return false
+			}
+			more = fn(obj)
+			return more
+		})
+		if err = cmp.Or(err, derr); err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScanLocked iterates the stored images of exactly one class, uncommitted
+// writes included, so the transaction must already hold the class S lock
+// (via LockClassScan) or X on the one object whose records it looks for
+// (checkout, composite ownership). It acquires no locks and performs no
+// abort handling, so — unlike the rest of Tx — it is safe to call from
+// multiple goroutines at once: the query executor locks a hierarchy scope
+// up front and then fans the per-class scans out in parallel. In snapshot
+// mode no lock is assumed (there is none): the scan resolves visibility by
+// epoch instead.
 //
 // Each record is read in one pass (model.ReadImage): its structure is
-// checked — a damaged record stops the scan with ErrCorrupt — and the
-// attributes fields names are decoded into fields before fn sees the
-// record. fn sees it as a view over its stored bytes, valid only until fn
-// returns; it decodes the object (Image.Decode) if it needs to keep it.
-// Concurrent scans need fields of their own.
+// checked — a damaged record stops the scan with ErrCorrupt, naming the
+// class and the object — and the attributes fields names are decoded into
+// fields before fn sees the record. fn sees it as a view over its stored
+// bytes, valid only until fn returns; it decodes the object (Image.Decode)
+// if it needs to keep it. Concurrent scans need fields of their own.
 func (tx *Tx) ScanLocked(class model.ClassID, fields []model.Field, fn func(model.Image) bool) error {
 	if tx.done {
 		return ErrTxnFinished
 	}
 	var verr error
-	visit := func(_ model.OID, data []byte) bool {
-		var im model.Image
-		if im, verr = model.ReadImage(data, fields); verr != nil {
+	err := tx.scanImages(class, func(oid model.OID, data []byte) bool {
+		im, err := model.ReadImage(data, fields)
+		if err != nil {
+			verr = fmt.Errorf("core: class %d object %s: %w", class, oid, err)
 			return false
 		}
 		return fn(im)
-	}
-	var err error
+	})
+	return cmp.Or(err, verr)
+}
+
+// scanImages calls visit with each record of class a scan of tx reads: the
+// snapshot-visible images under a snapshot, else the heap's as stored.
+func (tx *Tx) scanImages(class model.ClassID, visit func(oid model.OID, data []byte) bool) error {
 	if tx.snap {
-		err = tx.snapshotScanRaw(class, visit)
-	} else {
-		err = tx.db.Store.ScanImages(class, visit)
+		return tx.snapshotScanRaw(class, visit)
 	}
-	if err != nil {
-		return err
-	}
-	return verr
+	return tx.db.Store.ScanImages(class, visit)
 }
 
 // Commit makes the transaction durable and releases its locks: it returns

@@ -490,7 +490,7 @@ func (o *ObjectEDB) scanHierarchy(class model.ClassID, fn func(*model.Object)) e
 	if err != nil {
 		return err
 	}
-	return o.db.ScanObjects(classes, func(obj *model.Object) bool {
+	return o.db.Scan(classes, func(obj *model.Object) bool {
 		fn(obj)
 		return true
 	})

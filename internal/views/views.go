@@ -66,7 +66,7 @@ func New(db *core.DB, eng *query.Engine) (*Manager, error) {
 		return nil, err
 	}
 	m.class = cl
-	err = db.ScanObjects([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
+	err = db.Scan([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
 		nv, _ := db.AttrValue(obj, "name")
 		sv, _ := db.AttrValue(obj, "source")
 		name, _ := nv.AsString()

@@ -2,6 +2,7 @@ package views
 
 import (
 	"errors"
+	"maps"
 	"testing"
 
 	"oodb/internal/core"
@@ -272,4 +273,52 @@ func TestViewWithLimitOnlyBareSelect(t *testing.T) {
 	if _, err := w.vm.eng.Run(tx, `SELECT * FROM TopOne WHERE weight > 0`); err == nil {
 		t.Fatal("restriction over LIMITed view accepted")
 	}
+}
+
+// New loads the committed view definitions: beside an open transaction
+// that inserts a definition record, rewrites one and deletes another, and
+// again after it aborts.
+func TestNewBesideUncommittedDefinitions(t *testing.T) {
+	w := newWorld(t)
+	want := map[string]string{
+		"Heavy": `SELECT * FROM Vehicle WHERE weight > 7500`,
+		"Light": `SELECT * FROM Vehicle WHERE weight < 1000`,
+	}
+	for name, src := range want {
+		if err := w.vm.Define(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := w.db.Begin()
+	defer tx.Abort()
+	if _, err := tx.InsertClass(w.vm.class.ID, map[string]model.Value{
+		"name": model.String("Ghost"), "source": model.String(`SELECT * FROM Vehicle`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(w.vm.defs["Heavy"].oid, map[string]model.Value{"source": model.String(`SELECT * FROM Truck`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete(w.vm.defs["Light"].oid); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		vm, err := New(w.db, query.NewEngine(w.db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for name, d := range vm.defs {
+			got[name] = d.src
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: views %v, want %v", when, got, want)
+		}
+	}
+	check("beside the open transaction")
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after its abort")
 }
