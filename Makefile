@@ -29,8 +29,9 @@ race:
 # (BenchmarkFetch), the query executor's benchmarks (the same aggregate
 # statement as a heap scan with no index, BenchmarkScanAggregate, and
 # folded from a class-hierarchy index, BenchmarkIndexAggregate; ordered
-# range with LIMIT) and the storage and WAL benchmarks, at the default
-# benchtime. -p 1: one package's benchmarks at a time.
+# range with LIMIT, and the same range read index-only,
+# BenchmarkIndexOnlyRange) and the storage and WAL benchmarks, at the
+# default benchtime. -p 1: one package's benchmarks at a time.
 # Narrow with e.g. `go test -run '^$' -bench 'E17' .`
 bench:
 	$(GO) test -p 1 -run '^$$' -bench . -benchmem . ./internal/core/ ./internal/query/ ./internal/storage/ ./internal/wal/

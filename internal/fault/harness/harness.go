@@ -684,7 +684,7 @@ func checkIndexAgreement(db *core.DB, name string, spec IndexSpec, objs map[mode
 	}
 	// Backward: every posting resolves to a live object (no dangling).
 	var dangling error
-	idx.Scan(index.Interval{}, nil, func(oid model.OID) bool {
+	idx.Scan(index.Interval{}, nil, func(_ []byte, oid model.OID) bool {
 		if _, ok := objs[oid]; !ok {
 			dangling = fmt.Errorf("index %q: dangling posting %s (object not live)", name, oid)
 		}

@@ -264,8 +264,14 @@ func (s *OOSource) RunQuery(q *query.Query) (*Result, bool, error) {
 	res := &Result{Cols: eres.Cols, Rows: make([]Row, 0, len(eres.Rows))}
 	for _, row := range eres.Rows {
 		var ent Entity
-		if row.Object != nil {
-			ent = &ooEntity{src: s, obj: row.Object}
+		if !row.OID.IsNil() {
+			obj := row.Object
+			if obj == nil { // a row the engine answered from an index alone
+				if obj, err = tx.Read(row.OID); err != nil {
+					return nil, false, err
+				}
+			}
+			ent = &ooEntity{src: s, obj: obj}
 		}
 		res.Rows = append(res.Rows, Row{Entity: ent, Values: row.Values})
 	}

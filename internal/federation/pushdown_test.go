@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +217,73 @@ func TestPushdownDecline(t *testing.T) {
 	}
 	if _, err := f.Query("oo", `SELECT n FROM Thing WHERE boom = 1`); !errors.Is(err, errBoom) {
 		t.Fatalf("failing method: err = %v, want %v", err, errBoom)
+	}
+}
+
+// TestPushdownIndexOnlyEntity: a pushed-down statement the engine answers
+// from an index alone returns rows with no object behind them; each row's
+// entity must still read the object's other attributes, in the state the
+// query read, not one committed after it.
+func TestPushdownIndexOnlyEntity(t *testing.T) {
+	odb, err := core.Open(t.TempDir(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer odb.Close()
+	cl, _ := odb.DefineClass("Thing", nil,
+		schema.AttrSpec{Name: "n", Domain: schema.ClassInteger},
+		schema.AttrSpec{Name: "name", Domain: schema.ClassString})
+	tx := odb.Begin()
+	var oids []model.OID
+	for i := 0; i < 5; i++ {
+		attrs := map[string]model.Value{"n": model.Int(int64(i)), "name": model.String(fmt.Sprintf("t%d", i))}
+		oid, err := tx.InsertClass(cl.ID, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := odb.CreateIndex("thing_n", cl.ID, []string{"n"}, true); err != nil {
+		t.Fatal(err)
+	}
+	const src = `SELECT n FROM Thing WHERE n > 1 ORDER BY n`
+	src0 := NewOOSource(odb)
+	if plan, err := src0.eng.Explain(src); err != nil || !strings.Contains(plan, "access=index-only(thing_n)") {
+		t.Fatalf("plan = %q, %v; want an index-only plan", plan, err)
+	}
+	f := New()
+	f.Register("oo", src0)
+	res, err := f.Query("oo", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	}
+	// After the query, delete the first row's object and rename the others.
+	tx = odb.Begin()
+	if err := tx.Delete(oids[2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, oid := range oids[3:] {
+		if err := tx.Update(oid, map[string]model.Value{"name": model.String("renamed")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range res.Rows {
+		if row.Entity == nil {
+			t.Fatalf("row %d has no entity", i)
+		}
+		v, _ := row.Entity.Get([]string{"name"})
+		if name, _ := v.AsString(); name != fmt.Sprintf("t%d", i+2) {
+			t.Errorf("row %d: name = %s, want t%d", i, v, i+2)
+		}
 	}
 }
 

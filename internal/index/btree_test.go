@@ -3,7 +3,10 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -235,6 +238,234 @@ func TestTreeLargeScale(t *testing.T) {
 	}
 	if h := tr.Height(); h > 5 {
 		t.Errorf("height %d too tall for %d keys at order %d", h, n, btreeOrder)
+	}
+}
+
+// recount is a Summary computed the long way, one posting at a time, with
+// the magnitude in a big.Int: the reference the node summaries are held to.
+type recount struct {
+	n, sum, inexact int64
+	mag             big.Int
+}
+
+func (r *recount) add(key []byte) {
+	r.n++
+	v, ok := model.DecodeIntKey(key)
+	if !ok || !model.KeyExact(v) {
+		r.inexact++
+		return
+	}
+	i, _ := v.AsInt()
+	r.sum += i
+	r.mag.Add(&r.mag, new(big.Int).Abs(big.NewInt(i)))
+}
+
+func (r *recount) equals(s Summary) bool {
+	mag := new(big.Int).Lsh(new(big.Int).SetUint64(s.mag.hi), 64)
+	mag.Or(mag, new(big.Int).SetUint64(s.mag.lo))
+	return r.n == s.N && r.sum == s.Sum && r.inexact == s.Inexact && r.mag.Cmp(mag) == 0
+}
+
+func (r *recount) String() string {
+	return fmt.Sprintf("{N:%d Sum:%d Inexact:%d mag:%s}", r.n, r.sum, r.inexact, &r.mag)
+}
+
+// checkNodeSums holds the summary of every node under n to a recount of
+// its subtree, per class, and returns that recount.
+func checkNodeSums(t testing.TB, n node) map[model.ClassID]*recount {
+	t.Helper()
+	want := map[model.ClassID]*recount{}
+	at := func(c model.ClassID) *recount {
+		if want[c] == nil {
+			want[c] = &recount{}
+		}
+		return want[c]
+	}
+	switch n := n.(type) {
+	case *leaf:
+		for i, posts := range n.posts {
+			for _, oid := range posts {
+				at(oid.Class()).add(n.keys[i])
+			}
+		}
+	case *inner:
+		for _, child := range n.children {
+			for c, r := range checkNodeSums(t, child) {
+				w := at(c)
+				w.n, w.sum, w.inexact = w.n+r.n, w.sum+r.sum, w.inexact+r.inexact
+				w.mag.Add(&w.mag, &r.mag)
+			}
+		}
+	}
+	got := *n.summary()
+	if len(got) != len(want) {
+		t.Fatalf("node summary has %d classes, its subtree %d", len(got), len(want))
+	}
+	for _, cs := range got {
+		if w := want[cs.class]; w == nil || !w.equals(cs.Summary) {
+			t.Fatalf("class %d: node summary %+v, recount %v", cs.class, cs.Summary, w)
+		}
+	}
+	return want
+}
+
+// checkSummaries checks the tree's summaries three ways: every node's
+// against a recount of its subtree, and Summarize and Edge over each probe
+// range and class set against a brute-force pass over every key.
+func checkSummaries(t testing.TB, tr *Tree, probes []bounds, classSets [][]model.ClassID) {
+	t.Helper()
+	checkNodeSums(t, tr.root)
+	type entry struct {
+		key   []byte
+		posts []model.OID
+	}
+	var all []entry
+	tr.Range(nil, nil, true, true, func(k []byte, posts []model.OID) bool {
+		all = append(all, entry{k, posts})
+		return true
+	})
+	inside := func(k []byte, b bounds) bool {
+		lo, hi := 1, -1
+		if b.lo != nil {
+			lo = bytes.Compare(k, b.lo)
+		}
+		if b.hi != nil {
+			hi = bytes.Compare(k, b.hi)
+		}
+		return (lo > 0 || (lo == 0 && b.loInc)) && (hi < 0 || (hi == 0 && b.hiInc))
+	}
+	for _, b := range probes {
+		for _, classes := range classSets {
+			var want recount
+			var first, last []byte
+			for _, e := range all {
+				if !inside(e.key, b) {
+					continue
+				}
+				for _, oid := range e.posts {
+					if classes == nil || slices.Contains(classes, oid.Class()) {
+						want.add(e.key)
+						if first == nil {
+							first = e.key
+						}
+						last = e.key
+					}
+				}
+			}
+			var v Visits
+			if got := tr.Summarize(b.lo, b.hi, b.loInc, b.hiInc, classes, &v); !want.equals(got) {
+				t.Fatalf("Summarize %x..%x (%v,%v) classes %v = %+v, brute force %v",
+					b.lo, b.hi, b.loInc, b.hiInc, classes, got, &want)
+			}
+			// Keys are visited only in the at most two leaves the bounds
+			// cut; every other subtree counts from its summary.
+			if v.Keys > 2*btreeOrder || v.Subtrees > 2*btreeOrder*int64(tr.Height()) {
+				t.Fatalf("Summarize %x..%x visited %d keys and %d subtrees in a tree of height %d",
+					b.lo, b.hi, v.Keys, v.Subtrees, tr.Height())
+			}
+			if got := tr.Edge(b.lo, b.hi, b.loInc, b.hiInc, classes, false); !bytes.Equal(got, first) {
+				t.Fatalf("first key of %x..%x classes %v = %x, brute force %x", b.lo, b.hi, classes, got, first)
+			}
+			if got := tr.Edge(b.lo, b.hi, b.loInc, b.hiInc, classes, true); !bytes.Equal(got, last) {
+				t.Fatalf("last key of %x..%x classes %v = %x, brute force %x", b.lo, b.hi, classes, got, last)
+			}
+		}
+	}
+}
+
+// summaryValues are the values the summary tests key by beside small
+// integers: the edges of the exact range, keys that are not exact integers
+// (2^53 and up, fractions, a string, a boolean) and the int64 extremes.
+var summaryValues = []model.Value{
+	model.Int(1<<53 - 1), model.Int(-(1<<53 - 1)), model.Int(1 << 53), model.Int(1<<53 + 1),
+	model.Int(-(1 << 53)), model.Int(1 << 60), model.Int(-(1 << 62)), model.Int(math.MaxInt64),
+	model.Int(math.MinInt64), model.Float(2.5), model.Float(-0.5), model.Float(1e300),
+	model.String("x"), model.String(""), model.Bool(true), model.Int(0),
+}
+
+// randomProbes draws n key ranges over the given values, each side open one
+// time in five, and adds the whole range.
+func randomProbes(r *rand.Rand, vals []model.Value, n int) []bounds {
+	probes := []bounds{{}}
+	side := func() []byte {
+		if r.Intn(5) == 0 {
+			return nil
+		}
+		return model.Key(vals[r.Intn(len(vals))])
+	}
+	for range n {
+		probes = append(probes, bounds{side(), side(), r.Intn(2) == 0, r.Intn(2) == 0})
+	}
+	return probes
+}
+
+// TestTreeSummaryMatchesRecount keeps the node summaries honest through
+// random inserts, duplicate inserts, deletes down to empty leaves, and leaf
+// and inner splits over four classes: after each batch every node's summary
+// equals a recount of its subtree, and Summarize and the first/last-key
+// descent over random ranges and class sets equal brute force.
+func TestTreeSummaryMatchesRecount(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	classes := []model.ClassID{20, 21, 22, 23}
+	classSets := [][]model.ClassID{nil, {20}, {21, 23}, {24}, classes}
+	var vals []model.Value
+	for i := -3000; i <= 3000; i++ {
+		vals = append(vals, model.Int(int64(i)))
+	}
+	vals = append(vals, summaryValues...)
+	tr := NewTree()
+	type pair struct {
+		key []byte
+		oid model.OID
+	}
+	var live []pair
+	insert := func(n int, pick func() model.Value) {
+		for range n {
+			p := pair{model.Key(pick()), model.MakeOID(classes[r.Intn(len(classes))], uint64(1+r.Intn(40)))}
+			tr.Insert(p.key, p.oid)
+			live = append(live, p)
+		}
+	}
+	remove := func(keep func(pair) bool) {
+		kept := live[:0]
+		for _, p := range live {
+			if keep(p) {
+				kept = append(kept, p)
+			} else {
+				tr.Delete(p.key, p.oid)
+			}
+		}
+		live = kept
+	}
+	anyVal := func() model.Value { return vals[r.Intn(len(vals))] }
+	batches := []struct {
+		name string
+		run  func()
+	}{
+		{"inserts", func() { insert(6000, anyVal) }},
+		{"duplicate inserts", func() {
+			for _, p := range live[:1000] {
+				tr.Insert(p.key, p.oid)
+			}
+		}},
+		{"random deletes", func() { remove(func(pair) bool { return r.Intn(2) == 0 }) }},
+		{"deletes that empty leaves", func() {
+			lo, hi := model.Key(model.Int(-1000)), model.Key(model.Int(1000))
+			remove(func(p pair) bool { return bytes.Compare(p.key, lo) < 0 || bytes.Compare(p.key, hi) > 0 })
+		}},
+		{"inexact keys", func() { insert(400, func() model.Value { return summaryValues[r.Intn(len(summaryValues))] }) }},
+		{"deletes of one class", func() { remove(func(p pair) bool { return p.oid.Class() != 21 }) }},
+		{"delete everything", func() { remove(func(pair) bool { return false }) }},
+		{"inserts into emptied leaves", func() { insert(2000, anyVal) }},
+	}
+	for _, b := range batches {
+		b.run()
+		if b.name == "inserts" && tr.Height() < 3 {
+			t.Fatalf("height %d after %d inserts: no inner split", tr.Height(), len(live))
+		}
+		t.Run(b.name, func(t *testing.T) {
+			checkSummaries(t, tr, randomProbes(r, vals, 60), classSets)
+		})
 	}
 }
 

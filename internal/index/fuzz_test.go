@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"oodb/internal/model"
@@ -25,5 +26,47 @@ func FuzzDecodeDefs(f *testing.F) {
 		if _, err := DecodeDefs(buf); err != nil && !errors.Is(err, model.ErrCorrupt) {
 			t.Fatalf("untyped error: %v", err)
 		}
+	})
+}
+
+// FuzzTreeSummary drives a tree with inserts and deletes read from fuzz
+// bytes, three bytes an operation — the kind, the key (a small integer or
+// one of summaryValues) and the posting's class and sequence — and checks
+// the summaries after every 64 operations and at the end, as
+// TestTreeSummaryMatchesRecount does. The seeds include a long run of
+// inserts that splits leaves.
+func FuzzTreeSummary(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 5, 1, 0, 5, 2, 3, 5, 1, 1, 250, 7, 3, 250, 7})
+	long := make([]byte, 3*600)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		value := func(b byte) model.Value {
+			if int(b) >= 256-len(summaryValues) {
+				return summaryValues[int(b)-(256-len(summaryValues))]
+			}
+			return model.Int(int64(b) - 120)
+		}
+		var vals []model.Value
+		for b := 0; b < 256; b++ {
+			vals = append(vals, value(byte(b)))
+		}
+		r := rand.New(rand.NewSource(int64(len(data))))
+		classSets := [][]model.ClassID{nil, {20}, {21, 22}}
+		tr := NewTree()
+		for i := 0; i+3 <= len(data); i += 3 {
+			key := model.Key(value(data[i+1]))
+			oid := model.MakeOID(model.ClassID(20+data[i+2]%3), uint64(1+data[i+2]/3%16))
+			if data[i]%4 == 3 {
+				tr.Delete(key, oid)
+			} else {
+				tr.Insert(key, oid)
+			}
+			if (i/3)%64 == 63 {
+				checkSummaries(t, tr, randomProbes(r, vals, 8), classSets)
+			}
+		}
+		checkSummaries(t, tr, randomProbes(r, vals, 8), classSets)
 	})
 }

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"slices"
-
 	"oodb/internal/model"
 )
 
@@ -74,115 +72,100 @@ func (iv Interval) String() string {
 	return lo + "," + hi
 }
 
-// scanBatch bounds how many postings one read-lock hold visits (about one
-// leaf's worth); a batch always ends on a key boundary.
-const scanBatch = 64
-
-// walk is the batching under both read paths: it visits the keys of iv in
-// order, handing collect each key and its postings under the read lock
-// until batch postings were seen (a batch ends on a key boundary), then
-// releases the lock and calls flush, which reports whether to go on. The
-// next batch resumes strictly after the last key collected by descending
-// from the root again, so a leaf split or a lazy delete between batches can
-// neither skip nor repeat a key. collect may keep a key, not the postings.
-func (idx *Index) walk(iv Interval, batch int, collect func(key []byte, posts []model.OID), flush func() bool) {
-	if iv.Empty() {
-		return
-	}
-	var lo, hi []byte
+// keys returns iv's bounds as keys, nil for an open side.
+func (iv Interval) keys() (lo, hi []byte) {
 	if !iv.Lo.IsNull() {
 		lo = model.Key(iv.Lo)
 	}
 	if !iv.Hi.IsNull() {
 		hi = model.Key(iv.Hi)
 	}
+	return lo, hi
+}
+
+// scanBatch bounds how many postings one read-lock hold visits (about one
+// leaf's worth); a batch always ends on a key boundary.
+const scanBatch = 64
+
+// Scan is the one read path of an index's postings: it calls fn with every
+// OID indexed under a key in iv, and that key, restricted to the given
+// classes (nil = no filter), in (key, OID) order, until fn returns false.
+// For a CH index a query scoped `ONLY C` passes just {C}; a
+// hierarchy-scoped query passes the descendant set or nil. fn may keep the
+// key: key bytes are never rewritten.
+//
+// Maintenance mutates the tree under the manager's write lock, so Scan
+// copies a bounded batch of postings under the read lock, releases it, and
+// only then calls fn — fn fetches objects, and index maintenance fetches
+// objects under the write lock. The next batch resumes strictly after the
+// last key copied by descending from the root again, so a leaf split or a
+// lazy delete between batches can neither skip nor repeat a key.
+func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(key []byte, oid model.OID) bool) {
+	if iv.Empty() {
+		return
+	}
+	lo, hi := iv.keys()
 	loInc := iv.LoInc
+	type posting struct {
+		key []byte
+		oid model.OID
+	}
+	var buf [scanBatch]posting
 	for {
-		visited, more := 0, false
+		batch, visited, more := buf[:0], 0, false
 		idx.mu.RLock()
 		idx.tree.Range(lo, hi, loInc, iv.HiInc, func(key []byte, posts []model.OID) bool {
-			if visited >= batch {
+			if visited >= scanBatch {
 				more = true
 				return false
 			}
 			visited += len(posts)
-			collect(key, posts)
+			for _, oid := range posts {
+				if classes == nil || classes[oid.Class()] {
+					batch = append(batch, posting{key, oid})
+				}
+			}
 			lo = key
 			return true
 		})
 		idx.mu.RUnlock()
 		loInc = false
-		if !flush() || !more {
+		for _, p := range batch {
+			if !fn(p.key, p.oid) {
+				return
+			}
+		}
+		if !more {
 			return
 		}
 	}
 }
 
-// Scan is the one read path of an index's postings: it calls fn with every
-// OID indexed under a key in iv, restricted to the given classes (nil = no
-// filter), in (key, OID) order, until fn returns false. For a CH index a
-// query scoped `ONLY C` passes just {C}; a hierarchy-scoped query passes the
-// descendant set or nil.
-//
-// Maintenance mutates the tree under the manager's write lock, so Scan
-// copies a bounded batch of postings under the read lock, releases it, and
-// only then calls fn — fn fetches objects, and index maintenance fetches
-// objects under the write lock.
-func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(model.OID) bool) {
-	var buf [scanBatch]model.OID
-	batch := buf[:0]
-	idx.walk(iv, scanBatch, func(_ []byte, posts []model.OID) {
-		for _, oid := range posts {
-			if classes == nil || classes[oid.Class()] {
-				batch = append(batch, oid)
-			}
-		}
-	}, func() bool {
-		for _, oid := range batch {
-			if !fn(oid) {
-				return false
-			}
-		}
-		batch = batch[:0]
-		return true
-	})
+// Summarize is the read path of a statement answered from the keys alone:
+// the Summary of the postings of the given classes under the keys of iv,
+// read under the read lock from the tree's node summaries (Tree.Summarize),
+// with what it visited added to v. Nothing is fetched.
+func (idx *Index) Summarize(iv Interval, classes []model.ClassID, v *Visits) Summary {
+	if iv.Empty() {
+		return Summary{}
+	}
+	lo, hi := iv.keys()
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	return idx.tree.Summarize(lo, hi, iv.LoInc, iv.HiInc, classes, v)
 }
 
-// countBatch bounds how many postings one read-lock hold of KeyCounts
-// counts. Nothing is fetched under it, so it is larger than scanBatch.
-const countBatch = 256
-
-// KeyCounts is the read path of an aggregate answered from the keys alone:
-// it calls fn with every key in iv that indexes an instance of one of the
-// given classes, and how many such instances it indexes, in key order,
-// until fn returns false. It batches as Scan does; fn runs outside the read
-// lock.
-func (idx *Index) KeyCounts(iv Interval, classes []model.ClassID, fn func(key []byte, n int) bool) {
-	type keyCount struct {
-		key []byte
-		n   int
+// Edge returns the smallest key in iv that indexes an instance of one of
+// the given classes — the largest when last is set — or nil when none does
+// (Tree.Edge).
+func (idx *Index) Edge(iv Interval, classes []model.ClassID, last bool) []byte {
+	if iv.Empty() {
+		return nil
 	}
-	var buf [countBatch]keyCount // a key holds one posting at least
-	batch := buf[:0]
-	idx.walk(iv, countBatch, func(key []byte, posts []model.OID) {
-		n := 0
-		for _, oid := range posts {
-			if slices.Contains(classes, oid.Class()) {
-				n++
-			}
-		}
-		if n > 0 {
-			batch = append(batch, keyCount{key, n})
-		}
-	}, func() bool {
-		for _, kc := range batch {
-			if !fn(kc.key, kc.n) {
-				return false
-			}
-		}
-		batch = batch[:0]
-		return true
-	})
+	lo, hi := iv.keys()
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	return idx.tree.Edge(lo, hi, iv.LoInc, iv.HiInc, classes, last)
 }
 
 // Unkeyed returns how many instances of the given classes a one-step index
@@ -201,7 +184,7 @@ func (idx *Index) Unkeyed(classes []model.ClassID) int {
 // Lookup returns the OIDs indexed under exactly v, filtered by class.
 func (idx *Index) Lookup(v model.Value, classes map[model.ClassID]bool) []model.OID {
 	var out []model.OID
-	idx.Scan(Point(v), classes, func(oid model.OID) bool {
+	idx.Scan(Point(v), classes, func(_ []byte, oid model.OID) bool {
 		out = append(out, oid)
 		return true
 	})

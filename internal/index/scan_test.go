@@ -11,7 +11,7 @@ import (
 // scanAll drains Scan into a slice.
 func scanAll(idx *Index, iv Interval, classes map[model.ClassID]bool) []model.OID {
 	var out []model.OID
-	idx.Scan(iv, classes, func(oid model.OID) bool {
+	idx.Scan(iv, classes, func(_ []byte, oid model.OID) bool {
 		out = append(out, oid)
 		return true
 	})
@@ -105,7 +105,7 @@ func TestScanOrderFilterStop(t *testing.T) {
 	// Stop mid-batch and exactly at a batch boundary.
 	for _, stopAt := range []int{1, 10, scanBatch, scanBatch + 1, 3 * scanBatch} {
 		n := 0
-		idx.Scan(Interval{}, nil, func(model.OID) bool { n++; return n < stopAt })
+		idx.Scan(Interval{}, nil, func([]byte, model.OID) bool { n++; return n < stopAt })
 		if n != stopAt {
 			t.Errorf("stop after %d: callback ran %d times", stopAt, n)
 		}
@@ -141,7 +141,7 @@ func TestScanSurvivesMaintenanceBetweenBatches(t *testing.T) {
 	splits := mLeafSplits.Value()
 	var seen []int64
 	churn := uint64(0)
-	idx.Scan(Interval{}, map[model.ClassID]bool{w.vehicle.ID: true}, func(oid model.OID) bool {
+	idx.Scan(Interval{}, map[model.ClassID]bool{w.vehicle.ID: true}, func(_ []byte, oid model.OID) bool {
 		at := int64(oid.Seq()-1) * 2
 		seen = append(seen, at)
 		// Around the cursor: insert odd keys just behind and well ahead of
@@ -220,7 +220,7 @@ func TestScanConcurrentWithMaintenance(t *testing.T) {
 			for pass := 0; pass < 30; pass++ {
 				lo := int64((r*7 + pass) % 50 * 3)
 				want := uint64(lo/3) + 1
-				idx.Scan(Interval{Lo: model.Int(lo), LoInc: true}, only, func(oid model.OID) bool {
+				idx.Scan(Interval{Lo: model.Int(lo), LoInc: true}, only, func(_ []byte, oid model.OID) bool {
 					if oid.Class() != w.truck.ID || oid.Seq() != want {
 						t.Errorf("reader %d pass %d: got %s, want truck %d", r, pass, oid, want)
 						return false

@@ -61,6 +61,18 @@ func (a *Accumulator) addN(v *model.Value, n int64) error {
 	return a.add(v, n)
 }
 
+// addRun folds in n integers whose sum is sum and whose least and greatest
+// are least and greatest (null when no MIN or MAX reads them) — how a
+// covered aggregate adds the postings its index summaries count. The caller
+// makes sure that Σ|v| < 2^63, so that every order of adding the integers
+// keeps the sum exact.
+func (a *Accumulator) addRun(n, sum int64, least, greatest model.Value) {
+	a.count += n
+	a.addInt(sum)
+	a.keepBest(least)
+	a.keepBest(greatest)
+}
+
 func (a *Accumulator) add(v *model.Value, n int64) error {
 	if v.IsNull() {
 		return nil

@@ -10,7 +10,8 @@ import (
 	"oodb/internal/obs"
 )
 
-// Row is one result object with its projected values.
+// Row is one result object with its projected values. A row answered from
+// an index alone (a covered statement, DESIGN §4) has no Object.
 type Row struct {
 	OID    model.OID
 	Object *model.Object
@@ -74,20 +75,28 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		return nil, err
 	}
 	q := p.Query
-	// cur runs the program in the single-threaded stages: probe, sort, fold
-	// and projection point it at one row at a time.
-	cur := e.newCand(tx, p.prog, len(p.Scope))
-
 	var rows []Row
 	var aggs []Accumulator // set when the index or the scan folded the aggregates
 	var matched uint64
 	var ordered bool // rows already arrived in ORDER BY order
 	var err error
-	if idx, iv := e.foldable(p); idx != nil {
-		aggs, matched, err = e.foldAggregates(tx, p, idx, iv, span)
+	if idx, iv := e.covered(p); idx != nil {
+		if len(q.Aggregates) == 0 {
+			if res, err := e.indexRows(tx, p, idx, iv, span); res != nil || err != nil {
+				return res, err
+			}
+		} else if aggs, matched, err = e.foldAggregates(tx, p, idx, iv, span); err != nil {
+			return nil, err
+		}
+	}
+	// cur runs the program in the single-threaded stages: probe, sort, fold
+	// and projection point it at one row at a time.
+	var cur *cand
+	if aggs == nil {
+		cur = e.newCand(tx, p.prog, len(p.Scope))
 	}
 	switch {
-	case err != nil || aggs != nil:
+	case aggs != nil:
 	case p.kind == accessScan:
 		var all scanPart
 		all, err = e.scanRows(tx, p, span)
@@ -447,7 +456,7 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, orde
 				mIndexProbes.Add(1)
 			}
 			err := sweep(name, func(visit func(model.OID) bool) {
-				idx.Scan(p.iv, scopeSet, visit)
+				idx.Scan(p.iv, scopeSet, func(_ []byte, oid model.OID) bool { return visit(oid) })
 			})
 			if err != nil {
 				return err

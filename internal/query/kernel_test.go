@@ -407,3 +407,33 @@ func BenchmarkIndexAggregate(b *testing.B) {
 		b.Fatalf("%d of %d statements folded from the index", n, b.N)
 	}
 }
+
+// BenchmarkIndexOnlyRange is embed.query's range statement over
+// BenchmarkIndexAggregate's world: SELECT val ... ORDER BY val LIMIT 10
+// over a 40-value interval, answered from the index's (key, posting) pairs
+// without reading a record.
+func BenchmarkIndexOnlyRange(b *testing.B) {
+	db, eng := scanAggWorld(b)
+	h1, err := db.Catalog.ClassByName("H1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.CreateIndex("h1_val", h1.ID, []string{"val"}, true); err != nil {
+		b.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Commit()
+	covered := mIndexOnly.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 960
+		if res := mustRun(b, eng, tx, fmt.Sprintf(`SELECT val FROM H1 WHERE val >= %d AND val < %d ORDER BY val LIMIT 10`, lo, lo+40)); len(res.Rows) != 10 {
+			b.Fatalf("%d rows, want 10", len(res.Rows))
+		}
+	}
+	b.StopTimer()
+	if n := mIndexOnly.Value() - covered; n != uint64(b.N) {
+		b.Fatalf("%d of %d statements answered index-only", n, b.N)
+	}
+}

@@ -53,11 +53,11 @@ type Plan struct {
 	// so the executor may skip the sort and stop at LIMIT (see
 	// orderFromIndex for the plan-time half of the precondition).
 	ordered bool
-	// fold is the index the executor is expected to fold the aggregates
-	// from (see foldable) — what EXPLAIN shows. Execute decides again under
-	// the scope's locks.
-	fold   *index.Index
-	foldIV index.Interval
+	// cover is the index the executor is expected to answer the statement
+	// from without reading a record (see covered) — what EXPLAIN shows.
+	// Execute decides again under the scope's locks.
+	cover   *index.Index
+	coverIV index.Interval
 
 	// EstRows is the statistics-based result cardinality estimate; HasEst
 	// reports whether statistics covered the whole scope (see selectivity.go).
@@ -70,8 +70,10 @@ func (p *Plan) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "scope=%s(%d classes) ", p.Target.Name, len(p.Scope))
 	switch {
-	case p.fold != nil:
-		fmt.Fprintf(&sb, "access=index-agg(%s)%s", p.fold.Name, p.foldIV)
+	case p.cover != nil && len(p.Query.Aggregates) > 0:
+		fmt.Fprintf(&sb, "access=index-agg(%s)%s", p.cover.Name, p.coverIV)
+	case p.cover != nil:
+		fmt.Fprintf(&sb, "access=index-only(%s)%s", p.cover.Name, p.coverIV)
 	case p.kind == accessScan:
 		sb.WriteString("access=heap-scan")
 	case p.kind == accessIndexEq:
@@ -83,11 +85,11 @@ func (p *Plan) String() string {
 	case p.kind == accessUnionRng:
 		fmt.Fprintf(&sb, "access=index-union-range(%d indexes)", len(p.indexes))
 	}
-	if p.fold == nil && p.kind != accessScan {
+	if p.cover == nil && p.kind != accessScan {
 		sb.WriteString(p.iv.String())
 	}
 	if p.Query.OrderBy != nil {
-		if p.ordered {
+		if p.ordered || p.cover != nil {
 			sb.WriteString(" order=index")
 		} else {
 			sb.WriteString(" order=sort")
@@ -169,7 +171,7 @@ func (e *Engine) planQuery(q *Query, viewDepth int) (*Plan, error) {
 		e.chooseIndex(p)
 	}
 	e.annotatePlan(p)
-	p.fold, p.foldIV = e.foldable(p)
+	p.cover, p.coverIV = e.covered(p)
 	return p, nil
 }
 

@@ -739,14 +739,15 @@ func TestRangeConcurrentIndexReaders(t *testing.T) {
 
 // TestSelectivityInterval: after ANALYZE the benchmark-shaped statement —
 // a 5 % interval, ordered on the indexed attribute, limited — still plans
-// an index range, and its estimate is the interval's width, not the product
-// of two half-open halves.
+// an index range, which its rows are then read from index-only, and its
+// estimate is the interval's width, not the product of two half-open
+// halves.
 func TestSelectivityInterval(t *testing.T) {
 	_, eng, _ := selDB(t, 4000, 800)
 	src := `SELECT n FROM P WHERE n >= 120 AND n < 160 ORDER BY n LIMIT 10`
 	analyze(t, eng.db, mustPlan(t, eng, src).Scope...)
 	p := mustPlan(t, eng, src)
-	if !strings.Contains(p.String(), "access=index-range(p_n)[120,160) order=index limit=10 est_rows=") {
+	if p.kind != accessIndexRng || !strings.Contains(p.String(), "access=index-only(p_n)[120,160) order=index limit=10 est_rows=") {
 		t.Fatalf("plan with statistics = %s", p)
 	}
 	const actual = 200.0 // 40 values x 5 rows each

@@ -64,7 +64,10 @@ type (
 	Object = model.Object
 	// Result is a query result set.
 	Result = query.Result
-	// Row is one query result row.
+	// Row is one query result row. Its Object is nil for a row answered
+	// from an index alone (a covered statement, such as `SELECT val FROM X
+	// WHERE val > 1 ORDER BY val` over an index on val): read the object
+	// with Fetch(row.OID).
 	Row = query.Row
 	// Class is a catalog entry.
 	Class = schema.Class
