@@ -87,11 +87,14 @@ chain-lint:
 # and internal/core names Store.View (its payload aliases a pinned page),
 # exactly one function in internal/core does (the one point read, DB.read),
 # and none outside internal/model imports unsafe (the one exception is
-# internal/obs/obs.go). Go/parser walks of the module
-# (TestOnlyTheEngineDecodes, TestPinnedReadsStayInTheEngine in
+# internal/obs/obs.go). And it keeps one decoding cursor: no non-test file
+# outside internal/model and internal/storage calls encoding/binary's
+# Uvarint, so every binary image decodes through model.Reader. Go/parser
+# walks of the module (TestOnlyTheEngineDecodes,
+# TestPinnedReadsStayInTheEngine, TestOneDecodingCursor in
 # internal/core/decodelint_test.go).
 decode-lint:
-	$(GO) test -count=1 -run '^(TestOnlyTheEngineDecodes|TestPinnedReadsStayInTheEngine)$$' ./internal/core/
+	$(GO) test -count=1 -run '^(TestOnlyTheEngineDecodes|TestPinnedReadsStayInTheEngine|TestOneDecodingCursor)$$' ./internal/core/
 
 # The crash-recovery matrices under the race detector, at pre-merge breadth:
 # every schedule crashes the engine at a distinct I/O op, named by its

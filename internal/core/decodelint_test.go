@@ -31,7 +31,7 @@ import (
 // and internal/txn may name the lock manager's Lock* calls.
 //
 // The perfbench module is not walked. `make decode-lint` runs it beside
-// TestPinnedReadsStayInTheEngine.
+// TestPinnedReadsStayInTheEngine and TestOneDecodingCursor.
 func TestOnlyTheEngineDecodes(t *testing.T) {
 	engine := []string{"internal/core/", "internal/txn/"}
 	allowed := map[string][]string{
@@ -128,6 +128,49 @@ func TestPinnedReadsStayInTheEngine(t *testing.T) {
 	}
 	if len(coreViews) != 1 {
 		t.Errorf("%d functions in internal/core name Store.View, want one (DB.read, the engine's one point read): at %v", len(coreViews), coreViews)
+	}
+}
+
+// TestOneDecodingCursor is decode-lint's third static check: binary images
+// decode through model.Reader, the module's one cursor, which latches the
+// first error and bounds every count by the bytes left. No non-test file
+// outside internal/model and internal/storage may call encoding/binary's
+// Uvarint; storage keeps its two per-record reads (recordOID and
+// overflowStub). The match is on the package qualifier the file imports
+// encoding/binary under, since model.Reader has a method of the same name.
+func TestOneDecodingCursor(t *testing.T) {
+	calls := 0
+	files := walkSource(t, func(rel string, fset *token.FileSet, file *ast.File) {
+		qual := ""
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"encoding/binary"` {
+				qual = "binary"
+				if imp.Name != nil {
+					qual = imp.Name.Name
+				}
+			}
+		}
+		if qual == "" {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Uvarint" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != qual {
+				return true
+			}
+			calls++
+			if !strings.HasPrefix(rel, "internal/model/") && !strings.HasPrefix(rel, "internal/storage/") {
+				t.Errorf("%s: binary.Uvarint outside internal/model and internal/storage: decode through model.Reader",
+					fset.Position(sel.Pos()))
+			}
+			return true
+		})
+	})
+	if files < 50 || calls == 0 {
+		t.Fatalf("walked %d files and found %d Uvarint calls: the check is not reading the module", files, calls)
 	}
 }
 

@@ -450,51 +450,19 @@ func EncodeDefs(m *Manager) []byte {
 // DecodeDefs returns the index definitions stored in buf. Every error is
 // model.ErrCorrupt.
 func DecodeDefs(buf []byte) ([]Def, error) {
-	n, used := binary.Uvarint(buf)
-	if used <= 0 || n > uint64(len(buf)) { // n definitions take more than n bytes
-		return nil, model.ErrCorrupt
-	}
-	buf = buf[used:]
+	r := model.NewReader(buf, model.ErrCorrupt)
+	n := r.Count()
 	defs := make([]Def, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var d Def
-		id, u := binary.Uvarint(buf)
-		if u <= 0 {
-			return nil, model.ErrCorrupt
-		}
-		buf = buf[u:]
-		d.ID = uint32(id)
-		nl, u := binary.Uvarint(buf)
-		if u <= 0 || uint64(len(buf)-u) < nl {
-			return nil, model.ErrCorrupt
-		}
-		d.Name = string(buf[u : u+int(nl)])
-		buf = buf[u+int(nl):]
-		cl, u := binary.Uvarint(buf)
-		if u <= 0 {
-			return nil, model.ErrCorrupt
-		}
-		buf = buf[u:]
-		d.Class = model.ClassID(cl)
-		if len(buf) == 0 {
-			return nil, model.ErrCorrupt
-		}
-		d.Hierarchy = buf[0] == 1
-		buf = buf[1:]
-		np, u := binary.Uvarint(buf)
-		if u <= 0 {
-			return nil, model.ErrCorrupt
-		}
-		buf = buf[u:]
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		d := Def{ID: uint32(r.Uvarint()), Name: r.ReadString(), Class: model.ClassID(r.Uvarint()), Hierarchy: r.Byte() == 1}
+		np := r.Count()
 		for j := uint64(0); j < np; j++ {
-			a, u := binary.Uvarint(buf)
-			if u <= 0 {
-				return nil, model.ErrCorrupt
-			}
-			buf = buf[u:]
-			d.Path = append(d.Path, model.AttrID(a))
+			d.Path = append(d.Path, model.AttrID(r.Uvarint()))
 		}
 		defs = append(defs, d)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return defs, nil
 }

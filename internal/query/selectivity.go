@@ -76,60 +76,81 @@ func sargAttr(attrPath []model.AttrID) (model.AttrID, bool) {
 
 // classRows estimates how many instances of class c satisfy every sarg.
 // Sargs on different attributes combine multiplicatively (the usual
-// independence assumption). Range bounds on one attribute are anything but
-// independent — they delimit an interval — so the tightest lower and upper
-// bound combine as fracLo + fracHi - 1: on a uniform attribute a 5 %
-// interval estimates as 5 %, not as the product of two half-open halves.
-// An attribute with no summary was never observed non-null, so a non-null
-// comparison matches nothing.
+// independence assumption); the first sarg on an attribute speaks for all
+// of them. Of an attribute's Count stored values, storedFraction match.
+// The Cardinality − Count instances that store no value read the
+// attribute's default: all of them match when the default satisfies every
+// sarg on the attribute (for several bounds, when it lies in their
+// interval), none otherwise — a null default satisfies no comparison.
 func (est *estimator) classRows(c model.ClassID, sargs []estSarg) float64 {
-	card := float64(est.reg.Get(c).Cardinality)
+	cs := est.reg.Get(c)
+	card := float64(cs.Cardinality)
 	rows := card
 	for i, es := range sargs {
 		if rows == 0 {
 			break
 		}
-		as := est.reg.Get(c).Attr(es.attr)
-		if as == nil || as.Count == 0 {
-			return 0
-		}
-		nonNull := float64(as.Count) / card
-		if es.s.op == OpEq {
-			rows *= nonNull / math.Max(float64(as.Distinct), 1)
+		if hasSargOn(sargs[:i], es.attr) {
 			continue
 		}
-		if hasRangeOn(sargs[:i], es.attr) {
-			continue // the first range sarg on an attribute speaks for all
+		var stored, count float64
+		if as := cs.Attr(es.attr); as != nil && as.Count > 0 {
+			count = float64(as.Count)
+			stored = count * storedFraction(as, sargs[i:], es.attr)
 		}
-		fracLo, fracHi, interpolated := 1.0, 1.0, true
-		for _, other := range sargs[i:] {
-			if other.attr != es.attr || other.s.op == OpEq {
-				continue
-			}
-			f, ok := rangeFraction(as, other.s)
-			interpolated = interpolated && ok
-			if other.s.op == OpGt || other.s.op == OpGe {
-				fracLo = math.Min(fracLo, f)
-			} else {
-				fracHi = math.Min(fracHi, f)
-			}
+		if defaultMatches(es.def, sargs[i:], es.attr) {
+			stored += card - count
 		}
-		if interpolated {
-			rows *= nonNull * math.Max(fracLo+fracHi-1, 0)
-		} else {
-			rows *= nonNull * fracLo * fracHi // default guesses do not locate an interval
-		}
+		rows *= stored / card
 	}
 	return rows
 }
 
-func hasRangeOn(sargs []estSarg, attr model.AttrID) bool {
+func hasSargOn(sargs []estSarg, attr model.AttrID) bool {
 	for _, es := range sargs {
-		if es.attr == attr && es.s.op != OpEq {
+		if es.attr == attr {
 			return true
 		}
 	}
 	return false
+}
+
+// storedFraction estimates what fraction of an attribute's stored values
+// satisfy every sarg on it: 1/Distinct per equality, times the interval
+// the range bounds delimit. Range bounds on one attribute are anything but
+// independent, so the tightest lower and upper bound combine as
+// fracLo + fracHi - 1: on a uniform attribute a 5 % interval estimates as
+// 5 %, not as the product of two half-open halves.
+func storedFraction(as *stats.AttrStats, sargs []estSarg, attr model.AttrID) float64 {
+	f, fracLo, fracHi, interpolated := 1.0, 1.0, 1.0, true
+	for _, es := range sargs {
+		switch {
+		case es.attr != attr:
+		case es.s.op == OpEq:
+			f /= math.Max(float64(as.Distinct), 1)
+		case es.s.op == OpGt || es.s.op == OpGe:
+			r, ok := rangeFraction(as, es.s)
+			fracLo, interpolated = math.Min(fracLo, r), interpolated && ok
+		default:
+			r, ok := rangeFraction(as, es.s)
+			fracHi, interpolated = math.Min(fracHi, r), interpolated && ok
+		}
+	}
+	if interpolated {
+		return f * math.Max(fracLo+fracHi-1, 0)
+	}
+	return f * fracLo * fracHi // default guesses do not locate an interval
+}
+
+// defaultMatches reports whether an instance reading def satisfies every
+// sarg on attr, compared as the executor compares.
+func defaultMatches(def model.Value, sargs []estSarg, attr model.AttrID) bool {
+	for _, es := range sargs {
+		if es.attr == attr && !compareOp(es.s.op, &def, &es.s.lit) {
+			return false
+		}
+	}
+	return true
 }
 
 // rangeFraction estimates what fraction of an attribute's observed values a
@@ -166,6 +187,7 @@ func rangeFraction(as *stats.AttrStats, s sarg) (f float64, ok bool) {
 type estSarg struct {
 	s    sarg
 	attr model.AttrID
+	def  model.Value // what an instance that stores no value reads
 }
 
 func (e *Engine) estimableSargs(p *Plan) []estSarg {
@@ -174,12 +196,12 @@ func (e *Engine) estimableSargs(p *Plan) []estSarg {
 	}
 	var out []estSarg
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, _, _, ok := e.resolveAttrPath(p.Target.ID, s.path)
+		attrPath, _, def, ok := e.resolveAttrPath(p.Target.ID, s.path)
 		if !ok {
 			continue
 		}
 		if attr, ok := sargAttr(attrPath); ok {
-			out = append(out, estSarg{s: s, attr: attr})
+			out = append(out, estSarg{s: s, attr: attr, def: def})
 		}
 	}
 	return out

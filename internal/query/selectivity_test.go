@@ -141,6 +141,63 @@ func TestSelectivityRangeInterpolation(t *testing.T) {
 	}
 }
 
+// TestSelectivityCountsDefaultReaders: instances that store no value read
+// the attribute's default, so a sarg the default satisfies matches them
+// too. C{x Integer, default 7} holds 100 instances, 50 of which store
+// x = 1..50.
+func TestSelectivityCountsDefaultReaders(t *testing.T) {
+	db, err := core.Open(t.TempDir(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	cl, err := db.DefineClass("C", nil, schema.AttrSpec{Name: "x", Domain: schema.ClassInteger, Default: model.Int(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Do(func(tx *core.Tx) error {
+		for i := 1; i <= 100; i++ {
+			attrs := map[string]model.Value{}
+			if i <= 50 {
+				attrs["x"] = model.Int(int64(i))
+			}
+			if _, err := tx.InsertClass(cl.ID, attrs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	analyze(t, db, cl.ID)
+	eng := NewEngine(db)
+	for _, tc := range []struct {
+		where string
+		rows  int
+	}{
+		{"x = 7", 51},
+		{"x > 5", 95},
+		{"x > 7", 43},
+		{"x >= 5 AND x <= 10", 56},
+		{"x > 60", 0},
+	} {
+		src := `SELECT * FROM C WHERE ` + tc.where
+		p := mustPlan(t, eng, src)
+		tx := db.Begin()
+		res, err := eng.Run(tx, src)
+		tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.where, len(res.Rows), tc.rows)
+		}
+		if want := float64(tc.rows); !p.HasEst || p.EstRows < 0.8*want || p.EstRows > 1.2*want {
+			t.Errorf("%s: est_rows=%.1f (HasEst=%v), want %d ± 20%%", tc.where, p.EstRows, p.HasEst, tc.rows)
+		}
+	}
+}
+
 // TestSelectivityExplainAnalyzeShowsEstimate: EXPLAIN ANALYZE renders the
 // estimate next to the actual row count — the at-a-glance staleness check.
 func TestSelectivityExplainAnalyzeShowsEstimate(t *testing.T) {

@@ -73,47 +73,42 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 	if len(buf) < 4 || binary.BigEndian.Uint32(buf) != catalogMagic {
 		return nil, fmt.Errorf("schema: bad catalog magic: %w", model.ErrCorrupt)
 	}
-	r := reader{buf: buf[4:]}
+	r := model.NewReader(buf[4:], model.ErrCorrupt)
 	c := NewCatalog()
-	c.nextClass = model.ClassID(r.uvarint())
-	c.nextAttr = model.AttrID(r.uvarint())
-	version := r.uvarint()
+	c.nextClass = model.ClassID(r.Uvarint())
+	c.nextAttr = model.AttrID(r.Uvarint())
+	version := r.Uvarint()
 
-	n := r.uvarint()
+	n := r.Count()
 	var decoded []*Class
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		name := r.str()
-		id := model.ClassID(r.uvarint())
-		ns := r.uvarint()
-		if ns > uint64(len(r.buf)) {
-			r.err = model.ErrCorrupt // each superclass id takes a byte at least
-			break
-		}
-		supers := make([]model.ClassID, ns)
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		name := r.ReadString()
+		id := model.ClassID(r.Uvarint())
+		supers := make([]model.ClassID, r.Count())
 		for j := range supers {
-			supers[j] = model.ClassID(r.uvarint())
+			supers[j] = model.ClassID(r.Uvarint())
 		}
 		cl := &Class{ID: id, Name: name, Supers: supers}
-		na := r.uvarint()
-		for j := uint64(0); j < na && r.err == nil; j++ {
+		na := r.Count()
+		for j := uint64(0); j < na && r.Err() == nil; j++ {
 			a := &Attribute{Source: id}
-			a.Name = r.str()
-			a.ID = model.AttrID(r.uvarint())
-			a.Domain = model.ClassID(r.uvarint())
-			a.SetValued = r.byte() == 1
-			a.Default = r.value()
+			a.Name = r.ReadString()
+			a.ID = model.AttrID(r.Uvarint())
+			a.Domain = model.ClassID(r.Uvarint())
+			a.SetValued = r.Byte() == 1
+			a.Default = r.Value()
 			cl.OwnAttrs = append(cl.OwnAttrs, a)
 		}
-		nm := r.uvarint()
-		for j := uint64(0); j < nm && r.err == nil; j++ {
-			cl.OwnMethods = append(cl.OwnMethods, &Method{Name: r.str(), Source: id})
+		nm := r.Count()
+		for j := uint64(0); j < nm && r.Err() == nil; j++ {
+			cl.OwnMethods = append(cl.OwnMethods, &Method{Name: r.ReadString(), Source: id})
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			decoded = append(decoded, cl)
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("schema: corrupt catalog image: %w", r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("schema: corrupt catalog image: %w", err)
 	}
 	// Two-phase install: a class's superclass may have a higher id than the
 	// class itself (AddSuperclass can link to a newer class), so register
@@ -145,63 +140,4 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// reader is a cursor over a binary image that latches the first error.
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = model.ErrCorrupt
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 {
-		r.err = model.ErrCorrupt
-		return 0
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b
-}
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.buf)) < n {
-		r.err = model.ErrCorrupt
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-func (r *reader) value() model.Value {
-	if r.err != nil {
-		return model.Null
-	}
-	v, n, err := model.DecodeValue(r.buf)
-	if err != nil {
-		r.err = err
-		return model.Null
-	}
-	r.buf = r.buf[n:]
-	return v
 }

@@ -13,7 +13,7 @@ import (
 // wrapping model.ErrCorrupt or yields a catalog whose encoding decodes to
 // an equal catalog. The seeds are real encodings: the Figure 1 schema with
 // a method and a default, a superclass edge to a newer class, and an empty
-// catalog.
+// catalog, each with every prefix of it.
 func FuzzDecodeCatalog(f *testing.F) {
 	c, classes := buildVehicleSchema(f)
 	if _, err := c.AddMethod(classes["Vehicle"].ID, "describe", nil); err != nil {
@@ -22,15 +22,19 @@ func FuzzDecodeCatalog(f *testing.F) {
 	if _, _, err := c.AddAttribute(classes["Truck"].ID, AttrSpec{Name: "axles", Domain: ClassInteger, Default: model.Int(2)}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(EncodeCatalog(c))
+	seeds := [][]byte{EncodeCatalog(c)}
 	fwd := NewCatalog()
 	a, _ := fwd.DefineClass("A", nil)
 	b, _ := fwd.DefineClass("B", nil)
 	if _, err := fwd.AddSuperclass(a.ID, b.ID); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(EncodeCatalog(fwd))
-	f.Add(EncodeCatalog(NewCatalog()))
+	seeds = append(seeds, EncodeCatalog(fwd), EncodeCatalog(NewCatalog()))
+	for _, seed := range seeds {
+		for n := 0; n <= len(seed); n++ {
+			f.Add(seed[:n]) // every truncation, and the whole image
+		}
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		c, err := DecodeCatalog(buf)
 		if err != nil {

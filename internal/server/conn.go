@@ -267,33 +267,8 @@ func (c *conn) execute(req request) (resp []byte) {
 }
 
 func countVerb(verb byte) {
-	switch verb {
-	case proto.VerbQuery:
-		mReqQuery.Add(1)
-	case proto.VerbQuerySnapshot:
-		mReqSnapshot.Add(1)
-	case proto.VerbFetch:
-		mReqFetch.Add(1)
-	case proto.VerbGet:
-		mReqGet.Add(1)
-	case proto.VerbInsert:
-		mReqInsert.Add(1)
-	case proto.VerbUpdate:
-		mReqUpdate.Add(1)
-	case proto.VerbDelete:
-		mReqDelete.Add(1)
-	case proto.VerbBegin:
-		mReqBegin.Add(1)
-	case proto.VerbCommit:
-		mReqCommit.Add(1)
-	case proto.VerbCommitAsync:
-		mReqCommitAsync.Add(1)
-	case proto.VerbAbort:
-		mReqAbort.Add(1)
-	case proto.VerbPing:
-		mReqPing.Add(1)
-	case proto.VerbClasses:
-		mReqClasses.Add(1)
+	if int(verb) < len(mReqVerb) && mReqVerb[verb] != nil {
+		mReqVerb[verb].Add(1)
 	}
 }
 

@@ -1,6 +1,9 @@
 package server
 
-import "oodb/internal/obs"
+import (
+	"oodb/internal/obs"
+	"oodb/internal/server/proto"
+)
 
 // Server metrics, layer "server". The gauges are not just reporting: the
 // admission controller reads the same counters it publishes here
@@ -20,19 +23,23 @@ var (
 	mReqErrors    = obs.RegisterCounter("server_requests_errors_total")
 	mReqLatencyNs = obs.RegisterHistogram("server_request_latency_ns")
 
-	mReqQuery       = obs.RegisterCounter("server_requests_query_total")
-	mReqSnapshot    = obs.RegisterCounter("server_requests_snapshot_total")
-	mReqFetch       = obs.RegisterCounter("server_requests_fetch_total")
-	mReqGet         = obs.RegisterCounter("server_requests_get_total")
-	mReqInsert      = obs.RegisterCounter("server_requests_insert_total")
-	mReqUpdate      = obs.RegisterCounter("server_requests_update_total")
-	mReqDelete      = obs.RegisterCounter("server_requests_delete_total")
-	mReqBegin       = obs.RegisterCounter("server_requests_begin_total")
-	mReqCommit      = obs.RegisterCounter("server_requests_commit_total")
-	mReqCommitAsync = obs.RegisterCounter("server_requests_commitasync_total")
-	mReqAbort       = obs.RegisterCounter("server_requests_abort_total")
-	mReqPing        = obs.RegisterCounter("server_requests_ping_total")
-	mReqClasses     = obs.RegisterCounter("server_requests_classes_total")
+	// mReqVerb counts requests per verb, indexed by verb; the handshake
+	// is not counted.
+	mReqVerb = [...]*obs.Counter{
+		proto.VerbQuery:         obs.RegisterCounter("server_requests_query_total"),
+		proto.VerbQuerySnapshot: obs.RegisterCounter("server_requests_snapshot_total"),
+		proto.VerbFetch:         obs.RegisterCounter("server_requests_fetch_total"),
+		proto.VerbGet:           obs.RegisterCounter("server_requests_get_total"),
+		proto.VerbInsert:        obs.RegisterCounter("server_requests_insert_total"),
+		proto.VerbUpdate:        obs.RegisterCounter("server_requests_update_total"),
+		proto.VerbDelete:        obs.RegisterCounter("server_requests_delete_total"),
+		proto.VerbBegin:         obs.RegisterCounter("server_requests_begin_total"),
+		proto.VerbCommit:        obs.RegisterCounter("server_requests_commit_total"),
+		proto.VerbCommitAsync:   obs.RegisterCounter("server_requests_commitasync_total"),
+		proto.VerbAbort:         obs.RegisterCounter("server_requests_abort_total"),
+		proto.VerbPing:          obs.RegisterCounter("server_requests_ping_total"),
+		proto.VerbClasses:       obs.RegisterCounter("server_requests_classes_total"),
+	}
 
 	// Wire traffic.
 	mBytesIn  = obs.RegisterCounter("server_bytes_in_total")

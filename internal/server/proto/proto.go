@@ -249,131 +249,12 @@ func AppendAttrs(dst []byte, attrs map[string]model.Value) []byte {
 
 // --- Read-side cursor ---------------------------------------------------
 
-// Reader is a decoding cursor over one payload. The first malformed field
-// latches the error; every later read returns zero values, so decode
-// sequences can check Err once at the end. Hostile input can therefore
-// never panic the caller — it only latches ErrMalformed.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
+// Reader is the module's decoding cursor (model.Reader). On the wire it
+// latches ErrMalformed: hostile input can never panic the caller.
+type Reader = model.Reader
 
-// NewReader returns a cursor over buf.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
-// Err returns the first decoding error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-func (r *Reader) fail() {
-	if r.err == nil {
-		r.err = ErrMalformed
-	}
-}
-
-// Byte reads one byte.
-func (r *Reader) Byte() byte {
-	if r.err != nil || r.off >= len(r.buf) {
-		r.fail()
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-// Uint32 reads a big-endian uint32.
-func (r *Reader) Uint32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-// Uvarint reads a uvarint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) ReadString() string {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// Strings reads a uvarint-counted list of strings.
-func (r *Reader) Strings() []string {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(r.Remaining())+1 {
-		r.fail()
-		return nil
-	}
-	ss := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ss = append(ss, r.ReadString())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return ss
-}
-
-// OID reads an object identifier.
-func (r *Reader) OID() model.OID { return model.OID(r.Uvarint()) }
-
-// Value reads one value in the engine's canonical encoding.
-func (r *Reader) Value() model.Value {
-	if r.err != nil {
-		return model.Null
-	}
-	v, n, err := model.DecodeValue(r.buf[r.off:])
-	if err != nil {
-		r.fail()
-		return model.Null
-	}
-	r.off += n
-	return v
-}
-
-// Attrs reads a name→value attribute map.
-func (r *Reader) Attrs() map[string]model.Value {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	attrs := make(map[string]model.Value, n)
-	for i := uint64(0); i < n; i++ {
-		name := r.ReadString()
-		v := r.Value()
-		if r.err != nil {
-			return nil
-		}
-		attrs[name] = v
-	}
-	return attrs
-}
+// NewReader returns a cursor over buf that latches ErrMalformed.
+func NewReader(buf []byte) *Reader { return model.NewReader(buf, ErrMalformed) }
 
 // --- Handshake ----------------------------------------------------------
 
@@ -487,17 +368,17 @@ func AppendResult(dst []byte, res *Result) []byte {
 
 // ReadResult decodes a query result.
 func ReadResult(r *Reader) (*Result, error) {
-	ncols := r.Uvarint()
-	if r.err != nil || ncols > uint64(r.Remaining())+1 {
-		return nil, ErrMalformed
+	ncols := r.Count()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	res := &Result{Cols: make([]string, 0, ncols)}
 	for i := uint64(0); i < ncols; i++ {
 		res.Cols = append(res.Cols, r.ReadString())
 	}
-	nrows := r.Uvarint()
-	if r.err != nil || nrows > uint64(r.Remaining())+1 {
-		return nil, ErrMalformed
+	nrows := r.Count()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	res.Rows = make([]ResultRow, 0, nrows)
 	for i := uint64(0); i < nrows; i++ {

@@ -146,22 +146,30 @@ func TestObjectRoundTrip(t *testing.T) {
 // FuzzReader feeds arbitrary bytes to every decoder a peer's bytes reach:
 // the frame reader, the handshake halves, a query result, an object, an
 // error response and a Fetch body. None may panic, and whatever decodes must
-// re-encode with the matching Append* to bytes that decode equal.
+// re-encode with the matching Append* to bytes that decode equal. The
+// corpus holds every prefix of every seed.
 func FuzzReader(f *testing.F) {
-	f.Add(AppendFrame(nil, AppendRequest(nil, VerbPing, 1)))
-	f.Add(AppendHello(nil, Hello{Version: Version, Role: "engineer", Token: "s3cret"}))
-	f.Add(AppendWelcome(nil, Welcome{Version: Version, SessionID: 42}))
-	f.Add(AppendResult(nil, &Result{
-		Cols: []string{"name", "weight"},
-		Rows: []ResultRow{
-			{OID: model.OID(1<<40 | 7), Values: []model.Value{model.String("cam"), model.Int(10)}},
-			{Values: []model.Value{model.Null, model.Set(model.Ref(model.OID(3)), model.Float(1.5))}},
-		},
-	}))
-	f.Add(AppendObject(nil, &Object{OID: model.OID(3<<40 | 9), Class: "Vehicle",
-		Attrs: map[string]model.Value{"weight": model.Int(7600), "ok": model.Bool(true)}}))
-	f.Add(AppendError(nil, 7, ErrCodeRetryable, "shed"))
-	f.Add(AppendOID(nil, model.OID(1<<40|7)))
+	seeds := [][]byte{
+		AppendFrame(nil, AppendRequest(nil, VerbPing, 1)),
+		AppendHello(nil, Hello{Version: Version, Role: "engineer", Token: "s3cret"}),
+		AppendWelcome(nil, Welcome{Version: Version, SessionID: 42}),
+		AppendResult(nil, &Result{
+			Cols: []string{"name", "weight"},
+			Rows: []ResultRow{
+				{OID: model.OID(1<<40 | 7), Values: []model.Value{model.String("cam"), model.Int(10)}},
+				{Values: []model.Value{model.Null, model.Set(model.Ref(model.OID(3)), model.Float(1.5))}},
+			},
+		}),
+		AppendObject(nil, &Object{OID: model.OID(3<<40 | 9), Class: "Vehicle",
+			Attrs: map[string]model.Value{"weight": model.Int(7600), "ok": model.Bool(true)}}),
+		AppendError(nil, 7, ErrCodeRetryable, "shed"),
+		AppendOID(nil, model.OID(1<<40|7)),
+	}
+	for _, seed := range seeds {
+		for n := 0; n <= len(seed); n++ {
+			f.Add(seed[:n]) // every truncation, and the whole image
+		}
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		// A frame may claim no more than the input holds, so a hostile
 		// length prefix never allocates past it.

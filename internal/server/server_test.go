@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"oodb"
 	"oodb/internal/authz"
 	"oodb/internal/model"
+	"oodb/internal/obs"
 	"oodb/internal/server/client"
 	"oodb/internal/server/proto"
 )
@@ -636,5 +638,72 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if len(res.Rows) != sessions*opsPer {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), sessions*opsPer)
+	}
+}
+
+// TestPerVerbRequestCounters sends each verb over the wire once and checks
+// that exactly its own server_requests_<verb>_total moved, by one.
+func TestPerVerbRequestCounters(t *testing.T) {
+	db := newTestDB(t)
+	s := startServer(t, db, Options{})
+	c := dial(t, s, client.Options{Role: "app"})
+
+	perVerb := func() map[string]uint64 {
+		m := map[string]uint64{}
+		for name, v := range obs.TakeSnapshot().Counters {
+			if strings.HasPrefix(name, "server_requests_") && name != "server_requests_shed_total" && name != "server_requests_errors_total" {
+				m[name] = v
+			}
+		}
+		return m
+	}
+	var oid model.OID
+	steps := []struct {
+		verb string
+		call func() error
+	}{
+		{"ping", c.Ping},
+		{"classes", func() error { _, err := c.Classes(); return err }},
+		{"insert", func() (err error) {
+			oid, err = c.Insert("Part", map[string]model.Value{"weight": model.Int(1)})
+			return err
+		}},
+		{"fetch", func() error { _, err := c.Fetch(oid); return err }},
+		{"get", func() error { _, err := c.Get(oid, "weight"); return err }},
+		{"update", func() error { return c.Update(oid, map[string]model.Value{"weight": model.Int(2)}) }},
+		{"query", func() error { _, err := c.Query(`SELECT weight FROM Part`); return err }},
+		{"snapshot", func() error { _, err := c.QuerySnapshot(`SELECT weight FROM Part`); return err }},
+		{"begin", c.Begin},
+		{"commit", c.Commit},
+		{"begin", c.Begin},
+		{"commitasync", c.CommitAsync},
+		{"begin", c.Begin},
+		{"abort", c.Abort},
+		{"delete", func() error { return c.Delete(oid) }},
+	}
+	seen := map[string]bool{}
+	for _, st := range steps {
+		before := perVerb()
+		if err := st.call(); err != nil {
+			t.Fatalf("%s: %v", st.verb, err)
+		}
+		after := perVerb()
+		own := "server_requests_" + st.verb + "_total"
+		if _, ok := after[own]; !ok {
+			t.Fatalf("%s: no counter %s", st.verb, own)
+		}
+		for name, v := range after {
+			want := before[name]
+			if name == own {
+				want++
+			}
+			if v != want {
+				t.Errorf("%s: %s = %d, want %d", st.verb, name, v, want)
+			}
+		}
+		seen[st.verb] = true
+	}
+	if len(seen) != 13 {
+		t.Fatalf("exercised %d verbs, want 13", len(seen))
 	}
 }

@@ -196,6 +196,18 @@ func (r *Router) call(m *member, idempotent bool, fn func(*client.Client) error)
 	}
 }
 
+// routed runs one single-object operation on the member that owns it:
+// counted, healed by call, and a failure wrapped as that member's
+// MemberError.
+func (r *Router) routed(m *member, idempotent bool, fn func(*client.Client) error) error {
+	mRoutedOps.Add(1)
+	if err := r.call(m, idempotent, fn); err != nil {
+		mRoutedErrors.Add(1)
+		return MemberError{Member: m.idx, Addr: m.addr, Err: err}
+	}
+	return nil
+}
+
 // --- Placement ----------------------------------------------------------
 
 // Refresh rebuilds the per-class placement map by asking every member
@@ -371,16 +383,12 @@ func (r *Router) Insert(class string, attrs map[string]model.Value) (model.OID, 
 		}
 		local[name] = lv
 	}
-	mRoutedOps.Add(1)
 	var oid model.OID
-	err = r.call(m, false, func(c *client.Client) error {
-		var err error
+	if err := r.routed(m, false, func(c *client.Client) (err error) {
 		oid, err = c.Insert(class, local)
 		return err
-	})
-	if err != nil {
-		mRoutedErrors.Add(1)
-		return model.NilOID, MemberError{Member: m.idx, Addr: m.addr, Err: err}
+	}); err != nil {
+		return model.NilOID, err
 	}
 	return globalOID(m.idx, oid)
 }
@@ -392,16 +400,12 @@ func (r *Router) Fetch(g model.OID) (*client.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	mRoutedOps.Add(1)
 	var obj *client.Object
-	err = r.call(m, true, func(c *client.Client) error {
-		var err error
+	if err := r.routed(m, true, func(c *client.Client) (err error) {
 		obj, err = c.Fetch(local)
 		return err
-	})
-	if err != nil {
-		mRoutedErrors.Add(1)
-		return nil, MemberError{Member: m.idx, Addr: m.addr, Err: err}
+	}); err != nil {
+		return nil, err
 	}
 	out := &client.Object{OID: g, Class: obj.Class, Attrs: make(map[string]model.Value, len(obj.Attrs))}
 	for name, v := range obj.Attrs {
@@ -420,16 +424,12 @@ func (r *Router) Get(g model.OID, attr string) (model.Value, error) {
 	if err != nil {
 		return model.Null, err
 	}
-	mRoutedOps.Add(1)
 	var v model.Value
-	err = r.call(m, true, func(c *client.Client) error {
-		var err error
+	if err := r.routed(m, true, func(c *client.Client) (err error) {
 		v, err = c.Get(local, attr)
 		return err
-	})
-	if err != nil {
-		mRoutedErrors.Add(1)
-		return model.Null, MemberError{Member: m.idx, Addr: m.addr, Err: err}
+	}); err != nil {
+		return model.Null, err
 	}
 	return toGlobal(m.idx, v)
 }
@@ -449,12 +449,7 @@ func (r *Router) Update(g model.OID, attrs map[string]model.Value) error {
 		}
 		lattrs[name] = lv
 	}
-	mRoutedOps.Add(1)
-	if err := r.call(m, true, func(c *client.Client) error { return c.Update(local, lattrs) }); err != nil {
-		mRoutedErrors.Add(1)
-		return MemberError{Member: m.idx, Addr: m.addr, Err: err}
-	}
-	return nil
+	return r.routed(m, true, func(c *client.Client) error { return c.Update(local, lattrs) })
 }
 
 // Delete removes the object on its owning member.
@@ -463,12 +458,7 @@ func (r *Router) Delete(g model.OID) error {
 	if err != nil {
 		return err
 	}
-	mRoutedOps.Add(1)
-	if err := r.call(m, false, func(c *client.Client) error { return c.Delete(local) }); err != nil {
-		mRoutedErrors.Add(1)
-		return MemberError{Member: m.idx, Addr: m.addr, Err: err}
-	}
-	return nil
+	return r.routed(m, false, func(c *client.Client) error { return c.Delete(local) })
 }
 
 // --- Scatter-gather queries --------------------------------------------

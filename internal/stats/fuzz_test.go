@@ -11,7 +11,7 @@ import (
 // error wrapping model.ErrCorrupt or yields a registry whose encoding
 // decodes to an equal registry (one that encodes to the same bytes). The
 // seeds are real encodings: collected statistics of every value kind, and
-// an empty registry.
+// an empty registry, each with every prefix of it.
 func FuzzDecodeRegistry(f *testing.F) {
 	r := NewRegistry()
 	c := NewCollector(16)
@@ -26,8 +26,12 @@ func FuzzDecodeRegistry(f *testing.F) {
 	}
 	r.Put(c.Finalize())
 	r.Put(NewCollector(17).Finalize())
-	f.Add(r.Encode())
-	f.Add(NewRegistry().Encode())
+	seeds := [][]byte{r.Encode(), NewRegistry().Encode()}
+	for _, seed := range seeds {
+		for n := 0; n <= len(seed); n++ {
+			f.Add(seed[:n]) // every truncation, and the whole image
+		}
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		r, err := DecodeRegistry(buf)
 		if err != nil {

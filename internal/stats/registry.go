@@ -105,66 +105,34 @@ func DecodeRegistry(buf []byte) (*Registry, error) {
 	if len(buf) < len(statsMagic) || string(buf[:4]) != string(statsMagic[:]) {
 		return nil, fmt.Errorf("stats: bad registry magic: %w", model.ErrCorrupt)
 	}
-	buf = buf[4:]
-	rd := reader{buf: buf}
-	nClasses := rd.uvarint()
-	for i := uint64(0); i < nClasses && rd.err == nil; i++ {
+	rd := model.NewReader(buf[4:], model.ErrCorrupt)
+	nClasses := rd.Count()
+	for i := uint64(0); i < nClasses && rd.Err() == nil; i++ {
 		cs := &ClassStats{
-			Class:       model.ClassID(rd.uvarint()),
-			Cardinality: rd.uvarint(),
-			TotalBytes:  rd.uvarint(),
+			Class:       model.ClassID(rd.Uvarint()),
+			Cardinality: rd.Uvarint(),
+			TotalBytes:  rd.Uvarint(),
 			Attrs:       make(map[model.AttrID]*AttrStats),
 		}
-		nAttrs := rd.uvarint()
-		for j := uint64(0); j < nAttrs && rd.err == nil; j++ {
+		nAttrs := rd.Count()
+		for j := uint64(0); j < nAttrs && rd.Err() == nil; j++ {
 			a := &AttrStats{
-				Attr:     model.AttrID(rd.uvarint()),
-				Count:    rd.uvarint(),
-				Distinct: rd.uvarint(),
+				Attr:     model.AttrID(rd.Uvarint()),
+				Count:    rd.Uvarint(),
+				Distinct: rd.Uvarint(),
 			}
-			a.Min = rd.value()
-			a.Max = rd.value()
-			if rd.err == nil {
+			a.Min = rd.Value()
+			a.Max = rd.Value()
+			if rd.Err() == nil {
 				cs.Attrs[a.Attr] = a
 			}
 		}
-		if rd.err == nil {
+		if rd.Err() == nil {
 			r.classes[cs.Class] = cs
 		}
 	}
-	if rd.err != nil {
-		return nil, fmt.Errorf("stats: corrupt registry blob: %w", rd.err)
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("stats: corrupt registry blob: %w", err)
 	}
 	return r, nil
-}
-
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = model.ErrCorrupt
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *reader) value() model.Value {
-	if r.err != nil {
-		return model.Null
-	}
-	v, n, err := model.DecodeValue(r.buf)
-	if err != nil {
-		r.err = err
-		return model.Null
-	}
-	r.buf = r.buf[n:]
-	return v
 }

@@ -458,20 +458,20 @@ func (s *Store) loadSegments() error {
 	if err != nil {
 		return err
 	}
-	r := reader{buf: buf}
-	n := r.uvarint()
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		class := model.ClassID(r.uvarint())
-		first := PageID(r.uvarint())
-		last := PageID(r.uvarint())
-		seq := r.uvarint()
-		if r.err == nil {
+	r := model.NewReader(buf, model.ErrCorrupt)
+	n := r.Count()
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		class := model.ClassID(r.Uvarint())
+		first := PageID(r.Uvarint())
+		last := PageID(r.Uvarint())
+		seq := r.Uvarint()
+		if r.Err() == nil {
 			s.heaps[class] = OpenHeap(s.pool, first, last)
 			s.seq[class] = seq
 		}
 	}
-	if r.err != nil {
-		return fmt.Errorf("storage: corrupt segment table: %w", r.err)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("storage: corrupt segment table: %w", err)
 	}
 	return nil
 }
@@ -571,23 +571,4 @@ func (s *Store) amputate(h *Heap, prev, bad PageID) error {
 	s.pool.Drop(bad)
 	mRecAmputated.Add(1)
 	return nil
-}
-
-// reader mirrors the latching cursor in internal/schema for local decoding.
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = model.ErrCorrupt
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
 }

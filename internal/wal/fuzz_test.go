@@ -9,9 +9,10 @@ import (
 
 // FuzzWALRecord: on any bytes decodeRecord either fails with errTorn or
 // yields a record that survives encodeRecord → decodeRecord unchanged. The
-// seeds are one encoded record of every type.
+// seeds are one encoded record of every type, each with every prefix of it.
 func FuzzWALRecord(f *testing.F) {
 	img := []byte("image-bytes")
+	var seeds [][]byte
 	for _, rec := range []Record{
 		{LSN: 1, Txn: 7, Type: RecBegin},
 		{LSN: 2, Txn: 7, Type: RecCommit, Epoch: 42},
@@ -21,7 +22,12 @@ func FuzzWALRecord(f *testing.F) {
 		{LSN: 6, Type: RecPageImage, OID: 9, After: bytes.Repeat([]byte{0xAB}, 64)},
 		{LSN: 7, Type: RecCompaction, OID: 16},
 	} {
-		f.Add(encodeRecord(rec))
+		seeds = append(seeds, encodeRecord(rec))
+	}
+	for _, seed := range seeds {
+		for n := 0; n <= len(seed); n++ {
+			f.Add(seed[:n]) // every truncation, and the whole image
+		}
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		rec, err := decodeRecord(buf)

@@ -642,53 +642,17 @@ func encodeRecord(rec Record) []byte {
 }
 
 func decodeRecord(buf []byte) (Record, error) {
-	var rec Record
-	lsn, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return rec, errTorn
+	r := model.NewReader(buf, errTorn)
+	rec := Record{LSN: r.Uvarint(), Txn: r.Uvarint(), Type: RecType(r.Byte()), OID: r.OID(),
+		Before: r.Bytes(), After: r.Bytes()}
+	if err := r.Err(); err != nil {
+		return Record{}, err
 	}
-	buf = buf[n:]
-	txn, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return rec, errTorn
-	}
-	buf = buf[n:]
-	if len(buf) == 0 {
-		return rec, errTorn
-	}
-	typ := RecType(buf[0])
-	buf = buf[1:]
-	oid, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return rec, errTorn
-	}
-	buf = buf[n:]
-	bl, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)-n) < bl {
-		return rec, errTorn
-	}
-	before := buf[n : n+int(bl)]
-	buf = buf[n+int(bl):]
-	al, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)-n) < al {
-		return rec, errTorn
-	}
-	after := buf[n : n+int(al)]
-	buf = buf[n+int(al):]
 	// Epoch rides at the tail; records written before the field existed
-	// simply end here and decode as epoch 0.
-	var epoch uint64
-	if len(buf) > 0 {
-		if e, n := binary.Uvarint(buf); n > 0 {
-			epoch = e
-		}
-	}
-	rec = Record{LSN: lsn, Txn: txn, Type: typ, OID: model.OID(oid), Epoch: epoch}
-	if bl > 0 {
-		rec.Before = append([]byte(nil), before...)
-	}
-	if al > 0 {
-		rec.After = append([]byte(nil), after...)
+	// simply end here and decode as epoch 0, and so does a tail that does
+	// not parse (its error is not checked).
+	if r.Remaining() > 0 {
+		rec.Epoch = r.Uvarint()
 	}
 	return rec, nil
 }
