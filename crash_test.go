@@ -11,6 +11,7 @@ package oodb_test
 // reproduces it.
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -68,7 +69,8 @@ type crashRun[R any] struct {
 // crashes it at up to quota points of each window phase (selectCrashPoints)
 // and verifies every recovery. A subtest is named <phase>_<at>_<op>_<style>
 // and its seed and style derive from (phase, at) alone. The test's
-// historical pins (historicalPins) then run under their own names.
+// historical pins (historicalPins) then run under their own names; a
+// selected schedule a pin replays runs only under the pin's.
 func crashCensus[R any](t *testing.T, workload func(string, *fault.Injector) (R, error),
 	window []string, quota int, styles []fault.Style, verify func(*testing.T, crashRun[R])) {
 	t.Helper()
@@ -79,10 +81,18 @@ func crashCensus[R any](t *testing.T, workload func(string, *fault.Injector) (R,
 		t.Fatalf("census run failed: %v", err)
 	}
 	verify(t, crashRun[R]{dir: dir, inj: inj, census: census, got: census})
+	pins := historicalPins(t, styles)
+	pinned := make(map[fault.Schedule]bool)
+	for _, c := range pins {
+		pinned[fault.Schedule{Seed: c.seed, Phase: c.phase, CrashAt: c.at, Style: c.style}] = true
+	}
 	ran := make(map[fault.Style]bool)
 	for _, p := range selectCrashPoints(t, inj.Census(), window, quota) {
 		sched := crashSchedule(p.Phase, p.At, styles)
 		ran[sched.Style] = true
+		if pinned[sched] {
+			continue
+		}
 		t.Run(fmt.Sprintf("%s_%04d_%s_%s", p.Phase, p.At, p.Op, sched.Style), func(t *testing.T) {
 			t.Parallel()
 			runCrash(t, sched, workload, census, verify)
@@ -91,7 +101,7 @@ func crashCensus[R any](t *testing.T, workload func(string, *fault.Injector) (R,
 	if len(ran) != len(styles) {
 		t.Fatalf("the selection runs styles %v of %v", ran, styles)
 	}
-	runPins(t, inj.Census(), historicalPins(t, styles), workload, census, verify)
+	runPins(t, inj.Census(), pins, workload, census, verify)
 }
 
 // crashPin is a crash point pinned by name: the schedule crashes at op at
@@ -134,8 +144,9 @@ func runPins[R any](t *testing.T, pts []fault.Point, pins []crashPin,
 }
 
 // historicalPins returns the pins testdata/crash_pins.txt holds for the
-// running test: crash points kept under the names they had when subtests
-// were named by global op index, each with the seed that index gave it
+// running test: crash points kept under names they had when another op
+// stood at them — a global op index, whose seed the pin keeps, or a census
+// name <phase>_<at>_<op>_<style>, whose schedule crashSchedule still gives
 // (see the file's header).
 func historicalPins(t *testing.T, styles []fault.Style) []crashPin {
 	t.Helper()
@@ -152,12 +163,11 @@ func historicalPins(t *testing.T, styles []fault.Style) []crashPin {
 		if len(f) != 6 {
 			t.Fatalf("crash_pins.txt: bad line %q", line)
 		}
-		var old int
 		at, err := strconv.Atoi(f[3])
-		if _, err2 := fmt.Sscanf(f[1], "op%d_", &old); err != nil || err2 != nil {
+		if err != nil {
 			t.Fatalf("crash_pins.txt: bad line %q", line)
 		}
-		c := crashPin{name: f[1], phase: f[2], at: at, op: fault.Op(f[4]), style: -1, seed: globalSeed(old)}
+		c := crashPin{name: f[1], phase: f[2], at: at, op: fault.Op(f[4]), style: -1}
 		for _, st := range styles {
 			if st.String() == f[5] {
 				c.style = st
@@ -165,6 +175,14 @@ func historicalPins(t *testing.T, styles []fault.Style) []crashPin {
 		}
 		if c.style < 0 {
 			t.Fatalf("crash_pins.txt: %s runs no style %q", t.Name(), f[5])
+		}
+		var old int
+		if _, err := fmt.Sscanf(f[1], "op%d_", &old); err == nil {
+			c.seed = globalSeed(old)
+		} else if sched := crashSchedule(c.phase, c.at, styles); strings.HasPrefix(f[1], fmt.Sprintf("%s_%04d_", c.phase, c.at)) && sched.Style == c.style {
+			c.seed = sched.Seed
+		} else {
+			t.Fatalf("crash_pins.txt: bad line %q", line)
 		}
 		pins = append(pins, c)
 	}
@@ -429,13 +447,42 @@ func TestCrashDifferential(t *testing.T) {
 // which op hits the crash point — but every acked commit must be durable
 // regardless of interleaving.)
 func TestCrashDuringConcurrentGroupCommit(t *testing.T) {
+	crashConcurrentCommits(t, fault.Schedule{Seed: 7, CrashAt: 600, Style: fault.StyleClean}, 4, 0)
+}
+
+// TestCrashConcurrentCommitsRecycleLog is the same crash with a small
+// CheckpointBytes and two writers: automatic checkpoints recycle the log
+// under the writers, so each crash can land while a generation overwrites
+// an older one's frames, and the crash may revert any unsynced write to the
+// stale bytes beneath it. Every sync-acknowledged commit must survive.
+func TestCrashConcurrentCommitsRecycleLog(t *testing.T) {
+	for _, seed := range []int64{3, 11, 29} {
+		for _, at := range []int{250, 700, 1500} {
+			for _, style := range []fault.Style{fault.StyleClean, fault.StyleTorn} {
+				sched := fault.Schedule{Seed: seed, CrashAt: at, Style: style}
+				t.Run(fmt.Sprintf("seed%d_at%d_%s", seed, at, style), func(t *testing.T) {
+					t.Parallel()
+					crashConcurrentCommits(t, sched, 2, 2<<10)
+				})
+			}
+		}
+	}
+}
+
+// crashConcurrentCommits runs writers committers under sched until the
+// crash fires, reopens, and checks every acknowledged commit and its index
+// entry. A ckptBytes of 0 keeps the engine's default checkpoint threshold;
+// with any other, the log must have been recycled — its file begins with a
+// generation header ("kimwalg1") — before the crash.
+func crashConcurrentCommits(t *testing.T, sched fault.Schedule, writers int, ckptBytes int64) {
+	t.Helper()
 	dir := t.TempDir()
-	sched := fault.Schedule{Seed: 7, CrashAt: 600, Style: fault.StyleClean}
 	inj := fault.NewInjector(sched)
 	db, err := core.Open(dir, core.Options{
-		PoolPages: 128,
-		WrapDisk:  fault.WrapDisk(inj, dir+"/data.kdb"),
-		WrapWAL:   fault.WrapWAL(inj),
+		PoolPages:       128,
+		CheckpointBytes: ckptBytes,
+		WrapDisk:        fault.WrapDisk(inj, dir+"/data.kdb"),
+		WrapWAL:         fault.WrapWAL(inj),
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -453,8 +500,8 @@ func TestCrashDuringConcurrentGroupCommit(t *testing.T) {
 		oid model.OID
 		n   int64
 	}
-	results := make(chan []acked, 4)
-	for w := 0; w < 4; w++ {
+	results := make(chan []acked, writers)
+	for w := 0; w < writers; w++ {
 		go func(w int) {
 			var mine []acked
 			for i := 0; ; i++ {
@@ -474,11 +521,16 @@ func TestCrashDuringConcurrentGroupCommit(t *testing.T) {
 		}(w)
 	}
 	var all []acked
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		all = append(all, <-results...)
 	}
 	if !inj.Crashed() {
 		t.Fatalf("workers stopped before the crash fired (schedule {%v})", sched)
+	}
+	if ckptBytes != 0 {
+		if data, _ := os.ReadFile(dir + "/log.wal"); !bytes.HasPrefix(data, []byte("kimwalg1")) {
+			t.Fatalf("schedule {%v}: no checkpoint recycled the log before the crash", sched)
+		}
 	}
 
 	db2, err := core.Open(dir, core.Options{})

@@ -421,14 +421,14 @@ func (l pageLogger) FlushImages() error {
 // another transaction is active) every committer arrives here; the one that
 // finds a checkpoint already running leaves it to finish and returns.
 func (db *DB) maybeCheckpoint() {
-	size, err := db.Log.Size()
-	if err != nil || size < db.opts.CheckpointBytes {
+	size := db.Log.Size()
+	if size < db.opts.CheckpointBytes {
 		return
 	}
 	if !db.ckptRun.TryLock() {
 		return
 	}
-	err = db.checkpointExclusive()
+	err := db.checkpointExclusive()
 	db.ckptRun.Unlock()
 	if err != nil {
 		mCkptErrors.Add(1)

@@ -556,7 +556,7 @@ func TestAutoCheckpointTruncatesWAL(t *testing.T) {
 			return err
 		})
 	}
-	size, _ := db.Log.Size()
+	size := db.Log.Size()
 	if size > 8192 {
 		t.Fatalf("WAL grew to %d bytes; auto-checkpoint never fired", size)
 	}

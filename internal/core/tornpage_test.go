@@ -253,7 +253,7 @@ func TestCheckpointKeepsLogWithActiveTxn(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	size, _ := db.Log.Size()
+	size := db.Log.Size()
 	if size == 0 {
 		t.Fatal("checkpoint truncated the WAL under an active transaction")
 	}
@@ -277,7 +277,7 @@ func TestCheckpointKeepsLogWithActiveTxn(t *testing.T) {
 	if err := db2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	size, _ = db2.Log.Size()
+	size = db2.Log.Size()
 	if size != 0 {
 		t.Fatalf("quiet checkpoint left %d log bytes", size)
 	}

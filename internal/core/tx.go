@@ -26,6 +26,9 @@ type Tx struct {
 	done  bool
 	undos []undo
 
+	// onCommit runs, in order, once the commit is acknowledged (OnCommit).
+	onCommit []func()
+
 	// Snapshot mode: when snap is true, reads resolve through the MVCC
 	// overlay at snapEpoch and every write path fails with ErrReadOnlyTxn.
 	snap      bool
@@ -385,6 +388,14 @@ func (tx *Tx) Commit() error {
 	return tx.commitMode(false)
 }
 
+// OnCommit queues fn to run once the transaction's commit is acknowledged:
+// after its fsync under full durability, after the log append for
+// CommitAsync or NoSync. It runs after the locks are released, on the
+// committing goroutine, and never after Abort or a failed commit — so an
+// attempt that Do retries runs nothing. Effects outside the database that a
+// transaction causes (a change notification) go through it.
+func (tx *Tx) OnCommit(fn func()) { tx.onCommit = append(tx.onCommit, fn) }
+
 // CommitAsync commits without waiting for the commit record to reach disk:
 // the write is queued for the WAL writer's next batch and the call returns
 // as soon as the record is in the log buffer. Ordering is preserved — the
@@ -400,6 +411,19 @@ func (tx *Tx) commitMode(async bool) error {
 	if tx.done {
 		return ErrTxnFinished
 	}
+	hooks := tx.onCommit
+	tx.onCommit = nil
+	if err := tx.commit(async); err != nil {
+		return err
+	}
+	for _, fn := range hooks {
+		fn()
+	}
+	return nil
+}
+
+// commit is Commit and CommitAsync for a transaction not yet finished.
+func (tx *Tx) commit(async bool) error {
 	tx.done = true
 	if tx.snap {
 		tx.endSnapshot()
@@ -474,6 +498,7 @@ func (tx *Tx) Abort() error {
 		return ErrTxnFinished
 	}
 	tx.done = true
+	tx.onCommit = nil
 	if tx.snap {
 		tx.endSnapshot()
 		return nil

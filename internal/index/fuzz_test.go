@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzDecodeDefs: on any bytes DecodeDefs either fails with an error
-// wrapping model.ErrCorrupt or returns definitions, without panicking. The
+// wrapping model.ErrCorrupt or returns definitions, without panicking, and
+// then the bytes followed by junk are ErrCorrupt. The
 // seeds are real encodings: a hierarchy index, a nested-path index, and no
 // index at all, each with every prefix of it.
 func FuzzDecodeDefs(f *testing.F) {
@@ -28,8 +29,15 @@ func FuzzDecodeDefs(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		if _, err := DecodeDefs(buf); err != nil && !errors.Is(err, model.ErrCorrupt) {
-			t.Fatalf("untyped error: %v", err)
+		_, err := DecodeDefs(buf)
+		if err != nil {
+			if !errors.Is(err, model.ErrCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if _, err := DecodeDefs(append(buf[:len(buf):len(buf)], 0xde, 0xad)); !errors.Is(err, model.ErrCorrupt) {
+			t.Fatalf("definitions followed by junk decode (%v)", err)
 		}
 	})
 }

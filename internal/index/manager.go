@@ -461,6 +461,7 @@ func DecodeDefs(buf []byte) ([]Def, error) {
 		}
 		defs = append(defs, d)
 	}
+	r.End()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

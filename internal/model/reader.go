@@ -28,6 +28,14 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// End latches the cursor's error if bytes remain: an image ends where its
+// last field ends, so bytes after it are damage, not padding.
+func (r *Reader) End() {
+	if r.Remaining() != 0 {
+		r.fail()
+	}
+}
+
 func (r *Reader) fail() {
 	if r.err == nil {
 		r.err = r.bad

@@ -79,3 +79,17 @@ func TestReaderCountBoundedByInput(t *testing.T) {
 		}
 	}
 }
+
+func TestReaderEndRefusesTrailingBytes(t *testing.T) {
+	img := binary.AppendUvarint(nil, 7)
+	r := NewReader(img, errTest)
+	r.Uvarint()
+	if r.End(); r.Err() != nil {
+		t.Fatalf("End at the end of the image: %v", r.Err())
+	}
+	r = NewReader(append(img, 0), errTest)
+	r.Uvarint()
+	if r.End(); !errors.Is(r.Err(), errTest) {
+		t.Fatalf("End with a byte left: %v, want the latched error", r.Err())
+	}
+}

@@ -107,6 +107,7 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 			decoded = append(decoded, cl)
 		}
 	}
+	r.End()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("schema: corrupt catalog image: %w", err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // FuzzDecodeCatalog: on any bytes DecodeCatalog either fails with an error
 // wrapping model.ErrCorrupt or yields a catalog whose encoding decodes to
-// an equal catalog. The seeds are real encodings: the Figure 1 schema with
+// an equal catalog, and the bytes followed by junk are ErrCorrupt. The seeds are real encodings: the Figure 1 schema with
 // a method and a default, a superclass edge to a newer class, and an empty
 // catalog, each with every prefix of it.
 func FuzzDecodeCatalog(f *testing.F) {
@@ -49,6 +49,9 @@ func FuzzDecodeCatalog(f *testing.F) {
 		}
 		if got, want := dumpCatalog(again), dumpCatalog(c); got != want {
 			t.Fatalf("round trip changed the catalog:\n got %s\nwant %s", got, want)
+		}
+		if _, err := DecodeCatalog(append(buf[:len(buf):len(buf)], 0xde, 0xad)); !errors.Is(err, model.ErrCorrupt) {
+			t.Fatalf("a catalog followed by junk decodes (%v)", err)
 		}
 	})
 }

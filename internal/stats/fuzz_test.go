@@ -9,7 +9,8 @@ import (
 
 // FuzzDecodeRegistry: on any bytes DecodeRegistry either fails with an
 // error wrapping model.ErrCorrupt or yields a registry whose encoding
-// decodes to an equal registry (one that encodes to the same bytes). The
+// decodes to an equal registry (one that encodes to the same bytes), and
+// the bytes followed by junk are ErrCorrupt. The
 // seeds are real encodings: collected statistics of every value kind, and
 // an empty registry, each with every prefix of it.
 func FuzzDecodeRegistry(f *testing.F) {
@@ -47,6 +48,9 @@ func FuzzDecodeRegistry(f *testing.F) {
 		}
 		if string(again.Encode()) != string(enc) {
 			t.Fatalf("round trip changed the registry:\n got %x\nwant %x", again.Encode(), enc)
+		}
+		if _, err := DecodeRegistry(append(buf[:len(buf):len(buf)], 0xde, 0xad)); !errors.Is(err, model.ErrCorrupt) {
+			t.Fatalf("a registry followed by junk decodes (%v)", err)
 		}
 	})
 }

@@ -131,6 +131,7 @@ func DecodeRegistry(buf []byte) (*Registry, error) {
 			r.classes[cs.Class] = cs
 		}
 	}
+	rd.End()
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("stats: corrupt registry blob: %w", err)
 	}

@@ -458,6 +458,15 @@ func (s *Store) loadSegments() error {
 	if err != nil {
 		return err
 	}
+	return decodeSegTable(buf, func(class model.ClassID, first, last PageID, seq uint64) {
+		s.heaps[class] = OpenHeap(s.pool, first, last)
+		s.seq[class] = seq
+	})
+}
+
+// decodeSegTable calls row for each row of an encodeSegTable image. Every
+// error wraps model.ErrCorrupt.
+func decodeSegTable(buf []byte, row func(class model.ClassID, first, last PageID, seq uint64)) error {
 	r := model.NewReader(buf, model.ErrCorrupt)
 	n := r.Count()
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
@@ -466,10 +475,10 @@ func (s *Store) loadSegments() error {
 		last := PageID(r.Uvarint())
 		seq := r.Uvarint()
 		if r.Err() == nil {
-			s.heaps[class] = OpenHeap(s.pool, first, last)
-			s.seq[class] = seq
+			row(class, first, last, seq)
 		}
 	}
+	r.End()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("storage: corrupt segment table: %w", err)
 	}

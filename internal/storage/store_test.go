@@ -662,3 +662,40 @@ func TestReadPageBeyondEnd(t *testing.T) {
 		t.Fatal("out-of-range free accepted")
 	}
 }
+
+// FuzzSegTable: on any bytes the segment table's decoder either fails with
+// an error wrapping model.ErrCorrupt or reads its rows, and then the bytes
+// followed by junk are ErrCorrupt. The seeds are the tables of a store
+// with no segment and with three, each with every prefix of it.
+func FuzzSegTable(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.kdb")
+	s, err := Open(path, Options{PoolPages: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{s.EncodeSegTable()}
+	for _, c := range []model.ClassID{16, 17, 300} {
+		if err := s.CreateSegment(c); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seeds = append(seeds, s.EncodeSegTable())
+	s.Close()
+	for _, seed := range seeds {
+		for n := 0; n <= len(seed); n++ {
+			f.Add(seed[:n]) // every truncation, and the whole image
+		}
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		none := func(model.ClassID, PageID, PageID, uint64) {}
+		if err := decodeSegTable(buf, none); err != nil {
+			if !errors.Is(err, model.ErrCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if err := decodeSegTable(append(buf[:len(buf):len(buf)], 0xde, 0xad), none); !errors.Is(err, model.ErrCorrupt) {
+			t.Fatalf("a segment table followed by junk decodes (%v)", err)
+		}
+	})
+}

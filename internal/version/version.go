@@ -336,7 +336,8 @@ func (m *Manager) promote(tx *core.Tx, oid model.OID, v info) (State, error) {
 		return v.state, err
 	}
 	if !v.generic.IsNil() {
-		m.notify(Notification{Generic: v.generic, Version: oid, Event: "promote", NewState: next})
+		n := Notification{Generic: v.generic, Version: oid, Event: "promote", NewState: next}
+		tx.OnCommit(func() { m.notify(n) })
 	}
 	return next, nil
 }
@@ -391,7 +392,8 @@ func (m *Manager) Derive(tx *core.Tx, parent model.OID) (model.OID, error) {
 	}); err != nil {
 		return model.NilOID, err
 	}
-	m.notify(Notification{Generic: p.generic, Version: oid, Event: "derive"})
+	note := Notification{Generic: p.generic, Version: oid, Event: "derive"}
+	tx.OnCommit(func() { m.notify(note) })
 	return oid, nil
 }
 

@@ -271,6 +271,45 @@ func TestChangeNotification(t *testing.T) {
 	}
 }
 
+// TestAbortedDeriveNotifiesNothing: a notification leaves only with the
+// commit of the transaction that caused it. A Derive that is rolled back —
+// by Abort, or by an error returned to Do — marks no dependent stale and
+// reaches no callback, though it promoted its parent before the rollback.
+func TestAbortedDeriveNotifiesNothing(t *testing.T) {
+	w := newWorld(t)
+	g, v1 := w.create(t)
+	user := model.MakeOID(999, 1)
+	w.vm.RegisterDependent(g, user)
+	var events []Notification
+	w.vm.OnChange(func(n Notification) { events = append(events, n) })
+
+	tx := w.db.Begin()
+	if _, err := w.vm.Derive(tx, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	errRollback := errors.New("roll back")
+	if err := w.db.Do(func(tx *core.Tx) error {
+		if _, err := w.vm.Derive(tx, v1); err != nil {
+			return err
+		}
+		return errRollback
+	}); !errors.Is(err, errRollback) {
+		t.Fatalf("Do = %v", err)
+	}
+	if vs, _ := w.vm.Versions(g); len(vs) != 1 {
+		t.Fatalf("versions after the rollbacks = %v, want v1 alone", vs)
+	}
+	if stale := w.vm.StaleDependents(); len(stale) != 0 {
+		t.Fatalf("rolled-back derives marked %v stale", stale)
+	}
+	if len(events) != 0 {
+		t.Fatalf("rolled-back derives notified %+v", events)
+	}
+}
+
 func TestReattachDetectsEnabledClasses(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := core.Open(dir, core.Options{})

@@ -6,11 +6,18 @@
 //   - DML (object put/delete) is logged with before- and after-images and
 //     is idempotent to replay against the store;
 //   - a checkpoint flushes every dirty page plus the catalog and segment
-//     table, then truncates the log, so replay always starts from an empty
-//     or post-checkpoint log;
+//     table, then starts a new generation of the log (Reset), so replay
+//     always starts from an empty or post-checkpoint log;
 //   - the log tail may be torn by a crash: frames carry checksums, and the
 //     first bad frame ends recovery (everything after it was never
 //     acknowledged as committed, because commit syncs);
+//   - the file is recycled: a generation header at offset 0 names the LSN
+//     of the generation's first frame, and the frames overwrite the blocks
+//     of the generations before it, so a commit's fsync changes no file
+//     size. A frame ends the log unless its LSN is exactly one past its
+//     predecessor's (the first one's, the header's), so the older frames
+//     behind the tail — checksum-valid, but with smaller LSNs — are never
+//     replayed;
 //   - in-place page writes are preceded by a full-page-image record
 //     (RecPageImage) made durable before the page write itself
 //     (WAL-before-data), so a write torn by a crash can be physically
@@ -144,6 +151,14 @@ type WAL struct {
 	w       *bufio.Writer
 	nextLSN uint64
 
+	// The file's layout, under mu: the current generation's frames start
+	// at base (0 in a log no Reset has given a header yet) and fileLen is
+	// the file's length when the generation began. size counts the
+	// generation's frame bytes, buffered ones included.
+	base    int64
+	fileLen int64
+	size    atomic.Int64
+
 	// durable is the watermark: the highest LSN known fsynced. Monotonic.
 	durable atomic.Uint64
 
@@ -205,17 +220,20 @@ func OpenWith(path string, wrap func(File) File) (*WAL, []Record, error) {
 	if wrap != nil {
 		f = wrap(f)
 	}
-	recs, validLen, err := scan(f)
+	recs, base, end, first, err := scan(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	// Drop any torn tail so new appends start at a clean boundary.
-	if err := f.Truncate(validLen); err != nil {
+	// Cut the file after the last frame recovered. What follows it may
+	// hold frames of this generation that outlived a torn one before them;
+	// the next frames would overwrite it, and one of the same length could
+	// line such a survivor up as their successor.
+	if err := f.Truncate(end); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -224,11 +242,17 @@ func OpenWith(path string, wrap func(File) File) (*WAL, []Record, error) {
 		file:       f,
 		w:          bufio.NewWriterSize(f, 1<<16),
 		nextLSN:    1,
+		base:       base,
+		fileLen:    end,
 		kick:       make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 		writerRip:  make(chan struct{}),
 		emaLoop:    1,
 		emaFsyncNs: float64(500 * time.Microsecond),
+	}
+	w.size.Store(end - base)
+	if base > 0 {
+		w.nextLSN = first
 	}
 	if n := len(recs); n > 0 {
 		w.nextLSN = recs[n-1].LSN + 1
@@ -312,6 +336,7 @@ func (w *WAL) Append(rec Record) (uint64, error) {
 		w.latch(err)
 		return 0, err
 	}
+	w.size.Add(int64(len(frame)) + 8)
 	mAppendBytes.Add(uint64(len(frame)) + 8)
 	mAppendRecs.Add(1)
 	return rec.LSN, nil
@@ -577,27 +602,39 @@ func (w *WAL) flushOnce() {
 	}
 }
 
-// Reset truncates the log after a checkpoint. All buffered and stored
-// records are discarded; the LSN sequence continues (LSNs never repeat
-// within a process lifetime). The watermark jumps to the current tail:
-// every discarded record's durability is now carried by the checkpointed
-// pages, so parked or lazy requests for them are trivially satisfied.
+// Reset starts a new generation of the log after a checkpoint: it writes a
+// header naming the next LSN as the generation's first and fsyncs it, and
+// the generation's frames then overwrite the blocks the file already owns.
+// All buffered and stored records are discarded; the LSN sequence
+// continues, so the old frames behind the new tail never continue it. The
+// file is cut back to the generation that ends only when it is more than
+// twice as long and over minShrink, which bounds it without a knob. The watermark
+// jumps to the current tail: every discarded record's durability is now
+// carried by the checkpointed pages, so parked or lazy requests for them
+// are trivially satisfied.
 func (w *WAL) Reset() error {
 	if err := w.Err(); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	ended := max(w.base+w.size.Load()-int64(w.w.Buffered()), headerSize)
+	w.fileLen = max(w.fileLen, ended)
 	w.w.Reset(io.Discard) // drop buffered frames
-	if err := w.file.Truncate(0); err != nil {
+	if err := w.writeHeader(); err != nil {
 		w.latch(err)
 		return err
 	}
-	if _, err := w.file.Seek(0, io.SeekStart); err != nil {
-		w.latch(err)
-		return err
+	if w.fileLen > max(2*ended, minShrink) {
+		if err := w.file.Truncate(ended); err != nil {
+			w.latch(err)
+			return err
+		}
+		w.fileLen = ended
 	}
 	w.w.Reset(w.file)
+	w.base = headerSize
+	w.size.Store(0)
 	if err := w.file.Sync(); err != nil {
 		w.latch(err)
 		return err
@@ -615,15 +652,40 @@ func (w *WAL) Reset() error {
 	return nil
 }
 
-// Size returns the current log length in bytes (buffered bytes included).
-func (w *WAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st, err := w.file.Stat()
-	if err != nil {
-		return 0, err
+// Size returns the bytes of the current generation's frames, buffered ones
+// included: 0 right after Reset.
+func (w *WAL) Size() int64 { return w.size.Load() }
+
+// The generation header: headerMagic, the generation's first LSN (big
+// endian) and the CRC of both. The magic's first byte is above any frame's
+// first (a frame opens with its length, at most 1<<28), so a headerless log
+// never reads as one with a header.
+const headerSize = 20
+
+// minShrink is the length below which Reset never cuts the file back:
+// cutting a small log saves no space worth a size change at the next fsync.
+const minShrink = 1 << 20
+
+var headerMagic = [8]byte{'k', 'i', 'm', 'w', 'a', 'l', 'g', '1'}
+
+// appendHeader appends the header of a generation whose first LSN is first.
+func appendHeader(buf []byte, first uint64) []byte {
+	buf = append(buf, headerMagic[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, first)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[len(buf)-16:], crcTable))
+}
+
+// writeHeader writes the header of a generation starting at nextLSN and
+// positions the file after it. Caller holds mu.
+func (w *WAL) writeHeader() error {
+	if _, err := w.file.Seek(0, io.SeekStart); err != nil {
+		return err
 	}
-	return st.Size() + int64(w.w.Buffered()), nil
+	if _, err := w.file.Write(appendHeader(make([]byte, 0, headerSize), w.nextLSN)); err != nil {
+		return err
+	}
+	_, err := w.file.Seek(headerSize, io.SeekStart)
+	return err
 }
 
 // encodeRecord serializes a record body (without the frame header).
@@ -645,14 +707,15 @@ func decodeRecord(buf []byte) (Record, error) {
 	r := model.NewReader(buf, errTorn)
 	rec := Record{LSN: r.Uvarint(), Txn: r.Uvarint(), Type: RecType(r.Byte()), OID: r.OID(),
 		Before: r.Bytes(), After: r.Bytes()}
-	if err := r.Err(); err != nil {
-		return Record{}, err
-	}
 	// Epoch rides at the tail; records written before the field existed
-	// simply end here and decode as epoch 0, and so does a tail that does
-	// not parse (its error is not checked).
+	// simply end here and decode as epoch 0. A record that does not end
+	// where its last field does is torn.
 	if r.Remaining() > 0 {
 		rec.Epoch = r.Uvarint()
+	}
+	r.End()
+	if err := r.Err(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }
@@ -673,24 +736,45 @@ func PageImages(recs []Record) map[uint64][]byte {
 	return m
 }
 
-// scan reads records from the start of the file until EOF or the first
-// torn frame, returning the records and the byte length of the valid
-// prefix.
-func scan(f File) ([]Record, int64, error) {
+// scan reads the log: the generation header, if the file starts with one,
+// then frames until EOF, a torn frame, or a frame whose LSN is not one past
+// its predecessor's (the first one's must be the header's). It returns the
+// records, the offset the frames start at, the end of the last one
+// accepted, and the header's first LSN (0 without a header). A torn
+// header — the magic, but not its CRC — yields no records and a log to be
+// cut to nothing: only Reset writes one, and Reset runs after a completed
+// checkpoint.
+func scan(f File) (recs []Record, base, end int64, first uint64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, 0, err
+	}
+	var hdr [headerSize]byte
+	n, _ := io.ReadFull(f, hdr[:])
+	if n >= len(headerMagic) && [8]byte(hdr[:8]) == headerMagic {
+		if n < headerSize || crc32.Checksum(hdr[:16], crcTable) != binary.BigEndian.Uint32(hdr[16:]) {
+			return nil, 0, 0, 0, nil
+		}
+		base, first = headerSize, binary.BigEndian.Uint64(hdr[8:])
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	if _, err := f.Seek(base, io.SeekStart); err != nil {
+		return nil, 0, 0, 0, err
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
-	var recs []Record
-	var valid int64
+	next, valid := first, base
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		var fh [8]byte
+		if _, err := io.ReadFull(r, fh[:]); err != nil {
 			break // EOF or short header: end of valid prefix
 		}
-		size := binary.BigEndian.Uint32(hdr[0:])
-		sum := binary.BigEndian.Uint32(hdr[4:])
-		if size == 0 || size > 1<<28 {
+		size := binary.BigEndian.Uint32(fh[0:])
+		sum := binary.BigEndian.Uint32(fh[4:])
+		// A length past the end of the file is torn: refuse it before
+		// allocating for it.
+		if size == 0 || size > 1<<28 || int64(size) > st.Size()-valid-8 {
 			break
 		}
 		frame := make([]byte, size)
@@ -701,13 +785,14 @@ func scan(f File) ([]Record, int64, error) {
 			break
 		}
 		rec, err := decodeRecord(frame)
-		if err != nil {
+		if err != nil || ((base > 0 || len(recs) > 0) && rec.LSN != next) {
 			break
 		}
 		recs = append(recs, rec)
+		next = rec.LSN + 1
 		valid += int64(8 + size)
 	}
-	return recs, valid, nil
+	return recs, base, valid, first, nil
 }
 
 // Analysis partitions recovered records into finished transactions

@@ -139,7 +139,7 @@ func TestReset(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	size, _ := w.Size()
+	size := w.Size()
 	if size != 0 {
 		t.Fatalf("size after reset = %d", size)
 	}
@@ -296,13 +296,27 @@ func TestSyncSequential(t *testing.T) {
 
 // benchCommitSync times b.N durable commits from closed-loop committers, each
 // spinning for think between two of its commits, and reports how many commits
-// shared an fsync.
-func benchCommitSync(b *testing.B, committers int, think time.Duration) {
+// shared an fsync. A recycled run first fills a generation twice as long as
+// the commits will take and Resets, so every timed fsync covers blocks the
+// file already owns; otherwise each one appends to a fresh log.
+func benchCommitSync(b *testing.B, committers int, think time.Duration, recycled bool) {
 	w, _, err := Open(filepath.Join(b.TempDir(), "bench.wal"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer w.Close()
+	if recycled {
+		for i := 0; i < 2*b.N+64; i++ {
+			w.Append(Record{Txn: uint64(i%committers + 1), Type: RecCommit})
+		}
+		if err := w.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Reset(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	syncs0 := w.Syncs.Load()
 	var left atomic.Int64
 	left.Store(int64(b.N))
 	var wg sync.WaitGroup
@@ -327,13 +341,21 @@ func benchCommitSync(b *testing.B, committers int, think time.Duration) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	b.ReportMetric(float64(b.N)/float64(w.Syncs.Load()), "commits/fsync")
+	b.ReportMetric(float64(b.N)/float64(w.Syncs.Load()-syncs0), "commits/fsync")
 }
 
-func BenchmarkCommitSyncSolo(b *testing.B) { benchCommitSync(b, 1, 0) }
+func BenchmarkCommitSyncSolo(b *testing.B) { benchCommitSync(b, 1, 0, false) }
 
 // The shape of perfbench's embed.commit: two committers, each building its
 // next transaction (~50 µs) before it commits again.
-func BenchmarkCommitSync2(b *testing.B) { benchCommitSync(b, 2, 50*time.Microsecond) }
+func BenchmarkCommitSync2(b *testing.B) { benchCommitSync(b, 2, 50*time.Microsecond, false) }
 
-func BenchmarkCommitSync8(b *testing.B) { benchCommitSync(b, 8, 0) }
+func BenchmarkCommitSync8(b *testing.B) { benchCommitSync(b, 8, 0, false) }
+
+// The same commits over a recycled generation: beside the appending runs
+// above, the difference is what a size change costs an fsync.
+func BenchmarkCommitSyncSoloRecycled(b *testing.B) { benchCommitSync(b, 1, 0, true) }
+
+func BenchmarkCommitSync2Recycled(b *testing.B) {
+	benchCommitSync(b, 2, 50*time.Microsecond, true)
+}
