@@ -92,9 +92,14 @@ chain-lint:
 # Uvarint, so every binary image decodes through model.Reader. Go/parser
 # walks of the module (TestOnlyTheEngineDecodes,
 # TestPinnedReadsStayInTheEngine, TestOneDecodingCursor in
-# internal/core/decodelint_test.go).
+# internal/core/decodelint_test.go). And it keeps one index walker: no
+# non-test file of internal/query but walk.go calls core.Tx's
+# SnapshotOverlayOIDs or index.Index's Scan, Summarize, Edge or Unkeyed,
+# matched on the receiver's type (TestOneIndexWalk in
+# internal/query/walklint_test.go, which type-checks the package).
 decode-lint:
 	$(GO) test -count=1 -run '^(TestOnlyTheEngineDecodes|TestPinnedReadsStayInTheEngine|TestOneDecodingCursor)$$' ./internal/core/
+	$(GO) test -count=1 -run '^TestOneIndexWalk$$' ./internal/query/
 
 # The crash-recovery matrices under the race detector, at pre-merge breadth:
 # every schedule crashes the engine at a distinct I/O op, named by its

@@ -152,7 +152,8 @@ func (m *Manager) compositeAttrs(class model.ClassID) []decl {
 // Attach links child as a component of parent through the named composite
 // attribute, enforcing exclusivity (an exclusive component may have only
 // one parent) and acyclicity of the part-of graph. An exclusive attach
-// looks for an owner holding X on child (DESIGN §6 "Feature layers").
+// looks for an owner holding X on child, and the cycle check holds S on
+// what it walks (DESIGN §6 "Feature layers").
 func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child model.OID) error {
 	d, a, err := m.findDecl(parent.Class(), attrName)
 	if err != nil {
@@ -171,8 +172,8 @@ func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child m
 		}
 	}
 	// Cycle check: parent must not be reachable from child via composite
-	// links (child itself included).
-	reach, err := m.walk(child, tx.Read)
+	// links (child itself included), each read under an S lock (Tx.Fetch).
+	reach, err := m.walk(child, tx.Fetch)
 	if err != nil {
 		return err
 	}

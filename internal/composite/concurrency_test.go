@@ -10,6 +10,8 @@ import (
 
 	"oodb/internal/core"
 	"oodb/internal/model"
+	"oodb/internal/schema"
+	"oodb/internal/txn"
 )
 
 // An exclusive Attach holds X on the child before it looks for an owner,
@@ -130,6 +132,58 @@ func TestCycleWithinOneTransactionRejected(t *testing.T) {
 	})
 	if !errors.Is(err, ErrCycle) {
 		t.Fatalf("a→b then b→a in one transaction: %v, want ErrCycle", err)
+	}
+}
+
+// Two transactions link a and b under each other through a shared
+// composite attribute, crossing: T1 attaches b under a and stays open, then
+// T2 attaches a under b in a second goroutine, then both commit. Attach's
+// cycle walk takes S on each object it visits, so T2's walk of a waits for
+// T1's X on a and then sees a→b; or the lock manager picks a deadlock
+// victim. Either way one attach fails and no cycle is left.
+func TestCrossingSharedAttachesLeaveNoCycle(t *testing.T) {
+	w := newCADWorld(t)
+	if _, err := w.db.AddAttribute(w.assembly.ID, schema.AttrSpec{Name: "uses", Domain: w.assembly.ID, SetValued: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cm.DeclareComposite(w.assembly.ID, "uses", false); err != nil {
+		t.Fatal(err)
+	}
+	a, b := w.newAssembly(t, "a"), w.newAssembly(t, "b")
+	tx1 := w.db.Begin()
+	if err := w.cm.Attach(tx1, a, "uses", b); err != nil {
+		t.Fatal(err)
+	}
+	attached, committed := make(chan struct{}), make(chan error, 1)
+	go func() {
+		tx2 := w.db.Begin()
+		err := w.cm.Attach(tx2, b, "uses", a)
+		close(attached)
+		if err != nil {
+			tx2.Abort()
+			committed <- err
+			return
+		}
+		committed <- tx2.Commit()
+	}()
+	select {
+	case <-attached:
+	case <-time.After(100 * time.Millisecond): // T2 waits behind T1
+	}
+	err1 := tx1.Commit()
+	err2 := <-committed
+	for _, err := range []error{err1, err2} {
+		if err != nil && !errors.Is(err, ErrCycle) && !errors.Is(err, txn.ErrDeadlock) {
+			t.Fatalf("crossing attach failed with %v, want ErrCycle or a deadlock abort", err)
+		}
+	}
+	if err1 == nil && err2 == nil {
+		t.Error("both crossing attaches committed")
+	}
+	fromA, errA := w.cm.Components(a)
+	fromB, errB := w.cm.Components(b)
+	if errA != nil || errB != nil || slices.Contains(fromA, b) && slices.Contains(fromB, a) {
+		t.Fatalf("part-of cycle left: components of a %v (%v), of b %v (%v)", fromA, errA, fromB, errB)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestClassHierarchyIndexCoversSubclasses(t *testing.T) {
 		t.Fatalf("Lookup(8000) = %v", got)
 	}
 	// ONLY-scoped lookup: filter to the Automobile class.
-	got = idx.Lookup(model.Int(8000), map[model.ClassID]bool{w.auto.ID: true})
+	got = idx.Lookup(model.Int(8000), []model.ClassID{w.auto.ID})
 	if len(got) != 1 || got[0].Class() != w.auto.ID {
 		t.Fatalf("ONLY lookup = %v", got)
 	}

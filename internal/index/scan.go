@@ -1,6 +1,8 @@
 package index
 
 import (
+	"slices"
+
 	"oodb/internal/model"
 )
 
@@ -89,10 +91,10 @@ const scanBatch = 64
 
 // Scan is the one read path of an index's postings: it calls fn with every
 // OID indexed under a key in iv, and that key, restricted to the given
-// classes (nil = no filter), in (key, OID) order, until fn returns false.
-// For a CH index a query scoped `ONLY C` passes just {C}; a
-// hierarchy-scoped query passes the descendant set or nil. fn may keep the
-// key: key bytes are never rewritten.
+// classes (nil = all), in (key, OID) order, until fn returns false. For a
+// CH index a query scoped `ONLY C` passes just [C]; a hierarchy-scoped
+// query passes the descendant set or nil. fn may keep the key: key bytes
+// are never rewritten.
 //
 // Maintenance mutates the tree under the manager's write lock, so Scan
 // copies a bounded batch of postings under the read lock, releases it, and
@@ -100,7 +102,7 @@ const scanBatch = 64
 // objects under the write lock. The next batch resumes strictly after the
 // last key copied by descending from the root again, so a leaf split or a
 // lazy delete between batches can neither skip nor repeat a key.
-func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(key []byte, oid model.OID) bool) {
+func (idx *Index) Scan(iv Interval, classes []model.ClassID, fn func(key []byte, oid model.OID) bool) {
 	if iv.Empty() {
 		return
 	}
@@ -121,7 +123,7 @@ func (idx *Index) Scan(iv Interval, classes map[model.ClassID]bool, fn func(key 
 			}
 			visited += len(posts)
 			for _, oid := range posts {
-				if classes == nil || classes[oid.Class()] {
+				if classes == nil || slices.Contains(classes, oid.Class()) {
 					batch = append(batch, posting{key, oid})
 				}
 			}
@@ -181,8 +183,8 @@ func (idx *Index) Unkeyed(classes []model.ClassID) int {
 	return n
 }
 
-// Lookup returns the OIDs indexed under exactly v, filtered by class.
-func (idx *Index) Lookup(v model.Value, classes map[model.ClassID]bool) []model.OID {
+// Lookup returns the OIDs of the given classes (nil = all) under exactly v.
+func (idx *Index) Lookup(v model.Value, classes []model.ClassID) []model.OID {
 	var out []model.OID
 	idx.Scan(Point(v), classes, func(_ []byte, oid model.OID) bool {
 		out = append(out, oid)

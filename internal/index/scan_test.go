@@ -9,7 +9,7 @@ import (
 )
 
 // scanAll drains Scan into a slice.
-func scanAll(idx *Index, iv Interval, classes map[model.ClassID]bool) []model.OID {
+func scanAll(idx *Index, iv Interval, classes []model.ClassID) []model.OID {
 	var out []model.OID
 	idx.Scan(iv, classes, func(_ []byte, oid model.OID) bool {
 		out = append(out, oid)
@@ -92,7 +92,7 @@ func TestScanOrderFilterStop(t *testing.T) {
 	if len(got) != 3*140 || weightOf(got[0]) != 11 || weightOf(got[len(got)-1]) != 150 {
 		t.Fatalf("(10,150]: %d OIDs from %d to %d", len(got), weightOf(got[0]), weightOf(got[len(got)-1]))
 	}
-	only := map[model.ClassID]bool{w.auto.ID: true}
+	only := []model.ClassID{w.auto.ID}
 	got = scanAll(idx, Interval{}, only)
 	if len(got) != 200 {
 		t.Fatalf("ONLY Automobile over everything: %d OIDs", len(got))
@@ -141,7 +141,7 @@ func TestScanSurvivesMaintenanceBetweenBatches(t *testing.T) {
 	splits := mLeafSplits.Value()
 	var seen []int64
 	churn := uint64(0)
-	idx.Scan(Interval{}, map[model.ClassID]bool{w.vehicle.ID: true}, func(_ []byte, oid model.OID) bool {
+	idx.Scan(Interval{}, []model.ClassID{w.vehicle.ID}, func(_ []byte, oid model.OID) bool {
 		at := int64(oid.Seq()-1) * 2
 		seen = append(seen, at)
 		// Around the cursor: insert odd keys just behind and well ahead of
@@ -212,7 +212,7 @@ func TestScanConcurrentWithMaintenance(t *testing.T) {
 		}
 	}()
 	var readers sync.WaitGroup
-	only := map[model.ClassID]bool{w.truck.ID: true}
+	only := []model.ClassID{w.truck.ID}
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func(r int) {

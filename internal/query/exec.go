@@ -338,45 +338,20 @@ func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, f
 	return part
 }
 
-// probeRows collects the matching rows of an index plan. Each index's
-// postings are walked and filtered incrementally — the walk stops as soon
-// as LIMIT rows matched when no ORDER BY needs all of them, instead of
-// materializing every candidate OID and truncating afterwards (the same
-// early exit the heap-scan path has).
-//
-// ordered asks for the order-from-index walk (Plan.ordered): one index,
-// walked in key order, already yields `ORDER BY path` order, so LIMIT ends
-// the walk too and the caller skips the sort. That holds only while the
-// index describes the transaction's view and key order is Compare order.
-// When either fails — a matched row's key is inexact (model.KeyExact), or a
-// snapshot's overlay is non-empty before or after the walk — probeRows
-// downgrades in place: it reports false and collects every match for the
-// sort instead.
-//
-// Snapshot transactions probe the same live index but resolve every
-// candidate through the pinned epoch, then sweep the version-chain
-// overlay for the scope classes: a commit after the snapshot began may
-// have moved an object to a new key (its old posting is gone) or deleted
-// it outright, and any such object by construction has a chain — recorded
-// before the index moves, which is why the overlay is read after the walk.
-// The full WHERE re-evaluation in collect keeps stale postings out on both
-// paths.
+// probeRows collects the matching rows of an index plan: collect filters
+// each posting the walk reads as it comes, so LIMIT stops the walk when no
+// ORDER BY needs every match. ordered asks for the order-from-index walk
+// (Plan.ordered), which also ends at LIMIT and lets the caller skip the
+// sort. Where that order cannot be trusted (DESIGN §4 "The index walk": a
+// matched row's key is inexact, or a snapshot's overlay is non-empty before
+// or after the walk), probeRows downgrades in place: it reports false and
+// collects every match for the sort instead. A snapshot resolves each
+// candidate at its epoch, then sweeps the scope's overlay, where an object
+// re-keyed or deleted since the snapshot began is found; collect's full
+// WHERE re-evaluation keeps stale postings out.
 func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, ordered bool) ([]Row, bool, error) {
-	scopeSet := make(map[model.ClassID]bool, len(p.Scope))
-	for _, c := range p.Scope {
-		scopeSet[c] = true
-	}
-	// overlays reads the snapshot overlay of every scope class (all nil for
-	// a locked transaction, whose S locks freeze the scope's postings).
-	overlays := func() ([][]model.OID, bool) {
-		out, moved := make([][]model.OID, len(p.Scope)), false
-		for i, class := range p.Scope {
-			out[i] = tx.SnapshotOverlayOIDs(class)
-			moved = moved || len(out[i]) > 0
-		}
-		return out, moved
-	}
-	if ordered && overlayMoved(tx, p.Scope) {
+	w := &walk{tx: tx, p: p, span: span, rows: true}
+	if ordered && w.overlay() != nil {
 		// The index has already moved under this snapshot: where overlay
 		// rows sort is unknown, so do not start an ordered walk at all.
 		ordered = false
@@ -388,23 +363,26 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, orde
 
 	// collect filters one candidate OID into rows and reports whether the
 	// walk goes on (limit not yet satisfied, no evaluation error).
-	var examined, matched uint64
 	var cerr error
 	collect := func(oid model.OID) bool {
 		if seen[oid] {
 			return true
 		}
 		seen[oid] = true
-		examined++
+		w.examined++
 		obj, err := tx.Read(oid)
 		if err != nil {
 			return true // dangling entry or invisible at this snapshot
 		}
-		if !scopeSet[obj.Class()] {
-			return true
-		}
 		cur.object(obj)
 		ok, err := cur.Match()
+		if ok && ordered {
+			var v *model.Value
+			if v, err = cur.value(p.prog.order); err == nil && !model.KeyExact(*v) {
+				// Nothing was skipped so far; collect the rest and sort.
+				ordered, limit = false, earlyLimit(p, false)
+			}
+		}
 		if err != nil {
 			cerr = err
 			return false
@@ -412,100 +390,51 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, cur *cand, span *obs.Span, orde
 		if !ok {
 			return true
 		}
-		if ordered {
-			v, err := cur.value(p.prog.order)
-			if err != nil {
-				cerr = err
-				return false
-			}
-			if !model.KeyExact(*v) {
-				// Nothing was skipped so far; collect the rest and sort.
-				ordered, limit = false, earlyLimit(p, false)
-			}
-		}
-		matched++
+		w.matched++
 		rows = append(rows, Row{OID: obj.OID, Object: obj})
 		full = limit > 0 && len(rows) >= limit
 		return !full
 	}
-	// sweep runs one candidate source — an index walk or a class's overlay
-	// — through collect under its own span, so the dedup map and the limit
-	// accounting are shared.
-	sweep := func(name string, walk func(visit func(model.OID) bool)) error {
-		s := span.Child(name)
-		examined, matched = 0, 0
-		walk(collect)
-		mRowsScanned.Add(examined)
-		mRowsMatched.Add(matched)
-		s.Set("rows_examined", int64(examined))
-		s.Set("rows_matched", int64(matched))
-		s.End()
-		return cerr
-	}
-	// probe walks the plan's indexes; resume marks the second walk of a
+	// probe walks the plan's indexes; "resume" names the second walk of a
 	// downgraded ordered plan, which is not another probe in the counters.
-	probe := func(resume bool) error {
+	probe := func(verb string) {
 		for _, idx := range p.indexes {
-			if full {
-				break
+			if full || cerr != nil {
+				return
 			}
-			name := "probe " + idx.Name
-			if resume {
-				name = "resume " + idx.Name
-			} else {
+			if verb == "probe" {
 				mIndexProbes.Add(1)
 			}
-			err := sweep(name, func(visit func(model.OID) bool) {
-				idx.Scan(p.iv, scopeSet, func(_ []byte, oid model.OID) bool { return visit(oid) })
-			})
-			if err != nil {
-				return err
-			}
+			w.sweep(verb+" "+idx.Name, idx, nil, collect)
 		}
-		return nil
 	}
-	if err := probe(false); err != nil {
-		return nil, false, err
-	}
+	probe("probe")
 
 	// Overlay sweep (snapshot mode only). An ordered walk reads the overlay
 	// even when LIMIT already stopped it.
-	if ordered || !full {
-		overlay, moved := overlays()
-		if ordered && moved {
+	if cerr == nil && (ordered || !full) {
+		overlay := w.overlay()
+		if ordered && overlay != nil {
 			// A commit landed during the walk. Every posting up to the stop
 			// was examined, so the rows so far stand; if LIMIT cut the walk
 			// short, pick up the rest (seen skips what was already judged).
 			ordered, limit = false, earlyLimit(p, false)
 			if full {
 				full = false
-				if err := probe(true); err != nil {
-					return nil, false, err
-				}
+				probe("resume")
 			}
 		}
-		for i, class := range p.Scope {
-			if full {
-				break
-			}
-			if len(overlay[i]) == 0 {
-				continue
-			}
-			err := sweep("overlay "+e.className(class), func(visit func(model.OID) bool) {
-				for _, oid := range overlay[i] {
-					if !visit(oid) {
-						return
-					}
-				}
-			})
-			if err != nil {
-				return nil, false, err
+		for i, oids := range overlay {
+			if len(oids) > 0 && !full && cerr == nil {
+				w.sweep("overlay "+e.className(p.Scope[i]), nil, oids, collect)
 			}
 		}
 	}
+	if cerr != nil {
+		return nil, false, cerr
+	}
 	if full {
-		mEarlyExits.Add(1)
-		span.Set("limit_early_exit", 1)
+		w.limited()
 	}
 	return rows, ordered, nil
 }

@@ -436,7 +436,7 @@ sargs:
 		attr, estOK := sargAttr(attrPath)
 		if single {
 			for _, c := range cands {
-				if pathEqual(c.path, attrPath) {
+				if slices.Equal(c.path, attrPath) {
 					c.narrow(s, attr)
 					continue sargs
 				}
@@ -512,25 +512,24 @@ sargs:
 // order, yields rows in `ORDER BY path` order when the ordering is
 // ascending on exactly the indexed path and every instance has at most one
 // key on it. Ties come out in OID order, which is what the stable sort over
-// the same walk produces. The run-time half — the index must describe the
-// transaction's view — is probeRows'. It can only vouch for the scope
-// classes (their S locks, their snapshot overlay), and a nested-path index
-// is re-keyed by writes to interior classes outside the scope, so only a
-// one-step path qualifies.
+// the same walk produces. The run-time half is the index walk's (DESIGN §4
+// "The index walk"). It can only vouch for the scope classes, and a
+// nested-path index is re-keyed by writes to interior classes outside the
+// scope, so only a one-step path qualifies.
 func (e *Engine) orderFromIndex(p *Plan, c *candidate) bool {
 	q := p.Query
 	if q.OrderBy == nil || q.Desc || c.union || !c.single || len(c.path) != 1 {
 		return false
 	}
 	orderPath, _, _, ok := e.resolveAttrPath(p.Target.ID, *q.OrderBy)
-	return ok && pathEqual(orderPath, c.path)
+	return ok && slices.Equal(orderPath, c.path)
 }
 
 // findCoveringIndex returns one index on attrPath covering every class in
 // the plan scope, or nil.
 func (e *Engine) findCoveringIndex(p *Plan, attrPath []model.AttrID) *index.Index {
 	for _, idx := range e.db.Indexes.All() {
-		if !pathEqual(idx.Path, attrPath) {
+		if !slices.Equal(idx.Path, attrPath) {
 			continue
 		}
 		if idx.Hierarchy {
@@ -556,7 +555,7 @@ func (e *Engine) findUnionIndexes(p *Plan, attrPath []model.AttrID) []*index.Ind
 	for _, c := range p.Scope {
 		var found *index.Index
 		for _, idx := range e.db.Indexes.All() {
-			if !idx.Hierarchy && idx.Class == c && pathEqual(idx.Path, attrPath) {
+			if !idx.Hierarchy && idx.Class == c && slices.Equal(idx.Path, attrPath) {
 				found = idx
 				break
 			}
@@ -567,16 +566,4 @@ func (e *Engine) findUnionIndexes(p *Plan, attrPath []model.AttrID) []*index.Ind
 		out = append(out, found)
 	}
 	return out
-}
-
-func pathEqual(a, b []model.AttrID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
