@@ -6,7 +6,7 @@ GO ?= go
 # give all they have). Override: make crash CRASH_SCHEDULES=60
 CRASH_SCHEDULES ?= 21
 
-.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash metrics-lint chain-lint decode-lint verify
+.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash lifecycle metrics-lint chain-lint decode-lint verify
 
 build:
 	$(GO) build ./...
@@ -111,9 +111,18 @@ decode-lint:
 crash:
 	CRASH_SCHEDULES=$(CRASH_SCHEDULES) $(GO) test -race -count=1 -run 'TestCrash' .
 
+# The session-lifecycle tests of the served door, ten times under the race
+# detector: pipelined requests answered in order, a busy session not
+# evicted, idle eviction, and drain (idle and mid-request sessions, under
+# load, with a straggler's transaction). They exercise the ordering of the
+# one-goroutine session loop — read deadline, drain flag, read — and run
+# in about 13 s on the 2-vCPU host.
+lifecycle:
+	$(GO) test -race -count=10 -run '^(TestPipelinedRequestsAnsweredInOrder|TestBusySessionNotEvicted|TestIdleSessionEviction|TestDrainKicksIdleAndBusySessions|TestDrainUnderLoad|TestDrainIdleSessions)$$' ./internal/server/
+
 # The full pre-merge gate: compile, static checks, formatting drift, the
 # benchmark module, ONE pass of the whole test suite under the race
-# detector, the crash matrices at CRASH_SCHEDULES breadth, and one pass of
-# every benchmark. To work on one subsystem, run its tests directly, e.g.
+# detector, the session-lifecycle tests ten times, the crash matrices at
+# CRASH_SCHEDULES breadth, and one pass of every benchmark. To work on one subsystem, run its tests directly, e.g.
 # `go test -race -count=1 ./internal/mvcc/`.
-verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race crash benchsmoke
+verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race lifecycle crash benchsmoke

@@ -38,7 +38,7 @@ var (
 	tokens       = flag.String("tokens", "", "restrict handshakes to these role=token pairs, comma-separated (empty: any role)")
 	maxSessions  = flag.Int("max-sessions", 1024, "maximum concurrent sessions")
 	maxInFlight  = flag.Int("max-inflight", 0, "maximum concurrently executing requests (0: 4×GOMAXPROCS)")
-	idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "evict sessions idle for this long")
+	idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "evict a session whose client sends no request for this long (a running request is not idle)")
 	drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "how long a drain lets in-flight work finish")
 )
 

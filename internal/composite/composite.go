@@ -208,19 +208,24 @@ func (m *Manager) findDecl(class model.ClassID, attrName string) (decl, *schema.
 }
 
 // ownerOf finds the existing exclusive parent of child under declaration
-// d (scan of the declaring class hierarchy — exclusivity checks are rare
-// compared to reads). Attach calls it in tx holding X on child, so no
-// other transaction has an uncommitted link to child.
+// d (scans of the declaring class hierarchy — exclusivity checks are rare
+// compared to reads). Attach calls it in tx holding X on child, so no other
+// transaction has an uncommitted Attach of child. A parent owns child if
+// its stored image links it, or if its state as tx reads it (tx's own
+// write, else the newest committed) does: another transaction's
+// uncommitted unlink, by Update or Delete, may yet abort, and tx's own
+// unlink is a move.
 func (m *Manager) ownerOf(tx *core.Tx, child model.OID, d decl) (model.OID, error) {
 	classes, err := m.db.Catalog.Descendants(d.class)
 	if err != nil {
 		return model.NilOID, err
 	}
+	links := func(v model.Value) bool { return slices.Contains(refsOf(v), child) }
 	var owner model.OID
 	fields := []model.Field{{ID: d.attr}}
 	for _, class := range classes {
 		err := tx.ScanLocked(class, fields, func(im model.Image) bool {
-			if slices.Contains(refsOf(fields[0].V), child) {
+			if links(fields[0].V) {
 				owner = im.OID()
 			}
 			return owner.IsNil()
@@ -229,7 +234,28 @@ func (m *Manager) ownerOf(tx *core.Tx, child model.OID, d decl) (model.OID, erro
 			return owner, err
 		}
 	}
-	return owner, nil
+	var committed []model.OID
+	if err := m.db.Scan(classes, func(obj *model.Object) bool {
+		if links(obj.Get(d.attr)) {
+			committed = append(committed, obj.OID)
+		}
+		return true
+	}); err != nil {
+		return model.NilOID, err
+	}
+	for _, oid := range committed {
+		obj, err := tx.Read(oid)
+		if errors.Is(err, core.ErrNoObject) {
+			continue // tx deleted it
+		}
+		if err != nil {
+			return model.NilOID, err
+		}
+		if links(obj.Get(d.attr)) {
+			return oid, nil
+		}
+	}
+	return model.NilOID, nil
 }
 
 // refsOf extracts the object references out of an attribute value: the

@@ -15,7 +15,8 @@ import (
 )
 
 // An exclusive Attach holds X on the child before it looks for an owner,
-// so the owner it sees is committed.
+// so no other transaction's attach of the child is uncommitted; another's
+// unlink counts as a link until it commits.
 
 // owners lists the assemblies whose parts include child.
 func (w *cadWorld) owners(t *testing.T, child model.OID) []model.OID {
@@ -60,6 +61,79 @@ func TestAttachBesideAbortedAttach(t *testing.T) {
 	}
 	if got := w.owners(t, p); len(got) != 1 || got[0] != a2 {
 		t.Fatalf("owners of %s = %v, want [%s]", p, got, a2)
+	}
+}
+
+// attachBesideUnlink: p is attached exclusively to a1; tx1 unlinks it and
+// stays open; tx2's attach of p to a2 must fail, since tx1 may yet abort
+// and give p back to a1. After tx1 aborts, a1 alone owns p.
+func attachBesideUnlink(t *testing.T, unlink func(w *cadWorld, tx *core.Tx, a1 model.OID) error) {
+	w := newCADWorld(t)
+	a1, a2 := w.newAssembly(t, "a1"), w.newAssembly(t, "a2")
+	p := w.newPart(t, "p")
+	if err := w.db.Do(func(tx *core.Tx) error { return w.cm.Attach(tx, a1, "parts", p) }); err != nil {
+		t.Fatal(err)
+	}
+	tx1 := w.db.Begin()
+	if err := unlink(w, tx1, a1); err != nil {
+		t.Fatal(err)
+	}
+	tx2 := w.db.Begin()
+	err := w.cm.Attach(tx2, a2, "parts", p)
+	if abortErr := tx2.Abort(); err == nil && abortErr != nil {
+		t.Fatal(abortErr)
+	}
+	if !errors.Is(err, ErrAlreadyOwned) {
+		t.Fatalf("attach beside an uncommitted unlink: %v, want ErrAlreadyOwned", err)
+	}
+	if err := tx1.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.owners(t, p); len(got) != 1 || got[0] != a1 {
+		t.Fatalf("owners of %s = %v, want [%s]", p, got, a1)
+	}
+}
+
+func TestAttachBesideUncommittedUpdateUnlink(t *testing.T) {
+	attachBesideUnlink(t, func(w *cadWorld, tx *core.Tx, a1 model.OID) error {
+		return tx.Update(a1, map[string]model.Value{"parts": model.Set()})
+	})
+}
+
+func TestAttachBesideUncommittedDeleteUnlink(t *testing.T) {
+	attachBesideUnlink(t, func(w *cadWorld, tx *core.Tx, a1 model.OID) error {
+		return tx.Delete(a1)
+	})
+}
+
+// A move inside one transaction — unlink p from a1 by Update or Delete,
+// then attach it to a2 — succeeds, and a2 alone owns p.
+func TestMoveWithinOneTransaction(t *testing.T) {
+	for name, unlink := range map[string]func(tx *core.Tx, a1 model.OID) error{
+		"update": func(tx *core.Tx, a1 model.OID) error {
+			return tx.Update(a1, map[string]model.Value{"parts": model.Set()})
+		},
+		"delete": func(tx *core.Tx, a1 model.OID) error { return tx.Delete(a1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newCADWorld(t)
+			a1, a2 := w.newAssembly(t, "a1"), w.newAssembly(t, "a2")
+			p := w.newPart(t, "p")
+			if err := w.db.Do(func(tx *core.Tx) error { return w.cm.Attach(tx, a1, "parts", p) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.db.Do(func(tx *core.Tx) error {
+				if err := unlink(tx, a1); err != nil {
+					return err
+				}
+				return w.cm.Attach(tx, a2, "parts", p)
+			}); err != nil {
+				t.Fatalf("move: %v", err)
+			}
+			if got := w.owners(t, p); len(got) != 1 || got[0] != a2 {
+				t.Fatalf("owners of %s = %v, want [%s]", p, got, a2)
+			}
+		})
 	}
 }
 

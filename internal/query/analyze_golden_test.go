@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -112,15 +111,6 @@ func goldenAnalyze(t *testing.T, out *strings.Builder, eng *Engine, tx *core.Tx,
 		if !strings.HasPrefix(line, "buffer:") {
 			lines = append(lines, goldenSpanAt.ReplaceAllString(goldenTime.ReplaceAllString(line, ""), ""))
 		}
-	}
-	// A heap scan's classes run at once and open their spans in any order.
-	for i := 0; i < len(lines); {
-		j := i
-		for j < len(lines) && strings.HasPrefix(lines[j], "  scan ") {
-			j++
-		}
-		sort.Strings(lines[i:j])
-		i = j + 1
 	}
 	out.WriteString(strings.Join(lines, "\n") + "\n")
 	out.WriteString("counters:")

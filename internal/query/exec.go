@@ -218,9 +218,15 @@ func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) (all scanPart, e
 	// scans stop early (or never start).
 	var full atomic.Int64
 	full.Store(int64(len(p.Scope)))
+	// Each class's span opens here, in scope order, so ANALYZE lists them
+	// the same way whichever scan starts first.
+	spans := make([]*obs.Span, len(p.Scope))
+	for i, class := range p.Scope {
+		spans[i] = span.Child("scan " + e.className(class))
+	}
 	if len(p.Scope) == 1 || e.serialScan {
 		for i := range p.Scope {
-			parts[i] = e.scanClass(tx, p, span, i, limit, &full)
+			parts[i] = e.scanClass(tx, p, spans[i], i, limit, &full)
 		}
 	} else {
 		mFanoutWidth.Observe(uint64(len(p.Scope)))
@@ -233,7 +239,7 @@ func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) (all scanPart, e
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				parts[i] = e.scanClass(tx, p, span, i, limit, &full)
+				parts[i] = e.scanClass(tx, p, spans[i], i, limit, &full)
 			}(i)
 		}
 		wg.Wait()
@@ -278,18 +284,17 @@ type scanPart struct {
 	err     error
 }
 
-// scanClass scans scope class i. The program's slots are bound to the
-// class once, and each record is read in one pass that checks it and
-// decodes the attributes the predicate and the aggregates start from; an
-// object is decoded only for a row that matched and is kept, or when a
-// path step is a method.
-func (e *Engine) scanClass(tx *core.Tx, p *Plan, span *obs.Span, i, limit int, full *atomic.Int64) (part scanPart) {
+// scanClass scans scope class i under its span cs. The program's slots are
+// bound to the class once, and each record is read in one pass that checks
+// it and decodes the attributes the predicate and the aggregates start
+// from; an object is decoded only for a row that matched and is kept, or
+// when a path step is a method.
+func (e *Engine) scanClass(tx *core.Tx, p *Plan, cs *obs.Span, i, limit int, full *atomic.Int64) (part scanPart) {
+	defer cs.End()
 	if int64(i) > full.Load() {
 		return part
 	}
 	class := p.Scope[i]
-	cs := span.Child("scan " + e.className(class))
-	defer cs.End()
 	c := e.newCand(tx, p.prog, 1)
 	c.scanClass(class)
 	if streamsAggregates(p.Query) {

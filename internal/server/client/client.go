@@ -252,8 +252,8 @@ func (c *Client) roundTripLocked(verb byte, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: short response", ErrProtocol)
 	}
 	if gotSeq != seq {
-		// A shed of a pipelined request or a stray error (seq 0) means
-		// the stream no longer matches our program order.
+		// A stray error (seq 0) or a late answer to a timed-out request
+		// means the stream no longer matches our program order.
 		return nil, fmt.Errorf("%w: response seq %d, want %d", ErrProtocol, gotSeq, seq)
 	}
 	switch status {

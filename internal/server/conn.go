@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
+	"os"
 	"time"
 
 	"oodb"
@@ -19,71 +19,39 @@ import (
 	"oodb/internal/txn"
 )
 
-// request is one decoded frame waiting for the session worker.
-type request struct {
-	verb byte
-	seq  uint32
-	body []byte
-	at   time.Time
-}
-
-// conn is one client session. Two goroutines serve it: the reader decodes
-// frames and enqueues them (shedding on overflow without blocking), the
-// worker executes them in order and writes responses. The oodb.Session —
-// role and explicit transaction — is touched only by the worker,
-// so it needs no locks; teardown runs after both goroutines exit.
+// conn is one client session, served by one goroutine: it reads a frame,
+// executes it, writes the response and reads the next, so pipelined
+// requests are answered in order and TCP holds the ones not yet read. The
+// oodb.Session — role and explicit transaction — is touched only by that
+// goroutine, so it needs no locks.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
 	br   *bufio.Reader
 	id   uint64
 	sess *oodb.Session
-
-	lastActive atomic.Int64
-	draining   atomic.Bool
-	evicted    atomic.Bool
-	dead       atomic.Bool // worker hit a panic or fatal write error
-
-	queue chan request
 }
 
-// serveConn owns the connection lifecycle: handshake, reader loop, worker,
+// serveConn owns the connection lifecycle: handshake, request loop,
 // teardown. Runs on its own goroutine per accepted connection.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
-	c := &conn{
-		srv:   s,
-		nc:    nc,
-		br:    bufio.NewReaderSize(&countingReader{r: nc}, 32<<10),
-		queue: make(chan request, s.sessionQueue),
-	}
-	c.lastActive.Store(time.Now().UnixNano())
+	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(&countingReader{r: nc}, 32<<10)}
 	if !c.handshake() {
 		_ = nc.Close()
 		return
 	}
+	// A Drain that swept s.conns before addConn never kicks this session;
+	// serve's first flag check sees that drain instead.
 	s.addConn(c)
-	// A Drain that swept s.conns between the handshake's draining check
-	// and addConn never saw this connection; re-check so it still gets
-	// its read-deadline kick instead of idling out the drain timeout.
-	if s.draining.Load() {
-		c.startDrain()
-	}
 	mSessionsOpened.Add(1)
 	mSessionsActive.Set(s.sessions.Load())
 
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		c.workerLoop()
-	}()
-	c.readerLoop()
-	close(c.queue)
-	<-workerDone
+	evicted := c.serve()
 
 	// Teardown: an open transaction at session end is aborted — this is
 	// what releases an evicted or crashed session's locks.
-	if err := c.sess.Abort(); !errors.Is(err, oodb.ErrNoTx) && (c.evicted.Load() || s.draining.Load()) {
+	if err := c.sess.Abort(); !errors.Is(err, oodb.ErrNoTx) && (evicted || s.draining.Load()) {
 		mDrainAborts.Add(1)
 	}
 	_ = nc.Close()
@@ -161,67 +129,60 @@ func (c *conn) handshake() bool {
 	return true
 }
 
-// readerLoop decodes frames and enqueues them for the worker. It never
-// blocks on the queue: overflow is shed immediately with a typed
-// retryable error, which is the per-session half of admission control.
-func (c *conn) readerLoop() {
+// serve reads, executes and answers requests one at a time until the
+// client hangs up, the session idles out, a drain stops it or a request
+// kills it. It reports whether the session was evicted for idling: the read
+// deadline is the idle limit, and it runs only while the session waits for
+// its client, so a long request is busy, not idle.
+func (c *conn) serve() (evicted bool) {
 	s := c.srv
 	for {
-		// The read deadline doubles as a backstop for the janitor: a
-		// session that sends nothing for well past the idle limit fails
-		// its read even if eviction lost the race.
-		_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout + s.opts.IdleTimeout/2))
+		// Deadline before flag: Drain sets the flag and then kicks each
+		// session with an immediate deadline, so a drain that began before
+		// this check is seen here and one that begins after it kicks the
+		// read below.
+		_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		if s.draining.Load() {
+			return false
+		}
 		payload, err := proto.ReadFrame(c.br, s.maxFrame)
 		if err != nil {
-			if errors.Is(err, proto.ErrFrameTooLarge) {
+			switch {
+			case errors.Is(err, proto.ErrFrameTooLarge):
 				// The stream is unsynchronized past a refused length
 				// prefix; answer with the typed error and hang up.
 				c.writeResponse(proto.AppendError(nil, 0, proto.ErrCodeTooLarge, err.Error()))
+			case errors.Is(err, os.ErrDeadlineExceeded) && !s.draining.Load():
+				mSessionsEvicted.Add(1)
+				obs.Logf("server: session %d (%s) evicted after idle timeout", c.id, c.sess.Role())
+				return true
 			}
-			return
-		}
-		if c.draining.Load() || c.dead.Load() {
-			return
+			return false
 		}
 		if len(payload) < 5 {
 			// Too short to carry verb+seq. The frame boundary is intact,
 			// so the connection survives; seq 0 tells the client this
 			// response matches no request it can identify.
-			c.writeResponse(proto.AppendError(nil, 0, proto.ErrCodeBadRequest, "short request"))
+			if !c.writeResponse(proto.AppendError(nil, 0, proto.ErrCodeBadRequest, "short request")) {
+				return false
+			}
 			continue
 		}
-		r := proto.NewReader(payload)
-		req := request{verb: r.Byte(), seq: r.Uint32(), body: payload[5:], at: time.Now()}
-		c.lastActive.Store(req.at.UnixNano())
-		select {
-		case c.queue <- req:
-		default:
-			mReqShed.Add(1)
-			c.writeResponse(proto.AppendError(nil, req.seq, proto.ErrCodeRetryable,
-				"session queue full; retry"))
+		resp, ok := c.execute(payload)
+		if !c.writeResponse(resp) || !ok {
+			return false
 		}
 	}
 }
 
-// workerLoop executes queued requests in order.
-func (c *conn) workerLoop() {
-	for req := range c.queue {
-		if c.dead.Load() {
-			continue // drain the queue without executing
-		}
-		resp := c.execute(req)
-		if resp != nil && !c.writeResponse(resp) {
-			c.dead.Store(true)
-			_ = c.nc.Close()
-		}
-	}
-}
-
-// execute runs one request under the global in-flight cap, with panic
-// isolation. It returns the encoded response (nil if the request was shed
-// with a response already written).
-func (c *conn) execute(req request) (resp []byte) {
+// execute runs one request (verb, seq, body) under the global in-flight
+// cap, with panic isolation, and returns the encoded response; ok is false
+// when the session must end once it is written.
+func (c *conn) execute(payload []byte) (resp []byte, ok bool) {
 	s := c.srv
+	at := time.Now()
+	r := proto.NewReader(payload)
+	verb, seq := r.Byte(), r.Uint32()
 	// Global admission: a bounded wait for an execution slot, then shed.
 	select {
 	case s.inflight <- struct{}{}:
@@ -232,38 +193,35 @@ func (c *conn) execute(req request) (resp []byte) {
 			t.Stop()
 		case <-t.C:
 			mReqShed.Add(1)
-			return proto.AppendError(nil, req.seq, proto.ErrCodeRetryable,
-				"server over capacity; retry")
+			return proto.AppendError(nil, seq, proto.ErrCodeRetryable,
+				"server over capacity; retry"), true
 		}
 	}
 	mReqInflight.Add(1)
 	defer func() {
 		<-s.inflight
 		mReqInflight.Add(-1)
-		mReqLatencyNs.Observe(uint64(time.Since(req.at)))
+		mReqLatencyNs.Observe(uint64(time.Since(at)))
 		if p := recover(); p != nil {
 			// Panic isolation: the fault is confined to this session. Its
 			// transaction state is unknowable, so teardown aborts it and
 			// the connection closes; the server keeps serving.
 			mConnPanics.Add(1)
-			obs.Logf("server: session %d: panic in %s: %v", c.id, proto.VerbName(req.verb), p)
-			c.dead.Store(true)
-			c.writeResponse(proto.AppendError(nil, req.seq, proto.ErrCodeInternal,
-				fmt.Sprintf("internal error in %s", proto.VerbName(req.verb))))
-			_ = c.nc.Close()
-			resp = nil
+			obs.Logf("server: session %d: panic in %s: %v", c.id, proto.VerbName(verb), p)
+			resp, ok = proto.AppendError(nil, seq, proto.ErrCodeInternal,
+				fmt.Sprintf("internal error in %s", proto.VerbName(verb))), false
 		}
 	}()
 	if hook := s.testHook; hook != nil {
-		hook(req.verb)
+		hook(verb)
 	}
-	countVerb(req.verb)
-	body, err := c.dispatch(req.verb, proto.NewReader(req.body))
+	countVerb(verb)
+	body, err := c.dispatch(verb, r)
 	if err != nil {
 		mReqErrors.Add(1)
-		return proto.AppendError(nil, req.seq, errCode(err), err.Error())
+		return proto.AppendError(nil, seq, errCode(err), err.Error()), true
 	}
-	return append(proto.AppendOK(nil, req.seq), body...)
+	return append(proto.AppendOK(nil, seq), body...), true
 }
 
 func countVerb(verb byte) {
@@ -297,35 +255,14 @@ func errCode(err error) byte {
 	}
 }
 
-// writeResponse frames and writes one response under the write deadline.
-// Response writers can race (worker vs reader-side sheds), so the write
-// is a single Write call of the framed buffer — net.Conn serializes
-// concurrent Writes, and one frame per Write keeps them atomic on the
-// stream. It reports whether the write succeeded.
+// writeResponse frames and writes one response under the write deadline,
+// as one Write call. It reports whether the write succeeded.
 func (c *conn) writeResponse(payload []byte) bool {
 	framed := proto.AppendFrame(make([]byte, 0, len(payload)+4), payload)
 	_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := c.nc.Write(framed)
 	mBytesOut.Add(uint64(n))
 	return err == nil
-}
-
-// startDrain tells the session to stop accepting input and finish queued
-// work. The immediate read deadline kicks the reader out of its blocked
-// frame read; the drain flag makes it exit instead of reporting an error.
-func (c *conn) startDrain() {
-	c.draining.Store(true)
-	_ = c.nc.SetReadDeadline(time.Now())
-}
-
-// evict closes an idle session. Teardown aborts its open transaction.
-func (c *conn) evict() {
-	if c.evicted.Swap(true) {
-		return
-	}
-	mSessionsEvicted.Add(1)
-	obs.Logf("server: session %d (%s) evicted after idle timeout", c.id, c.sess.Role())
-	_ = c.nc.Close()
 }
 
 // --- Request dispatch ---------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"oodb/internal/model"
 	"oodb/internal/obs"
 	"oodb/internal/server/client"
+	"oodb/internal/server/proto"
 )
 
 // TestDrainUnderLoad is the shutdown-correctness regression: drain the
@@ -152,5 +153,58 @@ func TestDrainIdleSessions(t *testing.T) {
 	// The straggler's uncommitted insert must not exist.
 	if _, err := db.Fetch(oid); err == nil {
 		t.Fatal("uncommitted insert survived drain")
+	}
+}
+
+// TestDrainKicksIdleAndBusySessions drains with one session idle in its
+// read and one in the middle of a request: the idle one is kicked out of
+// its read at once, the busy one answers its request and then stops, and
+// Drain returns well before its timeout with nothing to abort.
+func TestDrainKicksIdleAndBusySessions(t *testing.T) {
+	db := newTestDB(t)
+	s := New(db, Options{})
+	held, gate := make(chan struct{}), make(chan struct{})
+	s.testHook = func(verb byte) {
+		if verb == proto.VerbPing {
+			close(held)
+			<-gate
+		}
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	idle := dial(t, s, client.Options{Role: "app"})
+	busy := dial(t, s, client.Options{Role: "app"})
+	if _, err := idle.Classes(); err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
+	go func() { answered <- busy.Ping() }()
+	<-held
+
+	abortsBefore := mDrainAborts.Value()
+	const timeout = 10 * time.Second
+	start := time.Now()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(timeout) }()
+	for !s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // let the kicks land mid-request
+	close(gate)
+	if err := <-answered; err != nil {
+		t.Fatalf("mid-request response not delivered: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > timeout/4 {
+		t.Fatalf("drain took %v of its %v timeout", d, timeout)
+	}
+	if d := mDrainAborts.Value() - abortsBefore; d != 0 {
+		t.Fatalf("server_drain_aborted_txns_total moved by %d", d)
+	}
+	if _, err := idle.Classes(); err == nil {
+		t.Fatal("idle session still answers after drain")
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Server metrics, layer "server". The gauges are not just reporting: the
 // admission controller reads the same counters it publishes here
 // (sessions, in-flight requests) to decide handshake rejection and
-// queue-depth shedding, so /metrics always shows the exact state the
+// in-flight shedding, so /metrics always shows the exact state the
 // controller acted on.
 var (
 	// Sessions.

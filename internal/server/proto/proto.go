@@ -136,8 +136,8 @@ const (
 	// ErrCodeConflict is a concurrency casualty (deadlock victim); the
 	// transaction was aborted and the request may be retried afresh.
 	ErrCodeConflict
-	// ErrCodeRetryable is an admission-control shed: the server or session
-	// queue is over capacity. The request was not executed; retrying after
+	// ErrCodeRetryable is an admission-control shed: the server is over
+	// its in-flight capacity. The request was not executed; retrying after
 	// a backoff is expected to succeed.
 	ErrCodeRetryable
 	// ErrCodeDraining reports a server in graceful shutdown: it accepts no

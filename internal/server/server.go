@@ -13,21 +13,24 @@
 //
 // Operational spine:
 //
+//   - One goroutine per session reads a request, executes it and writes
+//     its response, then reads the next: pipelined requests are answered
+//     in order, and TCP holds the ones not yet read.
 //   - Admission control: a session cap at handshake (typed ServerFull
-//     rejection), a per-session pipelined-request queue whose overflow is
-//     shed with a typed retryable error before any work is done, and a
-//     global in-flight execution cap with a bounded queue wait. The
-//     controller reads the same counters it publishes as server_* gauges.
-//   - Idle-session eviction: a janitor closes sessions idle past the
-//     limit; the session teardown aborts its open transaction, releasing
-//     its locks, so an abandoned client cannot wedge writers.
+//     rejection) and a global in-flight execution cap with a bounded
+//     queue wait, then a typed retryable shed. The controller reads the
+//     same counters it publishes as server_* gauges.
+//   - Idle-session eviction: a session whose client sends nothing for
+//     the idle limit fails its read and is closed; the session teardown
+//     aborts its open transaction, releasing its locks, so an abandoned
+//     client cannot wedge writers. A request that runs long is not idle.
 //   - Fail isolation: a panic while executing one request is confined to
 //     its session (logged, counted, transaction aborted, connection
 //     closed); the server keeps serving.
-//   - Graceful drain: Drain refuses new sessions, lets queued and
-//     in-flight requests (commits included) finish, aborts stragglers
-//     after a deadline, checkpoints the engine and returns. Acknowledged
-//     commits are durable across drain + restart by the WAL's contract.
+//   - Graceful drain: Drain refuses new sessions, lets in-flight requests
+//     (commits included) finish, aborts stragglers after a deadline,
+//     checkpoints the engine and returns. Acknowledged commits are
+//     durable across drain + restart by the WAL's contract.
 package server
 
 import (
@@ -69,8 +72,9 @@ type Options struct {
 	// within queueWait is shed with a typed retryable error.
 	MaxInFlight int
 
-	// IdleTimeout evicts sessions with no request activity for this long
-	// (default 5m), aborting their open transaction.
+	// IdleTimeout evicts a session whose client sends no request for this
+	// long (default 5m), aborting its open transaction. Time spent
+	// executing a request does not count.
 	IdleTimeout time.Duration
 }
 
@@ -93,9 +97,6 @@ func (o *Options) withDefaults() Options {
 
 // Fixed limits of the served door.
 const (
-	// sessionQueue caps pipelined requests buffered per session; overflow
-	// is shed with a typed retryable error.
-	sessionQueue = 8
 	// queueWait bounds how long a request waits for a global execution
 	// slot before being shed.
 	queueWait = 25 * time.Millisecond
@@ -126,13 +127,10 @@ type Server struct {
 	sessions   atomic.Int64 // active sessions (mirrors mSessionsActive)
 	inflight   chan struct{}
 
-	// sessionQueue and maxFrame start at the package constants; tests
-	// shrink them before Start.
-	sessionQueue int
-	maxFrame     int
+	// maxFrame starts at proto.MaxFrame; tests shrink it before Start.
+	maxFrame int
 
-	wg          sync.WaitGroup // accept loop + connection goroutines
-	janitorStop chan struct{}
+	wg sync.WaitGroup // accept loop + connection goroutines
 
 	// testHook, when set, runs inside request execution after admission;
 	// tests use it to hold sessions busy or to inject panics.
@@ -143,13 +141,11 @@ type Server struct {
 func New(db *oodb.DB, opts Options) *Server {
 	o := opts.withDefaults()
 	return &Server{
-		db:           db,
-		opts:         o,
-		conns:        make(map[*conn]struct{}),
-		inflight:     make(chan struct{}, o.MaxInFlight),
-		sessionQueue: sessionQueue,
-		maxFrame:     proto.MaxFrame,
-		janitorStop:  make(chan struct{}),
+		db:       db,
+		opts:     o,
+		conns:    make(map[*conn]struct{}),
+		inflight: make(chan struct{}, o.MaxInFlight),
+		maxFrame: proto.MaxFrame,
 	}
 }
 
@@ -164,9 +160,8 @@ func (s *Server) Start() error {
 	s.ln = ln
 	s.mu.Unlock()
 	s.started.Store(true)
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	go s.janitor()
 	obs.Logf("server: listening on %s (max_sessions=%d max_inflight=%d)",
 		ln.Addr(), s.opts.MaxSessions, s.opts.MaxInFlight)
 	return nil
@@ -198,39 +193,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// janitor scans sessions for idle eviction.
-func (s *Server) janitor() {
-	defer s.wg.Done()
-	period := s.opts.IdleTimeout / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	if period > time.Second {
-		period = time.Second
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.janitorStop:
-			return
-		case <-t.C:
-			cutoff := time.Now().Add(-s.opts.IdleTimeout).UnixNano()
-			s.mu.Lock()
-			var evict []*conn
-			for c := range s.conns {
-				if c.lastActive.Load() < cutoff {
-					evict = append(evict, c)
-				}
-			}
-			s.mu.Unlock()
-			for _, c := range evict {
-				c.evict()
-			}
-		}
-	}
-}
-
 func (s *Server) addConn(c *conn) {
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
@@ -243,10 +205,10 @@ func (s *Server) removeConn(c *conn) {
 	s.mu.Unlock()
 }
 
-// Drain performs a graceful shutdown: refuse new sessions, let queued and
-// in-flight requests finish (commits included), abort sessions that are
-// still running after timeout, then checkpoint the engine. It is safe to
-// call once; the listener does not reopen.
+// Drain performs a graceful shutdown: refuse new sessions, let in-flight
+// requests finish (commits included), abort sessions that are still
+// running after timeout, then checkpoint the engine. It is safe to call
+// once; the listener does not reopen.
 func (s *Server) Drain(timeout time.Duration) error {
 	if !s.started.Load() {
 		return ErrServerClosed
@@ -262,15 +224,13 @@ func (s *Server) Drain(timeout time.Duration) error {
 	if ln != nil {
 		_ = ln.Close()
 	}
-	close(s.janitorStop)
 
-	// Ask every session to stop reading new requests and finish what it
-	// has queued. startDrain kicks the blocked frame read with an
-	// immediate read deadline; the reader treats that as end-of-input
-	// rather than an error, so responses already in flight still go out.
+	// Kick every session's blocked frame read with an immediate read
+	// deadline; seeing the flag, the session stops instead of counting an
+	// eviction. One in the middle of a request answers it first.
 	s.mu.Lock()
 	for c := range s.conns {
-		c.startDrain()
+		_ = c.nc.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
 
