@@ -95,8 +95,10 @@ chain-lint:
 # internal/core/decodelint_test.go). And it keeps one index walker: no
 # non-test file of internal/query but walk.go calls core.Tx's
 # SnapshotOverlayOIDs or index.Index's Scan, Summarize, Edge or Unkeyed,
-# matched on the receiver's type (TestOneIndexWalk in
-# internal/query/walklint_test.go, which type-checks the package).
+# and none but bind.go calls schema.Catalog's ResolveAttr (a path is bound
+# over the scope with Catalog.BindPath), matched on the receiver's type
+# (TestOneIndexWalk in internal/query/walklint_test.go, which type-checks
+# the package).
 decode-lint:
 	$(GO) test -count=1 -run '^(TestOnlyTheEngineDecodes|TestPinnedReadsStayInTheEngine|TestOneDecodingCursor)$$' ./internal/core/
 	$(GO) test -count=1 -run '^TestOneIndexWalk$$' ./internal/query/

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"errors"
-	"fmt"
 
 	"oodb/internal/model"
 	"oodb/internal/schema"
@@ -197,16 +196,16 @@ func (db *DB) RegisterMethod(class model.ClassID, name string, impl schema.Metho
 	return db.Catalog.RegisterMethod(class, name, impl)
 }
 
-// CreateIndex defines and populates an index. path names attributes
-// (resolved against the effective definitions along the way); hierarchy
-// selects a class-hierarchy index.
+// CreateIndex defines and populates an index. path names attributes bound
+// on class (Catalog.BindPath: each interior domain must be a general
+// class); hierarchy selects a class-hierarchy index.
 func (db *DB) CreateIndex(name string, class model.ClassID, path []string, hierarchy bool) error {
-	attrPath, err := db.resolvePath(class, path)
+	b, err := db.Catalog.BindPath([]model.ClassID{class}, path)
 	if err != nil {
 		return err
 	}
 	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
-		return nil, db.buildIndex(name, class, attrPath, hierarchy)
+		return nil, db.buildIndex(name, class, b.Classes[0].Attrs, hierarchy)
 	})
 }
 
@@ -215,28 +214,6 @@ func (db *DB) DropIndex(name string) error {
 	return db.ddl(nil, func() (func() error, error) {
 		return nil, db.Indexes.Drop(name)
 	})
-}
-
-// resolvePath maps attribute names to AttrIDs step by step: each interior
-// step must be a reference attribute, and the next step resolves against
-// its domain class.
-func (db *DB) resolvePath(class model.ClassID, path []string) ([]model.AttrID, error) {
-	cur := class
-	out := make([]model.AttrID, 0, len(path))
-	for i, name := range path {
-		a, err := db.Catalog.ResolveAttr(cur, name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a.ID)
-		if i < len(path)-1 {
-			if schema.IsPrimitive(a.Domain) {
-				return nil, fmt.Errorf("core: path step %q has primitive domain; cannot continue path", name)
-			}
-			cur = a.Domain
-		}
-	}
-	return out, nil
 }
 
 // buildIndex creates the index and populates it from the covered classes.

@@ -18,10 +18,11 @@ import (
 // is an aggregate that streams (no ORDER BY, no LIMIT), or a row statement
 // that selects only the slot, orders by it ascending and whose WHERE clause
 // rejects null (the index holds no OID for a null value). It reads at most
-// one slot, a one-step path; in every scope class that step is the same
-// single-valued Integer attribute with a null default; one index on it
-// covers the scope; and ForceScan is off. A statement that reads no slot —
-// COUNT(*) with no WHERE — counts from any attribute that qualifies.
+// one slot, a one-step path; its binding over the scope is uniform (every
+// scope class names the same attribute) on a single-valued Integer
+// attribute with a null default; one index on it covers the scope; and
+// ForceScan is off. A statement that reads no slot — COUNT(*) with no
+// WHERE — counts from any attribute that qualifies.
 func (e *Engine) covered(p *Plan) (*index.Index, index.Interval) {
 	q, prog := p.Query, p.prog
 	switch {
@@ -44,31 +45,20 @@ func (e *Engine) covered(p *Plan) (*index.Index, index.Interval) {
 		}
 	}
 	for _, name := range names {
-		idx := e.intIndex(p, name)
+		b, err := e.db.Catalog.BindPath(p.Scope, []string{name})
+		if err != nil || !b.Uniform || !b.Single || b.Classes[0].Domain != schema.ClassInteger || !b.Classes[0].Def.IsNull() {
+			continue
+		}
+		indexes, union := e.findIndexes(p, &b)
 		switch {
-		case idx == nil:
+		case indexes == nil || union:
 		case p.kind == accessScan:
-			return idx, index.Interval{}
-		case p.indexes[0] == idx:
-			return idx, p.iv
+			return indexes[0], index.Interval{}
+		case p.indexes[0] == indexes[0]:
+			return indexes[0], p.iv
 		}
 	}
 	return nil, index.Interval{}
-}
-
-// intIndex returns the index that covers p's scope on the attribute name
-// names, when in every scope class that is the same single-valued Integer
-// attribute with a null default; else nil.
-func (e *Engine) intIndex(p *Plan, name string) *index.Index {
-	var attr model.AttrID
-	for i, class := range p.Scope {
-		a, err := e.db.Catalog.ResolveAttr(class, name)
-		if err != nil || a.SetValued || a.Domain != schema.ClassInteger || !a.Default.IsNull() || (i > 0 && a.ID != attr) {
-			return nil
-		}
-		attr = a.ID
-	}
-	return e.findCoveringIndex(p, []model.AttrID{attr})
 }
 
 // matchesNull reports whether prog's WHERE clause may hold on a candidate

@@ -314,52 +314,18 @@ func flip(op BinOp) BinOp {
 	}
 }
 
-// resolveAttrPath maps a name path to AttrIDs starting at class, following
-// reference domains; it fails if any step is a method or unknown. single
-// reports that no step is set-valued, so an instance has at most one value
-// (and one index key) along the path. def is what an instance that stores
-// no value reads on a one-step path, the attribute's default; the index
-// holds no key for it. A nested path with a non-null default on a step
-// fails: an index cannot stand for it.
-func (e *Engine) resolveAttrPath(class model.ClassID, path Path) (ids []model.AttrID, single bool, def model.Value, ok bool) {
-	cur := class
-	ids = make([]model.AttrID, 0, len(path.Steps))
-	single = true
-	for i, step := range path.Steps {
-		a, err := e.db.Catalog.ResolveAttr(cur, step)
-		if err != nil || (len(path.Steps) > 1 && !a.Default.IsNull()) {
-			return nil, false, model.Null, false
-		}
-		ids = append(ids, a.ID)
-		single = single && !a.SetValued
-		def = a.Default
-		if i < len(path.Steps)-1 {
-			if schema.IsPrimitive(a.Domain) {
-				return nil, false, model.Null, false
-			}
-			cur = a.Domain
-		}
-	}
-	return ids, single, def, true
-}
-
 // candidate is one usable access path: the index (or per-class union of
 // SC indexes) on one attribute path, probed over the interval its sargs
 // admit.
 type candidate struct {
 	indexes []*index.Index
 	union   bool
-	path    []model.AttrID
-	single  bool // no step of the path is set-valued
-	eq      bool // some sarg is an equality
+	steps   []string           // the sargs' path
+	bind    schema.PathBinding // steps bound over the plan's scope
+	eq      bool               // some sarg is an equality
 	iv      index.Interval
 	ordered bool      // the walk yields ORDER BY order (see orderFromIndex)
-	sargs   []estSarg // the conjuncts iv stands for; meaningful when estOK
-	estOK   bool
-	// def is the value an instance with no stored value reads, which has no
-	// key; defOut says a sarg rejects it, so the interval misses no match.
-	def    model.Value
-	defOut bool
+	sargs   []estSarg // the conjuncts iv stands for
 }
 
 func (c *candidate) kind() accessKind {
@@ -378,8 +344,7 @@ func (c *candidate) kind() accessKind {
 // narrow intersects the candidate's interval with one sarg. A strict bound
 // stays inclusive at the key level when the literal's key is shared by
 // neighbouring values: the index narrows, the residual decides.
-func (c *candidate) narrow(s sarg, attr model.AttrID) {
-	c.defOut = c.defOut || !compareOp(s.op, &c.def, &s.lit)
+func (c *candidate) narrow(s sarg) {
 	switch s.op {
 	case OpEq:
 		c.iv.NarrowLo(s.lit, true)
@@ -390,7 +355,7 @@ func (c *candidate) narrow(s sarg, attr model.AttrID) {
 	case OpLt, OpLe:
 		c.iv.NarrowHi(s.lit, s.op == OpLe || !model.KeyExact(s.lit))
 	}
-	c.sargs = append(c.sargs, estSarg{s: s, attr: attr})
+	c.sargs = append(c.sargs, estSarg{s: s, on: c.bind.Classes})
 }
 
 // chooseIndex picks the cheapest usable access path. Every sarg on one
@@ -429,51 +394,41 @@ func (e *Engine) chooseIndex(p *Plan) {
 	var cands []*candidate
 sargs:
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, single, def, ok := e.resolveAttrPath(p.Target.ID, s.path)
-		if !ok {
-			continue
-		}
-		attr, estOK := sargAttr(attrPath)
-		if single {
-			for _, c := range cands {
-				if slices.Equal(c.path, attrPath) {
-					c.narrow(s, attr)
-					continue sargs
-				}
+		for _, c := range cands {
+			if c.bind.Single && slices.Equal(c.steps, s.path.Steps) {
+				c.narrow(s)
+				continue sargs
 			}
 		}
-		c := &candidate{path: attrPath, single: single, estOK: estOK, def: def}
-		if idx := e.findCoveringIndex(p, attrPath); idx != nil {
-			// Single index covering the whole scope.
-			c.indexes = []*index.Index{idx}
-		} else if union := e.findUnionIndexes(p, attrPath); union != nil {
-			// Union of single-class indexes, one per scope class.
-			c.indexes, c.union = union, true
-		} else {
+		b, err := e.db.Catalog.BindPath(p.Scope, s.path.Steps)
+		if err != nil {
 			continue
 		}
-		c.narrow(s, attr)
+		indexes, union := e.findIndexes(p, &b)
+		if indexes == nil {
+			continue
+		}
+		c := &candidate{indexes: indexes, union: union, steps: s.path.Steps, bind: b}
+		c.narrow(s)
 		cands = append(cands, c)
 	}
-	// An index has no key for an absent value, which reads as the default:
-	// the interval stands for the matches only when a sarg rejects it.
-	cands = slices.DeleteFunc(cands, func(c *candidate) bool { return !c.defOut })
+	// An index has no key for an absent value, which reads as its class's
+	// default: the interval stands for the matches only when a sarg rejects
+	// every scope class's default.
+	cands = slices.DeleteFunc(cands, func(c *candidate) bool {
+		return slices.ContainsFunc(c.bind.Classes, func(cb schema.ClassBinding) bool {
+			return !slices.ContainsFunc(c.sargs, func(es estSarg) bool { return !compareOp(es.s.op, &cb.Def, &es.s.lit) })
+		})
+	})
 	if len(cands) == 0 {
 		return
 	}
 	for _, c := range cands {
-		c.ordered = e.orderFromIndex(p, c)
+		c.ordered = orderFromIndex(p.Query, c)
 	}
 	var best *candidate
 	if est := e.newEstimator(p.Scope); est != nil {
-		allEst := true
-		for _, c := range cands {
-			if !c.estOK {
-				allEst = false
-				break
-			}
-		}
-		if allEst {
+		if !slices.ContainsFunc(cands, func(c *candidate) bool { return len(c.steps) != 1 }) {
 			// Cost-based: cheapest candidate vs. the full scan.
 			limit := float64(p.Query.Limit)
 			var matches float64 // rows passing the whole WHERE; only LIMIT needs it
@@ -510,60 +465,50 @@ sargs:
 // orderFromIndex is the plan-time half of the order-from-index rule: one
 // index (a union of per-class indexes would need a merge), walked in key
 // order, yields rows in `ORDER BY path` order when the ordering is
-// ascending on exactly the indexed path and every instance has at most one
-// key on it. Ties come out in OID order, which is what the stable sort over
-// the same walk produces. The run-time half is the index walk's (DESIGN §4
-// "The index walk"). It can only vouch for the scope classes, and a
-// nested-path index is re-keyed by writes to interior classes outside the
-// scope, so only a one-step path qualifies.
-func (e *Engine) orderFromIndex(p *Plan, c *candidate) bool {
-	q := p.Query
-	if q.OrderBy == nil || q.Desc || c.union || !c.single || len(c.path) != 1 {
-		return false
-	}
-	orderPath, _, _, ok := e.resolveAttrPath(p.Target.ID, *q.OrderBy)
-	return ok && slices.Equal(orderPath, c.path)
+// ascending on exactly the indexed path (in a class, a name names one
+// attribute) and every instance has at most one key on it. Ties come out
+// in OID order, which is what the stable sort over the same walk produces.
+// The run-time half is the index walk's (DESIGN §4 "The index walk"). It
+// can only vouch for the scope classes, and a nested-path index is re-keyed
+// by writes to interior classes outside the scope, so only a one-step path
+// qualifies.
+func orderFromIndex(q *Query, c *candidate) bool {
+	return q.OrderBy != nil && !q.Desc && !c.union && c.bind.Single &&
+		len(c.steps) == 1 && slices.Equal(q.OrderBy.Steps, c.steps)
 }
 
-// findCoveringIndex returns one index on attrPath covering every class in
-// the plan scope, or nil.
-func (e *Engine) findCoveringIndex(p *Plan, attrPath []model.AttrID) *index.Index {
-	for _, idx := range e.db.Indexes.All() {
-		if !slices.Equal(idx.Path, attrPath) {
-			continue
-		}
-		if idx.Hierarchy {
-			if e.db.Catalog.IsSubclassOf(p.Target.ID, idx.Class) {
-				return idx
-			}
-			continue
-		}
-		// SC index covers the scope only when the scope is exactly its
-		// class.
-		if len(p.Scope) == 1 && p.Scope[0] == idx.Class {
-			return idx
-		}
-	}
-	return nil
-}
-
-// findUnionIndexes returns one single-class index per scope class on
-// attrPath, or nil if any class is uncovered. This is the
+// findIndexes returns the indexes a probe of b's path reads over the plan's
+// scope. When every scope class reads the same attributes along the path,
+// that is one index on them that covers the scope: a class-hierarchy index
+// rooted at or above the target, or the SC index of a one-class scope.
+// Otherwise, or failing that, it is a union of one SC index per scope
+// class on the attributes that class's instances read — the
 // one-index-per-class organization the CH-index is measured against (E1).
-func (e *Engine) findUnionIndexes(p *Plan, attrPath []model.AttrID) []*index.Index {
-	out := make([]*index.Index, 0, len(p.Scope))
-	for _, c := range p.Scope {
-		var found *index.Index
-		for _, idx := range e.db.Indexes.All() {
-			if !idx.Hierarchy && idx.Class == c && slices.Equal(idx.Path, attrPath) {
-				found = idx
+// It returns nil when neither exists.
+func (e *Engine) findIndexes(p *Plan, b *schema.PathBinding) (indexes []*index.Index, union bool) {
+	all := e.db.Indexes.All()
+	if b.Uniform {
+		for _, idx := range all {
+			if !slices.Equal(idx.Path, b.Classes[0].Attrs) {
+				continue
+			}
+			if idx.Hierarchy && e.db.Catalog.IsSubclassOf(p.Target.ID, idx.Class) ||
+				!idx.Hierarchy && len(p.Scope) == 1 && p.Scope[0] == idx.Class {
+				return []*index.Index{idx}, false
+			}
+		}
+	}
+	indexes = make([]*index.Index, len(p.Scope))
+	for i, class := range p.Scope {
+		for _, idx := range all {
+			if !idx.Hierarchy && idx.Class == class && slices.Equal(idx.Path, b.Classes[i].Attrs) {
+				indexes[i] = idx
 				break
 			}
 		}
-		if found == nil {
-			return nil
+		if !b.Classes[i].Exact || indexes[i] == nil {
+			return nil, false
 		}
-		out = append(out, found)
 	}
-	return out
+	return indexes, true
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"oodb/internal/model"
+	"oodb/internal/schema"
 	"oodb/internal/stats"
 )
 
@@ -63,42 +64,33 @@ func (est *estimator) totalCard() float64 {
 	return n
 }
 
-// sargAttr maps a resolved sarg path to the attribute its statistics live
-// under. Only single-step paths qualify: a multi-step path's terminal
-// distribution belongs to another class's instances and says nothing
-// per-scope-class.
-func sargAttr(attrPath []model.AttrID) (model.AttrID, bool) {
-	if len(attrPath) != 1 {
-		return 0, false
-	}
-	return attrPath[0], true
-}
-
-// classRows estimates how many instances of class c satisfy every sarg.
-// Sargs on different attributes combine multiplicatively (the usual
-// independence assumption); the first sarg on an attribute speaks for all
-// of them. Of an attribute's Count stored values, storedFraction match.
-// The Cardinality − Count instances that store no value read the
-// attribute's default: all of them match when the default satisfies every
-// sarg on the attribute (for several bounds, when it lies in their
-// interval), none otherwise — a null default satisfies no comparison.
-func (est *estimator) classRows(c model.ClassID, sargs []estSarg) float64 {
-	cs := est.reg.Get(c)
+// classRows estimates how many instances of the k-th scope class satisfy
+// every sarg, each on that class's own attribute. Sargs on different
+// attributes combine multiplicatively (the usual independence assumption);
+// the first sarg on an attribute speaks for all of them. Of an attribute's
+// Count stored values, storedFraction match. The Cardinality − Count
+// instances that store no value read the attribute's default: all of them
+// match when the default satisfies every sarg on the attribute (for several
+// bounds, when it lies in their interval), none otherwise — a null default
+// satisfies no comparison.
+func (est *estimator) classRows(k int, sargs []estSarg) float64 {
+	cs := est.reg.Get(est.scope[k])
 	card := float64(cs.Cardinality)
 	rows := card
 	for i, es := range sargs {
 		if rows == 0 {
 			break
 		}
-		if hasSargOn(sargs[:i], es.attr) {
+		attr := es.attr(k)
+		if hasSargOn(sargs[:i], k, attr) {
 			continue
 		}
 		var stored, count float64
-		if as := cs.Attr(es.attr); as != nil && as.Count > 0 {
+		if as := cs.Attr(attr); as != nil && as.Count > 0 {
 			count = float64(as.Count)
-			stored = count * storedFraction(as, sargs[i:], es.attr)
+			stored = count * storedFraction(as, sargs[i:], k, attr)
 		}
-		if defaultMatches(es.def, sargs[i:], es.attr) {
+		if defaultMatches(es.on[k].Def, sargs[i:], k, attr) {
 			stored += card - count
 		}
 		rows *= stored / card
@@ -106,9 +98,9 @@ func (est *estimator) classRows(c model.ClassID, sargs []estSarg) float64 {
 	return rows
 }
 
-func hasSargOn(sargs []estSarg, attr model.AttrID) bool {
+func hasSargOn(sargs []estSarg, k int, attr model.AttrID) bool {
 	for _, es := range sargs {
-		if es.attr == attr {
+		if es.attr(k) == attr {
 			return true
 		}
 	}
@@ -121,11 +113,11 @@ func hasSargOn(sargs []estSarg, attr model.AttrID) bool {
 // independent, so the tightest lower and upper bound combine as
 // fracLo + fracHi - 1: on a uniform attribute a 5 % interval estimates as
 // 5 %, not as the product of two half-open halves.
-func storedFraction(as *stats.AttrStats, sargs []estSarg, attr model.AttrID) float64 {
+func storedFraction(as *stats.AttrStats, sargs []estSarg, k int, attr model.AttrID) float64 {
 	f, fracLo, fracHi, interpolated := 1.0, 1.0, 1.0, true
 	for _, es := range sargs {
 		switch {
-		case es.attr != attr:
+		case es.attr(k) != attr:
 		case es.s.op == OpEq:
 			f /= math.Max(float64(as.Distinct), 1)
 		case es.s.op == OpGt || es.s.op == OpGe:
@@ -144,9 +136,9 @@ func storedFraction(as *stats.AttrStats, sargs []estSarg, attr model.AttrID) flo
 
 // defaultMatches reports whether an instance reading def satisfies every
 // sarg on attr, compared as the executor compares.
-func defaultMatches(def model.Value, sargs []estSarg, attr model.AttrID) bool {
+func defaultMatches(def model.Value, sargs []estSarg, k int, attr model.AttrID) bool {
 	for _, es := range sargs {
-		if es.attr == attr && !compareOp(es.s.op, &def, &es.s.lit) {
+		if es.attr(k) == attr && !compareOp(es.s.op, &def, &es.s.lit) {
 			return false
 		}
 	}
@@ -182,26 +174,30 @@ func rangeFraction(as *stats.AttrStats, s sarg) (f float64, ok bool) {
 	return math.Min(math.Max(f, 0), 1), true
 }
 
-// estimableSargs resolves the predicate's sargs to the attributes their
-// statistics live under, dropping the inestimable ones.
+// estSarg is a sarg on a one-step path with the path bound on each scope
+// class, in the scope's order: the attribute that class's statistics live
+// under, and what its instances that store no value read.
 type estSarg struct {
-	s    sarg
-	attr model.AttrID
-	def  model.Value // what an instance that stores no value reads
+	s  sarg
+	on []schema.ClassBinding
 }
 
+func (es *estSarg) attr(k int) model.AttrID { return es.on[k].Attrs[0] }
+
+// estimableSargs binds the predicate's sargs over the plan's scope,
+// dropping the inestimable ones: a multi-step path's terminal distribution
+// belongs to another class's instances and says nothing per scope class.
 func (e *Engine) estimableSargs(p *Plan) []estSarg {
 	if p.Query.Where == nil {
 		return nil
 	}
 	var out []estSarg
 	for _, s := range extractSargs(p.Query.Where) {
-		attrPath, _, def, ok := e.resolveAttrPath(p.Target.ID, s.path)
-		if !ok {
+		if len(s.path.Steps) != 1 {
 			continue
 		}
-		if attr, ok := sargAttr(attrPath); ok {
-			out = append(out, estSarg{s: s, attr: attr, def: def})
+		if b, err := e.db.Catalog.BindPath(p.Scope, s.path.Steps); err == nil {
+			out = append(out, estSarg{s: s, on: b.Classes})
 		}
 	}
 	return out
@@ -212,8 +208,8 @@ func (e *Engine) estimableSargs(p *Plan) []estSarg {
 // 1 (an overestimate, which is the safe direction for access-path choice).
 func (est *estimator) predicateRows(sargs []estSarg) float64 {
 	var total float64
-	for _, c := range est.scope {
-		total += est.classRows(c, sargs)
+	for k := range est.scope {
+		total += est.classRows(k, sargs)
 	}
 	return total
 }
@@ -238,8 +234,8 @@ func (e *Engine) annotatePlan(p *Plan) {
 		return // every match is needed: scope order is irrelevant to cost
 	}
 	perClass := make(map[model.ClassID]float64, len(p.Scope))
-	for _, c := range p.Scope {
-		perClass[c] = est.classRows(c, sargs)
+	for k, c := range p.Scope {
+		perClass[c] = est.classRows(k, sargs)
 	}
 	sort.SliceStable(p.Scope, func(i, j int) bool {
 		return perClass[p.Scope[i]] > perClass[p.Scope[j]]

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 
 	"oodb/internal/model"
 )
@@ -271,7 +272,8 @@ func (c *Catalog) AddSuperclass(class, super model.ClassID) (Change, error) {
 			return Change{}, fmt.Errorf("schema: %q already a superclass of %q", c.classes[super].Name, cl.Name)
 		}
 	}
-	if c.wouldCycle(class, super) {
+	// The edge closes a cycle when class is super or one of its ancestors.
+	if slices.Contains(c.classes[super].mro, class) {
 		return Change{}, fmt.Errorf("%w: %s -> %s", ErrCycle, cl.Name, c.classes[super].Name)
 	}
 	cl.Supers = append(cl.Supers, super)
@@ -332,12 +334,12 @@ func (c *Catalog) DropClass(class model.ClassID) (Change, error) {
 				continue
 			}
 			for _, rs := range cl.Supers {
-				if !containsClass(next, rs) {
+				if !slices.Contains(next, rs) {
 					next = append(next, rs)
 					// rs may already be a direct superclass of sub
 					// elsewhere in its list; never duplicate the
 					// subclass back-edge.
-					if !containsClass(c.classes[rs].Subs, subID) {
+					if !slices.Contains(c.classes[rs].Subs, subID) {
 						c.classes[rs].Subs = append(c.classes[rs].Subs, subID)
 					}
 				}
@@ -345,7 +347,7 @@ func (c *Catalog) DropClass(class model.ClassID) (Change, error) {
 		}
 		if len(next) == 0 {
 			next = []model.ClassID{ClassObject}
-			if !containsClass(c.classes[ClassObject].Subs, subID) {
+			if !slices.Contains(c.classes[ClassObject].Subs, subID) {
 				c.classes[ClassObject].Subs = append(c.classes[ClassObject].Subs, subID)
 			}
 		}
@@ -381,25 +383,12 @@ func (c *Catalog) RenameClass(class model.ClassID, newName string) (Change, erro
 	return Change{Kind: ChangeRenameClass, Class: class, Name: newName, Affected: []model.ClassID{class}}, nil
 }
 
-// affected returns the class and all its descendants — the classes whose
-// effective definition changes when class changes. Caller holds a lock.
+// affected returns the class and all its descendants, in ascending order —
+// the classes whose effective definition changes when class changes.
+// Caller holds a lock.
 func (c *Catalog) affected(class model.ClassID) []model.ClassID {
-	seen := map[model.ClassID]bool{}
-	var out []model.ClassID
-	stack := []model.ClassID{class}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		out = append(out, n)
-		if node := c.classes[n]; node != nil {
-			stack = append(stack, node.Subs...)
-		}
-	}
-	sortClassIDs(out)
+	out := c.reach(nil, class)
+	slices.Sort(out)
 	return out
 }
 
@@ -410,15 +399,6 @@ func removeSub(cl *Class, sub model.ClassID) {
 			return
 		}
 	}
-}
-
-func containsClass(ids []model.ClassID, id model.ClassID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 func dedupClasses(ids []model.ClassID) []model.ClassID {

@@ -1,7 +1,9 @@
 package schema
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"oodb/internal/model"
 )
@@ -106,56 +108,7 @@ func (c *Catalog) Descendants(id model.ClassID) ([]model.ClassID, error) {
 	if _, ok := c.classes[id]; !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNoSuchClass, id)
 	}
-	seen := map[model.ClassID]bool{}
-	var out []model.ClassID
-	stack := []model.ClassID{id}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		out = append(out, n)
-		stack = append(stack, c.classes[n].Subs...)
-	}
-	sortClassIDs(out)
-	return out, nil
-}
-
-// wouldCycle reports whether adding super as a superclass of sub would
-// create a cycle, i.e. whether sub is reachable from super via superclass
-// edges... equivalently whether super is a descendant of sub. Caller holds
-// at least the read lock.
-func (c *Catalog) wouldCycle(sub, super model.ClassID) bool {
-	if sub == super {
-		return true
-	}
-	stack := []model.ClassID{super}
-	seen := map[model.ClassID]bool{}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == sub {
-			return true
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if node := c.classes[n]; node != nil {
-			stack = append(stack, node.Supers...)
-		}
-	}
-	return false
-}
-
-func sortClassIDs(ids []model.ClassID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	return c.affected(id), nil
 }
 
 // EffectiveAttrs returns the effective attribute table of the class — its
@@ -172,16 +125,8 @@ func (c *Catalog) EffectiveAttrs(id model.ClassID) ([]*Attribute, error) {
 	for _, a := range cl.effAttrs {
 		out = append(out, a)
 	}
-	sortAttrs(out)
+	slices.SortFunc(out, func(a, b *Attribute) int { return cmp.Compare(a.Name, b.Name) })
 	return out, nil
-}
-
-func sortAttrs(attrs []*Attribute) {
-	for i := 1; i < len(attrs); i++ {
-		for j := i; j > 0 && attrs[j].Name < attrs[j-1].Name; j-- {
-			attrs[j], attrs[j-1] = attrs[j-1], attrs[j]
-		}
-	}
 }
 
 // ResolveAttr resolves an attribute name against the effective definition
@@ -198,6 +143,162 @@ func (c *Catalog) ResolveAttr(id model.ClassID, name string) (*Attribute, error)
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cl.Name, name)
 	}
 	return a, nil
+}
+
+// PathBinding is a name path bound over a scope of classes (BindPath): the
+// attribute each step names in each class the path can reach. A subclass
+// may name another attribute than its superclass (a redefinition, or
+// another superclass winning a conflict: Kim §3.1, model 5), and an index
+// keys one attribute, so it answers only for the classes that read it.
+type PathBinding struct {
+	Classes []ClassBinding // per scope class, in the scope's order
+	// Uniform reports that every scope class is exact on the same
+	// attributes: every instance in scope reads Classes[0].Attrs.
+	Uniform bool
+	// Single reports that no step is set-valued, so an instance has at
+	// most one value (and one index key) along the path.
+	Single bool
+}
+
+// ClassBinding is a name path bound on one scope class.
+type ClassBinding struct {
+	// Attrs are the attributes the steps name: the head on the class, each
+	// later step on the previous step's domain. Nil when a step is no
+	// attribute there or an interior step's domain is primitive.
+	Attrs []model.AttrID
+	// Exact reports that every instance reads Attrs: each descendant of
+	// each interior step's domain names the same attribute the domain does,
+	// and no step of a nested path has a non-null default (which no index
+	// key stands for).
+	Exact  bool
+	Domain model.ClassID // the last step's domain
+	Def    model.Value   // what an instance that stores no value reads on a one-step path
+}
+
+// AttrRead is one attribute a path reads: the step name at a class
+// (PathReads).
+type AttrRead struct {
+	Class model.ClassID
+	Name  string
+}
+
+// BindPath binds a name path over scope under one read lock. The error is
+// the first scope class's whose steps are not all attributes (or whose
+// interior step has a primitive domain); the binding still holds what
+// resolved.
+func (c *Catalog) BindPath(scope []model.ClassID, steps []string) (PathBinding, error) {
+	return c.bind(scope, steps, nil)
+}
+
+// PathReads lists, once each, the (class, step) pairs at which the path
+// reads an attribute when BindPath binds it over scope: the head step at
+// each scope class, each later step at each descendant of the previous
+// step's domain, as far as the steps are attributes there.
+func (c *Catalog) PathReads(scope []model.ClassID, steps []string) []AttrRead {
+	reads := make([]AttrRead, 0, len(scope)+len(steps))
+	c.bind(scope, steps, &reads)
+	return reads
+}
+
+// bind is BindPath, appending to reads, when it is not nil, each read it
+// makes. Step i of a scope class's path is read at each class of at: the
+// class itself for the head, then each class a reference along the way
+// may land on, the declared domain first.
+func (c *Catalog) bind(scope []model.ClassID, steps []string, reads *[]AttrRead) (PathBinding, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	n := len(steps)
+	b := PathBinding{Classes: make([]ClassBinding, len(scope)), Single: true}
+	var first error
+scope:
+	for k, class := range scope {
+		cl, ok := c.classes[class]
+		if !ok {
+			first = cmp.Or(first, fmt.Errorf("%w: id %d", ErrNoSuchClass, class))
+			continue
+		}
+		cb := &b.Classes[k]
+		// A class whose head names an earlier class's attribute reads the
+		// same path behind it.
+		var head *Attribute
+		if n > 0 {
+			head = cl.effAttrs[steps[0]]
+		}
+		for _, o := range b.Classes[:k] {
+			if head != nil && len(o.Attrs) > 0 && o.Attrs[0] == head.ID {
+				if *cb = o; reads != nil {
+					*reads = append(*reads, AttrRead{class, steps[0]})
+				}
+				continue scope
+			}
+		}
+		cb.Attrs, cb.Exact = make([]model.AttrID, 0, n), true
+		var err error
+		at := []model.ClassID{class}
+		for i, step := range steps {
+			last := i == n-1
+			var declared *Attribute
+			var next []model.ClassID
+			for j, id := range at {
+				a := c.classes[id].effAttrs[step]
+				switch {
+				case a == nil:
+					cb.Exact = false
+					if j == 0 && err == nil {
+						err = fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, c.classes[id].Name, step)
+					}
+					continue
+				case j == 0:
+					declared = a
+				case a != declared:
+					cb.Exact = false
+				}
+				if r := (AttrRead{id, step}); reads != nil && (i == 0 || !slices.Contains(*reads, r)) {
+					*reads = append(*reads, r) // the scope's classes are distinct
+				}
+				b.Single = b.Single && !a.SetValued
+				cb.Exact = cb.Exact && (n == 1 || a.Default.IsNull())
+				if !last && (a.Domain == ClassObject || !IsPrimitive(a.Domain)) {
+					next = c.reach(next, a.Domain)
+				}
+			}
+			at = next
+			if declared == nil || err != nil {
+				continue
+			}
+			cb.Attrs = append(cb.Attrs, declared.ID)
+			cb.Def, cb.Domain = declared.Default, declared.Domain
+			if !last && IsPrimitive(declared.Domain) {
+				err = fmt.Errorf("schema: path step %q has primitive domain; cannot continue path", step)
+			}
+		}
+		if err != nil {
+			cb.Attrs, cb.Exact, first = nil, false, cmp.Or(first, err)
+		}
+	}
+	b.Uniform = len(scope) > 0
+	for _, cb := range b.Classes {
+		b.Uniform = b.Uniform && cb.Exact && slices.Equal(cb.Attrs, b.Classes[0].Attrs)
+	}
+	return b, first
+}
+
+// reach appends to at each class not yet in it that a reference whose
+// domain is domain may land on: domain, then its descendants, breadth
+// first. Caller holds a lock.
+func (c *Catalog) reach(at []model.ClassID, domain model.ClassID) []model.ClassID {
+	if slices.Contains(at, domain) {
+		return at
+	}
+	at = append(at, domain)
+	for i := len(at) - 1; i < len(at); i++ {
+		for _, sub := range c.classes[at[i]].Subs {
+			if !slices.Contains(at, sub) {
+				at = append(at, sub)
+			}
+		}
+	}
+	return at
 }
 
 // ResolveMethod resolves a message name against the effective method table

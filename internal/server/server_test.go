@@ -420,6 +420,52 @@ func TestAuthorizationEnforced(t *testing.T) {
 			t.Errorf("%s get salary: embedded %v, wire %v", role, eerr, werr)
 		}
 	}
+
+	// A prohibition on a subclass's attribute: session_test.go's
+	// TestSessionSubclassAttributeProhibition, through both doors. A
+	// statement over Employee reads Mgr's salary too and is refused; FROM
+	// ONLY Employee answers, the same rows on both.
+	mgr, err := db.DefineClass("Mgr", []string{"Employee"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := dial(t, s, client.Options{Role: "hr"}).Insert("Mgr",
+		map[string]model.Value{"name": model.String("bob"), "salary": model.Int(999)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Do(func(tx *oodb.Tx) error { return tx.Update(alice, oodb.Attrs{"boss": oodb.Ref(bob)}) }); err != nil {
+		t.Fatal(err)
+	}
+	az.AddRole("lead")
+	for _, g := range []authz.Grant{
+		{Role: "lead", Type: authz.Read, Object: authz.ClassDeep(ecl.ID)},
+		{Role: "lead", Type: authz.Read, Object: authz.Attribute(mgr.ID, "salary"), Negative: true},
+	} {
+		if err := az.Grant(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess, wire := db.Session(az, "lead"), dial(t, s, client.Options{Role: "lead"})
+	for _, stmt := range []string{
+		`SELECT name, salary FROM Employee`,
+		`SELECT name FROM Employee WHERE salary > 100`,
+		`SELECT name FROM Employee ORDER BY salary`,
+		`SELECT SUM(salary) FROM Employee`,
+		`SELECT name FROM ONLY Employee WHERE boss.salary > 100`,
+	} {
+		_, eerr := sess.Query(stmt)
+		_, werr := wire.Query(stmt)
+		if !errors.Is(eerr, authz.ErrDenied) || !errors.Is(werr, client.ErrDenied) {
+			t.Errorf("lead %s: embedded %v, wire %v (want denied on both)", stmt, eerr, werr)
+		}
+	}
+	stmt := `SELECT name, salary FROM ONLY Employee ORDER BY salary`
+	eres, eerr := sess.Query(stmt)
+	wres, werr := wire.Query(stmt)
+	if eerr != nil || werr != nil || len(eres.Rows) != 1 || fmt.Sprint(eres) != fmt.Sprint(wres) {
+		t.Errorf("lead %s: embedded %v %v, wire %v %v", stmt, eres, eerr, wres, werr)
+	}
 }
 
 // TestIdleSessionEviction proves an evicted session's open transaction is

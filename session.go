@@ -164,23 +164,17 @@ func (s *Session) query(tx *Tx, src string) (*proto.Result, error) {
 
 // checkPaths refuses a planned statement that reads — in its projection,
 // predicate, ORDER BY or an aggregate argument — an attribute the role is
-// explicitly forbidden to read. Steps resolve statically: the first against
-// the target class, each later one against the previous step's domain. A
-// step that is no attribute (a method, or a name the executor will refuse)
-// ends its path's walk.
+// explicitly forbidden to read, at any class its binding reads it at
+// (Catalog.PathReads): each scope class, and each descendant of an
+// interior step's domain. FROM ONLY narrows the scope to one class. A step
+// that is no attribute (a method, or a name the executor refuses) ends its
+// path there.
 func (s *Session) checkPaths(plan *query.Plan) error {
-	cat := s.db.eng.Catalog
 	for _, path := range plan.Query.Paths() {
-		class := plan.Target.ID
-		for _, step := range path.Steps {
-			a, err := cat.ResolveAttr(class, step)
-			if err != nil {
-				break
-			}
-			if err := s.attrProhibited(authz.Read, class, step); err != nil {
+		for _, r := range s.db.eng.Catalog.PathReads(plan.Scope, path.Steps) {
+			if err := s.attrProhibited(authz.Read, r.Class, r.Name); err != nil {
 				return err
 			}
-			class = a.Domain
 		}
 	}
 	return nil

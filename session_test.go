@@ -2,6 +2,7 @@ package oodb
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"oodb/internal/authz"
@@ -105,6 +106,64 @@ func TestSessionAttributeHiding(t *testing.T) {
 		if _, err := hr.Query(stmt); err != nil {
 			t.Errorf("hr %s: %v", stmt, err)
 		}
+	}
+}
+
+// subclassSalaryStatements read Employee's salary over a hierarchy whose
+// subclass Mgr's salary is forbidden: projection, predicate, ORDER BY,
+// aggregate argument, and the second step of a path whose domain has Mgr
+// below it. internal/server's TestAuthorizationEnforced runs the same list
+// over the wire.
+var subclassSalaryStatements = []string{
+	`SELECT name, salary FROM Employee`,
+	`SELECT name FROM Employee WHERE salary > 100`,
+	`SELECT name FROM Employee ORDER BY salary`,
+	`SELECT SUM(salary) FROM Employee`,
+	`SELECT name FROM ONLY Employee WHERE boss.salary > 100`,
+}
+
+// TestSessionSubclassAttributeProhibition: a prohibition on a subclass's
+// attribute holds in a statement over its superclass, whose scope takes in
+// the subclass's instances, and behind a reference whose domain is the
+// superclass. FROM ONLY reads the superclass alone and answers.
+func TestSessionSubclassAttributeProhibition(t *testing.T) {
+	db, az, alice := sessionWorld(t)
+	mgr, err := db.DefineClass("Mgr", []string{"Employee"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Do(func(tx *Tx) error {
+		bob, err := tx.Insert("Mgr", Attrs{"name": String("bob"), "salary": Int(999)})
+		if err != nil {
+			return err
+		}
+		return tx.Update(alice, Attrs{"boss": Ref(bob)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	az.AddRole("lead")
+	emp, _ := db.ClassByName("Employee")
+	az.Grant(authz.Grant{Role: "lead", Type: authz.Read, Object: authz.ClassDeep(emp.ID)})
+	az.Grant(authz.Grant{Role: "lead", Type: authz.Read,
+		Object: authz.Attribute(mgr.ID, "salary"), Negative: true})
+	lead := db.Session(az, "lead")
+	for _, stmt := range append(subclassSalaryStatements, `SELECT salary FROM Mgr`) {
+		if _, err := lead.Query(stmt); !errors.Is(err, authz.ErrDenied) {
+			t.Errorf("lead %s: expected denial, got %v", stmt, err)
+		}
+		if _, err := lead.QuerySnapshot(stmt); !errors.Is(err, authz.ErrDenied) {
+			t.Errorf("lead snapshot %s: expected denial, got %v", stmt, err)
+		}
+	}
+	for _, stmt := range subclassSalaryStatements[:4] {
+		only := strings.Replace(stmt, "FROM Employee", "FROM ONLY Employee", 1)
+		if _, err := lead.Query(only); err != nil {
+			t.Errorf("lead %s: %v", only, err)
+		}
+	}
+	res, err := lead.Query(`SELECT name, salary FROM ONLY Employee`)
+	if err != nil || len(res.Rows) != 1 || Compare(res.Rows[0].Values[1], Int(200)) != 0 {
+		t.Fatalf("lead ONLY Employee: %v %v", res, err)
 	}
 }
 
