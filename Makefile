@@ -6,7 +6,7 @@ GO ?= go
 # give all they have). Override: make crash CRASH_SCHEDULES=60
 CRASH_SCHEDULES ?= 21
 
-.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash lifecycle metrics-lint chain-lint decode-lint verify
+.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash lifecycle replan metrics-lint chain-lint decode-lint verify
 
 build:
 	$(GO) build ./...
@@ -95,10 +95,10 @@ chain-lint:
 # internal/core/decodelint_test.go). And it keeps one index walker: no
 # non-test file of internal/query but walk.go calls core.Tx's
 # SnapshotOverlayOIDs or index.Index's Scan, Summarize, Edge or Unkeyed,
-# and none but bind.go calls schema.Catalog's ResolveAttr (a path is bound
-# over the scope with Catalog.BindPath), matched on the receiver's type
-# (TestOneIndexWalk in internal/query/walklint_test.go, which type-checks
-# the package).
+# none but bind.go calls schema.Catalog's ResolveAttr, and none but plan.go
+# calls schema.Catalog's BindPath (a plan binds each path over its scope
+# once), matched on the receiver's type (TestOneIndexWalk in
+# internal/query/walklint_test.go, which type-checks the package).
 decode-lint:
 	$(GO) test -count=1 -run '^(TestOnlyTheEngineDecodes|TestPinnedReadsStayInTheEngine|TestOneDecodingCursor)$$' ./internal/core/
 	$(GO) test -count=1 -run '^TestOneIndexWalk$$' ./internal/query/
@@ -122,9 +122,20 @@ crash:
 lifecycle:
 	$(GO) test -race -count=10 -run '^(TestPipelinedRequestsAnsweredInOrder|TestBusySessionNotEvicted|TestIdleSessionEviction|TestDrainKicksIdleAndBusySessions|TestDrainUnderLoad|TestDrainIdleSessions)$$' ./internal/server/
 
+# DDL racing statements, ten times under the race detector: one goroutine
+# drops and re-creates an index, or takes a class out of a hierarchy and
+# puts it back, while readers run statements through DB.Query,
+# DB.QuerySnapshot and Session.Query; a statement plans again when the
+# schema epoch moves under it and never reads an index still being
+# populated (TestIndexChurnUnderQueries, TestSchemaChurnUnderSnapshots;
+# about 5 s).
+replan:
+	$(GO) test -race -count=10 -run '^(TestIndexChurnUnderQueries|TestSchemaChurnUnderSnapshots)$$' .
+
 # The full pre-merge gate: compile, static checks, formatting drift, the
 # benchmark module, ONE pass of the whole test suite under the race
-# detector, the session-lifecycle tests ten times, the crash matrices at
-# CRASH_SCHEDULES breadth, and one pass of every benchmark. To work on one subsystem, run its tests directly, e.g.
+# detector, the session-lifecycle tests and the DDL race ten times each,
+# the crash matrices at CRASH_SCHEDULES breadth, and one pass of every
+# benchmark. To work on one subsystem, run its tests directly, e.g.
 # `go test -race -count=1 ./internal/mvcc/`.
-verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race lifecycle crash benchsmoke
+verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race lifecycle replan crash benchsmoke

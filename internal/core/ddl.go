@@ -160,10 +160,18 @@ func (db *DB) RenameAttribute(class model.ClassID, oldName, newName string) erro
 	})
 }
 
-// AddSuperclass adds an inheritance edge. Indexes rooted above the class
-// gain coverage of its instances, so they are repopulated.
+// AddSuperclass adds an inheritance edge. Hierarchy indexes rooted at or
+// above super gain coverage of the class's instances, so they are
+// repopulated, and answer no statement until they are: a snapshot takes
+// no class lock.
 func (db *DB) AddSuperclass(class, super model.ClassID) error {
 	return db.ddl([]model.ClassID{class, super}, func() (func() error, error) {
+		for _, idx := range db.Indexes.All() {
+			if idx.Hierarchy && db.Catalog.IsSubclassOf(super, idx.Class) {
+				db.Indexes.Publish(idx, false)
+				defer db.Indexes.Publish(idx, true)
+			}
+		}
 		if _, err := db.Catalog.AddSuperclass(class, super); err != nil {
 			return nil, err
 		}
@@ -200,7 +208,7 @@ func (db *DB) RegisterMethod(class model.ClassID, name string, impl schema.Metho
 // on class (Catalog.BindPath: each interior domain must be a general
 // class); hierarchy selects a class-hierarchy index.
 func (db *DB) CreateIndex(name string, class model.ClassID, path []string, hierarchy bool) error {
-	b, err := db.Catalog.BindPath([]model.ClassID{class}, path)
+	b, err := db.Catalog.BindPath([]model.ClassID{class}, path, nil)
 	if err != nil {
 		return err
 	}
@@ -216,19 +224,26 @@ func (db *DB) DropIndex(name string) error {
 	})
 }
 
-// buildIndex creates the index and populates it from the covered classes.
-// An index that cannot be populated is dropped again: no query may probe a
-// half-built one.
+// SchemaEpoch moves on every catalog change and on every index create or
+// drop, and on nothing else — not on compaction, statistics or a
+// checkpoint. A query plan records it before it reads the catalog and the
+// indexes, and is still what it was made as while the epoch holds.
+func (db *DB) SchemaEpoch() uint64 { return db.Catalog.Version() + db.Indexes.Version() }
+
+// buildIndex creates the index, populates it from the covered classes and
+// publishes it: no query may probe a half-built one, and one that cannot be
+// populated is dropped again.
 func (db *DB) buildIndex(name string, class model.ClassID, path []model.AttrID, hierarchy bool) error {
-	idx, err := db.Indexes.Create(name, class, path, hierarchy)
-	if err != nil {
-		return err
-	}
 	classes := []model.ClassID{class}
+	var err error
 	if hierarchy {
 		if classes, err = db.Catalog.Descendants(class); err != nil {
 			return err
 		}
+	}
+	idx, err := db.Indexes.Create(name, class, path, hierarchy)
+	if err != nil {
+		return err
 	}
 	var perr error
 	err = db.scanRaw(classes, func(obj *model.Object) bool {
@@ -237,8 +252,10 @@ func (db *DB) buildIndex(name string, class model.ClassID, path []model.AttrID, 
 	})
 	if err = cmp.Or(err, perr); err != nil {
 		_ = db.Indexes.Drop(name)
+		return err
 	}
-	return err
+	db.Indexes.Publish(idx, true)
+	return nil
 }
 
 // repopulateClass re-feeds every instance of class (and its descendants)

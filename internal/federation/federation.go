@@ -250,11 +250,7 @@ func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 func (s *OOSource) RunQuery(q *query.Query) (*Result, bool, error) {
 	tx := s.db.Begin()
 	defer tx.Abort()
-	var eres *query.Result
-	plan, err := s.eng.PlanQuery(q)
-	if err == nil {
-		eres, err = s.eng.Execute(tx, plan)
-	}
+	eres, err := s.eng.RunQuery(tx, q, nil)
 	if errors.Is(err, query.ErrNoAttr) {
 		return nil, false, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"oodb/internal/model"
 	"oodb/internal/schema"
@@ -69,6 +70,9 @@ type Index struct {
 	// indexes only: there a head has no key exactly when its attribute is
 	// null, which an aggregate folded from the keys must still see.
 	unkeyed map[model.ClassID]int
+	// published is set, under mu, once the index holds every covered
+	// object (Publish).
+	published bool
 }
 
 // Manager owns all indexes of a database and keeps them consistent with
@@ -80,6 +84,8 @@ type Manager struct {
 	byID   map[uint32]*Index
 	byName map[string]*Index
 	nextID uint32
+	// version counts the indexes created and dropped, under mu (Version).
+	version atomic.Uint64
 }
 
 // NewManager creates an index manager over the catalog. The fetcher is
@@ -94,8 +100,10 @@ func NewManager(cat *schema.Catalog, fetch Fetcher) *Manager {
 	}
 }
 
-// Create defines a new index. The caller is responsible for populating it
-// (the engine scans the covered classes and feeds OnPut for each object).
+// Create defines a new index. Writes maintain it from here on, but All
+// leaves it out until Publish: the caller populates it (the engine scans the
+// covered classes and feeds each object to Populate), then publishes it, so
+// no query reads a half-built index.
 func (m *Manager) Create(name string, class model.ClassID, path []model.AttrID, hierarchy bool) (*Index, error) {
 	if len(path) == 0 {
 		return nil, ErrEmptyPath
@@ -127,6 +135,7 @@ func (m *Manager) Create(name string, class model.ClassID, path []model.AttrID, 
 		idx.unkeyed = make(map[model.ClassID]int)
 	}
 	m.nextID++
+	m.version.Add(1)
 	m.byID[idx.ID] = idx
 	m.byName[name] = idx
 	return idx, nil
@@ -142,8 +151,20 @@ func (m *Manager) Drop(name string) error {
 	}
 	delete(m.byName, name)
 	delete(m.byID, idx.ID)
+	m.version.Add(1)
 	return nil
 }
+
+// Publish makes a populated index one of All's, or with published false
+// takes it out again while a schema change repopulates it.
+func (m *Manager) Publish(idx *Index, published bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	idx.published = published
+}
+
+// Version moves on every index create and drop, and on nothing else.
+func (m *Manager) Version() uint64 { return m.version.Load() }
 
 // Get returns the named index.
 func (m *Manager) Get(name string) (*Index, error) {
@@ -156,13 +177,13 @@ func (m *Manager) Get(name string) (*Index, error) {
 	return idx, nil
 }
 
-// All returns every index (ascending id).
+// All returns every published index (ascending id).
 func (m *Manager) All() []*Index {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]*Index, 0, len(m.byID))
 	for id := uint32(1); id < m.nextID; id++ {
-		if idx, ok := m.byID[id]; ok {
+		if idx, ok := m.byID[id]; ok && idx.published {
 			out = append(out, idx)
 		}
 	}
@@ -176,25 +197,6 @@ func (m *Manager) covers(idx *Index, class model.ClassID) bool {
 		return m.cat.IsSubclassOf(class, idx.Class)
 	}
 	return class == idx.Class
-}
-
-// Covering returns every index whose head class covers the given class and
-// whose path starts with the given attribute. The planner uses it for
-// access-path selection.
-func (m *Manager) Covering(class model.ClassID, first model.AttrID) []*Index {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []*Index
-	for id := uint32(1); id < m.nextID; id++ {
-		idx, ok := m.byID[id]
-		if !ok || len(idx.Path) == 0 || idx.Path[0] != first {
-			continue
-		}
-		if m.covers(idx, class) {
-			out = append(out, idx)
-		}
-	}
-	return out
 }
 
 // Populate feeds one object into one index (bulk build after Create). It

@@ -304,27 +304,6 @@ func TestNullValuesNotIndexed(t *testing.T) {
 	}
 }
 
-func TestManagerCovering(t *testing.T) {
-	w := newVehicleWorld(t)
-	w.mgr.Create("ch", w.vehicle.ID, []model.AttrID{w.weight}, true)
-	w.mgr.Create("sc_truck", w.truck.ID, []model.AttrID{w.weight}, false)
-
-	// For the Truck class both indexes apply.
-	got := w.mgr.Covering(w.truck.ID, w.weight)
-	if len(got) != 2 {
-		t.Fatalf("Covering(Truck) = %d indexes", len(got))
-	}
-	// For Automobile only the CH index applies.
-	got = w.mgr.Covering(w.auto.ID, w.weight)
-	if len(got) != 1 || got[0].Name != "ch" {
-		t.Fatalf("Covering(Automobile) = %v", got)
-	}
-	// Wrong attribute: nothing.
-	if got := w.mgr.Covering(w.truck.ID, w.manufacturer); len(got) != 0 {
-		t.Fatalf("Covering(manufacturer) = %v", got)
-	}
-}
-
 func TestCreateDuplicateAndDrop(t *testing.T) {
 	w := newVehicleWorld(t)
 	if _, err := w.mgr.Create("i", w.vehicle.ID, []model.AttrID{w.weight}, true); err != nil {

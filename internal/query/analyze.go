@@ -19,14 +19,14 @@ import (
 // before and after execution, so concurrent activity on other connections
 // can inflate them; on an otherwise quiet database they are exact.
 func (e *Engine) ExplainAnalyze(tx *core.Tx, src string) (string, error) {
-	p, err := e.compile(src)
+	q, err := Parse(src)
 	if err != nil {
 		return "", err
 	}
 	hits0, misses0 := e.db.Store.PoolStats()
 	span := obs.StartSpan("query")
-	t0 := time.Now()
-	res, err := e.execute(tx, p, span)
+	var t0 time.Time // the executed plan's start: vet runs just before execute
+	p, res, err := e.run(tx, q, func(*Plan) error { t0 = time.Now(); return nil }, span)
 	elapsed := time.Since(t0)
 	span.End()
 	if err != nil {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,27 +25,56 @@ type Result struct {
 	Rows []Row
 }
 
-// compile parses and plans src.
-func (e *Engine) compile(src string) (*Plan, error) {
+// ErrStalePlan is Execute's refusal of a plan made before a catalog change
+// or an index create or drop; RunQuery plans such a statement again.
+var ErrStalePlan = errors.New("query: stale plan: the schema or the indexes changed since planning")
+
+// maxPlans caps how many times run plans one statement.
+const maxPlans = 4
+
+// Run parses, plans and executes src inside tx.
+func (e *Engine) Run(tx *core.Tx, src string) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return e.PlanQuery(q)
+	return e.RunQuery(tx, q, nil)
 }
 
-// Run parses, plans and executes src inside tx.
-func (e *Engine) Run(tx *core.Tx, src string) (*Result, error) {
-	plan, err := e.compile(src)
-	if err != nil {
-		return nil, err
+// RunQuery plans q, vets the plan (vet, when not nil, refuses it with an
+// error: a role's read check) and executes it inside tx.
+func (e *Engine) RunQuery(tx *core.Tx, q *Query, vet func(*Plan) error) (*Result, error) {
+	_, res, err := e.run(tx, q, vet, nil)
+	return res, err
+}
+
+// run is the one statement loop: plan, vet, execute, and on ErrStalePlan
+// all three again, so the vetted plan is the one that executes. It returns
+// the plan that ran.
+func (e *Engine) run(tx *core.Tx, q *Query, vet func(*Plan) error, span *obs.Span) (*Plan, *Result, error) {
+	for n := 1; ; n++ {
+		p, err := e.PlanQuery(q)
+		if err == nil && vet != nil {
+			err = vet(p)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := e.execute(tx, p, span)
+		if !errors.Is(err, ErrStalePlan) || n == maxPlans {
+			return p, res, err
+		}
+		mReplans.Add(1)
 	}
-	return e.Execute(tx, plan)
 }
 
 // Explain parses and plans src, returning the plan description.
 func (e *Engine) Explain(src string) (string, error) {
-	plan, err := e.compile(src)
+	q, err := Parse(src)
+	if err != nil {
+		return "", err
+	}
+	plan, err := e.PlanQuery(q)
 	if err != nil {
 		return "", err
 	}
@@ -52,7 +82,8 @@ func (e *Engine) Explain(src string) (string, error) {
 }
 
 // Execute runs a compiled plan inside tx. The scope classes are locked
-// shared for the duration of the transaction (strict 2PL).
+// shared for the duration of the transaction (strict 2PL). A stale plan
+// is refused (ErrStalePlan).
 func (e *Engine) Execute(tx *core.Tx, p *Plan) (*Result, error) {
 	return e.execute(tx, p, nil)
 }
@@ -69,23 +100,34 @@ func (e *Engine) Execute(tx *core.Tx, p *Plan) (*Result, error) {
 // version, or in a locked transaction its own write, else the newest
 // committed state — never another transaction's uncommitted bytes, since
 // the scope S locks do not cover the classes a path leaves the scope for.
-func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) {
+func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (res *Result, err error) {
 	mQueriesTotal.Add(1)
 	if err := tx.LockClassScan(p.Scope); err != nil {
 		return nil, err
 	}
+	// The plan holds only under its epoch: read once the scope's S locks
+	// keep the scope still, and again when the plan has run, for what they
+	// do not hold — a snapshot, a path's classes outside the scope, an
+	// index (DESIGN §4 "The plan epoch").
+	if e.db.SchemaEpoch() != p.epoch {
+		return nil, ErrStalePlan
+	}
+	defer func() {
+		if e.db.SchemaEpoch() != p.epoch {
+			res, err = nil, ErrStalePlan
+		}
+	}()
 	q := p.Query
 	var rows []Row
 	var aggs []Accumulator // set when the index or the scan folded the aggregates
 	var matched uint64
 	var ordered bool // rows already arrived in ORDER BY order
-	var err error
-	if idx, iv := e.covered(p); idx != nil {
+	if p.cover != nil {
 		if len(q.Aggregates) == 0 {
-			if res, err := e.indexRows(tx, p, idx, iv, span); res != nil || err != nil {
+			if res, err := e.indexRows(tx, p, span); res != nil || err != nil {
 				return res, err
 			}
-		} else if aggs, matched, err = e.foldAggregates(tx, p, idx, iv, span); err != nil {
+		} else if aggs, matched, err = e.foldAggregates(tx, p, span); err != nil {
 			return nil, err
 		}
 	}
@@ -160,7 +202,7 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	// Projection. One backing array serves every row's Values slice: the
 	// result set is assembled and consumed together, so per-row slices
 	// would only fragment the heap.
-	res := &Result{}
+	res = &Result{}
 	if len(q.Select) == 0 {
 		res.Cols = []string{"oid"}
 		backing := make([]model.Value, len(rows))

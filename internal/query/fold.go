@@ -8,65 +8,7 @@ import (
 	"oodb/internal/index"
 	"oodb/internal/model"
 	"oodb/internal/obs"
-	"oodb/internal/schema"
 )
-
-// covered returns the index that answers p from its keys, without reading a
-// record (DESIGN §4 "Covered statements"), and the key interval the
-// statement's matches lie in — the plan's interval, or the whole key range
-// under a heap-scan plan — or nil when a precondition fails. The statement
-// is an aggregate that streams (no ORDER BY, no LIMIT), or a row statement
-// that selects only the slot, orders by it ascending and whose WHERE clause
-// rejects null (the index holds no OID for a null value). It reads at most
-// one slot, a one-step path; its binding over the scope is uniform (every
-// scope class names the same attribute) on a single-valued Integer
-// attribute with a null default; one index on it covers the scope; and
-// ForceScan is off. A statement that reads no slot — COUNT(*) with no
-// WHERE — counts from any attribute that qualifies.
-func (e *Engine) covered(p *Plan) (*index.Index, index.Interval) {
-	q, prog := p.Query, p.prog
-	switch {
-	case e.ForceScan || len(prog.paths) > 1 || (len(prog.paths) == 1 && len(prog.paths[0]) != 1):
-		return nil, index.Interval{}
-	case len(q.Aggregates) > 0:
-		if !streamsAggregates(q) {
-			return nil, index.Interval{}
-		}
-	case len(q.Select) == 0 || q.OrderBy == nil || q.Desc || matchesNull(prog):
-		return nil, index.Interval{}
-	}
-	var names []string
-	if len(prog.paths) == 1 {
-		names = prog.paths[0]
-	} else {
-		attrs, _ := e.db.Catalog.EffectiveAttrs(p.Target.ID)
-		for _, a := range attrs {
-			names = append(names, a.Name)
-		}
-	}
-	for _, name := range names {
-		b, err := e.db.Catalog.BindPath(p.Scope, []string{name})
-		if err != nil || !b.Uniform || !b.Single || b.Classes[0].Domain != schema.ClassInteger || !b.Classes[0].Def.IsNull() {
-			continue
-		}
-		indexes, union := e.findIndexes(p, &b)
-		switch {
-		case indexes == nil || union:
-		case p.kind == accessScan:
-			return indexes[0], index.Interval{}
-		case p.indexes[0] == indexes[0]:
-			return indexes[0], p.iv
-		}
-	}
-	return nil, index.Interval{}
-}
-
-// matchesNull reports whether prog's WHERE clause may hold on a candidate
-// whose slots are null.
-func matchesNull(prog *Program) bool {
-	ok, err := prog.NewFrame(func(int) (model.Value, error) { return model.Null, nil }).Match()
-	return ok || err != nil
-}
 
 // cut returns where the pieces of the integer line start, ascending, cut at
 // the numeric literals of where: the integers of one piece compare alike
@@ -129,8 +71,8 @@ func keyRange(lo, hi int64) index.Interval {
 	return iv
 }
 
-// foldAggregates answers p's aggregates from idx without reading a record.
-// It cuts the integer line at the WHERE clause's literals (cut), runs the
+// foldAggregates answers p's aggregates from its covering index (p.cover,
+// over p.coverIV) without reading a record. It cuts the integer line at the WHERE clause's literals (cut), runs the
 // program once per piece on the piece's integer nearest zero, and reads the
 // matching pieces, merged where adjacent, from the tree's node summaries:
 // their posting count and integer sum, and for MIN and MAX the first and
@@ -138,13 +80,13 @@ func keyRange(lo, hi int64) index.Interval {
 // the predicate matches null. It returns nil accumulators when the walk
 // gives up, also when the matches' Σ|v| reaches 2^63 (some order of adding
 // would leave int64), and the caller runs the statement's ordinary path.
-func (e *Engine) foldAggregates(tx *core.Tx, p *Plan, idx *index.Index, iv index.Interval, span *obs.Span) ([]Accumulator, uint64, error) {
-	w := &walk{tx: tx, p: p, idx: idx, span: span}
+func (e *Engine) foldAggregates(tx *core.Tx, p *Plan, span *obs.Span) ([]Accumulator, uint64, error) {
+	w := &walk{tx: tx, p: p, idx: p.cover, span: span}
 	var aggs []Accumulator
 	var n, unkeyed uint64
 	var pieces int
-	ok, err := w.cover("index-agg "+idx.Name, func() error {
-		if w.summarize(iv); w.reason != "" {
+	ok, err := w.cover("index-agg "+p.cover.Name, func() error {
+		if w.summarize(p.coverIV); w.reason != "" {
 			return nil
 		}
 		// runs are the matching pieces, adjacent ones merged, as integer bounds.
@@ -212,21 +154,21 @@ func (e *Engine) foldAggregates(tx *core.Tx, p *Plan, idx *index.Index, iv index
 	return aggs, n, nil
 }
 
-// indexRows answers a covered row statement from idx's (key, posting)
-// pairs in iv, which come in key order — the statement's ORDER BY. The
+// indexRows answers a covered row statement from its covering index's
+// (key, posting) pairs in p.coverIV, which come in key order — the statement's ORDER BY. The
 // program's predicate runs once per key on its value; a match yields one
 // row per posting of a scope class, carrying its OID and the value in every
 // column, and LIMIT ends the walk. Nothing is fetched, so a row has no
 // Object. It returns nil when the walk gives up.
-func (e *Engine) indexRows(tx *core.Tx, p *Plan, idx *index.Index, iv index.Interval, span *obs.Span) (*Result, error) {
-	w := &walk{tx: tx, p: p, idx: idx, span: span, rows: true}
+func (e *Engine) indexRows(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) {
+	w := &walk{tx: tx, p: p, idx: p.cover, span: span, rows: true}
 	q := p.Query
 	n, m := len(q.Select), min(q.Limit, 64) // LIMIT bounds the rows; room for a small one
 	rows := make([]Row, 0, m)
 	vals := make([]model.Value, 0, m*n) // the rows' Values, one after another
 	full := false
-	ok, err := w.cover("index-only "+idx.Name, func() error {
-		return w.keyRows(iv, func(oid model.OID) bool {
+	ok, err := w.cover("index-only "+p.cover.Name, func() error {
+		return w.keyRows(p.coverIV, func(oid model.OID) bool {
 			rows = append(rows, Row{OID: oid})
 			for range q.Select {
 				vals = append(vals, w.key)

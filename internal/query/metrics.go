@@ -19,4 +19,6 @@ var (
 	mFolds         = obs.RegisterCounter("query_fold_statements_total")
 	mIndexOnly     = obs.RegisterCounter("query_index_only_statements_total")
 	mFoldFallbacks = obs.RegisterCounter("query_fold_fallbacks_total")
+	// A statement planned again (ErrStalePlan).
+	mReplans = obs.RegisterCounter("query_replans_total")
 )

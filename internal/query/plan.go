@@ -29,15 +29,17 @@ type Engine struct {
 // NewEngine returns a query engine over db.
 func NewEngine(db *core.DB) *Engine { return &Engine{db: db} }
 
-// accessKind enumerates the planner's access paths.
+// accessKind enumerates the planner's access paths, in the order of its
+// heuristic ranking: equality beats range, one index beats a per-class
+// union, and any index beats a heap scan.
 type accessKind int
 
 const (
-	accessScan     accessKind = iota // heap-scan every class in scope
-	accessIndexEq                    // single index, equality probe
-	accessIndexRng                   // single index, range scan
+	accessIndexEq  accessKind = iota // single index, equality probe
 	accessUnionEq                    // one SC index per scope class, equality
+	accessIndexRng                   // single index, range scan
 	accessUnionRng                   // one SC index per scope class, range
+	accessScan                       // heap-scan every class in scope
 )
 
 // Plan is a compiled query: scope, access path and residual predicate.
@@ -53,11 +55,17 @@ type Plan struct {
 	// so the executor may skip the sort and stop at LIMIT (see
 	// orderFromIndex for the plan-time half of the precondition).
 	ordered bool
-	// cover is the index the executor is expected to answer the statement
-	// from without reading a record (see covered) — what EXPLAIN shows.
-	// Execute decides again under the scope's locks.
+	// cover is the index the executor answers the statement from without
+	// reading a record (see covered).
 	cover   *index.Index
 	coverIV index.Interval
+	// epoch is the database's schema epoch (core.DB.SchemaEpoch), read
+	// before the plan read the catalog or the indexes: Execute runs the
+	// plan only while it holds.
+	epoch uint64
+	// Reads lists each attribute the statement's paths read, at each class
+	// they read it at (schema.Catalog.BindPath): a read check's input.
+	Reads []schema.AttrRead
 
 	// EstRows is the statistics-based result cardinality estimate; HasEst
 	// reports whether statistics covered the whole scope (see selectivity.go).
@@ -119,6 +127,7 @@ func (e *Engine) PlanQuery(q *Query) (*Plan, error) {
 }
 
 func (e *Engine) planQuery(q *Query, viewDepth int) (*Plan, error) {
+	epoch := e.db.SchemaEpoch()
 	cl, err := e.db.Catalog.ClassByName(q.From)
 	if err != nil {
 		if e.Views != nil {
@@ -135,7 +144,7 @@ func (e *Engine) planQuery(q *Query, viewDepth int) (*Plan, error) {
 		}
 		return nil, err
 	}
-	p := &Plan{Query: q, Target: cl}
+	p := &Plan{Query: q, Target: cl, epoch: epoch}
 	if q.Only {
 		p.Scope = []model.ClassID{cl.ID}
 	} else {
@@ -144,35 +153,92 @@ func (e *Engine) planQuery(q *Query, viewDepth int) (*Plan, error) {
 			return nil, err
 		}
 	}
-	// Validate projection and ORDER BY paths eagerly (first step must
-	// resolve on the target class as attribute or method).
-	for _, path := range q.Select {
-		if err := e.checkPathHead(cl.ID, path); err != nil {
-			return nil, err
-		}
+	if p.prog, err = Compile(q); err != nil {
+		return nil, err
 	}
-	for _, agg := range q.Aggregates {
-		if agg.Path != nil {
-			if err := e.checkPathHead(cl.ID, *agg.Path); err != nil {
+	// Validate projection, aggregate and ORDER BY paths eagerly (first step
+	// must resolve on the target class as attribute or method).
+	for _, slot := range slices.Concat(p.prog.sel, p.prog.aggs, []int{p.prog.order}) {
+		if slot >= 0 {
+			if err := e.checkPathHead(cl.ID, p.prog.paths[slot]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if q.OrderBy != nil {
-		if err := e.checkPathHead(cl.ID, *q.OrderBy); err != nil {
-			return nil, err
+	// Each slot's path is bound over the scope once (the zero binding where
+	// a step is no attribute in some scope class: a method, say).
+	binds := make([]schema.PathBinding, len(p.prog.paths))
+	p.Reads = make([]schema.AttrRead, 0, len(p.prog.paths)*len(p.Scope))
+	for slot, steps := range p.prog.paths {
+		if b, err := e.db.Catalog.BindPath(p.Scope, steps, &p.Reads); err == nil {
+			binds[slot] = b
 		}
 	}
-	if p.prog, err = Compile(q); err != nil {
-		return nil, err
-	}
 	p.kind = accessScan
-	if q.Where != nil && !e.ForceScan {
-		e.chooseIndex(p)
+	sargs, est := p.sargs(binds), e.newEstimator(p.Scope)
+	if !e.ForceScan {
+		e.chooseIndex(p, sargs, est)
 	}
-	e.annotatePlan(p)
-	p.cover, p.coverIV = e.covered(p)
+	p.cover, p.coverIV = e.covered(p, binds)
+	if est != nil {
+		annotatePlan(p, est, estimable(sargs)) // last: it may reorder Scope
+	}
 	return p, nil
+}
+
+// covered returns the index that answers p from its keys, without reading a
+// record (DESIGN §4 "Covered statements"), and the key interval the
+// statement's matches lie in — the plan's interval, or the whole key range
+// under a heap-scan plan — or nil when a precondition fails. The statement
+// is an aggregate that streams (no ORDER BY, no LIMIT), or a row statement
+// that selects only the slot, orders by it ascending and whose WHERE clause
+// rejects null (the index holds no OID for a null value). It reads at most
+// one slot, a one-step path; its binding over the scope is uniform (every
+// scope class names the same attribute) on a single-valued Integer
+// attribute with a null default; one index on it covers the scope; and
+// ForceScan is off. A statement that reads no slot — COUNT(*) with no
+// WHERE — counts from any attribute that qualifies.
+func (e *Engine) covered(p *Plan, binds []schema.PathBinding) (*index.Index, index.Interval) {
+	q, prog := p.Query, p.prog
+	switch {
+	case e.ForceScan || len(prog.paths) > 1 || (len(prog.paths) == 1 && len(prog.paths[0]) != 1):
+		return nil, index.Interval{}
+	case len(q.Aggregates) > 0:
+		if !streamsAggregates(q) {
+			return nil, index.Interval{}
+		}
+	case len(q.Select) == 0 || q.OrderBy == nil || q.Desc || matchesNull(prog):
+		return nil, index.Interval{}
+	}
+	if len(prog.paths) == 0 {
+		attrs, _ := e.db.Catalog.EffectiveAttrs(p.Target.ID)
+		for _, a := range attrs {
+			if b, err := e.db.Catalog.BindPath(p.Scope, []string{a.Name}, nil); err == nil {
+				binds = append(binds, b)
+			}
+		}
+	}
+	for _, b := range binds {
+		if !b.Uniform || !b.Single || b.Classes[0].Domain != schema.ClassInteger || !b.Classes[0].Def.IsNull() {
+			continue
+		}
+		indexes, union := e.findIndexes(p, &b)
+		switch {
+		case indexes == nil || union:
+		case p.kind == accessScan:
+			return indexes[0], index.Interval{}
+		case p.indexes[0] == indexes[0]:
+			return indexes[0], p.iv
+		}
+	}
+	return nil, index.Interval{}
+}
+
+// matchesNull reports whether prog's WHERE clause may hold on a candidate
+// whose slots are null.
+func matchesNull(prog *Program) bool {
+	ok, err := prog.NewFrame(func(int) (model.Value, error) { return model.Null, nil }).Match()
+	return ok || err != nil
 }
 
 // mergeView composes an outer query over a view definition. The outer
@@ -227,11 +293,11 @@ func (e *Engine) mergeView(outer *Query, src string) (*Query, error) {
 	return merged, nil
 }
 
-func (e *Engine) checkPathHead(class model.ClassID, path Path) error {
-	if len(path.Steps) == 0 {
+func (e *Engine) checkPathHead(class model.ClassID, steps []string) error {
+	if len(steps) == 0 {
 		return fmt.Errorf("query: empty path")
 	}
-	if b := e.bindStep(class, path.Steps[0]); !b.found {
+	if b := e.bindStep(class, steps[0]); !b.found {
 		return e.errNoAttr(&b)
 	}
 	return nil
@@ -261,10 +327,12 @@ func conjuncts(ex Expr, out []Expr) []Expr {
 	return append(out, ex)
 }
 
-// extractSargs pulls index-usable comparisons out of the predicate.
-func extractSargs(ex Expr) []sarg {
-	var out []sarg
-	for _, c := range conjuncts(ex, nil) {
+// sargs pulls the index-usable comparisons out of the predicate, each with
+// its path's binding (binds, per slot); one whose path is not bound is
+// dropped.
+func (p *Plan) sargs(binds []schema.PathBinding) []estSarg {
+	var out []estSarg
+	for _, c := range conjuncts(p.Query.Where, nil) {
 		b, ok := c.(*Binary)
 		if !ok {
 			continue
@@ -294,7 +362,10 @@ func extractSargs(ex Expr) []sarg {
 		if op == OpContains {
 			op = OpEq
 		}
-		out = append(out, sarg{path: pe.Path, op: op, lit: lit.V})
+		slot := slices.IndexFunc(p.prog.paths, func(steps []string) bool { return slices.Equal(steps, pe.Path.Steps) })
+		if slot >= 0 && binds[slot].Classes != nil {
+			out = append(out, estSarg{s: sarg{path: pe.Path, op: op, lit: lit.V}, b: &binds[slot]})
+		}
 	}
 	return out
 }
@@ -320,9 +391,9 @@ func flip(op BinOp) BinOp {
 type candidate struct {
 	indexes []*index.Index
 	union   bool
-	steps   []string           // the sargs' path
-	bind    schema.PathBinding // steps bound over the plan's scope
-	eq      bool               // some sarg is an equality
+	steps   []string            // the sargs' path
+	bind    *schema.PathBinding // steps bound over the plan's scope
+	eq      bool                // some sarg is an equality
 	iv      index.Interval
 	ordered bool      // the walk yields ORDER BY order (see orderFromIndex)
 	sargs   []estSarg // the conjuncts iv stands for
@@ -344,8 +415,8 @@ func (c *candidate) kind() accessKind {
 // narrow intersects the candidate's interval with one sarg. A strict bound
 // stays inclusive at the key level when the literal's key is shared by
 // neighbouring values: the index narrows, the residual decides.
-func (c *candidate) narrow(s sarg) {
-	switch s.op {
+func (c *candidate) narrow(es estSarg) {
+	switch s := es.s; s.op {
 	case OpEq:
 		c.iv.NarrowLo(s.lit, true)
 		c.iv.NarrowHi(s.lit, true)
@@ -355,7 +426,7 @@ func (c *candidate) narrow(s sarg) {
 	case OpLt, OpLe:
 		c.iv.NarrowHi(s.lit, s.op == OpLe || !model.KeyExact(s.lit))
 	}
-	c.sargs = append(c.sargs, estSarg{s: s, on: c.bind.Classes})
+	c.sargs = append(c.sargs, es)
 }
 
 // chooseIndex picks the cheapest usable access path. Every sarg on one
@@ -376,40 +447,24 @@ func (c *candidate) narrow(s sarg) {
 // statistics the heuristic ranking applies: equality beats range, one index
 // beats a per-class union, and any index beats a heap scan. Either way the
 // system — not the application — chooses among access methods (Kim §2.2).
-func (e *Engine) chooseIndex(p *Plan) {
-	rank := func(k accessKind) int {
-		switch k {
-		case accessIndexEq:
-			return 0
-		case accessUnionEq:
-			return 1
-		case accessIndexRng:
-			return 2
-		case accessUnionRng:
-			return 3
-		default:
-			return 4
-		}
-	}
+// est is nil without statistics over the whole scope.
+func (e *Engine) chooseIndex(p *Plan, sargs []estSarg, est *estimator) {
 	var cands []*candidate
 sargs:
-	for _, s := range extractSargs(p.Query.Where) {
+	for _, es := range sargs {
 		for _, c := range cands {
-			if c.bind.Single && slices.Equal(c.steps, s.path.Steps) {
-				c.narrow(s)
+			if c.bind.Single && slices.Equal(c.steps, es.s.path.Steps) {
+				c.narrow(es)
 				continue sargs
 			}
 		}
-		b, err := e.db.Catalog.BindPath(p.Scope, s.path.Steps)
-		if err != nil {
-			continue
-		}
-		indexes, union := e.findIndexes(p, &b)
+		indexes, union := e.findIndexes(p, es.b)
 		if indexes == nil {
 			continue
 		}
-		c := &candidate{indexes: indexes, union: union, steps: s.path.Steps, bind: b}
-		c.narrow(s)
+		c := &candidate{indexes: indexes, union: union, steps: es.s.path.Steps, bind: es.b}
+		c.ordered = orderFromIndex(p.Query, c)
+		c.narrow(es)
 		cands = append(cands, c)
 	}
 	// An index has no key for an absent value, which reads as its class's
@@ -423,17 +478,14 @@ sargs:
 	if len(cands) == 0 {
 		return
 	}
-	for _, c := range cands {
-		c.ordered = orderFromIndex(p.Query, c)
-	}
 	var best *candidate
-	if est := e.newEstimator(p.Scope); est != nil {
+	if est != nil {
 		if !slices.ContainsFunc(cands, func(c *candidate) bool { return len(c.steps) != 1 }) {
 			// Cost-based: cheapest candidate vs. the full scan.
 			limit := float64(p.Query.Limit)
 			var matches float64 // rows passing the whole WHERE; only LIMIT needs it
 			if limit > 0 {
-				matches = est.predicateRows(e.estimableSargs(p))
+				matches = est.predicateRows(estimable(sargs))
 			}
 			var bestCost float64
 			for _, c := range cands {
@@ -442,7 +494,7 @@ sargs:
 					// The walk stops once LIMIT rows passed the residual.
 					cost *= limit / matches
 				}
-				if best == nil || cost < bestCost || (cost == bestCost && rank(c.kind()) < rank(best.kind())) {
+				if best == nil || cost < bestCost || (cost == bestCost && c.kind() < best.kind()) {
 					best, bestCost = c, cost
 				}
 			}
@@ -454,7 +506,7 @@ sargs:
 	if best == nil {
 		// Heuristic ranking (no or partial statistics).
 		for _, c := range cands {
-			if best == nil || rank(c.kind()) < rank(best.kind()) {
+			if best == nil || c.kind() < best.kind() {
 				best = c
 			}
 		}

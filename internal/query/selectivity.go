@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"oodb/internal/model"
@@ -44,13 +45,8 @@ type estimator struct {
 // class lacks statistics.
 func (e *Engine) newEstimator(scope []model.ClassID) *estimator {
 	reg := e.db.Stats
-	if reg == nil {
+	if reg == nil || slices.ContainsFunc(scope, func(c model.ClassID) bool { return reg.Get(c) == nil }) {
 		return nil
-	}
-	for _, c := range scope {
-		if reg.Get(c) == nil {
-			return nil
-		}
 	}
 	return &estimator{reg: reg, scope: scope}
 }
@@ -82,7 +78,8 @@ func (est *estimator) classRows(k int, sargs []estSarg) float64 {
 			break
 		}
 		attr := es.attr(k)
-		if hasSargOn(sargs[:i], k, attr) {
+		on := func(o estSarg) bool { return o.attr(k) == attr }
+		if slices.ContainsFunc(sargs[:i], on) {
 			continue
 		}
 		var stored, count float64
@@ -90,21 +87,13 @@ func (est *estimator) classRows(k int, sargs []estSarg) float64 {
 			count = float64(as.Count)
 			stored = count * storedFraction(as, sargs[i:], k, attr)
 		}
-		if defaultMatches(es.on[k].Def, sargs[i:], k, attr) {
-			stored += card - count
+		def := es.b.Classes[k].Def
+		if !slices.ContainsFunc(sargs[i:], func(o estSarg) bool { return on(o) && !compareOp(o.s.op, &def, &o.s.lit) }) {
+			stored += card - count // the default satisfies every sarg on attr
 		}
 		rows *= stored / card
 	}
 	return rows
-}
-
-func hasSargOn(sargs []estSarg, k int, attr model.AttrID) bool {
-	for _, es := range sargs {
-		if es.attr(k) == attr {
-			return true
-		}
-	}
-	return false
 }
 
 // storedFraction estimates what fraction of an attribute's stored values
@@ -132,17 +121,6 @@ func storedFraction(as *stats.AttrStats, sargs []estSarg, k int, attr model.Attr
 		return f * math.Max(fracLo+fracHi-1, 0)
 	}
 	return f * fracLo * fracHi // default guesses do not locate an interval
-}
-
-// defaultMatches reports whether an instance reading def satisfies every
-// sarg on attr, compared as the executor compares.
-func defaultMatches(def model.Value, sargs []estSarg, k int, attr model.AttrID) bool {
-	for _, es := range sargs {
-		if es.attr(k) == attr && !compareOp(es.s.op, &def, &es.s.lit) {
-			return false
-		}
-	}
-	return true
 }
 
 // rangeFraction estimates what fraction of an attribute's observed values a
@@ -174,33 +152,21 @@ func rangeFraction(as *stats.AttrStats, s sarg) (f float64, ok bool) {
 	return math.Min(math.Max(f, 0), 1), true
 }
 
-// estSarg is a sarg on a one-step path with the path bound on each scope
-// class, in the scope's order: the attribute that class's statistics live
+// estSarg is a sarg with its path bound over the plan's scope: per scope
+// class, in the scope's order, the attribute that class's statistics live
 // under, and what its instances that store no value read.
 type estSarg struct {
-	s  sarg
-	on []schema.ClassBinding
+	s sarg
+	b *schema.PathBinding
 }
 
-func (es *estSarg) attr(k int) model.AttrID { return es.on[k].Attrs[0] }
+func (es *estSarg) attr(k int) model.AttrID { return es.b.Classes[k].Attrs[0] }
 
-// estimableSargs binds the predicate's sargs over the plan's scope,
-// dropping the inestimable ones: a multi-step path's terminal distribution
-// belongs to another class's instances and says nothing per scope class.
-func (e *Engine) estimableSargs(p *Plan) []estSarg {
-	if p.Query.Where == nil {
-		return nil
-	}
-	var out []estSarg
-	for _, s := range extractSargs(p.Query.Where) {
-		if len(s.path.Steps) != 1 {
-			continue
-		}
-		if b, err := e.db.Catalog.BindPath(p.Scope, s.path.Steps); err == nil {
-			out = append(out, estSarg{s: s, on: b.Classes})
-		}
-	}
-	return out
+// estimable drops the sargs the statistics cannot cost: a multi-step
+// path's terminal distribution belongs to another class's instances and
+// says nothing per scope class.
+func estimable(sargs []estSarg) []estSarg {
+	return slices.DeleteFunc(slices.Clone(sargs), func(es estSarg) bool { return len(es.s.path.Steps) != 1 })
 }
 
 // predicateRows estimates the plan's result cardinality: the per-class
@@ -219,19 +185,13 @@ func (est *estimator) predicateRows(sargs []estSarg) float64 {
 // rows) and, for a heap scan that may exit early on LIMIT, reorders the
 // scope so the classes expected to contribute the most matches are scanned
 // first — the fan-out visits fewer classes before the limit fills.
-func (e *Engine) annotatePlan(p *Plan) {
-	est := e.newEstimator(p.Scope)
-	if est == nil {
-		return
-	}
-	sargs := e.estimableSargs(p)
+func annotatePlan(p *Plan, est *estimator, sargs []estSarg) {
 	p.EstRows = est.predicateRows(sargs)
 	p.HasEst = true
-	if p.kind != accessScan || len(p.Scope) < 2 || len(sargs) == 0 {
+	// Without LIMIT, or with an ORDER BY, every match is needed and the
+	// scope's order is irrelevant to cost.
+	if p.kind != accessScan || len(p.Scope) < 2 || len(sargs) == 0 || p.Query.Limit == 0 || p.Query.OrderBy != nil {
 		return
-	}
-	if p.Query.Limit == 0 || p.Query.OrderBy != nil {
-		return // every match is needed: scope order is irrelevant to cost
 	}
 	perClass := make(map[model.ClassID]float64, len(p.Scope))
 	for k, c := range p.Scope {

@@ -21,9 +21,11 @@ import (
 // Summarize, Edge or Unkeyed — the reads whose scope, overlay rule,
 // inexact-key rule and counters it owns (DESIGN §4 "The index walk"). The
 // executor's per-object binding (bind.go) is the one caller of the
-// catalog's ResolveAttr: the planner and the covered statements bind a path
-// over the whole scope with Catalog.BindPath, and a private resolver that
-// binds on the target class alone would miss a subclass's redefinition.
+// catalog's ResolveAttr: a private resolver that binds on the target class
+// alone would miss a subclass's redefinition. The planner (plan.go) is the
+// one caller of Catalog.BindPath: a plan binds each of its paths over the
+// scope once, and the index choice, the estimator, the covered decision
+// and the read check all read those bindings.
 // The package is type-checked, so a call is matched on its receiver's type
 // and another type's Scan (core.Tx.Scan, say) passes. `make decode-lint`
 // runs it.
@@ -36,6 +38,7 @@ func TestOneIndexWalk(t *testing.T) {
 		"Edge":                {"*oodb/internal/index.Index", "walk.go"},
 		"Unkeyed":             {"*oodb/internal/index.Index", "walk.go"},
 		"ResolveAttr":         {"*oodb/internal/schema.Catalog", "bind.go"},
+		"BindPath":            {"*oodb/internal/schema.Catalog", "plan.go"},
 	}
 	fset := token.NewFileSet()
 	names, err := filepath.Glob("*.go")

@@ -22,7 +22,7 @@ func EncodeCatalog(c *Catalog) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, catalogMagic)
 	buf = binary.AppendUvarint(buf, uint64(c.nextClass))
 	buf = binary.AppendUvarint(buf, uint64(c.nextAttr))
-	buf = binary.AppendUvarint(buf, c.version)
+	buf = binary.AppendUvarint(buf, c.version.Load())
 
 	classes := make([]*Class, 0, len(c.classes))
 	for _, cl := range c.classes {
@@ -134,7 +134,7 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 		}
 	}
 	c.rebuildAll()
-	c.version = version
+	c.version.Store(version)
 	return c, nil
 }
 

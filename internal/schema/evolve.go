@@ -379,7 +379,7 @@ func (c *Catalog) RenameClass(class model.ClassID, newName string) (Change, erro
 	delete(c.byName, cl.Name)
 	cl.Name = newName
 	c.byName[newName] = class
-	c.version++
+	c.version.Add(1)
 	return Change{Kind: ChangeRenameClass, Class: class, Name: newName, Affected: []model.ClassID{class}}, nil
 }
 

@@ -60,7 +60,7 @@ func FuzzDecodeCatalog(f *testing.F) {
 // name index included.
 func dumpCatalog(c *Catalog) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "next class %d, next attr %d, version %d\n", c.nextClass, c.nextAttr, c.version)
+	fmt.Fprintf(&b, "next class %d, next attr %d, version %d\n", c.nextClass, c.nextAttr, c.version.Load())
 	for _, cl := range c.Classes() {
 		fmt.Fprintf(&b, "%d %q (by name %d) supers %v\n", cl.ID, cl.Name, c.byName[cl.Name], cl.Supers)
 		for _, a := range cl.OwnAttrs {

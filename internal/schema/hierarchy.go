@@ -79,7 +79,7 @@ func (c *Catalog) rebuildAll() {
 			}
 		}
 	}
-	c.version++
+	c.version.Add(1)
 }
 
 // IsSubclassOf reports whether sub is c (classes are their own subclass) or
@@ -176,7 +176,7 @@ type ClassBinding struct {
 }
 
 // AttrRead is one attribute a path reads: the step name at a class
-// (PathReads).
+// (BindPath).
 type AttrRead struct {
 	Class model.ClassID
 	Name  string
@@ -185,26 +185,12 @@ type AttrRead struct {
 // BindPath binds a name path over scope under one read lock. The error is
 // the first scope class's whose steps are not all attributes (or whose
 // interior step has a primitive domain); the binding still holds what
-// resolved.
-func (c *Catalog) BindPath(scope []model.ClassID, steps []string) (PathBinding, error) {
-	return c.bind(scope, steps, nil)
-}
-
-// PathReads lists, once each, the (class, step) pairs at which the path
-// reads an attribute when BindPath binds it over scope: the head step at
-// each scope class, each later step at each descendant of the previous
-// step's domain, as far as the steps are attributes there.
-func (c *Catalog) PathReads(scope []model.ClassID, steps []string) []AttrRead {
-	reads := make([]AttrRead, 0, len(scope)+len(steps))
-	c.bind(scope, steps, &reads)
-	return reads
-}
-
-// bind is BindPath, appending to reads, when it is not nil, each read it
-// makes. Step i of a scope class's path is read at each class of at: the
-// class itself for the head, then each class a reference along the way
-// may land on, the declared domain first.
-func (c *Catalog) bind(scope []model.ClassID, steps []string, reads *[]AttrRead) (PathBinding, error) {
+// resolved. In the same walk it appends to *reads, when reads is not nil,
+// the (class, step) pairs at which the path reads an attribute, each once:
+// the head step at each scope class, each later step at each descendant of
+// the previous step's domain, as far as the steps are attributes there —
+// also when it fails.
+func (c *Catalog) BindPath(scope []model.ClassID, steps []string, reads *[]AttrRead) (PathBinding, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := len(steps)
@@ -234,6 +220,9 @@ scope:
 		}
 		cb.Attrs, cb.Exact = make([]model.AttrID, 0, n), true
 		var err error
+		// Step i is read at each class of at: the class itself for the
+		// head, then each class a reference along the way may land on,
+		// the declared domain first.
 		at := []model.ClassID{class}
 		for i, step := range steps {
 			last := i == n-1

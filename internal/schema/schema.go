@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"oodb/internal/model"
 )
@@ -113,7 +114,7 @@ type Catalog struct {
 	byName    map[string]model.ClassID
 	nextClass model.ClassID
 	nextAttr  model.AttrID
-	version   uint64 // bumped on every schema change (schema versioning hook)
+	version   atomic.Uint64 // bumped, under mu, on every schema change
 }
 
 // NewCatalog returns a catalog pre-installed with the root class Object and
@@ -149,13 +150,9 @@ func (c *Catalog) install(cl *Class) {
 }
 
 // Version returns the current schema version. Every successful evolution
-// operation increments it; the view and plan caches use it for
-// invalidation.
-func (c *Catalog) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
-}
+// operation increments it; a stored schema snapshot records it, and the
+// query planner's epoch (core.DB.SchemaEpoch) moves with it.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // Class returns the class with the given id.
 func (c *Catalog) Class(id model.ClassID) (*Class, error) {

@@ -151,7 +151,7 @@ func TestLocalOverrideBeatsInherited(t *testing.T) {
 
 // TestBindPath binds name paths over scopes where a subclass redefines a
 // step, at the head and behind a reference, and where a step is no
-// attribute; PathReads must name every class a step is read at.
+// attribute; the reads it lists must name every class a step is read at.
 func TestBindPath(t *testing.T) {
 	c := NewCatalog()
 	co, _ := c.DefineClass("Co", nil, AttrSpec{Name: "loc", Domain: ClassString})
@@ -169,31 +169,33 @@ func TestBindPath(t *testing.T) {
 	}
 	x, ex, m, loc := attr(a, "x"), attr(e, "x"), attr(a, "m"), attr(co, "loc")
 
-	bd, err := c.BindPath([]model.ClassID{a.ID, b.ID}, []string{"x"})
+	bd, err := c.BindPath([]model.ClassID{a.ID, b.ID}, []string{"x"}, nil)
 	if err != nil || !bd.Uniform || !bd.Single || !slices.Equal(bd.Classes[1].Attrs, []model.AttrID{x}) {
 		t.Fatalf("A, B x: %+v, %v; want uniform on A.x", bd, err)
 	}
-	bd, err = c.BindPath([]model.ClassID{a.ID, b.ID, e.ID}, []string{"x"})
+	bd, err = c.BindPath([]model.ClassID{a.ID, b.ID, e.ID}, []string{"x"}, nil)
 	if err != nil || bd.Uniform || !slices.Equal(bd.Classes[2].Attrs, []model.AttrID{ex}) ||
 		!bd.Classes[2].Exact || model.Compare(bd.Classes[2].Def, model.Int(3)) != 0 {
 		t.Fatalf("A, B, E x: %+v, %v; want E on its own x, defaulting to 3", bd, err)
 	}
-	bd, err = c.BindPath([]model.ClassID{a.ID, b.ID}, []string{"m", "loc"})
+	var reads []AttrRead
+	bd, err = c.BindPath([]model.ClassID{a.ID, b.ID}, []string{"m", "loc"}, &reads)
 	wantReads := []AttrRead{{a.ID, "m"}, {co.ID, "loc"}, {subCo.ID, "loc"}, {b.ID, "m"}}
 	if err != nil || bd.Uniform || bd.Classes[0].Exact || !slices.Equal(bd.Classes[0].Attrs, []model.AttrID{m, loc}) {
 		t.Fatalf("A, B m.loc: %+v, %v; want Co's ids, not exact (SubCo redefines loc)", bd, err)
 	}
-	if reads := c.PathReads([]model.ClassID{a.ID, b.ID}, []string{"m", "loc"}); !slices.Equal(reads, wantReads) {
+	if !slices.Equal(reads, wantReads) {
 		t.Fatalf("A, B m.loc reads %v, want %v", reads, wantReads)
 	}
-	bd, err = c.BindPath([]model.ClassID{a.ID}, []string{"any", "loc"})
-	if err == nil || bd.Classes[0].Attrs != nil || !slices.Contains(c.PathReads([]model.ClassID{a.ID}, []string{"any", "loc"}), AttrRead{subCo.ID, "loc"}) {
+	reads = nil
+	bd, err = c.BindPath([]model.ClassID{a.ID}, []string{"any", "loc"}, &reads)
+	if err == nil || bd.Classes[0].Attrs != nil || !slices.Contains(reads, AttrRead{subCo.ID, "loc"}) {
 		t.Fatalf("A any.loc: %+v, %v; want a primitive-domain error and reads behind the Object reference", bd, err)
 	}
-	if _, err := c.BindPath([]model.ClassID{a.ID}, []string{"x", "loc"}); err == nil {
+	if _, err := c.BindPath([]model.ClassID{a.ID}, []string{"x", "loc"}, nil); err == nil {
 		t.Fatal("a step past an Integer bound")
 	}
-	if _, err := c.BindPath([]model.ClassID{a.ID}, []string{"nosuch"}); !errors.Is(err, ErrNoSuchAttribute) {
+	if _, err := c.BindPath([]model.ClassID{a.ID}, []string{"nosuch"}, nil); !errors.Is(err, ErrNoSuchAttribute) {
 		t.Fatalf("unknown step: %v, want ErrNoSuchAttribute", err)
 	}
 }

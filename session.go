@@ -134,16 +134,11 @@ func (s *Session) query(tx *Tx, src string) (*proto.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.db.q.PlanQuery(q)
-	if err != nil {
-		return nil, err
-	}
+	var vet func(*query.Plan) error
 	if s.az != nil {
-		if err := s.checkPaths(plan); err != nil {
-			return nil, err
-		}
+		vet = s.checkPaths
 	}
-	res, err := s.db.q.Execute(tx, plan)
+	res, err := s.db.q.RunQuery(tx, q, vet)
 	if err != nil {
 		return nil, err
 	}
@@ -165,16 +160,14 @@ func (s *Session) query(tx *Tx, src string) (*proto.Result, error) {
 // checkPaths refuses a planned statement that reads — in its projection,
 // predicate, ORDER BY or an aggregate argument — an attribute the role is
 // explicitly forbidden to read, at any class its binding reads it at
-// (Catalog.PathReads): each scope class, and each descendant of an
+// (query.Plan.Reads): each scope class, and each descendant of an
 // interior step's domain. FROM ONLY narrows the scope to one class. A step
 // that is no attribute (a method, or a name the executor refuses) ends its
 // path there.
 func (s *Session) checkPaths(plan *query.Plan) error {
-	for _, path := range plan.Query.Paths() {
-		for _, r := range s.db.eng.Catalog.PathReads(plan.Scope, path.Steps) {
-			if err := s.attrProhibited(authz.Read, r.Class, r.Name); err != nil {
-				return err
-			}
+	for _, r := range plan.Reads {
+		if err := s.attrProhibited(authz.Read, r.Class, r.Name); err != nil {
+			return err
 		}
 	}
 	return nil
