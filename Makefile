@@ -6,7 +6,7 @@ GO ?= go
 # give all they have). Override: make crash CRASH_SCHEDULES=60
 CRASH_SCHEDULES ?= 21
 
-.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash lifecycle replan metrics-lint chain-lint decode-lint verify
+.PHONY: build test vet fmtcheck race bench benchsmoke benchbuild fuzz crash lifecycle replan layers metrics-lint chain-lint decode-lint verify
 
 build:
 	$(GO) build ./...
@@ -132,10 +132,24 @@ lifecycle:
 replan:
 	$(GO) test -race -count=10 -run '^(TestIndexChurnUnderQueries|TestSchemaChurnUnderSnapshots)$$' .
 
+# The layers' write rules under concurrency, ten times under the race
+# detector: the composite attach tests (racing exclusive attaches, crossing
+# shared attaches, attaches beside uncommitted attaches and unlinks, moves
+# and cycles within one transaction), where the engine's write check takes
+# X on the parent, then X on an exclusive child and S along the child's
+# closure; the plain Insert, Update and Delete the composite and version
+# rules refuse, embedded and through kimsrv, also after a reopen that
+# builds no layer manager; and a statement outside a transaction run again
+# after it loses a deadlock.
+layers:
+	$(GO) test -race -count=10 -run '^(TestAttachBesideAbortedAttach|TestAttachBesideUncommittedUpdateUnlink|TestAttachBesideUncommittedDeleteUnlink|TestMoveWithinOneTransaction|TestConcurrentExclusiveAttachesOneOwner|TestComponentsBesideUncommittedAttach|TestCycleWithinOneTransactionRejected|TestCrossingSharedAttachesLeaveNoCycle)$$' ./internal/composite/
+	$(GO) test -race -count=10 -run '^(TestPlainWritesKeepLayerRules|TestRulesHoldWithoutLayerAccessor|TestQueryRetriesDeadlockVictim)$$' .
+
 # The full pre-merge gate: compile, static checks, formatting drift, the
 # benchmark module, ONE pass of the whole test suite under the race
-# detector, the session-lifecycle tests and the DDL race ten times each,
+# detector, the session-lifecycle tests, the DDL race and the layers' write
+# rules ten times each,
 # the crash matrices at CRASH_SCHEDULES breadth, and one pass of every
 # benchmark. To work on one subsystem, run its tests directly, e.g.
 # `go test -race -count=1 ./internal/mvcc/`.
-verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race lifecycle replan crash benchsmoke
+verify: build vet fmtcheck metrics-lint chain-lint decode-lint benchbuild race lifecycle replan layers crash benchsmoke

@@ -104,7 +104,7 @@ func newCorruptFixture(t *testing.T, withIndex bool) corruptFixture {
 	}))
 
 	victims := map[string]oodb.OID{"Part": f.oids["part-5"], "Asm": f.oids["asm-a"], "Design": f.oids["design-2"]}
-	for _, name := range []string{"ViewDef", "CompositeDecl", "CheckoutRecord", "SchemaVersion"} {
+	for _, name := range []string{"ViewDef", "CheckoutRecord", "SchemaVersion"} {
 		cl, err := db.ClassByName(name)
 		must(err)
 		tx := db.BeginSnapshot()
@@ -224,10 +224,6 @@ func TestDamagedRecordIsCorruptForEveryConsumer(t *testing.T) {
 		}},
 		{"Views", "ViewDef", func(db *oodb.DB, _ corruptFixture) error {
 			_, err := db.Views()
-			return err
-		}},
-		{"Composites", "CompositeDecl", func(db *oodb.DB, _ corruptFixture) error {
-			_, err := db.Composites()
 			return err
 		}},
 		// The exclusivity check scans the declaring class for an owner.

@@ -16,21 +16,21 @@
 //     contiguous heap pages (the physical-clustering lever of §4.2,
 //     measured in experiment E11).
 //
-// Like the version layer, composite semantics live above the engine:
-// declarations are manager state persisted as ordinary objects, links are
-// ordinary reference attributes, and all mutation happens inside ordinary
-// transactions.
+// Declarations are flags on the attribute in the catalog
+// (core.DB.DeclareComposite), links are ordinary reference attributes, and
+// the rules — exclusivity and acyclicity — are a write rule the engine runs
+// on every write (CheckWrite), whichever door writes.
 package composite
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"oodb/internal/core"
 	"oodb/internal/model"
 	"oodb/internal/schema"
+	"oodb/internal/version"
 )
 
 // Errors of the composite layer.
@@ -40,91 +40,40 @@ var (
 	ErrCycle        = errors.New("composite: attachment would create a part-of cycle")
 )
 
-// decl is one composite-attribute declaration.
-type decl struct {
-	class     model.ClassID
-	attr      model.AttrID
-	exclusive bool
-}
-
-// declClassName persists declarations across reopen.
-const declClassName = "CompositeDecl"
-
-// Manager tracks composite declarations and implements composite
-// operations over a database. It is safe for concurrent use.
+// Manager implements composite operations over a database. It holds no
+// state of its own and is safe for concurrent use.
 type Manager struct {
-	db        *core.DB
-	declClass *schema.Class
-
-	mu    sync.Mutex
-	decls []decl
+	db *core.DB
 }
 
-// New creates (or re-attaches) the composite layer.
-func New(db *core.DB) (*Manager, error) {
-	m := &Manager{db: db}
-	cl, err := db.SystemClass(declClassName,
-		schema.AttrSpec{Name: "class", Domain: schema.ClassInteger},
-		schema.AttrSpec{Name: "attr", Domain: schema.ClassInteger},
-		schema.AttrSpec{Name: "attrName", Domain: schema.ClassString},
-		schema.AttrSpec{Name: "exclusive", Domain: schema.ClassBoolean},
-	)
-	if err != nil {
-		return nil, err
-	}
-	m.declClass = cl
-	// Reload persisted declarations.
-	err = db.Scan([]model.ClassID{cl.ID}, func(obj *model.Object) bool {
-		get := func(name string) model.Value {
-			v, _ := db.AttrValue(obj, name)
-			return v
-		}
-		c, _ := get("class").AsInt()
-		a, _ := get("attr").AsInt()
-		x, _ := get("exclusive").AsBool()
-		m.decls = append(m.decls, decl{
-			class: model.ClassID(c), attr: model.AttrID(a), exclusive: x,
-		})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+// New returns the composite layer of db.
+func New(db *core.DB) *Manager { return &Manager{db: db} }
 
-// DeclareComposite marks an existing reference attribute of a class as a
-// composite (part-of) link. The declaration is inherited: it applies to
-// the class and all its subclasses.
+// DeclareComposite marks the class's own reference attribute as a
+// composite (part-of) link, exclusive or shared. The declaration is
+// inherited: it applies to the class and all its subclasses.
 func (m *Manager) DeclareComposite(class model.ClassID, attrName string, exclusive bool) error {
-	a, err := m.db.Catalog.ResolveAttr(class, attrName)
-	if err != nil {
-		return err
+	return m.db.DeclareComposite(class, attrName, exclusive)
+}
+
+// Attach links child as a component of parent through the named composite
+// attribute. It is the write alone: the engine's write check (CheckWrite)
+// refuses a second owner or a cycle, so the locks go parent, then child.
+func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child model.OID) error {
+	a, err := m.db.Catalog.ResolveAttr(parent.Class(), attrName)
+	if err != nil || !a.Composite {
+		return fmt.Errorf("%w: %s.%s", ErrNotComposite, className(m.db, parent.Class()), attrName)
 	}
-	if schema.IsPrimitive(a.Domain) {
-		return fmt.Errorf("composite: attribute %q has primitive domain %d", attrName, a.Domain)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, d := range m.decls {
-		if d.class == class && d.attr == a.ID {
-			return fmt.Errorf("composite: %s.%s already declared", className(m.db, class), attrName)
+	link := model.Ref(child)
+	if a.SetValued {
+		obj, err := tx.FetchForUpdate(parent)
+		if err != nil {
+			return err
 		}
+		members, _ := obj.Get(a.ID).AsSet()
+		link = model.Set(append(slices.Clip(members), link)...)
 	}
-	err = m.db.Do(func(tx *core.Tx) error {
-		_, err := tx.InsertClass(m.declClass.ID, map[string]model.Value{
-			"class":     model.Int(int64(class)),
-			"attr":      model.Int(int64(a.ID)),
-			"attrName":  model.String(attrName),
-			"exclusive": model.Bool(exclusive),
-		})
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	m.decls = append(m.decls, decl{class: class, attr: a.ID, exclusive: exclusive})
-	return nil
+	return tx.Update(parent, map[string]model.Value{attrName: link})
 }
 
 func className(db *core.DB, id model.ClassID) string {
@@ -135,94 +84,97 @@ func className(db *core.DB, id model.ClassID) string {
 	return cl.Name
 }
 
-// compositeAttrs returns the composite declarations applying to class
-// (declared on it or any ancestor).
-func (m *Manager) compositeAttrs(class model.ClassID) []decl {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []decl
-	for _, d := range m.decls {
-		if m.db.Catalog.IsSubclassOf(class, d.class) {
-			out = append(out, d)
+// CheckWrite is the composite rule (core.WriteRule), which oodb.Open
+// registers on every database. Each link a write adds through a composite
+// attribute — every link of an insert, the new ones of an update — must
+// keep an exclusive child to one owner (ErrAlreadyOwned) and the part-of
+// graph acyclic (ErrCycle). It takes X on an exclusive child before it
+// looks for an owner, and S on each object the cycle walk reads.
+func CheckWrite(tx *core.Tx, old, next *model.Object) error {
+	if next == nil {
+		return nil
+	}
+	for _, a := range tx.DB().Catalog.CompositeAttrs(next.Class()) {
+		var had []model.OID
+		if old != nil {
+			had = refsOf(old.Get(a.ID))
 		}
-	}
-	return out
-}
-
-// Attach links child as a component of parent through the named composite
-// attribute, enforcing exclusivity (an exclusive component may have only
-// one parent) and acyclicity of the part-of graph. An exclusive attach
-// looks for an owner holding X on child, and the cycle check holds S on
-// what it walks (DESIGN §6 "Feature layers").
-func (m *Manager) Attach(tx *core.Tx, parent model.OID, attrName string, child model.OID) error {
-	d, a, err := m.findDecl(parent.Class(), attrName)
-	if err != nil {
-		return err
-	}
-	if d.exclusive {
-		if _, err := tx.FetchForUpdate(child); err != nil {
-			return err
-		}
-		owner, err := m.ownerOf(tx, child, d)
-		if err != nil {
-			return err
-		}
-		if !owner.IsNil() && owner != parent {
-			return fmt.Errorf("%w: %s owned by %s", ErrAlreadyOwned, child, owner)
-		}
-	}
-	// Cycle check: parent must not be reachable from child via composite
-	// links (child itself included), each read under an S lock (Tx.Fetch).
-	reach, err := m.walk(child, tx.Fetch)
-	if err != nil {
-		return err
-	}
-	for _, c := range reach {
-		if c == parent {
-			return ErrCycle
-		}
-	}
-	obj, err := tx.FetchForUpdate(parent)
-	if err != nil {
-		return err
-	}
-	if a.SetValued {
-		members, _ := obj.Get(a.ID).AsSet()
-		next := append(append([]model.Value(nil), members...), model.Ref(child))
-		return tx.Update(parent, map[string]model.Value{attrName: model.Set(next...)})
-	}
-	return tx.Update(parent, map[string]model.Value{attrName: model.Ref(child)})
-}
-
-// findDecl resolves class.attrName to its attribute and the composite
-// declaration that covers it.
-func (m *Manager) findDecl(class model.ClassID, attrName string) (decl, *schema.Attribute, error) {
-	if a, err := m.db.Catalog.ResolveAttr(class, attrName); err == nil {
-		for _, d := range m.compositeAttrs(class) {
-			if d.attr == a.ID {
-				return d, a, nil
+		for _, child := range refsOf(next.Get(a.ID)) {
+			if slices.Contains(had, child) {
+				continue
+			}
+			if err := checkLink(tx, next, a, child); err != nil {
+				return err
 			}
 		}
 	}
-	return decl{}, nil, fmt.Errorf("%w: %s.%s", ErrNotComposite, className(m.db, class), attrName)
+	return nil
 }
 
-// ownerOf finds the existing exclusive parent of child under declaration
-// d (scans of the declaring class hierarchy — exclusivity checks are rare
-// compared to reads). Attach calls it in tx holding X on child, so no other
-// transaction has an uncommitted Attach of child. A parent owns child if
-// its stored image links it, or if its state as tx reads it (tx's own
-// write, else the newest committed) does: another transaction's
-// uncommitted unlink, by Update or Delete, may yet abort, and tx's own
-// unlink is a move.
-func (m *Manager) ownerOf(tx *core.Tx, child model.OID, d decl) (model.OID, error) {
-	classes, err := m.db.Catalog.Descendants(d.class)
+// checkLink checks one new link of parent to child through a.
+func checkLink(tx *core.Tx, parent *model.Object, a *schema.Attribute, child model.OID) error {
+	if a.Exclusive {
+		if _, err := tx.FetchForUpdate(child); err != nil {
+			return err
+		}
+		owner, err := ownerOf(tx, child, a)
+		if err != nil {
+			return err
+		}
+		if !owner.IsNil() && owner != parent.OID {
+			same, err := oneDesign(tx, owner, parent)
+			if err != nil {
+				return err
+			}
+			if !same {
+				return fmt.Errorf("%w: %s owned by %s", ErrAlreadyOwned, child, owner)
+			}
+		}
+	}
+	// parent must not be reachable from child via composite links (child
+	// itself included), each read under an S lock (Tx.Fetch).
+	reach, err := walk(tx.DB().Catalog, child, tx.Fetch)
+	if err != nil {
+		return err
+	}
+	if slices.Contains(reach, parent.OID) {
+		return ErrCycle
+	}
+	return nil
+}
+
+// oneDesign reports whether owner and parent are versions of one generic
+// object. Deriving a version copies its parent's links, so the versions of
+// one design share its exclusive components and count as one owner.
+func oneDesign(tx *core.Tx, owner model.OID, parent *model.Object) (bool, error) {
+	cat := tx.DB().Catalog
+	g := version.Generic(cat, parent)
+	if g.IsNil() {
+		return false, nil
+	}
+	obj, err := tx.Read(owner)
+	if err != nil {
+		return false, err
+	}
+	return version.Generic(cat, obj) == g, nil
+}
+
+// ownerOf finds the existing parent of child through exclusive attribute a
+// (scans of the defining class's hierarchy — exclusivity checks are rare
+// compared to reads). The caller holds X on child, so no other transaction
+// has an uncommitted link to it. A parent owns child if its stored image
+// links it, or if its state as tx reads it (tx's own write, else the
+// newest committed) does: another transaction's uncommitted unlink, by
+// Update or Delete, may yet abort, and tx's own unlink is a move.
+func ownerOf(tx *core.Tx, child model.OID, a *schema.Attribute) (model.OID, error) {
+	db := tx.DB()
+	classes, err := db.Catalog.Descendants(a.Source)
 	if err != nil {
 		return model.NilOID, err
 	}
 	links := func(v model.Value) bool { return slices.Contains(refsOf(v), child) }
 	var owner model.OID
-	fields := []model.Field{{ID: d.attr}}
+	fields := []model.Field{{ID: a.ID}}
 	for _, class := range classes {
 		err := tx.ScanLocked(class, fields, func(im model.Image) bool {
 			if links(fields[0].V) {
@@ -235,8 +187,8 @@ func (m *Manager) ownerOf(tx *core.Tx, child model.OID, d decl) (model.OID, erro
 		}
 	}
 	var committed []model.OID
-	if err := m.db.Scan(classes, func(obj *model.Object) bool {
-		if links(obj.Get(d.attr)) {
+	if err := db.Scan(classes, func(obj *model.Object) bool {
+		if links(obj.Get(a.ID)) {
 			committed = append(committed, obj.OID)
 		}
 		return true
@@ -251,7 +203,7 @@ func (m *Manager) ownerOf(tx *core.Tx, child model.OID, d decl) (model.OID, erro
 		if err != nil {
 			return model.NilOID, err
 		}
-		if links(obj.Get(d.attr)) {
+		if links(obj.Get(a.ID)) {
 			return oid, nil
 		}
 	}
@@ -279,7 +231,7 @@ func refsOf(v model.Value) []model.OID {
 // composite attributes, in DFS order, reading each object through fetch.
 // A component that no longer exists is a dangling link: it is listed but
 // has no components. Any other read error stops the walk.
-func (m *Manager) walk(root model.OID, fetch func(model.OID) (*model.Object, error)) ([]model.OID, error) {
+func walk(cat *schema.Catalog, root model.OID, fetch func(model.OID) (*model.Object, error)) ([]model.OID, error) {
 	var out []model.OID
 	seen := map[model.OID]bool{}
 	var visit func(oid model.OID) error
@@ -293,8 +245,8 @@ func (m *Manager) walk(root model.OID, fetch func(model.OID) (*model.Object, err
 		if err != nil {
 			return err
 		}
-		for _, d := range m.compositeAttrs(oid.Class()) {
-			for _, ref := range refsOf(obj.Get(d.attr)) {
+		for _, a := range cat.CompositeAttrs(oid.Class()) {
+			for _, ref := range refsOf(obj.Get(a.ID)) {
 				if seen[ref] {
 					continue
 				}
@@ -312,7 +264,7 @@ func (m *Manager) walk(root model.OID, fetch func(model.OID) (*model.Object, err
 // Components returns every component reachable from root through
 // composite attributes, in DFS order (root excluded).
 func (m *Manager) Components(root model.OID) ([]model.OID, error) {
-	all, err := m.walk(root, m.db.Fetch)
+	all, err := walk(m.db.Catalog, root, m.db.Fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -328,9 +280,9 @@ func (m *Manager) DeleteComposite(tx *core.Tx, root model.OID) error {
 	}
 	// Collect exclusive children before deleting the root.
 	var children []model.OID
-	for _, d := range m.compositeAttrs(root.Class()) {
-		if d.exclusive {
-			children = append(children, refsOf(obj.Get(d.attr))...)
+	for _, a := range m.db.Catalog.CompositeAttrs(root.Class()) {
+		if a.Exclusive {
+			children = append(children, refsOf(obj.Get(a.ID))...)
 		}
 	}
 	if err := tx.Delete(root); err != nil {
@@ -354,7 +306,7 @@ func (m *Manager) LockComposite(tx *core.Tx, root model.OID, write bool) error {
 	if write {
 		fetch = tx.FetchForUpdate
 	}
-	_, err := m.walk(root, fetch)
+	_, err := walk(m.db.Catalog, root, fetch)
 	return err
 }
 
@@ -365,7 +317,7 @@ func (m *Manager) LockComposite(tx *core.Tx, root model.OID, write bool) error {
 // slots behind; a compaction afterwards packs the segment in the new order.
 // Returns the number of objects rewritten.
 func (m *Manager) Recluster(tx *core.Tx, root model.OID) (int, error) {
-	all, err := m.walk(root, tx.FetchForUpdate)
+	all, err := walk(m.db.Catalog, root, tx.FetchForUpdate)
 	if err != nil {
 		return 0, err
 	}

@@ -26,6 +26,7 @@ func newCADWorld(t *testing.T) *cadWorld {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	db.OnWrite(CheckWrite)
 	part, _ := db.DefineClass("Part", nil,
 		schema.AttrSpec{Name: "name", Domain: schema.ClassString})
 	assembly, err := db.DefineClass("Assembly", nil,
@@ -38,10 +39,7 @@ func newCADWorld(t *testing.T) *cadWorld {
 	db.AddAttribute(assembly.ID, schema.AttrSpec{Name: "parts", Domain: part.ID, SetValued: true})
 	db.AddAttribute(assembly.ID, schema.AttrSpec{Name: "library", Domain: part.ID})
 
-	cm, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cm := New(db)
 	if err := cm.DeclareComposite(assembly.ID, "subs", true); err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +239,11 @@ func TestLockComposite(t *testing.T) {
 func TestDeclarationsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := core.Open(dir, core.Options{})
+	db.OnWrite(CheckWrite)
 	asm, _ := db.DefineClass("Assembly", nil,
 		schema.AttrSpec{Name: "name", Domain: schema.ClassString})
 	db.AddAttribute(asm.ID, schema.AttrSpec{Name: "subs", Domain: asm.ID, SetValued: true})
-	cm, _ := New(db)
+	cm := New(db)
 	if err := cm.DeclareComposite(asm.ID, "subs", true); err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +260,7 @@ func TestDeclarationsSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	cm2, err := New(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cm2 := New(db2)
 	comps, err := cm2.Components(root)
 	if err != nil || len(comps) != 1 || comps[0] != sub {
 		t.Fatalf("components after reopen = %v, %v", comps, err)
@@ -292,6 +288,22 @@ func TestDeclareCompositeValidation(t *testing.T) {
 	err := w.db.Do(func(tx *core.Tx) error { return w.cm.Attach(tx, a, "library", p) })
 	if !errors.Is(err, ErrNotComposite) {
 		t.Errorf("expected ErrNotComposite, got %v", err)
+	}
+}
+
+// A declaration names the attribute's defining class: the flag applies
+// wherever the attribute does, so a subclass cannot declare it.
+func TestDeclareOnSubclassRefused(t *testing.T) {
+	w := newCADWorld(t)
+	sub, err := w.db.DefineClass("Subassembly", []model.ClassID{w.assembly.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cm.DeclareComposite(sub.ID, "library", true); !errors.Is(err, schema.ErrInheritedAttr) {
+		t.Fatalf("declaration on the subclass: %v, want ErrInheritedAttr", err)
+	}
+	if a, err := w.db.Catalog.ResolveAttr(w.assembly.ID, "library"); err != nil || a.Composite {
+		t.Fatalf("Assembly.library after the refused declaration: %+v, %v", a, err)
 	}
 }
 

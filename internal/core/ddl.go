@@ -73,8 +73,7 @@ func (db *DB) DefineClass(name string, supers []model.ClassID, attrs ...schema.A
 
 // SystemClass returns the class named name, defining it with attrs first
 // if it does not exist: the bootstrap of the classes the feature layers
-// (versions, composites, checkout, views, schema snapshots) keep their
-// state in.
+// (versions, checkout, views, schema snapshots) keep their state in.
 func (db *DB) SystemClass(name string, attrs ...schema.AttrSpec) (*schema.Class, error) {
 	cl, err := db.Catalog.ClassByName(name)
 	if errors.Is(err, schema.ErrNoSuchClass) {
@@ -157,6 +156,20 @@ func (db *DB) RenameAttribute(class model.ClassID, oldName, newName string) erro
 	return db.ddl([]model.ClassID{class}, func() (func() error, error) {
 		_, err := db.Catalog.RenameAttribute(class, oldName, newName)
 		return nil, err
+	})
+}
+
+// DeclareComposite marks class's own reference attribute name a composite
+// link (schema.Catalog.DeclareComposite). It holds X on the class and on
+// every descendant, which inherit the flag, so a write of theirs either
+// commits before the declaration or is checked under it.
+func (db *DB) DeclareComposite(class model.ClassID, name string, exclusive bool) error {
+	classes, err := db.Catalog.Descendants(class)
+	if err != nil {
+		return err
+	}
+	return db.ddl(classes, func() (func() error, error) {
+		return nil, db.Catalog.DeclareComposite(class, name, exclusive)
 	})
 }
 

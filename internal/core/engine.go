@@ -103,6 +103,9 @@ type DB struct {
 	// polling; it must not block or take engine locks.
 	afterCkpt atomic.Pointer[func()]
 
+	// writeRules run on every write of a checked class (OnWrite).
+	writeRules []WriteRule
+
 	// Fail-stop poison latch: set when a commit fails after its effects
 	// reached the heap (WAL append or durability wait failed). The failed
 	// transaction's locks are retained and every subsequent locked

@@ -51,6 +51,39 @@ func (db *DB) Begin() *Tx {
 // ID returns the transaction identifier.
 func (tx *Tx) ID() uint64 { return tx.id }
 
+// DB returns the database the transaction belongs to.
+func (tx *Tx) DB() *DB { return tx.db }
+
+// WriteRule is a check a write must pass before it is logged: old is the
+// object as the transaction reads it (nil for an insert), next what the
+// write makes of it (nil for a delete). It runs in the writing
+// transaction, which holds X on the object; an error refuses the write.
+type WriteRule func(tx *Tx, old, next *model.Object) error
+
+// OnWrite registers rule for every write of an instance of a class the
+// catalog flags (schema.Catalog.WriteChecked). Register before the
+// database is shared: oodb.Open registers the composite and version rules.
+func (db *DB) OnWrite(rule WriteRule) { db.writeRules = append(db.writeRules, rule) }
+
+// checkWrite runs the write rules on a write of oid. The rules read a
+// copy of next, so that a write of an unchecked class, which runs none,
+// does not move next to the heap.
+func (tx *Tx) checkWrite(oid model.OID, old, next *model.Object) error {
+	if !tx.db.Catalog.WriteChecked(oid.Class()) {
+		return nil
+	}
+	var copied *model.Object
+	if next != nil {
+		copied = next.Clone()
+	}
+	for _, rule := range tx.db.writeRules {
+		if err := rule(tx, old, copied); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (tx *Tx) ensureBegan() error {
 	if tx.done {
 		return ErrTxnFinished
@@ -111,7 +144,8 @@ func (tx *Tx) resolveAttrs(class model.ClassID, attrs map[string]model.Value) (m
 }
 
 // Insert creates a new instance of the named class with the given
-// attribute values and returns its OID.
+// attribute values and returns its OID. Insert, Update and Delete run the
+// write rules (OnWrite) after they take X and before they log.
 func (tx *Tx) Insert(className string, attrs map[string]model.Value) (model.OID, error) {
 	cl, err := tx.db.Catalog.ClassByName(className)
 	if err != nil {
@@ -140,6 +174,9 @@ func (tx *Tx) InsertClass(class model.ClassID, attrs map[string]model.Value) (mo
 	for id, v := range resolved {
 		obj.Set(id, v)
 	}
+	if err := tx.checkWrite(oid, nil, obj); err != nil {
+		return model.NilOID, err
+	}
 	if err := tx.applyPut(nil, obj); err != nil {
 		return model.NilOID, err
 	}
@@ -160,6 +197,9 @@ func (tx *Tx) Update(oid model.OID, attrs map[string]model.Value) error {
 	for id, v := range resolved {
 		next.Set(id, v)
 	}
+	if err := tx.checkWrite(oid, old, next); err != nil {
+		return err
+	}
 	return tx.applyPut(old, next)
 }
 
@@ -167,6 +207,9 @@ func (tx *Tx) Update(oid model.OID, attrs map[string]model.Value) error {
 func (tx *Tx) Delete(oid model.OID) error {
 	old, err := tx.FetchForUpdate(oid)
 	if err != nil {
+		return err
+	}
+	if err := tx.checkWrite(oid, old, nil); err != nil {
 		return err
 	}
 	before := model.EncodeObject(old)

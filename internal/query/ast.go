@@ -174,34 +174,6 @@ func (l *List) exprString() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Paths returns every path the statement reads: projection, aggregate
-// arguments, predicate and ORDER BY.
-func (q *Query) Paths() []Path {
-	paths := append([]Path(nil), q.Select...)
-	for _, a := range q.Aggregates {
-		if a.Path != nil {
-			paths = append(paths, *a.Path)
-		}
-	}
-	var walk func(Expr)
-	walk = func(ex Expr) {
-		switch ex := ex.(type) {
-		case *Binary:
-			walk(ex.L)
-			walk(ex.R)
-		case *Not:
-			walk(ex.E)
-		case *PathExpr:
-			paths = append(paths, ex.Path)
-		}
-	}
-	walk(q.Where)
-	if q.OrderBy != nil {
-		paths = append(paths, *q.OrderBy)
-	}
-	return paths
-}
-
 // String renders the query canonically (tests and EXPLAIN).
 func (q *Query) String() string {
 	var sb strings.Builder

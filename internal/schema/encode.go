@@ -51,11 +51,13 @@ func EncodeCatalog(c *Catalog) []byte {
 			buf = appendString(buf, a.Name)
 			buf = binary.AppendUvarint(buf, uint64(a.ID))
 			buf = binary.AppendUvarint(buf, uint64(a.Domain))
-			if a.SetValued {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
+			var flags byte // bits 0-3: SetValued, Composite, Exclusive, Guarded
+			for i, on := range [...]bool{a.SetValued, a.Composite, a.Exclusive, a.Guarded} {
+				if on {
+					flags |= 1 << i
+				}
 			}
+			buf = append(buf, flags)
 			buf = model.AppendValue(buf, a.Default)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(cl.OwnMethods)))
@@ -95,7 +97,11 @@ func DecodeCatalog(buf []byte) (*Catalog, error) {
 			a.Name = r.ReadString()
 			a.ID = model.AttrID(r.Uvarint())
 			a.Domain = model.ClassID(r.Uvarint())
-			a.SetValued = r.Byte() == 1
+			flags := r.Byte()
+			if flags >= 1<<4 {
+				return nil, fmt.Errorf("schema: corrupt catalog image: attribute %q flags %#x: %w", a.Name, flags, model.ErrCorrupt)
+			}
+			a.SetValued, a.Composite, a.Exclusive, a.Guarded = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
 			a.Default = r.Value()
 			cl.OwnAttrs = append(cl.OwnAttrs, a)
 		}

@@ -49,6 +49,7 @@ type AttrSpec struct {
 	Name      string
 	Domain    model.ClassID
 	SetValued bool
+	Guarded   bool // see Attribute.Guarded
 	Default   model.Value
 }
 
@@ -114,6 +115,7 @@ func (c *Catalog) newAttribute(cl *Class, spec AttrSpec) (*Attribute, error) {
 		Name:      spec.Name,
 		Domain:    spec.Domain,
 		SetValued: spec.SetValued,
+		Guarded:   spec.Guarded,
 		Default:   spec.Default,
 		Source:    cl.ID,
 	}
@@ -165,6 +167,38 @@ func (c *Catalog) DropAttribute(class model.ClassID, name string) (Change, error
 		}
 	}
 	return Change{}, fmt.Errorf("%w: %s.%s (only locally defined attributes can be dropped)", ErrNoSuchAttribute, cl.Name, name)
+}
+
+// DeclareComposite marks the class's own reference attribute name as a
+// composite (part-of) link, exclusive or shared. The flag is on the
+// attribute, so it holds wherever the attribute is inherited; a class that
+// inherits the attribute cannot declare it (ErrInheritedAttr).
+func (c *Catalog) DeclareComposite(class model.ClassID, name string, exclusive bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cl, ok := c.classes[class]
+	if !ok {
+		return fmt.Errorf("%w: id %d", ErrNoSuchClass, class)
+	}
+	a, ok := cl.effAttrs[name]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cl.Name, name)
+	case a.Source != class:
+		return fmt.Errorf("%w: %s.%s", ErrInheritedAttr, cl.Name, name)
+	case IsPrimitive(a.Domain):
+		return fmt.Errorf("%w: %s.%s has primitive domain %d", ErrBadDomain, cl.Name, name, a.Domain)
+	case a.Composite:
+		return fmt.Errorf("schema: %s.%s is already composite", cl.Name, name)
+	}
+	// A new attribute value, so a reader holding the old one sees no write.
+	flagged := *a
+	flagged.Composite, flagged.Exclusive = true, exclusive
+	own := slices.Clone(cl.OwnAttrs)
+	own[slices.Index(own, a)] = &flagged
+	cl.OwnAttrs = own
+	c.rebuildAll()
+	return nil
 }
 
 // RenameAttribute renames a locally defined attribute. Stored instances are

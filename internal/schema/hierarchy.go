@@ -78,8 +78,37 @@ func (c *Catalog) rebuildAll() {
 				}
 			}
 		}
+		cl.composites, cl.checked = nil, false
+		for _, a := range cl.effAttrs {
+			if a.Composite {
+				cl.composites = append(cl.composites, a)
+			}
+			cl.checked = cl.checked || a.Composite || a.Guarded
+		}
+		slices.SortFunc(cl.composites, func(a, b *Attribute) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	c.version.Add(1)
+}
+
+// WriteChecked reports whether a write of an instance of the class runs
+// the engine's write rules (core.DB.OnWrite): one of its effective
+// attributes is composite or guarded.
+func (c *Catalog) WriteChecked(id model.ClassID) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cl, ok := c.classes[id]
+	return ok && cl.checked
+}
+
+// CompositeAttrs returns the class's effective composite attributes in id
+// order. The slice is shared: callers must not modify it.
+func (c *Catalog) CompositeAttrs(id model.ClassID) []*Attribute {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if cl, ok := c.classes[id]; ok {
+		return cl.composites
+	}
+	return nil
 }
 
 // IsSubclassOf reports whether sub is c (classes are their own subclass) or

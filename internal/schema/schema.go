@@ -49,6 +49,7 @@ var (
 	ErrHasSubclasses   = errors.New("schema: class still has subclasses")
 	ErrLastSuperclass  = errors.New("schema: cannot drop a class's only superclass")
 	ErrBadDomain       = errors.New("schema: attribute domain is not a known class")
+	ErrInheritedAttr   = errors.New("schema: attribute is inherited; declare it on its defining class")
 )
 
 // Attribute describes one attribute of a class. ID is a globally unique,
@@ -60,8 +61,15 @@ type Attribute struct {
 	Name      string
 	Domain    model.ClassID // domain class; any class may be a domain
 	SetValued bool          // attribute holds a set of values (model 2)
-	Default   model.Value   // value read when an instance stores none
-	Source    model.ClassID // defining class
+	// Composite marks a part-of link (Catalog.DeclareComposite), and
+	// Exclusive one whose target has at most one owner.
+	Composite, Exclusive bool
+	// Guarded marks an attribute a feature layer keeps (the version
+	// layer's _v* bookkeeping): writes of its classes' instances are
+	// checked, as a composite attribute's are (Catalog.WriteChecked).
+	Guarded bool
+	Default model.Value   // value read when an instance stores none
+	Source  model.ClassID // defining class
 }
 
 // MethodEngine is the slice of the database engine a method body may use:
@@ -104,6 +112,8 @@ type Class struct {
 	mro        []model.ClassID
 	effAttrs   map[string]*Attribute
 	effMethods map[string]*Method
+	composites []*Attribute // effective composite attributes, in id order
+	checked    bool         // an effective attribute is composite or guarded
 }
 
 // Catalog is the schema manager. All operations are safe for concurrent

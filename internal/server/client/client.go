@@ -51,7 +51,8 @@ var (
 	ErrConflict = errors.New("client: transaction aborted by conflict")
 	// ErrVersion reports a protocol version mismatch.
 	ErrVersion = errors.New("client: protocol version mismatch")
-	// ErrBadRequest reports a request the server could not parse.
+	// ErrBadRequest reports a request the server could not parse, or a
+	// write the database refuses (proto.ErrCodeBadRequest).
 	ErrBadRequest = errors.New("client: bad request")
 	// ErrTooLarge reports a frame beyond the server's limit.
 	ErrTooLarge = errors.New("client: frame too large")

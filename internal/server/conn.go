@@ -11,12 +11,14 @@ import (
 
 	"oodb"
 	"oodb/internal/authz"
+	"oodb/internal/composite"
 	"oodb/internal/core"
 	"oodb/internal/obs"
 	"oodb/internal/schema"
 	"oodb/internal/server/proto"
 	"oodb/internal/storage"
 	"oodb/internal/txn"
+	"oodb/internal/version"
 )
 
 // conn is one client session, served by one goroutine: it reads a frame,
@@ -250,6 +252,9 @@ func errCode(err error) byte {
 		return proto.ErrCodeTxState
 	case errors.Is(err, proto.ErrMalformed), errors.Is(err, schema.ErrDomain):
 		return proto.ErrCodeBadRequest
+	case errors.Is(err, composite.ErrAlreadyOwned), errors.Is(err, composite.ErrCycle),
+		errors.Is(err, version.ErrFrozen), errors.Is(err, version.ErrReleased):
+		return proto.ErrCodeBadRequest // a write the layers' rules refuse
 	default:
 		return proto.ErrCodeInternal
 	}

@@ -120,7 +120,9 @@ const (
 const (
 	// ErrCodeInternal is an unclassified server-side failure.
 	ErrCodeInternal byte = iota + 1
-	// ErrCodeBadRequest is a malformed or unparseable request body.
+	// ErrCodeBadRequest is a malformed or unparseable request body, or a
+	// write the database refuses: a value outside its attribute's domain,
+	// or one the composite or version rules refuse.
 	ErrCodeBadRequest
 	// ErrCodeVersion is a protocol version mismatch at handshake.
 	ErrCodeVersion

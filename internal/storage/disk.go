@@ -16,7 +16,7 @@ import (
 // and manages page allocation through a free list threaded through freed
 // pages' Next links.
 //
-// The metadata is duplexed (format version 2): pages 0 and 1 are twin
+// The metadata is duplexed (since format version 2): pages 0 and 1 are twin
 // metadata slots carrying the same payload plus a monotonically increasing
 // epoch, and every metadata write goes to the slot NOT holding the current
 // state before becoming current itself. On open the newest slot that
@@ -25,7 +25,8 @@ import (
 // earlier — every metadata transition (free-list push/pop, root flip) is
 // designed so that losing only its final write leaks a page at worst (see
 // AllocPage's abandoned-head fallback and SwapBlobs' sync
-// ordering). Version-1 files (a single slot at page 0, rewritten in place)
+// ordering). Files of another version — version 1 had a single slot at
+// page 0, rewritten in place; version 2's catalog had no composite flags —
 // are refused at open with an UnsupportedFormatError.
 //
 // Metadata slot payload (after the standard page header):
@@ -56,7 +57,7 @@ type DiskManager struct {
 
 const (
 	diskMagic      = 0x4B44_4201 // "KDB" + format 1
-	diskVersion    = 2           // current format: duplexed metadata slots
+	diskVersion    = 3           // current format: duplexed metadata slots, composite flags in the catalog
 	metaOffMagic   = 32
 	metaOffVersion = 36
 	metaOffFree    = 40

@@ -194,6 +194,41 @@ func TestMetaLegacySingleSlot(t *testing.T) {
 	}
 }
 
+// TestMetaPreviousVersionRefused rewrites both metadata slots of a fresh
+// file to format version 2, whose catalog carried no composite flags, and
+// verifies open refuses it with an UnsupportedFormatError{2}.
+func TestMetaPreviousVersionRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.kdb")
+	d, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := range MetaSlots {
+		var p Page
+		copy(p.buf[:], image[slot*PageSize:])
+		binary.BigEndian.PutUint32(p.buf[metaOffVersion:], 2)
+		p.Seal()
+		copy(image[slot*PageSize:], p.buf[:])
+	}
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDisk(path)
+	if err == nil {
+		d.Close()
+		t.Fatal("open accepted a format-version-2 file")
+	}
+	var ufe *UnsupportedFormatError
+	if !errors.As(err, &ufe) || ufe.Version != 2 {
+		t.Fatalf("open of a v2 file = %v, want an UnsupportedFormatError{2}", err)
+	}
+}
+
 // TestMetaSlotInfo pins the helper the fault layer's crash model depends
 // on: valid slots report their version and epoch, anything else reports
 // not-ok.

@@ -15,8 +15,9 @@
 //
 // Per the paper's §5.5 layering advice, this manager is a layer above the
 // engine: version state is ordinary attributes maintained through ordinary
-// transactions, so installation-specific version semantics can be built as
-// alternative layers without engine changes.
+// transactions, and the update and delete rules are a write rule the engine
+// runs on every write (CheckWrite), so an installation's own version
+// semantics can be an alternative layer that registers its own rule.
 //
 // Not to be confused with internal/mvcc, which is transaction-time
 // versioning for isolation (snapshot reads at a pinned commit epoch,
@@ -25,6 +26,7 @@
 package version
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -90,24 +92,6 @@ type Notification struct {
 	NewState State     // for promote
 }
 
-// Policy tailors installation-specific version semantics — the layered
-// architecture §5.5 recommends: "the lower level may support a basic
-// mechanism for low-level version semantics that are common to various
-// proposals; the higher level may be made extensible to allow easy
-// tailoring". The zero Policy is the Chou-Kim default.
-type Policy struct {
-	// CanUpdate reports whether a version in the given state accepts
-	// in-place updates. Nil means the default (transient only).
-	CanUpdate func(State) bool
-	// CanDelete reports whether a version in the given state may be
-	// deleted. Nil means the default (anything but released).
-	CanDelete func(State) bool
-	// PromoteParentOnDerive controls whether deriving from a transient
-	// version first promotes it to working (the Chou-Kim rule). Nil means
-	// true.
-	PromoteParentOnDerive *bool
-}
-
 // Manager layers version semantics over a database.
 type Manager struct {
 	db      *core.DB
@@ -117,32 +101,6 @@ type Manager struct {
 	dependents map[model.OID]map[model.OID]bool // generic -> dependents
 	stale      map[model.OID]bool               // dependents flagged out-of-date
 	callback   func(Notification)
-	policy     Policy
-}
-
-// SetPolicy installs installation-specific version semantics.
-func (m *Manager) SetPolicy(p Policy) {
-	m.mu.Lock()
-	m.policy = p
-	m.mu.Unlock()
-}
-
-// rules returns the installed policy with the Chou-Kim defaults filled in.
-func (m *Manager) rules() Policy {
-	m.mu.Lock()
-	p := m.policy
-	m.mu.Unlock()
-	if p.CanUpdate == nil {
-		p.CanUpdate = func(st State) bool { return st == Transient }
-	}
-	if p.CanDelete == nil {
-		p.CanDelete = func(st State) bool { return st != Released }
-	}
-	if p.PromoteParentOnDerive == nil {
-		p.PromoteParentOnDerive = new(bool)
-		*p.PromoteParentOnDerive = true
-	}
-	return p
 }
 
 // New creates (or re-attaches) the version layer, installing the generic
@@ -173,16 +131,17 @@ func (m *Manager) OnChange(fn func(Notification)) {
 }
 
 // EnableVersioning makes a class versionable by adding the hidden version
-// attributes. Idempotent.
+// attributes, guarded so that the engine runs CheckWrite on the class's
+// writes. Idempotent.
 func (m *Manager) EnableVersioning(class model.ClassID) error {
 	if m.isEnabled(class) {
 		return nil
 	}
 	for _, spec := range []schema.AttrSpec{
-		{Name: attrGeneric, Domain: m.generic.ID},
-		{Name: attrParent, Domain: schema.ClassObject},
-		{Name: attrNumber, Domain: schema.ClassInteger},
-		{Name: attrState, Domain: schema.ClassInteger, Default: model.Int(int64(Transient))},
+		{Name: attrGeneric, Domain: m.generic.ID, Guarded: true},
+		{Name: attrParent, Domain: schema.ClassObject, Guarded: true},
+		{Name: attrNumber, Domain: schema.ClassInteger, Guarded: true},
+		{Name: attrState, Domain: schema.ClassInteger, Guarded: true, Default: model.Int(int64(Transient))},
 	} {
 		if _, err := m.db.AddAttribute(class, spec); err != nil && !errors.Is(err, schema.ErrAttrExists) {
 			return err
@@ -303,17 +262,62 @@ func (m *Manager) ParentOf(oid model.OID) (model.OID, error) {
 	return v.parent, err
 }
 
-// UpdateVersion writes attributes of a version, enforcing the update
-// rules: only transient versions are updatable.
+// UpdateVersion writes attributes of a version. Only a transient version
+// takes the write: CheckWrite refuses it on a working or released one.
 func (m *Manager) UpdateVersion(tx *core.Tx, oid model.OID, attrs map[string]model.Value) error {
-	_, v, err := m.load(tx.FetchForUpdate, oid)
-	if err != nil {
+	if _, _, err := m.load(tx.FetchForUpdate, oid); err != nil {
 		return err
 	}
-	if !m.rules().CanUpdate(v.state) {
-		return fmt.Errorf("%w (state %s)", ErrFrozen, v.state)
-	}
 	return tx.Update(oid, attrs)
+}
+
+// CheckWrite is the version rule (core.WriteRule), which oodb.Open
+// registers on every database: the Chou-Kim update and delete rules. A
+// working or released version's attributes other than _vState do not
+// change, _vState never goes down, and a released version is not deleted.
+// An insert, or an object of a class not versioning-enabled, passes.
+func CheckWrite(tx *core.Tx, old, next *model.Object) error {
+	if old == nil {
+		return nil
+	}
+	a, err := tx.DB().Catalog.ResolveAttr(old.Class(), attrState)
+	if err != nil {
+		return nil
+	}
+	stateOf := func(obj *model.Object) State {
+		n, _ := obj.Get(a.ID).AsInt()
+		return State(n)
+	}
+	was := stateOf(old)
+	if next == nil {
+		if was == Released {
+			return ErrReleased
+		}
+		return nil
+	}
+	switch now := stateOf(next); {
+	case now < was:
+		return fmt.Errorf("%w: state %s cannot go back to %s", ErrFrozen, was, now)
+	case was == Transient:
+		return nil
+	}
+	frozen := next.Clone()
+	frozen.Set(a.ID, old.Get(a.ID))
+	if !bytes.Equal(model.EncodeObject(frozen), model.EncodeObject(old)) {
+		return fmt.Errorf("%w (state %s)", ErrFrozen, was)
+	}
+	return nil
+}
+
+// Generic returns the generic object of version obj: the nil OID for an
+// object that is no version (or a class that is not versioning-enabled).
+func Generic(cat *schema.Catalog, obj *model.Object) model.OID {
+	a, err := cat.ResolveAttr(obj.Class(), attrGeneric)
+	if err != nil {
+		return model.NilOID
+	}
+	g, _ := obj.Get(a.ID).AsRef()
+	return g
 }
 
 // Promote advances a version transient → working → released. Promoting a
@@ -350,7 +354,7 @@ func (m *Manager) Derive(tx *core.Tx, parent model.OID) (model.OID, error) {
 	if err != nil {
 		return model.NilOID, err
 	}
-	if p.state == Transient && *m.rules().PromoteParentOnDerive {
+	if p.state == Transient {
 		if _, err := m.promote(tx, parent, p); err != nil {
 			return model.NilOID, err
 		}
@@ -397,17 +401,19 @@ func (m *Manager) Derive(tx *core.Tx, parent model.OID) (model.OID, error) {
 	return oid, nil
 }
 
-// DeleteVersion removes a version; released versions are protected.
+// DeleteVersion removes a version and sheds it from its generic's version
+// set. CheckWrite refuses the delete of a released version, before the
+// generic is written.
 func (m *Manager) DeleteVersion(tx *core.Tx, oid model.OID) error {
 	_, v, err := m.load(tx.FetchForUpdate, oid)
 	if err != nil {
 		return err
 	}
-	if !m.rules().CanDelete(v.state) {
-		return ErrReleased
-	}
 	gobj, vs, err := m.lockGeneric(tx, v)
 	if err != nil {
+		return err
+	}
+	if err := tx.Delete(oid); err != nil {
 		return err
 	}
 	var kept []model.Value
@@ -422,10 +428,7 @@ func (m *Manager) DeleteVersion(tx *core.Tx, oid model.OID) error {
 	if ref, _ := def.AsRef(); ref == oid {
 		upd[attrDefault] = model.Null
 	}
-	if err := tx.Update(v.generic, upd); err != nil {
-		return err
-	}
-	return tx.Delete(oid)
+	return tx.Update(v.generic, upd)
 }
 
 // SetDefault pins the generic object's default version (static binding).

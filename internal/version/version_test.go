@@ -22,6 +22,7 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	db.OnWrite(CheckWrite)
 	design, err := db.DefineClass("Design", nil,
 		schema.AttrSpec{Name: "name", Domain: schema.ClassString},
 		schema.AttrSpec{Name: "area", Domain: schema.ClassInteger})
@@ -344,61 +345,5 @@ func TestReattachDetectsEnabledClasses(t *testing.T) {
 	vs, _ := vm2.Versions(g)
 	if len(vs) != 2 {
 		t.Fatalf("versions after reopen = %v", vs)
-	}
-}
-
-func TestPolicyTailorsSemantics(t *testing.T) {
-	// The §5.5 layering: an installation where working versions stay
-	// editable, released versions are deletable, and deriving never
-	// auto-promotes.
-	w := newWorld(t)
-	noPromote := false
-	w.vm.SetPolicy(Policy{
-		CanUpdate:             func(s State) bool { return s != Released },
-		CanDelete:             func(State) bool { return true },
-		PromoteParentOnDerive: &noPromote,
-	})
-	_, v1 := w.create(t)
-	w.db.Do(func(tx *core.Tx) error {
-		_, err := w.vm.Promote(tx, v1) // -> working
-		return err
-	})
-	// Working versions editable under this policy.
-	err := w.db.Do(func(tx *core.Tx) error {
-		return w.vm.UpdateVersion(tx, v1, map[string]model.Value{"area": model.Int(7)})
-	})
-	if err != nil {
-		t.Fatalf("policy should allow updating working version: %v", err)
-	}
-	// Deriving from a transient version leaves it transient.
-	var v2, v3 model.OID
-	w.db.Do(func(tx *core.Tx) error {
-		v2, _ = w.vm.Derive(tx, v1)
-		v3, _ = w.vm.Derive(tx, v2)
-		return nil
-	})
-	if st, _ := w.vm.StateOf(v2); st != Transient {
-		t.Fatalf("v2 state = %v; policy disabled auto-promote", st)
-	}
-	_ = v3
-	// Released versions deletable under this policy.
-	w.db.Do(func(tx *core.Tx) error {
-		w.vm.Promote(tx, v2)
-		w.vm.Promote(tx, v2)
-		return nil
-	})
-	if st, _ := w.vm.StateOf(v2); st != Released {
-		t.Fatalf("v2 state = %v", st)
-	}
-	if err := w.db.Do(func(tx *core.Tx) error { return w.vm.DeleteVersion(tx, v2) }); err != nil {
-		t.Fatalf("policy should allow deleting released: %v", err)
-	}
-	// Resetting to the zero policy restores Chou-Kim rules.
-	w.vm.SetPolicy(Policy{})
-	err = w.db.Do(func(tx *core.Tx) error {
-		return w.vm.UpdateVersion(tx, v1, map[string]model.Value{"area": model.Int(9)})
-	})
-	if !errors.Is(err, ErrFrozen) {
-		t.Fatalf("default policy should freeze working versions: %v", err)
 	}
 }

@@ -159,6 +159,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The layers' rules hold for every write of the database, whether or
+	// not its accessor below is ever called.
+	eng.OnWrite(composite.CheckWrite)
+	eng.OnWrite(version.CheckWrite)
 	mnt := maint.New(eng)
 	mnt.Start()
 	return &DB{eng: eng, q: query.NewEngine(eng), mnt: mnt}, nil
@@ -392,11 +396,14 @@ func (db *DB) Send(oid OID, message string, args ...Value) (Value, error) {
 	return db.eng.Send(oid, message, args...)
 }
 
-// Query parses, plans and runs a query in its own read-only transaction.
-func (db *DB) Query(src string) (*Result, error) {
-	tx := db.Begin()
-	defer tx.Commit()
-	return db.q.Run(tx, src)
+// Query parses, plans and runs a query in its own read-only transaction,
+// run again once if it loses a deadlock (Do).
+func (db *DB) Query(src string) (res *Result, err error) {
+	err = db.Do(func(tx *Tx) error {
+		res, err = db.q.Run(tx, src)
+		return err
+	})
+	return res, err
 }
 
 // QueryTx runs a query inside an existing transaction.
@@ -453,7 +460,7 @@ func (db *DB) Versions() (*version.Manager, error) { return layer(db, &db.versio
 
 // Composites returns the composite-object layer (part-of semantics).
 func (db *DB) Composites() (*composite.Manager, error) {
-	return layer(db, &db.composites, composite.New)
+	return layer(db, &db.composites, func(eng *core.DB) (*composite.Manager, error) { return composite.New(eng), nil })
 }
 
 // Checkouts returns the long-transaction (checkout/checkin) layer, which

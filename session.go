@@ -96,8 +96,8 @@ func (s *Session) CommitAsync() error { return s.end((*Tx).CommitAsync) }
 // Abort rolls the open transaction back.
 func (s *Session) Abort() error { return s.end((*Tx).Abort) }
 
-// write runs fn in the open transaction, or in one of its own.
-func (s *Session) write(fn func(*Tx) error) error {
+// do runs fn in the open transaction, or in one of its own (DB.Do).
+func (s *Session) do(fn func(*Tx) error) error {
 	if s.tx != nil {
 		return fn(s.tx)
 	}
@@ -107,18 +107,18 @@ func (s *Session) write(fn func(*Tx) error) error {
 // --- Reads --------------------------------------------------------------
 
 // Query runs a statement — inside the open transaction, reading its
-// uncommitted writes, or in a read-only transaction of its own — and
-// filters the rows to the instances the role may read. A role without read
-// access to any instance in scope gets an empty result, not an error
-// (content filtering, like a view); a statement that reads an attribute the
-// role is explicitly forbidden is refused with authz.ErrDenied.
-func (s *Session) Query(src string) (*proto.Result, error) {
-	if s.tx != nil {
-		return s.query(s.tx, src)
-	}
-	tx := s.db.Begin()
-	defer tx.Commit()
-	return s.query(tx, src)
+// uncommitted writes, or in a read-only transaction of its own, run again
+// once if it loses a deadlock (DB.Do) — and filters the rows to the
+// instances the role may read. A role without read access to any instance
+// in scope gets an empty result, not an error (content filtering, like a
+// view); a statement that reads an attribute the role is explicitly
+// forbidden is refused with authz.ErrDenied.
+func (s *Session) Query(src string) (res *proto.Result, err error) {
+	err = s.do(func(tx *Tx) error {
+		res, err = s.query(tx, src)
+		return err
+	})
+	return res, err
 }
 
 // QuerySnapshot is Query in a lock-free snapshot of the last commit epoch;
@@ -258,7 +258,7 @@ func (s *Session) Insert(className string, attrs Attrs) (OID, error) {
 		return 0, err
 	}
 	var oid OID
-	err = s.write(func(tx *Tx) error {
+	err = s.do(func(tx *Tx) error {
 		var err error
 		oid, err = tx.Insert(className, attrs)
 		return err
@@ -277,7 +277,7 @@ func (s *Session) Update(oid OID, attrs Attrs) error {
 			return err
 		}
 	}
-	return s.write(func(tx *Tx) error { return tx.Update(oid, attrs) })
+	return s.do(func(tx *Tx) error { return tx.Update(oid, attrs) })
 }
 
 // Delete removes an object if the role may write it.
@@ -285,5 +285,5 @@ func (s *Session) Delete(oid OID) error {
 	if err := s.check(authz.Write, authz.Instance(oid)); err != nil {
 		return err
 	}
-	return s.write(func(tx *Tx) error { return tx.Delete(oid) })
+	return s.do(func(tx *Tx) error { return tx.Delete(oid) })
 }
